@@ -21,8 +21,7 @@ promote guard in :mod:`repro.bench` checks.
 import os
 from pathlib import Path
 
-from repro.pipeline import ckernel
-from repro.pipeline.fastsim import fast_kernel_enabled, fast_sim_enabled
+from repro.pipeline.fastsim import kernel_mode
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,11 +44,7 @@ def bench_output_path(name: str) -> Path:
 
 def simulation_mode() -> str:
     """Which cycle-loop path this process would take for eligible configs."""
-    if not fast_sim_enabled():
-        return "legacy"
-    if fast_kernel_enabled() and ckernel.kernel_available():
-        return "kernel-c"
-    return "kernel-python"
+    return "kernel-c" if kernel_mode() == "c" else "legacy"
 
 
 def run_metadata(rounds: int) -> dict:

@@ -3,7 +3,7 @@
 Every paper table and figure has a bench target here (see DESIGN.md's
 experiment index).  Benchmarks run scaled-down slices so the whole harness
 finishes in minutes; the full-size regeneration is
-``python -m repro.experiments.reproduce`` (its output is EXPERIMENTS.md).
+``python -m repro.experiments.reproduce`` (it prints the full report).
 
 All simulation traffic goes through the experiment engine
 (:mod:`repro.engine`).  The harness pins a *serial*, *memory-only* engine

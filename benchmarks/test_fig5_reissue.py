@@ -46,7 +46,7 @@ def test_fig45_fpc_recovery_indifference(benchmark, bench_sizes):
 
     pair = run_once(benchmark, run_pair)
     # Within ~12% relative at these short slices (FPC warm-up noise); the
-    # full-length runs in EXPERIMENTS.md land within a few percent.
+    # full-length reproduce runs land within a few percent.
     gap = abs(pair["squash"] - pair["reissue"]) / max(pair.values())
     assert gap < 0.12, pair
     assert min(pair.values()) > 1.0, pair  # both mechanisms show the gain

@@ -847,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", action="store_true",
                        help="print per-phase wall-clock timings (trace "
                             "build / columnize / precompute / simulate / "
-                            "kernel-c or kernel-python / cache IO) and "
+                            "kernel-c / cache IO) and "
                             "the active kernel after the run")
     run_p.set_defaults(fn=cmd_run)
 
@@ -917,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", action="store_true",
                        help="print per-phase wall-clock timings (trace "
                             "build / columnize / precompute / simulate / "
-                            "kernel-c or kernel-python / cache IO) and "
+                            "kernel-c / cache IO) and "
                             "the active kernel after the campaign; "
                             "phases record in this process only, so "
                             "profile serial local runs for the full "
@@ -1302,12 +1302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_p = sub.add_parser(
         "fuzz",
-        help="differential-fuzz the three cycle-loop implementations",
+        help="differential-fuzz the two cycle-loop implementations",
         description="Sample (workload × predictor × recovery × knob) "
                     "configurations from a seed and run each through the "
-                    "legacy sequential model, the vectorized Python fast "
-                    "loop and the compiled kernel (REPRO_FAST_SIM / "
-                    "REPRO_FAST_KERNEL forced per leg), requiring "
+                    "sequential spec loop and the compiled kernel "
+                    "(REPRO_FAST_SIM forced per leg), requiring "
                     "dataclass-equal results.  Interesting corners are "
                     "registered in a JSON registry with a replayable "
                     "one-line spec; exit status 1 on any divergence.",

@@ -45,7 +45,7 @@ Two entry points ship with the reproduction:
   simulation service daemon and its clients, and result-cache
   management;
 * **`python -m repro.experiments.reproduce`** — the everything driver
-  that regenerates EXPERIMENTS.md.
+  that prints the paper-vs-reproduction report.
 
 Environment variables honoured by both: `REPRO_JOBS` (worker processes),
 `REPRO_CACHE_DIR` (persistent result cache), `REPRO_CHECKPOINT_DIR`

@@ -7,7 +7,7 @@
 * :mod:`repro.experiments.tables` — Tables 1-3;
 * :mod:`repro.experiments.figures` — Figures 1, 3, 4, 5, 6, 7;
 * :mod:`repro.experiments.reproduce` — the everything driver that
-  regenerates EXPERIMENTS.md.
+  prints the paper-vs-reproduction report.
 """
 
 from repro.experiments.campaigns import (

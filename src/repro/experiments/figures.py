@@ -3,7 +3,7 @@
 Every function returns a :class:`FigureResult`: the raw per-benchmark
 series plus a rendered text version (tables + ASCII bar charts).  The
 drivers accept slice sizes so benchmarks can run scaled-down versions while
-EXPERIMENTS.md records fuller runs.
+the reproduce driver runs fuller ones.
 
 Each simulation-backed figure is *one campaign*: its job grid comes from
 the matching spec in :mod:`repro.experiments.campaigns`, executes through

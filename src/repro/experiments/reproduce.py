@@ -1,8 +1,8 @@
 """Full reproduction driver: regenerate every table and figure.
 
 ``python -m repro.experiments.reproduce [n_uops] [warmup] [--jobs N]`` runs
-the whole evaluation and writes EXPERIMENTS.md-style output to stdout (the
-repository checks in the result as EXPERIMENTS.md).
+the whole evaluation and writes the paper-vs-reproduction report to stdout
+(redirect it to ``EXPERIMENTS.md`` to keep a copy).
 
 The whole evaluation is *one campaign*: the union of every figure grid
 (:func:`repro.experiments.campaigns.reproduce_campaign`) executes up

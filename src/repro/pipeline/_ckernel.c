@@ -1,12 +1,12 @@
-/* Compiled cycle-loop kernel for the precompute-driven fast path.
+/* Compiled cycle-loop kernel for the fast path.
  *
- * This is a C transliteration of pipeline/fastsim.py's `_run_python` (which
- * is itself a fork of pipeline/core.py's `CoreModel._run`): the sequential
- * dispatch/commit/recovery state machine over the packed trace plane, with
- * the memory hierarchy, store sets, and the supported value predictors
- * (LVP / stride / 2D-stride / VTAGE / oracle) implemented over flat arrays.
- * Branch prediction is NOT here: redirect codes and scrambled keys come
- * precomputed on the trace plane.
+ * This is a C transliteration of pipeline/core.py's `CoreModel._run` (the
+ * executable spec) over the precomputed trace plane: the sequential
+ * dispatch/commit/recovery state machine, with the memory hierarchy, store
+ * sets, and the supported value predictors (LVP / stride / 2D-stride /
+ * VTAGE / oracle) implemented over flat arrays.  Branch prediction is NOT
+ * here: redirect codes and scrambled keys come precomputed on the trace
+ * plane (pipeline/precompute.py).
  *
  * Bit-exactness contract: every arithmetic statement mirrors the Python
  * model.  Cycles and addresses are int64 (the Python caller refuses traces
@@ -19,11 +19,12 @@
  * The kernel touches ONLY caller-provided arrays (no allocation): Python
  * owns every buffer, imports live predictor state before the call, and
  * writes the arrays back into the model objects afterwards, so post-run
- * observable state matches the pure-Python path.
+ * observable state matches the spec loop's.
  *
  * Failure is always safe: any unsupported situation the Python-side guards
  * missed returns a nonzero error before results are consumed, and the
- * caller falls back to the pure-Python loop (predictor arrays are copies).
+ * caller records `kernel-error:<code>` and runs the spec loop (predictor
+ * arrays are copies).
  *
  * Build: cc -O2 -shared -fPIC -o _ckernel.so _ckernel.c   (see ckernel.py)
  */
@@ -35,7 +36,8 @@
 
 /* Per-cycle bandwidth counts live in stamped circular windows instead of
  * dicts; BW_WINDOW bounds how far ahead of the watermark a grant may probe
- * (error 2 if exceeded -- impossible in practice, see fastsim notes). */
+ * (error 2 if exceeded: a grant 2^17 cycles past the watermark, which the
+ * bounded per-uop latencies rule out in practice). */
 #define BW_WINDOW_BITS 17
 #define BW_WINDOW ((int64_t)1 << BW_WINDOW_BITS)
 #define BW_MASK (BW_WINDOW - 1)

@@ -1,28 +1,30 @@
-"""Build, load, and drive the optional compiled cycle-loop kernel.
+"""Build, load, and drive the compiled cycle-loop kernel.
 
-``_ckernel.c`` (same directory) is a C transliteration of the pure-Python
-fast loop in :mod:`repro.pipeline.fastsim`.  This module owns everything on
-the Python side of that boundary:
+``_ckernel.c`` (same directory) is a C transliteration of
+:meth:`repro.pipeline.core.CoreModel._run` over the precomputed trace plane.
+This module owns everything on the Python side of that boundary:
 
 * **Build on demand** — the shared object is compiled with the system C
   compiler (``$CC`` or ``cc``) into a cache directory keyed by the source
   hash, so editing the C source transparently rebuilds.  No compiler, a
-  failed build, or a failed load simply disables the kernel for the
-  process; nothing is ever a hard dependency.
-* **Eligibility** — beyond :func:`fastsim.try_run`'s checks, the kernel
-  requires a *fresh* memory hierarchy and store-set predictor (it rebuilds
-  their state from flat arrays), a stock/Wide/FPC confidence policy, and
+  failed build, or a failed load disables the kernel for the process
+  (fallback reason ``no-compiler``); nothing is ever a hard dependency.
+* **Eligibility** — the predictor families the kernel inlines
+  (:func:`predictor_type`) and, per run, a *fresh* memory hierarchy and
+  store-set predictor (it rebuilds their state from flat arrays), a
+  stock/Wide/FPC confidence policy, uniform VTAGE components, and
   addresses/PCs below 2**62 (so int64 arithmetic in C is exact, including
-  the negative intermediate strides the L2 prefetcher can produce).
+  the negative intermediate strides the L2 prefetcher can produce).  Each
+  failed check records one ``kernel-ineligible:<check>`` fallback reason.
 * **State marshalling** — predictor tables are *copied* into flat numpy
   arrays before the call and written back into the live model objects only
-  on success, so a kernel error (or ineligibility discovered late) falls
-  back to the pure-Python loop with the model untouched.
+  on success, so a kernel error (``kernel-error:<code>``) or ineligibility
+  discovered late leaves the model untouched for the spec loop.
 
 The kernel returns counters through a single ``out`` array; this module
 assembles the :class:`~repro.pipeline.result.SimResult` exactly as the
-Python loop does.  Bit-identical results in both modes are pinned by the
-golden grid (``REPRO_FAST_KERNEL=0`` vs default) and the equivalence tests.
+spec loop does.  Bit-identical results are pinned by the golden grid
+(``REPRO_FAST_SIM=0`` vs default) and the equivalence tests.
 """
 
 from __future__ import annotations
@@ -41,9 +43,13 @@ from repro.core.confidence import (
     ForwardProbabilisticCounters,
     WideConfidence,
 )
+from repro.core.vtage import VTAGEPredictor
 from repro.isa.uop import OpClass
 from repro.pipeline.config import RecoveryMode
 from repro.pipeline.result import SimResult
+from repro.predictors.lvp import LastValuePredictor
+from repro.predictors.oracle import OraclePredictor
+from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
 from repro.util.bits import MASK64
 
 #: Where compiled kernels are cached (one ``.so`` per source hash).
@@ -55,6 +61,13 @@ _ADDR_LIMIT = 1 << 62
 _MAX_COMPONENTS = 16
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
+
+# Predictor families the kernel inlines (``ptype`` in ``_ckernel.c``).
+P_NONE = 0
+P_ORACLE = 1
+P_LVP = 2
+P_STRIDE = 3
+P_VTAGE = 4
 
 # Module-level build state: None = not attempted, False = unavailable.
 _lib = None
@@ -242,11 +255,32 @@ def kernel_available() -> bool:
 # Eligibility
 
 
+def predictor_type(predictor) -> int | None:
+    """The kernel's ``ptype`` for *predictor*, or ``None`` (unsupported).
+
+    Exact-type checks on purpose: subclasses (e.g. PerPathStridePredictor
+    under TwoDeltaStridePredictor) may override the indexing the plane
+    precomputed.
+    """
+    if predictor is None:
+        return P_NONE
+    kind = type(predictor)
+    if kind is OraclePredictor:
+        return P_ORACLE
+    if kind is LastValuePredictor:
+        return P_LVP
+    if kind is StridePredictor or kind is TwoDeltaStridePredictor:
+        return P_STRIDE
+    if kind is VTAGEPredictor:
+        return P_VTAGE
+    return None
+
+
 def _policy_fields(policy):
     """``(conf_kind, max_level, prob_array, taps, state)`` or ``None``.
 
     Exact type checks: any confidence subclass that overrides transition or
-    saturation behaviour must take the pure-Python path.
+    saturation behaviour must take the spec loop.
     """
     kind = type(policy)
     if kind is ConfidencePolicy or kind is WideConfidence:
@@ -290,42 +324,51 @@ def _store_sets_fresh(store_sets) -> bool:
 # Entry point
 
 
+def _decline(reason: str) -> None:
+    """Record why this run takes the spec loop; returns ``None``."""
+    from repro.pipeline import fastsim  # fastsim imports this module
+
+    fastsim.record_fallback(reason)
+    return None
+
+
 def try_run(model, trace, warmup, workload, ptype, plane, vplane):
-    """Run the compiled kernel, or return ``None`` to use the Python loop.
+    """Run the compiled kernel, or record why not and return ``None``.
 
     The caller (:func:`fastsim.try_run`) has already verified the predictor
-    family and the default branch state; this adds the kernel-specific
-    checks and performs the array round-trip.
+    family, the default branch state and that the kernel loads; this adds
+    the per-run checks and performs the array round-trip.
     """
     lib = _load()
     if lib is None:
-        return None
+        return _decline("no-compiler")
     cfg = model.config
     predictor = model.predictor
     memory = model.memory
     store_sets = model.store_sets
 
-    if not _memory_is_fresh(memory) or not _store_sets_fresh(store_sets):
-        return None
+    if not _memory_is_fresh(memory):
+        return _decline("kernel-ineligible:memory-not-fresh")
+    if not _store_sets_fresh(store_sets):
+        return _decline("kernel-ineligible:store-sets-not-fresh")
 
     packed = trace.packed()
     a = packed.arrays
     n = packed.n
     if n == 0:
-        return None
+        return _decline("kernel-ineligible:empty-trace")
     pcs = a["pcs"]
     mem_addrs = a["mem_addrs"]
     dsts = a["dsts"]
     src_flat = a["src_flat"]
     seqs = a["seqs"]
     if int(pcs.max()) >= _ADDR_LIMIT or int(mem_addrs.max()) >= _ADDR_LIMIT:
-        return None
+        return _decline("kernel-ineligible:address-range")
     if int(seqs.min()) < 0:
-        return None
-    if int(dsts.max(initial=0)) >= 64:
-        return None
-    if src_flat.size and int(src_flat.max()) >= 64:
-        return None
+        return _decline("kernel-ineligible:negative-seq")
+    if int(dsts.max(initial=0)) >= 64 or (
+            src_flat.size and int(src_flat.max()) >= 64):
+        return _decline("kernel-ineligible:register-range")
 
     keep = []  # arrays that must stay alive across the C call
 
@@ -557,16 +600,10 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
 
     tbl = None
     vt_state_arrays = None
-    from repro.pipeline.fastsim import (  # local import: avoid cycle at load
-        _P_LVP,
-        _P_STRIDE,
-        _P_VTAGE,
-    )
-
-    if ptype in (_P_LVP, _P_STRIDE):
+    if ptype in (P_LVP, P_STRIDE):
         fields = _policy_fields(predictor.confidence)
         if fields is None:
-            return None
+            return _decline("kernel-ineligible:confidence-policy")
         args.conf_kind, args.conf_max_level, prob, taps, state = fields
         keep.append(prob)
         args.fpc_prob = ptr(prob)
@@ -579,15 +616,13 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
         tags = arr([t if t is not None else 0 for t in raw_tags], np.uint64)
         args.tbl_tags = ptr(tags)
         args.tbl_tag_valid = ptr(tag_valid)
-        if ptype == _P_LVP:
+        if ptype == P_LVP:
             values = arr(predictor._values, np.uint64)
             conf = arr(predictor._conf, np.int64)
             args.tbl_values = ptr(values)
             args.tbl_conf = ptr(conf)
             tbl = ("lvp", tags, tag_valid, values, conf)
         else:
-            from repro.predictors.stride import TwoDeltaStridePredictor
-
             two_delta = type(predictor) is TwoDeltaStridePredictor
             last = arr(predictor._last, np.uint64)
             conf = arr(predictor._conf, np.int64)
@@ -613,13 +648,13 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
             args.st_inflight = ptr(inflight)
             tbl = ("stride", tags, tag_valid, last, conf, stride, stride2,
                    two_delta, spec_value, spec_has, inflight)
-    elif ptype == _P_VTAGE:
+    elif ptype == P_VTAGE:
         vt = predictor
         if vt._conf_threshold is None:
-            return None
+            return _decline("kernel-ineligible:vtage-threshold")
         fields = _policy_fields(vt.confidence)
         if fields is None:
-            return None
+            return _decline("kernel-ineligible:confidence-policy")
         args.conf_kind, args.conf_max_level, prob, taps, state = fields
         keep.append(prob)
         args.fpc_prob = ptr(prob)
@@ -627,11 +662,10 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
         args.fpc_state = state
         comps = vt.components
         ncomp = len(comps)
-        if ncomp == 0 or ncomp > _MAX_COMPONENTS:
-            return None
-        entries = comps[0].entries
-        if any(c.entries != entries for c in comps):
-            return None
+        entries = comps[0].entries if comps else 0
+        if (ncomp == 0 or ncomp > _MAX_COMPONENTS
+                or any(c.entries != entries for c in comps)):
+            return _decline("kernel-ineligible:vtage-components")
         vt_tags = arr(np.concatenate(
             [np.asarray(c.tags, dtype=np.int64) for c in comps]), np.int64)
         vt_values = arr(np.concatenate(
@@ -666,7 +700,7 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
 
     ret = lib.repro_kernel_run(ctypes.byref(args))
     if ret != 0 or out[_O_ERROR] != 0:
-        return None
+        return _decline(f"kernel-error:{ret or int(out[_O_ERROR])}")
 
     # ---- write state back into the live model objects --------------------
     for prefix, (cache, lines, fill, count, mshr) in cache_arrays.items():

@@ -1,84 +1,53 @@
-"""Precompute-driven fast scheduler loop (bit-identical to the seed loop).
+"""Dispatch between the compiled cycle-loop kernel and the spec loop.
 
-This is the second tentpole layer of the vectorized-cycle-loop work: a fork
-of :meth:`repro.pipeline.core.CoreModel._run` that consumes the per-trace
-:class:`~repro.pipeline.precompute.TracePlane` instead of running the
-branch unit per µop, and inlines the supported value predictors directly
-over their internal table lists using the plane's precomputed hashes —
-no per-µop ``Prediction`` objects, no context folding, no memo dicts.
+Two implementations of the Table 2 scheduler exist:
 
-Division of labour with the sequential model:
+* :meth:`repro.pipeline.core.CoreModel._run` — the executable spec, which
+  takes every configuration;
+* the compiled kernel (:mod:`repro.pipeline.ckernel`) — a C transliteration
+  of ``_run`` over the per-trace
+  :class:`~repro.pipeline.precompute.TracePlane`, for the predictor
+  families and model states it supports.
 
-* Everything that depends only on the in-order stream (branch outcomes,
-  folded history, predictor indices/tags, scrambled keys) comes from
-  :mod:`repro.pipeline.precompute` — computed once per trace, cached and
-  persisted.
-* The genuinely sequential dispatch/commit/recovery state machine stays a
-  cycle-exact Python loop here (or the optional compiled kernel, see
-  :mod:`repro.pipeline.ckernel`), operating **in place** on the model's
-  predictor/memory/store-set objects, so post-run predictor state matches
-  the sequential model's.
+:func:`try_run` is plain dispatch: it computes the planes, calls the
+kernel, and on success applies the plane's branch-unit state to the model.
+Whenever it returns ``None`` exactly one structured reason has been
+recorded through :func:`record_fallback`, and the caller (``CoreModel.run``)
+runs the spec loop on the untouched model.  Reasons:
 
-Eligibility is conservative: :func:`try_run` returns ``None`` — and the
-caller falls back to the sequential loop — whenever any replaced component
-is not in the exact supported configuration (pre-warmed or reconfigured
-branch unit, unsupported predictor type, a stage-trace hook).  Supported
-results are bit-identical to ``_run`` (pinned by the golden grid run in
-both modes and the randomized equivalence tests).
+* ``unsupported-predictor:<Class>`` / ``non-default-branch-state`` /
+  ``no-compiler`` — the static half, :func:`fallback_reason`;
+* ``kernel-ineligible:<check>`` / ``kernel-error:<code>`` — recorded by
+  :func:`repro.pipeline.ckernel.try_run`;
+* ``stage-trace-hook`` / ``disabled-by-env`` — recorded by
+  ``CoreModel.run`` itself.
+
+Kernel results are bit-identical to ``_run`` (pinned by the golden grid run
+in every mode and the randomized equivalence tests).
 
 Environment knobs:
 
-* ``REPRO_FAST_SIM=0`` — disable this path entirely (sequential loop).
+* ``REPRO_FAST_SIM=0`` — always take the spec loop.
 * ``REPRO_FAST_SIM=require`` — raise :class:`FastPathRequired` instead of
   silently falling back (perf runs that must not quietly degrade).
-* ``REPRO_FAST_KERNEL`` — ``0`` forces the pure-Python fast loop; unset /
-  ``1`` / ``auto`` additionally tries the compiled kernel for supported
-  configurations.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from heapq import heappop, heappush, heapreplace
 
-from repro.core.confidence import ConfidencePolicy
-from repro.core.vtage import VTAGEPredictor
-from repro.isa.uop import OpClass
-from repro.pipeline.config import RecoveryMode
+from repro.pipeline import ckernel
 from repro.pipeline.precompute import (
     apply_branch_state,
     default_branch_state,
     trace_plane,
     vtage_plane,
 )
-from repro.pipeline.resources import BandwidthLimiter
 from repro.pipeline.result import SimResult
-from repro.predictors.lvp import LastValuePredictor
-from repro.predictors.oracle import OraclePredictor
-from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
 from repro.util import profiling
-from repro.util.bits import MASK64
 
-#: Master switch for the precompute-driven loop (``0`` = sequential model).
+#: Master switch for the compiled kernel (``0`` = spec loop only).
 FAST_SIM_ENV = "REPRO_FAST_SIM"
-
-#: Compiled-kernel selection: ``0`` = pure Python, else try the C kernel.
-FAST_KERNEL_ENV = "REPRO_FAST_KERNEL"
-
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
-_PRUNE_PERIOD_MASK = 4095
-_NEVER = 1 << 62
-
-# Predictor families the fast loop can inline.  Exact-type checks on
-# purpose: subclasses (e.g. PerPathStridePredictor under
-# TwoDeltaStridePredictor) may override the indexing the plane precomputed.
-_P_NONE = 0
-_P_ORACLE = 1
-_P_LVP = 2
-_P_STRIDE = 3
-_P_VTAGE = 4
 
 
 def fast_sim_mode() -> str:
@@ -99,7 +68,7 @@ def fast_sim_enabled() -> bool:
 
 class FastPathRequired(RuntimeError):
     """Raised under ``REPRO_FAST_SIM=require`` when a run would silently
-    fall back to the sequential model.  The message carries the structured
+    fall back to the spec loop.  The message carries the structured
     fallback reason (the same string :func:`fallback_stats` counts)."""
 
     def __init__(self, reason: str):
@@ -109,7 +78,7 @@ class FastPathRequired(RuntimeError):
 
 
 # Per-process structured fallback counters: reason -> count.  Every run
-# that bypasses the fast loop records exactly one reason here; the CLI's
+# that bypasses the kernel records exactly one reason here; the CLI's
 # ``--profile`` output surfaces them so a silently-degraded run is visible
 # in the same place its timing is.  Pool-backend workers keep their own
 # counters (same per-process scope as the profiling registry).
@@ -118,7 +87,7 @@ _LAST_FALLBACK: str | None = None
 
 
 def record_fallback(reason: str) -> None:
-    """Count one sequential-model fallback under a structured *reason*."""
+    """Count one spec-loop fallback under a structured *reason*."""
     global _LAST_FALLBACK
     _FALLBACKS[reason] = _FALLBACKS.get(reason, 0) + 1
     _LAST_FALLBACK = reason
@@ -141,64 +110,35 @@ def reset_fallback_stats() -> None:
 
 
 def fallback_reason(model) -> str | None:
-    """Why *model* would bypass the fast loop, or ``None`` when eligible.
+    """Why *model* would bypass the kernel, or ``None`` when eligible.
 
     This is the static half of the dispatch decision (predictor family,
-    branch-unit state); the dynamic half (``REPRO_FAST_SIM=0``, a
-    stage-trace hook) is reported by ``CoreModel.run`` itself.
+    branch-unit state, kernel availability); the per-run checks are
+    recorded by :func:`repro.pipeline.ckernel.try_run`, and the dynamic
+    half (``REPRO_FAST_SIM=0``, a stage-trace hook) by ``CoreModel.run``.
     """
-    if _classify(model.predictor) is None:
+    if ckernel.predictor_type(model.predictor) is None:
         return f"unsupported-predictor:{type(model.predictor).__name__}"
     if not default_branch_state(model):
         return "non-default-branch-state"
+    if not ckernel.kernel_available():
+        return "no-compiler"
     return None
-
-
-def fast_kernel_enabled() -> bool:
-    return os.environ.get(FAST_KERNEL_ENV, "").strip() != "0"
 
 
 def kernel_mode() -> str:
-    """Which loop implementation eligible configs take in this process:
-    ``"c"`` (compiled kernel), ``"python"`` (vectorised-precompute fast
-    loop), or ``"off"`` (legacy sequential model).  Shown by
-    ``--profile`` so a timing report names the path it measured."""
-    if not fast_sim_enabled():
-        return "off"
-    if fast_kernel_enabled():
-        from repro.pipeline import ckernel
-
-        if ckernel.kernel_available():
-            return "c"
-    return "python"
-
-
-def _classify(predictor) -> int | None:
-    """Supported predictor family of *predictor*, or None (fall back)."""
-    if predictor is None:
-        return _P_NONE
-    kind = type(predictor)
-    if kind is OraclePredictor:
-        return _P_ORACLE
-    if kind is LastValuePredictor:
-        return _P_LVP
-    if kind is StridePredictor or kind is TwoDeltaStridePredictor:
-        return _P_STRIDE
-    if kind is VTAGEPredictor:
-        return _P_VTAGE
-    return None
-
-
-def _conf_threshold(policy: ConfidencePolicy) -> int | None:
-    """Saturation threshold when the stock confidence test applies, else
-    ``None`` (the policy's own ``is_confident`` is called)."""
-    if type(policy).is_confident is ConfidencePolicy.is_confident:
-        return policy.max_level
-    return None
+    """Which loop eligible configs take in this process: ``"c"`` (compiled
+    kernel) or ``"off"`` (spec loop: ``REPRO_FAST_SIM=0`` or no usable C
+    compiler).  Shown by ``--profile`` so a timing report names the path
+    it measured."""
+    if fast_sim_enabled() and ckernel.kernel_available():
+        return "c"
+    return "off"
 
 
 def try_run(model, trace, warmup: int, workload: str | None) -> SimResult | None:
-    """Run *trace* through the fast loop, or return ``None`` to fall back.
+    """Run *trace* through the compiled kernel, or record why not and
+    return ``None`` (the caller then runs the spec loop).
 
     The caller (``CoreModel.run``) owns the gc pause and profiling phase.
     """
@@ -206,739 +146,16 @@ def try_run(model, trace, warmup: int, workload: str | None) -> SimResult | None
     if reason is not None:
         record_fallback(reason)
         return None
-    ptype = _classify(model.predictor)
+    ptype = ckernel.predictor_type(model.predictor)
     plane = trace_plane(trace)
     vplane = (
-        vtage_plane(trace, model.predictor) if ptype == _P_VTAGE else None
+        vtage_plane(trace, model.predictor)
+        if ptype == ckernel.P_VTAGE else None
     )
-    result = None
-    if fast_kernel_enabled():
-        from repro.pipeline import ckernel
-
-        with profiling.phase("kernel-c"):
-            result = ckernel.try_run(
-                model, trace, warmup, workload, ptype, plane, vplane
-            )
-    if result is None:
-        with profiling.phase("kernel-python"):
-            result = _run_python(
-                model, trace, warmup, workload, ptype, plane, vplane
-            )
-    apply_branch_state(model, plane)
-    return result
-
-
-def _run_python(model, trace, warmup, workload, ptype, plane, vplane) -> SimResult:
-    """The fork of ``CoreModel._run`` driven by the precompute planes.
-
-    Structure and variable names intentionally mirror ``core.py`` line for
-    line — every divergence is a precompute substitution.  When changing
-    scheduling semantics, change ``core.py`` first and re-derive this loop.
-    """
-    cfg = model.config
-    predictor = model.predictor
-    reissue = cfg.recovery is RecoveryMode.SELECTIVE_REISSUE
-
-    result = SimResult(
-        workload=workload if workload is not None else trace.name,
-        predictor=predictor.name if ptype != _P_NONE else "none",
-        recovery=cfg.recovery.value,
-    )
-
-    # Bandwidth resources, inlined over the limiter count dicts exactly as
-    # in core.py (the objects stay authoritative for pruning and stats).
-    fetch_bw = BandwidthLimiter(cfg.fetch_width)
-    taken_bw = BandwidthLimiter(cfg.max_taken_per_cycle)
-    issue_bw = BandwidthLimiter(cfg.issue_width)
-    vp_write_bw = (
-        BandwidthLimiter(cfg.vp_write_ports)
-        if cfg.vp_write_ports is not None
-        else None
-    )
-    fetch_counts = fetch_bw._counts
-    taken_counts = taken_bw._counts
-    issue_counts = issue_bw._counts
-    vp_write_counts = vp_write_bw._counts if vp_write_bw is not None else None
-    vp_write_width = cfg.vp_write_ports
-    fetch_width = cfg.fetch_width
-    taken_width = cfg.max_taken_per_cycle
-    issue_width = cfg.issue_width
-    commit_width = cfg.commit_width
-    dbw_cycle = -1
-    dbw_used = 0
-    cbw_cycle = -1
-    cbw_used = 0
-
-    # Window resources (deques / heap of release cycles + occupancy ints).
-    fq_rel: deque = deque()
-    rob_rel: deque = deque()
-    iq_rel: list = []
-    lq_rel: deque = deque()
-    sq_rel: deque = deque()
-    int_prf_rel: deque = deque()
-    fp_prf_rel: deque = deque()
-    fq_size = cfg.fetch_queue
-    rob_size = cfg.rob_entries
-    iq_size = cfg.iq_entries
-    lq_size = cfg.lq_entries
-    sq_size = cfg.sq_entries
-    int_prf_size = max(1, cfg.int_prf - cfg.arch_regs)
-    fp_prf_size = max(1, cfg.fp_prf - cfg.arch_regs)
-    rob_stalls = iq_stalls = 0
-    fq_len = rob_len = iq_len = lq_len = sq_len = 0
-    int_prf_len = fp_prf_len = 0
-
-    # Functional units: free-server heaps per op class, with the same pool
-    # sharing as core.py (dividers on multipliers, stores on load ports,
-    # control on the INT ALUs).
-    n_classes = len(OpClass)
-    heap_for = {
-        OpClass.INT_ALU: [0] * cfg.fu[OpClass.INT_ALU].units,
-        OpClass.INT_MUL: [0] * cfg.fu[OpClass.INT_MUL].units,
-        OpClass.FP_ADD: [0] * cfg.fu[OpClass.FP_ADD].units,
-        OpClass.FP_MUL: [0] * cfg.fu[OpClass.FP_MUL].units,
-        OpClass.LOAD: [0] * cfg.fu[OpClass.LOAD].units,
-    }
-    heap_for[OpClass.INT_DIV] = heap_for[OpClass.INT_MUL]
-    heap_for[OpClass.FP_DIV] = heap_for[OpClass.FP_MUL]
-    heap_for[OpClass.STORE] = heap_for[OpClass.LOAD]
-    for cls in (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL,
-                OpClass.RET, OpClass.NOP):
-        heap_for[cls] = heap_for[OpClass.INT_ALU]
-    pool_free = [heap_for[OpClass(c)] for c in range(n_classes)]
-    lats = [cfg.fu[OpClass(c)].latency for c in range(n_classes)]
-    occs = [cfg.fu[OpClass(c)].occupancy for c in range(n_classes)]
-
-    reg_ready = [0] * 64
-    reg_spec_commit = [0] * 64
-
-    store_buffer: deque = deque(maxlen=cfg.sq_entries + 16)
-    train_queue: deque = deque()
-
-    store_sets = model.store_sets
-    predicted_store = store_sets.predicted_store
-    store_fetched = store_sets.store_fetched
-    memory = model.memory
-    memory_fetch = memory.fetch
-    memory_store = memory.store
-
-    cols = trace.columns()
-    col_seq = cols.seqs
-    col_pc = cols.pcs
-    col_line = cols.pc_lines
-    col_op = cols.ops
-    col_srcs = cols.srcs
-    col_dst = cols.dsts
-    col_value = cols.values
-    col_addr = cols.mem_addrs
-    col_size = cols.mem_sizes
-    col_taken = cols.takens
-    col_fp = cols.dst_is_fp
-    col_is_branch = cols.is_branch
-    col_is_cond = cols.is_cond_branch
-    col_produces = cols.produces_value
-    col_pkey = cols.pkeys
-
-    redirect_l, scr_pc_l, scr_pkey_l = plane.lists()
-
-    frontend = cfg.frontend_depth
-    backend = cfg.backend_depth
-    redirect_extra = cfg.redirect_extra
-    decode_redirect_depth = cfg.decode_redirect_depth
-    lookahead_cap = cfg.squash_lookahead
-    load_timing = model._load_timing
-    consumer_before = model._consumer_before
-
-    fetch_resume = 0
-    line_ready = 0
-    current_line = -1
-    last_fetch = 0
-    last_dispatch = 0
-    last_commit = 0
-    measure_start_commit = None
-    vp_all_scope = cfg.vp_scope == "all"
-    have_predictor = ptype != _P_NONE
-    is_oracle = ptype == _P_ORACLE
-    is_lvp = ptype == _P_LVP
-    is_stride = ptype == _P_STRIDE
-    is_vtage = ptype == _P_VTAGE
-
-    n_uops_meas = 0
-    cond_branches = 0
-    branch_mispredicts = 0
-    btb_redirects = 0
-    vp_eligible_n = vp_predicted_n = vp_used_n = 0
-    vp_correct_used = vp_wrong_used = 0
-    vp_squashes = vp_harmless_wrong = vp_reissues = 0
-    vp_write_delayed = 0
-    next_train = _NEVER
-
-    # ---- Per-family predictor state, bound to locals --------------------
-    if is_lvp:
-        lvp_mask = predictor.entries - 1
-        lvp_tags = predictor._tags
-        lvp_values = predictor._values
-        lvp_conf = predictor._conf
-        policy = predictor.confidence
-        threshold = _conf_threshold(policy)
-        is_confident = policy.is_confident
-        on_correct = policy.on_correct
-        on_incorrect = policy.on_incorrect
-
-        def apply_train(entry):
-            __, idx, key, actual = entry
-            if lvp_tags[idx] != key:
-                lvp_tags[idx] = key
-                lvp_values[idx] = actual
-                lvp_conf[idx] = 0
-            elif lvp_values[idx] == actual:
-                lvp_conf[idx] = on_correct(lvp_conf[idx])
-            else:
-                lvp_conf[idx] = on_incorrect(lvp_conf[idx])
-                lvp_values[idx] = actual
-
-    elif is_stride:
-        st_mask = predictor.entries - 1
-        st_tags = predictor._tags
-        st_last = predictor._last
-        st_stride = predictor._stride
-        st_conf = predictor._conf
-        spec_last = predictor._spec_last
-        inflight = predictor._inflight
-        two_delta = type(predictor) is TwoDeltaStridePredictor
-        st_pred = predictor._stride2 if two_delta else st_stride
-        policy = predictor.confidence
-        threshold = _conf_threshold(policy)
-        is_confident = policy.is_confident
-        on_correct = policy.on_correct
-        on_incorrect = policy.on_incorrect
-
-        def apply_train(entry):
-            __, idx, key, pred_value, actual = entry
-            if pred_value is not None:
-                live = inflight.get(idx, 0) - 1
-                if live <= 0:
-                    inflight.pop(idx, None)
-                    spec_last.pop(idx, None)
-                else:
-                    inflight[idx] = live
-            if st_tags[idx] != key:
-                st_tags[idx] = key
-                st_last[idx] = actual
-                st_stride[idx] = 0
-                st_conf[idx] = 0
-                spec_last.pop(idx, None)
-                inflight.pop(idx, None)
-                return
-            if pred_value is not None:
-                predicted = pred_value
-            else:
-                predicted = (st_last[idx] + st_pred[idx]) & MASK64
-            if predicted == actual:
-                st_conf[idx] = on_correct(st_conf[idx])
-            else:
-                st_conf[idx] = on_incorrect(st_conf[idx])
-            # _train_stride (after the confidence transition, before resync).
-            delta = (actual - st_last[idx]) & MASK64
-            if two_delta:
-                if delta == st_stride[idx]:
-                    st_pred[idx] = delta
-                st_stride[idx] = delta
-            else:
-                st_stride[idx] = delta
-            if predicted != actual:
-                live = inflight.get(idx, 0)
-                if live > 0:
-                    spec_last[idx] = (actual + st_pred[idx] * live) & MASK64
-                else:
-                    spec_last.pop(idx, None)
-            st_last[idx] = actual
-
-    elif is_vtage:
-        vt = predictor
-        ncomp = len(vt.components)
-        vt_tags = [c.tags for c in vt.components]
-        vt_values = [c.values for c in vt.components]
-        vt_conf = [c.conf for c in vt.components]
-        vt_useful = [c.useful for c in vt.components]
-        base_mask = vt._base_index_mask
-        base_values = vt._base_values
-        base_conf = vt._base_conf
-        vthr = vt._conf_threshold
-        vt_is_confident = vt._is_confident
-        v_on_correct = vt._on_correct
-        v_on_incorrect = vt._on_incorrect
-        vt_lfsr = vt._lfsr
-        vp_idx, vp_tag = vplane.lists()
-
-        def apply_train(entry):
-            __, i, provider, eff, base_idx, predicted, actual = entry
-            if provider == 0:
-                if base_values[base_idx] == actual:
-                    base_conf[base_idx] = v_on_correct(base_conf[base_idx])
-                else:
-                    if base_conf[base_idx] == 0:
-                        base_values[base_idx] = actual
-                    base_conf[base_idx] = v_on_incorrect(base_conf[base_idx])
-            else:
-                c = provider - 1
-                row = vp_idx[c]
-                idx = row[i]
-                conf_row = vt_conf[c]
-                was_weak = conf_row[idx] == 0
-                if vt_values[c][idx] == actual:
-                    conf_row[idx] = v_on_correct(conf_row[idx])
-                    vt_useful[c][idx] = 1
-                else:
-                    if conf_row[idx] == 0:
-                        vt_values[c][idx] = actual
-                    conf_row[idx] = v_on_incorrect(conf_row[idx])
-                    vt_useful[c][idx] = 0
-                if was_weak:
-                    if eff != 0 and eff != provider:
-                        a = eff - 1
-                        aidx = vp_idx[a][i]
-                        aconf = vt_conf[a]
-                        if vt_values[a][aidx] == actual:
-                            aconf[aidx] = v_on_correct(aconf[aidx])
-                            vt_useful[a][aidx] = 1
-                        else:
-                            if aconf[aidx] == 0:
-                                vt_values[a][aidx] = actual
-                            aconf[aidx] = v_on_incorrect(aconf[aidx])
-                            vt_useful[a][aidx] = 0
-                    if base_values[base_idx] == actual:
-                        base_conf[base_idx] = v_on_correct(base_conf[base_idx])
-                    else:
-                        if base_conf[base_idx] == 0:
-                            base_values[base_idx] = actual
-                        base_conf[base_idx] = v_on_incorrect(base_conf[base_idx])
-            if predicted != actual and provider < ncomp:
-                # _allocate in a longer-history component.
-                candidates = [
-                    c for c in range(provider, ncomp)
-                    if vt_useful[c][vp_idx[c][i]] == 0
-                ]
-                if not candidates:
-                    for c in range(provider, ncomp):
-                        vt_useful[c][vp_idx[c][i]] = 0
-                    return
-                c = candidates[vt_lfsr.step() % len(candidates)]
-                idx = vp_idx[c][i]
-                vt_tags[c][idx] = vp_tag[c][i]
-                vt_values[c][idx] = actual
-                vt_conf[c][idx] = 0
-                vt_useful[c][idx] = 0
-                vt._tags_gen += 1
-
-    else:
-        apply_train = None
-
-    rows = zip(
-        col_op, col_pc, col_line, col_srcs, col_dst,
-        col_fp, col_is_branch, col_is_cond, col_produces, redirect_l,
-    )
-    for i, (op, pc, pc_line, srcs, dst, dst_fp, is_branch, is_cond,
-            produces, branch_redirect) in enumerate(rows):
-        measured = i >= warmup
-        is_load = op == _LOAD
-        is_store = op == _STORE
-
-        # ---- Fetch ------------------------------------------------------
-        if pc_line != current_line:
-            current_line = pc_line
-            floor = fetch_resume if fetch_resume > last_fetch else last_fetch
-            line_ready = memory_fetch(pc, floor)
-            if line_ready <= floor + 1:
-                line_ready = 0  # L1I hit: no extra constraint
-        fetch = fetch_resume if fetch_resume > line_ready else line_ready
-        if fq_len >= fq_size:
-            oldest = fq_rel.popleft()
-            fq_len -= 1
-            if oldest > fetch:
-                fetch = oldest
-        used = fetch_counts.get(fetch, 0)
-        while used >= fetch_width:
-            fetch += 1
-            used = fetch_counts.get(fetch, 0)
-        fetch_counts[fetch] = used + 1
-        if is_branch and col_taken[i]:
-            used = taken_counts.get(fetch, 0)
-            while used >= taken_width:
-                fetch += 1
-                used = taken_counts.get(fetch, 0)
-            taken_counts[fetch] = used + 1
-        last_fetch = fetch
-
-        # ---- Apply predictor trainings that have committed by now -------
-        while next_train <= fetch:
-            apply_train(train_queue.popleft())
-            next_train = train_queue[0][0] if train_queue else _NEVER
-
-        # ---- Branch redirect code: precomputed on the trace plane -------
-        # (branch_redirect came out of the fused row tuple; the plane walk
-        # already trained TAGE/BTB/RAS and maintained the shared history.)
-
-        # ---- Value prediction at fetch ----------------------------------
-        prediction = False
-        vp_used = False
-        vp_wrong = False
-        eligible = have_predictor and produces and (vp_all_scope or is_load)
-        if eligible:
-            if is_vtage:
-                prediction = True
-                scr = scr_pkey_l[i]
-                base_idx = scr & base_mask
-                provider = 0
-                alt = 0
-                for c in range(ncomp):
-                    if vt_tags[c][vp_idx[c][i]] == vp_tag[c][i]:
-                        alt = provider
-                        provider = c + 1
-                if provider == 0:
-                    value = base_values[base_idx]
-                    conf = base_conf[base_idx]
-                    eff = 0
-                else:
-                    c = provider - 1
-                    pidx = vp_idx[c][i]
-                    if vt_conf[c][pidx] == 0 and vt_useful[c][pidx] == 0:
-                        eff = alt
-                    else:
-                        eff = provider
-                    if eff == 0:
-                        value = base_values[base_idx]
-                        conf = base_conf[base_idx]
-                    else:
-                        e = eff - 1
-                        eidx = vp_idx[e][i]
-                        value = vt_values[e][eidx]
-                        conf = vt_conf[e][eidx]
-                if (conf >= vthr) if vthr is not None else vt_is_confident(conf):
-                    vp_used = True
-                    vp_wrong = value != col_value[i]
-            elif is_oracle:
-                prediction = True
-                vp_used = True
-            elif is_lvp:
-                idx = scr_pkey_l[i] & lvp_mask
-                pkey = col_pkey[i]
-                if lvp_tags[idx] == pkey:
-                    prediction = True
-                    value = lvp_values[idx]
-                    conf = lvp_conf[idx]
-                    if (conf >= threshold) if threshold is not None \
-                            else is_confident(conf):
-                        vp_used = True
-                        vp_wrong = value != col_value[i]
-            else:  # stride family
-                idx = scr_pkey_l[i] & st_mask
-                pkey = col_pkey[i]
-                if st_tags[idx] == pkey:
-                    prediction = True
-                    base = spec_last.get(idx, st_last[idx])
-                    value = (base + st_pred[idx]) & MASK64
-                    conf = st_conf[idx]
-                    if (conf >= threshold) if threshold is not None \
-                            else is_confident(conf):
-                        vp_used = True
-                        vp_wrong = value != col_value[i]
-                    # speculate(): chain the next in-flight occurrence.
-                    spec_last[idx] = value
-                    inflight[idx] = inflight.get(idx, 0) + 1
-            if measured:
-                vp_eligible_n += 1
-                if prediction:
-                    vp_predicted_n += 1
-                if vp_used:
-                    vp_used_n += 1
-                    if vp_wrong:
-                        vp_wrong_used += 1
-                    else:
-                        vp_correct_used += 1
-
-        # ---- Dispatch (rename + window allocation) ----------------------
-        dispatch = fetch + frontend
-        if vp_used and vp_write_counts is not None:
-            # Inlined BandwidthLimiter.grant over the write-port counts.
-            write_cycle = fetch + 2
-            used = vp_write_counts.get(write_cycle, 0)
-            while used >= vp_write_width:
-                write_cycle += 1
-                used = vp_write_counts.get(write_cycle, 0)
-            vp_write_counts[write_cycle] = used + 1
-            if write_cycle + 1 > dispatch:
-                if measured:
-                    vp_write_delayed += 1
-                dispatch = write_cycle + 1
-        if last_dispatch > dispatch:
-            dispatch = last_dispatch
-        if rob_len >= rob_size:
-            oldest = rob_rel.popleft()
-            rob_len -= 1
-            if oldest > dispatch:
-                rob_stalls += 1
-                dispatch = oldest
-        if iq_len >= iq_size:
-            soonest = heappop(iq_rel)
-            iq_len -= 1
-            if soonest > dispatch:
-                iq_stalls += 1
-                dispatch = soonest
-        if is_load:
-            if lq_len >= lq_size:
-                oldest = lq_rel.popleft()
-                lq_len -= 1
-                if oldest > dispatch:
-                    dispatch = oldest
-        elif is_store:
-            if sq_len >= sq_size:
-                oldest = sq_rel.popleft()
-                sq_len -= 1
-                if oldest > dispatch:
-                    dispatch = oldest
-        if dst is not None:
-            if dst_fp:
-                if fp_prf_len >= fp_prf_size:
-                    oldest = fp_prf_rel.popleft()
-                    fp_prf_len -= 1
-                    if oldest > dispatch:
-                        dispatch = oldest
-            elif int_prf_len >= int_prf_size:
-                oldest = int_prf_rel.popleft()
-                int_prf_len -= 1
-                if oldest > dispatch:
-                    dispatch = oldest
-        if dispatch > dbw_cycle:
-            dbw_cycle = dispatch
-            dbw_used = 1
-        elif dbw_used < fetch_width:
-            dispatch = dbw_cycle
-            dbw_used += 1
-        else:
-            dbw_cycle += 1
-            dispatch = dbw_cycle
-            dbw_used = 1
-        last_dispatch = dispatch
-        fq_rel.append(dispatch)
-        fq_len += 1
-
-        # ---- Operand readiness ------------------------------------------
-        ready = dispatch + 1
-        spec_until = 0
-        if reissue:
-            for src in srcs:
-                src_ready = reg_ready[src]
-                if src_ready > ready:
-                    ready = src_ready
-                sc = reg_spec_commit[src]
-                if sc > spec_until:
-                    spec_until = sc
-        else:
-            for src in srcs:
-                src_ready = reg_ready[src]
-                if src_ready > ready:
-                    ready = src_ready
-
-        wait_store_seq = -1
-        if is_load:
-            predicted = predicted_store(pc)
-            if predicted is not None:
-                for entry in reversed(store_buffer):
-                    if entry[0] == predicted:
-                        if entry[3] > ready:
-                            ready = entry[3]
-                        wait_store_seq = predicted
-                        break
-
-        # ---- Issue + execute --------------------------------------------
-        free = pool_free[op]
-        start = free[0]
-        if ready > start:
-            start = ready
-        heapreplace(free, start + occs[op])
-        issue = start
-        used = issue_counts.get(issue, 0)
-        while used >= issue_width:
-            issue += 1
-            used = issue_counts.get(issue, 0)
-        issue_counts[issue] = used + 1
-        if is_load:
-            complete = load_timing(
-                pc, col_addr[i], col_size[i], issue,
-                store_buffer, wait_store_seq, result, measured,
-            )
-            if complete < 0:  # memory-order violation: squash younger
-                complete = -complete
-                resume = complete + redirect_extra
-                if resume > fetch_resume:
-                    fetch_resume = resume
-        elif is_store:
-            complete = issue + 1
-        else:
-            complete = issue + lats[op]
-
-        # ---- Commit -----------------------------------------------------
-        commit = complete + backend
-        if last_commit > commit:
-            commit = last_commit
-        if commit > cbw_cycle:
-            cbw_cycle = commit
-            cbw_used = 1
-        elif cbw_used < commit_width:
-            commit = cbw_cycle
-            cbw_used += 1
-        else:
-            cbw_cycle += 1
-            commit = cbw_cycle
-            cbw_used = 1
-        last_commit = commit
-
-        # ---- Branch redirect --------------------------------------------
-        if branch_redirect:
-            if branch_redirect == 1:  # execute-resolved mispredict
-                resume = complete + redirect_extra
-                if measured:
-                    branch_mispredicts += 1
-            else:  # decode-resolved BTB redirect
-                resume = fetch + decode_redirect_depth
-                if measured:
-                    btb_redirects += 1
-            if resume > fetch_resume:
-                fetch_resume = resume
-        if measured and is_cond:
-            cond_branches += 1
-
-        # ---- Value prediction outcome -----------------------------------
-        consumer_ready = complete
-        producer_spec_commit = 0
-        if eligible:
-            if prediction:
-                if vp_used and not vp_wrong:
-                    consumer_ready = 0
-                    producer_spec_commit = complete if reissue else 0
-                elif vp_used:
-                    if reissue:
-                        consumer_ready = complete
-                        producer_spec_commit = complete
-                        if measured:
-                            vp_reissues += 1
-                    else:
-                        consumed_early = consumer_before(
-                            col_srcs, col_dst, i, fetch, complete,
-                            frontend, fetch_width, lookahead_cap,
-                        )
-                        if consumed_early:
-                            resume = commit + redirect_extra
-                            if resume > fetch_resume:
-                                fetch_resume = resume
-                            # predictor.on_squash(): only the stride family
-                            # holds speculative per-instruction state.
-                            if is_stride:
-                                spec_last.clear()
-                                inflight.clear()
-                            store_sets.flush_inflight()
-                            store_buffer.clear()
-                            if measured:
-                                vp_squashes += 1
-                        else:
-                            if measured:
-                                vp_harmless_wrong += 1
-                if not is_oracle:
-                    if next_train == _NEVER:
-                        next_train = commit
-                    if is_vtage:
-                        train_queue.append(
-                            (commit, i, provider, eff, base_idx, value,
-                             col_value[i])
-                        )
-                    elif is_lvp:
-                        train_queue.append((commit, idx, pkey, col_value[i]))
-                    else:
-                        train_queue.append(
-                            (commit, idx, pkey, value, col_value[i])
-                        )
-            else:
-                # Lookup missed: still train (allocation path).
-                if next_train == _NEVER:
-                    next_train = commit
-                if is_lvp:
-                    train_queue.append((commit, idx, pkey, col_value[i]))
-                else:  # stride family (VTAGE/oracle lookups never miss)
-                    train_queue.append((commit, idx, pkey, None, col_value[i]))
-
-        # ---- Register state update --------------------------------------
-        if dst is not None:
-            reg_ready[dst] = consumer_ready
-            if reissue:
-                reg_spec_commit[dst] = producer_spec_commit
-
-        # ---- Window releases --------------------------------------------
-        rob_rel.append(commit)
-        rob_len += 1
-        heappush(iq_rel, max(issue, spec_until) if reissue else issue)
-        iq_len += 1
-        if is_load:
-            lq_rel.append(commit)
-            lq_len += 1
-        elif is_store:
-            sq_rel.append(commit)
-            sq_len += 1
-            addr = col_addr[i]
-            store_buffer.append(
-                (col_seq[i], addr, addr + col_size[i], complete, commit, pc)
-            )
-            store_fetched(pc, col_seq[i])
-            memory_store(pc, addr, commit)
-        if dst is not None:
-            if dst_fp:
-                fp_prf_rel.append(commit)
-                fp_prf_len += 1
-            else:
-                int_prf_rel.append(commit)
-                int_prf_len += 1
-
-        # ---- Measurement bookkeeping ------------------------------------
-        if measured:
-            if measure_start_commit is None:
-                measure_start_commit = commit
-            n_uops_meas += 1
-
-        # ---- Retire per-cycle bandwidth bookkeeping ---------------------
-        if not (i & _PRUNE_PERIOD_MASK):
-            issue_bw.advance_watermark(last_dispatch)
-            fetch_floor = fetch_resume
-            if fq_len >= fq_size and fq_rel[0] > fetch_floor:
-                fetch_floor = fq_rel[0]
-            fetch_bw.advance_watermark(fetch_floor)
-            taken_bw.advance_watermark(fetch_floor)
-            if vp_write_bw is not None:
-                vp_write_bw.advance_watermark(fetch_floor)
-
-    # Flush remaining trainings (end of trace).
-    while train_queue:
-        apply_train(train_queue.popleft())
-
-    if measure_start_commit is None:
-        measure_start_commit = 0
-    result.n_uops = n_uops_meas
-    result.cond_branches = cond_branches
-    result.branch_mispredicts = branch_mispredicts
-    result.btb_redirects = btb_redirects
-    result.vp_eligible = vp_eligible_n
-    result.vp_predicted = vp_predicted_n
-    result.vp_used = vp_used_n
-    result.vp_correct_used = vp_correct_used
-    result.vp_wrong_used = vp_wrong_used
-    result.vp_squashes = vp_squashes
-    result.vp_harmless_wrong = vp_harmless_wrong
-    result.vp_reissues = vp_reissues
-    result.vp_write_delayed = vp_write_delayed
-    result.cycles = max(1, last_commit - measure_start_commit)
-    result.rob_stalls = rob_stalls
-    result.iq_stalls = iq_stalls
-    result.l1d_misses = memory.l1d.misses
-    result.l1d_accesses = memory.l1d.hits + memory.l1d.misses
-    result.l2_misses = memory.l2.misses
-    result.l2_accesses = memory.l2.hits + memory.l2.misses
+    with profiling.phase("kernel-c"):
+        result = ckernel.try_run(
+            model, trace, warmup, workload, ptype, plane, vplane
+        )
+    if result is not None:
+        apply_branch_state(model, plane)
     return result

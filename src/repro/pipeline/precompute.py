@@ -5,8 +5,8 @@ from fetch-time information only — makes most of the simulator's front-end
 work *data-parallel over the instruction stream*: branch outcomes, folded
 global/path history, predictor indices and tags depend on trace columns
 alone, never on the out-of-order timing the cycle loop resolves.  This
-module materialises all of it once per trace as numpy arrays the fast
-paths (:mod:`repro.pipeline.fastsim`, the compiled kernel) index into:
+module materialises all of it once per trace as numpy arrays the compiled
+kernel (:mod:`repro.pipeline.ckernel`) indexes into:
 
 * :class:`TracePlane` — per-µop branch redirect codes (a fresh
   :class:`~repro.branch.unit.BranchUnit` walked over the control µops,
@@ -70,7 +70,6 @@ class TracePlane:
         "final_ghist",
         "final_path",
         "final_ghist_length",
-        "_lists",
     )
 
     def __init__(self, n, redirect, ghist64, path16, scr_pc, scr_pkey,
@@ -88,50 +87,27 @@ class TracePlane:
         self.final_ghist = final_ghist
         self.final_path = final_path
         self.final_ghist_length = final_ghist_length
-        self._lists = None
 
     @property
     def nbytes(self) -> int:
         return (self.redirect.nbytes + self.ghist64.nbytes +
                 self.path16.nbytes + self.scr_pc.nbytes + self.scr_pkey.nbytes)
 
-    def lists(self) -> tuple[list, list, list]:
-        """``(redirect, scr_pc, scr_pkey)`` as plain lists (cached) — the
-        representation the pure-Python fast loop indexes per µop."""
-        lists = self._lists
-        if lists is None:
-            lists = self._lists = (
-                self.redirect.tolist(),
-                self.scr_pc.tolist(),
-                self.scr_pkey.tolist(),
-            )
-        return lists
-
 
 class VTAGEPlane:
     """Per-component VTAGE (index, tag) for every µop of one trace."""
 
-    __slots__ = ("n", "idx", "tag", "_lists")
+    __slots__ = ("n", "idx", "tag")
 
     def __init__(self, n: int, idx: list[np.ndarray], tag: list[np.ndarray]):
         self.n = n
         self.idx = idx
         self.tag = tag
-        self._lists = None
 
     @property
     def nbytes(self) -> int:
         return (sum(a.nbytes for a in self.idx) +
                 sum(a.nbytes for a in self.tag))
-
-    def lists(self) -> tuple[list[list[int]], list[list[int]]]:
-        lists = self._lists
-        if lists is None:
-            lists = self._lists = (
-                [a.tolist() for a in self.idx],
-                [a.tolist() for a in self.tag],
-            )
-        return lists
 
 
 # ---------------------------------------------------------------------------

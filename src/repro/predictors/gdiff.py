@@ -88,9 +88,14 @@ class GDiffPredictor(ValuePredictor):
         if self._tags[idx] == key and len(history) > self._distance[idx]:
             base = history[self._distance[idx]]
             own = (base + self._stride[idx]) & MASK64
-        if own is not None:
+        own_confident = (
+            own is not None and self.confidence.is_confident(self._conf[idx])
+        )
+        # gDiff's own prediction wins only when confident: an unconfident
+        # global stride must not mask a confident backing prediction.
+        if own is not None and (own_confident or backing_pred is None):
             value = own
-            confident = self.confidence.is_confident(self._conf[idx])
+            confident = own_confident
             source = self.name
         elif backing_pred is not None:
             value = backing_pred.value

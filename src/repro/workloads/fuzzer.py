@@ -1,20 +1,19 @@
-"""Differential scenario/config fuzzer over the three cycle loops.
+"""Differential scenario/config fuzzer over the two cycle loops.
 
-Since PR 6 the repo carries three interchangeable implementations of the
-same scheduler — the legacy sequential :meth:`CoreModel._run`, the
-vectorized pure-Python fast loop (:mod:`repro.pipeline.fastsim`) and the
-compiled C kernel (:mod:`repro.pipeline.ckernel`) — whose equivalence
-was pinned only on a fixed golden grid.  This module is the standing
+The repo carries two interchangeable implementations of the same
+scheduler — the sequential spec loop :meth:`CoreModel._run` and the
+compiled C kernel (:mod:`repro.pipeline.ckernel`) — whose equivalence the
+golden grid pins only on a fixed grid.  This module is the standing
 correctness harness that keeps them honest across the *whole* workload ×
 predictor × recovery × knob space:
 
 * :func:`sample_specs` draws jobs from a seed — catalog kernels, random
   scenario knob points (``scenario-c*-e*-l*``) and any ingested traces
   registered in the trace store;
-* :func:`run_differential` runs one spec through all three
-  implementations, forcing ``REPRO_FAST_SIM`` / ``REPRO_FAST_KERNEL``
-  per leg (both are read at call time, so in-process forcing is exact),
-  and requires **dataclass-equal** :class:`SimResult`\\ s;
+* :func:`run_differential` runs one spec through both implementations,
+  forcing ``REPRO_FAST_SIM`` per leg (it is read at call time, so
+  in-process forcing is exact), and requires **dataclass-equal**
+  :class:`SimResult`\\ s;
 * interesting corners — divergence, extreme accuracy, zero coverage,
   fallback-only configs — are auto-registered under stable names in a
   JSON registry next to the trace store, each with a replayable one-line
@@ -23,7 +22,7 @@ predictor × recovery × knob space:
 Every leg builds a *fresh* predictor and model and calls
 :func:`~repro.pipeline.core.simulate` directly — deliberately below the
 engine layer, whose result cache keys jobs by content (not by
-implementation) and would otherwise coalesce the three legs into one
+implementation) and would otherwise coalesce the two legs into one
 simulation.  The trace itself is shared across legs via the catalog LRU:
 traces are immutable once simulated, so sharing is free and exact.
 """
@@ -48,11 +47,10 @@ from repro.workloads import catalog, ingest, scenarios
 #: line is only meaningful against the grammar that emitted it.
 FUZZ_VERSION = 1
 
-#: The three implementation legs and the env forcing that selects each.
+#: The two implementation legs and the env forcing that selects each.
 LEGS: dict[str, dict[str, str]] = {
-    "legacy": {fastsim.FAST_SIM_ENV: "0", fastsim.FAST_KERNEL_ENV: "0"},
-    "python": {fastsim.FAST_SIM_ENV: "1", fastsim.FAST_KERNEL_ENV: "0"},
-    "kernel": {fastsim.FAST_SIM_ENV: "1", fastsim.FAST_KERNEL_ENV: "1"},
+    "legacy": {fastsim.FAST_SIM_ENV: "0"},
+    "kernel": {fastsim.FAST_SIM_ENV: "1"},
 }
 
 _RECOVERIES = ("squash", "reissue")
@@ -152,12 +150,12 @@ def run_leg(spec: FuzzSpec, leg: str):
 
 
 def run_differential(spec: FuzzSpec) -> FuzzOutcome:
-    """Run *spec* through all three legs and compare dataclass-equal.
+    """Run *spec* through both legs and compare dataclass-equal.
 
-    The legacy leg is the reference; any leg whose :class:`SimResult`
-    differs marks the outcome divergent.  The fast path's fallback reason
-    (if the config is outside the inlined families) is captured from the
-    python leg so fallback-only corners are visible.
+    The legacy leg is the reference; a kernel leg whose :class:`SimResult`
+    differs marks the outcome divergent.  The fast path's static fallback
+    reason (a predictor family the kernel does not inline, or no C
+    compiler) is recorded so fallback-only corners are visible.
     """
     from repro.experiments.runner import make_predictor
 

@@ -10,8 +10,8 @@ stream straight to :class:`~repro.isa.trace.PackedColumns` through the
 content-addressed trace store.  From there an ingested trace is
 indistinguishable from a generated one: the catalog LRU caches it, the
 shared-memory plane fans it out to workers, precompute planes persist
-next to it, and every simulator implementation (legacy / fastsim /
-C kernel) consumes it bit-identically.
+next to it, and both simulator implementations (the sequential spec loop
+and the C kernel) consume it bit-identically.
 
 **Line formats.**  Two layouts are auto-detected per line:
 

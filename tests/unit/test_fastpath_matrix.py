@@ -1,27 +1,37 @@
 """The fast-path dispatch matrix, pinned exhaustively.
 
-``CoreModel.run`` picks between three loop implementations at call time;
-which configurations are eligible is a contract the fuzzer and the CLI
-``--profile`` output both rely on.  These tests enumerate every
+``CoreModel.run`` picks between the compiled kernel and the spec loop at
+call time; which configurations are eligible is a contract the fuzzer and
+the CLI ``--profile`` output both rely on.  These tests enumerate every
 experiment predictor × recovery × fpc combination and assert the static
 dispatch decision (:func:`fastsim.fallback_reason`), then exercise the
 dynamic half: structured fallback counters, ``REPRO_FAST_SIM=require``
-escalation, the stage-trace hook and the disabled-by-env path.
+escalation, kernel declines, the stage-trace hook and the disabled-by-env
+path.  Every route to the spec loop records exactly one reason; on a host
+without a C compiler that reason is ``no-compiler``.
 """
 
 import pytest
 
+from repro.core.confidence import ConfidencePolicy
 from repro.experiments.runner import PREDICTOR_NAMES, make_predictor
-from repro.pipeline import fastsim
+from repro.pipeline import ckernel, fastsim
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import CoreModel, simulate
 from repro.workloads.catalog import build_trace
 
-#: Families the vectorised loops inline (exact type checks in
-#: ``fastsim._classify``) — everything else must fall back, silently by
-#: default, loudly under ``REPRO_FAST_SIM=require``.
+#: Families the kernel inlines (exact type checks in
+#: ``ckernel.predictor_type``) — everything else must fall back, silently
+#: by default, loudly under ``REPRO_FAST_SIM=require``.
 FAST = frozenset({"none", "oracle", "lvp", "stride", "2dstride", "vtage"})
 FALLBACK = frozenset(PREDICTOR_NAMES) - FAST
+
+#: What ``fallback_reason`` reports for a FAST family on this host.
+ELIGIBLE = None if ckernel.kernel_available() else "no-compiler"
+
+requires_kernel = pytest.mark.skipif(
+    not ckernel.kernel_available(),
+    reason="no C toolchain: compiled kernel unavailable")
 
 _N = 600
 _WARMUP = 100
@@ -52,7 +62,7 @@ def test_dispatch_matrix(name, recovery, fpc):
     model = _model(name, recovery=recovery, fpc=fpc)
     reason = fastsim.fallback_reason(model)
     if name in FAST:
-        assert reason is None
+        assert reason == ELIGIBLE
     else:
         expected = f"unsupported-predictor:{type(model.predictor).__name__}"
         assert reason == expected
@@ -83,7 +93,81 @@ def test_fast_run_records_no_fallback(monkeypatch):
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
     trace = build_trace("gcc", _N)
     simulate(trace, make_predictor("vtage"), warmup=_WARMUP, workload="gcc")
-    assert fastsim.fallback_stats() == {}
+    expected = {ELIGIBLE: 1} if ELIGIBLE else {}
+    assert fastsim.fallback_stats() == expected
+
+
+def test_no_compiler_takes_spec_loop(monkeypatch):
+    """Without a loadable kernel an eligible config records
+    ``no-compiler``: silently by default (spec-loop answer), loudly under
+    ``require``."""
+    monkeypatch.setattr(ckernel, "kernel_available", lambda: False)
+    trace = build_trace("gcc", _N)
+    monkeypatch.setenv(fastsim.FAST_SIM_ENV, "require")
+    with pytest.raises(fastsim.FastPathRequired) as excinfo:
+        _model("vtage").run(trace, warmup=_WARMUP, workload="gcc")
+    assert excinfo.value.reason == "no-compiler"
+    assert fastsim.kernel_mode() == "off"
+    fastsim.reset_fallback_stats()
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV)
+    result = _model("vtage").run(trace, warmup=_WARMUP, workload="gcc")
+    assert fastsim.fallback_stats() == {"no-compiler": 1}
+    monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
+    assert result == _model("vtage").run(trace, warmup=_WARMUP,
+                                         workload="gcc")
+
+
+class _CustomConfidence(ConfidencePolicy):
+    """A confidence subclass: outside the kernel's exact-type contract."""
+
+
+def _touch_memory(model: CoreModel) -> None:
+    model.memory.load(pc=0x400, addr=0x10040, cycle=0)  # one L1D access
+
+
+def _touch_store_sets(model: CoreModel) -> None:
+    model.store_sets.train_violation(0x400, 0x480)
+
+
+def _custom_confidence(model: CoreModel) -> None:
+    model.predictor.confidence = _CustomConfidence()
+
+
+#: (predictor, pre-run tweak, reason): eligible models that each kernel
+#: guard must decline.
+_DECLINES = (
+    ("vtage", _touch_memory, "kernel-ineligible:memory-not-fresh"),
+    ("lvp", _touch_store_sets, "kernel-ineligible:store-sets-not-fresh"),
+    ("lvp", _custom_confidence, "kernel-ineligible:confidence-policy"),
+)
+
+
+@requires_kernel
+@pytest.mark.parametrize("name,tweak,reason", _DECLINES,
+                         ids=[d[2].split(":")[1] for d in _DECLINES])
+def test_kernel_decline_records_reason(monkeypatch, name, tweak, reason):
+    """A kernel decline raises under ``require`` naming its reason; by
+    default it takes the spec loop on the untouched model and records
+    exactly that one reason."""
+    trace = build_trace("gcc", _N)
+
+    def run():
+        model = _model(name)
+        tweak(model)
+        assert fastsim.fallback_reason(model) is None  # a per-run decline
+        return model.run(trace, warmup=_WARMUP, workload="gcc")
+
+    monkeypatch.setenv(fastsim.FAST_SIM_ENV, "require")
+    with pytest.raises(fastsim.FastPathRequired) as excinfo:
+        run()
+    assert excinfo.value.reason == reason
+    assert reason in str(excinfo.value)
+    fastsim.reset_fallback_stats()
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV)
+    result = run()
+    assert fastsim.fallback_stats() == {reason: 1}
+    monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
+    assert result == run()
 
 
 def test_disabled_by_env_is_counted(monkeypatch):
@@ -103,6 +187,7 @@ def test_stage_trace_hook_is_counted(monkeypatch):
     assert fastsim.fallback_stats().get("stage-trace-hook") == 1
 
 
+@requires_kernel
 def test_require_mode_passes_supported(monkeypatch):
     monkeypatch.setenv(fastsim.FAST_SIM_ENV, "require")
     assert fastsim.fast_sim_mode() == "require"

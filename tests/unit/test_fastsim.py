@@ -1,15 +1,13 @@
-"""The fast cycle loops are drop-in replacements for the legacy model.
+"""The compiled kernel is a drop-in replacement for the spec loop.
 
-Three implementations of the same scheduler exist: the legacy sequential
-``CoreModel._run``, the precompute-driven pure-Python loop
-(``fastsim._run_python``) and the optional compiled kernel
-(``pipeline/ckernel.py``).  Selection is environment-driven
-(``REPRO_FAST_SIM`` / ``REPRO_FAST_KERNEL``), so these tests run the
-*same* configuration under every mode and require dataclass-equal
+Two implementations of the same scheduler exist: the sequential spec loop
+``CoreModel._run`` and the compiled kernel (``pipeline/ckernel.py``).
+Selection is environment-driven (``REPRO_FAST_SIM``), so these tests run
+the *same* configuration under both modes and require dataclass-equal
 results — the tier-1 complement to the full golden grid, which CI also
 replays per mode.  Fallback rules (unsupported predictor families,
 pre-warmed branch state) are pinned here too: falling back must be
-silent and produce the legacy answer, never a wrong fast one.
+silent and produce the spec loop's answer, never a wrong fast one.
 """
 
 import pytest
@@ -24,7 +22,7 @@ _N = 4000
 _WARMUP = 1000
 
 #: (workload, predictor name, recovery) triples covering every family the
-#: fast paths inline — LVP, stride, 2Δ-stride, VTAGE, oracle, no-VP — and
+#: kernel inlines — LVP, stride, 2Δ-stride, VTAGE, oracle, no-VP — and
 #: both recovery mechanisms.
 _CONFIGS = (
     ("gcc", "vtage", "squash"),
@@ -36,19 +34,14 @@ _CONFIGS = (
     ("h264ref", "none", "squash"),
 )
 
-_MODES = ("legacy", "python", "kernel")
+_MODES = ("legacy", "kernel")
 
 
 def _set_mode(monkeypatch, mode: str) -> None:
     if mode == "legacy":
         monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
-        monkeypatch.delenv(fastsim.FAST_KERNEL_ENV, raising=False)
-    elif mode == "python":
-        monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
-        monkeypatch.setenv(fastsim.FAST_KERNEL_ENV, "0")
     else:
         monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
-        monkeypatch.delenv(fastsim.FAST_KERNEL_ENV, raising=False)
 
 
 def _run(workload: str, predictor_name: str, recovery: str):
@@ -61,12 +54,11 @@ def _run(workload: str, predictor_name: str, recovery: str):
 
 @pytest.mark.parametrize("workload,predictor_name,recovery", _CONFIGS)
 def test_modes_bit_identical(monkeypatch, workload, predictor_name, recovery):
-    """legacy / fast-python / kernel produce dataclass-equal results."""
+    """legacy / kernel produce dataclass-equal results."""
     results = {}
     for mode in _MODES:
         _set_mode(monkeypatch, mode)
         results[mode] = _run(workload, predictor_name, recovery)
-    assert results["python"] == results["legacy"]
     assert results["kernel"] == results["legacy"]
 
 
@@ -75,7 +67,7 @@ def test_unsupported_predictor_falls_back(monkeypatch):
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
     trace = build_trace("gcc", 2000)
     model = CoreModel(predictor=make_predictor("vtage-2dstride"))
-    assert fastsim._classify(model.predictor) is None
+    assert ckernel.predictor_type(model.predictor) is None
     assert fastsim.try_run(model, trace, 0, "gcc") is None
 
 
@@ -92,28 +84,24 @@ def test_kernel_mode_reports_selected_path(monkeypatch):
     monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
     assert fastsim.kernel_mode() == "off"
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
-    monkeypatch.setenv(fastsim.FAST_KERNEL_ENV, "0")
-    assert fastsim.kernel_mode() == "python"
-    monkeypatch.delenv(fastsim.FAST_KERNEL_ENV, raising=False)
-    expected = "c" if ckernel.kernel_available() else "python"
+    expected = "c" if ckernel.kernel_available() else "off"
     assert fastsim.kernel_mode() == expected
 
 
 def test_compiled_kernel_actually_runs(monkeypatch):
     """When a C toolchain exists, the kernel path must not silently fall
-    back to Python for a supported config (that would erase the speedup
-    this PR exists for)."""
+    back to the spec loop for a supported config (that would erase the
+    kernel's speedup)."""
     if not ckernel.kernel_available():
         pytest.skip("no C toolchain: compiled kernel unavailable")
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
-    monkeypatch.delenv(fastsim.FAST_KERNEL_ENV, raising=False)
     trace = build_trace("gcc", 3000)
     model = CoreModel(predictor=make_predictor("vtage"))
     from repro.pipeline.precompute import trace_plane, vtage_plane
 
     plane = trace_plane(trace)
     vplane = vtage_plane(trace, model.predictor)
-    result = ckernel.try_run(model, trace, 500, "gcc", fastsim._P_VTAGE,
+    result = ckernel.try_run(model, trace, 500, "gcc", ckernel.P_VTAGE,
                              plane, vplane)
     assert result is not None
     assert result.cycles > 0

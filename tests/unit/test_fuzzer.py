@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.pipeline import ckernel
 from repro.pipeline.result import SimResult
 from repro.workloads import catalog, fuzzer, ingest
 from repro.workloads.fuzzer import (CornerRegistry, FuzzOutcome, FuzzSpec,
@@ -174,14 +175,14 @@ def test_registry_tolerates_corrupt_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_run_differential_three_equal_legs():
+def test_run_differential_equal_legs():
     spec = FuzzSpec(workload="gcc", predictor="vtage", n_uops=900,
                     warmup=200)
     outcome = run_differential(spec)
-    assert set(outcome.results) == set(fuzzer.LEGS)
+    assert set(outcome.results) == set(fuzzer.LEGS) == {"legacy", "kernel"}
     assert not outcome.divergent
-    assert outcome.fallback is None
-    assert outcome.results["python"] == outcome.results["legacy"]
+    expected = None if ckernel.kernel_available() else "no-compiler"
+    assert outcome.fallback == expected
     assert outcome.results["kernel"] == outcome.results["legacy"]
 
 

@@ -2,11 +2,17 @@
 
 from repro.core.confidence import ConfidencePolicy
 from repro.core.sag import SAgConfidenceBank
+from repro.experiments.runner import make_predictor
+from repro.pipeline.core import simulate
 from repro.predictors.base import PredictionContext
 from repro.predictors.gdiff import GDiffPredictor
 from repro.predictors.lvp import LastValuePredictor
+from repro.workloads.catalog import build_trace
 
 import pytest
+
+#: The six workloads of the benchmark grid.
+GRID_WORKLOADS = ("gzip", "gcc", "wupwise", "crafty", "milc", "h264ref")
 
 
 class TestGDiff:
@@ -47,6 +53,24 @@ class TestGDiff:
             gdiff.train(0x30, 5, pred)
         assert confident_const > 20  # the LVP side carries the constant
 
+    def test_unconfident_own_prediction_defers_to_confident_backing(self):
+        """A tag hit with an unconfident global stride must not mask the
+        backing predictor's confident prediction."""
+        backing = LastValuePredictor(entries=64, confidence=ConfidencePolicy())
+        gdiff = GDiffPredictor(backing=backing, entries=64,
+                               confidence=ConfidencePolicy())
+        ctx = PredictionContext()
+        for _ in range(20):
+            pred = gdiff.lookup(0x50, ctx)
+            gdiff.speculate(0x50, pred)
+            gdiff.train(0x50, 9, pred)
+        idx = gdiff.lookup(0x50, ctx).payload[0]
+        gdiff._conf[idx] = 0  # own entry hits the tag but is unconfident
+        pred = gdiff.lookup(0x50, ctx)
+        assert pred.payload[1] is not None
+        assert pred.confident and pred.value == 9
+        assert pred.source == backing.name
+
     def test_squash_drops_pending_repairs(self):
         gdiff = GDiffPredictor(entries=64)
         ctx = PredictionContext()
@@ -75,6 +99,19 @@ class TestGDiff:
             GDiffPredictor(entries=100)
         with pytest.raises(ValueError):
             GDiffPredictor(history_depth=0)
+
+
+@pytest.mark.parametrize("workload", GRID_WORKLOADS)
+def test_gdiff_covers_at_least_its_backing_2dstride(workload):
+    """gDiff+2D-Stride must never cover less than plain 2D-Stride."""
+    trace = build_trace(workload, 8000)
+    coverage = {
+        name: simulate(trace, make_predictor(name), warmup=2000,
+                       workload=workload).coverage
+        for name in ("gdiff", "2dstride")
+    }
+    assert coverage["2dstride"] > 0
+    assert coverage["gdiff"] >= coverage["2dstride"]
 
 
 class TestSAg:

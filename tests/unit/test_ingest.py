@@ -4,7 +4,7 @@ The bundled fixtures under ``tests/fixtures/traces/`` are the acceptance
 anchor: both must ingest to packed columns, register under a
 digest-bearing workload name, round-trip through the catalog (exact,
 sliced and tiled lengths), re-ingest bit-identically, and run through
-``repro run``'s code path with all three cycle-loop implementations
+``repro run``'s code path with both cycle-loop implementations
 producing dataclass-equal results.
 """
 
@@ -294,16 +294,9 @@ def test_fixture_runs_bit_identical_across_implementations(
         log, store, monkeypatch):
     _, report = ingest.ingest_file(log, store)
     results = {}
-    for mode in ("legacy", "python", "kernel"):
-        if mode == "legacy":
-            monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
-            monkeypatch.setenv(fastsim.FAST_KERNEL_ENV, "0")
-        elif mode == "python":
-            monkeypatch.setenv(fastsim.FAST_SIM_ENV, "1")
-            monkeypatch.setenv(fastsim.FAST_KERNEL_ENV, "0")
-        else:
-            monkeypatch.setenv(fastsim.FAST_SIM_ENV, "1")
-            monkeypatch.setenv(fastsim.FAST_KERNEL_ENV, "1")
+    for mode in ("legacy", "kernel"):
+        monkeypatch.setenv(fastsim.FAST_SIM_ENV,
+                           "0" if mode == "legacy" else "1")
         from repro.experiments.runner import make_predictor
 
         trace = catalog.build_trace(report.name, 3000)
@@ -312,7 +305,6 @@ def test_fixture_runs_bit_identical_across_implementations(
             trace, predictor,
             config=CoreConfig(recovery=RecoveryMode("squash")),
             warmup=1000, workload=report.name)
-    assert results["python"] == results["legacy"]
     assert results["kernel"] == results["legacy"]
     assert results["legacy"].cycles > 0
 

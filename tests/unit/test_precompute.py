@@ -1,7 +1,7 @@
 """The precompute plane is bit-identical to the scalar front end.
 
-The fast paths (``pipeline/fastsim.py`` and the compiled kernel) trust
-the plane completely: redirect codes stand in for the branch unit, the
+The compiled kernel (``pipeline/ckernel.py``) trusts the plane
+completely: redirect codes stand in for the branch unit, the
 ``(ghist, path)`` columns stand in for the live prediction context, and
 the VTAGE plane stands in for ``_TaggedComponent.index_and_tag``.  These
 tests pin each of those equivalences against the *object-level* APIs the

@@ -82,14 +82,14 @@ class TestBandwidthLimiterPruning:
         """End to end: a real simulation never accumulates unbounded
         per-cycle entries.  The seed model retained one entry per
         simulated cycle (~16k for this slice) in every limiter; the
-        pruned model stays well below that.  Pins the Python loop: the
+        pruned model stays well below that.  Pins the spec loop: the
         compiled kernel keeps bandwidth state in fixed-size C windows
         and constructs no ``BandwidthLimiter`` objects at all."""
         from repro.pipeline import resources
         from repro.pipeline.core import CoreModel
         from repro.workloads.catalog import build_trace
 
-        monkeypatch.setenv("REPRO_FAST_KERNEL", "0")
+        monkeypatch.setenv("REPRO_FAST_SIM", "0")
         trace = build_trace("gzip", 12_000)
         seen = []
         original_init = resources.BandwidthLimiter.__init__
@@ -113,12 +113,12 @@ class TestBandwidthLimiterPruning:
     def test_redirect_free_run_still_prunes_fetch_limiters(self, monkeypatch):
         """A straight-line trace never advances fetch_resume (no redirects
         of any kind), so fetch-side pruning must ride the fetch queue's
-        oldest pending release instead.  Python-loop pinned, as above."""
+        oldest pending release instead.  Spec-loop pinned, as above."""
         from repro.pipeline import resources
         from repro.pipeline.core import CoreModel
         from repro.workloads.builder import TraceBuilder
 
-        monkeypatch.setenv("REPRO_FAST_KERNEL", "0")
+        monkeypatch.setenv("REPRO_FAST_SIM", "0")
         builder = TraceBuilder("straightline", seed=11)
         for i in range(40_000):
             builder.alu(f"op{i % 977}", f"v{i % 7}", [f"v{(i + 1) % 7}"], i)
