@@ -19,7 +19,9 @@ Usage examples::
     python -m repro.cli status --socket /tmp/repro.sock
     python -m repro.cli campaign run fig4 --backend service --socket /tmp/repro.sock
 
-    # The cluster: N TCP shards, jobs routed by consistent-hashed content key.
+    # The cluster: N TCP shards, jobs routed by consistent-hashed content
+    # key, results shared through one cache directory.
+    export REPRO_CACHE_DIR=/srv/repro-results
     python -m repro.cli -j 2 cluster serve --listen 127.0.0.1:7101
     python -m repro.cli -j 2 cluster serve --listen 127.0.0.1:7102 \
         --peer 127.0.0.1:7101
@@ -75,12 +77,9 @@ from repro.engine.job import SimJob
 from repro.engine.queue import JOB_TIMEOUT_ENV, QUEUE_BOUND_ENV
 from repro.engine.service import (
     DEFAULT_HEARTBEAT,
-    DEFAULT_WARM_PUSH_BUDGET,
     HEARTBEAT_ENV,
-    JOURNAL_DIR_ENV,
     SOCKET_ENV,
     TOKEN_ENV,
-    WARM_PUSH_BUDGET_ENV,
     run_service,
 )
 from repro.pipeline.fastsim import fallback_stats, kernel_mode
@@ -652,9 +651,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             listen=args.listen,
             token=args.token,
             peers=args.peer or [],
-            journal_dir=args.journal_dir,
             heartbeat_interval=args.heartbeat_interval,
-            warm_push_budget=args.warm_push_budget,
         )
     if args.action == "soak":
         return _cmd_cluster_soak(args)
@@ -754,7 +751,7 @@ def _print_cluster_status(status: dict) -> int:
             continue
         metrics = row["metrics"]
         shard, queue = metrics["shard"], metrics["queue"]
-        cache, peers = metrics["cache"], metrics["peers"]
+        cache = metrics["cache"]
         print(f"shard {address}: pid {shard['pid']}, "
               f"{shard['workers']} worker(s), up {shard['uptime_s']:.0f}s")
         print(f"  queue: {queue['depth']} deep ({queue['pending']} pending, "
@@ -764,9 +761,6 @@ def _print_cluster_status(status: dict) -> int:
         print(f"  cache: {cache['hits']} hit(s) / {cache['misses']} miss(es), "
               f"{cache['memory_entries']} in memory, "
               f"{cache['disk_entries']} on disk")
-        print(f"  peers: {peers['configured']} configured — "
-              f"{peers['hits']} hit(s), {peers['misses']} miss(es), "
-              f"{peers['failures']} failure(s)")
         membership = metrics.get("membership")
         if membership is not None:
             gossip = membership["gossip"]
@@ -776,11 +770,6 @@ def _print_cluster_status(status: dict) -> int:
                   f"alive in view; gossip {gossip['sent']} sent / "
                   f"{gossip['merged']} merged / "
                   f"{gossip['failures']} failure(s)")
-        warm = metrics.get("warm")
-        if warm is not None and (warm["pushed"] or warm["seeded"]):
-            print(f"  warm: {warm['pushed']} pushed, "
-                  f"{warm['seeded']} seeded, "
-                  f"{warm['push_failures']} failure(s)")
         if metrics["faults"]["active"]:
             print(f"  faults: plan active, "
                   f"{metrics['faults']['fired']} rule(s) fired")
@@ -996,10 +985,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "its shard by consistent-hashing the job's content "
                     "key — so coalescing and cache sharing work "
                     "cluster-wide with no inter-shard coordination.  "
-                    "Shards federate their caches read-through (--peer) "
-                    "and share one trace store via $REPRO_TRACE_DIR.  A "
-                    "shard that dies mid-batch is marked down and its "
-                    "jobs re-route along the hash ring.",
+                    "Shards that share $REPRO_CACHE_DIR see every result "
+                    "any of them published, and share one trace store "
+                    "via $REPRO_TRACE_DIR.  Shards gossip membership "
+                    "(seeded by --peer); a shard that dies mid-batch is "
+                    "marked down and its jobs re-route along the hash "
+                    "ring.",
     )
     cluster_sub = cluster_p.add_subparsers(dest="action", required=True)
 
@@ -1012,9 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       "line)")
     cluster_serve_p.add_argument("--peer", action="append", default=None,
                                  metavar="ADDR",
-                                 help="sibling shard to consult on cache "
-                                      "misses (repeatable; host:port or "
-                                      "a Unix socket path)")
+                                 help="gossip seed: a sibling shard to "
+                                      "heartbeat until gossip has learned "
+                                      "the fleet (repeatable; "
+                                      "tcp://host:port)")
     cluster_serve_p.add_argument("--token", default=None,
                                  help="require this shared-secret token "
                                       "on every request (default: "
@@ -1038,33 +1030,19 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_serve_p.add_argument("--chaos", action="store_true",
                                  help="serve the 'chaos' op and export "
                                       f"the ${FAULTS_ENV} plan to workers")
-    cluster_serve_p.add_argument("--journal-dir", default=None,
-                                 metavar="DIR",
-                                 help="shared cluster journal directory: "
-                                      "this shard journals to "
-                                      "DIR/<address>.journal and replays "
-                                      "dead members' journals on failover "
-                                      f"(default: ${JOURNAL_DIR_ENV})")
     cluster_serve_p.add_argument("--heartbeat-interval", type=float,
                                  default=None, metavar="SECONDS",
                                  help="gossip heartbeat cadence; 0 "
                                       "disables proactive gossip "
                                       f"(default: ${HEARTBEAT_ENV} or "
                                       f"{DEFAULT_HEARTBEAT:g})")
-    cluster_serve_p.add_argument("--warm-push-budget", type=int,
-                                 default=None, metavar="BYTES",
-                                 help="bytes of completed results pushed "
-                                      "to ring successors per cycle; 0 "
-                                      "disables warming (default: "
-                                      f"${WARM_PUSH_BUDGET_ENV} or "
-                                      f"{DEFAULT_WARM_PUSH_BUDGET})")
     cluster_serve_p.set_defaults(fn=cmd_cluster)
 
     cluster_soak_p = cluster_sub.add_parser(
         "soak",
         help="run the self-healing soak: shard fleet + seeded chaos",
         description="Spawn a fleet of shard subprocesses sharing one "
-                    "journal directory, drive them with concurrent "
+                    "result cache directory, drive them with concurrent "
                     "router clients, and kill/stall/revive shards on a "
                     "seeded schedule.  Exits 0 only if no batch was "
                     "lost and every result matched a serial in-process "
@@ -1085,8 +1063,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="gossip cadence handed to the fleet")
     cluster_soak_p.add_argument("--journal-dir", default=None,
                                 metavar="DIR",
-                                help="shared journal directory (default: "
-                                     "a temporary directory)")
+                                help="work directory for the fleet's "
+                                     "shared result cache and per-shard "
+                                     "journals (default: a temporary "
+                                     "directory)")
     cluster_soak_p.add_argument("--quiet", action="store_true",
                                 help="suppress progress lines (the JSON "
                                      "report still prints)")

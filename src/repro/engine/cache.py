@@ -12,13 +12,22 @@ the ``cache.write`` fault-injection site
 
 The disk layer is optional: by default the engine runs memory-only, and
 persists when ``REPRO_CACHE_DIR`` (or the CLI ``--cache-dir``-equivalent
-configuration) points somewhere.
+configuration) points somewhere.  Because every committed file is whole,
+a directory can be shared by any number of processes — engines,
+service daemons, cluster shards — and a memory miss reads through to
+whatever any of them published.  This is the fleet's only
+cross-shard result path.
+
+The memory layer is a bounded LRU (:data:`MEMORY_MAX_ENTRIES`), so a
+long-lived daemon's footprint stays flat; an evicted entry of a
+disk-backed cache is simply re-read on its next use.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.engine.job import SimJob
@@ -32,6 +41,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: On-disk entry format version; mismatched entries are ignored.
 CACHE_FORMAT_VERSION = 1
 
+#: Most results the in-process layer holds; past it the least recently
+#: used entry is dropped, so a long-lived daemon's memory stays flat.
+MEMORY_MAX_ENTRIES = 16384
+
 
 def default_cache_dir() -> Path | None:
     """Resolve the persistent cache directory (None = memory-only)."""
@@ -44,7 +57,7 @@ class ResultCache:
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = Path(directory) if directory is not None else None
-        self._memory: dict[str, SimResult] = {}
+        self._memory: OrderedDict[str, SimResult] = OrderedDict()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -64,12 +77,21 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._memory)
 
+    def _remember(self, key: str, result: SimResult) -> None:
+        """Insert (or refresh) *key* in the memory layer; evict LRU entries
+        past :data:`MEMORY_MAX_ENTRIES`."""
+        self._memory[key] = result
+        self._memory.move_to_end(key)
+        while len(self._memory) > MEMORY_MAX_ENTRIES:
+            self._memory.popitem(last=False)
+
     # -- lookup/store ---------------------------------------------------
 
     def get(self, job: SimJob) -> SimResult | None:
         key = job.content_key()
         cached = self._memory.get(key)
         if cached is not None:
+            self._memory.move_to_end(key)
             self.memory_hits += 1
             return cached
         result = self._load_disk(key)
@@ -79,20 +101,12 @@ class ResultCache:
         self.misses += 1
         return None
 
-    def peek(self, key: str) -> SimResult | None:
-        """Key-only lookup that never counts as a hit or miss.
-
-        The federated-cache ``lookup`` protocol op answers peers from
-        here: peers carry content keys, not job specs, and a peer's
-        probe must not skew this shard's own hit/miss accounting.
-        """
-        cached = self._memory.get(key)
-        if cached is not None:
-            return cached
-        return self._load_disk(key)
-
     def _load_disk(self, key: str) -> SimResult | None:
-        """Read one entry from the disk layer into memory (or ``None``)."""
+        """Read one entry from the disk layer into memory (or ``None``).
+
+        Another process may have written the file, so anything but a
+        well-formed entry of this format and this key reads as a miss.
+        """
         if self.directory is None:
             return None
         path = self._path(key)
@@ -101,12 +115,13 @@ class ResultCache:
         try:
             with profiling.phase("result-cache-io"):
                 entry = json.loads(path.read_text())
-        except (OSError, ValueError):
+            if entry.get("version") != CACHE_FORMAT_VERSION or \
+                    entry.get("key") != key:
+                return None
+            result = SimResult.from_dict(entry["result"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
-        if entry.get("version") != CACHE_FORMAT_VERSION:
-            return None
-        result = SimResult.from_dict(entry["result"])
-        self._memory[key] = result
+        self._remember(key, result)
         return result
 
     def put_memory(self, job: SimJob, result: SimResult) -> None:
@@ -116,7 +131,7 @@ class ResultCache:
         journal entries replayed on resume — where re-persisting every
         entry per invocation would be pure disk churn.
         """
-        self._memory[job.content_key()] = result
+        self._remember(job.content_key(), result)
 
     def seed(self, key: str, result: SimResult) -> None:
         """Insert a result under a precomputed content key (memory only).
@@ -125,11 +140,12 @@ class ResultCache:
         result and recomputing it would need a materialised job.  An
         existing entry wins: the cache's copy is never downgraded.
         """
-        self._memory.setdefault(key, result)
+        if key not in self._memory:
+            self._remember(key, result)
 
     def put(self, job: SimJob, result: SimResult) -> None:
         key = job.content_key()
-        self._memory[key] = result
+        self._remember(key, result)
         self.stores += 1
         if self.directory is None:
             return

@@ -315,21 +315,16 @@ class CampaignJournal:
 def read_journal_snapshot(path: str | os.PathLike) -> dict:
     """Tolerantly read another process's journal without locking it.
 
-    This is the cluster failover-replay primitive: a surviving shard
-    reads a dead sibling's service journal to seed the completed work it
-    is inheriting, so it must never take the writer flock (the owner may
-    be mid-revival) and must treat *any* damage as fewer entries, never
-    an error.  Returns ``{"header", "meta", "entries", "records",
-    "corrupt"}`` where ``entries`` maps content key to
+    The soak harness counts every execution a fleet ever made from its
+    shards' journals — including journals of shards it SIGKILLed, or
+    whose revival is still writing — so this must never take the writer
+    flock and must treat *any* damage as fewer entries, never an error.
+    Returns ``{"header", "meta", "entries", "records", "corrupt"}`` where
+    ``entries`` maps content key to
     :class:`~repro.pipeline.result.SimResult`, ``records`` counts job
     record lines (duplicates included — the re-simulation accounting the
     soak harness sums), and ``meta`` is the annotation list in file
     order.
-
-    The ``journal.replay`` fault site fires here: its ``torn`` action
-    halves the byte stream *in memory* before parsing — the on-disk file
-    is never touched (its owner may come back for it), but the reader
-    exercises exactly the torn-tail shape a crash leaves behind.
     """
     snapshot: dict = {"header": None, "meta": [], "entries": {},
                       "records": 0, "corrupt": 0}
@@ -338,9 +333,6 @@ def read_journal_snapshot(path: str | os.PathLike) -> dict:
     except OSError:
         snapshot["corrupt"] += 1
         return snapshot
-    rule = faults.fire("journal.replay")
-    if rule is not None and rule.action == "torn":
-        data = data[:max(1, len(data) // 2)]
     if data and not data.endswith(b"\n"):
         torn = data.rfind(b"\n") + 1
         snapshot["corrupt"] += 1

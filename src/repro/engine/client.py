@@ -337,26 +337,6 @@ class ServiceClient:
             payload["view"] = view
         return self.request(payload)
 
-    def seed(self, entries: dict) -> int:
-        """Push results into the daemon's cache (``seed`` op).
-
-        *entries* maps content key to ``SimResult.to_dict()`` payloads
-        (the warm-push wire form).  Returns how many the daemon accepted;
-        keys it already holds count as accepted but are not overwritten.
-        """
-        response = self.request({"op": "seed", "entries": dict(entries)})
-        return int(response.get("seeded", 0))
-
-    def lookup(self, keys: list[str]) -> dict:
-        """Probe the daemon's cache by content key (``lookup`` op).
-
-        Returns ``{key: SimResult}`` for the keys it holds.  This is the
-        federation primitive — shards call it on each other — but it is
-        also handy for tests asserting *where* a result is cached.
-        """
-        found = self.request({"op": "lookup", "keys": list(keys)})["found"]
-        return {key: SimResult.from_dict(raw) for key, raw in found.items()}
-
     def run_jobs(self, jobs: list[SimJob]) -> list[SimResult]:
         """Submit, wait, and decode: the engine-shaped batch call.
 

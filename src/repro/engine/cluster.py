@@ -12,10 +12,10 @@ table.  Routing by content key means:
 * every client, on every machine, sends a given spec to the *same*
   shard, so cross-client coalescing and cache sharing keep working
   cluster-wide without any shard-to-shard coordination protocol;
-* a shard's cache naturally holds exactly its key range — the cluster's
-  federated cache is just the shards' ordinary caches plus the
-  read-through peer ``lookup`` the daemons do among themselves
-  (:mod:`repro.engine.service`);
+* a shard's memory cache naturally holds exactly its key range, and
+  shards sharing one ``$REPRO_CACHE_DIR`` read every result any of them
+  published — the fleet's one result plane, with no shard-to-shard
+  result protocol (:mod:`repro.engine.cache`);
 * results are bit-identical to a local run by construction: a shard
   runs the very same ``execute_job`` on the very same spec.
 

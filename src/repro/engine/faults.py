@@ -79,11 +79,6 @@ SITES: dict[str, tuple[str, ...]] = {
     # failure in the parent.  Both must degrade to a local rebuild.
     "shm.attach": ("fail",),
     "shm.materialize": ("fail",),
-    # Cluster plane, daemon side: a federated-cache peer lookup that
-    # fails outright or stalls past the peer deadline.  Either way the
-    # shard must degrade to executing locally — a slow peer can never be
-    # worse than no peer.
-    "peer.lookup": ("fail", "stall"),
     # Cluster plane, router side: a routing decision that picks the
     # wrong shard ("misroute" — any shard can run any job, so this only
     # costs cache locality) or finds its shard dead ("drop" — the
@@ -94,10 +89,6 @@ SITES: dict[str, tuple[str, ...]] = {
     # eventually-consistent optimisation, so neither may affect result
     # correctness — only how fast the fleet converges.
     "gossip.heartbeat": ("drop", "delay"),
-    # Failover journal replay: the peer journal is read as if its tail
-    # were torn mid-record ("torn" — the reader keeps the intact prefix
-    # and the missing completions simply re-simulate).
-    "journal.replay": ("torn",),
 }
 
 

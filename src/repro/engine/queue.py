@@ -366,12 +366,6 @@ class JobQueue:
         #: Per-dispatch wall-clock budget (None = no timeout).
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.stats = QueueStats()
-        #: Optional completion hook ``(job, result) -> None``, invoked on
-        #: the event loop after a simulation completes (not for cache
-        #: hits or coalesced attachments).  The service's warm-push path
-        #: hangs off this; exceptions are swallowed — no observer may
-        #: break completion delivery.
-        self.on_complete = None
         # Shared-memory trace plane: the daemon materialises each unique
         # trace once and leases read-only segments to worker assignments
         # (disabled or failing, workers just build locally).  Generator
@@ -703,11 +697,6 @@ class JobQueue:
                         pass
                     self.journal = None
             self.stats.executed += 1
-            if self.on_complete is not None:
-                try:
-                    self.on_complete(task.job, result)
-                except Exception:  # noqa: BLE001 - observers never break
-                    pass           # completion delivery
             if not task.future.done():
                 task.future.set_result(result)
         else:

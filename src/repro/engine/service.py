@@ -20,13 +20,15 @@ TCP mode adds two things Unix mode never needed:
   answered ``{"ok": false, "auth": true, ...}`` (constant-time compare),
   which clients raise as a non-retryable
   :class:`~repro.engine.client.ServiceAuthError`.
-* **cache federation** — ``--peer`` addresses name sibling shards.  On a
-  ``submit`` whose keys miss the local cache, the daemon first asks its
-  peers (the ``lookup`` op: key in, cached result out, deliberately
-  accounting-neutral and never recursive) and seeds any answers into its
-  own cache, so work one shard finished is never re-simulated by another.
-  Peer probes ride a short deadline and fail open: an unreachable peer
-  costs a counter tick (``metrics``), never a stalled submit.
+* **gossip** — ``--peer`` addresses seed the membership plane: shards
+  heartbeat each other (the ``gossip`` op) so routers learn joins,
+  deaths and revivals from any shard.
+
+Results cross shards by one path only: the result cache.  Shards that
+share ``$REPRO_CACHE_DIR`` publish every result there
+(:meth:`~repro.engine.cache.ResultCache.put`: temp file, fsync, rename),
+and a local miss reads through to it, so work one shard finished is
+never re-simulated by another — with no protocol between shards.
 
 Protocol: newline-delimited JSON request/response over the socket.  One
 request per line, one response line per request, connections may pipeline
@@ -57,13 +59,9 @@ many requests.  Requests are ``{"op": <name>, ...}``; responses are
     with chaos enabled (``repro serve --chaos``); refused otherwise.
 ``metrics``
     The flat ops surface the cluster plane scrapes: queue depth and
-    in-flight jobs, cache hit/miss/store counters, peer-federation
+    in-flight jobs, cache hit/miss/store counters, membership and gossip
     counters, fast-path fallback counters and fault-plane state — one
     JSON object per shard, aggregated by ``repro cluster status``.
-``lookup``
-    ``{"keys": [<content key>, ...]}`` — answer from the local cache
-    only (:meth:`~repro.engine.cache.ResultCache.peek`; no queueing, no
-    peer recursion).  This is the server half of cache federation.
 ``gossip``
     ``{"view": {...}}`` — merge the caller's membership view
     (:class:`~repro.engine.cluster.MembershipView` wire form) and answer
@@ -73,11 +71,6 @@ many requests.  Requests are ``{"op": <name>, ...}``; responses are
     claimed down (same-version ``down`` wins), a revived peer's higher
     epoch supersedes its own corpse, and routers polling any shard see
     the converged view — the self-healing membership plane.
-``seed``
-    ``{"entries": {<content key>: <SimResult.to_dict()>, ...}}`` — fold
-    results into the local cache (existing entries win).  The warm-push
-    receiver: shards proactively push completed keys to their ring
-    successor under a byte/ops budget so failover targets are warm.
 ``shutdown``
     Stop the daemon after acknowledging.
 
@@ -92,12 +85,10 @@ Crash safety is inherited from PR 3's journal machinery: every executed
 job is appended (``fsync`` per record) to the service journal, and a
 restarted daemon replays it into the cache, so completed work survives
 daemon restarts as well as worker deaths (the queue requeues those).
-Shards given a shared ``--journal-dir`` extend this across *process
-boundaries*: each shard journals to ``<dir>/<address>.journal`` (with a
-membership meta record persisting its epoch), and when gossip claims a
-member down, the survivors read its journal (read-only, no lock — the
-owner may revive) and seed the keys the ring now assigns to them, so a
-dead shard's completed work is never re-simulated by its inheritors.
+A TCP shard's journal also carries a membership meta record persisting
+its epoch, so a shard revived on the same journal outranks its own
+death notice.  A dead shard's completed work needs no hand-over: it was
+published to the shared result cache before any client saw it.
 Two daemons can never share a journal or a socket: the journal file is
 ``flock``-ed by its writer, and the daemon holds a lockfile next to its
 socket, so the stale-socket cleanup path cannot race a live daemon.
@@ -111,11 +102,9 @@ import asyncio
 import hmac
 import json
 import os
-import re
 import signal
 import sys
 import time
-from collections import deque
 from pathlib import Path
 
 try:
@@ -125,17 +114,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.engine import faults
 from repro.engine.cache import ResultCache, default_cache_dir
-from repro.engine.checkpoint import (
-    CampaignJournal,
-    JournalHeader,
-    read_journal_snapshot,
-)
-from repro.engine.cluster import (
-    HashRing,
-    MemberState,
-    MembershipView,
-    normalize_shard,
-)
+from repro.engine.checkpoint import CampaignJournal, JournalHeader
+from repro.engine.cluster import MemberState, MembershipView, normalize_shard
 from repro.engine.executors import resolve_jobs
 from repro.engine.job import SimJob
 from repro.engine.queue import (
@@ -144,7 +124,6 @@ from repro.engine.queue import (
     QueueOverloaded,
     WorkerPool,
 )
-from repro.pipeline.result import SimResult
 
 #: Environment variable naming the default service socket path.
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
@@ -156,8 +135,10 @@ TOKEN_ENV = "REPRO_SERVICE_TOKEN"
 DEFAULT_SOCKET = "repro-service.sock"
 
 #: Wire protocol version, echoed by ``ping`` and checked by clients.
-#: v2 added TCP transport, token auth and the ``metrics``/``lookup`` ops.
-PROTOCOL_VERSION = 2
+#: v2 added TCP transport, token auth and the ``metrics`` op; v3 dropped
+#: the ``lookup`` and ``seed`` ops (results cross shards through a
+#: shared cache directory instead).
+PROTOCOL_VERSION = 3
 
 #: Maximum request/response line length (a 20-job grid is ~20 KB).
 MAX_LINE = 64 * 1024 * 1024
@@ -166,10 +147,10 @@ MAX_LINE = 64 * 1024 * 1024
 #: *width* to complement the queue-depth bound on request *volume*.
 MAX_SUBMIT_JOBS = 4096
 
-#: Deadline for one peer-cache probe.  Short on purpose: federation is
-#: an optimisation, and a dead peer must cost milliseconds, not stall
-#: every submit behind a 300-second client-style timeout.
-PEER_LOOKUP_TIMEOUT = 2.0
+#: Deadline for one gossip exchange with a peer.  Short on purpose: a
+#: dead peer must cost the heartbeat loop seconds, not a 300-second
+#: client-style timeout.
+PEER_TIMEOUT = 2.0
 
 #: Most tickets a daemon remembers; beyond this, the oldest *completed*
 #: tickets are forgotten first (a never-polled ``--no-wait`` submission
@@ -192,29 +173,6 @@ HEARTBEAT_ENV = "REPRO_HEARTBEAT_INTERVAL"
 #: costing one tiny protocol round per peer.
 DEFAULT_HEARTBEAT = 1.0
 
-#: Environment variable overriding the per-cycle warm-push byte budget
-#: (``0`` disables push-based cache warming).
-WARM_PUSH_BUDGET_ENV = "REPRO_WARM_PUSH_BUDGET"
-
-#: Default warm-push budget: bytes of result payloads pushed to ring
-#: successors per drain cycle.  Results are ~1 KB, so this is ~1000
-#: completions per cycle — far above any realistic completion rate.
-DEFAULT_WARM_PUSH_BUDGET = 1024 * 1024
-
-#: Most entries one warm-push cycle ships (the ops half of the budget).
-WARM_PUSH_MAX_OPS = 256
-
-#: Completion buffer bound: under a stalled successor, oldest warm-push
-#: candidates are dropped first (they are an optimisation, never owed).
-WARM_BUFFER_MAX = 4096
-
-#: Most entries one ``seed`` request may carry.
-MAX_SEED_ENTRIES = 1024
-
-#: Environment variable naming the shared cluster journal directory
-#: (each shard journals to ``<dir>/<address>.journal``).
-JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
-
 
 def resolve_heartbeat_interval(explicit: float | None = None) -> float:
     """The gossip heartbeat interval: explicit, else env, else default.
@@ -231,52 +189,6 @@ def resolve_heartbeat_interval(explicit: float | None = None) -> float:
         except ValueError:
             return DEFAULT_HEARTBEAT
     return DEFAULT_HEARTBEAT
-
-
-def resolve_warm_push_budget(explicit: int | None = None) -> int:
-    """The warm-push byte budget: explicit, else env, else default."""
-    if explicit is not None:
-        return max(0, int(explicit))
-    raw = os.environ.get(WARM_PUSH_BUDGET_ENV, "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            return DEFAULT_WARM_PUSH_BUDGET
-    return DEFAULT_WARM_PUSH_BUDGET
-
-
-def journal_slug(address: str) -> str:
-    """The journal filename a shard uses inside a shared ``--journal-dir``.
-
-    Derived from the shard's canonical address so survivors can find a
-    dead member's journal without scanning: filesystem-hostile
-    characters collapse to ``-`` (``tcp://127.0.0.1:7101`` →
-    ``127.0.0.1-7101.journal``).
-    """
-    text = normalize_shard(address)
-    if text.startswith("tcp://"):
-        text = text[len("tcp://"):]
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", text) + ".journal"
-
-
-def parse_wire_result(raw: object) -> "SimResult | None":
-    """Parse a result payload from a peer; ``None`` for junk.
-
-    Warm pushes and federation lookups cross process boundaries, so a
-    malformed entry must cost nothing.  :meth:`SimResult.from_dict`
-    defaults every field, which would let an arbitrary mapping parse
-    into a vacuous result — require the identity fields a real
-    ``to_dict()`` payload always carries before trusting it.
-    """
-    if not isinstance(raw, dict):
-        return None
-    if not {"workload", "n_uops", "cycles"} <= raw.keys():
-        return None
-    try:
-        return SimResult.from_dict(raw)
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 def default_socket_path(explicit: str | os.PathLike | None = None) -> Path:
@@ -350,9 +262,7 @@ class SimService:
         listen: str | None = None,
         token: str | None = None,
         peers: list[str] | None = None,
-        journal_dir: str | os.PathLike | None = None,
         heartbeat_interval: float | None = None,
-        warm_push_budget: int | None = None,
     ):
         self.socket_path = default_socket_path(socket_path)
         #: TCP bind (host, port) when serving a cluster shard; ``None``
@@ -363,23 +273,12 @@ class SimService:
         #: meaningful with ``--listen host:0``.
         self.listen_address: str | None = None
         self.token = resolve_service_token(token)
-        #: Sibling shard addresses consulted by the cache-federation
-        #: read-through (each ``tcp://host:port`` or a Unix socket path).
+        #: Gossip seed list: sibling shard addresses heartbeated before
+        #: the membership view has learned anyone (``tcp://host:port``).
         self.peers = [str(peer) for peer in (peers or [])]
-        self.peer_hits = 0
-        self.peer_misses = 0
-        self.peer_failures = 0
         self.workers = resolve_jobs(workers)
         self.cache = cache if cache is not None else ResultCache(default_cache_dir())
         self.journal_path = Path(journal_path) if journal_path else None
-        #: Shared cluster journal directory.  With no explicit
-        #: ``journal_path``, a TCP shard journals to
-        #: ``<journal_dir>/<address>.journal`` — the layout failover
-        #: replay depends on (survivors derive a dead member's journal
-        #: path from its gossiped address).
-        raw_dir = journal_dir if journal_dir is not None else \
-            os.environ.get(JOURNAL_DIR_ENV, "").strip() or None
-        self.journal_dir = Path(raw_dir) if raw_dir else None
         self.journal: CampaignJournal | None = None
         self.replayed = 0
         # -- self-healing membership state --------------------------------
@@ -398,22 +297,7 @@ class SimService:
         self.gossip_merged = 0
         self.gossip_failures = 0
         self.gossip_dropped = 0  # injected gossip.heartbeat:drop hits
-        #: Peer journals replayed after a death claim: address -> the
-        #: member version the replay answered.  A member that dies again
-        #: in a *newer* incarnation is replayed again.
-        self._replayed_peers: dict[str, tuple[int, int]] = {}
-        self.peer_journals_replayed = 0
-        self.replay_keys_seeded = 0
-        # -- warm-push state ----------------------------------------------
-        self.warm_push_budget = resolve_warm_push_budget(warm_push_budget)
-        self._warm_buffer: deque[tuple[str, dict]] = deque()
-        self._warm_event: asyncio.Event | None = None
-        self.warm_pushed = 0
-        self.warm_push_failures = 0
-        self.warm_seeded = 0    # entries accepted via the seed op
-        self.warm_dropped = 0   # buffer overflow / no successor to warm
         self._gossip_task: asyncio.Task | None = None
-        self._warm_task: asyncio.Task | None = None
         self.max_depth = max_depth
         self.job_timeout = job_timeout
         #: Whether the ``chaos`` op is served (``repro serve --chaos``).
@@ -477,10 +361,9 @@ class SimService:
         """Open the journal, start the queue, bind the socket.
 
         TCP shards bind *first* (without serving) so the kernel-picked
-        port is known before the journal opens — the shared-journal-dir
-        layout names the journal after the bound address — then open the
-        journal, start the queue, and only then start serving, gossiping
-        and warm-pushing.
+        port is known before the journal's membership record names it,
+        then open the journal, start the queue, and only then start
+        serving and gossiping.
         """
         self._stop_event = asyncio.Event()
         self._started_at = time.monotonic()
@@ -498,10 +381,6 @@ class SimService:
                 )
                 bound = self._server.sockets[0].getsockname()
                 self.listen_address = f"tcp://{bound[0]}:{bound[1]}"
-                if self.journal_path is None and self.journal_dir is not None:
-                    self.journal_dir.mkdir(parents=True, exist_ok=True)
-                    self.journal_path = self.journal_dir / journal_slug(
-                        self.listen_address)
             if self.journal_path is not None:
                 self.journal = CampaignJournal(self.journal_path)
                 self.journal.open(JournalHeader(
@@ -540,13 +419,9 @@ class SimService:
                 await self._server.start_serving()
                 self.membership.observe(MemberState(
                     self.listen_address, self.epoch, self.beat, "up"))
-                self._warm_event = asyncio.Event()
-                self.queue.on_complete = self._on_job_complete
-                loop = asyncio.get_running_loop()
-                if self.warm_push_budget > 0:
-                    self._warm_task = loop.create_task(self._warm_loop())
                 if self.heartbeat_interval > 0:
-                    self._gossip_task = loop.create_task(self._gossip_loop())
+                    self._gossip_task = asyncio.get_running_loop().create_task(
+                        self._gossip_loop())
             else:
                 self.socket_path.parent.mkdir(parents=True, exist_ok=True)
                 if self.socket_path.exists():
@@ -578,20 +453,18 @@ class SimService:
 
     async def stop(self) -> None:
         """Close the socket, stop the queue, close the journal."""
-        for task in (self._gossip_task, self._warm_task):
-            if task is not None:
-                task.cancel()
-                try:
-                    # A cancel landing exactly as an inner wait_for
-                    # resolves can be swallowed (the task keeps looping),
-                    # so bound the wait: on timeout wait_for cancels the
-                    # task *again*, and the retry lands on an idle await.
-                    await asyncio.wait_for(task, timeout=5.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError,
-                        Exception):  # noqa: BLE001
-                    pass
-        self._gossip_task = None
-        self._warm_task = None
+        if self._gossip_task is not None:
+            self._gossip_task.cancel()
+            try:
+                # A cancel landing exactly as an inner wait_for resolves
+                # can be swallowed (the task keeps looping), so bound the
+                # wait: on timeout wait_for cancels the task *again*, and
+                # the retry lands on an idle await.
+                await asyncio.wait_for(self._gossip_task, timeout=5.0)
+            except (asyncio.TimeoutError, asyncio.CancelledError,
+                    Exception):  # noqa: BLE001
+                pass
+            self._gossip_task = None
         if self._server is not None:
             self._server.close()
             # Cancel open client connections before wait_closed(): from
@@ -794,7 +667,7 @@ class SimService:
         """The per-shard ops surface the cluster plane scrapes.
 
         One flat JSON object: identity, queue pressure (depth / pending /
-        in-flight), cache effectiveness, peer-federation counters,
+        in-flight), cache effectiveness, membership and gossip counters,
         fast-path fallback counters and fault-plane state.  Everything a
         ``repro cluster status`` row needs, cheap enough to poll.
         """
@@ -835,12 +708,6 @@ class SimService:
                     "disk_entries": cache["disk_entries"],
                     "write_failures": cache["write_failures"],
                 },
-                "peers": {
-                    "configured": len(self.peers),
-                    "hits": self.peer_hits,
-                    "misses": self.peer_misses,
-                    "failures": self.peer_failures,
-                },
                 "membership": {
                     "address": self.describe_address(),
                     "epoch": self.epoch,
@@ -855,19 +722,7 @@ class SimService:
                         "dropped": self.gossip_dropped,
                     },
                 },
-                "warm": {
-                    "budget_bytes": self.warm_push_budget,
-                    "pushed": self.warm_pushed,
-                    "push_failures": self.warm_push_failures,
-                    "seeded": self.warm_seeded,
-                    "dropped": self.warm_dropped,
-                    "buffered": len(self._warm_buffer),
-                },
-                "replay": {
-                    "startup_replayed": self.replayed,
-                    "peers_replayed": self.peer_journals_replayed,
-                    "keys_seeded": self.replay_keys_seeded,
-                },
+                "replay": {"startup_replayed": self.replayed},
                 "fallbacks": fallback_stats(),
                 "faults": {
                     "active": plan is not None,
@@ -878,41 +733,7 @@ class SimService:
             },
         }
 
-    async def _op_lookup(self, request: dict) -> dict:
-        """Answer peer cache probes from the local cache only.
-
-        Strictly local (:meth:`ResultCache.peek`): no queueing, no
-        accounting, and — critically — no further peer fan-out, so a
-        federation probe can never recurse around the ring.
-        """
-        keys = request.get("keys")
-        if not isinstance(keys, list) or \
-                not all(isinstance(k, str) for k in keys):
-            return {"ok": False,
-                    "error": "lookup needs a 'keys' list of content keys"}
-        found = {}
-        for key in keys:
-            result = self.cache.peek(key)
-            if result is not None:
-                found[key] = result.to_dict()
-        return {"ok": True, "found": found}
-
     # -- membership gossip ------------------------------------------------
-
-    def _cluster_ring(self) -> HashRing:
-        """The ring this shard believes in: alive members, else peers.
-
-        Built from the gossiped membership view (always including this
-        shard); before gossip has learned anything the configured peer
-        list stands in, so warm push and replay filtering work even on a
-        gossip-disabled fleet.
-        """
-        members = set(self.membership.alive())
-        if self.listen_address is not None:
-            members.add(self.listen_address)
-        if len(members) < 2:
-            members.update(normalize_shard(peer) for peer in self.peers)
-        return HashRing(sorted(members))
 
     def _note_member_down(self, address: str) -> None:
         """Claim *address* down at its current version (down wins ties).
@@ -960,8 +781,7 @@ class SimService:
         heartbeat (the target simply isn't contacted — convergence slows,
         correctness cannot care) or ``delay`` it (sleep before sending).
         A target that fails the exchange is claimed down at its current
-        version; the claim spreads on subsequent rounds and any survivor
-        owning its keys replays its journal.
+        version; the claim spreads on subsequent rounds.
         """
         self.beat += 1
         self._self_refute()
@@ -987,7 +807,6 @@ class SimService:
             self.gossip_merged += self.membership.merge(
                 response.get("view"))
         self._self_refute()
-        await self._replay_down_members()
 
     async def _gossip_loop(self) -> None:
         """Background heartbeat: one gossip round per interval."""
@@ -998,59 +817,17 @@ class SimService:
         except asyncio.CancelledError:
             pass
 
-    async def _replay_down_members(self) -> None:
-        """Inherit dead members' journaled work (failover replay).
-
-        For every member currently claimed down whose death we have not
-        yet answered, read its journal from the shared ``--journal-dir``
-        (tolerantly, without locking — the owner may be mid-revival) and
-        seed every entry the ring now assigns to *this* shard.  Ring
-        ownership filtering keeps N-shard fleets from all loading
-        everything; with one survivor the filter passes everything.
-        Strictly fail-open: a missing or damaged journal costs entries,
-        never an error — the unseeded keys simply re-simulate.
-        """
-        if self.journal_dir is None or self.listen_address is None:
-            return
-        for address, state in list(self.membership.members.items()):
-            if state.status != "down" or address == self.listen_address:
-                continue
-            answered = self._replayed_peers.get(address)
-            if answered is not None and answered >= state.version:
-                continue
-            # Mark before the await: concurrent gossip ops must not
-            # replay the same death twice.
-            self._replayed_peers[address] = state.version
-            path = self.journal_dir / journal_slug(address)
-            if not path.exists():
-                continue
-            snapshot = await asyncio.get_running_loop().run_in_executor(
-                None, read_journal_snapshot, path)
-            ring = self._cluster_ring()
-            seeded = 0
-            for key, result in snapshot["entries"].items():
-                prefs = ring.preference(key)
-                owner = next((s for s in prefs if s != address), None)
-                if owner == self.listen_address:
-                    self.cache.seed(key, result)
-                    seeded += 1
-            self.peer_journals_replayed += 1
-            self.replay_keys_seeded += seeded
-
     async def _op_gossip(self, request: dict) -> dict:
         """Merge a caller's membership view; answer with ours.
 
         The server half of the gossip exchange — shards call it on each
         other every heartbeat, routers call it to subscribe to the
-        fleet's eventually-consistent view.  Also triggers failover
-        replay when the merged view newly claims a member down.
+        fleet's eventually-consistent view.
         """
         view = request.get("view")
         merged = self.membership.merge(view) if view is not None else 0
         self.gossip_merged += merged
         self._self_refute()
-        if merged:
-            await self._replay_down_members()
         return {
             "ok": True,
             "view": self.membership.to_dict(),
@@ -1058,109 +835,6 @@ class SimService:
             "beat": self.beat,
             "merged": merged,
         }
-
-    # -- warm push --------------------------------------------------------
-
-    def _on_job_complete(self, job: SimJob, result) -> None:
-        """Queue completion hook: buffer the result for warm push."""
-        if self.warm_push_budget <= 0 or self._warm_event is None:
-            return
-        self._warm_buffer.append((job.content_key(), result.to_dict()))
-        while len(self._warm_buffer) > WARM_BUFFER_MAX:
-            self._warm_buffer.popleft()
-            self.warm_dropped += 1
-        self._warm_event.set()
-
-    def _warm_successor(self, ring: HashRing, key: str) -> str | None:
-        """Where to warm-push *key*: its failover target (or true owner).
-
-        For a key this shard owns, the next shard in ring preference —
-        exactly where the router re-homes the key if this shard dies.
-        For a key that landed here off-ring (failover, misroute), the
-        true owner.  ``None`` when the fleet has nobody else to warm.
-        """
-        prefs = ring.preference(key)
-        if not prefs or prefs == [self.listen_address]:
-            return None
-        if prefs[0] == self.listen_address:
-            return prefs[1] if len(prefs) > 1 else None
-        return prefs[0]
-
-    async def _warm_loop(self) -> None:
-        """Drain completion buffers to ring successors, under budget."""
-        try:
-            while True:
-                await self._warm_event.wait()
-                self._warm_event.clear()
-                await self._drain_warm_buffer()
-        except asyncio.CancelledError:
-            pass
-
-    async def _drain_warm_buffer(self) -> None:
-        """Push one budgeted cycle of completions to their successors.
-
-        Bounded by :data:`WARM_PUSH_MAX_OPS` entries *and*
-        :attr:`warm_push_budget` payload bytes per cycle; anything still
-        buffered waits for the next completion to re-arm the event.
-        Fail-open per target: an unreachable successor ticks
-        ``warm_push_failures`` and its entries are dropped — warming is
-        an optimisation, the journal/replay path owns durability.
-        """
-        ring = self._cluster_ring()
-        sends: dict[str, dict[str, dict]] = {}
-        ops = 0
-        spent = 0
-        while self._warm_buffer and ops < WARM_PUSH_MAX_OPS and \
-                spent < self.warm_push_budget:
-            key, payload = self._warm_buffer.popleft()
-            target = self._warm_successor(ring, key)
-            if target is None:
-                self.warm_dropped += 1
-                continue
-            sends.setdefault(target, {})[key] = payload
-            ops += 1
-            spent += len(json.dumps(payload, separators=(",", ":")))
-        for target, entries in sends.items():
-            try:
-                await self._peer_request(
-                    target, {"op": "seed", "entries": entries})
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - warming fails open
-                self.warm_push_failures += 1
-                continue
-            self.warm_pushed += len(entries)
-
-    async def _op_seed(self, request: dict) -> dict:
-        """Fold pushed results into the local cache (warm-push receiver).
-
-        Existing cache entries win (:meth:`ResultCache.seed` is
-        ``setdefault``), malformed entries are skipped not fatal, and
-        the request-width bound keeps a confused pusher from shipping
-        unbounded payloads.
-        """
-        entries = request.get("entries")
-        if not isinstance(entries, dict):
-            return {"ok": False,
-                    "error": "seed needs an 'entries' mapping of content "
-                             "key to result payload"}
-        if len(entries) > MAX_SEED_ENTRIES:
-            return {"ok": False,
-                    "error": f"seed carries {len(entries)} entries; the "
-                             f"per-request bound is {MAX_SEED_ENTRIES}"}
-        seeded = 0
-        for key, raw in entries.items():
-            if not isinstance(key, str):
-                continue
-            result = parse_wire_result(raw)
-            if result is None:
-                continue
-            self.cache.seed(key, result)
-            seeded += 1
-        self.warm_seeded += seeded
-        return {"ok": True, "seeded": seeded}
-
-    # -- cache federation -------------------------------------------------
 
     async def _peer_request(self, address: str, payload: dict) -> dict:
         """One short-deadline protocol round against a sibling shard."""
@@ -1170,14 +844,13 @@ class SimService:
                                               limit=MAX_LINE)
         else:
             opening = asyncio.open_unix_connection(where[0], limit=MAX_LINE)
-        reader, writer = await asyncio.wait_for(opening, PEER_LOOKUP_TIMEOUT)
+        reader, writer = await asyncio.wait_for(opening, PEER_TIMEOUT)
         try:
             if self.token is not None:
                 payload = dict(payload, token=self.token)
             writer.write((json.dumps(payload) + "\n").encode())
-            await asyncio.wait_for(writer.drain(), PEER_LOOKUP_TIMEOUT)
-            line = await asyncio.wait_for(reader.readline(),
-                                          PEER_LOOKUP_TIMEOUT)
+            await asyncio.wait_for(writer.drain(), PEER_TIMEOUT)
+            line = await asyncio.wait_for(reader.readline(), PEER_TIMEOUT)
         finally:
             writer.close()
             try:
@@ -1185,69 +858,14 @@ class SimService:
             except OSError:
                 # CancelledError must propagate here: swallowing a cancel
                 # that lands during wait_closed() would leave the gossip
-                # or warm loop alive after stop() asked it to die.
+                # loop alive after stop() asked it to die.
                 pass
         if not line.endswith(b"\n"):
             raise ConnectionResetError("peer closed mid-response")
         response = json.loads(line)
         if not response.get("ok"):
-            raise RuntimeError(response.get("error", "peer refused lookup"))
+            raise RuntimeError(response.get("error", "peer refused request"))
         return response
-
-    async def _peer_fill(self, jobs: list[SimJob]) -> int:
-        """Seed the local cache with peers' results for *jobs* (read-through).
-
-        Asks every configured peer (concurrently) for the batch's
-        locally-missing content keys and seeds whatever comes back.
-        Fails open on every axis — a dead, slow or mid-handshake peer
-        only ticks :attr:`peer_failures` — because federation is a
-        cross-shard optimisation, never a correctness dependency.
-        Returns the number of keys seeded from peers.
-        """
-        if not self.peers:
-            return 0
-        missing = []
-        for job in jobs:
-            key = job.content_key()
-            if key not in missing and self.cache.peek(key) is None:
-                missing.append(key)
-        if not missing:
-            return 0
-
-        async def probe(peer: str) -> dict:
-            rule = faults.fire("peer.lookup")
-            if rule is not None and rule.action == "fail":
-                raise ConnectionRefusedError(
-                    f"injected peer.lookup failure for {peer}")
-            if rule is not None and rule.action == "stall":
-                # Out-stall the probe deadline: the submit path must
-                # treat a hung peer exactly like a dead one.
-                await asyncio.sleep(rule.arg if rule.arg
-                                    else PEER_LOOKUP_TIMEOUT * 5)
-            response = await self._peer_request(
-                peer, {"op": "lookup", "keys": missing})
-            return response.get("found", {})
-
-        outcomes = await asyncio.gather(
-            *(asyncio.wait_for(probe(peer), PEER_LOOKUP_TIMEOUT * 2)
-              for peer in self.peers),
-            return_exceptions=True)
-        seeded: set[str] = set()
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                self.peer_failures += 1
-                continue
-            for key, raw in outcome.items():
-                if key not in missing:
-                    continue
-                result = parse_wire_result(raw)
-                if result is None:
-                    continue
-                self.cache.seed(key, result)
-                seeded.add(key)
-        self.peer_hits += len(seeded)
-        self.peer_misses += len(missing) - len(seeded)
-        return len(seeded)
 
     async def _op_submit(self, request: dict) -> dict:
         raw_jobs = request.get("jobs")
@@ -1262,7 +880,6 @@ class SimService:
             jobs = [SimJob.from_dict(raw) for raw in raw_jobs]
         except (TypeError, ValueError) as exc:
             return {"ok": False, "error": f"bad job spec: {exc}"}
-        peer_hits = await self._peer_fill(jobs)
         try:
             futures, summary = self.queue.submit(jobs)
         except QueueOverloaded as exc:
@@ -1273,7 +890,6 @@ class SimService:
                     "depth": self.queue.depth,
                     "max_depth": self.queue.max_depth,
                     "error": str(exc)}
-        summary["peer_hits"] = peer_hits
         ticket_id = self._remember_ticket(futures)
         if not request.get("wait", True):
             return {"ok": True, "ticket": ticket_id, "summary": summary}
@@ -1349,9 +965,7 @@ def run_service(
     listen: str | None = None,
     token: str | None = None,
     peers: list[str] | None = None,
-    journal_dir: str | os.PathLike | None = None,
     heartbeat_interval: float | None = None,
-    warm_push_budget: int | None = None,
     install_signal_handlers: bool = True,
     ready_message: bool = True,
 ) -> int:
@@ -1366,11 +980,8 @@ def run_service(
     the "operator forgot" scenario the suite tests).  *listen* switches
     the transport to TCP (``host:port``; port 0 lets the kernel pick and
     the ready line reports the bound address), *token* arms shared-secret
-    auth, and *peers* names sibling shards for cache federation.
-    *journal_dir* points shards at the shared cluster journal directory
-    (enabling failover replay), *heartbeat_interval* tunes the gossip
-    loop (0 disables it) and *warm_push_budget* bounds push-based cache
-    warming in bytes per cycle (0 disables it).
+    auth, *peers* seeds the gossip membership plane with sibling shards
+    and *heartbeat_interval* tunes the gossip loop (0 disables it).
     """
     if chaos:
         # Re-export whatever plan is active so spawn-start workers (which
@@ -1380,9 +991,7 @@ def run_service(
                          journal_path=journal_path, max_depth=max_depth,
                          job_timeout=job_timeout, chaos=chaos,
                          listen=listen, token=token, peers=peers,
-                         journal_dir=journal_dir,
-                         heartbeat_interval=heartbeat_interval,
-                         warm_push_budget=warm_push_budget)
+                         heartbeat_interval=heartbeat_interval)
 
     def _print_ready(svc: SimService) -> None:
         where = svc.cache.directory or "memory-only"

@@ -1,7 +1,9 @@
 """Long-running cluster soak: many clients, seeded chaos, zero loss.
 
 The acceptance harness behind ``repro cluster soak``: spawn a fleet of
-real shard subprocesses sharing one ``--journal-dir``, hammer them with
+real shard subprocesses sharing one result cache directory
+(``$REPRO_CACHE_DIR``, the fleet's only cross-shard result path), each
+with its own completion journal, hammer them with
 N concurrent router clients, and — while they work — run a **seeded**
 chaos schedule that SIGKILLs shards, stalls them (SIGSTOP/SIGCONT) and
 revives the corpses on their original ports.  At the end the harness
@@ -12,12 +14,16 @@ asserts the self-healing story end to end:
 * **bit-identical results** — every result matches a serial in-process
   oracle computed up front, so failover never smuggles in a wrong or
   stale answer;
-* **bounded re-simulation** — summing journal records across the shared
-  journal dir counts every execution that ever happened (fsync-per-record
-  survives SIGKILL), so ``records - unique_jobs`` is exactly the work
-  redone because a shard died with results the fleet hadn't learned yet;
+* **bounded re-simulation** — summing journal records across the
+  shards' journals counts every execution that ever happened
+  (fsync-per-record survives SIGKILL), so ``records - distinct keys`` is
+  the work done twice.  A shard publishes a result to the shared cache
+  before any client sees it, so only work a kill or a stall strands
+  unpublished can run twice, and each client has at most one batch in
+  flight: :attr:`SoakReport.resimulation_bound` is
+  ``(kills + stalls) × clients × batch_jobs``;
 * **self-healing observed** — routers report probes and re-admissions,
-  shards report gossip traffic and journal replays.
+  shards report gossip traffic.
 
 Everything is deterministic from :attr:`SoakConfig.seed` on the chaos
 side; wall-clock interleaving of clients is inherently racy, which is
@@ -110,6 +116,7 @@ class SoakReport:
     journal_records: int = 0
     journal_corrupt: int = 0
     resimulated: int = 0
+    resimulation_bound: int = 0
     kills: int = 0
     stalls: int = 0
     revives: int = 0
@@ -120,8 +127,9 @@ class SoakReport:
     wall_s: float = 0.0
 
     def passed(self) -> bool:
-        """Zero lost batches, zero wrong bits."""
-        return self.batches_lost == 0 and not self.mismatched_keys
+        """Zero lost batches, zero wrong bits, re-simulation in bound."""
+        return self.batches_lost == 0 and not self.mismatched_keys and \
+            self.resimulated <= self.resimulation_bound
 
     def to_dict(self) -> dict:
         return {
@@ -134,6 +142,7 @@ class SoakReport:
             "journal_records": self.journal_records,
             "journal_corrupt": self.journal_corrupt,
             "resimulated": self.resimulated,
+            "resimulation_bound": self.resimulation_bound,
             "kills": self.kills,
             "stalls": self.stalls,
             "revives": self.revives,
@@ -148,8 +157,9 @@ class SoakReport:
 class _Shard:
     """One shard subprocess the chaos loop owns: spawn, kill, revive."""
 
-    def __init__(self, port_hint: int = 0):
-        self.port = port_hint      # 0 until the kernel picks one
+    def __init__(self, index: int):
+        self.index = index         # names the journal revivals reopen
+        self.port = 0              # 0 until the kernel picks one
         self.address: str | None = None
         self.proc: subprocess.Popen | None = None
         self.stopped = False       # SIGSTOPped right now
@@ -164,14 +174,15 @@ def _repo_src() -> str:
     return str(Path(__file__).resolve().parents[2])
 
 
-def _spawn_shard(shard: _Shard, config: SoakConfig,
-                 journal_dir: Path) -> None:
+def _spawn_shard(shard: _Shard, config: SoakConfig, work_dir: Path) -> None:
     """Start (or restart) *shard* as a ``repro cluster serve`` process.
 
-    First spawn binds port 0 and learns the kernel's pick from the ready
-    line; revivals re-bind the *same* port, so the fleet's addresses —
-    and therefore its ring, journals and routers — are stable across
-    deaths.  ``REPRO_SHM=0`` because a SIGKILL-ed daemon cannot unlink
+    Every shard publishes results to ``<work_dir>/cache`` and journals
+    to ``<work_dir>/shard-<index>.journal``.  First spawn binds port 0
+    and learns the kernel's pick from the ready line; revivals re-bind
+    the *same* port and reopen the same journal, so the fleet's
+    addresses, ring and epochs are stable across deaths.
+    ``REPRO_SHM=0`` because a SIGKILL-ed daemon cannot unlink
     shared-memory segments.
     """
     env = dict(os.environ)
@@ -179,6 +190,7 @@ def _spawn_shard(shard: _Shard, config: SoakConfig,
         p for p in (_repo_src(), env.get("PYTHONPATH", "")) if p)
     env["REPRO_SERVICE_TOKEN"] = config.token
     env["REPRO_SHM"] = "0"
+    env["REPRO_CACHE_DIR"] = str(work_dir / "cache")
     env.pop("REPRO_FAULTS", None)  # chaos here is real signals, not faults
     # stdout=DEVNULL matters beyond tidiness: a SIGKILL-ed shard's pool
     # workers outlive it, and if they inherited *this* process's stdout
@@ -187,7 +199,7 @@ def _spawn_shard(shard: _Shard, config: SoakConfig,
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "-j", "1", "cluster", "serve",
          "--listen", f"127.0.0.1:{shard.port}",
-         "--journal-dir", str(journal_dir),
+         "--journal", str(work_dir / f"shard-{shard.index}.journal"),
          "--heartbeat-interval", str(config.heartbeat_interval_s)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True,
@@ -285,7 +297,7 @@ def _client_worker(index: int, config: SoakConfig, addresses: list[str],
 
 
 def _chaos_step(rng: random.Random, fleet: list[_Shard],
-                config: SoakConfig, journal_dir: Path,
+                config: SoakConfig, work_dir: Path,
                 report: SoakReport, log) -> None:
     """One seeded chaos event: revive a corpse, or hurt a live shard.
 
@@ -299,7 +311,7 @@ def _chaos_step(rng: random.Random, fleet: list[_Shard],
     # the fleet to its floor and the schedule degenerates.
     if dead and rng.random() < 0.6:
         shard = rng.choice(dead)
-        _spawn_shard(shard, config, journal_dir)
+        _spawn_shard(shard, config, work_dir)
         report.revives += 1
         log(f"soak: revived {shard.address}")
         return
@@ -327,17 +339,18 @@ def _chaos_step(rng: random.Random, fleet: list[_Shard],
         log(f"soak: stalled {shard.address} for {config.stall_s:g}s")
 
 
-def run_soak(config: SoakConfig, journal_dir: str | os.PathLike,
+def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
              log=None) -> SoakReport:
     """Run one full soak; returns the report (check :meth:`~SoakReport.passed`).
 
-    *journal_dir* is the fleet's shared ``--journal-dir``; the caller
-    owns its lifetime (a tmpdir in tests, a scratch dir under the CLI).
-    *log* is called with progress lines (``None`` silences them).
+    *work_dir* holds the fleet's shared result cache and its shards'
+    journals; the caller owns its lifetime (a tmpdir in tests, a scratch
+    dir under the CLI).  *log* is called with progress lines (``None``
+    silences them).
     """
     log = log or (lambda line: None)
-    journal_dir = Path(journal_dir)
-    journal_dir.mkdir(parents=True, exist_ok=True)
+    work_dir = Path(work_dir)
+    work_dir.mkdir(parents=True, exist_ok=True)
     universe = _job_universe(config)
     log(f"soak: oracle — {len(universe)} unique jobs, serial in-process")
     oracle_engine = Engine(executor=SerialExecutor(), cache=ResultCache(None))
@@ -347,9 +360,9 @@ def run_soak(config: SoakConfig, journal_dir: str | os.PathLike,
     report = SoakReport(unique_jobs=len(universe))
     started = time.monotonic()
     deadline = started + config.deadline_s
-    fleet = [_Shard() for _ in range(config.shards)]
+    fleet = [_Shard(index) for index in range(config.shards)]
     for shard in fleet:
-        _spawn_shard(shard, config, journal_dir)
+        _spawn_shard(shard, config, work_dir)
     addresses = [shard.address for shard in fleet]
     log(f"soak: fleet up — {', '.join(addresses)}")
     lock = threading.Lock()
@@ -372,7 +385,7 @@ def run_soak(config: SoakConfig, journal_dir: str | os.PathLike,
                 break
             now = time.monotonic()
             if now >= next_chaos and now >= stall_until:
-                _chaos_step(rng, fleet, config, journal_dir, report, log)
+                _chaos_step(rng, fleet, config, work_dir, report, log)
                 next_chaos = now + config.chaos_interval_s
                 if any(s.stopped for s in fleet):
                     stall_until = now + config.stall_s
@@ -399,22 +412,25 @@ def run_soak(config: SoakConfig, journal_dir: str | os.PathLike,
     report.wall_s = time.monotonic() - started
     # Re-simulation accounting: every executed job appended one fsync'd
     # journal record (SIGKILL cannot un-write them), so records beyond
-    # the count of *distinct* journaled keys are exactly the executions
-    # redone because a shard died with work the fleet hadn't learned.
+    # the count of *distinct* journaled keys are the executions done
+    # twice because a kill or stall stranded them unpublished.
     executed_keys: set[str] = set()
-    for path in sorted(journal_dir.glob("*.journal")):
+    for path in sorted(work_dir.glob("*.journal")):
         snapshot = read_journal_snapshot(path)
         report.journal_records += snapshot["records"]
         report.journal_corrupt += snapshot["corrupt"]
         executed_keys.update(snapshot["entries"])
     report.resimulated = max(
         0, report.journal_records - len(executed_keys))
+    report.resimulation_bound = ((report.kills + report.stalls)
+                                 * config.clients * config.batch_jobs)
     log(f"soak: done in {report.wall_s:.1f}s — "
         f"{report.batches_completed} batches, "
         f"{report.batches_lost} lost, "
         f"{len(report.mismatched_keys)} mismatched, "
         f"{report.kills} kills / {report.stalls} stalls / "
         f"{report.revives} revives, "
-        f"{report.resimulated} job(s) re-simulated, "
+        f"{report.resimulated} job(s) re-simulated "
+        f"(bound {report.resimulation_bound}), "
         f"{report.readmissions} re-admission(s)")
     return report

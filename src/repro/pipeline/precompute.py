@@ -12,7 +12,7 @@ kernel (:mod:`repro.pipeline.ckernel`) indexes into:
   :class:`~repro.branch.unit.BranchUnit` walked over the control µops,
   exactly the objects the sequential model trains), the post-branch
   ``(ghist & 2^64-1, path & 0xFFFF)`` context every value-predictor lookup
-  would observe, and the scrambled PC / predictor-key hashes.
+  would observe, and the scrambled predictor-key hash.
 * :class:`VTAGEPlane` — per-component VTAGE indices and tags for every
   µop, vectorised with the batched fold/hash primitives
   (:func:`repro.util.history.fold_array`,
@@ -42,7 +42,7 @@ from repro.util.history import FOLD_WIDTH, fold_array
 #: Bump whenever the plane layout *or* anything feeding it (branch unit
 #: semantics, hashing, fold) changes; part of the on-disk aux key, so stale
 #: persisted planes are regenerated instead of misread.
-PRECOMPUTE_VERSION = 1
+PRECOMPUTE_VERSION = 2
 
 _CTRL_INTS = tuple(sorted(
     int(c) for c in (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET)
@@ -62,7 +62,6 @@ class TracePlane:
         "redirect",
         "ghist64",
         "path16",
-        "scr_pc",
         "scr_pkey",
         "cond_branches",
         "direction_mispredicts",
@@ -72,14 +71,13 @@ class TracePlane:
         "final_ghist_length",
     )
 
-    def __init__(self, n, redirect, ghist64, path16, scr_pc, scr_pkey,
+    def __init__(self, n, redirect, ghist64, path16, scr_pkey,
                  cond_branches, direction_mispredicts, target_mispredicts,
                  final_ghist, final_path, final_ghist_length):
         self.n = n
         self.redirect = redirect
         self.ghist64 = ghist64
         self.path16 = path16
-        self.scr_pc = scr_pc
         self.scr_pkey = scr_pkey
         self.cond_branches = cond_branches
         self.direction_mispredicts = direction_mispredicts
@@ -91,7 +89,7 @@ class TracePlane:
     @property
     def nbytes(self) -> int:
         return (self.redirect.nbytes + self.ghist64.nbytes +
-                self.path16.nbytes + self.scr_pc.nbytes + self.scr_pkey.nbytes)
+                self.path16.nbytes + self.scr_pkey.nbytes)
 
 
 class VTAGEPlane:
@@ -177,7 +175,6 @@ def build_trace_plane(trace: Trace) -> TracePlane:
         redirect=redirect,
         ghist64=ghist64,
         path16=path16,
-        scr_pc=scramble_array(a["pcs"]),
         scr_pkey=scramble_array(pkeys),
         cond_branches=unit.cond_branches,
         direction_mispredicts=unit.direction_mispredicts,
@@ -284,7 +281,6 @@ def _plane_from_store(store, identity, n: int) -> TracePlane | None:
             redirect=arrays["redirect"],
             ghist64=arrays["ghist64"],
             path16=arrays["path16"],
-            scr_pc=arrays["scr_pc"],
             scr_pkey=arrays["scr_pkey"],
             cond_branches=int(meta["cond_branches"]),
             direction_mispredicts=int(meta["direction_mispredicts"]),
@@ -315,7 +311,6 @@ def _plane_to_store(store, identity, plane: TracePlane) -> None:
         "redirect": plane.redirect,
         "ghist64": plane.ghist64,
         "path16": plane.path16,
-        "scr_pc": plane.scr_pc,
         "scr_pkey": plane.scr_pkey,
     }
     store.put_aux(*identity, _AUX_KIND, PRECOMPUTE_VERSION, arrays, meta)

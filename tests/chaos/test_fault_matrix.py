@@ -23,9 +23,14 @@ sites activate through the exported ``$REPRO_FAULTS``.
 
 import asyncio
 import os
+import re
+import signal
 import socket as socket_module
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +49,8 @@ from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 from repro.engine.service import SimService
 from repro.pipeline.result import SimResult
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SMALL = dict(n_uops=2000, warmup=1000)
 
@@ -107,6 +114,13 @@ class Daemon:
 
 def _results(response):
     return response["results"]
+
+
+def _wait_for(predicate, timeout=30.0, message="condition"):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out: {message}"
+        time.sleep(0.05)
 
 
 class TestSurvivableWorkerFaults:
@@ -379,63 +393,77 @@ class TcpShardDaemon(Daemon):
 
 
 class TestClusterFaults:
-    """Shard-level fault sites: peer federation and router routing.
+    """Shard-level faults: the shared result plane and router routing.
 
     Same bar as the rest of the matrix: every survivable cluster fault
-    — an unreachable federation peer, a *hung* federation peer, a
-    misrouted or dropped routing decision — must end in results
-    bit-identical to the fault-free run, with the failure visible in
-    the metrics surface rather than in the answers.
+    — a result that never reached the shared cache directory, a
+    SIGKILLed shard, a misrouted or dropped routing decision — must end
+    in results bit-identical to the fault-free run.  A result the plane
+    failed to carry costs a re-simulation, never a wrong answer.
     """
 
-    def test_peer_lookup_failure_fails_open(self, expected):
-        with TcpShardDaemon(workers=1) as upstream:
-            with TcpShardDaemon(
-                    workers=1,
-                    peers=[upstream.service.listen_address]) as shard:
-                faults.install_plan("peer.lookup:fail@every=1", seed=0)
-                with ServiceClient(shard.service.listen_address) as client:
-                    response = client.submit(JOBS)
-                    metrics = client.metrics()
-        assert _results(response) == expected
-        assert response["summary"]["peer_hits"] == 0
-        assert metrics["peers"]["failures"] == 1
-
-    def test_hung_peer_is_abandoned_within_the_deadline(self, expected):
-        with TcpShardDaemon(workers=1) as upstream:
-            with TcpShardDaemon(
-                    workers=1,
-                    peers=[upstream.service.listen_address]) as shard:
-                faults.install_plan("peer.lookup:stall:30@1", seed=0)
-                with ServiceClient(shard.service.listen_address) as client:
-                    start = time.monotonic()
-                    response = client.submit(JOBS)
-                    stalled_for = time.monotonic() - start
-                    metrics = client.metrics()
-        assert _results(response) == expected
-        assert metrics["peers"]["failures"] == 1
-        # The submit absorbed the peer deadline (a few seconds), not the
-        # injected 30-second stall.
-        assert stalled_for < 25.0
-
-    def test_federation_survives_a_sigkilled_peer(self, expected):
-        # An upstream shard that vanishes *between* requests: the first
-        # submit federates from it, the second finds it dead and falls
-        # back to local execution — bit-identically both times.
-        upstream = TcpShardDaemon(workers=1).__enter__()
-        address = upstream.service.listen_address
-        with ServiceClient(address) as client:
-            client.submit(JOBS[:3])
-        with TcpShardDaemon(workers=1, peers=[address]) as shard:
+    @pytest.mark.parametrize("action", ["error", "torn"])
+    def test_unpublished_result_resimulates(self, tmp_path, expected,
+                                            action):
+        # Upstream's every publish fails (an IO error, or a write torn
+        # before its rename), so the shared directory holds nothing
+        # committed and the downstream shard must simulate everything.
+        with TcpShardDaemon(workers=1,
+                            cache=ResultCache(tmp_path)) as upstream:
+            faults.install_plan(f"cache.write:{action}@every=1", seed=0)
+            with ServiceClient(upstream.service.listen_address) as client:
+                client.submit(JOBS)
+            faults.install_plan(None)
+        assert not list(tmp_path.glob("??/*.json"))
+        with TcpShardDaemon(workers=1,
+                            cache=ResultCache(tmp_path)) as shard:
             with ServiceClient(shard.service.listen_address) as client:
-                first = client.submit(JOBS[:3])
-                upstream.__exit__()  # clean stop: the peer is simply gone
-                second = client.submit(JOBS[3:])
-                metrics = client.metrics()
-        assert _results(first) == expected[:3]
-        assert _results(second) == expected[3:]
-        assert first["summary"]["peer_hits"] == 3
-        assert metrics["peers"]["failures"] >= 1
+                response = client.submit(JOBS)
+        assert _results(response) == expected
+        assert response["summary"]["enqueued"] == len(JOBS)
+
+    def test_federation_survives_a_sigkilled_peer(self, tmp_path, expected):
+        # An upstream shard publishes half the batch to the shared cache
+        # directory and is then SIGKILLed.  A shard gossiping with the
+        # corpse serves the published half from the directory and
+        # simulates the rest — bit-identically — and claims the dead
+        # peer down.
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), REPRO_SHM="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", ""))
+            if p)
+        for name in ("REPRO_SERVICE_TOKEN", "REPRO_FAULTS"):
+            env.pop(name, None)
+        upstream = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "-j", "1", "cluster",
+             "serve", "--listen", "127.0.0.1:0",
+             "--heartbeat-interval", "0"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            line = upstream.stderr.readline()
+            match = re.search(r"listen=(tcp://\S+)", line)
+            assert match, f"no ready line from upstream: {line!r}"
+            address = match.group(1)
+            with ServiceClient(address) as client:
+                client.submit(JOBS[:3])
+        finally:
+            upstream.send_signal(signal.SIGKILL)
+            upstream.wait(timeout=15)
+            upstream.stderr.close()
+        with TcpShardDaemon(workers=1, cache=ResultCache(tmp_path),
+                            peers=[address],
+                            heartbeat_interval=0.1) as shard:
+            with ServiceClient(shard.service.listen_address) as client:
+                response = client.submit(JOBS)
+            _wait_for(
+                lambda: shard.service.gossip_failures >= 1,
+                message="a failed heartbeat to the dead peer")
+            dead = shard.service.membership.get(address)
+        assert _results(response) == expected
+        assert response["summary"]["cache_hits"] == 3
+        assert response["summary"]["enqueued"] == 3
+        assert dead is not None and dead.status == "down"
 
     def test_routing_faults_keep_results_bit_identical(self, expected):
         from repro.engine.cluster import ShardRouter
@@ -454,16 +482,8 @@ class TestClusterFaults:
 
 
 class TestSelfHealingFaults:
-    """Gossip and failover-replay fault sites: the membership plane must
-    converge through dropped/delayed heartbeats, and a torn journal read
-    during failover replay must cost entries, never correctness."""
-
-    @staticmethod
-    def _wait_for(predicate, timeout=30.0, message="condition"):
-        deadline = time.monotonic() + timeout
-        while not predicate():
-            assert time.monotonic() < deadline, f"timed out: {message}"
-            time.sleep(0.05)
+    """Gossip fault sites: the membership plane must converge through
+    dropped and delayed heartbeats."""
 
     def test_dropped_heartbeats_only_slow_convergence(self):
         # Every second heartbeat is dropped; the fleet's views must still
@@ -473,7 +493,7 @@ class TestSelfHealingFaults:
             with TcpShardDaemon(
                     workers=1, heartbeat_interval=0.1,
                     peers=[a.service.listen_address]) as b:
-                self._wait_for(
+                _wait_for(
                     lambda: len(a.service.membership.alive()) == 2
                     and len(b.service.membership.alive()) == 2,
                     message="membership convergence under drops")
@@ -481,7 +501,7 @@ class TestSelfHealingFaults:
                 # heartbeat, so wait for a drop rather than asserting
                 # one already happened: heartbeats keep flowing, so
                 # every=2 must fire soon after.
-                self._wait_for(
+                _wait_for(
                     lambda: (a.service.gossip_dropped
                              + b.service.gossip_dropped) >= 1,
                     message="an every=2 heartbeat drop")
@@ -492,36 +512,7 @@ class TestSelfHealingFaults:
             with TcpShardDaemon(
                     workers=1, heartbeat_interval=0.1,
                     peers=[a.service.listen_address]) as b:
-                self._wait_for(
+                _wait_for(
                     lambda: len(a.service.membership.alive()) == 2
                     and len(b.service.membership.alive()) == 2,
                     message="membership convergence under delays")
-
-    def test_torn_replay_read_fails_open_bit_identically(self, tmp_path,
-                                                         expected):
-        # Shard A executes the batch into a shared journal dir, then
-        # dies.  Shard B (peering at the corpse) claims it down and
-        # replays its journal — but the replay read is torn in half.
-        # The replay seeds what survived the tear and B still serves
-        # the full batch bit-identically (re-simulating the rest); the
-        # on-disk journal is never damaged by the torn *read*.
-        with TcpShardDaemon(workers=1, journal_dir=tmp_path,
-                            heartbeat_interval=0) as a:
-            dead = a.service.listen_address
-            with ServiceClient(dead) as client:
-                client.submit(JOBS)
-        journal = next(tmp_path.glob("*.journal"))
-        size_before = journal.stat().st_size
-        faults.install_plan("journal.replay:torn@1", seed=0)
-        with TcpShardDaemon(workers=1, journal_dir=tmp_path,
-                            heartbeat_interval=0.1,
-                            peers=[dead]) as b:
-            self._wait_for(
-                lambda: b.service.peer_journals_replayed >= 1,
-                message="failover replay of the dead peer")
-            torn_seeded = b.service.replay_keys_seeded
-            assert torn_seeded < len(JOBS)  # the tear cost entries...
-            with ServiceClient(b.service.listen_address) as client:
-                response = client.submit(JOBS)
-        assert _results(response) == expected  # ...but never bits
-        assert journal.stat().st_size == size_before

@@ -9,8 +9,8 @@ serve`` subprocesses:
 * ``SIGKILL`` of one shard mid-grid loses no jobs — the router marks
   the shard down and re-routes its keys along the hash ring, and the
   full result set stays dataclass-equal to the local run;
-* shards federate caches: work one shard finished is served to a peer
-  without re-simulation;
+* shards sharing one ``$REPRO_CACHE_DIR`` never re-simulate a result
+  another shard published — not while it lives, nor after a SIGKILL;
 * ``repro cluster status`` reports per-shard queue depth and cache
   hit/miss counts (the ops surface the ISSUE asks for).
 """
@@ -49,10 +49,12 @@ GRID_B = [SimJob.make(w, p, **SMALL)
           for p in ("2dstride", "vtage") for w in WORKLOADS]
 
 
-def _spawn_shard(*extra_args, jobs="1", shm=True):
+def _spawn_shard(*extra_args, cache_dir=None, jobs="1", shm=True):
     """Start ``repro cluster serve`` on a kernel-picked port; returns
     ``(process, tcp_address)`` parsed from the daemon's ready line.
 
+    *cache_dir* is the shard's ``$REPRO_CACHE_DIR`` (``None``: memory
+    only); shards given the same directory share every published result.
     ``shm=False`` disables the shared-memory trace plane for shards a
     test will ``SIGKILL``: a -9 daemon cannot unlink its segments, and
     leaked ``/dev/shm`` entries would fail the shm hermeticity tests
@@ -62,6 +64,8 @@ def _spawn_shard(*extra_args, jobs="1", shm=True):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p)
     env["REPRO_SERVICE_TOKEN"] = TOKEN
+    if cache_dir is not None:
+        env["REPRO_CACHE_DIR"] = str(cache_dir)
     if not shm:
         env["REPRO_SHM"] = "0"
     proc = subprocess.Popen(
@@ -91,10 +95,12 @@ def expected():
 
 
 @pytest.fixture(scope="module")
-def cluster():
-    """Two 1-worker TCP shards, peered both ways, token-authed."""
-    proc_a, addr_a = _spawn_shard()
-    proc_b, addr_b = _spawn_shard("--peer", addr_a)
+def cluster(tmp_path_factory):
+    """Two 1-worker TCP shards sharing a result cache directory,
+    gossiping with each other, token-authed."""
+    results = tmp_path_factory.mktemp("results")
+    proc_a, addr_a = _spawn_shard(cache_dir=results)
+    proc_b, addr_b = _spawn_shard("--peer", addr_a, cache_dir=results)
     yield [addr_a, addr_b]
     for proc, addr in ((proc_a, addr_a), (proc_b, addr_b)):
         try:
@@ -146,25 +152,18 @@ class TestClusterRoundTrip:
             ServiceClient(cluster[0], token="wrong").ping()
 
     def test_peer_federation_avoids_resimulation(self, cluster):
-        # By round-trip time every result is cached on its owning shard,
-        # and warm push may already have copied them to the successor.
-        # Submitting the full grid directly to shard B (bypassing the
-        # router) must answer every non-resident key over the federation
-        # wire — pulled via peer lookup or already push-warmed — and
-        # never re-enter the worker pool.
+        # By round-trip time every GRID_A result was published to the
+        # shared cache directory by the shard that owns it.  Submitting
+        # the full grid directly to shard B (bypassing the router) must
+        # answer every key from that directory — shard A's half too —
+        # and never re-enter the worker pool.
         with ServiceClient(cluster[1], token=TOKEN) as client:
             executed_before = client.metrics()["queue"]["stats"]["executed"]
             response = client.submit(GRID_A)
             metrics = client.metrics()
         assert response["summary"]["enqueued"] == 0
-        assert metrics["queue"]["stats"]["executed"] == executed_before
-        # Federation-seeded keys are answered as ordinary cache hits;
-        # peer_hits counts pull-path transfers, warm.seeded counts
-        # entries the push path landed ahead of the request.
         assert response["summary"]["cache_hits"] == len(GRID_A)
-        assert response["summary"]["peer_hits"] + \
-            metrics["warm"]["seeded"] > 0
-        assert metrics["peers"]["hits"] == response["summary"]["peer_hits"]
+        assert metrics["queue"]["stats"]["executed"] == executed_before
 
     def test_cluster_status_cli_reports_depth_and_cache(self, cluster):
         env = dict(os.environ)
@@ -254,15 +253,25 @@ def expected_grid_a():
 
 
 class TestSelfHealing:
-    """ISSUE acceptance: a -9'd shard restarts, is auto re-admitted with
-    no router restart, and its journaled work is never re-simulated."""
+    """A -9'd shard restarts, is auto re-admitted with no router restart,
+    and the work it published is never re-simulated."""
 
-    def _fleet(self, journal_dir):
-        """Two shards sharing a journal dir, gossiping at 0.25 s."""
-        knobs = ("--journal-dir", journal_dir,
-                 "--heartbeat-interval", "0.25")
-        proc_a, addr_a = _spawn_shard(*knobs, shm=False)
-        proc_b, addr_b = _spawn_shard("--peer", addr_a, *knobs, shm=False)
+    @staticmethod
+    def _knobs(tmp_path, name):
+        """Shard *name*'s flags: its own journal (a revival reopens it,
+        so epoch and startup replay carry over) and a 0.25 s gossip."""
+        return ("--journal", tmp_path / f"{name}.journal",
+                "--heartbeat-interval", "0.25")
+
+    def _fleet(self, tmp_path):
+        """Two shards with their own journals sharing one result cache
+        directory, gossiping at 0.25 s."""
+        results = tmp_path / "results"
+        proc_a, addr_a = _spawn_shard(*self._knobs(tmp_path, "a"),
+                                      shm=False, cache_dir=results)
+        proc_b, addr_b = _spawn_shard("--peer", addr_a,
+                                      *self._knobs(tmp_path, "b"),
+                                      shm=False, cache_dir=results)
         return proc_a, addr_a, proc_b, addr_b
 
     def _stop(self, proc, addr):
@@ -310,15 +319,15 @@ class TestSelfHealing:
                 [r.to_dict() for r in expected_grid_a()]
             assert addr_a in router.down
 
-            # Revive A on its old port, same journal dir: its epoch meta
+            # Revive A on its old port, same journal: its epoch meta
             # makes the new incarnation supersede its own death notice.
             port = addr_a.rsplit(":", 1)[1]
             for attempt in range(10):
                 try:
                     revived = _spawn_shard(
                         "--listen", f"127.0.0.1:{port}", "--peer", addr_b,
-                        "--journal-dir", tmp_path,
-                        "--heartbeat-interval", "0.25", shm=False)
+                        *self._knobs(tmp_path, "a"), shm=False,
+                        cache_dir=tmp_path / "results")
                     break
                 except AssertionError:
                     time.sleep(0.5)
@@ -357,6 +366,8 @@ class TestSelfHealing:
 
     def test_journal_replay_keeps_prekill_results_out_of_resimulation(
             self, tmp_path):
+        """Everything shard A published before its SIGKILL stays out of
+        re-simulation: B reads it from the shared cache directory."""
         proc_a, addr_a, proc_b, addr_b = self._fleet(tmp_path)
         a_dead = False
         router = ShardRouter([addr_a, addr_b], token=TOKEN,
@@ -374,21 +385,9 @@ class TestSelfHealing:
             proc_a.wait(timeout=15)
             a_dead = True
 
-            # Survivor B notices the death by failed heartbeat and
-            # inherits A's journal segment.
-            with ServiceClient(addr_b, timeout=10.0, token=TOKEN) as client:
-                deadline = time.monotonic() + 60
-                while time.monotonic() < deadline:
-                    replay = client.metrics()["replay"]
-                    if replay["peers_replayed"] >= 1:
-                        break
-                    time.sleep(0.05)
-                else:
-                    pytest.fail("survivor never replayed the dead journal")
-            assert replay["keys_seeded"] > 0
-
-            # Re-running the grid costs zero simulations: B's own work
-            # plus the replayed segment cover the whole key space.
+            # Re-running the grid costs zero simulations: the router
+            # fails A's keys over to B, which reads every one of them
+            # from the shared cache directory.
             rerun = router.run_jobs(GRID_A)
             assert [r.to_dict() for r in rerun] == \
                 [r.to_dict() for r in expected_grid_a()]
@@ -396,7 +395,8 @@ class TestSelfHealing:
                 executed_after = \
                     client.metrics()["queue"]["stats"]["executed"]
             assert executed_after == executed_before, \
-                "journaled pre-kill results were re-simulated"
+                "published pre-kill results were re-simulated"
+            assert router.stats["failovers"] == 1
             router.close()
         finally:
             if not a_dead:

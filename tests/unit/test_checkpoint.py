@@ -9,7 +9,6 @@ import textwrap
 
 import pytest
 
-from repro.engine import faults
 from repro.engine import job as job_mod
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
@@ -285,17 +284,10 @@ class TestKillResume:
 
 
 # ---------------------------------------------------------------------------
-# Meta records and lock-free snapshot reads (the failover-replay substrate).
+# Meta records and lock-free snapshot reads (the soak's execution count).
 # ---------------------------------------------------------------------------
 
 class TestMetaAndSnapshot:
-    @pytest.fixture(autouse=True)
-    def clean_fault_state(self):
-        faults.reset()
-        yield
-        faults.install_plan(None, export_env=True)
-        faults.reset()
-
     @pytest.fixture()
     def service_journal(self, tmp_path):
         """A journal shaped like a shard's: header, meta, two results."""
@@ -356,13 +348,3 @@ class TestMetaAndSnapshot:
         snapshot = read_journal_snapshot(tmp_path / "never-existed.journal")
         assert snapshot["entries"] == {}
         assert snapshot["corrupt"] == 1
-
-    def test_replay_torn_fault_halves_in_memory_only(self, service_journal):
-        before = service_journal.read_bytes()
-        faults.install_plan("journal.replay:torn@1", seed=0)
-        torn = read_journal_snapshot(service_journal)
-        faults.install_plan(None)
-        assert len(torn["entries"]) < 2
-        # The on-disk file is untouched: its owner may come back for it.
-        assert service_journal.read_bytes() == before
-        assert len(read_journal_snapshot(service_journal)["entries"]) == 2

@@ -10,6 +10,7 @@ harness (a child process's execution is invisible to coverage).
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -134,43 +135,35 @@ class TestTcpTransport:
         assert metrics["queue"]["depth"] == 0
         assert metrics["cache"]["misses"] == 2
         assert metrics["cache"]["memory_entries"] == 2
-        assert metrics["peers"] == {"configured": 0, "hits": 0,
-                                    "misses": 0, "failures": 0}
-
-    def test_lookup_op_answers_by_key_without_accounting(self):
-        with TcpShard() as shard:
-            with ServiceClient(shard.address) as client:
-                [result] = client.run_jobs(JOBS[:1])
-                before = client.metrics()["cache"]
-                found = client.lookup([JOBS[0].content_key(), "nope"])
-                after = client.metrics()["cache"]
-        assert found == {JOBS[0].content_key(): result}
-        assert (before["hits"], before["misses"]) == \
-            (after["hits"], after["misses"])
+        assert metrics["replay"] == {"startup_replayed": 0}
 
 
 class TestPeerFederation:
-    def test_miss_is_filled_from_peer_cache(self, expected):
-        with TcpShard() as upstream:
+    def test_miss_is_filled_from_peer_cache(self, expected, tmp_path):
+        # Shards share one result cache directory and nothing else: a
+        # result the upstream shard published is a downstream cache hit.
+        with TcpShard(cache=ResultCache(tmp_path)) as upstream:
             with ServiceClient(upstream.address) as client:
                 client.run_jobs(JOBS)
-            with TcpShard(peers=[upstream.address]) as downstream:
-                with ServiceClient(downstream.address) as client:
-                    response = client.submit(JOBS)
-                    metrics = client.metrics()
-        assert response["summary"]["peer_hits"] == len(JOBS)
+        with TcpShard(cache=ResultCache(tmp_path)) as downstream:
+            with ServiceClient(downstream.address) as client:
+                response = client.submit(JOBS)
+                metrics = client.metrics()
         assert response["summary"]["enqueued"] == 0
-        assert [r for r in response["results"]] == \
-            [r.to_dict() for r in expected]
-        assert metrics["peers"]["hits"] == len(JOBS)
+        assert response["summary"]["cache_hits"] == len(JOBS)
+        assert response["results"] == [r.to_dict() for r in expected]
+        assert metrics["queue"]["stats"]["executed"] == 0
 
     def test_dead_peer_fails_open(self, expected):
-        with TcpShard(peers=["tcp://127.0.0.1:9"]) as shard:  # discard port
+        with TcpShard(peers=["tcp://127.0.0.1:9"],  # discard port
+                      heartbeat_interval=0.1) as shard:
             with ServiceClient(shard.address) as client:
                 results = client.run_jobs(JOBS[:2])
-                metrics = client.metrics()
+            deadline = time.monotonic() + 30
+            while shard.service.gossip_failures == 0:
+                assert time.monotonic() < deadline, "no heartbeat failed"
+                time.sleep(0.05)
         assert results == expected[:2]
-        assert metrics["peers"]["failures"] >= 1
 
 
 class TestShardRouter:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.engine import cache as cache_mod
 from repro.engine import job as job_mod
 from repro.engine.api import Engine, configure_default_engine, reset_default_engine
 from repro.engine.cache import ResultCache
@@ -167,6 +168,22 @@ class TestResultCache:
         entry.write_text("{ not json")
         assert ResultCache(tmp_path).get(job) is None
 
+    def test_foreign_disk_entry_is_a_miss(self, tmp_path):
+        """A shared directory holds files other processes wrote: an entry
+        filed under the wrong key, or one missing its result, is a miss."""
+        job, other = (SimJob.make(w, "lvp", **TINY) for w in ("gzip", "gcc"))
+        cache = ResultCache(tmp_path)
+        cache.put(job, execute_job(job))
+        [entry] = cache.disk_entries()
+        misplaced = cache._path(other.content_key())
+        misplaced.parent.mkdir(parents=True, exist_ok=True)
+        misplaced.write_text(entry.read_text())
+        assert ResultCache(tmp_path).get(other) is None
+        for junk in ("[]", json.dumps({"version": 1,
+                                       "key": job.content_key()})):
+            entry.write_text(junk)
+            assert ResultCache(tmp_path).get(job) is None
+
     def test_clear_removes_disk_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = SimJob.make("gzip", "lvp", **TINY)
@@ -174,6 +191,31 @@ class TestResultCache:
         assert cache.clear() == 1
         assert cache.disk_entries() == []
         assert cache.get(job) is None
+
+    def test_memory_layer_holds_exactly_the_bound(self):
+        result = execute_job(SimJob.make("gzip", "lvp", **TINY))
+        cache = ResultCache()
+        for i in range(cache_mod.MEMORY_MAX_ENTRIES + 1):
+            cache.seed(f"key-{i}", result)
+        assert len(cache) == cache_mod.MEMORY_MAX_ENTRIES
+        assert "key-0" not in cache._memory  # the oldest went first
+
+    def test_lru_eviction_rereads_from_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "MEMORY_MAX_ENTRIES", 3)
+        result = execute_job(SimJob.make("gzip", "lvp", **TINY))
+        jobs = [SimJob.make("gzip", "lvp", n_uops=TINY["n_uops"] + i,
+                            warmup=TINY["warmup"]) for i in range(4)]
+        cache = ResultCache(tmp_path)
+        for job in jobs[:3]:
+            cache.put(job, result)
+        assert cache.get(jobs[0]) == result  # refreshes jobs[0]
+        cache.put(jobs[3], result)           # evicts jobs[1], the LRU
+        assert len(cache) == 3
+        assert cache.get(jobs[0]) == result
+        assert (cache.memory_hits, cache.disk_hits) == (2, 0)
+        assert cache.get(jobs[1]) == result
+        assert (cache.memory_hits, cache.disk_hits) == (2, 1)
+        assert len(cache) == 3
 
 
 # ---------------------------------------------------------------------------

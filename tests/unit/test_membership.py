@@ -1,4 +1,4 @@
-"""Unit tests for self-healing membership: gossip, probation, warming.
+"""Unit tests for self-healing membership: gossip, probation, epochs.
 
 In-process shards (real TCP sockets, background threads — the same
 harness as ``test_cluster.py``) drive the new planes end to end:
@@ -9,9 +9,7 @@ harness as ``test_cluster.py``) drive the new planes end to end:
   re-admitted automatically, and ``refresh_membership`` grows the ring
   from the gossiped view;
 * a restarted shard's journal-persisted epoch supersedes its own death
-  notice;
-* completed results are warm-pushed to ring successors and folded in
-  via the bounded ``seed`` op.
+  notice.
 """
 
 import asyncio
@@ -32,15 +30,7 @@ from repro.engine.cluster import (
     ShardRouter,
     probe_backoff,
 )
-from repro.engine.job import SimJob
-from repro.engine.service import (
-    SimService,
-    journal_slug,
-    resolve_heartbeat_interval,
-    resolve_warm_push_budget,
-)
-
-SMALL = dict(n_uops=2000, warmup=1000)
+from repro.engine.service import SimService, resolve_heartbeat_interval
 
 
 @pytest.fixture(autouse=True)
@@ -180,22 +170,17 @@ class TestGossipOp:
 
 class TestEpochPersistence:
     def test_restart_bumps_the_journaled_epoch(self, tmp_path):
-        with TcpShard(journal_dir=tmp_path) as shard:
+        journal = tmp_path / "shard.journal"
+        with TcpShard(journal_path=journal) as shard:
             address = shard.address
             port = int(address.rsplit(":", 1)[1])
             assert shard.service.epoch == 1
-        expected_journal = tmp_path / journal_slug(address)
-        assert expected_journal.exists()
+        assert journal.exists()
         # Same port, same journal: the revival must outrank its corpse.
         with TcpShard(listen=f"127.0.0.1:{port}",
-                      journal_dir=tmp_path) as revived:
+                      journal_path=journal) as revived:
             assert revived.address == address
             assert revived.service.epoch == 2
-
-    def test_journal_slug_flattens_addresses(self):
-        assert journal_slug("tcp://127.0.0.1:7101") == \
-            "127.0.0.1-7101.journal"
-        assert journal_slug("127.0.0.1:7101") == "127.0.0.1-7101.journal"
 
 
 class TestProbation:
@@ -281,91 +266,6 @@ class TestRouterMembership:
                    for m in members)
 
 
-class TestWarmPush:
-    def test_completions_are_pushed_to_the_ring_successor(self):
-        jobs = [SimJob.make(w, "lvp", **SMALL)
-                for w in ("gzip", "gcc", "crafty", "mcf")]
-        with TcpShard(heartbeat_interval=0.1) as a:
-            with TcpShard(heartbeat_interval=0.1,
-                          peers=[a.address]) as b:
-                _wait_for(lambda: len(b.service.membership.alive()) == 2,
-                          message="fleet convergence before warming")
-                with ServiceClient(b.address) as client:
-                    client.run_jobs(jobs)
-
-                # Warming fails open: a push that blows the short peer
-                # deadline (easy on a loaded machine) drops its entries
-                # and never retries, so feed a fresh completion to
-                # re-arm the push loop instead of waiting on one that
-                # will never come.
-                spare_uops = iter(range(SMALL["n_uops"] + 1,
-                                        SMALL["n_uops"] + 50))
-
-                def delivered():
-                    if a.service.warm_seeded >= 1:
-                        return True
-                    if b.service.warm_push_failures > 0 and \
-                            not b.service._warm_buffer:
-                        with ServiceClient(b.address) as retry:
-                            retry.run_jobs([SimJob.make(
-                                "gzip", "lvp", n_uops=next(spare_uops),
-                                warmup=SMALL["warmup"])])
-                    return False
-
-                _wait_for(delivered,
-                          message="warm push delivery to the successor")
-                assert b.service.warm_pushed >= 1
-                if b.service.warm_push_failures == 0:
-                    # Clean run: every key B owns sits warm in A's
-                    # cache, served without re-simulation (peek only,
-                    # so hits would be cheap).
-                    for job in jobs:
-                        key = job.content_key()
-                        prefs = b.service._cluster_ring().preference(key)
-                        if prefs and prefs[0] != b.address:
-                            continue  # not B's to push
-                        assert a.service.cache.peek(key) is not None
-
-    def test_zero_budget_disables_warming(self):
-        with TcpShard(warm_push_budget=0) as shard:
-            with ServiceClient(shard.address) as client:
-                client.run_jobs([SimJob.make("gzip", "lvp", **SMALL)])
-                time.sleep(0.2)
-        assert shard.service.warm_pushed == 0
-        assert len(shard.service._warm_buffer) == 0
-
-
-class TestSeedOp:
-    def test_seed_folds_entries_and_existing_wins(self):
-        job = SimJob.make("gzip", "lvp", **SMALL)
-        with TcpShard() as source, TcpShard() as sink:
-            with ServiceClient(source.address) as client:
-                [result] = client.run_jobs([job])
-            with ServiceClient(sink.address) as client:
-                seeded = client.seed(
-                    {job.content_key(): result.to_dict()})
-                assert seeded == 1
-                again = client.seed(
-                    {job.content_key(): result.to_dict()})
-                assert again == 1  # setdefault: accepted, not clobbered
-                [served] = client.run_jobs([job])
-        assert served == result
-        assert sink.service.warm_seeded == 2
-
-    def test_seed_rejects_junk_and_width_abuse(self):
-        from repro.engine.service import MAX_SEED_ENTRIES
-
-        with TcpShard() as shard:
-            with ServiceClient(shard.address) as client:
-                with pytest.raises(ServiceError, match="entries"):
-                    client.request({"op": "seed", "entries": "nope"})
-                too_wide = {f"k{i}": {} for i in range(MAX_SEED_ENTRIES + 1)}
-                with pytest.raises(ServiceError, match="bound"):
-                    client.request({"op": "seed", "entries": too_wide})
-                # Malformed payloads are skipped, not fatal.
-                assert client.seed({"k": {"not": "a result"}}) == 0
-
-
 class TestKnobResolution:
     def test_heartbeat_interval_resolution(self, monkeypatch):
         assert resolve_heartbeat_interval(2.5) == 2.5
@@ -376,11 +276,3 @@ class TestKnobResolution:
         assert resolve_heartbeat_interval() == 1.0
         monkeypatch.delenv("REPRO_HEARTBEAT_INTERVAL")
         assert resolve_heartbeat_interval() == 1.0
-
-    def test_warm_push_budget_resolution(self, monkeypatch):
-        assert resolve_warm_push_budget(64) == 64
-        assert resolve_warm_push_budget(-5) == 0
-        monkeypatch.setenv("REPRO_WARM_PUSH_BUDGET", "2048")
-        assert resolve_warm_push_budget() == 2048
-        monkeypatch.delenv("REPRO_WARM_PUSH_BUDGET")
-        assert resolve_warm_push_budget() == 1024 * 1024

@@ -66,11 +66,10 @@ def test_trace_plane_matches_branch_unit_walk(trace):
 
 
 def test_trace_plane_hash_columns(trace):
-    """scr_pc / scr_pkey match the scalar scramble of pc and predictor key."""
+    """scr_pkey matches the scalar scramble of the predictor key."""
     plane = trace_plane(trace)
     a = trace.packed().arrays
     pkeys = (a["pcs"] << np.uint64(2)) ^ a["uop_indexes"].astype(np.uint64)
-    assert np.array_equal(plane.scr_pc, scramble_array(a["pcs"]))
     assert np.array_equal(plane.scr_pkey, scramble_array(pkeys))
 
 
