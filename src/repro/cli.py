@@ -13,7 +13,7 @@ Usage examples::
     python -m repro.cli list
 
     # The service: one daemon, many clients, one shared hot cache.
-    python -m repro.cli -j 4 serve --socket /tmp/repro.sock --journal svc.jsonl
+    python -m repro.cli -j 4 --cache-dir results/ serve --socket /tmp/repro.sock
     python -m repro.cli submit --workloads gcc,gzip --predictors lvp,vtage \
         --socket /tmp/repro.sock
     python -m repro.cli status --socket /tmp/repro.sock
@@ -33,9 +33,10 @@ All simulations go through the experiment engine: ``--jobs/-j`` (or the
 ``REPRO_JOBS`` environment variable) selects how many worker processes run
 the job batches, and ``REPRO_CACHE_DIR`` (or ``--cache-dir``) enables the
 persistent result cache that ``cache show``/``cache clear`` manage.
-``campaign`` commands execute whole declarative sweeps with an on-disk
-journal (``--checkpoint-dir`` or ``REPRO_CHECKPOINT_DIR``): a killed run
-resumes from the journal with a bit-identical result set.  ``serve``
+``campaign`` commands execute whole declarative sweeps, optionally into a
+checkpoint dir (``--checkpoint-dir`` or ``REPRO_CHECKPOINT_DIR``) — a disk
+result cache — so a killed run resumes as a run of cache hits with a
+bit-identical result set.  ``serve``
 turns the same engine into a persistent daemon: ``submit``/``status``/
 ``results`` talk to it over a Unix socket, and ``campaign run --backend
 service`` routes whole sweeps through it.  Results are bit-identical
@@ -56,18 +57,14 @@ from repro.engine.api import (
     default_engine,
     set_default_engine,
 )
-from repro.engine.cache import CACHE_DIR_ENV
+from repro.engine.cache import CACHE_DIR_ENV, ResultCache
 from repro.engine.campaign import (
     BACKENDS,
+    CHECKPOINT_DIR_ENV,
+    default_checkpoint_dir,
     engine_for_backend,
     progress_printer,
     run_campaign,
-)
-from repro.engine.checkpoint import (
-    CHECKPOINT_DIR_ENV,
-    CampaignJournal,
-    JournalError,
-    default_checkpoint_dir,
 )
 from repro.engine.client import ServiceClient, ServiceError
 from repro.engine.cluster import SHARDS_ENV, ShardRouter
@@ -211,6 +208,11 @@ def _checkpoint_dir(args: argparse.Namespace) -> Path | None:
     return default_checkpoint_dir()
 
 
+def _checkpointed_keys(directory: Path) -> set[str]:
+    """Content keys with an entry in the checkpoint dir's result cache."""
+    return {path.stem for path in ResultCache(directory).disk_entries()}
+
+
 def _campaign_spec(args: argparse.Namespace):
     definition = CAMPAIGNS[args.name]
     kwargs = {}
@@ -235,42 +237,26 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if directory is None:
             raise SystemExit("campaign status needs --checkpoint-dir "
                              f"(or ${CHECKPOINT_DIR_ENV})")
-        paths = (sorted(directory.glob("*.jsonl"))
-                 if args.name is None
-                 else [directory / f"{args.name}.jsonl"])
-        if not (directory.is_dir() and paths):
-            print(f"no campaign journals under {directory}")
-            return 0
-        for path in paths:
-            if not path.is_file():
-                print(f"{path.stem:<16} no journal at {path}")
-                continue
-            info = CampaignJournal(path).describe()
-            total = info["total"]
-            if total:
-                pct = f"{100.0 * info['done'] / total:5.1f}%"
-                print(f"{info['campaign']:<16} {info['done']}/{total} "
-                      f"({pct}) done — {path}")
-            else:
-                print(f"{path.stem:<16} unreadable journal — {path}")
-            if info["corrupt_lines"]:
-                print(f"{'':<16} {info['corrupt_lines']} corrupt line(s) "
-                      "skipped (those jobs re-run on resume)")
+        present = _checkpointed_keys(directory)
+        for name in [args.name] if args.name else list(CAMPAIGNS):
+            keys = CAMPAIGNS[name].build().unique_jobs()
+            done = len(present.intersection(keys))
+            print(f"{name:<16} {done}/{len(keys)} "
+                  f"({100.0 * done / len(keys):5.1f}%) done")
+        print(f"checkpoint: {directory}")
         return 0
 
     # run / resume
     if args.chunk is not None and args.chunk < 1:
         raise SystemExit(f"--chunk must be >= 1, got {args.chunk}")
     definition, spec = _campaign_spec(args)
-    journal = None
-    if directory is not None:
-        journal = directory / f"{spec.name}.jsonl"
     if args.action == "resume":
-        if journal is None:
+        if directory is None:
             raise SystemExit("campaign resume needs --checkpoint-dir "
                              f"(or ${CHECKPOINT_DIR_ENV})")
-        if not journal.is_file():
-            raise SystemExit(f"nothing to resume: no journal at {journal}")
+        if not _checkpointed_keys(directory).intersection(spec.unique_jobs()):
+            raise SystemExit(f"nothing to resume: {directory} holds none "
+                             f"of campaign {spec.name}'s jobs")
 
     if args.profile:
         profiling.enable()
@@ -287,20 +273,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             # the service-backed engine that default so rendering never
             # re-simulates locally what the daemon already ran.
             set_default_engine(engine)
-        result = run_campaign(spec, engine=engine, journal=journal,
+        result = run_campaign(spec, engine=engine, checkpoint_dir=directory,
                               chunk_size=args.chunk,
-                              progress=progress_printer(spec.name),
-                              force=args.force)
-    except (JournalError, ServiceError) as exc:
+                              progress=progress_printer(spec.name))
+    except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None
     stats = result.stats
     print(file=sys.stderr)
     print(f"campaign {spec.name}: {stats['total']} unique jobs — "
-          f"{stats['from_journal']} from journal, "
-          f"{stats['executed']} executed "
-          f"({stats['cache_hits']} answered by the result cache)")
-    if journal is not None:
-        print(f"journal: {journal}")
+          f"{stats['executed']} executed, "
+          f"{stats['cache_hits']} answered by the result cache")
+    if directory is not None:
+        print(f"checkpoint: {directory}")
     if args.render and definition.render is not None:
         print()
         print(definition.render(result))
@@ -462,7 +446,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.socket,
         workers=args.jobs,
         cache=default_engine().cache,
-        journal_path=args.journal,
         max_depth=args.queue_bound,
         job_timeout=args.job_timeout,
         chaos=args.chaos,
@@ -536,12 +519,6 @@ def cmd_service_status(args: argparse.Namespace) -> int:
     where = cache["directory"] or "memory-only"
     print(f"cache: {where} — {cache['memory_entries']} in memory, "
           f"{cache['disk_entries']} on disk")
-    journal = status["journal"]
-    if journal["path"]:
-        print(f"journal: {journal['path']} — {journal['entries']} entries "
-              f"({journal['replayed']} replayed at startup)")
-    else:
-        print("journal: disabled (start the service with --journal)")
     if status["tickets"]:
         print("open tickets:")
         for ticket_id, ticket in sorted(status["tickets"].items(),
@@ -591,7 +568,7 @@ def cmd_health(args: argparse.Namespace) -> int:
                           if count)
         print(f"DEGRADED: {flags}")
     else:
-        print("degraded: no (journal, cache and shm all healthy)")
+        print("degraded: no (cache and shm both healthy)")
     if health.get("chaos"):
         print("chaos: a fault plan is active (inspect with `repro chaos`)")
     if not health["ok"]:
@@ -639,12 +616,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     if args.action == "serve":
         # A cluster shard is the ordinary daemon on a TCP transport; the
-        # shared flags (-j, --journal, --queue-bound, ...) mean the same.
+        # shared flags (-j, --queue-bound, ...) mean the same.
         return run_service(
             None,
             workers=args.jobs,
             cache=default_engine().cache,
-            journal_path=args.journal,
+            epoch_path=args.journal,
             max_depth=args.queue_bound,
             job_timeout=args.job_timeout,
             chaos=args.chaos,
@@ -857,9 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run, resume or inspect declarative sweep campaigns",
         description="Execute whole sweeps (figure grids, the full "
                     "reproduction, scenario explorations) as declarative "
-                    "campaigns with an on-disk journal: every completed "
-                    "simulation is checkpointed, and a killed run resumes "
-                    "bit-identically from where it stopped.",
+                    "campaigns.  With a checkpoint dir — a disk result "
+                    "cache — every completed simulation is persisted as "
+                    "it finishes, and a killed run resumes bit-identically "
+                    "as a run of cache hits.",
     )
     campaign_sub = campaign_p.add_subparsers(dest="action", required=True)
 
@@ -877,14 +855,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-up µops per job (default: the "
                             "campaign's own slice)")
         p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="journal completed jobs under DIR/<name>.jsonl "
-                            f"(default: ${CHECKPOINT_DIR_ENV} or no journal)")
+                       help="persist completed jobs in a result cache at "
+                            "DIR, used in place of --cache-dir (default: "
+                            f"${CHECKPOINT_DIR_ENV} or no checkpoint)")
         p.add_argument("--chunk", type=int, default=None, metavar="N",
-                       help="jobs per checkpointed batch (default: 1 "
-                            "serial, 4x workers with a pool)")
-        p.add_argument("--force", action="store_true",
-                       help="rotate aside a journal that belongs to a "
-                            "different job set and start over")
+                       help="jobs per batch (default with a checkpoint "
+                            "dir: 1 serial, 4x workers with a pool; "
+                            "without: one batch)")
         p.add_argument("--render", action="store_true",
                        help="print the campaign's figure/table after the run")
         p.add_argument("--backend", default="local", choices=BACKENDS,
@@ -913,24 +890,31 @@ def build_parser() -> argparse.ArgumentParser:
                             "picture")
 
     campaign_run_p = campaign_sub.add_parser(
-        "run", help="execute a campaign (resumes automatically if a "
-                    "journal exists)")
+        "run", help="execute a campaign (jobs already in the checkpoint "
+                    "dir are cache hits, so a rerun resumes)")
     _campaign_common(campaign_run_p)
     campaign_run_p.set_defaults(fn=cmd_campaign)
 
     campaign_resume_p = campaign_sub.add_parser(
-        "resume", help="like run, but requires an existing journal")
+        "resume", help="like run, but refuses when the checkpoint dir "
+                       "holds none of the campaign's jobs")
     _campaign_common(campaign_resume_p)
     campaign_resume_p.set_defaults(fn=cmd_campaign)
 
     campaign_status_p = campaign_sub.add_parser(
-        "status", help="show journal completion for one or all campaigns")
+        "status", help="show checkpoint completion for one or all campaigns",
+        description="Count how many of each registered campaign's jobs "
+                    "have a result in the checkpoint dir.  Campaigns are "
+                    "expanded at their registered grids, so a run made "
+                    "with --workloads, --uops or --warmup reports its "
+                    "progress only in its own summary line.")
     campaign_status_p.add_argument("name", nargs="?", default=None,
+                                   choices=sorted(CAMPAIGNS),
                                    help="campaign name (default: every "
-                                        "journal in the checkpoint dir)")
+                                        "registered campaign)")
     campaign_status_p.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help=f"journal directory (default: ${CHECKPOINT_DIR_ENV})")
+        help=f"checkpoint directory (default: ${CHECKPOINT_DIR_ENV})")
     campaign_status_p.set_defaults(fn=cmd_campaign)
 
     campaign_list_p = campaign_sub.add_parser(
@@ -947,18 +931,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the persistent simulation service daemon",
         description="Start a long-lived daemon that owns the result cache "
-                    "and an optional completion journal, and serves "
-                    "simulation jobs to any number of concurrent clients "
-                    "over a Unix socket.  Jobs are deduplicated across "
-                    "clients and run on a persistent -j/--jobs worker "
-                    "pool; a worker killed mid-job is replaced and its "
-                    "job requeued, and with --journal a restarted daemon "
-                    "replays every completed job into its cache.",
+                    "and serves simulation jobs to any number of "
+                    "concurrent clients over a Unix socket.  Jobs are "
+                    "deduplicated across clients and run on a persistent "
+                    "-j/--jobs worker pool; a worker killed mid-job is "
+                    "replaced and its job requeued.  With a disk cache "
+                    "(--cache-dir or $REPRO_CACHE_DIR) a restarted daemon "
+                    "answers every job it ever completed.",
     )
     _socket_arg(serve_p)
-    serve_p.add_argument("--journal", default=None, metavar="PATH",
-                         help="append every completed job to this JSONL "
-                              "journal and replay it on restart")
     serve_p.add_argument("--queue-bound", type=int, default=None, metavar="N",
                          help="admission control: reject submits once N "
                               "jobs are outstanding, with an explicit "
@@ -1012,9 +993,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "on every request (default: "
                                       f"${TOKEN_ENV} or no auth)")
     cluster_serve_p.add_argument("--journal", default=None, metavar="PATH",
-                                 help="append every completed job to this "
-                                      "JSONL journal and replay it on "
-                                      "restart")
+                                 help="epoch file: holds the shard's last "
+                                      "incarnation number (missing = 0); "
+                                      "each start runs at one more and "
+                                      "writes it back, so a revived shard "
+                                      "outranks its own death notice")
     cluster_serve_p.add_argument("--queue-bound", type=int, default=None,
                                  metavar="N",
                                  help="admission control: reject submits "
@@ -1065,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="DIR",
                                 help="work directory for the fleet's "
                                      "shared result cache and per-shard "
-                                     "journals (default: a temporary "
+                                     "epoch files (default: a temporary "
                                      "directory)")
     cluster_soak_p.add_argument("--quiet", action="store_true",
                                 help="suppress progress lines (the JSON "
@@ -1141,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe a running service's health (exit 0/1/2)",
         description="One-shot health probe for monitoring: exit 0 when "
                     "the daemon is healthy, 1 when it is serving but "
-                    "degraded (journal/cache/shm failures absorbed), 2 "
+                    "degraded (cache/shm failures absorbed), 2 "
                     "when it is unreachable or has no live workers.  "
                     "Prints worker aliveness, queue depth against the "
                     "admission bound, and the degraded-mode counters.",
@@ -1170,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_check_p.add_argument("spec",
                                help="fault spec, e.g. "
                                     "'worker.execute:crash@2;"
-                                    "journal.write:torn@every=3' or "
+                                    "cache.write:torn@every=3' or "
                                     "@plan.json")
     chaos_check_p.add_argument("--seed", type=int, default=None,
                                help="plan seed for p= triggers "

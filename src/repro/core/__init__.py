@@ -16,7 +16,6 @@ from repro.core.confidence import (
     WideConfidence,
 )
 from repro.core.hybrid import HybridPredictor
-from repro.core.sag import SAgConfidenceBank
 from repro.core.vtage import PAPER_HISTORY_LENGTHS, VTAGEPredictor
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "ForwardProbabilisticCounters",
     "HybridPredictor",
     "PAPER_HISTORY_LENGTHS",
-    "SAgConfidenceBank",
     "VTAGEPredictor",
     "WideConfidence",
 ]

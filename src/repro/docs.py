@@ -49,7 +49,7 @@ Two entry points ship with the reproduction:
 
 Environment variables honoured by both: `REPRO_JOBS` (worker processes),
 `REPRO_CACHE_DIR` (persistent result cache), `REPRO_CHECKPOINT_DIR`
-(default campaign journal directory), `REPRO_SERVICE_SOCKET` (default
+(default campaign checkpoint directory), `REPRO_SERVICE_SOCKET` (default
 service socket).  Simulation results are bit-identical regardless of all
 four.
 """

@@ -25,7 +25,6 @@ from repro.engine.campaign import (
     engine_for_backend,
     run_campaign,
 )
-from repro.engine.checkpoint import CampaignJournal, JournalError, JournalHeader
 from repro.engine.client import (
     RetryPolicy,
     ServiceClient,
@@ -73,7 +72,6 @@ __all__ = [
     "AxisBlock",
     "CACHE_DIR_ENV",
     "CampaignEvent",
-    "CampaignJournal",
     "CampaignResult",
     "CampaignSpec",
     "DEFAULT_MEASURE",
@@ -85,8 +83,6 @@ __all__ = [
     "InjectedFault",
     "JobFailed",
     "JobQueue",
-    "JournalError",
-    "JournalHeader",
     "JOBS_ENV",
     "PoolExecutor",
     "QueueOverloaded",

@@ -16,7 +16,10 @@ configuration) points somewhere.  Because every committed file is whole,
 a directory can be shared by any number of processes — engines,
 service daemons, cluster shards — and a memory miss reads through to
 whatever any of them published.  This is the fleet's only
-cross-shard result path.
+cross-shard result path, and the repo's only durable result store: a
+campaign checkpoint dir (``--checkpoint-dir``) is a disk cache too, so
+resuming a killed sweep is a run of cache hits, and a daemon restarted
+on the same directory answers everything it ever finished.
 
 The memory layer is a bounded LRU (:data:`MEMORY_MAX_ENTRIES`), so a
 long-lived daemon's footprint stays flat; an evicted entry of a
@@ -123,25 +126,6 @@ class ResultCache:
             return None
         self._remember(key, result)
         return result
-
-    def put_memory(self, job: SimJob, result: SimResult) -> None:
-        """Store in the in-process layer only (no disk write).
-
-        For results that already live durably elsewhere — e.g. campaign
-        journal entries replayed on resume — where re-persisting every
-        entry per invocation would be pure disk churn.
-        """
-        self._remember(job.content_key(), result)
-
-    def seed(self, key: str, result: SimResult) -> None:
-        """Insert a result under a precomputed content key (memory only).
-
-        For journal replay, where the key was persisted alongside the
-        result and recomputing it would need a materialised job.  An
-        existing entry wins: the cache's copy is never downgraded.
-        """
-        if key not in self._memory:
-            self._remember(key, result)
 
     def put(self, job: SimJob, result: SimResult) -> None:
         key = job.content_key()

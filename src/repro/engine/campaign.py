@@ -10,10 +10,10 @@ module makes such sweeps first-class values instead of ad-hoc loops:
   baselines" is one spec), with a deterministic :meth:`campaign_key`
   derived from the unique job content keys;
 * :func:`run_campaign` executes a spec through an :class:`~repro.engine.api.Engine`
-  in checkpointable chunks, optionally journaling every completed job to a
-  :class:`~repro.engine.checkpoint.CampaignJournal` so a killed sweep
-  resumes where it stopped, and streaming :class:`CampaignEvent` progress
-  callbacks;
+  and streams :class:`CampaignEvent` progress callbacks.  With a
+  *checkpoint dir* the engine's result cache is a disk
+  :class:`~repro.engine.cache.ResultCache` there, written as each job
+  completes, so a killed sweep resumes as a run of cache hits;
 * the returned :class:`CampaignResult` carries aggregation hooks
   (:meth:`~CampaignResult.by`, :meth:`~CampaignResult.lookup`,
   :meth:`~CampaignResult.speedup_by_workload`) that the figure and
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -33,10 +34,20 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine.api import Engine, default_engine
-from repro.engine.checkpoint import CampaignJournal, JournalHeader
+from repro.engine.cache import ResultCache
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP, SimJob
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimResult
+
+#: Environment variable with the default campaign checkpoint directory.
+CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
+
+
+def default_checkpoint_dir() -> Path | None:
+    """Resolve the default checkpoint directory (None = no checkpointing)."""
+    raw = os.environ.get(CHECKPOINT_DIR_ENV, "").strip()
+    return Path(raw) if raw else None
+
 
 #: Axis names a block may sweep — exactly the ``SimJob.make`` keywords.
 AXIS_NAMES = (
@@ -223,19 +234,14 @@ class CampaignSpec:
         return unique
 
     def campaign_key(self) -> str:
-        """Digest of the expanded job set — the journal-binding identity.
+        """Digest of the expanded job set — the campaign's identity.
 
         Depends only on *which simulations* the spec denotes (sorted unique
         job content keys), so respelling axes, reordering blocks or
-        renaming the campaign never orphans a checkpoint, while any change
-        to the actual job set does.
+        renaming the campaign never changes it, while any change to the
+        actual job set does.
         """
         return _digest_job_keys(self.unique_jobs())
-
-    def header(self) -> JournalHeader:
-        unique = self.unique_jobs()
-        return JournalHeader(campaign=self.name, key=_digest_job_keys(unique),
-                             total=len(unique))
 
     def describe(self) -> dict:
         unique = self.unique_jobs()
@@ -275,8 +281,8 @@ def engine_for_backend(
     in-flight dedupe.  ``cluster`` routes batches across the *shards*
     addresses (``repro cluster serve`` daemons, flag or
     ``$REPRO_CLUSTER_SHARDS``) by consistent-hashed content key —
-    same sharing story, N machines wide.  Campaign journals stay
-    client-side either way, so ``campaign resume`` semantics are
+    same sharing story, N machines wide.  A campaign checkpoint dir
+    stays client-side either way, so ``campaign resume`` semantics are
     identical across backends.
     """
     if backend == "local":
@@ -296,13 +302,13 @@ def engine_for_backend(
 
 @dataclass(frozen=True)
 class CampaignEvent:
-    """One progress tick: a job completed (or was replayed from disk)."""
+    """One progress tick: a job completed (simulated or answered by the
+    cache)."""
 
     done: int
     total: int
     job: SimJob
     result: SimResult
-    source: str  # "journal" | "engine"
 
 
 def progress_printer(name: str, stream=None) -> Callable[[CampaignEvent], None]:
@@ -423,91 +429,58 @@ def run_campaign(
     spec: CampaignSpec,
     *,
     engine: Engine | None = None,
-    journal: CampaignJournal | str | Path | None = None,
+    checkpoint_dir: str | Path | None = None,
     chunk_size: int | None = None,
     progress: Callable[[CampaignEvent], None] | None = None,
-    force: bool = False,
 ) -> CampaignResult:
-    """Execute a campaign, optionally journaled for crash-safe resume.
+    """Execute a campaign, optionally checkpointed for crash-safe resume.
 
-    Jobs are deduplicated by content key, then the not-yet-journaled
-    remainder runs through the engine in checkpointable chunks of
-    ``chunk_size``.  The default chunking depends on whether a journal is
-    in play: with one, per-job for a serial executor and ``4 × workers``
-    for a pool (a kill loses at most one chunk while a pool still gets
-    full batches); without one there is nothing to checkpoint, so the
-    whole remainder goes down as a single batch (one pool spin-up, maximal
-    parallelism).  Every completed chunk is appended to the journal —
-    **including jobs the result cache answered**, so journal and cache
-    always tell the same story — before the next chunk starts.  Replayed
-    journal entries are pushed into the engine's result cache, which is
-    what makes follow-up per-cell lookups (figure rendering, analysis)
-    pure cache hits.
+    Jobs are deduplicated by content key, then run through the engine in
+    chunks of ``chunk_size``.  With a *checkpoint_dir* the engine's result
+    cache becomes a disk :class:`~repro.engine.cache.ResultCache` there
+    (in place of whatever cache it had), so every completed chunk is
+    durable before the next starts, and a rerun after a kill answers the
+    finished jobs as cache hits.  The default chunking follows from that:
+    with a checkpoint dir, per-job for a serial executor and
+    ``4 × workers`` for a pool (a kill loses at most one chunk while a
+    pool still gets full batches); without one the whole campaign goes
+    down as a single batch (one pool spin-up, maximal parallelism).
 
-    ``progress`` receives a :class:`CampaignEvent` per completed job,
-    replayed journal entries included.
+    ``stats`` counts ``cache_hits`` (jobs the cache answered, checkpointed
+    ones included) and ``executed`` (the rest, which this run simulated).
+    ``progress`` receives a :class:`CampaignEvent` per completed job.
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     engine = engine or default_engine()
+    if checkpoint_dir is not None and \
+            engine.cache.directory != Path(checkpoint_dir):
+        engine.cache = ResultCache(checkpoint_dir)
     points = spec.points()
     jobs = [SimJob.make(**point) for point in points]
     keys = [job.content_key() for job in jobs]
     unique: dict[str, SimJob] = {}
     for key, job in zip(keys, jobs):
         unique.setdefault(key, job)
-    total = len(unique)
+    todo = list(unique.values())
+    if chunk_size is None:
+        if checkpoint_dir is None:
+            chunk_size = max(1, len(todo))
+        else:
+            workers = engine.executor.jobs
+            chunk_size = 1 if workers <= 1 else 4 * workers
 
-    if isinstance(journal, (str, Path)):
-        journal = CampaignJournal(journal)
     completed: dict[str, SimResult] = {}
-    stats = {"total": total, "from_journal": 0, "executed": 0,
-             "cache_hits": 0}
-    try:
-        if journal is not None:
-            journal.open(
-                JournalHeader(campaign=spec.name,
-                              key=_digest_job_keys(unique), total=total),
-                force=force,
-            )
-            for key, job in unique.items():
-                replayed = journal.entries.get(key)
-                if replayed is None:
-                    continue
-                completed[key] = replayed
-                # Memory layer only: the journal already holds the result
-                # durably, so re-persisting every entry on each resume or
-                # re-render would be pure disk churn.
-                engine.cache.put_memory(job, replayed)
-                stats["from_journal"] += 1
-                if progress is not None:
-                    progress(CampaignEvent(len(completed), total, job,
-                                           replayed, "journal"))
-
-        remaining = [job for key, job in unique.items() if key not in completed]
-        if chunk_size is None:
-            if journal is None:
-                # Nothing to checkpoint: submit everything as one batch.
-                chunk_size = max(1, len(remaining))
-            else:
-                workers = engine.executor.jobs
-                chunk_size = 1 if workers <= 1 else 4 * workers
-        hits_before = engine.cache.hits
-        for start in range(0, len(remaining), chunk_size):
-            chunk = remaining[start:start + chunk_size]
-            chunk_results = engine.run_jobs(chunk)
-            for job, result in zip(chunk, chunk_results):
-                completed[job.content_key()] = result
-                stats["executed"] += 1
-                if journal is not None:
-                    journal.record(job, result)
-                if progress is not None:
-                    progress(CampaignEvent(len(completed), total, job,
-                                           result, "engine"))
-        stats["cache_hits"] = engine.cache.hits - hits_before
-    finally:
-        if journal is not None:
-            journal.close()
-
+    hits_before = engine.cache.hits
+    for start in range(0, len(todo), chunk_size):
+        chunk = todo[start:start + chunk_size]
+        for job, result in zip(chunk, engine.run_jobs(chunk)):
+            completed[job.content_key()] = result
+            if progress is not None:
+                progress(CampaignEvent(len(completed), len(unique), job,
+                                       result))
+    hits = engine.cache.hits - hits_before
+    stats = {"total": len(unique), "executed": len(unique) - hits,
+             "cache_hits": hits}
     return CampaignResult(spec=spec, points=points, jobs=jobs, keys=keys,
                           results_by_key=completed, stats=stats)

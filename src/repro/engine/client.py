@@ -21,8 +21,8 @@ Two adapters make the service a drop-in **backend** for existing code:
   on it routes every batch to the daemon;
 * :func:`service_engine` builds exactly that engine (with a memory-only
   local cache), which is what ``repro campaign run --backend service``
-  uses — the campaign/checkpoint machinery is unchanged, only the
-  executor is remote.
+  uses — the campaign machinery is unchanged, only the executor is
+  remote (a checkpoint dir swaps in a disk cache client-side).
 
 The client is deliberately synchronous (plain ``socket``): callers are
 CLI commands, tests and campaign loops, none of which run an event loop.
@@ -292,7 +292,7 @@ class ServiceClient:
         return server
 
     def status(self) -> dict:
-        """Queue / cache / journal / ticket status snapshot."""
+        """Queue / cache / ticket status snapshot."""
         return self.request({"op": "status"})
 
     def submit(self, jobs: list[SimJob], *, wait: bool = True) -> dict:
@@ -423,8 +423,8 @@ def service_engine(socket_path: str | os.PathLike | None = None,
 
     The local cache is memory-only: persistence and cross-client sharing
     live server-side, while the local layer still short-circuits repeat
-    lookups (figure rendering, campaign journal replay) without a socket
-    round trip.
+    lookups (figure rendering after a campaign) without a socket round
+    trip.  A campaign checkpoint dir replaces it with a disk cache.
     """
     from repro.engine.api import Engine
     from repro.engine.cache import ResultCache

@@ -6,7 +6,7 @@ topology that preserves the engine's invariants: N independent daemons
 ("shards"), each listening on TCP (``repro cluster serve``), and a
 client-side :class:`ShardRouter` that deterministically maps every job
 to a shard by consistent-hashing its **content key** — the same digest
-that already names the job in the cache, the journal and the coalescing
+that already names the job in the result cache and the coalescing
 table.  Routing by content key means:
 
 * every client, on every machine, sends a given spec to the *same*
@@ -37,8 +37,8 @@ gets a half-open probe on an exponential-backoff schedule (hysteresis —
 a flapping shard earns a longer sentence each relapse), and a probe
 that answers ``ping`` re-admits the shard to routing.  The shards
 themselves gossip an eventually-consistent :class:`MembershipView`
-(monotone ``(epoch, beat)`` versions, epoch persisted in the service
-journal so a restart outranks its own corpse), which
+(monotone ``(epoch, beat)`` versions, epoch persisted in the shard's
+epoch file so a restart outranks its own corpse), which
 :meth:`ShardRouter.refresh_membership` merges to discover joins and
 accelerate re-admission probes — so a revived shard re-enters every
 router's ring without anyone restarting anything.
@@ -106,8 +106,8 @@ def probe_backoff(failures: int, *, base: float = PROBE_BASE,
 class MemberState:
     """One shard's liveness claim: ``(epoch, beat)``-versioned up/down.
 
-    ``epoch`` counts the shard's incarnations (persisted in its service
-    journal, so a restart always outranks claims about its previous
+    ``epoch`` counts the shard's incarnations (persisted in its epoch
+    file, so a restart always outranks claims about its previous
     life); ``beat`` counts heartbeats within an incarnation.  Between
     two claims about the same address the higher ``(epoch, beat)`` wins;
     on a version tie ``down`` wins — a claim of death at the same

@@ -3,7 +3,7 @@
 The paper's speculation story only works because misspeculation recovery
 is cheap *and exercised on every run*; the serving stack holds itself to
 the same bar.  Every layer that can fail in production — worker
-execution, service socket I/O, journal and cache writes, trace-store
+execution, service socket I/O, cache writes, trace-store
 I/O, shared-memory attach — carries an **injection site**: a named
 :func:`fire` call that normally costs one ``is None`` check and, under
 an active :class:`FaultPlan`, deterministically returns the fault to
@@ -11,7 +11,7 @@ inject at that hit.
 
 Determinism is the whole design: a plan is a list of
 ``site:action[:arg]@trigger`` rules plus a seed, and triggers are
-**counter-based** — "the 3rd journal write", "every 2nd socket send",
+**counter-based** — "the 3rd cache write", "every 2nd socket send",
 "each hit with probability 0.25 under seed 7" — never wall-clock or
 global randomness.  The probabilistic trigger hashes
 ``(seed, site, hit-number)``, so the same plan against the same request
@@ -64,9 +64,6 @@ SITES: dict[str, tuple[str, ...]] = {
     # Service socket I/O: drop the response, send half of it, or stall
     # before answering (the client's read timeout is what catches this).
     "service.send": ("drop", "partial", "stall"),
-    # Journal appends: a torn half-record (kill mid-write) or a failing
-    # fsync (the write may or may not be durable; the daemon must degrade).
-    "journal.write": ("torn", "fsync"),
     # Result-cache persistence: torn tmp-file write, disk full, plain IO
     # error.  Never allowed to affect the in-memory result.
     "cache.write": ("torn", "enospc", "error"),

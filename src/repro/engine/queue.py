@@ -15,8 +15,8 @@ provides the two pieces the service is built from:
   resolve immediately, jobs spec-identical to one already in flight
   attach to the same future (one simulation, many waiters), and only
   genuinely new work reaches the pool.  Completed jobs are written to the
-  cache and, optionally, to a :class:`~repro.engine.checkpoint.CampaignJournal`
-  so a restarted daemon replays instead of re-simulating.
+  cache before their futures resolve, so with a disk cache a restarted
+  daemon answers them instead of re-simulating.
 
 Determinism makes all of this safe: a job spec fully determines its
 result, so re-executing a requeued job — even one whose first completion
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 from repro.engine import faults
 from repro.engine.cache import ResultCache
-from repro.engine.checkpoint import CampaignJournal
 from repro.engine.job import SimJob, execute_job
 from repro.engine.shm import (
     NEEDS_GENERATION,
@@ -312,7 +311,6 @@ class QueueStats:
     rejected: int = 0    # batches refused by admission control
     timeouts: int = 0    # workers killed for exceeding the job timeout
     exhausted: int = 0   # jobs failed after MAX_JOB_ATTEMPTS dispatches
-    journal_failures: int = 0  # journal appends that failed (degraded mode)
 
     def to_dict(self) -> dict:
         return {
@@ -325,7 +323,6 @@ class QueueStats:
             "rejected": self.rejected,
             "timeouts": self.timeouts,
             "exhausted": self.exhausted,
-            "journal_failures": self.journal_failures,
         }
 
 
@@ -354,13 +351,11 @@ class JobQueue:
         self,
         pool: WorkerPool,
         cache: ResultCache | None = None,
-        journal: CampaignJournal | None = None,
         max_depth: int | None = None,
         job_timeout: float | None = None,
     ):
         self.pool = pool
         self.cache = cache if cache is not None else ResultCache(None)
-        self.journal = journal
         #: Admission-control bound on outstanding depth (None = unbounded).
         self.max_depth = resolve_queue_bound(max_depth)
         #: Per-dispatch wall-clock budget (None = no timeout).
@@ -518,8 +513,7 @@ class JobQueue:
         """Liveness and degradation snapshot (the service ``health`` op).
 
         ``degraded`` flags are lifetime counters of failures the daemon
-        absorbed instead of dying: journal appends that failed (results
-        still served from cache), cache persists that failed (results
+        absorbed instead of dying: cache persists that failed (results
         still in memory), shared-memory materialisations that fell back
         to local rebuilds.  ``degraded_mode`` is their disjunction — the
         "keep serving, but look at me" signal for operators.
@@ -528,7 +522,6 @@ class JobQueue:
         alive = sum(1 for w in workers if w["alive"])
         busy = sum(1 for w in workers if w["task"] is not None)
         degraded = {
-            "journal_failures": self.stats.journal_failures,
             "cache_write_failures": self.cache.write_failures,
             "shm_failures": self.traces.failures,
         }
@@ -651,12 +644,11 @@ class JobQueue:
                 return
 
     def _on_message(self, message: tuple) -> None:
-        # Runs on the event loop.  The cache/journal writes below are
-        # synchronous (the journal fsyncs) — a deliberate tradeoff: the
-        # write must be durable *before* the future resolves, and the
-        # rate is bounded by the worker pool (one small write per
-        # completed multi-millisecond simulation), so the loop stall is
-        # noise next to simulation time.
+        # Runs on the event loop.  The cache write below is synchronous
+        # (a disk cache fsyncs) — a deliberate tradeoff: the write must be
+        # durable *before* the future resolves, and the rate is bounded by
+        # the worker pool (one small write per completed multi-millisecond
+        # simulation), so the loop stall is noise next to simulation time.
         kind, worker_id, task_id, payload = message
         worker = self.pool.worker(worker_id)
         if worker is not None and worker.current is not None \
@@ -677,25 +669,6 @@ class JobQueue:
         if kind == "done":
             result = SimResult.from_dict(payload)
             self.cache.put(task.job, result)
-            if self.journal is not None:
-                # A failed append degrades instead of killing the daemon:
-                # the result is already in the cache layer and the future
-                # below must resolve either way (an exception here would
-                # orphan every waiter).  Journaling stops entirely after
-                # the first failure — the append may have left a torn
-                # half-record, and writing *after* it would fuse two
-                # records into one corrupt line; leaving the tear at EOF
-                # lets the next startup's loader truncate it cleanly.
-                # health() surfaces the count as a degraded-mode flag.
-                try:
-                    self.journal.record(task.job, result)
-                except OSError:
-                    self.stats.journal_failures += 1
-                    try:
-                        self.journal.close()
-                    except OSError:
-                        pass
-                    self.journal = None
             self.stats.executed += 1
             if not task.future.done():
                 task.future.set_result(result)

@@ -1,12 +1,12 @@
-"""The simulation service daemon: one cache, one journal, many clients.
+"""The simulation service daemon: one cache, many clients.
 
 ``repro serve`` runs a :class:`SimService`: a persistent process that
-owns the result cache and a crash-safe completion journal, listens on a
-Unix-domain socket, and feeds every client's jobs through one
-:class:`~repro.engine.queue.JobQueue` on a persistent
-:class:`~repro.engine.queue.WorkerPool`.  Because all clients share the
-daemon's cache *and* its in-flight job set, overlapping submissions from
-concurrent clients simulate each unique spec exactly once — the
+owns the result cache, listens on a Unix-domain socket, and feeds every
+client's jobs through one :class:`~repro.engine.queue.JobQueue` on a
+persistent :class:`~repro.engine.queue.WorkerPool`.  Because all clients
+share the daemon's cache *and* its in-flight job set, overlapping
+submissions from concurrent clients simulate each unique spec exactly
+once — the
 "shared hot cache" serving story the ROADMAP asks for.
 
 The same daemon also serves the cluster plane (:mod:`repro.engine.cluster`):
@@ -47,12 +47,12 @@ many requests.  Requests are ``{"op": <name>, ...}``; responses are
     ``{"ticket": <id>}`` — the batch's results if complete, else a
     progress report.
 ``status``
-    Queue depth, per-worker state, lifetime counters, cache stats,
-    journal location, open tickets.
+    Queue depth, per-worker state, lifetime counters, cache stats, open
+    tickets.
 ``health``
     Cheap liveness/degradation snapshot: worker aliveness, queue depth
     vs. bound, timeout/rejection counters and the degraded-mode flags
-    (journal, cache or shm failures the daemon absorbed).
+    (cache or shm failures the daemon absorbed).
 ``chaos``
     The active fault-injection plan (:mod:`repro.engine.faults`) — site
     hit counts and fired rules.  Only served when the daemon was started
@@ -81,17 +81,17 @@ signal the client turns into :class:`~repro.engine.client.ServiceOverloaded`
 and retries with backoff, instead of the daemon either growing without
 bound or silently hanging the caller.
 
-Crash safety is inherited from PR 3's journal machinery: every executed
-job is appended (``fsync`` per record) to the service journal, and a
-restarted daemon replays it into the cache, so completed work survives
-daemon restarts as well as worker deaths (the queue requeues those).
-A TCP shard's journal also carries a membership meta record persisting
-its epoch, so a shard revived on the same journal outranks its own
-death notice.  A dead shard's completed work needs no hand-over: it was
-published to the shared result cache before any client saw it.
-Two daemons can never share a journal or a socket: the journal file is
-``flock``-ed by its writer, and the daemon holds a lockfile next to its
-socket, so the stale-socket cleanup path cannot race a live daemon.
+Crash safety is the result cache's: with a disk cache (``--cache-dir``
+/ ``$REPRO_CACHE_DIR``) every executed job is published (temp file,
+fsync, rename) before its future resolves, so a daemon restarted on the
+same directory answers everything it ever finished, and a dead shard's
+completed work needs no hand-over.  Worker deaths are the queue's
+business (it requeues).  A TCP shard started with ``--journal PATH``
+keeps its incarnation epoch there — one integer, bumped and rewritten
+atomically at every start — so a shard revived on the same file
+outranks its own death notice.  Two daemons can never share a socket:
+the daemon holds a lockfile next to it, so the stale-socket cleanup
+path cannot race a live daemon.
 
 See docs/architecture.md for the full data-flow picture.
 """
@@ -114,7 +114,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.engine import faults
 from repro.engine.cache import ResultCache, default_cache_dir
-from repro.engine.checkpoint import CampaignJournal, JournalHeader
+from repro.engine.client import ServiceError, service_running
 from repro.engine.cluster import MemberState, MembershipView, normalize_shard
 from repro.engine.executors import resolve_jobs
 from repro.engine.job import SimJob
@@ -124,6 +124,7 @@ from repro.engine.queue import (
     QueueOverloaded,
     WorkerPool,
 )
+from repro.util.atomicio import atomic_write_text
 
 #: Environment variable naming the default service socket path.
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
@@ -137,8 +138,10 @@ DEFAULT_SOCKET = "repro-service.sock"
 #: Wire protocol version, echoed by ``ping`` and checked by clients.
 #: v2 added TCP transport, token auth and the ``metrics`` op; v3 dropped
 #: the ``lookup`` and ``seed`` ops (results cross shards through a
-#: shared cache directory instead).
-PROTOCOL_VERSION = 3
+#: shared cache directory instead); v4 dropped the service journal, and
+#: with it the ``journal`` block of ``status``, the ``replay`` block of
+#: ``metrics`` and the journal counter of ``health``'s ``degraded`` map.
+PROTOCOL_VERSION = 4
 
 #: Maximum request/response line length (a 20-job grid is ~20 KB).
 MAX_LINE = 64 * 1024 * 1024
@@ -156,13 +159,6 @@ PEER_TIMEOUT = 2.0
 #: tickets are forgotten first (a never-polled ``--no-wait`` submission
 #: must not grow daemon memory forever).
 MAX_TICKETS = 1024
-
-#: Header binding a service journal.  Unlike a campaign journal, the
-#: service's job set is open-ended, so the binding key is a constant: any
-#: service journal can resume any service (entries are still keyed by job
-#: content key, so replay is exact).
-SERVICE_JOURNAL_CAMPAIGN = "__service__"
-SERVICE_JOURNAL_KEY = "service-v1"
 
 #: Environment variable overriding the gossip heartbeat interval
 #: (seconds; ``0`` disables the loop, the ``gossip`` op still answers).
@@ -230,6 +226,39 @@ def parse_address(address: str | os.PathLike) -> tuple:
     return ("unix", text)
 
 
+def advance_epoch(path: str | os.PathLike) -> int:
+    """Bump the incarnation epoch kept in the file at *path*; return it.
+
+    The file holds one integer n, the epoch of the previous incarnation
+    (a missing file means 0).  ``n + 1`` is written back atomically
+    before it is returned, so every start outranks every earlier life
+    of the same shard.  Anything else in the file — a JSONL service
+    journal from an older release, say — is refused rather than guessed
+    at.
+    """
+    path = Path(path)
+    try:
+        previous = int(path.read_text())
+    except FileNotFoundError:
+        previous = 0
+    except OSError as exc:
+        raise ServiceError(f"cannot read epoch file {path}: {exc}") from None
+    except ValueError:
+        previous = -1
+    if previous < 0:
+        raise ServiceError(
+            f"{path} is not an epoch file (want one non-negative integer); "
+            "point --journal at a new path, or delete the file to restart "
+            "the shard's epochs at 1")
+    epoch = previous + 1
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(path, f"{epoch}\n")
+    except OSError as exc:
+        raise ServiceError(f"cannot write epoch file {path}: {exc}") from None
+    return epoch
+
+
 def parse_listen(listen: str) -> tuple[str, int]:
     """Parse a ``--listen`` value (``host:port``, ``tcp://`` optional).
 
@@ -247,7 +276,7 @@ def parse_listen(listen: str) -> tuple[str, int]:
 
 
 class SimService:
-    """A running daemon: socket server + job queue + cache + journal."""
+    """A running daemon: socket server + job queue + cache."""
 
     def __init__(
         self,
@@ -255,7 +284,7 @@ class SimService:
         *,
         workers: int | None = None,
         cache: ResultCache | None = None,
-        journal_path: str | os.PathLike | None = None,
+        epoch_path: str | os.PathLike | None = None,
         max_depth: int | None = None,
         job_timeout: float | None = None,
         chaos: bool = False,
@@ -278,16 +307,15 @@ class SimService:
         self.peers = [str(peer) for peer in (peers or [])]
         self.workers = resolve_jobs(workers)
         self.cache = cache if cache is not None else ResultCache(default_cache_dir())
-        self.journal_path = Path(journal_path) if journal_path else None
-        self.journal: CampaignJournal | None = None
-        self.replayed = 0
+        #: Epoch file (``cluster serve --journal``); ``None`` = epoch 1.
+        self.epoch_path = Path(epoch_path) if epoch_path else None
         # -- self-healing membership state --------------------------------
         #: This shard's view of the fleet (grown by gossip rounds and by
         #: views callers push through the ``gossip`` op).
         self.membership = MembershipView()
-        #: Incarnation counter: persisted in the journal's membership
-        #: meta record, so a restarted shard's claims supersede every
-        #: claim about its previous life (including its death notice).
+        #: Incarnation counter: persisted in the epoch file, so a
+        #: restarted shard's claims supersede every claim about its
+        #: previous life (including its death notice).
         self.epoch = 1
         #: Heartbeats sent this incarnation (the minor version digit).
         self.beat = 0
@@ -330,8 +358,6 @@ class SimService:
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             return
-        from repro.engine.client import ServiceError
-
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(self.lock_path, "a+")
         try:
@@ -358,15 +384,16 @@ class SimService:
                 pass
 
     async def start(self) -> None:
-        """Open the journal, start the queue, bind the socket.
+        """Advance the epoch, start the queue, bind the socket.
 
         TCP shards bind *first* (without serving) so the kernel-picked
-        port is known before the journal's membership record names it,
-        then open the journal, start the queue, and only then start
-        serving and gossiping.
+        port is known, then start the queue, and only then start serving
+        and gossiping.
         """
         self._stop_event = asyncio.Event()
         self._started_at = time.monotonic()
+        if self.epoch_path is not None:
+            self.epoch = advance_epoch(self.epoch_path)
         if self.listen is None:
             # The flock + stale-socket dance only exists because Unix
             # socket files outlive their listeners; a TCP bind is
@@ -381,37 +408,7 @@ class SimService:
                 )
                 bound = self._server.sockets[0].getsockname()
                 self.listen_address = f"tcp://{bound[0]}:{bound[1]}"
-            if self.journal_path is not None:
-                self.journal = CampaignJournal(self.journal_path)
-                self.journal.open(JournalHeader(
-                    campaign=SERVICE_JOURNAL_CAMPAIGN,
-                    key=SERVICE_JOURNAL_KEY,
-                    total=0,
-                ))
-                # Replay completed work into the cache: a restarted daemon
-                # answers everything it ever finished without re-simulating.
-                for key, result in self.journal.entries.items():
-                    self.cache.seed(key, result)
-                    self.replayed += 1
-                if self.listen is not None:
-                    # Epoch = one past every incarnation this journal has
-                    # seen, so this shard's claims (and its revival)
-                    # supersede any claim about its previous life.
-                    self.epoch = 1 + max(
-                        (int(meta.get("epoch", 0))
-                         for meta in self.journal.meta
-                         if meta.get("kind") == "membership"),
-                        default=0)
-                    try:
-                        self.journal.record_meta({
-                            "kind": "membership",
-                            "address": self.listen_address,
-                            "epoch": self.epoch,
-                        })
-                    except OSError:
-                        pass  # degraded journal; the epoch still holds
             self.queue = JobQueue(WorkerPool(self.workers), cache=self.cache,
-                                  journal=self.journal,
                                   max_depth=self.max_depth,
                                   job_timeout=self.job_timeout)
             await self.queue.start()
@@ -428,11 +425,6 @@ class SimService:
                     # Refuse to hijack a live daemon; only a *stale* socket
                     # (no listener answering ping) is cleaned up and bound
                     # over.  The lockfile taken above makes this race-free.
-                    from repro.engine.client import (
-                        ServiceError,
-                        service_running,
-                    )
-
                     if service_running(self.socket_path):
                         raise ServiceError(
                             f"another repro service is already listening on "
@@ -447,12 +439,12 @@ class SimService:
             if self._server is not None:
                 self._server.close()
                 self._server = None
-            await self._teardown_queue_and_journal()
+            await self._teardown_queue()
             self._release_lock()
             raise
 
     async def stop(self) -> None:
-        """Close the socket, stop the queue, close the journal."""
+        """Close the socket, stop the queue."""
         if self._gossip_task is not None:
             self._gossip_task.cancel()
             try:
@@ -478,7 +470,7 @@ class SimService:
                                      return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
-        await self._teardown_queue_and_journal()
+        await self._teardown_queue()
         if self.listen is None:
             try:
                 self.socket_path.unlink()
@@ -486,13 +478,10 @@ class SimService:
                 pass
             self._release_lock()
 
-    async def _teardown_queue_and_journal(self) -> None:
+    async def _teardown_queue(self) -> None:
         if self.queue is not None:
             await self.queue.stop()
             self.queue = None
-        if self.journal is not None:
-            self.journal.close()
-            self.journal = None
 
     def request_shutdown(self) -> None:
         """Ask the serve loop to exit (safe from signal handlers)."""
@@ -640,11 +629,6 @@ class SimService:
             "ok": True,
             "queue": self.queue.describe(),
             "cache": self.cache.stats(),
-            "journal": {
-                "path": str(self.journal_path) if self.journal_path else None,
-                "entries": self.journal.done if self.journal else 0,
-                "replayed": self.replayed,
-            },
             "tickets": tickets,
         }
 
@@ -722,7 +706,6 @@ class SimService:
                         "dropped": self.gossip_dropped,
                     },
                 },
-                "replay": {"startup_replayed": self.replayed},
                 "fallbacks": fallback_stats(),
                 "faults": {
                     "active": plan is not None,
@@ -753,9 +736,9 @@ class SimService:
 
         A view can carry a death notice or a stale higher beat for our
         own address (e.g. written while a previous incarnation died).
-        Jump our logical clock past it and re-assert ``up`` — with the
-        journal-persisted epoch this is a no-op belt-and-braces; without
-        a journal it is what lets a restarted shard reclaim its name.
+        Jump our logical clock past it and re-assert ``up`` — with an
+        epoch file this is a no-op belt-and-braces; without one it is
+        what lets a restarted shard reclaim its name.
         """
         if self.listen_address is None:
             return
@@ -958,7 +941,7 @@ def run_service(
     *,
     workers: int | None = None,
     cache: ResultCache | None = None,
-    journal_path: str | os.PathLike | None = None,
+    epoch_path: str | os.PathLike | None = None,
     max_depth: int | None = None,
     job_timeout: float | None = None,
     chaos: bool = False,
@@ -982,20 +965,20 @@ def run_service(
     the ready line reports the bound address), *token* arms shared-secret
     auth, *peers* seeds the gossip membership plane with sibling shards
     and *heartbeat_interval* tunes the gossip loop (0 disables it).
+    *epoch_path* names the shard's epoch file (:func:`advance_epoch`).
     """
     if chaos:
         # Re-export whatever plan is active so spawn-start workers (which
         # re-import everything) see the same spec and seed.
         faults.install_plan(faults.active_plan(), export_env=True)
     service = SimService(socket_path, workers=workers, cache=cache,
-                         journal_path=journal_path, max_depth=max_depth,
+                         epoch_path=epoch_path, max_depth=max_depth,
                          job_timeout=job_timeout, chaos=chaos,
                          listen=listen, token=token, peers=peers,
                          heartbeat_interval=heartbeat_interval)
 
     def _print_ready(svc: SimService) -> None:
         where = svc.cache.directory or "memory-only"
-        journal = svc.journal_path or "disabled"
         if svc.listen is not None:
             # Machine-readable on purpose: the cluster harness parses
             # "listen=tcp://host:port" to learn a :0 daemon's real port.
@@ -1004,10 +987,7 @@ def run_service(
                     f"epoch={svc.epoch}")
         else:
             bind = f"socket={svc.socket_path}"
-        print(f"repro service: {bind} "
-              f"workers={svc.workers} cache={where} journal={journal}"
-              + (f" (replayed {svc.replayed} journaled results)"
-                 if svc.replayed else ""),
+        print(f"repro service: {bind} workers={svc.workers} cache={where}",
               file=sys.stderr, flush=True)
 
     async def _main() -> None:
@@ -1021,16 +1001,9 @@ def run_service(
         await service.serve_until_shutdown(
             on_ready=_print_ready if ready_message else None)
 
-    from repro.engine.checkpoint import JournalError
-    from repro.engine.client import ServiceError
-
     try:
         asyncio.run(_main())
-    except (ServiceError, JournalError) as exc:
+    except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, JournalError):
-            print("hint: --journal must point at a service journal file — "
-                  "not a campaign journal, and not one already in use by "
-                  "another daemon", file=sys.stderr)
         return 1
     return 0

@@ -3,7 +3,7 @@
 The acceptance harness behind ``repro cluster soak``: spawn a fleet of
 real shard subprocesses sharing one result cache directory
 (``$REPRO_CACHE_DIR``, the fleet's only cross-shard result path), each
-with its own completion journal, hammer them with
+with its own epoch file, hammer them with
 N concurrent router clients, and — while they work — run a **seeded**
 chaos schedule that SIGKILLs shards, stalls them (SIGSTOP/SIGCONT) and
 revives the corpses on their original ports.  At the end the harness
@@ -14,14 +14,19 @@ asserts the self-healing story end to end:
 * **bit-identical results** — every result matches a serial in-process
   oracle computed up front, so failover never smuggles in a wrong or
   stale answer;
-* **bounded re-simulation** — summing journal records across the
-  shards' journals counts every execution that ever happened
-  (fsync-per-record survives SIGKILL), so ``records - distinct keys`` is
-  the work done twice.  A shard publishes a result to the shared cache
-  before any client sees it, so only work a kill or a stall strands
-  unpublished can run twice, and each client has at most one batch in
-  flight: :attr:`SoakReport.resimulation_bound` is
-  ``(kills + stalls) × clients × batch_jobs``;
+* **bounded re-simulation** — the harness reads every shard
+  incarnation's ``executed`` counter (``metrics`` op) just before it
+  SIGKILLs it and again at the end, so their sum counts every execution
+  that ever happened.  The shared cache starts empty and every batch
+  completes, so each submitted key ran at least once, and ``executions -
+  distinct submitted keys`` is the work done twice.  A shard publishes a
+  result to the shared cache before any client sees it, so only work a
+  kill or a stall strands unpublished can run twice, and each client has
+  at most one batch in flight: :attr:`SoakReport.resimulation_bound` is
+  ``(kills + stalls) × clients × batch_jobs``.  An incarnation whose
+  count cannot be read fails the run — the sum must never shrink
+  silently.  (A completion landing between the last read and the
+  SIGKILL goes uncounted);
 * **self-healing observed** — routers report probes and re-admissions,
   shards report gossip traffic.
 
@@ -49,8 +54,7 @@ from pathlib import Path
 
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
-from repro.engine.checkpoint import read_journal_snapshot
-from repro.engine.client import ServiceError, ServiceUnavailable
+from repro.engine.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.engine.cluster import ShardRouter
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
@@ -113,8 +117,9 @@ class SoakReport:
     jobs_completed: int = 0
     unique_jobs: int = 0
     mismatched_keys: list = field(default_factory=list)
-    journal_records: int = 0
-    journal_corrupt: int = 0
+    executions: int = 0
+    #: Shard incarnations whose ``executed`` count could not be read.
+    unread_counts: int = 0
     resimulated: int = 0
     resimulation_bound: int = 0
     kills: int = 0
@@ -127,8 +132,10 @@ class SoakReport:
     wall_s: float = 0.0
 
     def passed(self) -> bool:
-        """Zero lost batches, zero wrong bits, re-simulation in bound."""
+        """Zero lost batches, zero wrong bits, every execution counted,
+        re-simulation in bound."""
         return self.batches_lost == 0 and not self.mismatched_keys and \
+            self.unread_counts == 0 and \
             self.resimulated <= self.resimulation_bound
 
     def to_dict(self) -> dict:
@@ -139,8 +146,8 @@ class SoakReport:
             "jobs_completed": self.jobs_completed,
             "unique_jobs": self.unique_jobs,
             "mismatched_keys": list(self.mismatched_keys),
-            "journal_records": self.journal_records,
-            "journal_corrupt": self.journal_corrupt,
+            "executions": self.executions,
+            "unread_counts": self.unread_counts,
             "resimulated": self.resimulated,
             "resimulation_bound": self.resimulation_bound,
             "kills": self.kills,
@@ -158,11 +165,12 @@ class _Shard:
     """One shard subprocess the chaos loop owns: spawn, kill, revive."""
 
     def __init__(self, index: int):
-        self.index = index         # names the journal revivals reopen
+        self.index = index         # names the epoch file revivals reopen
         self.port = 0              # 0 until the kernel picks one
         self.address: str | None = None
         self.proc: subprocess.Popen | None = None
         self.stopped = False       # SIGSTOPped right now
+        self.counted = False       # this incarnation's executions are read
 
     @property
     def alive(self) -> bool:
@@ -177,11 +185,12 @@ def _repo_src() -> str:
 def _spawn_shard(shard: _Shard, config: SoakConfig, work_dir: Path) -> None:
     """Start (or restart) *shard* as a ``repro cluster serve`` process.
 
-    Every shard publishes results to ``<work_dir>/cache`` and journals
-    to ``<work_dir>/shard-<index>.journal``.  First spawn binds port 0
-    and learns the kernel's pick from the ready line; revivals re-bind
-    the *same* port and reopen the same journal, so the fleet's
-    addresses, ring and epochs are stable across deaths.
+    Every shard publishes results to ``<work_dir>/cache`` and keeps its
+    epoch in ``<work_dir>/shard-<index>.epoch``.  First spawn binds port
+    0 and learns the kernel's pick from the ready line; revivals re-bind
+    the *same* port and bump the same epoch file, so the fleet's
+    addresses and ring are stable across deaths and every revival
+    outranks its corpse.
     ``REPRO_SHM=0`` because a SIGKILL-ed daemon cannot unlink
     shared-memory segments.
     """
@@ -199,7 +208,7 @@ def _spawn_shard(shard: _Shard, config: SoakConfig, work_dir: Path) -> None:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "-j", "1", "cluster", "serve",
          "--listen", f"127.0.0.1:{shard.port}",
-         "--journal", str(work_dir / f"shard-{shard.index}.journal"),
+         "--journal", str(work_dir / f"shard-{shard.index}.epoch"),
          "--heartbeat-interval", str(config.heartbeat_interval_s)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True,
@@ -213,6 +222,7 @@ def _spawn_shard(shard: _Shard, config: SoakConfig, work_dir: Path) -> None:
         shard.port = int(shard.address.rsplit(":", 1)[1])
         shard.proc = proc
         shard.stopped = False
+        shard.counted = False
         # The pipe must keep draining or a chatty shard blocks on it.
         threading.Thread(target=_drain, args=(proc.stderr,),
                          daemon=True).start()
@@ -229,6 +239,25 @@ def _drain(pipe) -> None:
         pass
 
 
+def _count_executions(shard: _Shard, config: SoakConfig,
+                      report: SoakReport) -> None:
+    """Add the live incarnation's ``executed`` counter to the report.
+
+    Called once per incarnation: just before the harness SIGKILLs it,
+    or at the end of the run.  A count that cannot be read is recorded
+    as such (and fails the run) instead of being taken as zero.
+    """
+    try:
+        with ServiceClient(shard.address, token=config.token,
+                           timeout=config.client_timeout_s) as client:
+            executed = client.metrics()["queue"]["stats"]["executed"]
+    except (ServiceError, OSError, KeyError, TypeError):
+        report.unread_counts += 1
+    else:
+        report.executions += executed
+    shard.counted = True
+
+
 def _job_universe(config: SoakConfig) -> list[SimJob]:
     return [
         SimJob.make(workload, predictor, n_uops=config.n_uops,
@@ -240,7 +269,7 @@ def _job_universe(config: SoakConfig) -> list[SimJob]:
 
 def _client_worker(index: int, config: SoakConfig, addresses: list[str],
                    universe: list[SimJob], oracle: dict,
-                   report: SoakReport, lock: threading.Lock,
+                   report: SoakReport, submitted: set, lock: threading.Lock,
                    deadline: float) -> None:
     """One soak client: submit batches, retry through outages, verify.
 
@@ -260,6 +289,8 @@ def _client_worker(index: int, config: SoakConfig, addresses: list[str],
         for batch_index in range(config.batches_per_client):
             batch = [universe[rng.randrange(len(universe))]
                      for _ in range(config.batch_jobs)]
+            with lock:
+                submitted.update(job.content_key() for job in batch)
             done = False
             while time.monotonic() < deadline:
                 try:
@@ -311,6 +342,8 @@ def _chaos_step(rng: random.Random, fleet: list[_Shard],
     # the fleet to its floor and the schedule degenerates.
     if dead and rng.random() < 0.6:
         shard = rng.choice(dead)
+        if not shard.counted:  # died on its own: its count is lost
+            report.unread_counts += 1
         _spawn_shard(shard, config, work_dir)
         report.revives += 1
         log(f"soak: revived {shard.address}")
@@ -328,6 +361,7 @@ def _chaos_step(rng: random.Random, fleet: list[_Shard],
         return
     shard = rng.choice(healthy)
     if rng.random() < 0.5:
+        _count_executions(shard, config, report)
         shard.proc.send_signal(signal.SIGKILL)
         shard.proc.wait()
         report.kills += 1
@@ -344,7 +378,7 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
     """Run one full soak; returns the report (check :meth:`~SoakReport.passed`).
 
     *work_dir* holds the fleet's shared result cache and its shards'
-    journals; the caller owns its lifetime (a tmpdir in tests, a scratch
+    epoch files; the caller owns its lifetime (a tmpdir in tests, a scratch
     dir under the CLI).  *log* is called with progress lines (``None``
     silences them).
     """
@@ -358,6 +392,9 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
               for job, result in zip(universe,
                                      oracle_engine.run_jobs(universe))}
     report = SoakReport(unique_jobs=len(universe))
+    # The re-simulation count assumes every submitted key ran at least
+    # once, so a reused work dir must not answer from an earlier run.
+    ResultCache(work_dir / "cache").clear()
     started = time.monotonic()
     deadline = started + config.deadline_s
     fleet = [_Shard(index) for index in range(config.shards)]
@@ -366,11 +403,12 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
     addresses = [shard.address for shard in fleet]
     log(f"soak: fleet up — {', '.join(addresses)}")
     lock = threading.Lock()
+    submitted: set[str] = set()
     clients = [
         threading.Thread(
             target=_client_worker,
             args=(index, config, addresses, universe, oracle, report,
-                  lock, deadline),
+                  submitted, lock, deadline),
             daemon=True)
         for index in range(config.clients)
     ]
@@ -393,12 +431,20 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
         for thread in clients:
             thread.join(timeout=max(0.0, deadline - time.monotonic()) + 5.0)
     finally:
-        for shard in fleet:  # let SIGSTOPped shards die
+        for shard in fleet:  # stopped shards must answer the final read
             if shard.proc is not None and shard.stopped:
                 try:
                     shard.proc.send_signal(signal.SIGCONT)
+                    shard.stopped = False
                 except OSError:
                     pass
+        for shard in fleet:
+            if shard.proc is None or shard.counted:
+                continue
+            if shard.proc.poll() is None:
+                _count_executions(shard, config, report)
+            else:
+                report.unread_counts += 1
         for shard in fleet:
             if shard.proc is not None and shard.proc.poll() is None:
                 shard.proc.terminate()
@@ -410,18 +456,11 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
                     shard.proc.kill()
                     shard.proc.wait()
     report.wall_s = time.monotonic() - started
-    # Re-simulation accounting: every executed job appended one fsync'd
-    # journal record (SIGKILL cannot un-write them), so records beyond
-    # the count of *distinct* journaled keys are the executions done
-    # twice because a kill or stall stranded them unpublished.
-    executed_keys: set[str] = set()
-    for path in sorted(work_dir.glob("*.journal")):
-        snapshot = read_journal_snapshot(path)
-        report.journal_records += snapshot["records"]
-        report.journal_corrupt += snapshot["corrupt"]
-        executed_keys.update(snapshot["entries"])
-    report.resimulated = max(
-        0, report.journal_records - len(executed_keys))
+    # Re-simulation accounting: the cache started empty, so every
+    # submitted key ran at least once; executions beyond the distinct
+    # submitted keys are the work done twice because a kill or a stall
+    # stranded it unpublished.
+    report.resimulated = max(0, report.executions - len(submitted))
     report.resimulation_bound = ((report.kills + report.stalls)
                                  * config.clients * config.batch_jobs)
     log(f"soak: done in {report.wall_s:.1f}s — "

@@ -5,8 +5,9 @@ one evaluation grid — the predictor/confidence/recovery/workload product a
 figure needs *plus* the no-VP baseline block its speedups divide by.  The
 figure renderers in :mod:`repro.experiments.figures` execute these specs
 and aggregate through :class:`~repro.engine.campaign.CampaignResult`;
-``repro campaign run/status/resume`` executes them standalone with a
-journal, so a multi-hour sweep survives kills and resumes bit-identically.
+``repro campaign run/status/resume`` executes them standalone into a
+checkpoint dir (a disk result cache), so a multi-hour sweep survives kills
+and resumes bit-identically.
 
 ``CAMPAIGNS`` is the registry the CLI exposes.  ``reproduce`` is the union
 of every figure grid — running it once (checkpointed) makes the whole of
@@ -39,9 +40,8 @@ def baseline_block(workloads: tuple[str, ...], n_uops: int, warmup: int) -> Axis
     """The no-VP baselines every figure's speedups divide by.
 
     Identical by construction to ``runner.baseline_job`` specs (predictor
-    ``none``, recovery normalised to squash), so campaign journals, the
-    result cache and the legacy per-job API all share one entry per
-    (workload, slice).
+    ``none``, recovery normalised to squash), so campaigns and the legacy
+    per-job API share one result-cache entry per (workload, slice).
     """
     return AxisBlock.make(
         {"workload": list(workloads)},

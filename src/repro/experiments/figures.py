@@ -8,8 +8,7 @@ the reproduce driver runs fuller ones.
 Each simulation-backed figure is *one campaign*: its job grid comes from
 the matching spec in :mod:`repro.experiments.campaigns`, executes through
 :func:`~repro.engine.campaign.run_campaign` (so a pool executor sees the
-whole grid at once, and an optional ``journal`` makes the figure
-resumable after a kill), and the series below are read off the returned
+whole grid at once), and the series below are read off the returned
 :class:`~repro.engine.campaign.CampaignResult`'s aggregation hooks.
 
 Paper-figure inventory (Section 8):
@@ -140,11 +139,9 @@ def figure3(
     workloads: tuple[str, ...] = ALL_WORKLOADS,
     n_uops: int = DEFAULT_MEASURE,
     warmup: int = DEFAULT_WARMUP,
-    journal=None,
 ) -> FigureResult:
     """Speedup upper bound: an oracle predicts all results (Fig. 3)."""
-    res = run_campaign(figure3_campaign(workloads, n_uops, warmup),
-                       journal=journal)
+    res = run_campaign(figure3_campaign(workloads, n_uops, warmup))
     series = res.speedup_by_workload(predictor="oracle")
     text = ascii_bar_chart(
         series,
@@ -166,13 +163,12 @@ def _predictor_grid(
     workloads: tuple[str, ...],
     n_uops: int,
     warmup: int,
-    journal=None,
 ) -> dict:
     """Run the Fig. 4/5 campaign and pivot it into the legacy grid shape."""
     spec = (figure4_campaign if recovery == "squash" else figure5_campaign)(
         workloads, n_uops, warmup
     )
-    res = run_campaign(spec, journal=journal)
+    res = run_campaign(spec)
     grid: dict = {}
     for fpc in (False, True):
         label = "FPC" if fpc else "baseline"
@@ -221,11 +217,10 @@ def figure4(
     workloads: tuple[str, ...] = ALL_WORKLOADS,
     n_uops: int = DEFAULT_MEASURE,
     warmup: int = DEFAULT_WARMUP,
-    journal=None,
 ) -> FigureResult:
     """Fig. 4: speedups with squash-at-commit recovery, (a) baseline 3-bit
     counters, (b) FPC."""
-    grid = _predictor_grid("squash", workloads, n_uops, warmup, journal)
+    grid = _predictor_grid("squash", workloads, n_uops, warmup)
     text = _render_grid(
         "fig4", "Figure 4: squashing at commit on value misprediction", grid
     )
@@ -236,10 +231,9 @@ def figure5(
     workloads: tuple[str, ...] = ALL_WORKLOADS,
     n_uops: int = DEFAULT_MEASURE,
     warmup: int = DEFAULT_WARMUP,
-    journal=None,
 ) -> FigureResult:
     """Fig. 5: speedups with idealistic selective reissue."""
-    grid = _predictor_grid("reissue", workloads, n_uops, warmup, journal)
+    grid = _predictor_grid("reissue", workloads, n_uops, warmup)
     text = _render_grid(
         "fig5", "Figure 5: idealistic selective reissue on value misprediction",
         grid,
@@ -255,10 +249,8 @@ def figure6(
     workloads: tuple[str, ...] = ALL_WORKLOADS,
     n_uops: int = DEFAULT_MEASURE,
     warmup: int = DEFAULT_WARMUP,
-    journal=None,
 ) -> FigureResult:
-    res = run_campaign(figure6_campaign(workloads, n_uops, warmup),
-                       journal=journal)
+    res = run_campaign(figure6_campaign(workloads, n_uops, warmup))
     series: dict = {}
     for fpc in (False, True):
         label = "FPC" if fpc else "baseline"
@@ -299,10 +291,8 @@ def figure7(
     workloads: tuple[str, ...] = ALL_WORKLOADS,
     n_uops: int = DEFAULT_MEASURE,
     warmup: int = DEFAULT_WARMUP,
-    journal=None,
 ) -> FigureResult:
-    res = run_campaign(figure7_campaign(workloads, n_uops, warmup),
-                       journal=journal)
+    res = run_campaign(figure7_campaign(workloads, n_uops, warmup))
     series: dict = {}
     for scheme in HYBRID_SCHEMES:
         results = res.by("workload", predictor=scheme)

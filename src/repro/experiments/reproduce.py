@@ -8,9 +8,10 @@ The whole evaluation is *one campaign*: the union of every figure grid
 (:func:`repro.experiments.campaigns.reproduce_campaign`) executes up
 front through :func:`~repro.engine.campaign.run_campaign`, after which
 the figure renderers are pure cache replays.  With ``--checkpoint-dir``
-every completed simulation is journaled as it finishes, so a killed
-multi-hour run resumes where it stopped — re-running the same command
-produces byte-identical output either way.
+the engine's result cache is a disk cache in that directory, written as
+each simulation finishes, so a killed multi-hour run resumes where it
+stopped — re-running the same command produces byte-identical output
+either way.
 
 Every simulation goes through the experiment engine: ``--jobs``/``-j`` (or
 ``REPRO_JOBS``) fans the campaign out over a process pool, and
@@ -34,11 +35,11 @@ from repro.analysis.report import format_table, geometric_mean
 from repro.engine.api import configure_default_engine, set_default_engine
 from repro.engine.campaign import (
     BACKENDS,
+    default_checkpoint_dir,
     engine_for_backend,
     progress_printer,
     run_campaign,
 )
-from repro.engine.checkpoint import default_checkpoint_dir
 from repro.engine.client import ServiceError
 from repro.experiments import figures, tables
 from repro.experiments.campaigns import reproduce_campaign
@@ -111,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="journal every completed simulation under DIR so a killed run "
-             "resumes where it stopped (the journal is DIR/reproduce.jsonl; "
-             "default: $REPRO_CHECKPOINT_DIR or no journal)",
+        help="persist every completed simulation in a result cache at DIR "
+             "(in place of --cache-dir) so a killed run resumes where it "
+             "stopped (default: $REPRO_CHECKPOINT_DIR or no checkpoint)",
     )
     parser.add_argument(
         "--backend", default="local", choices=BACKENDS,
@@ -138,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         # Service backend: batches go to the daemon, and the service
         # engine *becomes* the default so the figure renderers below
-        # replay from its (journal-warmed) local cache.
+        # replay from its local cache.
         if args.jobs is not None or args.cache_dir is not None:
             print("note: --jobs/--cache-dir apply to the daemon, not this "
                   "client; they are ignored with --backend service",
@@ -150,24 +151,23 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"error: {exc}") from None
     t0 = time.time()
 
-    # Execute the whole evaluation as one (optionally journaled) campaign;
-    # the per-figure rendering below then replays it from the result cache.
+    # Execute the whole evaluation as one (optionally checkpointed)
+    # campaign; the per-figure rendering below then replays it from the
+    # result cache.
     spec = reproduce_campaign(n_uops=n_uops, warmup=warmup)
-    journal = None
     checkpoint_dir = (Path(args.checkpoint_dir) if args.checkpoint_dir
                       else default_checkpoint_dir())
-    if checkpoint_dir is not None:
-        journal = checkpoint_dir / f"{spec.name}.jsonl"
-
     try:
-        campaign = run_campaign(spec, engine=engine, journal=journal,
+        campaign = run_campaign(spec, engine=engine,
+                                checkpoint_dir=checkpoint_dir,
                                 progress=progress_printer(spec.name))
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None
     print(file=sys.stderr)
     print(f"[{spec.name}] {campaign.stats['total']} jobs: "
-          f"{campaign.stats['from_journal']} from journal, "
-          f"{campaign.stats['executed']} executed", file=sys.stderr)
+          f"{campaign.stats['executed']} executed, "
+          f"{campaign.stats['cache_hits']} answered by the result cache",
+          file=sys.stderr)
 
     print("# EXPERIMENTS — paper vs. reproduction")
     print()

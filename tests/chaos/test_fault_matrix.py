@@ -1,11 +1,11 @@
 """The fault matrix: seeded chaos plans against a real service stack.
 
 Each test runs a real :class:`~repro.engine.service.SimService` (its own
-socket, worker pool, cache, journal) under a deterministic
+socket, worker pool, cache) under a deterministic
 :mod:`repro.engine.faults` plan and asserts the ISSUE's acceptance bar:
 
 * **survivable** faults — worker crashes/hangs/slowdowns, dropped or
-  torn socket responses, journal/cache write failures, shm
+  torn socket responses, cache write failures, shm
   attach/materialise failures — end in :class:`SimResult`s
   **bit-identical** to the fault-free run;
 * **fatal** faults — a job that crashes its worker on every dispatch —
@@ -206,29 +206,6 @@ class TestSocketFaults:
 
 
 class TestStorageFaults:
-    def test_torn_journal_write_degrades_and_recovers(self, tmp_path,
-                                                      expected):
-        journal = tmp_path / "svc.jsonl"
-        with Daemon(tmp_path / "d.sock", workers=1,
-                    journal_path=journal) as d:
-            faults.install_plan("journal.write:torn@1", seed=0)
-            with ServiceClient(d.service.socket_path) as client:
-                response = client.submit(JOBS)
-                health = client.health()
-        assert _results(response) == expected          # served regardless
-        assert health["degraded"]["journal_failures"] == 1
-        assert health["degraded_mode"]
-        faults.install_plan(None)
-        # The torn half-record sits at EOF (journaling stopped at the
-        # first failure, so nothing fused with it); a restarted daemon
-        # truncates the tear, replays nothing, and re-serves correctly.
-        with Daemon(tmp_path / "d.sock", workers=1,
-                    journal_path=journal) as d:
-            assert d.service.replayed == 0
-            with ServiceClient(d.service.socket_path) as client:
-                again = client.submit(JOBS)
-        assert _results(again) == expected
-
     def test_failing_cache_persist_stays_in_memory(self, tmp_path, expected):
         with Daemon(tmp_path / "d.sock", workers=2,
                     cache=ResultCache(tmp_path / "cache")) as d:
@@ -324,15 +301,6 @@ class TestSingleWriterLocks:
             with pytest.raises(ServiceError, match="lock|already listening"):
                 asyncio.run(SimService(socket_path, workers=1).start())
 
-    def test_two_daemons_cannot_share_a_journal(self, tmp_path):
-        from repro.engine.checkpoint import JournalError
-
-        journal = tmp_path / "svc.jsonl"
-        with Daemon(tmp_path / "a.sock", workers=1, journal_path=journal):
-            with pytest.raises(JournalError, match="already being written"):
-                asyncio.run(SimService(tmp_path / "b.sock", workers=1,
-                                       journal_path=journal).start())
-
     def test_stale_socket_is_cleaned_and_rebound(self, tmp_path):
         socket_path = tmp_path / "d.sock"
         # Leave a dead socket behind, as a SIGKILLed daemon would.
@@ -349,12 +317,12 @@ class TestSingleWriterLocks:
 class TestChaosIntrospection:
     def test_chaos_op_reports_the_live_plan(self, tmp_path):
         with Daemon(tmp_path / "d.sock", workers=1, chaos=True) as d:
-            faults.install_plan("journal.write:torn@7", seed=3)
+            faults.install_plan("cache.write:torn@7", seed=3)
             with ServiceClient(d.service.socket_path) as client:
                 plan = client.chaos()
                 health = client.health()
         assert plan["seed"] == 3
-        assert plan["rules"] == ["journal.write:torn@7"]
+        assert plan["rules"] == ["cache.write:torn@7"]
         assert health["chaos"] is True
 
     def test_chaos_op_is_refused_without_the_flag(self, tmp_path):

@@ -258,13 +258,13 @@ class TestSelfHealing:
 
     @staticmethod
     def _knobs(tmp_path, name):
-        """Shard *name*'s flags: its own journal (a revival reopens it,
-        so epoch and startup replay carry over) and a 0.25 s gossip."""
-        return ("--journal", tmp_path / f"{name}.journal",
+        """Shard *name*'s flags: its own epoch file (a revival bumps it,
+        so the new incarnation outranks its corpse) and a 0.25 s gossip."""
+        return ("--journal", tmp_path / f"{name}.epoch",
                 "--heartbeat-interval", "0.25")
 
     def _fleet(self, tmp_path):
-        """Two shards with their own journals sharing one result cache
+        """Two shards with their own epoch files sharing one result cache
         directory, gossiping at 0.25 s."""
         results = tmp_path / "results"
         proc_a, addr_a = _spawn_shard(*self._knobs(tmp_path, "a"),
@@ -298,9 +298,9 @@ class TestSelfHealing:
 
             thread = threading.Thread(target=run)
             thread.start()
-            # Kill once A has journaled at least one completion (so the
-            # revival has something to startup-replay) but is still
-            # mid-grid (more work in flight).
+            # Kill once A has published at least one completion (so the
+            # revival has something to answer from the shared cache) but
+            # is still mid-grid (more work in flight).
             with ServiceClient(addr_a, timeout=10.0, token=TOKEN) as probe:
                 deadline = time.monotonic() + 60
                 while time.monotonic() < deadline:
@@ -319,7 +319,7 @@ class TestSelfHealing:
                 [r.to_dict() for r in expected_grid_a()]
             assert addr_a in router.down
 
-            # Revive A on its old port, same journal: its epoch meta
+            # Revive A on its old port, same epoch file: the bumped epoch
             # makes the new incarnation supersede its own death notice.
             port = addr_a.rsplit(":", 1)[1]
             for attempt in range(10):
@@ -351,10 +351,10 @@ class TestSelfHealing:
                 [r.to_dict() for r in expected_grid_a()]
             with ServiceClient(addr_a, timeout=10.0, token=TOKEN) as client:
                 metrics = client.metrics()
-            # Restarted incarnation: epoch bumped past the first life,
-            # and its startup replay let it answer from cache.
+            # Restarted incarnation: epoch bumped past the first life, and
+            # it answered the rerun from the shared cache.
             assert metrics["membership"]["epoch"] >= 2
-            assert metrics["replay"]["startup_replayed"] > 0
+            assert "replay" not in metrics
             assert metrics["queue"]["stats"]["cache_hits"] > 0
             router.close()
         finally:
@@ -364,7 +364,7 @@ class TestSelfHealing:
                 self._stop(*revived)
             self._stop(proc_b, addr_b)
 
-    def test_journal_replay_keeps_prekill_results_out_of_resimulation(
+    def test_prekill_results_stay_out_of_resimulation(
             self, tmp_path):
         """Everything shard A published before its SIGKILL stays out of
         re-simulation: B reads it from the shared cache directory."""

@@ -10,8 +10,8 @@ service layer:
   exactly once);
 * ``SIGKILL`` of a worker mid-batch loses no jobs — the daemon requeues
   and completes them on a replacement worker;
-* a daemon restarted on its ``--journal`` replays completed work into
-  its cache instead of re-simulating.
+* a daemon restarted on the same ``$REPRO_CACHE_DIR`` answers completed
+  work from that cache instead of re-simulating.
 """
 
 import os
@@ -46,10 +46,12 @@ GRID_B = [SimJob.make(w, p, **SMALL)
           for p in ("lvp", "2dstride") for w in WORKLOADS[2:12]]
 
 
-def _spawn_daemon(socket_path, *extra_args, jobs="2"):
+def _spawn_daemon(socket_path, *extra_args, jobs="2", cache_dir=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p)
+    if cache_dir is not None:
+        env["REPRO_CACHE_DIR"] = str(cache_dir)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "-j", jobs, "serve",
          "--socket", str(socket_path), *map(str, extra_args)],
@@ -232,12 +234,12 @@ class TestCLIClients:
 
 
 class TestRestartSafety:
-    def test_journal_replay_across_daemon_restart(self, tmp_path):
+    def test_cache_dir_survives_daemon_restart(self, tmp_path):
         socket_path = tmp_path / "restart.sock"
-        journal = tmp_path / "service.jsonl"
+        results = tmp_path / "results"
         jobs = [SimJob.make(w, "lvp", **SMALL) for w in ("gzip", "gcc")]
 
-        proc = _spawn_daemon(socket_path, "--journal", journal)
+        proc = _spawn_daemon(socket_path, cache_dir=results)
         try:
             with ServiceClient(socket_path) as conn:
                 first = conn.submit(jobs)
@@ -247,7 +249,7 @@ class TestRestartSafety:
             if proc.poll() is None:
                 proc.kill()
 
-        proc = _spawn_daemon(socket_path, "--journal", journal)
+        proc = _spawn_daemon(socket_path, cache_dir=results)
         try:
             with ServiceClient(socket_path) as conn:
                 second = conn.submit(jobs)
@@ -258,10 +260,12 @@ class TestRestartSafety:
             if proc.poll() is None:
                 proc.kill()
 
-        # The restarted daemon answered everything from the journal.
+        # The restarted daemon answered everything from the disk cache.
+        assert first["summary"]["enqueued"] == len(jobs)
         assert second["summary"]["cache_hits"] == len(jobs)
         assert second["summary"]["enqueued"] == 0
-        assert status["journal"]["replayed"] == len(jobs)
+        assert status["queue"]["stats"]["executed"] == 0
+        assert status["cache"]["disk_entries"] == len(jobs)
         assert second["results"] == first["results"]
 
 

@@ -1,4 +1,4 @@
-"""Campaign specs: expansion, identity, aggregation, cache/journal accord."""
+"""Campaign specs: expansion, identity, aggregation, checkpoint dirs."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.engine.campaign import (
     CampaignSpec,
     run_campaign,
 )
-from repro.engine.checkpoint import CampaignJournal
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 from repro.pipeline.config import CoreConfig
@@ -197,7 +196,6 @@ class TestCampaignResult:
         run_campaign(tiny_spec(), engine=fresh_engine(),
                      progress=events.append)
         assert [e.done for e in events] == list(range(1, 7))
-        assert {e.source for e in events} == {"engine"}
         assert events[-1].total == 6
 
     def test_speedup_requires_baselines(self):
@@ -216,9 +214,9 @@ class TestCampaignResult:
                              chunk_size=bad)
 
     def test_unjournaled_run_is_one_batch(self, monkeypatch):
-        """Without a journal there is nothing to checkpoint, so the whole
-        remainder must go to the executor as a single batch (one pool
-        spin-up, full parallelism)."""
+        """Without a checkpoint dir there is nothing to make durable
+        between chunks, so the whole campaign must go to the executor as
+        a single batch (one pool spin-up, full parallelism)."""
         engine = fresh_engine()
         batches = []
         original = engine.run_jobs
@@ -233,55 +231,35 @@ class TestCampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# The cache/journal identity contract (ISSUE 3 satellite fix).
+# The checkpoint dir is the result cache.
 # ---------------------------------------------------------------------------
 
-class TestCacheJournalAccord:
-    def test_cache_hit_still_lands_in_journal(self, tmp_path):
-        """A warm result cache must not leave holes in a fresh journal."""
-        engine = fresh_engine()
-        spec = tiny_spec()
-
-        job_mod.reset_run_count()
-        run_campaign(spec, engine=engine, journal=tmp_path / "first.jsonl")
-        assert job_mod.run_count() == 6
-
-        # Same engine (warm cache), brand-new journal: every job is a
-        # cache hit, and every job must still be journaled.
-        job_mod.reset_run_count()
-        result = run_campaign(spec, engine=engine,
-                              journal=tmp_path / "second.jsonl")
-        assert job_mod.run_count() == 0
-        assert result.stats["executed"] == 6
-        assert result.stats["cache_hits"] == 6
-
-        first = CampaignJournal(tmp_path / "first.jsonl")
-        second = CampaignJournal(tmp_path / "second.jsonl")
-        assert set(first.entries) == set(second.entries)
-        assert len(second.entries) == 6
-        for key, sim in first.entries.items():
-            assert second.entries[key].to_dict() == sim.to_dict()
-
-    def test_journal_and_cache_share_job_identity(self, tmp_path):
-        engine = fresh_engine()
-        spec = tiny_spec()
-        run_campaign(spec, engine=engine, journal=tmp_path / "c.jsonl")
-        journal = CampaignJournal(tmp_path / "c.jsonl")
-        for key, sim_job in spec.unique_jobs().items():
-            # The journal key is exactly the cache key...
-            assert key in journal.entries
-            # ...and the cached result equals the journaled one.
-            assert engine.cache.get(sim_job).to_dict() == \
-                journal.entries[key].to_dict()
-
+class TestCheckpointIsTheCache:
     def test_replay_warms_the_cache(self, tmp_path):
         spec = tiny_spec()
-        run_campaign(spec, engine=fresh_engine(),
-                     journal=tmp_path / "warm.jsonl")
+        run_campaign(spec, engine=fresh_engine(), checkpoint_dir=tmp_path)
         cold_engine = fresh_engine()
         job_mod.reset_run_count()
-        run_campaign(spec, engine=cold_engine,
-                     journal=tmp_path / "warm.jsonl")
+        result = run_campaign(spec, engine=cold_engine,
+                              checkpoint_dir=tmp_path)
         assert job_mod.run_count() == 0
+        assert result.stats == {"total": 6, "executed": 0, "cache_hits": 6}
+        assert cold_engine.cache.directory == tmp_path
         for sim_job in spec.unique_jobs().values():
             assert cold_engine.cache.get(sim_job) is not None
+
+    def test_checkpointed_run_goes_down_in_chunks(self, tmp_path,
+                                                  monkeypatch):
+        """With a checkpoint dir a serial engine runs one job per chunk,
+        so a kill loses at most the job in flight."""
+        engine = fresh_engine()
+        batches = []
+        original = engine.run_jobs
+
+        def spy(jobs):
+            batches.append(len(jobs))
+            return original(jobs)
+
+        monkeypatch.setattr(engine, "run_jobs", spy)
+        run_campaign(tiny_spec(), engine=engine, checkpoint_dir=tmp_path)
+        assert batches == [1] * 6

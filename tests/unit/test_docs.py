@@ -69,7 +69,7 @@ class TestCliCoverage:
     def test_reference_mentions_the_knobs(self):
         rendered = docs.generate_cli()
         for token in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_CHECKPOINT_DIR",
-                      "REPRO_SERVICE_SOCKET", "--checkpoint-dir", "--force",
+                      "REPRO_SERVICE_SOCKET", "--checkpoint-dir",
                       "--render", "--backend", "--socket", "--journal",
                       "--no-wait"):
             assert token in rendered, token

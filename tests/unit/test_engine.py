@@ -195,10 +195,12 @@ class TestResultCache:
     def test_memory_layer_holds_exactly_the_bound(self):
         result = execute_job(SimJob.make("gzip", "lvp", **TINY))
         cache = ResultCache()
-        for i in range(cache_mod.MEMORY_MAX_ENTRIES + 1):
-            cache.seed(f"key-{i}", result)
+        jobs = [SimJob.make("gzip", "lvp", n_uops=i + 1, warmup=0)
+                for i in range(cache_mod.MEMORY_MAX_ENTRIES + 1)]
+        for job in jobs:
+            cache.put(job, result)
         assert len(cache) == cache_mod.MEMORY_MAX_ENTRIES
-        assert "key-0" not in cache._memory  # the oldest went first
+        assert jobs[0].content_key() not in cache._memory  # oldest went first
 
     def test_lru_eviction_rereads_from_disk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cache_mod, "MEMORY_MAX_ENTRIES", 3)

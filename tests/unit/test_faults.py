@@ -34,8 +34,8 @@ def clean_fault_state(monkeypatch):
 
 class TestSpecGrammar:
     def test_single_rule_round_trips(self):
-        plan = FaultPlan.parse("journal.write:torn@3")
-        assert plan.to_spec() == "journal.write:torn@3"
+        plan = FaultPlan.parse("cache.write:torn@3")
+        assert plan.to_spec() == "cache.write:torn@3"
         assert plan.rules[0].when == (3,)
 
     def test_multi_rule_spec_with_args_and_triggers(self):
@@ -61,12 +61,12 @@ class TestSpecGrammar:
     @pytest.mark.parametrize("bad", [
         "",                          # no rules
         "nosuchsite:crash@1",        # unknown site
-        "journal.write:explode@1",   # unknown action for the site
-        "journal.write:torn@zero",   # unparseable trigger
-        "journal.write:torn@every=0",
-        "journal.write:torn@p=1.5",
-        "journal.write:torn@0",      # hit numbers are 1-based
-        "journal.write",             # no action
+        "cache.write:explode@1",     # unknown action for the site
+        "cache.write:torn@zero",     # unparseable trigger
+        "cache.write:torn@every=0",
+        "cache.write:torn@p=1.5",
+        "cache.write:torn@0",        # hit numbers are 1-based
+        "cache.write",               # no action
     ])
     def test_bad_specs_raise(self, bad):
         with pytest.raises(FaultSpecError):
@@ -83,7 +83,7 @@ class TestSpecGrammar:
         path.write_text(json.dumps({
             "seed": 42,
             "rules": [
-                {"site": "journal.write", "action": "torn", "trigger": "2"},
+                {"site": "cache.write", "action": "torn", "trigger": "2"},
                 {"site": "worker.execute", "action": "slow", "arg": 0.01},
             ],
         }))
@@ -103,12 +103,12 @@ class TestSpecGrammar:
 
 class TestTriggers:
     def test_hit_number_trigger_counts_per_site(self):
-        plan = FaultPlan.parse("journal.write:torn@2")
-        assert plan.check("journal.write") is None
-        assert plan.check("cache.write") is None   # separate counter
-        rule = plan.check("journal.write")
+        plan = FaultPlan.parse("cache.write:torn@2")
+        assert plan.check("cache.write") is None
+        assert plan.check("store.write") is None   # separate counter
+        rule = plan.check("cache.write")
         assert rule is not None and rule.action == "torn"
-        assert plan.check("journal.write") is None  # fires exactly once
+        assert plan.check("cache.write") is None  # fires exactly once
 
     def test_every_n_trigger(self):
         plan = FaultPlan.parse("service.send:drop@every=3")
@@ -133,7 +133,7 @@ class TestTriggers:
         assert all(always.matches(h, seed=0) for h in range(1, 200))
 
     def test_counters_advance_even_without_matching_rules(self):
-        plan = FaultPlan.parse("journal.write:torn@1")
+        plan = FaultPlan.parse("cache.write:torn@1")
         plan.check("store.read")
         plan.check("store.read")
         assert plan.counts["store.read"] == 2
@@ -142,7 +142,7 @@ class TestTriggers:
 
 class TestActivation:
     def test_no_plan_means_fire_returns_none(self):
-        assert faults.fire("journal.write") is None
+        assert faults.fire("cache.write") is None
 
     def test_env_spec_activates_on_first_fire(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "shm.attach:fail@1")
@@ -159,17 +159,17 @@ class TestActivation:
     def test_bad_env_spec_warns_once_and_disables(self, monkeypatch, capsys):
         monkeypatch.setenv(faults.FAULTS_ENV, "not a spec")
         faults.reset()
-        assert faults.fire("journal.write") is None
-        assert faults.fire("journal.write") is None
+        assert faults.fire("cache.write") is None
+        assert faults.fire("cache.write") is None
         err = capsys.readouterr().err
         assert err.count("ignoring") == 1
 
     def test_install_plan_and_reset(self):
-        previous = faults.install_plan("journal.write:torn@1")
+        previous = faults.install_plan("cache.write:torn@1")
         assert previous is None
-        assert faults.fire("journal.write") is not None
+        assert faults.fire("cache.write") is not None
         faults.install_plan(None)
-        assert faults.fire("journal.write") is None
+        assert faults.fire("cache.write") is None
 
     def test_export_env_mirrors_spec_for_spawned_workers(self, monkeypatch):
         import os
@@ -186,7 +186,7 @@ class TestActionHelpers:
         enospc = faults.io_error(
             FaultRule(site="s", action="enospc"), "store.write")
         torn = faults.io_error(
-            FaultRule(site="s", action="torn"), "journal.write")
+            FaultRule(site="s", action="torn"), "cache.write")
         assert enospc.errno == errno.ENOSPC
         assert torn.errno == errno.EIO
 

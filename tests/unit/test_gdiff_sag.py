@@ -1,7 +1,6 @@
-"""Unit tests for the gDiff stacking predictor and SAg confidence."""
+"""Unit tests for the gDiff stacking predictor."""
 
 from repro.core.confidence import ConfidencePolicy
-from repro.core.sag import SAgConfidenceBank
 from repro.experiments.runner import make_predictor
 from repro.pipeline.core import simulate
 from repro.predictors.base import PredictionContext
@@ -112,49 +111,6 @@ def test_gdiff_covers_at_least_its_backing_2dstride(workload):
     }
     assert coverage["2dstride"] > 0
     assert coverage["gdiff"] >= coverage["2dstride"]
-
-
-class TestSAg:
-    def test_confidence_requires_good_pattern(self):
-        bank = SAgConfidenceBank(history_bits=4, counter_bits=2)
-        key = 0x99
-        assert not bank.is_confident(key)
-        for _ in range(20):
-            bank.record(key, True)
-        assert bank.is_confident(key)
-
-    def test_miss_resets_shared_counter(self):
-        bank = SAgConfidenceBank(history_bits=4, counter_bits=2)
-        key = 0x99
-        for _ in range(20):
-            bank.record(key, True)
-        bank.record(key, False)
-        # The all-ones pattern counter was reset by the miss; after the miss
-        # the history changed too, so confidence must be gone.
-        assert not bank.is_confident(key)
-
-    def test_pattern_sharing_across_keys(self):
-        """The SAg selling point: a key with no history of its own inherits
-        the confidence its behaviour pattern earned elsewhere."""
-        bank = SAgConfidenceBank(history_bits=3, counter_bits=2)
-        # Key A establishes that the all-correct pattern is trustworthy.
-        for _ in range(30):
-            bank.record(0xA, True)
-        # Key B reaches the same all-correct pattern with just 3 records.
-        for _ in range(3):
-            bank.record(0xB, True)
-        assert bank.is_confident(0xB)
-
-    def test_storage_model(self):
-        bank = SAgConfidenceBank(history_bits=8, counter_bits=4)
-        bits = bank.storage_bits(tracked_entries=1024)
-        assert bits == 1024 * 8 + 256 * 4
-
-    def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            SAgConfidenceBank(history_bits=0)
-        with pytest.raises(ValueError):
-            SAgConfidenceBank(counter_bits=0)
 
 
 class TestCLI:

@@ -8,8 +8,8 @@ harness as ``test_cluster.py``) drive the new planes end to end:
   half-open probes, not a death sentence — a revived shard is
   re-admitted automatically, and ``refresh_membership`` grows the ring
   from the gossiped view;
-* a restarted shard's journal-persisted epoch supersedes its own death
-  notice.
+* a restarted shard's epoch, persisted in its epoch file, supersedes its
+  own death notice; a file that is not an epoch stops startup.
 """
 
 import asyncio
@@ -170,17 +170,33 @@ class TestGossipOp:
 
 class TestEpochPersistence:
     def test_restart_bumps_the_journaled_epoch(self, tmp_path):
-        journal = tmp_path / "shard.journal"
-        with TcpShard(journal_path=journal) as shard:
+        epoch_file = tmp_path / "shard.epoch"
+        with TcpShard(epoch_path=epoch_file) as shard:
             address = shard.address
             port = int(address.rsplit(":", 1)[1])
             assert shard.service.epoch == 1
-        assert journal.exists()
-        # Same port, same journal: the revival must outrank its corpse.
+        assert epoch_file.read_text() == "1\n"
+        # Same port, same epoch file: the revival must outrank its corpse.
         with TcpShard(listen=f"127.0.0.1:{port}",
-                      journal_path=journal) as revived:
+                      epoch_path=epoch_file) as revived:
             assert revived.address == address
             assert revived.service.epoch == 2
+        assert epoch_file.read_text() == "2\n"
+
+    @pytest.mark.parametrize("content", [
+        '{"format": 1, "campaign": "__service__"}\n',  # an old JSONL journal
+        "three\n",
+        "-1\n",
+    ])
+    def test_unreadable_epoch_file_stops_startup(self, tmp_path, content):
+        epoch_file = tmp_path / "shard.epoch"
+        epoch_file.write_text(content)
+        service = SimService(listen="127.0.0.1:0", workers=1,
+                             epoch_path=epoch_file)
+        with pytest.raises(ServiceError, match="shard.epoch"):
+            asyncio.run(service.start())
+        assert service.queue is None  # nothing was started
+        assert epoch_file.read_text() == content
 
 
 class TestProbation:

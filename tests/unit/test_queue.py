@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.engine.cache import ResultCache
-from repro.engine.checkpoint import CampaignJournal, JournalHeader
 from repro.engine.job import SimJob, execute_job
 from repro.engine.queue import JobFailed, JobQueue, QueueClosed, WorkerPool
 
@@ -25,8 +24,8 @@ def job(workload="gzip", predictor="lvp", **kw):
     return SimJob.make(workload, predictor, **params)
 
 
-async def _started_queue(workers=1, cache=None, journal=None) -> JobQueue:
-    q = JobQueue(WorkerPool(workers), cache=cache, journal=journal)
+async def _started_queue(workers=1, cache=None) -> JobQueue:
+    q = JobQueue(WorkerPool(workers), cache=cache)
     await q.start()
     return q
 
@@ -207,27 +206,3 @@ class TestCrashRecovery:
         assert stats.executed == len(jobs)
         expected = [execute_job(j) for j in jobs]
         assert [r.to_dict() for r in results] == [e.to_dict() for e in expected]
-
-
-class TestJournalIntegration:
-    def test_executed_jobs_land_in_the_journal(self, tmp_path):
-        path = tmp_path / "service.jsonl"
-
-        async def scenario():
-            journal = CampaignJournal(path)
-            journal.open(JournalHeader(campaign="__service__",
-                                       key="service-v1", total=0))
-            q = await _started_queue(journal=journal)
-            try:
-                return await q.run_jobs([job(), job("gcc")])
-            finally:
-                await q.stop()
-                journal.close()
-
-        results = asyncio.run(scenario())
-        replayed = CampaignJournal(path)
-        assert replayed.done == 2
-        assert {job().content_key(), job("gcc").content_key()} == \
-            set(replayed.entries)
-        assert replayed.entries[job().content_key()].to_dict() == \
-            results[0].to_dict()
