@@ -2,18 +2,22 @@
 
 ``test_bench_core_json`` is the PR-2 throughput gate: it measures
 single-job simulation throughput (µops/s) on fixed slices — including the
-profiled ``gcc/vtage`` 48k-µop job — writes ``BENCH_core.json`` into the
-scratch directory (``$REPRO_BENCH_DIR``, default ``bench_out/``;
-promote with ``repro bench promote`` — see :mod:`bench_io`), and fails
-on a >30% regression against the committed
-``benchmarks/bench_baseline.json``.  It needs only pytest (no
-pytest-benchmark), so CI's perf-smoke job can run it standalone:
+profiled ``gcc/vtage`` 48k-µop job — and the per-job fixed cost (median
+ms of a fresh-model ``simulate()`` on a slice too short for the cycle
+loop to matter), writes ``BENCH_core.json`` into the scratch directory
+(``$REPRO_BENCH_DIR``, default ``bench_out/``; promote with ``repro
+bench promote`` — see :mod:`bench_io`), and fails on a >30% throughput
+regression against the floors in the committed
+``benchmarks/bench_baseline.json`` or on a fixed cost above its ceiling
+there.  It needs only pytest (no pytest-benchmark), so CI's perf-smoke
+job can run it standalone:
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_throughput.py -k bench_core_json
 """
 
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -38,6 +42,14 @@ BENCH_CORE_ENTRIES = (
     ("wupwise", "2dstride", 24_000),
     ("crafty", "vtage-2dstride", 24_000),
 )
+
+#: Fixed-cost slices: (workload, predictor, µops).  At 500 µops the cycle
+#: loop is a small share of a job; model construction, state marshalling
+#: and result assembly are the rest.
+JOB_COST_ENTRIES = (("gcc", "none", 500),)
+
+#: Jobs per fixed-cost slice (the gate reads their median).
+JOB_COST_JOBS = 101
 
 #: Allowed slowdown vs. the committed baseline before the gate fails.
 REGRESSION_TOLERANCE = 0.30
@@ -66,6 +78,25 @@ def measure_uops_per_s(workload: str, predictor_name: str, n_uops: int,
     return best
 
 
+def measure_job_ms(workload: str, predictor_name: str, n_uops: int,
+                   jobs: int = JOB_COST_JOBS) -> float:
+    """Median wall time in ms of one fresh-model ``simulate()`` job.
+
+    One unmeasured job first builds the trace's planes (per-trace work,
+    cached in production) and loads the kernel.
+    """
+    trace = build_trace(workload, n_uops)
+    simulate(trace, make_predictor(predictor_name), warmup=0,
+             workload=workload)
+    times = []
+    for _ in range(jobs):
+        predictor = make_predictor(predictor_name)
+        start = time.perf_counter()
+        simulate(trace, predictor, warmup=0, workload=workload)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
 def emit_bench_core(path: Path | None = None) -> dict:
     """Measure every entry and write the BENCH_core.json report.
 
@@ -80,11 +111,19 @@ def emit_bench_core(path: Path | None = None) -> dict:
         )
         for workload, predictor, n_uops in BENCH_CORE_ENTRIES
     }
+    job_ms = {
+        f"{workload}/{predictor}": round(
+            measure_job_ms(workload, predictor, n_uops), 3
+        )
+        for workload, predictor, n_uops in JOB_COST_ENTRIES
+    }
     report = {
         "schema": 2,
         "unit": "uops_per_s",
         "slices": {f"{w}/{p}": n for w, p, n in BENCH_CORE_ENTRIES},
         "uops_per_s": uops_per_s,
+        "job_slices": {f"{w}/{p}": n for w, p, n in JOB_COST_ENTRIES},
+        "job_ms": job_ms,
         "run": bench_io.run_metadata(ROUNDS),
         "python": sys.version.split()[0],
         "machine": platform.machine(),
@@ -94,7 +133,8 @@ def emit_bench_core(path: Path | None = None) -> dict:
 
 
 def test_bench_core_json():
-    """Emit BENCH_core.json and gate on >30% regression vs the baseline."""
+    """Emit BENCH_core.json and gate on >30% regression vs the baseline
+    floors, or on a per-job fixed cost above its ceiling."""
     report = emit_bench_core()
     baseline = json.loads(BASELINE_PATH.read_text())
     failures = []
@@ -103,6 +143,11 @@ def test_bench_core_json():
         assert measured is not None, f"benchmark entry {key} disappeared"
         if measured < (1.0 - REGRESSION_TOLERANCE) * floor:
             failures.append(f"{key}: {measured} < 70% of baseline {floor}")
+    for key, ceiling in baseline["job_ms_ceiling"].items():
+        measured = report["job_ms"].get(key)
+        assert measured is not None, f"fixed-cost entry {key} disappeared"
+        if measured > ceiling:
+            failures.append(f"{key}: {measured} ms/job > ceiling {ceiling}")
     assert not failures, "throughput regression: " + "; ".join(failures)
 
 

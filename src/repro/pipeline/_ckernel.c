@@ -19,7 +19,9 @@
  * The kernel touches ONLY caller-provided arrays (no allocation): Python
  * owns every buffer, imports live predictor state before the call, and
  * writes the arrays back into the model objects afterwards, so post-run
- * observable state matches the spec loop's.
+ * observable state matches the spec loop's.  The bandwidth windows are
+ * process-lifetime scratch: the kernel hands them back as it got them,
+ * every stamp -1, resetting only the slots it stamped.
  *
  * Failure is always safe: any unsupported situation the Python-side guards
  * missed returns a nonzero error before results are consumed, and the
@@ -32,7 +34,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define KERNEL_ABI_VERSION 1
+#define KERNEL_ABI_VERSION 2
 
 /* Per-cycle bandwidth counts live in stamped circular windows instead of
  * dicts; BW_WINDOW bounds how far ahead of the watermark a grant may probe
@@ -97,7 +99,8 @@ typedef struct {
     int64_t n_pools;
     int64_t *pool_heap;        /* concatenated free-server heaps, zeroed */
 
-    /* ---- bandwidth limiter windows (stamps init -1, counts 0) ---- */
+    /* ---- bandwidth limiter windows (stamps -1 on entry and on return;
+     *      counts uninitialised) ---- */
     int64_t *bw_fetch_stamp, *bw_fetch_count;
     int64_t *bw_taken_stamp, *bw_taken_count;
     int64_t *bw_issue_stamp, *bw_issue_count;
@@ -294,6 +297,7 @@ struct KCtx {
     uint64_t fpc_state, vt_state;
     int64_t vt_allocations;
     int64_t mem_violations_measured;
+    int64_t bw_hi;             /* latest cycle any window stamped, or -1 */
     int64_t error;
 };
 
@@ -507,9 +511,27 @@ static inline int64_t bw_grant(KCtx *x, int64_t *stamp, int64_t *count,
         if (cnt < width) {
             stamp[slot] = cycle;
             count[slot] = cnt + 1;
+            if (cycle > x->bw_hi)
+                x->bw_hi = cycle;
             return cycle;
         }
         cycle++;
+    }
+}
+
+/* Return every stamp to -1.  Grants land on cycles in [0, bw_hi], so only
+ * slots up to bw_hi (all of them once it reaches the window) were stamped;
+ * counts are read only under a matching stamp and need no reset. */
+static void bw_reset(const KCtx *x) {
+    const KernelArgs *a = x->a;
+    int64_t top = x->bw_hi < BW_WINDOW ? x->bw_hi + 1 : BW_WINDOW;
+    int64_t *stamps[4] = {a->bw_fetch_stamp, a->bw_taken_stamp,
+                          a->bw_issue_stamp, a->bw_vpw_stamp};
+    for (int w = 0; w < 4; w++) {
+        if (stamps[w] == NULL)
+            continue;
+        for (int64_t s = 0; s < top; s++)
+            stamps[w][s] = -1;
     }
 }
 
@@ -570,6 +592,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     x->ssit_mask = ((int64_t)1 << a->ssit_bits) - 1;
     x->fpc_state = a->fpc_state;
     x->vt_state = a->vt_state;
+    x->bw_hi = -1;
 
     const int64_t n = a->n;
     const int64_t warmup = a->warmup;
@@ -1255,6 +1278,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         }
     }
 
+    bw_reset(x);
     if (x->error) {
         a->out[O_ERROR] = x->error;
         return x->error;

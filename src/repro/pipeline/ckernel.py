@@ -16,10 +16,21 @@ This module owns everything on the Python side of that boundary:
   addresses/PCs below 2**62 (so int64 arithmetic in C is exact, including
   the negative intermediate strides the L2 prefetcher can produce).  Each
   failed check records one ``kernel-ineligible:<check>`` fallback reason.
-* **State marshalling** — predictor tables are *copied* into flat numpy
-  arrays before the call and written back into the live model objects only
-  on success, so a kernel error (``kernel-error:<code>``) or ineligibility
-  discovered late leaves the model untouched for the spec loop.
+  A component the model has not built yet is fresh by construction, so
+  the common case scans nothing.
+* **Marshalling, paid where it belongs** — per-trace inputs (typed
+  columns, predictor keys, range reductions) come cached from
+  :func:`repro.pipeline.precompute.kernel_inputs`; fixed-size buffers
+  (bandwidth windows, rings, store buffer, cache/DRAM/prefetcher/store-set
+  arrays) are process-lifetime scratch behind a lock; only the train
+  queue, one slot per µop, is allocated per run.
+* **State** — predictor tables are *copied* into flat numpy arrays before
+  the call and written back into the live predictor only on success, so
+  a kernel error (``kernel-error:<code>``) or ineligibility discovered
+  late leaves the model untouched for the spec loop.  On success the
+  model keeps copies of the final memory and store-set arrays and turns
+  them into objects when a caller first reads ``model.memory`` or
+  ``model.store_sets``.
 
 The kernel returns counters through a single ``out`` array; this module
 assembles the :class:`~repro.pipeline.result.SimResult` exactly as the
@@ -34,6 +45,8 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +58,10 @@ from repro.core.confidence import (
 )
 from repro.core.vtage import VTAGEPredictor
 from repro.isa.uop import OpClass
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.storesets import StoreSets
 from repro.pipeline.config import RecoveryMode
+from repro.pipeline.precompute import kernel_inputs
 from repro.pipeline.result import SimResult
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
@@ -55,7 +71,7 @@ from repro.util.bits import MASK64
 #: Where compiled kernels are cached (one ``.so`` per source hash).
 CACHE_ENV = "REPRO_CKERNEL_CACHE"
 
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 _BW_WINDOW = 1 << 17
 _ADDR_LIMIT = 1 << 62
 _MAX_COMPONENTS = 16
@@ -321,6 +337,295 @@ def _store_sets_fresh(store_sets) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Process-lifetime scratch
+
+
+class _Scratch:
+    """Fixed-size kernel buffers, allocated once per process.
+
+    Sizes follow the core config (rings) and the memory geometry (caches,
+    DRAM, prefetcher, store sets), never the trace length; a buffer grows
+    only when a run needs more than it holds.  Only what the kernel reads
+    before writing is reset per run: cache set counts, pool heaps and the
+    DRAM/prefetcher/store-set tables.  Rings, store-buffer slots, cache
+    ways and MSHR heaps are read only below their live lengths, and the
+    kernel itself returns every bandwidth stamp to -1 (a window count is
+    read only under a matching stamp).
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, tuple[np.ndarray, int]] = {}
+        # The geometry every CoreModel's memory and store sets have.
+        self.memory = MemoryHierarchy()
+        self.store_sets = StoreSets()
+
+    def get(self, name: str, size: int, fill=None) -> tuple[np.ndarray, int]:
+        """``(array, address)`` of int64 buffer *name*, at least *size*
+        entries; a new one starts filled with *fill* (uninitialised when
+        ``None``)."""
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer[0].shape[0] < size:
+            size = max(1, size)
+            array = (np.empty(size, np.int64) if fill is None
+                     else np.full(size, fill, np.int64))
+            buffer = self._buffers[name] = (array, array.ctypes.data)
+        return buffer
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array, __ in self._buffers.values())
+
+
+_scratch: _Scratch | None = None
+#: Held across a run's use of the scratch: the ctypes call drops the GIL.
+_SCRATCH_LOCK = threading.Lock()
+
+
+def _get_scratch() -> _Scratch:
+    global _scratch
+    if _scratch is None:
+        _scratch = _Scratch()
+    return _scratch
+
+
+def scratch_nbytes() -> int:
+    """Bytes of kernel scratch this process holds."""
+    return _scratch.nbytes if _scratch is not None else 0
+
+
+# ---------------------------------------------------------------------------
+# Post-run state, turned into objects when first read
+
+
+_CACHE_SLOTS = (
+    ("l1i", _O_L1I_HITS, _O_L1I_MISSES, _O_L1I_MSHR_STALLS, _O_L1I_MSHR_N),
+    ("l1d", _O_L1D_HITS, _O_L1D_MISSES, _O_L1D_MSHR_STALLS, _O_L1D_MSHR_N),
+    ("l2", _O_L2_HITS, _O_L2_MISSES, _O_L2_MSHR_STALLS, _O_L2_MSHR_N),
+)
+
+
+def _restore_memory(caches, dram_state, pf_state, memory) -> None:
+    """Write a kernel run's final hierarchy state into fresh *memory*.
+
+    Each cache comes as the indices of its non-empty sets, their way
+    counts and their ``(line, fill-ready)`` rows, MRU first.
+    """
+    for (prefix, used, counts, lines, fill, mshr, counters) in caches:
+        cache = getattr(memory, prefix)
+        fill_ready = {}
+        cache_sets = cache._sets
+        for k, (s, cnt) in enumerate(zip(used.tolist(), counts.tolist())):
+            row = lines[k, :cnt].tolist()
+            cache_sets[s] = row
+            for line, ready in zip(row, fill[k, :cnt].tolist()):
+                fill_ready[line] = ready
+        cache._fill_ready = fill_ready
+        cache._mshr_heap = mshr.tolist()
+        cache.hits, cache.misses, cache.mshr_stalls = counters
+
+    dram = memory.dram
+    open_rows, bank_free, (dram.requests, dram.row_hits,
+                           dram._channel_free) = dram_state
+    dram._bank_free = bank_free.tolist()
+    dram._open_rows = {
+        bank: int(row) for bank, row in enumerate(open_rows.tolist())
+        if row != -1
+    }
+
+    pf = memory.prefetcher
+    pf_pcs, pf_last, pf_stride, pf_conf, pf.issued = pf_state
+    pf._pcs = pf_pcs.tolist()
+    pf._last_addr = pf_last.tolist()
+    pf._stride = pf_stride.tolist()
+    pf._conf = pf_conf.tolist()
+
+
+def _restore_store_sets(ssit, lfst, next_ssid, violations,
+                        store_sets) -> None:
+    """Write a kernel run's final store-set tables into fresh *store_sets*."""
+    store_sets._ssit = {
+        i: int(v) for i, v in enumerate(ssit.tolist()) if v != -1
+    }
+    store_sets._lfst = {
+        i: int(v) for i, v in enumerate(lfst.tolist()) if v != -1
+    }
+    store_sets._next_ssid = next_ssid
+    store_sets.violations_trained = violations
+
+
+# ---------------------------------------------------------------------------
+# Predictor state (copied in; written back only on success)
+
+
+#: Where every predictor pointer field points when the family does not use
+#: it: one zeroed 8-byte word, never written by the kernel.
+_PLACEHOLDER = np.zeros(1, dtype=np.int64)
+_PLACEHOLDER_ADDR = _PLACEHOLDER.ctypes.data
+_PREDICTOR_POINTERS = (
+    "fpc_prob", "tbl_tags", "tbl_tag_valid", "tbl_values", "tbl_conf",
+    "st_stride", "st_stride2", "st_spec_value", "st_spec_has",
+    "st_inflight", "vt_base_values", "vt_base_conf", "vt_tags", "vt_values",
+    "vt_conf", "vt_useful", "vp_idx", "vp_tag",
+)
+
+
+def _no_predictor(args) -> None:
+    """Point every predictor field at the placeholder (integers stay 0)."""
+    for name in _PREDICTOR_POINTERS:
+        setattr(args, name, _PLACEHOLDER_ADDR)
+
+
+def _marshal_predictor(args, predictor, ptype, vplane, keep):
+    """Copy the predictor's tables into *args*.
+
+    Returns ``write_back(out)`` for a successful run, or a decline reason
+    string.  *keep* collects arrays that must outlive the call.
+    """
+    _no_predictor(args)
+    if ptype not in (P_LVP, P_STRIDE, P_VTAGE):
+        return None
+
+    def arr(data, dtype):
+        out = np.ascontiguousarray(data, dtype=dtype)
+        keep.append(out)
+        return out
+
+    def ptr(array):
+        return array.ctypes.data
+
+    if ptype == P_VTAGE and predictor._conf_threshold is None:
+        return "kernel-ineligible:vtage-threshold"
+    fields = _policy_fields(predictor.confidence)
+    if fields is None:
+        return "kernel-ineligible:confidence-policy"
+    args.conf_kind, args.conf_max_level, prob, taps, state = fields
+    keep.append(prob)
+    args.fpc_prob = ptr(prob)
+    args.fpc_taps = taps
+    args.fpc_state = state
+    fpc = args.conf_kind == 1
+
+    def write_back_confidence(out):
+        if fpc:
+            predictor.confidence.lfsr.state = int(out[_O_FPC_STATE]) & MASK64
+
+    if ptype == P_VTAGE:
+        vt = predictor
+        comps = vt.components
+        ncomp = len(comps)
+        entries = comps[0].entries if comps else 0
+        if (ncomp == 0 or ncomp > _MAX_COMPONENTS
+                or any(c.entries != entries for c in comps)):
+            return "kernel-ineligible:vtage-components"
+        vt_tags = arr(np.concatenate(
+            [np.asarray(c.tags, dtype=np.int64) for c in comps]), np.int64)
+        vt_values = arr(np.concatenate(
+            [np.asarray(c.values, dtype=np.uint64) for c in comps]),
+            np.uint64)
+        vt_conf = arr(np.concatenate(
+            [np.asarray(c.conf, dtype=np.int64) for c in comps]), np.int64)
+        vt_useful = arr(np.concatenate(
+            [np.asarray(c.useful, dtype=np.int8) for c in comps]), np.int8)
+        base_values = arr(vt._base_values, np.uint64)
+        base_conf = arr(vt._base_conf, np.int64)
+        args.vt_ncomp = ncomp
+        args.vt_entries = entries
+        args.vt_base_mask = vt._base_index_mask
+        args.vt_base_values = ptr(base_values)
+        args.vt_base_conf = ptr(base_conf)
+        args.vt_tags = ptr(vt_tags)
+        args.vt_values = ptr(vt_values)
+        args.vt_conf = ptr(vt_conf)
+        args.vt_useful = ptr(vt_useful)
+        args.vp_idx = ptr(vplane.idx)
+        args.vp_tag = ptr(vplane.tag)
+        args.vt_taps = vt._lfsr._taps
+        args.vt_state = vt._lfsr.state
+
+        def write_back(out):
+            for c, comp in enumerate(comps):
+                lo, hi = c * entries, (c + 1) * entries
+                comp.tags[:] = vt_tags[lo:hi].tolist()
+                comp.values[:] = vt_values[lo:hi].tolist()
+                comp.conf[:] = vt_conf[lo:hi].tolist()
+                comp.useful[:] = vt_useful[lo:hi].tolist()
+            vt._base_values[:] = base_values.tolist()
+            vt._base_conf[:] = base_conf.tolist()
+            vt._tags_gen += int(out[_O_VT_ALLOCATIONS])
+            vt._lfsr.state = int(out[_O_VT_STATE]) & MASK64
+            write_back_confidence(out)
+
+        return write_back
+
+    entries = predictor.entries
+    args.tbl_mask = entries - 1
+    raw_tags = predictor._tags
+    tag_valid = arr([t is not None for t in raw_tags], np.uint8)
+    tags = arr([t if t is not None else 0 for t in raw_tags], np.uint64)
+    args.tbl_tags = ptr(tags)
+    args.tbl_tag_valid = ptr(tag_valid)
+
+    def write_back_tags():
+        predictor._tags[:] = [
+            int(t) if v else None
+            for t, v in zip(tags.tolist(), tag_valid.tolist())
+        ]
+
+    if ptype == P_LVP:
+        values = arr(predictor._values, np.uint64)
+        conf = arr(predictor._conf, np.int64)
+        args.tbl_values = ptr(values)
+        args.tbl_conf = ptr(conf)
+
+        def write_back(out):
+            write_back_tags()
+            predictor._values[:] = values.tolist()
+            predictor._conf[:] = conf.tolist()
+            write_back_confidence(out)
+
+        return write_back
+
+    two_delta = type(predictor) is TwoDeltaStridePredictor
+    last = arr(predictor._last, np.uint64)
+    conf = arr(predictor._conf, np.int64)
+    stride = arr(predictor._stride, np.uint64)
+    stride2 = arr(predictor._stride2, np.uint64) if two_delta else stride
+    spec_value = arr(np.zeros(entries, dtype=np.uint64), np.uint64)
+    spec_has = arr(np.zeros(entries, dtype=np.uint8), np.uint8)
+    inflight = arr(np.zeros(entries, dtype=np.int64), np.int64)
+    for idx, value in predictor._spec_last.items():
+        spec_value[idx] = value
+        spec_has[idx] = 1
+    for idx, live in predictor._inflight.items():
+        inflight[idx] = live
+    args.tbl_values = ptr(last)
+    args.tbl_conf = ptr(conf)
+    args.two_delta = 1 if two_delta else 0
+    args.st_stride = ptr(stride)
+    args.st_stride2 = ptr(stride2)
+    args.st_spec_value = ptr(spec_value)
+    args.st_spec_has = ptr(spec_has)
+    args.st_inflight = ptr(inflight)
+
+    def write_back(out):
+        write_back_tags()
+        predictor._last[:] = last.tolist()
+        predictor._conf[:] = conf.tolist()
+        predictor._stride[:] = stride.tolist()
+        if two_delta:
+            predictor._stride2[:] = stride2.tolist()
+        predictor._spec_last.clear()
+        predictor._inflight.clear()
+        for idx in np.flatnonzero(spec_has).tolist():
+            predictor._spec_last[idx] = int(spec_value[idx])
+        for idx in np.flatnonzero(inflight).tolist():
+            predictor._inflight[idx] = int(inflight[idx])
+        write_back_confidence(out)
+
+    return write_back
+
+
+# ---------------------------------------------------------------------------
 # Entry point
 
 
@@ -332,85 +637,62 @@ def _decline(reason: str) -> None:
     return None
 
 
+#: ``OpClass`` -> functional-unit pool (mirrors ``CoreModel._run``'s
+#: aliasing), and the op class whose unit count sizes each pool.
+_POOL_OF = (0, 1, 1, 2, 3, 3, 4, 4, 0, 0, 0, 0, 0)
+_POOL_CLASSES = (OpClass.INT_ALU, OpClass.INT_MUL, OpClass.FP_ADD,
+                 OpClass.FP_MUL, OpClass.LOAD)
+
+
 def try_run(model, trace, warmup, workload, ptype, plane, vplane):
     """Run the compiled kernel, or record why not and return ``None``.
 
     The caller (:func:`fastsim.try_run`) has already verified the predictor
     family, the default branch state and that the kernel loads; this adds
-    the per-run checks and performs the array round-trip.
+    the per-run checks and the array round-trip.  On success the model
+    adopts the kernel's final memory and store-set state, which it turns
+    into objects when first read.
     """
     lib = _load()
     if lib is None:
         return _decline("no-compiler")
     cfg = model.config
     predictor = model.predictor
-    memory = model.memory
-    store_sets = model.store_sets
 
-    if not _memory_is_fresh(memory):
+    memory = model.existing("memory")
+    if memory is not None and not _memory_is_fresh(memory):
         return _decline("kernel-ineligible:memory-not-fresh")
-    if not _store_sets_fresh(store_sets):
+    store_sets = model.existing("store_sets")
+    if store_sets is not None and not _store_sets_fresh(store_sets):
         return _decline("kernel-ineligible:store-sets-not-fresh")
 
-    packed = trace.packed()
-    a = packed.arrays
-    n = packed.n
+    inputs = kernel_inputs(trace)
+    n = inputs.n
     if n == 0:
         return _decline("kernel-ineligible:empty-trace")
-    pcs = a["pcs"]
-    mem_addrs = a["mem_addrs"]
-    dsts = a["dsts"]
-    src_flat = a["src_flat"]
-    seqs = a["seqs"]
-    if int(pcs.max()) >= _ADDR_LIMIT or int(mem_addrs.max()) >= _ADDR_LIMIT:
+    if inputs.max_pc >= _ADDR_LIMIT or inputs.max_addr >= _ADDR_LIMIT:
         return _decline("kernel-ineligible:address-range")
-    if int(seqs.min()) < 0:
+    if inputs.min_seq < 0:
         return _decline("kernel-ineligible:negative-seq")
-    if int(dsts.max(initial=0)) >= 64 or (
-            src_flat.size and int(src_flat.max()) >= 64):
+    if inputs.max_reg >= 64:
         return _decline("kernel-ineligible:register-range")
 
-    keep = []  # arrays that must stay alive across the C call
-
-    def arr(data, dtype):
-        out = np.ascontiguousarray(data, dtype=dtype)
-        keep.append(out)
-        return out
-
-    def ptr(array):
-        return array.ctypes.data
-
+    keep = []  # per-run arrays that must stay alive across the C call
     args = _KernelArgs()
     args.abi_version = _ABI_VERSION
     args.n = n
     args.warmup = warmup
+    args.ptype = ptype
+    write_back = _marshal_predictor(args, predictor, ptype, vplane, keep)
+    if isinstance(write_back, str):
+        return _decline(write_back)
 
     # ---- trace columns + plane ------------------------------------------
-    takens = arr(a["takens"].view(np.uint8), np.uint8)
-    dst_is_fp = arr(a["dst_is_fp"].view(np.uint8), np.uint8)
-    pkeys = arr(
-        (pcs.astype(np.uint64) << np.uint64(2))
-        ^ a["uop_indexes"].astype(np.uint64),
-        np.uint64,
-    )
-    col = {
-        "seqs": arr(seqs, np.int64),
-        "pcs": arr(pcs, np.uint64),
-        "ops": arr(a["ops"], np.uint8),
-        "dsts": arr(dsts, np.int16),
-        "values": arr(a["values"], np.uint64),
-        "mem_addrs": arr(mem_addrs, np.uint64),
-        "mem_sizes": arr(a["mem_sizes"], np.uint16),
-        "src_offsets": arr(a["src_offsets"], np.int64),
-        "src_flat": arr(src_flat, np.int16),
-        "redirect": arr(plane.redirect, np.uint8),
-        "scr_pkey": arr(plane.scr_pkey, np.uint64),
-    }
-    for name, array in col.items():
-        setattr(args, name, ptr(array))
-    args.takens = ptr(takens)
-    args.dst_is_fp = ptr(dst_is_fp)
-    args.pkeys = ptr(pkeys)
+    for name, array in inputs.columns.items():
+        setattr(args, name, array.ctypes.data)
+    args.pkeys = inputs.pkeys.ctypes.data
+    args.redirect = plane.redirect.ctypes.data
+    args.scr_pkey = plane.scr_pkey.ctypes.data
 
     # ---- core config -----------------------------------------------------
     args.fetch_width = cfg.fetch_width
@@ -438,369 +720,153 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
     args.sbuf_capacity = sbuf_capacity
 
     # ---- functional units ------------------------------------------------
-    n_classes = len(OpClass)
-    pool_of = {
-        OpClass.INT_ALU: 0, OpClass.INT_MUL: 1, OpClass.INT_DIV: 1,
-        OpClass.FP_ADD: 2, OpClass.FP_MUL: 3, OpClass.FP_DIV: 3,
-        OpClass.LOAD: 4, OpClass.STORE: 4,
-        OpClass.BRANCH: 0, OpClass.JUMP: 0, OpClass.CALL: 0,
-        OpClass.RET: 0, OpClass.NOP: 0,
-    }
-    fu_lat = arr([cfg.fu[OpClass(c)].latency for c in range(n_classes)],
-                 np.int64)
-    fu_occ = arr([cfg.fu[OpClass(c)].occupancy for c in range(n_classes)],
-                 np.int64)
-    fu_pool = arr([pool_of[OpClass(c)] for c in range(n_classes)], np.int64)
-    pool_classes = (OpClass.INT_ALU, OpClass.INT_MUL, OpClass.FP_ADD,
-                    OpClass.FP_MUL, OpClass.LOAD)
-    pool_units = arr([cfg.fu[c].units for c in pool_classes], np.int64)
-    pool_heap = arr(np.zeros(int(pool_units.sum()), dtype=np.int64), np.int64)
-    args.fu_lat = ptr(fu_lat)
-    args.fu_occ = ptr(fu_occ)
-    args.fu_pool = ptr(fu_pool)
-    args.pool_units = ptr(pool_units)
-    args.n_pools = len(pool_classes)
-    args.pool_heap = ptr(pool_heap)
+    fu = [cfg.fu[OpClass(c)] for c in range(len(OpClass))]
+    fu_lat = np.array([f.latency for f in fu], dtype=np.int64)
+    fu_occ = np.array([f.occupancy for f in fu], dtype=np.int64)
+    fu_pool = np.array(_POOL_OF, dtype=np.int64)
+    pool_units = np.array([cfg.fu[c].units for c in _POOL_CLASSES],
+                          dtype=np.int64)
+    keep += (fu_lat, fu_occ, fu_pool, pool_units)
+    args.fu_lat = fu_lat.ctypes.data
+    args.fu_occ = fu_occ.ctypes.data
+    args.fu_pool = fu_pool.ctypes.data
+    args.pool_units = pool_units.ctypes.data
+    args.n_pools = len(_POOL_CLASSES)
 
-    # ---- bandwidth limiter windows --------------------------------------
-    def bw_window():
-        stamp = arr(np.full(_BW_WINDOW, -1, dtype=np.int64), np.int64)
-        count = arr(np.zeros(_BW_WINDOW, dtype=np.int64), np.int64)
-        return stamp, count
+    # ---- train queue: one slot per queued training ----------------------
+    tq_n = n if ptype in (P_LVP, P_STRIDE, P_VTAGE) else 1
+    tq = (np.zeros(tq_n, dtype=np.int64), np.zeros(tq_n, dtype=np.int32),
+          np.zeros(tq_n, dtype=np.uint64), np.zeros(tq_n, dtype=np.int8),
+          np.zeros(tq_n, dtype=np.int8), np.zeros(tq_n, dtype=np.int8))
+    keep += tq
+    (args.tq_commit, args.tq_i, args.tq_value, args.tq_provider,
+     args.tq_eff, args.tq_has) = (a.ctypes.data for a in tq)
+    out = np.zeros(_N_OUT, dtype=np.int64)
+    args.out = out.ctypes.data
 
-    fetch_stamp, fetch_count = bw_window()
-    taken_stamp, taken_count = bw_window()
-    issue_stamp, issue_count = bw_window()
-    args.bw_fetch_stamp = ptr(fetch_stamp)
-    args.bw_fetch_count = ptr(fetch_count)
-    args.bw_taken_stamp = ptr(taken_stamp)
-    args.bw_taken_count = ptr(taken_count)
-    args.bw_issue_stamp = ptr(issue_stamp)
-    args.bw_issue_count = ptr(issue_count)
-    if cfg.vp_write_ports is not None:
-        vpw_stamp, vpw_count = bw_window()
-        args.bw_vpw_stamp = ptr(vpw_stamp)
-        args.bw_vpw_count = ptr(vpw_count)
-    else:
-        args.bw_vpw_stamp = None
-        args.bw_vpw_count = None
+    with _SCRATCH_LOCK:
+        scratch = _get_scratch()
+        get = scratch.get
 
-    # ---- rings + store buffer + train queue -----------------------------
-    def ring(size):
-        out = arr(np.zeros(max(1, size), dtype=np.int64), np.int64)
-        return out
+        pool_heap, args.pool_heap = get("pool_heap", int(pool_units.sum()))
+        pool_heap.fill(0)
 
-    args.fq_ring = ptr(ring(cfg.fetch_queue))
-    args.rob_ring = ptr(ring(cfg.rob_entries))
-    args.lq_ring = ptr(ring(cfg.lq_entries))
-    args.sq_ring = ptr(ring(cfg.sq_entries))
-    args.int_prf_ring = ptr(ring(args.int_prf_size))
-    args.fp_prf_ring = ptr(ring(args.fp_prf_size))
-    args.iq_heap = ptr(ring(cfg.iq_entries + 1))
-    for name in ("sb_seq", "sb_start", "sb_end", "sb_ready", "sb_commit",
-                 "sb_pc"):
-        setattr(args, name, ptr(ring(sbuf_capacity)))
-    args.tq_commit = ptr(ring(n))
-    tq_i = arr(np.zeros(n, dtype=np.int32), np.int32)
-    args.tq_i = ptr(tq_i)
-    args.tq_value = ptr(arr(np.zeros(n, dtype=np.uint64), np.uint64))
-    for name in ("tq_provider", "tq_eff", "tq_has"):
-        setattr(args, name, ptr(arr(np.zeros(n, dtype=np.int8), np.int8)))
-
-    # ---- memory hierarchy (fresh state, rebuilt on success) --------------
-    cache_arrays = {}
-    for prefix, cache in (("l1i", memory.l1i), ("l1d", memory.l1d),
-                          ("l2", memory.l2)):
-        sets = cache.config.sets
-        ways = cache.config.ways
-        lines = arr(np.full(sets * ways, -1, dtype=np.int64), np.int64)
-        fill = arr(np.zeros(sets * ways, dtype=np.int64), np.int64)
-        count = arr(np.zeros(sets, dtype=np.int64), np.int64)
-        mshr = arr(np.zeros(cache.config.mshrs + 1, dtype=np.int64), np.int64)
-        cache_arrays[prefix] = (cache, lines, fill, count, mshr)
-        setattr(args, f"{prefix}_sets", sets)
-        setattr(args, f"{prefix}_ways", ways)
-        setattr(args, f"{prefix}_shift", cache._line_shift)
-        setattr(args, f"{prefix}_lat", cache._hit_latency)
-        setattr(args, f"{prefix}_mshrs", cache.config.mshrs)
-        setattr(args, f"{prefix}_lines", ptr(lines))
-        setattr(args, f"{prefix}_fill", ptr(fill))
-        setattr(args, f"{prefix}_count", ptr(count))
-        setattr(args, f"{prefix}_mshr", ptr(mshr))
-
-    dram = memory.dram
-    args.dram_base = dram.base_latency
-    args.dram_row_penalty = dram.row_miss_penalty
-    args.dram_max = dram.max_latency
-    args.dram_banks = dram.n_banks
-    args.dram_row_bytes = dram.row_bytes
-    args.dram_channel_cycles = dram.channel_cycles
-    open_rows = arr(np.full(dram.n_banks, -1, dtype=np.int64), np.int64)
-    bank_free = arr(np.zeros(dram.n_banks, dtype=np.int64), np.int64)
-    args.dram_open_rows = ptr(open_rows)
-    args.dram_bank_free = ptr(bank_free)
-
-    pf = memory.prefetcher
-    args.pf_index_bits = pf._index_bits
-    args.pf_degree = pf.degree
-    args.pf_distance = pf.distance
-    pf_n = len(pf._pcs)
-    pf_pcs = arr(np.full(pf_n, -1, dtype=np.int64), np.int64)
-    pf_last = arr(np.zeros(pf_n, dtype=np.int64), np.int64)
-    pf_stride = arr(np.zeros(pf_n, dtype=np.int64), np.int64)
-    pf_conf = arr(np.zeros(pf_n, dtype=np.int64), np.int64)
-    args.pf_pcs = ptr(pf_pcs)
-    args.pf_last = ptr(pf_last)
-    args.pf_stride = ptr(pf_stride)
-    args.pf_conf = ptr(pf_conf)
-
-    args.ssit_bits = store_sets._ssit_bits
-    args.lfst_entries = store_sets.lfst_entries
-    ssit = arr(np.full(1 << store_sets._ssit_bits, -1, dtype=np.int64),
-               np.int64)
-    lfst = arr(np.full(store_sets.lfst_entries, -1, dtype=np.int64), np.int64)
-    args.ssit = ptr(ssit)
-    args.lfst = ptr(lfst)
-
-    # ---- predictor state (copied; written back only on success) ----------
-    args.ptype = ptype
-    dummy_i64 = arr(np.zeros(1, dtype=np.int64), np.int64)
-    dummy_u64 = arr(np.zeros(1, dtype=np.uint64), np.uint64)
-    dummy_u8 = arr(np.zeros(1, dtype=np.uint8), np.uint8)
-    dummy_i8 = arr(np.zeros(1, dtype=np.int8), np.int8)
-    args.conf_kind = 0
-    args.conf_max_level = 0
-    args.fpc_prob = ptr(dummy_i64)
-    args.fpc_taps = 0
-    args.fpc_state = 0
-    args.tbl_mask = 0
-    args.tbl_tags = ptr(dummy_u64)
-    args.tbl_tag_valid = ptr(dummy_u8)
-    args.tbl_values = ptr(dummy_u64)
-    args.tbl_conf = ptr(dummy_i64)
-    args.two_delta = 0
-    args.st_stride = ptr(dummy_u64)
-    args.st_stride2 = ptr(dummy_u64)
-    args.st_spec_value = ptr(dummy_u64)
-    args.st_spec_has = ptr(dummy_u8)
-    args.st_inflight = ptr(dummy_i64)
-    args.vt_ncomp = 0
-    args.vt_entries = 0
-    args.vt_base_mask = 0
-    args.vt_base_values = ptr(dummy_u64)
-    args.vt_base_conf = ptr(dummy_i64)
-    args.vt_tags = ptr(dummy_i64)
-    args.vt_values = ptr(dummy_u64)
-    args.vt_conf = ptr(dummy_i64)
-    args.vt_useful = ptr(dummy_i8)
-    args.vp_idx = ptr(dummy_i64)
-    args.vp_tag = ptr(dummy_i64)
-    args.vt_taps = 0
-    args.vt_state = 0
-
-    tbl = None
-    vt_state_arrays = None
-    if ptype in (P_LVP, P_STRIDE):
-        fields = _policy_fields(predictor.confidence)
-        if fields is None:
-            return _decline("kernel-ineligible:confidence-policy")
-        args.conf_kind, args.conf_max_level, prob, taps, state = fields
-        keep.append(prob)
-        args.fpc_prob = ptr(prob)
-        args.fpc_taps = taps
-        args.fpc_state = state
-        entries = predictor.entries
-        args.tbl_mask = entries - 1
-        raw_tags = predictor._tags
-        tag_valid = arr([t is not None for t in raw_tags], np.uint8)
-        tags = arr([t if t is not None else 0 for t in raw_tags], np.uint64)
-        args.tbl_tags = ptr(tags)
-        args.tbl_tag_valid = ptr(tag_valid)
-        if ptype == P_LVP:
-            values = arr(predictor._values, np.uint64)
-            conf = arr(predictor._conf, np.int64)
-            args.tbl_values = ptr(values)
-            args.tbl_conf = ptr(conf)
-            tbl = ("lvp", tags, tag_valid, values, conf)
+        # ---- bandwidth limiter windows ----------------------------------
+        windows = ["fetch", "taken", "issue"]
+        if cfg.vp_write_ports is not None:
+            windows.append("vpw")
         else:
-            two_delta = type(predictor) is TwoDeltaStridePredictor
-            last = arr(predictor._last, np.uint64)
-            conf = arr(predictor._conf, np.int64)
-            stride = arr(predictor._stride, np.uint64)
-            stride2 = (
-                arr(predictor._stride2, np.uint64) if two_delta else stride
-            )
-            spec_value = arr(np.zeros(entries, dtype=np.uint64), np.uint64)
-            spec_has = arr(np.zeros(entries, dtype=np.uint8), np.uint8)
-            inflight = arr(np.zeros(entries, dtype=np.int64), np.int64)
-            for idx, value in predictor._spec_last.items():
-                spec_value[idx] = value
-                spec_has[idx] = 1
-            for idx, live in predictor._inflight.items():
-                inflight[idx] = live
-            args.tbl_values = ptr(last)
-            args.tbl_conf = ptr(conf)
-            args.two_delta = 1 if two_delta else 0
-            args.st_stride = ptr(stride)
-            args.st_stride2 = ptr(stride2)
-            args.st_spec_value = ptr(spec_value)
-            args.st_spec_has = ptr(spec_has)
-            args.st_inflight = ptr(inflight)
-            tbl = ("stride", tags, tag_valid, last, conf, stride, stride2,
-                   two_delta, spec_value, spec_has, inflight)
-    elif ptype == P_VTAGE:
-        vt = predictor
-        if vt._conf_threshold is None:
-            return _decline("kernel-ineligible:vtage-threshold")
-        fields = _policy_fields(vt.confidence)
-        if fields is None:
-            return _decline("kernel-ineligible:confidence-policy")
-        args.conf_kind, args.conf_max_level, prob, taps, state = fields
-        keep.append(prob)
-        args.fpc_prob = ptr(prob)
-        args.fpc_taps = taps
-        args.fpc_state = state
-        comps = vt.components
-        ncomp = len(comps)
-        entries = comps[0].entries if comps else 0
-        if (ncomp == 0 or ncomp > _MAX_COMPONENTS
-                or any(c.entries != entries for c in comps)):
-            return _decline("kernel-ineligible:vtage-components")
-        vt_tags = arr(np.concatenate(
-            [np.asarray(c.tags, dtype=np.int64) for c in comps]), np.int64)
-        vt_values = arr(np.concatenate(
-            [np.asarray(c.values, dtype=np.uint64) for c in comps]),
-            np.uint64)
-        vt_conf = arr(np.concatenate(
-            [np.asarray(c.conf, dtype=np.int64) for c in comps]), np.int64)
-        vt_useful = arr(np.concatenate(
-            [np.asarray(c.useful, dtype=np.int8) for c in comps]), np.int8)
-        base_values = arr(vt._base_values, np.uint64)
-        base_conf = arr(vt._base_conf, np.int64)
-        vp_idx = arr(np.concatenate(vplane.idx), np.int32)
-        vp_tag = arr(np.concatenate(vplane.tag), np.int32)
-        args.vt_ncomp = ncomp
-        args.vt_entries = entries
-        args.vt_base_mask = vt._base_index_mask
-        args.vt_base_values = ptr(base_values)
-        args.vt_base_conf = ptr(base_conf)
-        args.vt_tags = ptr(vt_tags)
-        args.vt_values = ptr(vt_values)
-        args.vt_conf = ptr(vt_conf)
-        args.vt_useful = ptr(vt_useful)
-        args.vp_idx = ptr(vp_idx)
-        args.vp_tag = ptr(vp_tag)
-        args.vt_taps = vt._lfsr._taps
-        args.vt_state = vt._lfsr.state
-        vt_state_arrays = (vt_tags, vt_values, vt_conf, vt_useful,
-                           base_values, base_conf, ncomp, entries)
+            args.bw_vpw_stamp = None
+            args.bw_vpw_count = None
+        for w in windows:
+            setattr(args, f"bw_{w}_stamp",
+                    get(f"bw_{w}_stamp", _BW_WINDOW, fill=-1)[1])
+            setattr(args, f"bw_{w}_count", get(f"bw_{w}_count", _BW_WINDOW)[1])
 
-    out = arr(np.zeros(_N_OUT, dtype=np.int64), np.int64)
-    args.out = ptr(out)
+        # ---- rings + store buffer ---------------------------------------
+        for name, size in (
+                ("fq_ring", cfg.fetch_queue), ("rob_ring", cfg.rob_entries),
+                ("lq_ring", cfg.lq_entries), ("sq_ring", cfg.sq_entries),
+                ("int_prf_ring", args.int_prf_size),
+                ("fp_prf_ring", args.fp_prf_size),
+                ("iq_heap", cfg.iq_entries + 1),
+                ("sb_seq", sbuf_capacity), ("sb_start", sbuf_capacity),
+                ("sb_end", sbuf_capacity), ("sb_ready", sbuf_capacity),
+                ("sb_commit", sbuf_capacity), ("sb_pc", sbuf_capacity)):
+            setattr(args, name, get(name, size)[1])
 
-    ret = lib.repro_kernel_run(ctypes.byref(args))
-    if ret != 0 or out[_O_ERROR] != 0:
-        return _decline(f"kernel-error:{ret or int(out[_O_ERROR])}")
+        # ---- memory hierarchy and store sets (fresh) --------------------
+        geometry = memory if memory is not None else scratch.memory
+        cache_arrays = []
+        for prefix, *__ in _CACHE_SLOTS:
+            cache = getattr(geometry, prefix)
+            sets = cache.config.sets
+            ways = cache.config.ways
+            lines, lines_addr = get(f"{prefix}_lines", sets * ways)
+            fill, fill_addr = get(f"{prefix}_fill", sets * ways)
+            count, count_addr = get(f"{prefix}_count", sets)
+            count[:sets] = 0
+            mshr, mshr_addr = get(f"{prefix}_mshr", cache.config.mshrs + 1)
+            cache_arrays.append((lines, fill, count, mshr, sets, ways))
+            setattr(args, f"{prefix}_sets", sets)
+            setattr(args, f"{prefix}_ways", ways)
+            setattr(args, f"{prefix}_shift", cache._line_shift)
+            setattr(args, f"{prefix}_lat", cache._hit_latency)
+            setattr(args, f"{prefix}_mshrs", cache.config.mshrs)
+            setattr(args, f"{prefix}_lines", lines_addr)
+            setattr(args, f"{prefix}_fill", fill_addr)
+            setattr(args, f"{prefix}_count", count_addr)
+            setattr(args, f"{prefix}_mshr", mshr_addr)
 
-    # ---- write state back into the live model objects --------------------
-    for prefix, (cache, lines, fill, count, mshr) in cache_arrays.items():
-        ways = cache.config.ways
-        sets = cache.config.sets
-        lines2 = lines.reshape(sets, ways)
-        fill2 = fill.reshape(sets, ways)
-        fill_ready = {}
-        cache_sets = cache._sets
-        for s in range(sets):
-            cnt = int(count[s])
-            if not cnt:
-                cache_sets[s] = []
-                continue
-            row = lines2[s, :cnt].tolist()
-            cache_sets[s] = row
-            for line, ready in zip(row, fill2[s, :cnt].tolist()):
-                fill_ready[line] = ready
-        cache._fill_ready = fill_ready
-        mshr_n = int(out[
-            {"l1i": _O_L1I_MSHR_N, "l1d": _O_L1D_MSHR_N,
-             "l2": _O_L2_MSHR_N}[prefix]
-        ])
-        cache._mshr_heap = mshr[:mshr_n].tolist()
-        hits_slot, miss_slot, stall_slot = {
-            "l1i": (_O_L1I_HITS, _O_L1I_MISSES, _O_L1I_MSHR_STALLS),
-            "l1d": (_O_L1D_HITS, _O_L1D_MISSES, _O_L1D_MSHR_STALLS),
-            "l2": (_O_L2_HITS, _O_L2_MISSES, _O_L2_MSHR_STALLS),
-        }[prefix]
-        cache.hits = int(out[hits_slot])
-        cache.misses = int(out[miss_slot])
-        cache.mshr_stalls = int(out[stall_slot])
+        dram = geometry.dram
+        args.dram_base = dram.base_latency
+        args.dram_row_penalty = dram.row_miss_penalty
+        args.dram_max = dram.max_latency
+        args.dram_banks = dram.n_banks
+        args.dram_row_bytes = dram.row_bytes
+        args.dram_channel_cycles = dram.channel_cycles
+        banks = dram.n_banks
+        open_rows, args.dram_open_rows = get("dram_open_rows", banks)
+        bank_free, args.dram_bank_free = get("dram_bank_free", banks)
+        open_rows[:banks] = -1
+        bank_free[:banks] = 0
 
-    dram.requests = int(out[_O_DRAM_REQUESTS])
-    dram.row_hits = int(out[_O_DRAM_ROW_HITS])
-    dram._channel_free = int(out[_O_DRAM_CHANNEL_FREE])
-    dram._bank_free = bank_free.tolist()
-    dram._open_rows = {
-        bank: int(row) for bank, row in enumerate(open_rows.tolist())
-        if row != -1
-    }
+        pf = geometry.prefetcher
+        args.pf_index_bits = pf._index_bits
+        args.pf_degree = pf.degree
+        args.pf_distance = pf.distance
+        pf_n = len(pf._pcs)
+        pf_arrays = []
+        for name, init in (("pf_pcs", -1), ("pf_last", 0), ("pf_stride", 0),
+                           ("pf_conf", 0)):
+            array, addr = get(name, pf_n)
+            array[:pf_n] = init
+            setattr(args, name, addr)
+            pf_arrays.append(array)
 
-    pf._pcs = pf_pcs.tolist()
-    pf._last_addr = pf_last.tolist()
-    pf._stride = pf_stride.tolist()
-    pf._conf = pf_conf.tolist()
-    pf.issued = int(out[_O_PF_ISSUED])
+        ss_geometry = (store_sets if store_sets is not None
+                       else scratch.store_sets)
+        args.ssit_bits = ss_geometry._ssit_bits
+        args.lfst_entries = ss_geometry.lfst_entries
+        ssit_n = 1 << ss_geometry._ssit_bits
+        lfst_n = ss_geometry.lfst_entries
+        ssit, args.ssit = get("ssit", ssit_n)
+        lfst, args.lfst = get("lfst", lfst_n)
+        ssit[:ssit_n] = -1
+        lfst[:lfst_n] = -1
 
-    store_sets._ssit = {
-        i: int(v) for i, v in enumerate(ssit.tolist()) if v != -1
-    }
-    store_sets._lfst = {
-        i: int(v) for i, v in enumerate(lfst.tolist()) if v != -1
-    }
-    store_sets._next_ssid = int(out[_O_SS_NEXT_SSID])
-    store_sets.violations_trained = int(out[_O_SS_VIOLATIONS])
+        ret = lib.repro_kernel_run(ctypes.byref(args))
+        if ret != 0 or out[_O_ERROR] != 0:
+            return _decline(f"kernel-error:{ret or int(out[_O_ERROR])}")
 
-    if tbl is not None:
-        if tbl[0] == "lvp":
-            __, tags, tag_valid, values, conf = tbl
-            predictor._tags[:] = [
-                int(t) if v else None
-                for t, v in zip(tags.tolist(), tag_valid.tolist())
-            ]
-            predictor._values[:] = values.tolist()
-            predictor._conf[:] = conf.tolist()
-        else:
-            (__, tags, tag_valid, last, conf, stride, stride2, two_delta,
-             spec_value, spec_has, inflight) = tbl
-            predictor._tags[:] = [
-                int(t) if v else None
-                for t, v in zip(tags.tolist(), tag_valid.tolist())
-            ]
-            predictor._last[:] = last.tolist()
-            predictor._conf[:] = conf.tolist()
-            predictor._stride[:] = stride.tolist()
-            if two_delta:
-                predictor._stride2[:] = stride2.tolist()
-            predictor._spec_last.clear()
-            predictor._inflight.clear()
-            for idx in np.flatnonzero(spec_has).tolist():
-                predictor._spec_last[idx] = int(spec_value[idx])
-            for idx in np.flatnonzero(inflight).tolist():
-                predictor._inflight[idx] = int(inflight[idx])
-    elif vt_state_arrays is not None:
-        (vt_tags, vt_values, vt_conf, vt_useful, base_values, base_conf,
-         ncomp, entries) = vt_state_arrays
-        vt = predictor
-        for c, comp in enumerate(vt.components):
-            lo, hi = c * entries, (c + 1) * entries
-            comp.tags[:] = vt_tags[lo:hi].tolist()
-            comp.values[:] = vt_values[lo:hi].tolist()
-            comp.conf[:] = vt_conf[lo:hi].tolist()
-            comp.useful[:] = vt_useful[lo:hi].tolist()
-        vt._base_values[:] = base_values.tolist()
-        vt._base_conf[:] = base_conf.tolist()
-        vt._tags_gen += int(out[_O_VT_ALLOCATIONS])
-        vt._lfsr.state = int(out[_O_VT_STATE]) & MASK64
-    if args.conf_kind == 1:
-        predictor.confidence.lfsr.state = int(out[_O_FPC_STATE]) & MASK64
+        # ---- copy out the final memory and store-set state --------------
+        caches = []
+        for (prefix, hits, misses, stalls, mshr_n), (
+                lines, fill, count, mshr, sets, ways) in zip(
+                    _CACHE_SLOTS, cache_arrays):
+            used = np.flatnonzero(count[:sets])
+            caches.append((
+                prefix, used, count[used],
+                lines[:sets * ways].reshape(sets, ways)[used],
+                fill[:sets * ways].reshape(sets, ways)[used],
+                mshr[:int(out[mshr_n])].copy(),
+                (int(out[hits]), int(out[misses]), int(out[stalls])),
+            ))
+        dram_state = (
+            open_rows[:banks].copy(), bank_free[:banks].copy(),
+            (int(out[_O_DRAM_REQUESTS]), int(out[_O_DRAM_ROW_HITS]),
+             int(out[_O_DRAM_CHANNEL_FREE])),
+        )
+        pf_state = tuple(a[:pf_n].copy() for a in pf_arrays) + (
+            int(out[_O_PF_ISSUED]),)
+        ss_state = (ssit[:ssit_n].copy(), lfst[:lfst_n].copy(),
+                    int(out[_O_SS_NEXT_SSID]), int(out[_O_SS_VIOLATIONS]))
+
+    model.adopt("memory", partial(_restore_memory, caches, dram_state,
+                                  pf_state))
+    model.adopt("store_sets", partial(_restore_store_sets, *ss_state))
+    if write_back is not None:
+        write_back(out)
 
     # ---- assemble the SimResult -----------------------------------------
     result = SimResult(

@@ -52,6 +52,12 @@ Implementation notes (DESIGN.md, "Performance architecture"):
 * All of this is *observationally invisible*: results are bit-identical
   to the straightforward seed model (pinned by the golden-equivalence
   grid in ``tests/unit/test_golden.py``).
+* :class:`CoreModel` builds its memory hierarchy, store sets and branch
+  unit on first read.  A job the compiled kernel runs never needs them as
+  objects: the model keeps the kernel's final arrays (and the trace, for
+  the branch unit) and turns them into objects only when a caller reads
+  them.  What a caller finds is the spec loop's post-run state (pinned by
+  ``tests/unit/test_state_contract.py``).
 """
 
 from __future__ import annotations
@@ -99,9 +105,57 @@ class CoreModel:
     ):
         self.config = config if config is not None else CoreConfig()
         self.predictor = predictor
-        self.memory = MemoryHierarchy()
-        self.branch_unit = BranchUnit()
-        self.store_sets = StoreSets()
+        # Built on first read (see `memory`, `store_sets`, `branch_unit`):
+        # a job the kernel runs needs none of them as objects.
+        self._memory: MemoryHierarchy | None = None
+        self._store_sets: StoreSets | None = None
+        self._branch_unit: BranchUnit | None = None
+        # Component name -> restore(fresh_object): state a kernel run left
+        # that no one has read yet.
+        self._pending: dict = {}
+
+    @property
+    def memory(self) -> MemoryHierarchy:
+        if self._memory is None:
+            self._memory = self._build("memory", MemoryHierarchy)
+        return self._memory
+
+    @property
+    def store_sets(self) -> StoreSets:
+        if self._store_sets is None:
+            self._store_sets = self._build("store_sets", StoreSets)
+        return self._store_sets
+
+    @property
+    def branch_unit(self) -> BranchUnit:
+        if self._branch_unit is None:
+            self._branch_unit = self._build("branch_unit", BranchUnit)
+        return self._branch_unit
+
+    def _build(self, name: str, factory):
+        component = factory()
+        restore = self._pending.pop(name, None)
+        if restore is not None:
+            restore(component)
+        return component
+
+    def existing(self, name: str):
+        """Component *name* (``"memory"``, ``"store_sets"`` or
+        ``"branch_unit"``), or ``None`` while it is fresh by construction:
+        never read and holding no state from a kernel run.  State a kernel
+        run left is turned into the object first."""
+        if getattr(self, "_" + name) is None and name not in self._pending:
+            return None
+        return getattr(self, name)
+
+    def adopt(self, name: str, restore) -> None:
+        """Give component *name* the state ``restore(component)`` writes:
+        now if the component exists, else when it is first read."""
+        component = getattr(self, "_" + name)
+        if component is None:
+            self._pending[name] = restore
+        else:
+            restore(component)
 
     # ------------------------------------------------------------------
 
@@ -741,7 +795,11 @@ class CoreModel:
         result: SimResult,
         measured: bool,
     ) -> int:
-        """Completion cycle of a load; negative => violation squash at |value|."""
+        """Completion cycle of a load; negative => violation squash at |value|.
+
+        Called from ``_run`` only, which has built the memory hierarchy and
+        store sets, so the components are read past their properties.
+        """
         end = addr + size
         agu_done = issue + 1
         # Youngest older in-flight store overlapping this access.  Commit
@@ -758,11 +816,11 @@ class CoreModel:
                     return max(agu_done, data_ready) + 1
                 # The load executed before an older conflicting store it was
                 # not predicted to depend on: memory-order violation.
-                self.store_sets.train_violation(pc, s_pc)
+                self._store_sets.train_violation(pc, s_pc)
                 if measured:
                     result.mem_violations += 1
                 return -(data_ready + 2)
-        access = self.memory.load(pc, addr, agu_done)
+        access = self._memory.load(pc, addr, agu_done)
         return access.ready_cycle
 
     @staticmethod

@@ -9,8 +9,11 @@ Two implementations of the Table 2 scheduler exist:
   :class:`~repro.pipeline.precompute.TracePlane`, for the predictor
   families and model states it supports.
 
-:func:`try_run` is plain dispatch: it computes the planes, calls the
-kernel, and on success applies the plane's branch-unit state to the model.
+:func:`try_run` is plain dispatch: it fetches the per-trace planes and
+kernel inputs, calls the kernel, and on success hands the model the
+trace, whose control µops :func:`~repro.pipeline.precompute.replay_branch_unit`
+walks through the model's branch unit when a caller first reads it.  A
+model that never had its branch unit read keeps the trace, not the unit.
 Whenever it returns ``None`` exactly one structured reason has been
 recorded through :func:`record_fallback`, and the caller (``CoreModel.run``)
 runs the spec loop on the untouched model.  Reasons:
@@ -35,11 +38,13 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from repro.pipeline import ckernel
 from repro.pipeline.precompute import (
-    apply_branch_state,
     default_branch_state,
+    kernel_inputs,
+    replay_branch_unit,
     trace_plane,
     vtage_plane,
 )
@@ -148,6 +153,7 @@ def try_run(model, trace, warmup: int, workload: str | None) -> SimResult | None
         return None
     ptype = ckernel.predictor_type(model.predictor)
     plane = trace_plane(trace)
+    kernel_inputs(trace)  # first, so a VTAGE plane build reuses its keys
     vplane = (
         vtage_plane(trace, model.predictor)
         if ptype == ckernel.P_VTAGE else None
@@ -157,5 +163,5 @@ def try_run(model, trace, warmup: int, workload: str | None) -> SimResult | None
             model, trace, warmup, workload, ptype, plane, vplane
         )
     if result is not None:
-        apply_branch_state(model, plane)
+        model.adopt("branch_unit", partial(replay_branch_unit, trace=trace))
     return result

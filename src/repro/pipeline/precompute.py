@@ -19,6 +19,13 @@ kernel (:mod:`repro.pipeline.ckernel`) indexes into:
   :func:`repro.util.hashing.table_index_array`) instead of per-key memo
   dicts.  Bit-identical to the scalar ``_TaggedComponent.index_and_tag``
   (pinned by ``tests/unit/test_precompute.py``).
+* :class:`KernelInputs` — the packed columns typed for the kernel, the
+  predictor keys and the range reductions behind its eligibility checks,
+  so a job marshals none of them.
+
+:func:`replay_branch_unit` repeats the :class:`TracePlane` walk on a
+model's own unit: it is how a model that ran on the kernel builds its
+branch unit when a caller first reads it.
 
 Planes are cached on the trace object (the catalog's LRU byte accounting
 includes them, see ``workloads/catalog.py``) and the Python-expensive
@@ -93,24 +100,121 @@ class TracePlane:
 
 
 class VTAGEPlane:
-    """Per-component VTAGE (index, tag) for every µop of one trace."""
+    """Per-component VTAGE (index, tag) for every µop of one trace.
+
+    ``idx`` and ``tag`` are C-contiguous ``(components, n)`` int32 arrays:
+    row ``c`` is component ``c``, and the flat layout is the comp-major
+    one the kernel indexes (``c * n + i``).
+    """
 
     __slots__ = ("n", "idx", "tag")
 
-    def __init__(self, n: int, idx: list[np.ndarray], tag: list[np.ndarray]):
+    def __init__(self, n: int, idx: np.ndarray, tag: np.ndarray):
         self.n = n
         self.idx = idx
         self.tag = tag
 
     @property
     def nbytes(self) -> int:
-        return (sum(a.nbytes for a in self.idx) +
-                sum(a.nbytes for a in self.tag))
+        return self.idx.nbytes + self.tag.nbytes
+
+
+class KernelInputs:
+    """The per-trace half of the kernel's arguments.
+
+    ``columns`` holds the packed columns in the dtypes ``KernelArgs``
+    reads (views where the packed dtype already matches), ``pkeys`` the
+    predictor keys, and the ``max_*``/``min_seq`` fields the range
+    reductions behind the kernel's eligibility checks.  ``nbytes`` counts
+    only the arrays that do not alias a packed column.
+    """
+
+    __slots__ = ("n", "columns", "pkeys", "max_pc", "max_addr", "min_seq",
+                 "max_reg", "nbytes")
+
+    def __init__(self, n, columns, pkeys, max_pc, max_addr, min_seq,
+                 max_reg, nbytes):
+        self.n = n
+        self.columns = columns
+        self.pkeys = pkeys
+        self.max_pc = max_pc
+        self.max_addr = max_addr
+        self.min_seq = min_seq
+        self.max_reg = max_reg
+        self.nbytes = nbytes
 
 
 # ---------------------------------------------------------------------------
 # Plane construction
 # ---------------------------------------------------------------------------
+
+def _control_columns(packed):
+    """``(positions, ops, pcs, takens, targets)`` of the control µops; all
+    but the positions array as Python lists."""
+    a = packed.arrays
+    ctrl = np.flatnonzero(np.isin(a["ops"], _CTRL_INTS))
+    return (ctrl, a["ops"][ctrl].tolist(), a["pcs"][ctrl].tolist(),
+            a["takens"][ctrl].tolist(), a["targets"][ctrl].tolist())
+
+
+def replay_branch_unit(unit: BranchUnit, trace: Trace) -> None:
+    """Walk *trace*'s control µops through *unit*, in order.
+
+    This is the walk :func:`build_trace_plane` makes and the only thing
+    the spec loop does to its branch unit, so it leaves the TAGE, BTB,
+    RAS, counters and history exactly as a spec-loop run over *trace*.
+    """
+    __, ops, pcs, takens, targets = _control_columns(trace.packed())
+    process = unit.process_scalar
+    for op, pc, taken, target in zip(ops, pcs, takens, targets):
+        process(op, pc, taken, target)
+
+
+def _pkeys(trace: Trace) -> np.ndarray:
+    """Predictor keys ``(pc << 2) ^ uop_index``: the cached
+    :class:`KernelInputs` copy when there is one."""
+    inputs = _plane_cache(trace).get(_KERNEL_KEY)
+    if inputs is not None:
+        return inputs.pkeys
+    a = trace.packed().arrays
+    return (a["pcs"] << np.uint64(2)) ^ a["uop_indexes"].astype(np.uint64)
+
+
+#: ``KernelArgs`` trace-column dtypes; ``bool`` columns pass as uint8 views.
+_KERNEL_DTYPES = (
+    ("seqs", np.int64), ("pcs", np.uint64), ("ops", np.uint8),
+    ("dsts", np.int16), ("values", np.uint64), ("mem_addrs", np.uint64),
+    ("mem_sizes", np.uint16), ("takens", np.uint8), ("dst_is_fp", np.uint8),
+    ("src_offsets", np.int64), ("src_flat", np.int16),
+)
+
+
+def build_kernel_inputs(trace: Trace) -> KernelInputs:
+    """Type the packed columns for the kernel and reduce their ranges."""
+    packed = trace.packed()
+    a = packed.arrays
+    columns = {}
+    nbytes = 0
+    for name, dtype in _KERNEL_DTYPES:
+        src = a[name]
+        if src.dtype == np.bool_:
+            src = src.view(np.uint8)
+        out = np.ascontiguousarray(src, dtype=dtype)
+        if not np.may_share_memory(out, a[name]):
+            nbytes += out.nbytes
+        columns[name] = out
+    pkeys = _pkeys(trace)
+    return KernelInputs(
+        n=packed.n,
+        columns=columns,
+        pkeys=pkeys,
+        max_pc=int(a["pcs"].max(initial=0)),
+        max_addr=int(a["mem_addrs"].max(initial=0)),
+        min_seq=int(a["seqs"].min()) if packed.n else 0,
+        max_reg=max(int(a["dsts"].max(initial=0)),
+                    int(a["src_flat"].max(initial=0))),
+        nbytes=nbytes + pkeys.nbytes,
+    )
 
 def build_trace_plane(trace: Trace) -> TracePlane:
     """Walk a fresh default :class:`BranchUnit` over the control µops and
@@ -122,9 +226,7 @@ def build_trace_plane(trace: Trace) -> TracePlane:
     persisted to the trace store.
     """
     packed = trace.packed()
-    a = packed.arrays
     n = packed.n
-    ops = a["ops"]
     redirect = np.zeros(n, dtype=np.uint8)
     ghist64 = np.zeros(n, dtype=np.uint64)
     path16 = np.zeros(n, dtype=np.uint16)
@@ -132,13 +234,9 @@ def build_trace_plane(trace: Trace) -> TracePlane:
     unit = BranchUnit()
     ctx = unit.context
     process = unit.process_scalar
-    ctrl = np.flatnonzero(np.isin(ops, _CTRL_INTS))
+    ctrl, op_l, pc_l, taken_l, target_l = _control_columns(packed)
     if ctrl.shape[0]:
         ctrl_list = ctrl.tolist()
-        op_l = ops[ctrl].tolist()
-        pc_l = a["pcs"][ctrl].tolist()
-        taken_l = a["takens"][ctrl].tolist()
-        target_l = a["targets"][ctrl].tolist()
         codes = []
         codes_append = codes.append
         cond_pos: list[int] = []
@@ -169,13 +267,12 @@ def build_trace_plane(trace: Trace) -> TracePlane:
             path16[starts[0]:] = np.repeat(
                 np.array(p_vals, dtype=np.uint16), lengths)
 
-    pkeys = (a["pcs"] << np.uint64(2)) ^ a["uop_indexes"].astype(np.uint64)
     plane = TracePlane(
         n=n,
         redirect=redirect,
         ghist64=ghist64,
         path16=path16,
-        scr_pkey=scramble_array(pkeys),
+        scr_pkey=scramble_array(_pkeys(trace)),
         cond_branches=unit.cond_branches,
         direction_mispredicts=unit.direction_mispredicts,
         target_mispredicts=unit.target_mispredicts,
@@ -193,14 +290,13 @@ def build_vtage_plane(trace: Trace, signature: tuple) -> VTAGEPlane:
     tagged component, as produced by :func:`vtage_signature`.
     """
     plane = trace_plane(trace)
-    packed = trace.packed()
-    a = packed.arrays
-    pkeys = (a["pcs"] << np.uint64(2)) ^ a["uop_indexes"].astype(np.uint64)
+    n = plane.n
+    pkeys = _pkeys(trace)
     ghist64 = plane.ghist64
     path16 = plane.path16.astype(np.uint64, copy=False)
-    idx_arrays: list[np.ndarray] = []
-    tag_arrays: list[np.ndarray] = []
-    for length, index_bits, tag_bits in signature:
+    idx = np.empty((len(signature), n), dtype=np.int32)
+    tag = np.empty((len(signature), n), dtype=np.int32)
+    for c, (length, index_bits, tag_bits) in enumerate(signature):
         eff = length if length < 64 else 64
         window = np.uint64(min((1 << eff) - 1, MASK64))
         path_bits = min(length, FOLD_WIDTH)
@@ -210,14 +306,9 @@ def build_vtage_plane(trace: Trace, signature: tuple) -> VTAGEPlane:
             ^ ((path16 & pmask) << np.uint64(1))
             ^ np.uint64(length << 17)
         )
-        idx_arrays.append(
-            table_index_array(pkeys, index_bits, compressed)
-            .astype(np.int32)
-        )
-        tag_arrays.append(
-            tag_hash_array(pkeys, tag_bits, compressed).astype(np.int32)
-        )
-    return VTAGEPlane(packed.n, idx_arrays, tag_arrays)
+        idx[c] = table_index_array(pkeys, index_bits, compressed)
+        tag[c] = tag_hash_array(pkeys, tag_bits, compressed)
+    return VTAGEPlane(n, idx, tag)
 
 
 def vtage_signature(predictor) -> tuple:
@@ -316,6 +407,18 @@ def _plane_to_store(store, identity, plane: TracePlane) -> None:
     store.put_aux(*identity, _AUX_KIND, PRECOMPUTE_VERSION, arrays, meta)
 
 
+_KERNEL_KEY = "kernel"
+
+
+def kernel_inputs(trace: Trace) -> KernelInputs:
+    """The cached :class:`KernelInputs` for *trace*."""
+    cache = _plane_cache(trace)
+    inputs = cache.get(_KERNEL_KEY)
+    if inputs is None:
+        inputs = cache[_KERNEL_KEY] = build_kernel_inputs(trace)
+    return inputs
+
+
 def vtage_plane(trace: Trace, predictor) -> VTAGEPlane:
     """The cached :class:`VTAGEPlane` for (trace, predictor geometry)."""
     signature = vtage_signature(predictor)
@@ -347,10 +450,13 @@ def default_branch_state(model) -> bool:
     """Whether *model*'s branch unit is a fresh, default-configured
     :class:`BranchUnit` — the state :func:`build_trace_plane` assumed.
 
-    The fast paths refuse to run (and fall back to the sequential model)
-    when a test pre-warmed or reconfigured the unit.
+    A unit the model has not built yet is fresh by construction.  The fast
+    paths refuse to run (and fall back to the sequential model) when a
+    test pre-warmed or reconfigured the unit, or an earlier run trained it.
     """
-    unit = model.branch_unit
+    unit = model.existing("branch_unit")
+    if unit is None:
+        return True
     ctx = unit.context
     return (
         unit.tage.config == TAGEConfig()
@@ -366,17 +472,3 @@ def default_branch_state(model) -> bool:
         and unit.ras._depth == 0
         and not any(unit.btb._sets)
     )
-
-
-def apply_branch_state(model, plane: TracePlane) -> None:
-    """Write the walk's end-of-trace branch state back onto *model* so a
-    fast run leaves the same externally visible unit state as the
-    sequential model (counters + shared history context)."""
-    unit = model.branch_unit
-    unit.cond_branches = plane.cond_branches
-    unit.direction_mispredicts = plane.direction_mispredicts
-    unit.target_mispredicts = plane.target_mispredicts
-    ctx = unit.context
-    ctx.ghist = plane.final_ghist
-    ctx.path = plane.final_path
-    ctx.ghist_length = plane.final_ghist_length

@@ -105,3 +105,22 @@ def test_compiled_kernel_actually_runs(monkeypatch):
                              plane, vplane)
     assert result is not None
     assert result.cycles > 0
+
+
+def test_kernel_scratch_is_bounded(monkeypatch):
+    """The process-lifetime kernel scratch does not grow with trace length,
+    and every run hands the bandwidth windows back with all stamps -1."""
+    if not ckernel.kernel_available():
+        pytest.skip("no C toolchain: compiled kernel unavailable")
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    fastsim.reset_fallback_stats()
+    sizes = []
+    for n_uops in (12_000, 200_000):
+        trace = build_trace("gzip", n_uops)
+        simulate(trace, make_predictor("lvp"), warmup=0, workload="gzip")
+        sizes.append(ckernel.scratch_nbytes())
+    assert fastsim.fallback_stats() == {}
+    assert sizes[0] == sizes[1] > 0
+    stamps = [array for name, (array, __) in ckernel._scratch._buffers.items()
+              if name.endswith("_stamp")]
+    assert stamps and all((array == -1).all() for array in stamps)

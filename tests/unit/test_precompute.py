@@ -15,12 +15,14 @@ from repro.branch.unit import BranchUnit
 from repro.core.confidence import ConfidencePolicy
 from repro.core.vtage import VTAGEPredictor
 from repro.isa.uop import OpClass
-from repro.pipeline.core import CoreModel
+from repro.pipeline import ckernel
+from repro.pipeline.core import CoreModel, simulate
 from repro.pipeline.precompute import (
     PRECOMPUTE_VERSION,
-    apply_branch_state,
     default_branch_state,
+    kernel_inputs,
     precompute_nbytes,
+    replay_branch_unit,
     trace_plane,
     vtage_plane,
     vtage_signature,
@@ -118,6 +120,27 @@ def test_planes_cached_on_trace_and_counted(trace):
     assert stats["bytes"] >= trace.nbytes + attached
 
 
+def test_kernel_inputs_cached_and_counted(monkeypatch):
+    """A kernel run attaches the trace's kernel inputs once; the catalog
+    LRU charges their bytes, which are only the arrays that do not alias
+    a packed column (the predictor keys)."""
+    if not ckernel.kernel_available():
+        pytest.skip("no C toolchain: compiled kernel unavailable")
+    monkeypatch.delenv("REPRO_FAST_SIM", raising=False)
+    trace = build_trace("gzip", 3217)
+    trace_plane(trace)
+    before = precompute_nbytes(trace)
+    simulate(trace, None, workload="gzip")
+    inputs = kernel_inputs(trace)
+    assert inputs.nbytes == inputs.pkeys.nbytes == 8 * len(trace)
+    assert precompute_nbytes(trace) == before + inputs.nbytes
+    simulate(trace, None, workload="gzip")
+    assert kernel_inputs(trace) is inputs
+    assert precompute_nbytes(trace) == before + inputs.nbytes
+    assert catalog.trace_cache_stats()["precompute_bytes"] >= \
+        precompute_nbytes(trace)
+
+
 def test_trace_plane_persists_to_store(tmp_path, monkeypatch):
     """A catalog-built trace's plane round-trips through the aux store."""
     monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
@@ -147,14 +170,17 @@ def test_default_branch_state_guard_and_writeback(trace):
     """Fast paths only run on a fresh unit, and leave the walked state."""
     model = CoreModel()
     assert default_branch_state(model)
+    assert model.existing("branch_unit") is None  # checked without a build
     model.branch_unit.process_scalar(int(OpClass.BRANCH), 0x400, True, 0x500)
     assert not default_branch_state(model)
 
     fresh = CoreModel()
     plane = trace_plane(trace)
-    apply_branch_state(fresh, plane)
+    replay_branch_unit(fresh.branch_unit, trace)
     unit = fresh.branch_unit
     assert unit.cond_branches == plane.cond_branches
     assert unit.direction_mispredicts == plane.direction_mispredicts
+    assert unit.target_mispredicts == plane.target_mispredicts
     assert unit.context.ghist == plane.final_ghist
     assert unit.context.path == plane.final_path
+    assert unit.context.ghist_length == plane.final_ghist_length

@@ -120,3 +120,27 @@ def test_post_run_state_matches_spec_loop(monkeypatch, trace, name,
     assert kernel_results == spec_results
     for part in spec_state:
         assert kernel_state[part] == spec_state[part], part
+
+
+@requires_kernel
+def test_second_run_matches_spec_loop(monkeypatch):
+    """A model that ran once carries its trained branch unit, caches and
+    predictor into a second run, whichever loop ran the first one."""
+    trace = build_trace("gcc", 6000)
+
+    def twice(mode):
+        if mode == "spec":
+            monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
+        else:
+            monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+        model = CoreModel(predictor=make_predictor("lvp"))
+        results = [model.run(trace, warmup=2000, workload="gcc")
+                   for _ in range(2)]
+        return results, model_state(model)
+
+    kernel_results, kernel_state = twice("kernel")
+    spec_results, spec_state = twice("spec")
+    assert kernel_results[0] == spec_results[0]
+    assert kernel_results[1] == spec_results[1]
+    for part in spec_state:
+        assert kernel_state[part] == spec_state[part], part
