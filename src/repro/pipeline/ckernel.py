@@ -355,7 +355,8 @@ class _Scratch:
 
     def __init__(self):
         self._buffers: dict[str, tuple[np.ndarray, int]] = {}
-        # The geometry every CoreModel's memory and store sets have.
+        # The geometry of every CoreModel's memory and store sets: the
+        # model builds both with their defaults.
         self.memory = MemoryHierarchy()
         self.store_sets = StoreSets()
 
@@ -469,19 +470,16 @@ _PREDICTOR_POINTERS = (
 )
 
 
-def _no_predictor(args) -> None:
-    """Point every predictor field at the placeholder (integers stay 0)."""
-    for name in _PREDICTOR_POINTERS:
-        setattr(args, name, _PLACEHOLDER_ADDR)
-
 
 def _marshal_predictor(args, predictor, ptype, vplane, keep):
     """Copy the predictor's tables into *args*.
 
     Returns ``write_back(out)`` for a successful run, or a decline reason
-    string.  *keep* collects arrays that must outlive the call.
+    string.  *keep* collects arrays that must outlive the call.  Fields
+    the family does not use point at the placeholder (integers stay 0).
     """
-    _no_predictor(args)
+    for name in _PREDICTOR_POINTERS:
+        setattr(args, name, _PLACEHOLDER_ADDR)
     if ptype not in (P_LVP, P_STRIDE, P_VTAGE):
         return None
 
@@ -639,12 +637,13 @@ def _decline(reason: str) -> None:
 
 #: ``OpClass`` -> functional-unit pool (mirrors ``CoreModel._run``'s
 #: aliasing), and the op class whose unit count sizes each pool.
-_POOL_OF = (0, 1, 1, 2, 3, 3, 4, 4, 0, 0, 0, 0, 0)
+_FU_POOL = np.array((0, 1, 1, 2, 3, 3, 4, 4, 0, 0, 0, 0, 0), dtype=np.int64)
+_FU_POOL_ADDR = _FU_POOL.ctypes.data
 _POOL_CLASSES = (OpClass.INT_ALU, OpClass.INT_MUL, OpClass.FP_ADD,
                  OpClass.FP_MUL, OpClass.LOAD)
 
 
-def try_run(model, trace, warmup, workload, ptype, plane, vplane):
+def try_run(model, trace, warmup, workload, ptype, vplane):
     """Run the compiled kernel, or record why not and return ``None``.
 
     The caller (:func:`fastsim.try_run`) has already verified the predictor
@@ -687,12 +686,9 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
     if isinstance(write_back, str):
         return _decline(write_back)
 
-    # ---- trace columns + plane ------------------------------------------
+    # ---- per-µop arrays ---------------------------------------------------
     for name, array in inputs.columns.items():
         setattr(args, name, array.ctypes.data)
-    args.pkeys = inputs.pkeys.ctypes.data
-    args.redirect = plane.redirect.ctypes.data
-    args.scr_pkey = plane.scr_pkey.ctypes.data
 
     # ---- core config -----------------------------------------------------
     args.fetch_width = cfg.fetch_width
@@ -723,21 +719,19 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
     fu = [cfg.fu[OpClass(c)] for c in range(len(OpClass))]
     fu_lat = np.array([f.latency for f in fu], dtype=np.int64)
     fu_occ = np.array([f.occupancy for f in fu], dtype=np.int64)
-    fu_pool = np.array(_POOL_OF, dtype=np.int64)
     pool_units = np.array([cfg.fu[c].units for c in _POOL_CLASSES],
                           dtype=np.int64)
-    keep += (fu_lat, fu_occ, fu_pool, pool_units)
+    keep += (fu_lat, fu_occ, pool_units)
     args.fu_lat = fu_lat.ctypes.data
     args.fu_occ = fu_occ.ctypes.data
-    args.fu_pool = fu_pool.ctypes.data
+    args.fu_pool = _FU_POOL_ADDR
     args.pool_units = pool_units.ctypes.data
     args.n_pools = len(_POOL_CLASSES)
 
-    # ---- train queue: one slot per queued training ----------------------
-    tq_n = n if ptype in (P_LVP, P_STRIDE, P_VTAGE) else 1
-    tq = (np.zeros(tq_n, dtype=np.int64), np.zeros(tq_n, dtype=np.int32),
-          np.zeros(tq_n, dtype=np.uint64), np.zeros(tq_n, dtype=np.int8),
-          np.zeros(tq_n, dtype=np.int8), np.zeros(tq_n, dtype=np.int8))
+    # ---- train queue: one slot per µop ----------------------------------
+    tq = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int32),
+          np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.int8),
+          np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int8))
     keep += tq
     (args.tq_commit, args.tq_i, args.tq_value, args.tq_provider,
      args.tq_eff, args.tq_has) = (a.ctypes.data for a in tq)
@@ -776,7 +770,7 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
             setattr(args, name, get(name, size)[1])
 
         # ---- memory hierarchy and store sets (fresh) --------------------
-        geometry = memory if memory is not None else scratch.memory
+        geometry = scratch.memory
         cache_arrays = []
         for prefix, *__ in _CACHE_SLOTS:
             cache = getattr(geometry, prefix)
@@ -824,8 +818,7 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
             setattr(args, name, addr)
             pf_arrays.append(array)
 
-        ss_geometry = (store_sets if store_sets is not None
-                       else scratch.store_sets)
+        ss_geometry = scratch.store_sets
         args.ssit_bits = ss_geometry._ssit_bits
         args.lfst_entries = ss_geometry.lfst_entries
         ssit_n = 1 << ss_geometry._ssit_bits

@@ -45,7 +45,6 @@ from repro.pipeline.precompute import (
     default_branch_state,
     kernel_inputs,
     replay_branch_unit,
-    trace_plane,
     vtage_plane,
 )
 from repro.pipeline.result import SimResult
@@ -152,16 +151,13 @@ def try_run(model, trace, warmup: int, workload: str | None) -> SimResult | None
         record_fallback(reason)
         return None
     ptype = ckernel.predictor_type(model.predictor)
-    plane = trace_plane(trace)
     kernel_inputs(trace)  # first, so a VTAGE plane build reuses its keys
     vplane = (
         vtage_plane(trace, model.predictor)
         if ptype == ckernel.P_VTAGE else None
     )
     with profiling.phase("kernel-c"):
-        result = ckernel.try_run(
-            model, trace, warmup, workload, ptype, plane, vplane
-        )
+        result = ckernel.try_run(model, trace, warmup, workload, ptype, vplane)
     if result is not None:
         model.adopt("branch_unit", partial(replay_branch_unit, trace=trace))
     return result

@@ -122,21 +122,21 @@ class VTAGEPlane:
 class KernelInputs:
     """The per-trace half of the kernel's arguments.
 
-    ``columns`` holds the packed columns in the dtypes ``KernelArgs``
-    reads (views where the packed dtype already matches), ``pkeys`` the
-    predictor keys, and the ``max_*``/``min_seq`` fields the range
-    reductions behind the kernel's eligibility checks.  ``nbytes`` counts
-    only the arrays that do not alias a packed column.
+    ``columns`` maps each per-µop ``KernelArgs`` array to a contiguous
+    array of its dtype: packed and plane columns (views where the dtype
+    already matches) and the predictor keys ``pkeys``.  The ``max_*`` and
+    ``min_seq`` fields are the range reductions behind the kernel's
+    eligibility checks.  ``nbytes`` counts only the arrays that alias no
+    packed or plane column.
     """
 
-    __slots__ = ("n", "columns", "pkeys", "max_pc", "max_addr", "min_seq",
-                 "max_reg", "nbytes")
+    __slots__ = ("n", "columns", "max_pc", "max_addr", "min_seq", "max_reg",
+                 "nbytes")
 
-    def __init__(self, n, columns, pkeys, max_pc, max_addr, min_seq,
-                 max_reg, nbytes):
+    def __init__(self, n, columns, max_pc, max_addr, min_seq, max_reg,
+                 nbytes):
         self.n = n
         self.columns = columns
-        self.pkeys = pkeys
         self.max_pc = max_pc
         self.max_addr = max_addr
         self.min_seq = min_seq
@@ -175,39 +175,43 @@ def _pkeys(trace: Trace) -> np.ndarray:
     :class:`KernelInputs` copy when there is one."""
     inputs = _plane_cache(trace).get(_KERNEL_KEY)
     if inputs is not None:
-        return inputs.pkeys
+        return inputs.columns["pkeys"]
     a = trace.packed().arrays
     return (a["pcs"] << np.uint64(2)) ^ a["uop_indexes"].astype(np.uint64)
 
 
-#: ``KernelArgs`` trace-column dtypes; ``bool`` columns pass as uint8 views.
+#: ``KernelArgs``'s per-µop arrays and their dtypes: packed columns
+#: (``bool`` ones as uint8 views), then trace-plane columns.
 _KERNEL_DTYPES = (
     ("seqs", np.int64), ("pcs", np.uint64), ("ops", np.uint8),
     ("dsts", np.int16), ("values", np.uint64), ("mem_addrs", np.uint64),
     ("mem_sizes", np.uint16), ("takens", np.uint8), ("dst_is_fp", np.uint8),
     ("src_offsets", np.int64), ("src_flat", np.int16),
 )
+_KERNEL_PLANE_DTYPES = (("redirect", np.uint8), ("scr_pkey", np.uint64))
 
 
 def build_kernel_inputs(trace: Trace) -> KernelInputs:
-    """Type the packed columns for the kernel and reduce their ranges."""
+    """Type the packed and plane columns for the kernel, add the predictor
+    keys and reduce the ranges its eligibility checks read."""
     packed = trace.packed()
     a = packed.arrays
+    plane = trace_plane(trace)
+    sources = [(name, a[name], dtype) for name, dtype in _KERNEL_DTYPES]
+    sources += [(name, getattr(plane, name), dtype)
+                for name, dtype in _KERNEL_PLANE_DTYPES]
     columns = {}
     nbytes = 0
-    for name, dtype in _KERNEL_DTYPES:
-        src = a[name]
-        if src.dtype == np.bool_:
-            src = src.view(np.uint8)
-        out = np.ascontiguousarray(src, dtype=dtype)
-        if not np.may_share_memory(out, a[name]):
+    for name, src, dtype in sources:
+        view = src.view(np.uint8) if src.dtype == np.bool_ else src
+        out = np.ascontiguousarray(view, dtype=dtype)
+        if not np.may_share_memory(out, src):
             nbytes += out.nbytes
         columns[name] = out
-    pkeys = _pkeys(trace)
+    columns["pkeys"] = pkeys = _pkeys(trace)
     return KernelInputs(
         n=packed.n,
         columns=columns,
-        pkeys=pkeys,
         max_pc=int(a["pcs"].max(initial=0)),
         max_addr=int(a["mem_addrs"].max(initial=0)),
         min_seq=int(a["seqs"].min()) if packed.n else 0,
@@ -215,6 +219,7 @@ def build_kernel_inputs(trace: Trace) -> KernelInputs:
                     int(a["src_flat"].max(initial=0))),
         nbytes=nbytes + pkeys.nbytes,
     )
+
 
 def build_trace_plane(trace: Trace) -> TracePlane:
     """Walk a fresh default :class:`BranchUnit` over the control µops and

@@ -10,6 +10,9 @@ pre-warmed branch state) are pinned here too: falling back must be
 silent and produce the spec loop's answer, never a wrong fast one.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.experiments.runner import make_predictor
@@ -97,12 +100,11 @@ def test_compiled_kernel_actually_runs(monkeypatch):
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
     trace = build_trace("gcc", 3000)
     model = CoreModel(predictor=make_predictor("vtage"))
-    from repro.pipeline.precompute import trace_plane, vtage_plane
+    from repro.pipeline.precompute import vtage_plane
 
-    plane = trace_plane(trace)
     vplane = vtage_plane(trace, model.predictor)
     result = ckernel.try_run(model, trace, 500, "gcc", ckernel.P_VTAGE,
-                             plane, vplane)
+                             vplane)
     assert result is not None
     assert result.cycles > 0
 
@@ -124,3 +126,41 @@ def test_kernel_scratch_is_bounded(monkeypatch):
     stamps = [array for name, (array, __) in ckernel._scratch._buffers.items()
               if name.endswith("_stamp")]
     assert stamps and all((array == -1).all() for array in stamps)
+
+
+def test_kernel_scratch_shared_by_threads(monkeypatch):
+    """Threads share the kernel scratch (the call drops the GIL) and must
+    still get the answers the same jobs give one at a time."""
+    if not ckernel.kernel_available():
+        pytest.skip("no C toolchain: compiled kernel unavailable")
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    jobs = [("gcc", "vtage"), ("gzip", "lvp"), ("wupwise", "2dstride"),
+            ("crafty", "none"), ("mcf", "stride"), ("milc", "oracle")]
+
+    def run(workload, name):
+        trace = build_trace(workload, 3000)
+        return simulate(trace, make_predictor(name), warmup=500,
+                        workload=workload)
+
+    expected = [run(*job) for job in jobs]
+    results = {}
+
+    def worker(k):
+        job = jobs[k % len(jobs)]
+        results[k] = [run(*job) for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(2 * len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k, runs in sorted(results.items()):
+        assert runs == [expected[k % len(jobs)]] * 4, jobs[k % len(jobs)]
+    assert len(results) == 2 * len(jobs)

@@ -132,7 +132,7 @@ def test_kernel_inputs_cached_and_counted(monkeypatch):
     before = precompute_nbytes(trace)
     simulate(trace, None, workload="gzip")
     inputs = kernel_inputs(trace)
-    assert inputs.nbytes == inputs.pkeys.nbytes == 8 * len(trace)
+    assert inputs.nbytes == inputs.columns["pkeys"].nbytes == 8 * len(trace)
     assert precompute_nbytes(trace) == before + inputs.nbytes
     simulate(trace, None, workload="gzip")
     assert kernel_inputs(trace) is inputs

@@ -87,7 +87,9 @@ def model_state(model: CoreModel) -> dict:
     }
 
 
-def _run(monkeypatch, mode, trace, name, recovery, fpc, runs=1):
+def _run(monkeypatch, mode, trace, name, recovery="squash", fpc=True,
+         runs=1, warmup=_WARMUP):
+    """*runs* results of one model, then its state."""
     if mode == "spec":
         monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
     else:
@@ -95,7 +97,7 @@ def _run(monkeypatch, mode, trace, name, recovery, fpc, runs=1):
     model = CoreModel(
         config=CoreConfig(recovery=RecoveryMode(recovery)),
         predictor=make_predictor(name, fpc=fpc, recovery=recovery))
-    results = [model.run(trace, warmup=_WARMUP, workload="gcc")
+    results = [model.run(trace, warmup=warmup, workload="gcc")
                for _ in range(runs)]
     return results, model_state(model)
 
@@ -127,20 +129,10 @@ def test_second_run_matches_spec_loop(monkeypatch):
     """A model that ran once carries its trained branch unit, caches and
     predictor into a second run, whichever loop ran the first one."""
     trace = build_trace("gcc", 6000)
-
-    def twice(mode):
-        if mode == "spec":
-            monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
-        else:
-            monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
-        model = CoreModel(predictor=make_predictor("lvp"))
-        results = [model.run(trace, warmup=2000, workload="gcc")
-                   for _ in range(2)]
-        return results, model_state(model)
-
-    kernel_results, kernel_state = twice("kernel")
-    spec_results, spec_state = twice("spec")
-    assert kernel_results[0] == spec_results[0]
-    assert kernel_results[1] == spec_results[1]
+    kernel_results, kernel_state = _run(monkeypatch, "kernel", trace, "lvp",
+                                        runs=2, warmup=2000)
+    spec_results, spec_state = _run(monkeypatch, "spec", trace, "lvp",
+                                    runs=2, warmup=2000)
+    assert kernel_results == spec_results
     for part in spec_state:
         assert kernel_state[part] == spec_state[part], part
