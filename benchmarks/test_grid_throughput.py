@@ -1,43 +1,45 @@
-"""Grid-level wall-clock benchmark: the trace plane's end-to-end effect.
+"""Grid-level wall-clock benchmark: the trace store's end-to-end effect.
 
 ``test_bench_grid_json`` runs a fixed 24-job grid (6 workloads × 4
-predictor configs) under both worker counts {1, 4} in three trace-plane
+predictor configs) under both worker counts {1, 4} in three trace-store
 modes:
 
-* ``legacy`` — the pre-PR-5 behaviour: shared-memory plane disabled, no
-  trace store, every worker process rebuilds every trace it touches;
-* ``cold``   — trace plane on, trace store starting empty (first-ever
-  run on a machine): the parent materialises each unique trace once,
-  fans it out over shared memory, and seeds the store;
-* ``warm``   — trace plane on, store populated (daemon restart / next
+* ``private`` — no ``$REPRO_TRACE_DIR``: a pool's workers share a
+  private temporary store, so each unique trace is generated once per
+  run by the worker that runs its first job, and the store is removed
+  when the pool closes;
+* ``cold``    — configured store starting empty (first-ever run on a
+  machine): as ``private``, but the generated traces persist;
+* ``warm``    — configured store populated (daemon restart / next
   campaign): every trace mmap-loads, zero generator runs.
 
 Wall-clock per mode is written to ``BENCH_grid.json`` in the scratch
 bench directory (``$REPRO_BENCH_DIR``, default ``bench_out/``; the
 committed repo-root copy only changes through ``repro bench promote`` —
 see :mod:`bench_io`) together with the speedups versus the
-same-worker-count legacy mode.  Timing numbers are *reported*, not gated (shared CI runners are
-too noisy for grid-level wall-clock floors, and with fewer cores than
-workers the parallel rows measure redundant-work elimination rather than
+same-worker-count private mode.  Timing numbers are *reported*, not
+gated (shared CI runners are too noisy for grid-level wall-clock floors,
+and with fewer cores than workers the parallel rows do not measure
 parallel speedup — ``cpu_count`` is recorded for exactly that reason).
-What *is* asserted is structural and deterministic: all modes produce
-bit-identical result sets, the cold run populates the store with every
-unique trace, and the warm serial run executes zero generator runs.
+What *is* asserted is structural and deterministic: every mode matches
+the serial executor bit for bit, the cold run populates the store with
+every unique trace, the warm serial run executes zero generator runs,
+and no private store survives a run.
 """
 
 import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import bench_io
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
-from repro.engine.executors import make_executor
+from repro.engine.executors import SerialExecutor, make_executor
 from repro.engine.job import SimJob
-from repro.engine.shm import SHM_ENV
 from repro.workloads import catalog
 from repro.workloads.store import TRACE_DIR_ENV, TraceStore
 
@@ -65,20 +67,13 @@ def grid_jobs() -> list[SimJob]:
     ]
 
 
-def _set_env(name: str, value: str | None) -> None:
-    if value is None:
-        os.environ.pop(name, None)
-    else:
-        os.environ[name] = value
-
-
-def run_grid_mode(jobs: list[SimJob], workers: int, *,
-                  trace_dir: str | None, shm: bool) -> tuple[float, list, int]:
+def run_grid_mode(jobs: list[SimJob], workers: int,
+                  trace_dir: str | None) -> tuple[float, list, int]:
     """One measured grid run; returns (wall seconds, result dicts,
     parent-process generator runs)."""
-    saved = {name: os.environ.get(name) for name in (TRACE_DIR_ENV, SHM_ENV)}
-    _set_env(TRACE_DIR_ENV, trace_dir)
-    _set_env(SHM_ENV, None if shm else "0")
+    saved = os.environ.pop(TRACE_DIR_ENV, None)
+    if trace_dir is not None:
+        os.environ[TRACE_DIR_ENV] = trace_dir
     catalog.clear_trace_cache()
     engine = Engine(executor=make_executor(workers), cache=ResultCache(None))
     generations_before = catalog.generation_count()
@@ -87,8 +82,9 @@ def run_grid_mode(jobs: list[SimJob], workers: int, *,
         results = engine.run_jobs(jobs)
         wall = time.perf_counter() - start
     finally:
-        for name, value in saved.items():
-            _set_env(name, value)
+        os.environ.pop(TRACE_DIR_ENV, None)
+        if saved is not None:
+            os.environ[TRACE_DIR_ENV] = saved
         catalog.clear_trace_cache()
     return (wall, [r.to_dict() for r in results],
             catalog.generation_count() - generations_before)
@@ -112,18 +108,18 @@ def emit_bench_grid(store_root: Path,
     for workers in WORKER_COUNTS:
         store_dir = store_root / f"w{workers}"
         plan = (
-            ("legacy", dict(trace_dir=None, shm=False)),
-            ("cold", dict(trace_dir=str(store_dir), shm=True)),
-            ("warm", dict(trace_dir=str(store_dir), shm=True)),
+            ("private", None),
+            ("cold", str(store_dir)),
+            ("warm", str(store_dir)),
         )
-        for mode, kwargs in plan:
+        for mode, trace_dir in plan:
             wall = None
             for _ in range(ROUNDS):
-                if mode == "cold" and kwargs["trace_dir"] is not None:
+                if mode == "cold":
                     # Every cold round starts from an empty store.
-                    TraceStore(kwargs["trace_dir"]).clear()
+                    TraceStore(trace_dir).clear()
                 round_wall, dicts, generations = \
-                    run_grid_mode(jobs, workers, **kwargs)
+                    run_grid_mode(jobs, workers, trace_dir)
                 wall = round_wall if wall is None else min(wall, round_wall)
             cell = f"{mode}-w{workers}"
             cells[cell] = {
@@ -133,11 +129,11 @@ def emit_bench_grid(store_root: Path,
             results[cell] = dicts
         for mode in ("cold", "warm"):
             cell = cells[f"{mode}-w{workers}"]
-            legacy = cells[f"legacy-w{workers}"]["wall_s"]
-            cell["speedup_vs_legacy"] = round(legacy / cell["wall_s"], 3)
+            private = cells[f"private-w{workers}"]["wall_s"]
+            cell["speedup_vs_private"] = round(private / cell["wall_s"], 3)
         cells[f"store-w{workers}"] = TraceStore(store_dir).stats()["entries"]
     report = {
-        "schema": 2,
+        "schema": 3,
         "unit": "wall_s",
         "grid": {
             "jobs": len(jobs),
@@ -158,13 +154,20 @@ def emit_bench_grid(store_root: Path,
     return report, results
 
 
-def test_bench_grid_json(tmp_path):
-    """Emit BENCH_grid.json and pin the trace plane's structural facts."""
+def test_bench_grid_json(tmp_path, monkeypatch):
+    """Emit BENCH_grid.json and pin the trace store's structural facts."""
+    private_root = tmp_path / "tmp"
+    private_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(private_root))
     report, results = emit_bench_grid(tmp_path / "trace-store")
     cells = report["cells"]
-    reference = results["legacy-w1"]
+    catalog.clear_trace_cache()
+    reference = [r.to_dict() for r in SerialExecutor().run(grid_jobs())]
+    catalog.clear_trace_cache()
     for cell, dicts in results.items():
-        assert dicts == reference, f"{cell} diverged from legacy-w1 results"
+        assert dicts == reference, f"{cell} diverged from the serial results"
+    # Every private store was removed when its pool closed.
+    assert list(private_root.glob("repro-traces-*")) == []
     for workers in WORKER_COUNTS:
         # The cold run must have left one store entry per unique trace...
         assert cells[f"store-w{workers}"] == report["grid"]["unique_traces"]

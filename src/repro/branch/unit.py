@@ -80,8 +80,8 @@ class BranchUnit:
         The scheduler's hot loop already holds the op class, PC, direction
         and target as columnar ints (:class:`~repro.isa.trace.TraceColumns`),
         so this path skips the µop object entirely — which also lets
-        store-loaded / shared-memory-attached traces simulate without ever
-        materialising :class:`MicroOp` instances.  Same logic, same
+        store-loaded traces simulate without ever materialising
+        :class:`MicroOp` instances.  Same logic, same
         training, same results as :meth:`process`.
         """
         if op == _BRANCH_INT:

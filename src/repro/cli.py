@@ -507,14 +507,6 @@ def cmd_service_status(args: argparse.Namespace) -> int:
           f"{stats['coalesced']} coalesced + "
           f"{stats['executed']} executed; "
           f"{stats['requeued']} requeued, {stats['errors']} error(s)")
-    traces = queue.get("traces")
-    if traces:
-        print(f"trace plane: {traces['segments']} shared segment(s) "
-              f"({traces['bytes'] / (1024 * 1024):.1f} MB, "
-              f"{traces['leased']} leased) — "
-              f"{traces['materialized']} materialized, "
-              f"{traces['shared']} lease(s) served, "
-              f"{traces['failures']} failure(s)")
     cache = status["cache"]
     where = cache["directory"] or "memory-only"
     print(f"cache: {where} — {cache['memory_entries']} in memory, "
@@ -568,7 +560,7 @@ def cmd_health(args: argparse.Namespace) -> int:
                           if count)
         print(f"DEGRADED: {flags}")
     else:
-        print("degraded: no (cache and shm both healthy)")
+        print("degraded: no (cache healthy)")
     if health.get("chaos"):
         print("chaos: a fault plan is active (inspect with `repro chaos`)")
     if not health["ok"]:
@@ -1124,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe a running service's health (exit 0/1/2)",
         description="One-shot health probe for monitoring: exit 0 when "
                     "the daemon is healthy, 1 when it is serving but "
-                    "degraded (cache/shm failures absorbed), 2 "
+                    "degraded (cache failures absorbed), 2 "
                     "when it is unreachable or has no live workers.  "
                     "Prints worker aliveness, queue depth against the "
                     "admission bound, and the degraded-mode counters.",
@@ -1187,8 +1179,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "are packed numpy columns keyed by (workload, µops, "
                     "seed) and generator version; any process pointed at "
                     "the store mmap-loads them instead of re-running the "
-                    "generators, and the shared-memory trace plane fans "
-                    "them out to simulation workers.",
+                    "generators.  Pool and daemon workers share it "
+                    "(or a private temporary store when none is set).",
     )
     trace_sub = trace_p.add_subparsers(dest="action", required=True)
 

@@ -298,7 +298,8 @@ same catalog:
   the trace store (`$REPRO_TRACE_DIR`).
 
 All three produce the same `PackedColumns` plane and behave identically
-downstream (result cache, service backend, shm fan-out).
+downstream (result cache, service backend, worker fan-out through the
+trace store).
 """
 
 

@@ -19,8 +19,8 @@ import os
 
 from repro.engine import faults
 from repro.engine.job import SimJob, execute_job
-from repro.engine.shm import SharedTraceRegistry, adopt_shared_trace, shm_enabled
 from repro.pipeline.result import SimResult
+from repro.workloads.store import TRACE_DIR_ENV, shared_trace_store
 
 #: Environment variable selecting the default parallelism.
 JOBS_ENV = "REPRO_JOBS"
@@ -43,12 +43,13 @@ class SerialExecutor:
         return "serial"
 
 
-def _execute_shared_to_dict(item: tuple[SimJob, dict | None]) -> dict:
-    """Worker entry point with an optional shared-trace spec.
+def _use_trace_store(directory: str) -> None:
+    """Pool initializer: point this worker's trace store at *directory*."""
+    os.environ[TRACE_DIR_ENV] = directory
 
-    When the parent shipped the job's trace over the shared-memory plane,
-    adopt it into the local trace cache first so ``execute_job`` skips the
-    generator; adoption failure just falls back to a local build.
+
+def _execute_to_dict(job: SimJob) -> dict:
+    """Worker entry point: run one job, return its lossless dict payload.
 
     Chaos: the ``worker.execute`` site fires here too, but with
     ``allow_fatal=False`` — a ``multiprocessing.Pool`` cannot survive a
@@ -57,13 +58,10 @@ def _execute_shared_to_dict(item: tuple[SimJob, dict | None]) -> dict:
     persistent service pool (:mod:`repro.engine.queue`) is where fatal
     worker faults are exercised for real.
     """
-    job, trace_spec = item
     rule = faults.fire("worker.execute")
     if rule is not None:
         faults.apply_worker_fault({"action": rule.action, "arg": rule.arg},
                                   allow_fatal=False)
-    if trace_spec is not None:
-        adopt_shared_trace(trace_spec)
     return execute_job(job).to_dict()
 
 
@@ -75,11 +73,11 @@ class PoolExecutor:
     as lossless.  ``chunksize=1`` keeps scheduling fair when job costs vary
     by orders of magnitude (oracle vs hybrid predictors).
 
-    Unless ``REPRO_SHM`` disables it, the parent materialises each unique
-    trace once (in-process cache → trace store → generator) and fans it
-    out to the workers through shared memory
-    (:mod:`repro.engine.shm`), instead of every worker re-running the
-    generator for every distinct trace its jobs touch.
+    Workers share one trace store (:func:`shared_trace_store`), and the
+    pool runs in two passes: the first job of each trace absent from the
+    store, then the rest.  Each such trace is generated once, by the
+    worker that runs its first job, and every later job loads it from
+    the store.
     """
 
     def __init__(self, jobs: int):
@@ -97,25 +95,27 @@ class PoolExecutor:
         workers = min(self.jobs, len(jobs))
         if workers < 2:
             return SerialExecutor().run(jobs)
-        registry = SharedTraceRegistry() if shm_enabled() else None
-        try:
-            items: list[tuple[SimJob, dict | None]] = []
-            if registry is not None:
-                specs: dict[tuple, dict | None] = {}
-                for job in jobs:
-                    ident = (job.workload, job.warmup + job.n_uops, job.seed)
-                    if ident not in specs:
-                        leased = registry.lease(*ident)
-                        specs[ident] = leased[1] if leased else None
-                    items.append((job, specs[ident]))
-            else:
-                items = [(job, None) for job in jobs]
-            with ctx.Pool(processes=workers) as pool:
-                payloads = pool.map(_execute_shared_to_dict, items,
-                                    chunksize=1)
-        finally:
-            if registry is not None:
-                registry.close()
+        payloads: list[dict | None] = [None] * len(jobs)
+        with shared_trace_store() as store, ctx.Pool(
+            processes=workers, initializer=_use_trace_store,
+            initargs=(str(store.directory),),
+        ) as pool:
+            firsts: list[int] = []
+            rest: list[int] = []
+            cold: set[tuple] = set()
+            for index, job in enumerate(jobs):
+                ident = job.trace_identity()
+                if ident is None or ident in cold \
+                        or store.contains(*ident):
+                    rest.append(index)
+                else:
+                    cold.add(ident)
+                    firsts.append(index)
+            for batch in (firsts, rest):
+                done = pool.map(_execute_to_dict, [jobs[i] for i in batch],
+                                chunksize=1)
+                for index, payload in zip(batch, done):
+                    payloads[index] = payload
         return [SimResult.from_dict(payload) for payload in payloads]
 
     def describe(self) -> str:

@@ -3,11 +3,10 @@
 The paper's speculation story only works because misspeculation recovery
 is cheap *and exercised on every run*; the serving stack holds itself to
 the same bar.  Every layer that can fail in production — worker
-execution, service socket I/O, cache writes, trace-store
-I/O, shared-memory attach — carries an **injection site**: a named
-:func:`fire` call that normally costs one ``is None`` check and, under
-an active :class:`FaultPlan`, deterministically returns the fault to
-inject at that hit.
+execution, service socket I/O, cache writes, trace-store I/O — carries
+an **injection site**: a named :func:`fire` call that normally costs
+one ``is None`` check and, under an active :class:`FaultPlan`,
+deterministically returns the fault to inject at that hit.
 
 Determinism is the whole design: a plan is a list of
 ``site:action[:arg]@trigger`` rules plus a seed, and triggers are
@@ -72,10 +71,6 @@ SITES: dict[str, tuple[str, ...]] = {
     "store.read": ("truncate", "garbage-meta"),
     # Trace-store persists: disk full, or a partial multi-file write.
     "store.write": ("enospc", "partial"),
-    # Shared-memory plane: attach failure in the worker, materialisation
-    # failure in the parent.  Both must degrade to a local rebuild.
-    "shm.attach": ("fail",),
-    "shm.materialize": ("fail",),
     # Cluster plane, router side: a routing decision that picks the
     # wrong shard ("misroute" — any shard can run any job, so this only
     # costs cache locality) or finds its shard dead ("drop" — the

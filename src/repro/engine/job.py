@@ -121,6 +121,22 @@ class SimJob:
         payload = f"v{JOB_SCHEMA_VERSION}:{self.canonical_json()}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def trace_identity(self) -> tuple[str, int, int] | None:
+        """The ``(workload, µops, seed)`` key of the trace this job
+        simulates in the trace cache and store, or ``None`` when no
+        generator ever builds it: an ingested workload (always loaded
+        from its store) or an unknown one (the worker raises that)."""
+        from repro.workloads.catalog import resolve_seed
+        from repro.workloads.ingest import is_ingest_name
+
+        if is_ingest_name(self.workload):
+            return None
+        try:
+            return (self.workload, self.warmup + self.n_uops,
+                    resolve_seed(self.workload, self.seed))
+        except KeyError:
+            return None
+
     def label(self) -> str:  # pragma: no cover - convenience
         conf = "fpc" if self.fpc else "3bit"
         return f"{self.workload}/{self.predictor}/{conf}/{self.recovery}"

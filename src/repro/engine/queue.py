@@ -29,6 +29,7 @@ See DESIGN.md, "Service architecture" and docs/architecture.md.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import multiprocessing
 import os
 import queue as stdlib_queue
@@ -40,13 +41,8 @@ from dataclasses import dataclass, field
 from repro.engine import faults
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimJob, execute_job
-from repro.engine.shm import (
-    NEEDS_GENERATION,
-    SharedTraceRegistry,
-    adopt_shared_trace,
-    prepare_trace,
-)
 from repro.pipeline.result import SimResult
+from repro.workloads.store import TRACE_DIR_ENV, TraceStore, shared_trace_store
 
 #: Seconds between watchdog sweeps for dead workers.
 WATCHDOG_INTERVAL = 0.1
@@ -137,12 +133,11 @@ def _mp_context():
     return multiprocessing.get_context("spawn")
 
 
-def _worker_main(worker_id: int, task_q, result_q) -> None:
+def _worker_main(worker_id: int, task_q, result_q, trace_dir: str) -> None:
     """Worker process entry: execute jobs until the ``None`` sentinel.
 
-    Tasks may carry a shared-trace spec (:mod:`repro.engine.shm`): the
-    worker adopts the parent-materialised trace into its local cache
-    before executing, falling back to a local build on any failure.  Job
+    Every trace comes through the catalog (cache → store → generator),
+    with *trace_dir* — the pool's shared store — as the store.  Job
     exceptions are reported as ``error`` messages instead of killing the
     worker — a malformed spec must not cost a pool slot.
 
@@ -153,16 +148,15 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
     requeue/timeout machinery is exercised exactly as a real failure
     would.
     """
+    os.environ[TRACE_DIR_ENV] = trace_dir
     while True:
         item = task_q.get()
         if item is None:
             return
-        task_id, job_dict, trace_spec, fault = item
+        task_id, job_dict, fault = item
         try:
             if fault is not None:
                 faults.apply_worker_fault(fault)
-            if trace_spec is not None:
-                adopt_shared_trace(trace_spec)
             payload = execute_job(SimJob.from_dict(job_dict)).to_dict()
         except Exception as exc:  # noqa: BLE001 - forwarded to the parent
             result_q.put(("error", worker_id, task_id,
@@ -180,19 +174,17 @@ class _Worker:
     no shared-queue guessing about who picked up what.
     """
 
-    def __init__(self, ctx, worker_id: int, result_q):
+    def __init__(self, ctx, worker_id: int, result_q, trace_dir: str):
         self.id = worker_id
         self.task_q = ctx.Queue()
-        # (task_id, job_dict, lease_key): the lease key (or None) names the
-        # shared-trace segment this assignment holds a reference on, so
-        # whoever clears the assignment also releases the lease.
-        self.current: tuple[int, dict, tuple | None] | None = None
+        #: (task_id, job_dict) of the assignment in flight; ``None`` idle.
+        self.current: tuple[int, dict] | None = None
         #: Monotonic timestamp of the current assignment (job-timeout
         #: enforcement); ``None`` while idle.
         self.started: float | None = None
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.task_q, result_q),
+            args=(worker_id, self.task_q, result_q, trace_dir),
             daemon=True,
         )
         self.process.start()
@@ -205,13 +197,11 @@ class _Worker:
         return self.process.is_alive()
 
     def assign(self, task_id: int, job_dict: dict,
-               trace_spec: dict | None = None,
-               lease_key: tuple | None = None,
-               fault: tuple | None = None) -> None:
+               fault: dict | None = None) -> None:
         assert self.current is None, "worker already holds a task"
-        self.current = (task_id, job_dict, lease_key)
+        self.current = (task_id, job_dict)
         self.started = time.monotonic()
-        self.task_q.put((task_id, job_dict, trace_spec, fault))
+        self.task_q.put((task_id, job_dict, fault))
 
     def describe(self) -> dict:
         """Status row for the service ``status`` op."""
@@ -227,7 +217,10 @@ class WorkerPool:
 
     Workers survive across batches (no per-run fork cost) and are
     replaced transparently when they die; :meth:`reap_dead` returns the
-    orphaned in-flight tasks so the caller can requeue them.
+    orphaned in-flight tasks so the caller can requeue them.  Every
+    worker, replacements included, shares :attr:`trace_store`
+    (:func:`~repro.workloads.store.shared_trace_store`), held from
+    :meth:`start` to :meth:`stop`.
     """
 
     def __init__(self, workers: int = 1):
@@ -237,14 +230,20 @@ class WorkerPool:
         self._workers: list[_Worker] = []
         self._next_id = 0
         self.restarts = 0
+        self._store_scope = contextlib.ExitStack()
+        self.trace_store: TraceStore | None = None
 
     def start(self) -> None:
         """Spawn the worker processes (idempotent)."""
+        if self.trace_store is None:
+            self.trace_store = self._store_scope.enter_context(
+                shared_trace_store())
         while len(self._workers) < self.size:
             self._workers.append(self._spawn())
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._next_id, self.result_queue)
+        worker = _Worker(self._ctx, self._next_id, self.result_queue,
+                         str(self.trace_store.directory))
         self._next_id += 1
         return worker
 
@@ -260,16 +259,15 @@ class WorkerPool:
     def worker_pids(self) -> list[int]:
         return [w.pid for w in self._workers if w.pid is not None]
 
-    def reap_dead(self) -> list[tuple[int, dict, tuple | None]]:
+    def reap_dead(self) -> list[tuple[int, dict]]:
         """Replace dead workers; return the assignments they were holding
-        (``(task_id, job_dict, lease_key)`` — the caller requeues the task
-        and releases the shared-trace lease).
+        (``(task_id, job_dict)`` — the caller requeues the task).
 
         Worker ids are never reused, so a completion message a worker
         managed to send just before dying can still be attributed (and a
         stale one can never be mistaken for the replacement's work).
         """
-        orphaned: list[tuple[int, dict, tuple | None]] = []
+        orphaned: list[tuple[int, dict]] = []
         for slot, worker in enumerate(self._workers):
             if worker.alive():
                 continue
@@ -281,7 +279,8 @@ class WorkerPool:
         return orphaned
 
     def stop(self, timeout: float = 2.0) -> None:
-        """Shut every worker down (sentinel, then terminate stragglers)."""
+        """Shut every worker down (sentinel, then terminate stragglers),
+        then release the trace store (a private one is removed)."""
         for worker in self._workers:
             try:
                 worker.task_q.put(None)
@@ -293,6 +292,8 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout=timeout)
         self._workers.clear()
+        self._store_scope.close()
+        self.trace_store = None
 
     def describe(self) -> list[dict]:
         return [worker.describe() for worker in self._workers]
@@ -361,14 +362,9 @@ class JobQueue:
         #: Per-dispatch wall-clock budget (None = no timeout).
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.stats = QueueStats()
-        # Shared-memory trace plane: the daemon materialises each unique
-        # trace once and leases read-only segments to worker assignments
-        # (disabled or failing, workers just build locally).  Generator
-        # runs happen off the event loop: tasks whose trace needs building
-        # wait in _pending while a thread prepares it (_preparing keys).
-        self.traces = SharedTraceRegistry()
-        self._preparing: set[tuple] = set()
-        self._prepare_failed: set[tuple] = set()
+        #: Trace identity -> id of the task whose worker generates it: the
+        #: one in-flight job of a trace absent from the store.
+        self._generating: dict[tuple, int] = {}
         self._tasks: dict[int, _Task] = {}
         self._inflight: dict[str, int] = {}   # content key -> task id
         self._pending: deque[int] = deque()
@@ -400,7 +396,6 @@ class JobQueue:
                 pass
             self._watchdog = None
         self.pool.stop()
-        self.traces.close()
         if self._drain is not None:
             self._drain.join(timeout=2 * DRAIN_POLL + 1.0)
             self._drain = None
@@ -412,6 +407,7 @@ class JobQueue:
         self._tasks.clear()
         self._inflight.clear()
         self._pending.clear()
+        self._generating.clear()
 
     # -- submission ------------------------------------------------------
 
@@ -506,7 +502,6 @@ class JobQueue:
             "job_timeout": self.job_timeout,
             "restarts": self.pool.restarts,
             "stats": self.stats.to_dict(),
-            "traces": self.traces.stats(),
         }
 
     def health(self) -> dict:
@@ -514,8 +509,7 @@ class JobQueue:
 
         ``degraded`` flags are lifetime counters of failures the daemon
         absorbed instead of dying: cache persists that failed (results
-        still in memory), shared-memory materialisations that fell back
-        to local rebuilds.  ``degraded_mode`` is their disjunction — the
+        still in memory).  ``degraded_mode`` is their disjunction — the
         "keep serving, but look at me" signal for operators.
         """
         workers = self.pool.describe()
@@ -523,7 +517,6 @@ class JobQueue:
         busy = sum(1 for w in workers if w["task"] is not None)
         degraded = {
             "cache_write_failures": self.cache.write_failures,
-            "shm_failures": self.traces.failures,
         }
         return {
             "ok": alive > 0,
@@ -544,15 +537,10 @@ class JobQueue:
     def _feed(self) -> None:
         """Hand pending tasks to idle workers (FIFO).
 
-        Each assignment leases the job's trace from the shared-memory
-        plane; the lease is released when the assignment clears —
-        completion, error or worker death.  Leases that would require a
-        *generator run* are not served on the event loop: the task is
-        deferred (keeping its queue position) while :func:`prepare_trace`
-        builds the trace on the default thread-pool executor, and the
-        completion callback seeds the cache and re-feeds.  The loop — and
-        every other client's ping/submit/status — stays responsive while
-        cold traces build.
+        The first job of a trace absent from the shared store generates
+        it; the trace's other jobs are deferred (keeping their queue
+        position) until that job resolves, then load it from the store.
+        The event loop itself never builds a trace.
         """
         idle = self.pool.idle_workers()
         deferred: list[int] = []
@@ -562,18 +550,13 @@ class JobQueue:
             if task is None or task.future.done():
                 # Resolved while queued (stale completion after a requeue).
                 continue
-            job = task.job
-            leased = self.traces.lease(job.workload,
-                                       job.warmup + job.n_uops, job.seed,
-                                       generate=False)
-            if leased is NEEDS_GENERATION:
-                ident = self._job_ident(job)
-                if ident is not None and ident not in self._prepare_failed:
-                    self._start_prepare(ident)
-                    deferred.append(task_id)
-                    continue
-                leased = None  # preparation failed before: dispatch bare
-            lease_key, spec = leased if leased is not None else (None, None)
+            ident = task.job.trace_identity()
+            if ident in self._generating:
+                deferred.append(task_id)
+                continue
+            if ident is not None \
+                    and not self.pool.trace_store.contains(*ident):
+                self._generating[ident] = task_id
             task.attempts += 1
             # Chaos: the parent evaluates the worker.execute site here so
             # the seeded hit counter lives in exactly one process; the
@@ -581,49 +564,16 @@ class JobQueue:
             rule = faults.fire("worker.execute")
             fault = None if rule is None else \
                 {"action": rule.action, "arg": rule.arg}
-            idle.pop().assign(task_id, job.to_dict(), spec, lease_key, fault)
+            idle.pop().assign(task_id, task.job.to_dict(), fault)
         for task_id in reversed(deferred):
             self._pending.appendleft(task_id)
 
-    @staticmethod
-    def _job_ident(job: SimJob) -> tuple | None:
-        """The trace identity a job simulates, or ``None`` if unknowable."""
-        from repro.workloads.catalog import resolve_seed
-
-        try:
-            return (job.workload, job.warmup + job.n_uops,
-                    resolve_seed(job.workload, job.seed))
-        except KeyError:
-            return None
-
-    def _start_prepare(self, ident: tuple) -> None:
-        """Build one trace identity on the thread-pool executor (once)."""
-        from repro.workloads.catalog import seed_trace
-
-        if ident in self._preparing:
-            return
-        self._preparing.add(ident)
-
-        def _done(future) -> None:
-            # Runs on the event loop: installing into the catalog cache
-            # (and re-feeding) stays single-threaded.
-            self._preparing.discard(ident)
-            trace = None if future.cancelled() else future.result()
-            if trace is not None:
-                seed_trace(ident[0], ident[1], ident[2], trace)
-            else:
-                # prepare_trace swallowed the real error; the bare
-                # dispatch below lets the worker raise it properly.
-                self.traces.failures += 1
-                self._prepare_failed.add(ident)
-            if not self._stopping:
-                self._feed()
-
-        # run_in_executor returns an asyncio.Future: done callbacks are
-        # already marshalled onto the loop.
-        self._loop.run_in_executor(
-            None, prepare_trace, ident[0], ident[1], ident[2]
-        ).add_done_callback(_done)
+    def _release_trace(self, task_id: int, task: _Task) -> None:
+        """Let a generating task's held jobs go: it completed, failed or
+        lost its worker (a requeued job regenerates)."""
+        ident = task.job.trace_identity()
+        if self._generating.get(ident) == task_id:
+            del self._generating[ident]
 
     def _drain_loop(self) -> None:
         """Forward worker completions onto the event loop (thread body)."""
@@ -653,11 +603,8 @@ class JobQueue:
         worker = self.pool.worker(worker_id)
         if worker is not None and worker.current is not None \
                 and worker.current[0] == task_id:
-            lease_key = worker.current[2]
             worker.current = None
             worker.started = None
-            if lease_key is not None:
-                self.traces.release(lease_key)
         task = self._tasks.pop(task_id, None)
         if task is None:
             # Duplicate completion: the job finished once on a worker that
@@ -666,6 +613,7 @@ class JobQueue:
             self._feed()
             return
         self._inflight.pop(task.key, None)
+        self._release_trace(task_id, task)
         if kind == "done":
             result = SimResult.from_dict(payload)
             self.cache.put(task.job, result)
@@ -680,10 +628,6 @@ class JobQueue:
 
     async def _watch(self) -> None:
         """Requeue jobs orphaned by worker deaths; spawn replacements.
-
-        A dead worker's shared-trace lease is released here — the segment
-        usually stays resident (idle LRU) so the respawned assignment's
-        re-lease is a pure reuse, not a rebuild.
 
         With :attr:`job_timeout` set, a worker holding one assignment past
         the budget is killed here (``SIGKILL``: a wedged worker won't run
@@ -709,12 +653,11 @@ class JobQueue:
                         worker.process.kill()
                         worker.process.join(timeout=1.0)
             orphaned = self.pool.reap_dead()
-            for task_id, _job_dict, lease_key in orphaned:
-                if lease_key is not None:
-                    self.traces.release(lease_key)
+            for task_id, _job_dict in orphaned:
                 task = self._tasks.get(task_id)
                 if task is None:
                     continue
+                self._release_trace(task_id, task)
                 if task.attempts >= MAX_JOB_ATTEMPTS:
                     self.stats.exhausted += 1
                     self._tasks.pop(task_id, None)

@@ -52,7 +52,7 @@ many requests.  Requests are ``{"op": <name>, ...}``; responses are
 ``health``
     Cheap liveness/degradation snapshot: worker aliveness, queue depth
     vs. bound, timeout/rejection counters and the degraded-mode flags
-    (cache or shm failures the daemon absorbed).
+    (cache failures the daemon absorbed).
 ``chaos``
     The active fault-injection plan (:mod:`repro.engine.faults`) — site
     hit counts and fired rules.  Only served when the daemon was started
@@ -140,8 +140,10 @@ DEFAULT_SOCKET = "repro-service.sock"
 #: the ``lookup`` and ``seed`` ops (results cross shards through a
 #: shared cache directory instead); v4 dropped the service journal, and
 #: with it the ``journal`` block of ``status``, the ``replay`` block of
-#: ``metrics`` and the journal counter of ``health``'s ``degraded`` map.
-PROTOCOL_VERSION = 4
+#: ``metrics`` and the journal counter of ``health``'s ``degraded`` map;
+#: v5 dropped the ``traces`` block of ``status`` and the shared-segment
+#: failure counter of ``health``'s ``degraded`` map.
+PROTOCOL_VERSION = 5
 
 #: Maximum request/response line length (a 20-job grid is ~20 KB).
 MAX_LINE = 64 * 1024 * 1024

@@ -190,15 +190,16 @@ def _spawn_shard(shard: _Shard, config: SoakConfig, work_dir: Path) -> None:
     0 and learns the kernel's pick from the ready line; revivals re-bind
     the *same* port and bump the same epoch file, so the fleet's
     addresses and ring are stable across deaths and every revival
-    outranks its corpse.
-    ``REPRO_SHM=0`` because a SIGKILL-ed daemon cannot unlink
-    shared-memory segments.
+    outranks its corpse.  All shards share ``<work_dir>/traces`` as
+    their trace store, so a revival loads traces instead of
+    regenerating them, and a SIGKILL-ed daemon leaves no private store
+    behind.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_repo_src(), env.get("PYTHONPATH", "")) if p)
     env["REPRO_SERVICE_TOKEN"] = config.token
-    env["REPRO_SHM"] = "0"
+    env["REPRO_TRACE_DIR"] = str(work_dir / "traces")
     env["REPRO_CACHE_DIR"] = str(work_dir / "cache")
     env.pop("REPRO_FAULTS", None)  # chaos here is real signals, not faults
     # stdout=DEVNULL matters beyond tidiness: a SIGKILL-ed shard's pool
@@ -377,10 +378,10 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
              log=None) -> SoakReport:
     """Run one full soak; returns the report (check :meth:`~SoakReport.passed`).
 
-    *work_dir* holds the fleet's shared result cache and its shards'
-    epoch files; the caller owns its lifetime (a tmpdir in tests, a scratch
-    dir under the CLI).  *log* is called with progress lines (``None``
-    silences them).
+    *work_dir* holds the fleet's shared result cache, trace store and
+    its shards' epoch files; the caller owns its lifetime (a tmpdir in
+    tests, a scratch dir under the CLI).  *log* is called with progress
+    lines (``None`` silences them).
     """
     log = log or (lambda line: None)
     work_dir = Path(work_dir)

@@ -9,10 +9,10 @@ PR 5 adds the **packed representation** underneath: every trace can be
 lowered to :class:`PackedColumns`, a fixed-schema set of flat numpy arrays
 (:data:`COLUMN_SCHEMA`) that fully describes the µop stream.  The packed
 form is what the on-disk trace store persists (mmap-able ``.npy`` files,
-see :mod:`repro.workloads.store`) and what the shared-memory trace plane
-ships to worker processes (:mod:`repro.engine.shm`); µop objects and the
-scheduler-facing list columns are *views* derived from it on demand, so a
-loaded or attached trace never re-runs its generator.
+see :mod:`repro.workloads.store`) and what every worker process loads
+from it; µop objects and the scheduler-facing list columns are *views*
+derived from it on demand, so a loaded trace never re-runs its
+generator.
 """
 
 from __future__ import annotations
@@ -66,12 +66,10 @@ COLUMN_SCHEMA = (
 class PackedColumns:
     """A trace lowered to the fixed numpy schema of :data:`COLUMN_SCHEMA`.
 
-    This is the canonical at-rest/in-transit form of a trace: a dict of
-    flat arrays that round-trips exactly to the µop list (pinned by
-    ``tests/unit/test_trace_columns.py``), serialises as plain ``.npy``
-    files, and can be laid into one contiguous buffer for shared-memory
-    transport (:meth:`buffer_layout` / :meth:`write_into` /
-    :meth:`from_buffer`).
+    This is the canonical at-rest form of a trace: a dict of flat arrays
+    that round-trips exactly to the µop list (pinned by
+    ``tests/unit/test_trace_columns.py``) and serialises as plain
+    ``.npy`` files.
     """
 
     __slots__ = ("n", "arrays")
@@ -159,52 +157,10 @@ class PackedColumns:
             for i in range(self.n)
         ]
 
-    # -- buffer transport (shared memory) --------------------------------
-
     @property
     def nbytes(self) -> int:
         """Total payload bytes across all columns (no alignment padding)."""
         return sum(arr.nbytes for arr in self.arrays.values())
-
-    def buffer_layout(self) -> tuple[list[list], int]:
-        """``([[name, dtype, length, offset], ...], total_bytes)`` for one
-        contiguous buffer holding every column, offsets 16-byte aligned."""
-        layout: list[list] = []
-        offset = 0
-        for name, dtype in COLUMN_SCHEMA:
-            arr = self.arrays[name]
-            offset = (offset + 15) & ~15
-            layout.append([name, dtype, int(arr.shape[0]), offset])
-            offset += arr.nbytes
-        return layout, offset
-
-    def write_into(self, buf) -> tuple[list[list], int]:
-        """Copy every column into *buf* (a writable buffer); returns the
-        layout that :meth:`from_buffer` needs to read it back."""
-        layout, total = self.buffer_layout()
-        for name, dtype, length, offset in layout:
-            view = np.ndarray((length,), dtype=dtype, buffer=buf,
-                              offset=offset)
-            view[:] = self.arrays[name]
-        return layout, total
-
-    @classmethod
-    def from_buffer(cls, buf, layout: list, n: int,
-                    copy: bool = True) -> "PackedColumns":
-        """Reconstruct packed columns from a buffer written by
-        :meth:`write_into`.
-
-        With ``copy=True`` (the worker-attach default) each column is
-        copied out so the caller may close the underlying segment
-        immediately; ``copy=False`` returns zero-copy views whose lifetime
-        is the buffer's.
-        """
-        arrays: dict[str, np.ndarray] = {}
-        for name, dtype, length, offset in layout:
-            view = np.ndarray((int(length),), dtype=dtype, buffer=buf,
-                              offset=int(offset))
-            arrays[name] = view.copy() if copy else view
-        return cls(int(n), arrays)
 
     def validate(self) -> None:
         """Check schema integrity; raises ``ValueError`` on any mismatch."""
@@ -244,7 +200,7 @@ class TraceColumns:
     against a reference reimplementation by
     ``tests/unit/test_trace_columns.py`` and end-to-end by the golden
     grid — so the scheduler loop is unchanged whether a trace was
-    generated, mmap-loaded or shared-memory-attached.
+    generated or mmap-loaded.
     """
 
     __slots__ = (
@@ -332,8 +288,8 @@ class Trace:
     """An ordered, indexable sequence of µops with workload metadata.
 
     Backed by either a µop list (freshly generated traces), a
-    :class:`PackedColumns` (store-loaded / shared-memory-attached traces,
-    see :meth:`from_packed`), or both; whichever half is missing is
+    :class:`PackedColumns` (store-loaded traces, see
+    :meth:`from_packed`), or both; whichever half is missing is
     materialised lazily and cached.  Traces are treated as immutable once
     simulated — the workload catalog caches them on exactly that
     assumption — but :meth:`append`/:meth:`extend` stay supported for
@@ -406,7 +362,7 @@ class Trace:
     @property
     def uops(self) -> list[MicroOp]:
         """The underlying µop list, rebuilding it from the packed columns
-        for loaded/attached traces on first access."""
+        for loaded traces on first access."""
         uops = self._uops
         if uops is None:
             uops = self._uops = self._packed.to_uops()

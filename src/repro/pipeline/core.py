@@ -441,7 +441,7 @@ class CoreModel:
             branch_redirect = 0
             if is_branch:
                 # Scalar columns instead of the µop object: store-loaded
-                # and shm-attached traces never materialise MicroOps here.
+                # traces never materialise MicroOps here.
                 bres = process_branch(op, pc, col_taken[i], col_target[i])
                 if bres.direction_mispredict:
                     branch_redirect = 1  # resolved at execute

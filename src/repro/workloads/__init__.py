@@ -19,7 +19,6 @@ from repro.workloads.catalog import (
     get_spec,
     known_workload,
     resolve_seed,
-    seed_trace,
     trace_cache_stats,
 )
 from repro.workloads.scenarios import (
@@ -54,7 +53,6 @@ __all__ = [
     "known_workload",
     "parse_scenario_name",
     "resolve_seed",
-    "seed_trace",
     "scenario_axis",
     "trace_cache_stats",
     "trace_key",

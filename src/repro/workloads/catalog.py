@@ -227,7 +227,7 @@ def _cache_get(key: tuple[str, int, int]) -> Trace | None:
 def resolve_seed(name: str, seed: int | None = None) -> int:
     """The effective build seed for *name*: explicit, else the catalog /
     scenario default.  This is the seed component of every trace identity
-    (in-process cache, on-disk store, shared-memory plane)."""
+    (in-process cache and on-disk store)."""
     if seed is not None:
         return seed
     params = scenarios.parse_scenario_name(name)
@@ -243,14 +243,6 @@ def resolve_seed(name: str, seed: int | None = None) -> int:
 def cached_trace(name: str, n_uops: int, seed: int | None = None) -> Trace | None:
     """The cached trace for an identity tuple, or ``None`` (no building)."""
     return _cache_get((name, n_uops, resolve_seed(name, seed)))
-
-
-def seed_trace(name: str, n_uops: int, seed: int | None, trace: Trace) -> None:
-    """Install an externally materialised trace (e.g. attached from the
-    shared-memory plane) under its identity so :func:`build_trace` hits."""
-    key = (name, n_uops, resolve_seed(name, seed))
-    trace.store_identity = key
-    _cache_insert(key, trace)
 
 
 def trace_cache_stats() -> dict:

@@ -38,10 +38,13 @@ half-entry at a committed path.  Reads and writes pass the
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import shutil
+import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,23 @@ def default_trace_store() -> "TraceStore | None":
     """The store named by ``$REPRO_TRACE_DIR``, or ``None`` when unset."""
     raw = os.environ.get(TRACE_DIR_ENV, "").strip()
     return TraceStore(raw) if raw else None
+
+
+@contextlib.contextmanager
+def shared_trace_store() -> "Iterator[TraceStore]":
+    """The store every worker of one fan-out reads and writes.
+
+    Yields the configured ``$REPRO_TRACE_DIR`` store, left in place on
+    close.  With none configured it yields a private temporary store
+    (``repro-traces-*``) that is removed on close, so the workers of one
+    pool still generate each trace once between them.
+    """
+    store = default_trace_store()
+    if store is not None:
+        yield store
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-traces-") as private:
+        yield TraceStore(private)
 
 
 def trace_key(name: str, n_uops: int, seed: int) -> str:
@@ -173,9 +193,9 @@ class TraceStore:
     def contains(self, name: str, n_uops: int, seed: int) -> bool:
         """Whether an entry exists for this identity (no load, no checks).
 
-        A cheap existence probe for schedulers deciding whether a lease
-        can be served without running a generator; :meth:`get` still does
-        the full validation.
+        A cheap existence probe for the fan-out sites (job queue, pool
+        executor), deciding whether a job would run a generator;
+        :meth:`get` still does the full validation.
         """
         return self._entry_dir(trace_key(name, n_uops, seed)).is_dir()
 

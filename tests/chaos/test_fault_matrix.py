@@ -5,8 +5,8 @@ socket, worker pool, cache) under a deterministic
 :mod:`repro.engine.faults` plan and asserts the ISSUE's acceptance bar:
 
 * **survivable** faults — worker crashes/hangs/slowdowns, dropped or
-  torn socket responses, cache write failures, shm
-  attach/materialise failures — end in :class:`SimResult`s
+  torn socket responses, cache write failures, trace-store read
+  and write failures — end in :class:`SimResult`s
   **bit-identical** to the fault-free run;
 * **fatal** faults — a job that crashes its worker on every dispatch —
   end in a clean typed error within a bounded deadline, never a hang;
@@ -49,6 +49,8 @@ from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 from repro.engine.service import SimService
 from repro.pipeline.result import SimResult
+from repro.workloads import catalog
+from repro.workloads.store import TRACE_DIR_ENV, TraceStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -223,30 +225,58 @@ class TestStorageFaults:
         assert not list((tmp_path / "cache").glob("??/*.json"))
 
 
-class TestShmDegradationLadder:
-    """Tier by tier: shm → local rebuild → (fail job only if both die)."""
+class TestStoreDegradationLadder:
+    """Worker-side trace-store faults cost generator time, never results."""
 
-    def test_attach_failure_degrades_to_local_rebuild(self, tmp_path,
-                                                      expected):
+    @staticmethod
+    def _stored_store(monkeypatch, tmp_path):
+        """A configured store already holding every trace JOBS touches."""
+        directory = tmp_path / "traces"
+        monkeypatch.setenv(TRACE_DIR_ENV, str(directory))
+        catalog.clear_trace_cache()
+        for job in JOBS:
+            catalog.build_trace(job.workload, job.warmup + job.n_uops,
+                                seed=job.seed)
+        catalog.clear_trace_cache()
+        return TraceStore(directory)
+
+    @staticmethod
+    def _written(store):
+        """Entry key -> when its metadata was written."""
+        return {row["key"]: os.stat(Path(row["path"]) / "meta.json")
+                .st_mtime_ns for row in store.entries()}
+
+    def test_truncated_reads_regenerate(self, monkeypatch, tmp_path,
+                                        expected):
+        store = self._stored_store(monkeypatch, tmp_path)
+        before = self._written(store)
         # Worker-side site: must arrive via the environment the spawned
         # workers inherit, before the pool starts.
-        faults.install_plan("shm.attach:fail@every=1", seed=0,
+        faults.install_plan("store.read:truncate@every=1", seed=0,
                             export_env=True)
-        faults.reset()  # parent re-resolves from env like a worker would
         with Daemon(tmp_path / "d.sock", workers=2) as d:
             with ServiceClient(d.service.socket_path) as client:
                 response = client.submit(JOBS)
+        faults.install_plan(None, export_env=True)
         assert _results(response) == expected
+        # Every entry a worker read was damaged, quarantined and written
+        # back by the regeneration: same keys, newer metadata.
+        after = self._written(store)
+        assert sorted(after) == sorted(before)
+        assert all(after[key] > before[key] for key in before)
 
-    def test_materialize_failure_degrades_to_bare_dispatch(self, tmp_path,
-                                                           expected):
+    def test_failed_writes_regenerate(self, monkeypatch, tmp_path,
+                                      expected):
+        directory = tmp_path / "traces"
+        monkeypatch.setenv(TRACE_DIR_ENV, str(directory))
+        faults.install_plan("store.write:enospc@every=1", seed=0,
+                            export_env=True)
         with Daemon(tmp_path / "d.sock", workers=2) as d:
-            faults.install_plan("shm.materialize:fail@every=1", seed=0)
             with ServiceClient(d.service.socket_path) as client:
                 response = client.submit(JOBS)
-                health = client.health()
+        faults.install_plan(None, export_env=True)
         assert _results(response) == expected
-        assert health["degraded"]["shm_failures"] >= 1
+        assert TraceStore(directory).entries() == []
 
 
 class TestBackpressure:
@@ -396,7 +426,8 @@ class TestClusterFaults:
         # corpse serves the published half from the directory and
         # simulates the rest — bit-identically — and claims the dead
         # peer down.
-        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), REPRO_SHM="0")
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
+                   REPRO_TRACE_DIR=str(tmp_path / "traces"))
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", ""))
             if p)

@@ -49,16 +49,15 @@ GRID_B = [SimJob.make(w, p, **SMALL)
           for p in ("2dstride", "vtage") for w in WORKLOADS]
 
 
-def _spawn_shard(*extra_args, cache_dir=None, jobs="1", shm=True):
+def _spawn_shard(*extra_args, cache_dir=None, trace_dir=None, jobs="1"):
     """Start ``repro cluster serve`` on a kernel-picked port; returns
     ``(process, tcp_address)`` parsed from the daemon's ready line.
 
     *cache_dir* is the shard's ``$REPRO_CACHE_DIR`` (``None``: memory
     only); shards given the same directory share every published result.
-    ``shm=False`` disables the shared-memory trace plane for shards a
-    test will ``SIGKILL``: a -9 daemon cannot unlink its segments, and
-    leaked ``/dev/shm`` entries would fail the shm hermeticity tests
-    later in the same suite run.
+    *trace_dir* is the shard's ``$REPRO_TRACE_DIR``; a shard a test will
+    ``SIGKILL`` needs one, because a -9 daemon cannot remove the private
+    trace store it would otherwise create.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -66,8 +65,8 @@ def _spawn_shard(*extra_args, cache_dir=None, jobs="1", shm=True):
     env["REPRO_SERVICE_TOKEN"] = TOKEN
     if cache_dir is not None:
         env["REPRO_CACHE_DIR"] = str(cache_dir)
-    if not shm:
-        env["REPRO_SHM"] = "0"
+    if trace_dir is not None:
+        env["REPRO_TRACE_DIR"] = str(trace_dir)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "-j", jobs, "cluster", "serve",
          "--listen", "127.0.0.1:0", *map(str, extra_args)],
@@ -184,11 +183,12 @@ class TestClusterRoundTrip:
 
 
 class TestClusterFailover:
-    def test_sigkill_one_shard_mid_grid_loses_nothing(self, expected):
+    def test_sigkill_one_shard_mid_grid_loses_nothing(self, expected,
+                                                      tmp_path):
         """The headline resilience claim: -9 a shard while its workers
         are busy; the grid still completes bit-identically."""
-        proc_a, addr_a = _spawn_shard(shm=False)
-        proc_b, addr_b = _spawn_shard(shm=False)
+        proc_a, addr_a = _spawn_shard(trace_dir=tmp_path / "traces")
+        proc_b, addr_b = _spawn_shard(trace_dir=tmp_path / "traces")
         killed = False
         try:
             router = ShardRouter(
@@ -268,10 +268,12 @@ class TestSelfHealing:
         directory, gossiping at 0.25 s."""
         results = tmp_path / "results"
         proc_a, addr_a = _spawn_shard(*self._knobs(tmp_path, "a"),
-                                      shm=False, cache_dir=results)
+                                      cache_dir=results,
+                                      trace_dir=tmp_path / "traces")
         proc_b, addr_b = _spawn_shard("--peer", addr_a,
                                       *self._knobs(tmp_path, "b"),
-                                      shm=False, cache_dir=results)
+                                      cache_dir=results,
+                                      trace_dir=tmp_path / "traces")
         return proc_a, addr_a, proc_b, addr_b
 
     def _stop(self, proc, addr):
@@ -326,8 +328,9 @@ class TestSelfHealing:
                 try:
                     revived = _spawn_shard(
                         "--listen", f"127.0.0.1:{port}", "--peer", addr_b,
-                        *self._knobs(tmp_path, "a"), shm=False,
-                        cache_dir=tmp_path / "results")
+                        *self._knobs(tmp_path, "a"),
+                        cache_dir=tmp_path / "results",
+                        trace_dir=tmp_path / "traces")
                     break
                 except AssertionError:
                     time.sleep(0.5)

@@ -51,12 +51,12 @@ class TestSpecGrammar:
         assert plan.rules[2].prob == 0.5
 
     def test_first_n_trigger_expands_to_hit_numbers(self):
-        plan = FaultPlan.parse("shm.attach:fail@first=3")
+        plan = FaultPlan.parse("store.read:truncate@first=3")
         assert plan.rules[0].when == (1, 2, 3)
 
     def test_no_trigger_means_always(self):
-        plan = FaultPlan.parse("shm.attach:fail")
-        assert all(plan.check("shm.attach") for _ in range(5))
+        plan = FaultPlan.parse("store.read:truncate")
+        assert all(plan.check("store.read") for _ in range(5))
 
     @pytest.mark.parametrize("bad", [
         "",                          # no rules
@@ -145,13 +145,13 @@ class TestActivation:
         assert faults.fire("cache.write") is None
 
     def test_env_spec_activates_on_first_fire(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "shm.attach:fail@1")
+        monkeypatch.setenv(faults.FAULTS_ENV, "store.read:truncate@1")
         faults.reset()
-        assert faults.fire("shm.attach") is not None
-        assert faults.fire("shm.attach") is None
+        assert faults.fire("store.read") is not None
+        assert faults.fire("store.read") is None
 
     def test_env_seed_feeds_probabilistic_rules(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "shm.attach:fail@p=0.5")
+        monkeypatch.setenv(faults.FAULTS_ENV, "store.read:truncate@p=0.5")
         monkeypatch.setenv(faults.FAULTS_SEED_ENV, "9")
         faults.reset()
         assert faults.active_plan().seed == 9
@@ -174,8 +174,8 @@ class TestActivation:
     def test_export_env_mirrors_spec_for_spawned_workers(self, monkeypatch):
         import os
 
-        faults.install_plan("shm.attach:fail@2", seed=5, export_env=True)
-        assert os.environ[faults.FAULTS_ENV] == "shm.attach:fail@2"
+        faults.install_plan("store.read:truncate@2", seed=5, export_env=True)
+        assert os.environ[faults.FAULTS_ENV] == "store.read:truncate@2"
         assert os.environ[faults.FAULTS_SEED_ENV] == "5"
         faults.install_plan(None, export_env=True)
         assert faults.FAULTS_ENV not in os.environ

@@ -1,13 +1,13 @@
-"""Bit-identity of the numpy-backed trace columns and packed transport.
+"""Bit-identity of the numpy-backed trace columns and packed form.
 
 PR 5 rebuilt :class:`~repro.isa.trace.TraceColumns` on top of the packed
 numpy representation (:class:`~repro.isa.trace.PackedColumns`).  The
 contract is that every list-facing value is *bit-identical* to the
 original pure-list implementation — the scheduler loop must not be able
-to tell generated, store-loaded and shm-attached traces apart.  This
-module pins that contract three ways: against a reference
-reimplementation of the seed columnizer, across the golden-grid traces,
-and through the pack → µops / pack → buffer → unpack round trips.
+to tell generated and store-loaded traces apart.  This module pins that
+contract three ways: against a reference reimplementation of the seed
+columnizer, across the golden-grid traces, and through the pack → µops
+round trip.
 """
 
 import json
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.isa.trace import COLUMN_SCHEMA, PackedColumns, Trace, TraceColumns
+from repro.isa.trace import PackedColumns, Trace, TraceColumns
 from repro.isa.uop import MicroOp, OpClass
 from repro.util.bits import MASK64
 from repro.workloads.catalog import build_trace
@@ -115,21 +115,6 @@ class TestPackedRoundTrip:
         a = simulate(original, None, warmup=500, workload="gzip")
         b = simulate(clone, None, warmup=500, workload="gzip")
         assert a.to_dict() == b.to_dict()
-
-    def test_buffer_transport_round_trip(self):
-        trace = build_trace("crafty", 2000)
-        packed = trace.packed()
-        layout, total = packed.buffer_layout()
-        buf = bytearray(total)
-        packed.write_into(buf)
-        back = PackedColumns.from_buffer(buf, layout, packed.n)
-        back.validate()
-        for name, _ in COLUMN_SCHEMA:
-            assert np.array_equal(back.arrays[name], packed.arrays[name])
-        # Copies, not views: mutating the buffer must not touch the copy.
-        buf[:16] = b"\xff" * 16
-        assert back.arrays[COLUMN_SCHEMA[0][0]].tolist() == \
-            packed.arrays[COLUMN_SCHEMA[0][0]].tolist()
 
     def test_mem_addr_none_and_zero_are_distinguished(self):
         uops = [

@@ -265,12 +265,6 @@ class TestLRUTraceCache:
         trace = catalog.build_trace("gzip", 2000)
         assert catalog.cached_trace("gzip", 2000) is trace
 
-    def test_seed_trace_installs_under_resolved_identity(self):
-        trace = build_uncached("gzip", 1200)
-        catalog.seed_trace("gzip", 1200, None, trace)
-        assert catalog.cached_trace("gzip", 1200, 164) is trace
-        assert catalog.build_trace("gzip", 1200) is trace
-
 
 class TestTraceCLI:
     def test_build_ls_clear(self, tmp_path, capsys):
