@@ -45,8 +45,13 @@ BENCH_CORE_ENTRIES = (
 
 #: Fixed-cost slices: (workload, predictor, µops).  At 500 µops the cycle
 #: loop is a small share of a job; model construction, state marshalling
-#: and result assembly are the rest.
-JOB_COST_ENTRIES = (("gcc", "none", 500),)
+#: and result assembly are the rest.  The predicted slices also gate the
+#: predictor tables' trip across the kernel boundary.
+JOB_COST_ENTRIES = (
+    ("gcc", "none", 500),
+    ("gcc", "2dstride", 500),
+    ("gcc", "vtage", 500),
+)
 
 #: Jobs per fixed-cost slice (the gate reads their median).
 JOB_COST_JOBS = 101

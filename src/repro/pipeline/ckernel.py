@@ -24,10 +24,16 @@ This module owns everything on the Python side of that boundary:
   (bandwidth windows, rings, store buffer, cache/DRAM/prefetcher/store-set
   arrays) are process-lifetime scratch behind a lock; only the train
   queue, one slot per µop, is allocated per run.
-* **State** — predictor tables are *copied* into flat numpy arrays before
-  the call and written back into the live predictor only on success, so
-  a kernel error (``kernel-error:<code>``) or ineligibility discovered
-  late leaves the model untouched for the spec loop.  On success the
+* **State** — the kernel works on new flat numpy arrays, never on the
+  predictor's lists.  A predictor whose tables still hold their
+  constructed values (checked against the tables on every run) gets
+  arrays filled the same way; any other has its lists copied.  Nothing
+  is written back until the call succeeds, so a kernel error
+  (``kernel-error:<code>``) or ineligibility discovered late leaves the
+  model untouched for the spec loop.  On success the predictor keeps the
+  final arrays and rebuilds its lists when a caller first reads one
+  (:meth:`~repro.predictors.base.ValuePredictor.park`); its scalar state
+  (LFSRs, VTAGE's tag generation) is written at once.  Likewise the
   model keeps copies of the final memory and store-set arrays and turns
   them into objects when a caller first reads ``model.memory`` or
   ``model.store_sets``.
@@ -63,6 +69,7 @@ from repro.memory.storesets import StoreSets
 from repro.pipeline.config import RecoveryMode
 from repro.pipeline.precompute import kernel_inputs
 from repro.pipeline.result import SimResult
+from repro.predictors.base import predictor_class
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
 from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
@@ -276,11 +283,11 @@ def predictor_type(predictor) -> int | None:
 
     Exact-type checks on purpose: subclasses (e.g. PerPathStridePredictor
     under TwoDeltaStridePredictor) may override the indexing the plane
-    precomputed.
+    precomputed.  A parked predictor is seen as its own class.
     """
     if predictor is None:
         return P_NONE
-    kind = type(predictor)
+    kind = predictor_class(predictor)
     if kind is OraclePredictor:
         return P_ORACLE
     if kind is LastValuePredictor:
@@ -455,7 +462,7 @@ def _restore_store_sets(ssit, lfst, next_ssid, violations,
 
 
 # ---------------------------------------------------------------------------
-# Predictor state (copied in; written back only on success)
+# Predictor state (new arrays in; parked on the predictor only on success)
 
 
 #: Where every predictor pointer field points when the family does not use
@@ -470,27 +477,67 @@ _PREDICTOR_POINTERS = (
 )
 
 
+def _holds_only(value, *tables) -> bool:
+    """Whether every list in *tables* holds nothing but *value*."""
+    return all(table.count(value) == len(table) for table in tables)
+
+
+def _tag_list(tags, valid) -> list:
+    return [t if v else None for t, v in zip(tags.tolist(), valid.tolist())]
+
+
+def _restore_lvp(tags, tag_valid, values, conf, predictor) -> None:
+    predictor._tags = _tag_list(tags, tag_valid)
+    predictor._values = values.tolist()
+    predictor._conf = conf.tolist()
+
+
+def _restore_stride(tags, tag_valid, last, conf, stride, stride2,
+                    spec_value, spec_has, inflight, predictor) -> None:
+    predictor._tags = _tag_list(tags, tag_valid)
+    predictor._last = last.tolist()
+    predictor._conf = conf.tolist()
+    predictor._stride = stride.tolist()
+    if stride2 is not None:
+        predictor._stride2 = stride2.tolist()
+    spec = np.flatnonzero(spec_has)
+    predictor._spec_last = dict(zip(spec.tolist(), spec_value[spec].tolist()))
+    live = np.flatnonzero(inflight)
+    predictor._inflight = dict(zip(live.tolist(), inflight[live].tolist()))
+
+
+def _restore_vtage(comps, tags, values, conf, useful, base_values, base_conf,
+                   vt) -> None:
+    entries = comps[0].entries
+    for c, comp in enumerate(comps):
+        lo, hi = c * entries, (c + 1) * entries
+        comp.tags = tags[lo:hi].tolist()
+        comp.values = values[lo:hi].tolist()
+        comp.conf = conf[lo:hi].tolist()
+        comp.useful = useful[lo:hi].tolist()
+    vt._base_values = base_values.tolist()
+    vt._base_conf = base_conf.tolist()
+    vt.components = comps
+
 
 def _marshal_predictor(args, predictor, ptype, vplane, keep):
-    """Copy the predictor's tables into *args*.
+    """Put the predictor's tables into *args* as new arrays.
 
-    Returns ``write_back(out)`` for a successful run, or a decline reason
-    string.  *keep* collects arrays that must outlive the call.  Fields
-    the family does not use point at the placeholder (integers stay 0).
+    A predictor whose tables still hold their constructed values gets
+    arrays filled the same way; any other has its lists copied.  The
+    check reads the tables, because direct ``train()`` calls leave no
+    other trace.  Returns ``write_back(out)`` for a successful run, which
+    parks the final arrays on the predictor (:meth:`ValuePredictor.park`)
+    and writes the scalar state, or a decline reason string.  The
+    predictor's own lists are never written, so a failed run leaves them
+    as they were.  *keep* collects arrays that must outlive the call.
+    Fields the family does not use point at the placeholder (integers
+    stay 0).
     """
     for name in _PREDICTOR_POINTERS:
         setattr(args, name, _PLACEHOLDER_ADDR)
     if ptype not in (P_LVP, P_STRIDE, P_VTAGE):
         return None
-
-    def arr(data, dtype):
-        out = np.ascontiguousarray(data, dtype=dtype)
-        keep.append(out)
-        return out
-
-    def ptr(array):
-        return array.ctypes.data
-
     if ptype == P_VTAGE and predictor._conf_threshold is None:
         return "kernel-ineligible:vtage-threshold"
     fields = _policy_fields(predictor.confidence)
@@ -498,10 +545,26 @@ def _marshal_predictor(args, predictor, ptype, vplane, keep):
         return "kernel-ineligible:confidence-policy"
     args.conf_kind, args.conf_max_level, prob, taps, state = fields
     keep.append(prob)
-    args.fpc_prob = ptr(prob)
+    args.fpc_prob = prob.ctypes.data
     args.fpc_taps = taps
     args.fpc_state = state
     fpc = args.conf_kind == 1
+
+    def new(n, dtype, fill=0):
+        """``(array, address)`` of *n* new entries, all *fill*."""
+        array = (np.zeros(n, dtype=dtype) if fill == 0
+                 else np.full(n, fill, dtype=dtype))
+        keep.append(array)
+        return array, array.ctypes.data
+
+    def table(rows, dtype, fresh, fill=0):
+        """``(array, address)`` of the equal-length lists *rows* end to
+        end; when *fresh* they hold only *fill*, so nothing is copied."""
+        if fresh:
+            return new(len(rows) * len(rows[0]), dtype, fill)
+        array = np.array(rows, dtype=dtype).ravel()
+        keep.append(array)
+        return array, array.ctypes.data
 
     def write_back_confidence(out):
         if fpc:
@@ -515,110 +578,97 @@ def _marshal_predictor(args, predictor, ptype, vplane, keep):
         if (ncomp == 0 or ncomp > _MAX_COMPONENTS
                 or any(c.entries != entries for c in comps)):
             return "kernel-ineligible:vtage-components"
-        vt_tags = arr(np.concatenate(
-            [np.asarray(c.tags, dtype=np.int64) for c in comps]), np.int64)
-        vt_values = arr(np.concatenate(
-            [np.asarray(c.values, dtype=np.uint64) for c in comps]),
-            np.uint64)
-        vt_conf = arr(np.concatenate(
-            [np.asarray(c.conf, dtype=np.int64) for c in comps]), np.int64)
-        vt_useful = arr(np.concatenate(
-            [np.asarray(c.useful, dtype=np.int8) for c in comps]), np.int8)
-        base_values = arr(vt._base_values, np.uint64)
-        base_conf = arr(vt._base_conf, np.int64)
+        fresh = _holds_only(0, vt._base_values, vt._base_conf) and all(
+            _holds_only(-1, c.tags)
+            and _holds_only(0, c.values, c.conf, c.useful) for c in comps)
+        vt_tags, args.vt_tags = table(
+            [c.tags for c in comps], np.int64, fresh, fill=-1)
+        vt_values, args.vt_values = table(
+            [c.values for c in comps], np.uint64, fresh)
+        vt_conf, args.vt_conf = table([c.conf for c in comps], np.int64, fresh)
+        vt_useful, args.vt_useful = table(
+            [c.useful for c in comps], np.int8, fresh)
+        base_values, args.vt_base_values = table(
+            [vt._base_values], np.uint64, fresh)
+        base_conf, args.vt_base_conf = table([vt._base_conf], np.int64, fresh)
         args.vt_ncomp = ncomp
         args.vt_entries = entries
         args.vt_base_mask = vt._base_index_mask
-        args.vt_base_values = ptr(base_values)
-        args.vt_base_conf = ptr(base_conf)
-        args.vt_tags = ptr(vt_tags)
-        args.vt_values = ptr(vt_values)
-        args.vt_conf = ptr(vt_conf)
-        args.vt_useful = ptr(vt_useful)
-        args.vp_idx = ptr(vplane.idx)
-        args.vp_tag = ptr(vplane.tag)
+        args.vp_idx = vplane.idx.ctypes.data
+        args.vp_tag = vplane.tag.ctypes.data
         args.vt_taps = vt._lfsr._taps
         args.vt_state = vt._lfsr.state
 
         def write_back(out):
-            for c, comp in enumerate(comps):
-                lo, hi = c * entries, (c + 1) * entries
-                comp.tags[:] = vt_tags[lo:hi].tolist()
-                comp.values[:] = vt_values[lo:hi].tolist()
-                comp.conf[:] = vt_conf[lo:hi].tolist()
-                comp.useful[:] = vt_useful[lo:hi].tolist()
-            vt._base_values[:] = base_values.tolist()
-            vt._base_conf[:] = base_conf.tolist()
             vt._tags_gen += int(out[_O_VT_ALLOCATIONS])
             vt._lfsr.state = int(out[_O_VT_STATE]) & MASK64
             write_back_confidence(out)
+            vt.park(partial(_restore_vtage, comps, vt_tags, vt_values,
+                            vt_conf, vt_useful, base_values, base_conf),
+                    ("components", "_base_values", "_base_conf"))
 
         return write_back
 
     entries = predictor.entries
     args.tbl_mask = entries - 1
     raw_tags = predictor._tags
-    tag_valid = arr([t is not None for t in raw_tags], np.uint8)
-    tags = arr([t if t is not None else 0 for t in raw_tags], np.uint64)
-    args.tbl_tags = ptr(tags)
-    args.tbl_tag_valid = ptr(tag_valid)
-
-    def write_back_tags():
-        predictor._tags[:] = [
-            int(t) if v else None
-            for t, v in zip(tags.tolist(), tag_valid.tolist())
-        ]
+    if ptype == P_LVP:
+        fresh = (_holds_only(None, raw_tags)
+                 and _holds_only(0, predictor._values, predictor._conf))
+    else:
+        two_delta = isinstance(predictor, TwoDeltaStridePredictor)
+        fresh = (
+            not predictor._spec_last and not predictor._inflight
+            and _holds_only(None, raw_tags)
+            and _holds_only(0, predictor._last, predictor._conf,
+                            predictor._stride)
+            and (not two_delta or _holds_only(0, predictor._stride2)))
+    if fresh:
+        tags, args.tbl_tags = new(entries, np.uint64)
+        tag_valid, args.tbl_tag_valid = new(entries, np.uint8)
+    else:
+        tags, args.tbl_tags = table(
+            [[t if t is not None else 0 for t in raw_tags]], np.uint64, False)
+        tag_valid, args.tbl_tag_valid = table(
+            [[t is not None for t in raw_tags]], np.uint8, False)
 
     if ptype == P_LVP:
-        values = arr(predictor._values, np.uint64)
-        conf = arr(predictor._conf, np.int64)
-        args.tbl_values = ptr(values)
-        args.tbl_conf = ptr(conf)
+        values, args.tbl_values = table([predictor._values], np.uint64, fresh)
+        conf, args.tbl_conf = table([predictor._conf], np.int64, fresh)
 
         def write_back(out):
-            write_back_tags()
-            predictor._values[:] = values.tolist()
-            predictor._conf[:] = conf.tolist()
             write_back_confidence(out)
+            predictor.park(
+                partial(_restore_lvp, tags, tag_valid, values, conf),
+                ("_tags", "_values", "_conf"))
 
         return write_back
 
-    two_delta = type(predictor) is TwoDeltaStridePredictor
-    last = arr(predictor._last, np.uint64)
-    conf = arr(predictor._conf, np.int64)
-    stride = arr(predictor._stride, np.uint64)
-    stride2 = arr(predictor._stride2, np.uint64) if two_delta else stride
-    spec_value = arr(np.zeros(entries, dtype=np.uint64), np.uint64)
-    spec_has = arr(np.zeros(entries, dtype=np.uint8), np.uint8)
-    inflight = arr(np.zeros(entries, dtype=np.int64), np.int64)
+    last, args.tbl_values = table([predictor._last], np.uint64, fresh)
+    conf, args.tbl_conf = table([predictor._conf], np.int64, fresh)
+    stride, args.st_stride = table([predictor._stride], np.uint64, fresh)
+    if two_delta:
+        stride2, args.st_stride2 = table([predictor._stride2], np.uint64,
+                                         fresh)
+    else:
+        stride2, args.st_stride2 = None, args.st_stride
+    spec_value, args.st_spec_value = new(entries, np.uint64)
+    spec_has, args.st_spec_has = new(entries, np.uint8)
+    inflight, args.st_inflight = new(entries, np.int64)
     for idx, value in predictor._spec_last.items():
         spec_value[idx] = value
         spec_has[idx] = 1
     for idx, live in predictor._inflight.items():
         inflight[idx] = live
-    args.tbl_values = ptr(last)
-    args.tbl_conf = ptr(conf)
     args.two_delta = 1 if two_delta else 0
-    args.st_stride = ptr(stride)
-    args.st_stride2 = ptr(stride2)
-    args.st_spec_value = ptr(spec_value)
-    args.st_spec_has = ptr(spec_has)
-    args.st_inflight = ptr(inflight)
 
     def write_back(out):
-        write_back_tags()
-        predictor._last[:] = last.tolist()
-        predictor._conf[:] = conf.tolist()
-        predictor._stride[:] = stride.tolist()
-        if two_delta:
-            predictor._stride2[:] = stride2.tolist()
-        predictor._spec_last.clear()
-        predictor._inflight.clear()
-        for idx in np.flatnonzero(spec_has).tolist():
-            predictor._spec_last[idx] = int(spec_value[idx])
-        for idx in np.flatnonzero(inflight).tolist():
-            predictor._inflight[idx] = int(inflight[idx])
         write_back_confidence(out)
+        predictor.park(
+            partial(_restore_stride, tags, tag_valid, last, conf, stride,
+                    stride2, spec_value, spec_has, inflight),
+            ("_tags", "_last", "_conf", "_stride", "_spec_last", "_inflight")
+            + (("_stride2",) if two_delta else ()))
 
     return write_back
 

@@ -133,3 +133,67 @@ class ValuePredictor(abc.ABC):
 
     def describe(self) -> str:
         return self.name
+
+    def park(self, restore, names) -> None:
+        """Drop the table attributes *names* until someone reads one.
+
+        The compiled kernel leaves a predictor's final tables as arrays,
+        and turning them back into lists costs more than most jobs, which
+        never read them.  While parked, the predictor wears a twin of its
+        class whose ``__getattr__`` (called only for attributes the
+        instance lacks) runs ``restore(self)`` to set *names* again and
+        switches back to its own class before answering.  Its own class
+        gains no hook: on CPython 3.11 any ``__getattr__`` on a class
+        slows every attribute load on its instances, ``lookup`` and
+        ``train`` included.  *restore* must not hold the predictor, or
+        the pair would outlive the run as a reference cycle while
+        ``CoreModel.run`` pauses the collector.
+        """
+        state = vars(self)
+        for name in names:
+            del state[name]
+        state[_RESTORE] = restore
+        self.__class__ = _parked_twin(type(self))
+
+
+#: Instance attribute holding a parked predictor's ``restore`` callable.
+_RESTORE = "_parked_restore"
+
+#: Predictor class -> the twin class its instances wear while parked.
+_TWINS: dict[type, type] = {}
+
+
+def _unpark(predictor: ValuePredictor) -> None:
+    restore = vars(predictor).pop(_RESTORE)
+    restore(predictor)
+    predictor.__class__ = type(predictor)._unparked
+
+
+def _read_parked(self, name):
+    _unpark(self)
+    return getattr(self, name)
+
+
+def _reduce_parked(self, protocol):
+    _unpark(self)
+    return self.__reduce_ex__(protocol)
+
+
+def _parked_twin(cls: type) -> type:
+    twin = _TWINS.get(cls)
+    if twin is None:
+        twin = _TWINS[cls] = type(cls)(cls.__name__, (cls,), {
+            "__slots__": (),
+            "__module__": cls.__module__,
+            "__qualname__": cls.__qualname__,
+            "__getattr__": _read_parked,
+            "__reduce_ex__": _reduce_parked,
+            "_unparked": cls,
+        })
+    return twin
+
+
+def predictor_class(predictor: ValuePredictor) -> type:
+    """``type(predictor)``, seen through the twin a parked predictor wears."""
+    kind = type(predictor)
+    return kind.__dict__.get("_unparked", kind)

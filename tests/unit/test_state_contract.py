@@ -8,7 +8,19 @@ kernel-covered predictor family runs once on the default path and once
 with ``REPRO_FAST_SIM=0``, under both recovery mechanisms and both
 confidence schemes, and the results plus every piece of observable state
 are compared.
+
+The kernel leaves a predictor's final tables parked as arrays until
+someone reads them (``ValuePredictor.park``); the tests below also read
+them through the caller's own reference, after training the predictor
+outside the kernel, after a failed kernel call, and with the collector
+off.
 """
+
+import ctypes
+import gc
+import pickle
+import types
+import weakref
 
 import pytest
 
@@ -16,6 +28,7 @@ from repro.experiments.runner import make_predictor
 from repro.pipeline import ckernel, fastsim
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import CoreModel
+from repro.predictors.base import predictor_class
 from repro.workloads.catalog import build_trace
 
 requires_kernel = pytest.mark.skipif(
@@ -136,3 +149,150 @@ def test_second_run_matches_spec_loop(monkeypatch):
     assert kernel_results == spec_results
     for part in spec_state:
         assert kernel_state[part] == spec_state[part], part
+
+
+#: The table-backed families whose tables the kernel parks.
+TABLE_FAMILIES = ("lvp", "2dstride", "vtage")
+
+#: Kernel argument fields pointing at predictor tables (not at the FPC
+#: probabilities or the per-trace VTAGE plane).
+_TABLE_POINTERS = tuple(
+    name for name in ckernel._PREDICTOR_POINTERS
+    if name not in ("fpc_prob", "vp_idx", "vp_tag"))
+
+
+def _fresh_model(monkeypatch, mode, predictor, recovery="squash"):
+    if mode == "spec":
+        monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
+    else:
+        monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    return CoreModel(config=CoreConfig(recovery=RecoveryMode(recovery)),
+                     predictor=predictor)
+
+
+def _trained(name, trace):
+    """A predictor trained by direct ``train()`` calls, not by a run."""
+    predictor = make_predictor(name)
+    for uop in list(trace)[:1500]:
+        if uop.produces_value:
+            predictor.train(uop.predictor_key(), uop.value, None)
+    return predictor
+
+
+@requires_kernel
+@pytest.mark.parametrize("recovery", ("squash", "reissue"))
+@pytest.mark.parametrize("name", TABLE_FAMILIES)
+def test_state_read_through_callers_reference(monkeypatch, trace, name,
+                                              recovery):
+    """The caller's own predictor reference sees the kernel's final tables,
+    and the same predictor carries them into a second model."""
+    outcome = {}
+    for mode in ("kernel", "spec"):
+        fastsim.reset_fallback_stats()
+        predictor = make_predictor(name, recovery=recovery)
+        first = _fresh_model(monkeypatch, mode, predictor, recovery).run(
+            trace, warmup=_WARMUP, workload="gcc")
+        probes = tuple(hasattr(predictor, attr)
+                       for attr in ("_stride2", "_base_conf", "components"))
+        state = _predictor_state(predictor)
+        second = _fresh_model(monkeypatch, mode, predictor, recovery).run(
+            trace, warmup=_WARMUP, workload="gcc")
+        if mode == "kernel":
+            assert fastsim.fallback_stats() == {}
+        outcome[mode] = (first, probes, state, second,
+                         _predictor_state(predictor))
+    assert outcome["kernel"] == outcome["spec"]
+
+
+@requires_kernel
+@pytest.mark.parametrize("name", TABLE_FAMILIES)
+def test_trained_predictor_is_copied(monkeypatch, trace, name):
+    """Freshness is read from the tables: a predictor trained outside any
+    run, or by a spec-loop run, goes through the copy path intact."""
+    outcome = {}
+    for mode in ("kernel", "spec"):
+        fastsim.reset_fallback_stats()
+        by_calls = _trained(name, trace)
+        by_run = make_predictor(name)
+        monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
+        CoreModel(predictor=by_run).run(trace, warmup=_WARMUP)
+        results = []
+        for predictor in (by_calls, by_run):
+            model = _fresh_model(monkeypatch, mode, predictor)
+            results.append(model.run(trace, warmup=_WARMUP, workload="gcc"))
+            results.append(model_state(model))
+        if mode == "kernel":
+            assert fastsim.fallback_stats() == {
+                "disabled-by-env": 1}, "the kernel must run the second runs"
+        outcome[mode] = results
+    assert outcome["kernel"] == outcome["spec"]
+
+
+@requires_kernel
+@pytest.mark.parametrize("trained", (False, True), ids=("fresh", "trained"))
+@pytest.mark.parametrize("name", TABLE_FAMILIES)
+def test_kernel_error_leaves_tables_untouched(monkeypatch, trace, name,
+                                             trained):
+    """A kernel that fails part-way records one ``kernel-error`` fallback,
+    and the spec loop then runs on the tables as they were before the
+    call, whatever the kernel wrote into its arrays."""
+    make = (lambda: _trained(name, trace)) if trained else (
+        lambda: make_predictor(name))
+    spec_model = _fresh_model(monkeypatch, "spec", make())
+    expected = spec_model.run(trace, warmup=_WARMUP, workload="gcc")
+    expected_state = model_state(spec_model)
+
+    calls = []
+
+    def failing_run(args_ref):
+        args = args_ref._obj
+        calls.append(args)
+        for field in _TABLE_POINTERS:
+            address = getattr(args, field)
+            if address != ckernel._PLACEHOLDER_ADDR:
+                ctypes.memset(address, 0x5A, 8)
+        return 7
+
+    monkeypatch.setattr(ckernel, "_lib",
+                        types.SimpleNamespace(repro_kernel_run=failing_run))
+    fastsim.reset_fallback_stats()
+    model = _fresh_model(monkeypatch, "kernel", make())
+    result = model.run(trace, warmup=_WARMUP, workload="gcc")
+    assert len(calls) == 1
+    assert fastsim.fallback_stats() == {"kernel-error:7": 1}
+    assert result == expected
+    assert model_state(model) == expected_state
+
+
+@requires_kernel
+@pytest.mark.parametrize("name", TABLE_FAMILIES)
+def test_parked_predictor_freed_without_collector(monkeypatch, trace, name):
+    """Parked tables hold no reference back to their predictor, so
+    reference counting alone frees it while ``gc`` is off (as it is for
+    the whole of ``CoreModel.run``)."""
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    predictor = make_predictor(name)
+    model = CoreModel(predictor=predictor)
+    gc.disable()
+    try:
+        model.run(trace, warmup=_WARMUP, workload="gcc")
+        assert predictor_class(predictor) is not type(predictor), (
+            "the kernel run should have parked the tables")
+        ref = weakref.ref(predictor)
+        del model, predictor
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@requires_kernel
+@pytest.mark.parametrize("name", TABLE_FAMILIES)
+def test_parked_predictor_pickles(monkeypatch, trace, name):
+    outcome = {}
+    for mode in ("kernel", "spec"):
+        predictor = make_predictor(name)
+        _fresh_model(monkeypatch, mode, predictor).run(trace, warmup=_WARMUP)
+        copy = pickle.loads(pickle.dumps(predictor))
+        assert type(copy) is type(predictor) is predictor_class(copy)
+        outcome[mode] = _predictor_state(copy)
+    assert outcome["kernel"] == outcome["spec"]
