@@ -23,8 +23,7 @@ Usage examples::
     # key, results shared through one cache directory.
     export REPRO_CACHE_DIR=/srv/repro-results
     python -m repro.cli -j 2 cluster serve --listen 127.0.0.1:7101
-    python -m repro.cli -j 2 cluster serve --listen 127.0.0.1:7102 \
-        --peer 127.0.0.1:7101
+    python -m repro.cli -j 2 cluster serve --listen 127.0.0.1:7102
     python -m repro.cli cluster status --shards 127.0.0.1:7101,127.0.0.1:7102
     python -m repro.cli campaign run fig4 --backend cluster \
         --shards 127.0.0.1:7101,127.0.0.1:7102
@@ -72,13 +71,7 @@ from repro.engine.executors import JOBS_ENV
 from repro.engine.faults import FAULTS_ENV, FaultPlan, FaultSpecError
 from repro.engine.job import SimJob
 from repro.engine.queue import JOB_TIMEOUT_ENV, QUEUE_BOUND_ENV
-from repro.engine.service import (
-    DEFAULT_HEARTBEAT,
-    HEARTBEAT_ENV,
-    SOCKET_ENV,
-    TOKEN_ENV,
-    run_service,
-)
+from repro.engine.service import SOCKET_ENV, TOKEN_ENV, run_service
 from repro.pipeline.fastsim import fallback_stats, kernel_mode
 from repro.pipeline.result import SimResult
 from repro.experiments import figures, tables
@@ -493,7 +486,7 @@ def cmd_service_status(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}") from None
     queue = status["queue"]
     stats = queue["stats"]
-    print(f"service: pid {server['pid']} on {server['socket']} "
+    print(f"service: pid {server['pid']} on {server['address']} "
           f"(protocol v{server['protocol']})")
     print(f"workers ({len(queue['workers'])}):")
     for worker in queue["workers"]:
@@ -613,14 +606,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             None,
             workers=args.jobs,
             cache=default_engine().cache,
-            epoch_path=args.journal,
             max_depth=args.queue_bound,
             job_timeout=args.job_timeout,
             chaos=args.chaos,
             listen=args.listen,
             token=args.token,
-            peers=args.peer or [],
-            heartbeat_interval=args.heartbeat_interval,
         )
     if args.action == "soak":
         return _cmd_cluster_soak(args)
@@ -668,8 +658,7 @@ def _cmd_cluster_soak(args: argparse.Namespace) -> int:
 
     config = SoakConfig(shards=args.shards, clients=args.clients,
                         batches_per_client=args.batches,
-                        seed=args.seed, deadline_s=args.duration,
-                        heartbeat_interval_s=args.heartbeat_interval)
+                        seed=args.seed, deadline_s=args.duration)
     log = (lambda line: print(line, file=sys.stderr, flush=True)) \
         if not args.quiet else None
     if args.journal_dir:
@@ -730,15 +719,6 @@ def _print_cluster_status(status: dict) -> int:
         print(f"  cache: {cache['hits']} hit(s) / {cache['misses']} miss(es), "
               f"{cache['memory_entries']} in memory, "
               f"{cache['disk_entries']} on disk")
-        membership = metrics.get("membership")
-        if membership is not None:
-            gossip = membership["gossip"]
-            print(f"  membership: epoch {membership['epoch']}, "
-                  f"beat {membership['beat']}, "
-                  f"{len(membership['alive'])}/{membership['size']} "
-                  f"alive in view; gossip {gossip['sent']} sent / "
-                  f"{gossip['merged']} merged / "
-                  f"{gossip['failures']} failure(s)")
         if metrics["faults"]["active"]:
             print(f"  faults: plan active, "
                   f"{metrics['faults']['fired']} rule(s) fired")
@@ -960,10 +940,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "cluster-wide with no inter-shard coordination.  "
                     "Shards that share $REPRO_CACHE_DIR see every result "
                     "any of them published, and share one trace store "
-                    "via $REPRO_TRACE_DIR.  Shards gossip membership "
-                    "(seeded by --peer); a shard that dies mid-batch is "
-                    "marked down and its jobs re-route along the hash "
-                    "ring.",
+                    "via $REPRO_TRACE_DIR.  A shard that dies mid-batch "
+                    "is marked down and its jobs re-route along the hash "
+                    "ring; the router probes it on a backoff schedule "
+                    "and re-admits it once it answers.",
     )
     cluster_sub = cluster_p.add_subparsers(dest="action", required=True)
 
@@ -974,22 +954,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="TCP bind address; port 0 picks a "
                                       "free port (reported on the ready "
                                       "line)")
-    cluster_serve_p.add_argument("--peer", action="append", default=None,
-                                 metavar="ADDR",
-                                 help="gossip seed: a sibling shard to "
-                                      "heartbeat until gossip has learned "
-                                      "the fleet (repeatable; "
-                                      "tcp://host:port)")
     cluster_serve_p.add_argument("--token", default=None,
                                  help="require this shared-secret token "
                                       "on every request (default: "
                                       f"${TOKEN_ENV} or no auth)")
-    cluster_serve_p.add_argument("--journal", default=None, metavar="PATH",
-                                 help="epoch file: holds the shard's last "
-                                      "incarnation number (missing = 0); "
-                                      "each start runs at one more and "
-                                      "writes it back, so a revived shard "
-                                      "outranks its own death notice")
     cluster_serve_p.add_argument("--queue-bound", type=int, default=None,
                                  metavar="N",
                                  help="admission control: reject submits "
@@ -1005,12 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_serve_p.add_argument("--chaos", action="store_true",
                                  help="serve the 'chaos' op and export "
                                       f"the ${FAULTS_ENV} plan to workers")
-    cluster_serve_p.add_argument("--heartbeat-interval", type=float,
-                                 default=None, metavar="SECONDS",
-                                 help="gossip heartbeat cadence; 0 "
-                                      "disables proactive gossip "
-                                      f"(default: ${HEARTBEAT_ENV} or "
-                                      f"{DEFAULT_HEARTBEAT:g})")
     cluster_serve_p.set_defaults(fn=cmd_cluster)
 
     cluster_soak_p = cluster_sub.add_parser(
@@ -1033,14 +995,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="hard deadline on the whole run")
     cluster_soak_p.add_argument("--seed", type=int, default=1337,
                                 help="chaos schedule seed")
-    cluster_soak_p.add_argument("--heartbeat-interval", type=float,
-                                default=0.25, metavar="SECONDS",
-                                help="gossip cadence handed to the fleet")
     cluster_soak_p.add_argument("--journal-dir", default=None,
                                 metavar="DIR",
                                 help="work directory for the fleet's "
-                                     "shared result cache and per-shard "
-                                     "epoch files (default: a temporary "
+                                     "shared result cache and trace "
+                                     "store (default: a temporary "
                                      "directory)")
     cluster_soak_p.add_argument("--quiet", action="store_true",
                                 help="suppress progress lines (the JSON "

@@ -323,20 +323,6 @@ class ServiceClient:
         """The daemon's flat ops-surface snapshot (``metrics`` op)."""
         return self.request({"op": "metrics"})["metrics"]
 
-    def gossip(self, view: dict | None = None) -> dict:
-        """Exchange membership views with the daemon (``gossip`` op).
-
-        Sends *view* (a :meth:`MembershipView.to_dict
-        <repro.engine.cluster.MembershipView.to_dict>` payload, or
-        nothing to just read) and returns the daemon's response — its
-        merged view plus its own ``(epoch, beat)`` identity.  Routers
-        poll this to converge on the fleet's membership.
-        """
-        payload: dict = {"op": "gossip"}
-        if view is not None:
-            payload["view"] = view
-        return self.request(payload)
-
     def run_jobs(self, jobs: list[SimJob]) -> list[SimResult]:
         """Submit, wait, and decode: the engine-shaped batch call.
 

@@ -21,8 +21,10 @@ table.  Routing by content key means:
 
 The :class:`HashRing` uses virtual nodes (many hash points per shard)
 so keys spread evenly, and has the property the failover path leans on:
-removing a shard only remaps *that shard's* keys — everyone else's
-cache locality survives the membership change.
+a ring without one shard maps only *that shard's* keys elsewhere —
+everyone else's cache locality survives the shard's loss.  The ring is
+fixed at construction; a dead shard leaves routing through the
+router's probation table, not by changing the ring.
 
 Failure handling: the router drives each shard through the ordinary
 :class:`~repro.engine.client.ServiceClient` retry machinery, and when a
@@ -35,13 +37,10 @@ cluster raises :class:`~repro.engine.client.ServiceUnavailable`.
 Down-marking is **probation, not a death sentence**: each downed shard
 gets a half-open probe on an exponential-backoff schedule (hysteresis —
 a flapping shard earns a longer sentence each relapse), and a probe
-that answers ``ping`` re-admits the shard to routing.  The shards
-themselves gossip an eventually-consistent :class:`MembershipView`
-(monotone ``(epoch, beat)`` versions, epoch persisted in the shard's
-epoch file so a restart outranks its own corpse), which
-:meth:`ShardRouter.refresh_membership` merges to discover joins and
-accelerate re-admission probes — so a revived shard re-enters every
-router's ring without anyone restarting anything.
+that answers ``ping`` re-admits the shard to routing — so a revived
+shard takes traffic again without anyone restarting anything.  Probation
+is the cluster's only liveness mechanism: shards never talk to each
+other, and each router learns a shard is alive by probing it itself.
 
 :class:`ClusterExecutor` / :func:`cluster_engine` wrap the router in the
 standard executor/engine shape, which is what ``repro campaign run
@@ -57,7 +56,6 @@ import hashlib
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from repro.engine import faults
 from repro.engine.client import (
@@ -74,7 +72,7 @@ from repro.pipeline.result import SimResult
 SHARDS_ENV = "REPRO_CLUSTER_SHARDS"
 
 #: Virtual nodes per shard.  Enough that a handful of shards spread keys
-#: within a few percent of even; cheap enough that ring rebuilds are
+#: within a few percent of even; cheap enough that building a ring is
 #: trivial (the ring is ``replicas × shards`` 8-byte points).
 DEFAULT_REPLICAS = 64
 
@@ -96,125 +94,9 @@ def probe_backoff(failures: int, *, base: float = PROBE_BASE,
     Doubles per consecutive failed probe (and per prior flap — the
     hysteresis that quarantines an up/down/up shard progressively
     longer), capped so nothing is ever quarantined forever.  Monotone
-    non-decreasing in *failures*; pinned by the membership property
-    suite.
+    non-decreasing in *failures*; pinned by the cluster property suite.
     """
     return min(cap, base * (2 ** max(0, int(failures))))
-
-
-@dataclass(frozen=True)
-class MemberState:
-    """One shard's liveness claim: ``(epoch, beat)``-versioned up/down.
-
-    ``epoch`` counts the shard's incarnations (persisted in its epoch
-    file, so a restart always outranks claims about its previous
-    life); ``beat`` counts heartbeats within an incarnation.  Between
-    two claims about the same address the higher ``(epoch, beat)`` wins;
-    on a version tie ``down`` wins — a claim of death at the same
-    version means the reporter saw the heartbeat *fail*.
-    """
-
-    address: str
-    epoch: int = 1
-    beat: int = 0
-    status: str = "up"
-
-    @property
-    def version(self) -> tuple[int, int]:
-        """The claim's logical clock, ``(epoch, beat)``."""
-        return (self.epoch, self.beat)
-
-    def supersedes(self, other: "MemberState | None") -> bool:
-        """Whether this claim replaces *other* under the merge rule."""
-        if other is None:
-            return True
-        if self.version != other.version:
-            return self.version > other.version
-        return self.status == "down" and other.status != "down"
-
-    def to_dict(self) -> dict:
-        """Wire form of the claim (the ``gossip`` op's member rows)."""
-        return {"address": self.address, "epoch": self.epoch,
-                "beat": self.beat, "status": self.status}
-
-    @classmethod
-    def from_dict(cls, raw: object) -> "MemberState | None":
-        """Parse one wire-form claim; ``None`` for anything malformed.
-
-        Gossip crosses trust and version boundaries, so a bad row must
-        cost nothing (it is simply not merged), never an exception.
-        """
-        if not isinstance(raw, dict):
-            return None
-        try:
-            address = str(raw["address"])
-            epoch = int(raw["epoch"])
-            beat = int(raw["beat"])
-            status = str(raw["status"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        if not address or status not in ("up", "down"):
-            return None
-        return cls(address=address, epoch=epoch, beat=beat, status=status)
-
-
-class MembershipView:
-    """An eventually-consistent map of shard address → :class:`MemberState`.
-
-    A state-based CRDT: :meth:`observe` keeps the superseding claim per
-    address (higher ``(epoch, beat)`` wins, ``down`` wins ties), which
-    makes :meth:`merge` commutative, associative and idempotent — any
-    set of routers and shards exchanging views in any order converges
-    to the same map, the property the membership suite pins.
-    """
-
-    def __init__(self, members: dict[str, MemberState] | None = None):
-        self.members: dict[str, MemberState] = dict(members or {})
-
-    def observe(self, state: MemberState) -> bool:
-        """Fold one claim in; True when it superseded what we held."""
-        if state.supersedes(self.members.get(state.address)):
-            self.members[state.address] = state
-            return True
-        return False
-
-    def merge(self, other: "MembershipView | dict | None") -> int:
-        """Fold another view (or its wire form) in; claims superseded."""
-        changed = 0
-        if isinstance(other, MembershipView):
-            states = list(other.members.values())
-        else:
-            rows = other.get("members", ()) if isinstance(other, dict) else ()
-            states = [MemberState.from_dict(raw) for raw in rows] \
-                if isinstance(rows, (list, tuple)) else []
-        for state in states:
-            if state is not None and self.observe(state):
-                changed += 1
-        return changed
-
-    def get(self, address: str) -> MemberState | None:
-        """The current claim about *address*, if any."""
-        return self.members.get(address)
-
-    def alive(self) -> list[str]:
-        """Addresses currently claimed up, sorted for determinism."""
-        return sorted(address for address, state in self.members.items()
-                      if state.status == "up")
-
-    def to_dict(self) -> dict:
-        """Wire form: ``{"members": [claim, ...]}`` in sorted order."""
-        return {"members": [self.members[address].to_dict()
-                            for address in sorted(self.members)]}
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MembershipView) and \
-            self.members == other.members
-
-    def __repr__(self) -> str:
-        return f"MembershipView({self.members!r})"
 
 
 def resolve_shards(explicit: list[str] | None = None) -> list[str]:
@@ -260,9 +142,11 @@ class HashRing:
 
     * **balance** — with enough virtual nodes, each of N shards owns
       ~1/N of a large key population;
-    * **minimal remapping** — adding or removing a shard only moves
-      keys onto / off that shard; no key moves *between* two surviving
-      shards.
+    * **minimal remapping** — a ring with one extra (or one fewer)
+      shard differs only in keys owned by that shard; no key moves
+      *between* two shards both rings share.
+
+    The ring is immutable once built.
     """
 
     def __init__(self, shards: list[str],
@@ -270,38 +154,21 @@ class HashRing:
         self.replicas = max(1, int(replicas))
         # De-dup while preserving insertion order for display.
         self.shards: list[str] = list(dict.fromkeys(shards))
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        self._rebuild()
+        pairs = sorted(
+            (self._hash(f"{shard}#{replica}"), shard)
+            for shard in self.shards
+            for replica in range(self.replicas)
+        )
+        self._points: list[int] = [point for point, _ in pairs]
+        self._owners: list[str] = [shard for _, shard in pairs]
 
     @staticmethod
     def _hash(label: str) -> int:
         return int.from_bytes(
             hashlib.sha256(label.encode()).digest()[:8], "big")
 
-    def _rebuild(self) -> None:
-        pairs = sorted(
-            (self._hash(f"{shard}#{replica}"), shard)
-            for shard in self.shards
-            for replica in range(self.replicas)
-        )
-        self._points = [point for point, _ in pairs]
-        self._owners = [shard for _, shard in pairs]
-
     def __len__(self) -> int:
         return len(self.shards)
-
-    def add(self, shard: str) -> None:
-        """Add a shard (idempotent) and rebuild the ring."""
-        if shard not in self.shards:
-            self.shards.append(shard)
-            self._rebuild()
-
-    def remove(self, shard: str) -> None:
-        """Remove a shard (idempotent) and rebuild the ring."""
-        if shard in self.shards:
-            self.shards.remove(shard)
-            self._rebuild()
 
     def shard_for(self, key: str) -> str:
         """The shard owning *key* (first ring point at/after its hash)."""
@@ -348,16 +215,12 @@ class ShardRouter:
     probe failures *and* its lifetime flap count, so an oscillating
     shard is quarantined progressively longer), and :meth:`maybe_probe`
     — called at every routing round — re-admits any shard whose probe
-    ``ping`` answers.  :meth:`refresh_membership` additionally merges
-    the shards' gossiped :class:`MembershipView`, which discovers joins
-    (new members enter the ring) and fast-tracks probes for members the
-    fleet already sees alive again.
+    ``ping`` answers.
 
     The router is what ``--backend cluster`` campaigns and the
-    integration harness drive.  Routing authority stays client-side —
-    the gossiped view can only *add* candidates and accelerate probes;
-    a shard enters the routing ring through a probe this router ran
-    itself, so stale gossip cannot force traffic onto a corpse.
+    integration harness drive.  Routing authority is client-side: a
+    shard returns to routing only through a probe this router ran
+    itself.
     """
 
     def __init__(self, shards: list[str] | None = None, *,
@@ -383,10 +246,6 @@ class ShardRouter:
         self.probe_base = probe_base
         self.probe_cap = probe_cap
         self.probe_timeout = probe_timeout
-        #: The router's copy of the fleet's gossiped membership view
-        #: (grown by :meth:`refresh_membership`; advisory only — routing
-        #: authority stays with :attr:`ring` minus the probation table).
-        self.view = MembershipView()
         self._clients: dict[str, ServiceClient] = {}
         #: Probation table: address -> {reason, since, failures,
         #: next_probe}.  Monotonic-clock timestamps.
@@ -401,11 +260,9 @@ class ShardRouter:
             "rerouted_jobs": 0,   # jobs re-homed after a shard dropped
             "probes": 0,          # half-open probes attempted
             "readmissions": 0,    # downed shards re-admitted to routing
-            "joined_shards": 0,   # shards learned from gossip, not config
-            "gossip_merges": 0,   # membership claims merged from shards
         }
 
-    # -- membership ------------------------------------------------------
+    # -- probation -------------------------------------------------------
 
     def client(self, shard: str) -> ServiceClient:
         """The (cached) client for one shard address."""
@@ -470,41 +327,6 @@ class ShardRouter:
             self.readmit(shard)
             readmitted.append(shard)
         return readmitted
-
-    def refresh_membership(self) -> MembershipView:
-        """Merge the shards' gossiped membership into the router's view.
-
-        Exchanges views with every shard not on probation (best-effort:
-        an unreachable shard is skipped, not downed — only real traffic
-        downs a shard).  Consequences of the merged view:
-
-        * members the fleet sees **up** that this router never knew join
-          the ring (``joined_shards``);
-        * members on probation that the fleet sees up get their probe
-          timer zeroed, so the next :meth:`maybe_probe` re-checks them
-          immediately instead of waiting out the backoff.
-
-        Gossip never *directly* re-admits or downs anything here — the
-        probe keeps the final say, so a stale or lying view cannot
-        divert traffic onto a corpse.
-        """
-        for shard in self.alive_shards():
-            try:
-                response = self.client(shard).gossip(self.view.to_dict())
-            except Exception:  # noqa: BLE001 - advisory path, fail open
-                continue
-            self.stats["gossip_merges"] += self.view.merge(
-                response.get("view"))
-        for address, state in self.view.members.items():
-            if state.status != "up":
-                continue
-            if address not in self.ring.shards:
-                self.ring.add(address)
-                self.stats["joined_shards"] += 1
-            record = self._down.get(address)
-            if record is not None:
-                record["next_probe"] = 0.0
-        return self.view
 
     @property
     def down(self) -> dict[str, str]:
@@ -679,7 +501,6 @@ class ShardRouter:
                      "replicas": self.ring.replicas,
                      "alive": len(self.alive_shards())},
             "router": dict(self.stats),
-            "membership": self.view.to_dict(),
         }
 
     def shutdown(self) -> dict[str, bool]:

@@ -76,11 +76,6 @@ SITES: dict[str, tuple[str, ...]] = {
     # costs cache locality) or finds its shard dead ("drop" — the
     # router must mark it down and rebalance onto the ring's survivors).
     "cluster.route": ("misroute", "drop"),
-    # Membership gossip: a heartbeat that never leaves the shard
-    # ("drop") or leaves late ("delay", arg = seconds).  Gossip is an
-    # eventually-consistent optimisation, so neither may affect result
-    # correctness — only how fast the fleet converges.
-    "gossip.heartbeat": ("drop", "delay"),
 }
 
 

@@ -13,16 +13,15 @@ The same daemon also serves the cluster plane (:mod:`repro.engine.cluster`):
 ``--listen host:port`` binds a TCP socket instead of (not in addition to)
 the Unix one, speaking the identical newline-JSON protocol, so N daemons
 on N ports become shards behind a :class:`~repro.engine.cluster.ShardRouter`.
-TCP mode adds two things Unix mode never needed:
-
-* **auth** — a shared-secret token (``--token`` / ``$REPRO_SERVICE_TOKEN``).
-  When configured, every request must carry ``"token"``; a mismatch is
-  answered ``{"ok": false, "auth": true, ...}`` (constant-time compare),
-  which clients raise as a non-retryable
-  :class:`~repro.engine.client.ServiceAuthError`.
-* **gossip** — ``--peer`` addresses seed the membership plane: shards
-  heartbeat each other (the ``gossip`` op) so routers learn joins,
-  deaths and revivals from any shard.
+TCP mode adds one thing Unix mode never needed: **auth**, a
+shared-secret token (``--token`` / ``$REPRO_SERVICE_TOKEN``).  When
+configured, every request must carry ``"token"``; a mismatch is
+answered ``{"ok": false, "auth": true, ...}`` (constant-time compare),
+which clients raise as a non-retryable
+:class:`~repro.engine.client.ServiceAuthError`.  A daemon never opens a
+connection of its own: shards do not talk to each other, and routers
+learn which shards are alive by probing them
+(:class:`~repro.engine.cluster.ShardRouter`).
 
 Results cross shards by one path only: the result cache.  Shards that
 share ``$REPRO_CACHE_DIR`` publish every result there
@@ -36,7 +35,8 @@ many requests.  Requests are ``{"op": <name>, ...}``; responses are
 ``{"ok": true, ...}`` or ``{"ok": false, "error": <message>}``.  Ops:
 
 ``ping``
-    Liveness + server identity (pid, protocol version, worker count).
+    Liveness + server identity (pid, protocol version, worker count,
+    transport and serving address).
 ``submit``
     ``{"jobs": [<SimJob.to_dict()>, ...], "wait": bool}``.  With
     ``wait`` (the default) the response carries the results, in
@@ -59,18 +59,8 @@ many requests.  Requests are ``{"op": <name>, ...}``; responses are
     with chaos enabled (``repro serve --chaos``); refused otherwise.
 ``metrics``
     The flat ops surface the cluster plane scrapes: queue depth and
-    in-flight jobs, cache hit/miss/store counters, membership and gossip
-    counters, fast-path fallback counters and fault-plane state — one
-    JSON object per shard, aggregated by ``repro cluster status``.
-``gossip``
-    ``{"view": {...}}`` — merge the caller's membership view
-    (:class:`~repro.engine.cluster.MembershipView` wire form) and answer
-    with the daemon's merged view plus its own ``(epoch, beat)``.  TCP
-    shards also *initiate* these rounds among themselves every
-    ``--heartbeat-interval`` seconds: a peer that stops answering is
-    claimed down (same-version ``down`` wins), a revived peer's higher
-    epoch supersedes its own corpse, and routers polling any shard see
-    the converged view — the self-healing membership plane.
+    in-flight jobs, cache hit/miss/store counters and fault-plane state
+    — one JSON object per shard, aggregated by ``repro cluster status``.
 ``shutdown``
     Stop the daemon after acknowledging.
 
@@ -86,10 +76,7 @@ Crash safety is the result cache's: with a disk cache (``--cache-dir``
 fsync, rename) before its future resolves, so a daemon restarted on the
 same directory answers everything it ever finished, and a dead shard's
 completed work needs no hand-over.  Worker deaths are the queue's
-business (it requeues).  A TCP shard started with ``--journal PATH``
-keeps its incarnation epoch there — one integer, bumped and rewritten
-atomically at every start — so a shard revived on the same file
-outranks its own death notice.  Two daemons can never share a socket:
+business (it requeues).  Two daemons can never share a socket:
 the daemon holds a lockfile next to it, so the stale-socket cleanup
 path cannot race a live daemon.
 
@@ -115,7 +102,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.engine import faults
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.client import ServiceError, service_running
-from repro.engine.cluster import MemberState, MembershipView, normalize_shard
 from repro.engine.executors import resolve_jobs
 from repro.engine.job import SimJob
 from repro.engine.queue import (
@@ -124,7 +110,6 @@ from repro.engine.queue import (
     QueueOverloaded,
     WorkerPool,
 )
-from repro.util.atomicio import atomic_write_text
 
 #: Environment variable naming the default service socket path.
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
@@ -142,8 +127,11 @@ DEFAULT_SOCKET = "repro-service.sock"
 #: with it the ``journal`` block of ``status``, the ``replay`` block of
 #: ``metrics`` and the journal counter of ``health``'s ``degraded`` map;
 #: v5 dropped the ``traces`` block of ``status`` and the shared-segment
-#: failure counter of ``health``'s ``degraded`` map.
-PROTOCOL_VERSION = 5
+#: failure counter of ``health``'s ``degraded`` map; v6 dropped the
+#: shard-to-shard membership op, the ``membership`` and ``fallbacks``
+#: blocks of ``metrics`` and the ``socket`` and ``peers`` fields of
+#: ``ping``.
+PROTOCOL_VERSION = 6
 
 #: Maximum request/response line length (a 20-job grid is ~20 KB).
 MAX_LINE = 64 * 1024 * 1024
@@ -152,42 +140,10 @@ MAX_LINE = 64 * 1024 * 1024
 #: *width* to complement the queue-depth bound on request *volume*.
 MAX_SUBMIT_JOBS = 4096
 
-#: Deadline for one gossip exchange with a peer.  Short on purpose: a
-#: dead peer must cost the heartbeat loop seconds, not a 300-second
-#: client-style timeout.
-PEER_TIMEOUT = 2.0
-
 #: Most tickets a daemon remembers; beyond this, the oldest *completed*
 #: tickets are forgotten first (a never-polled ``--no-wait`` submission
 #: must not grow daemon memory forever).
 MAX_TICKETS = 1024
-
-#: Environment variable overriding the gossip heartbeat interval
-#: (seconds; ``0`` disables the loop, the ``gossip`` op still answers).
-HEARTBEAT_ENV = "REPRO_HEARTBEAT_INTERVAL"
-
-#: Default heartbeat interval for TCP shards.  One round per second
-#: keeps convergence well under any human-visible failover window while
-#: costing one tiny protocol round per peer.
-DEFAULT_HEARTBEAT = 1.0
-
-
-def resolve_heartbeat_interval(explicit: float | None = None) -> float:
-    """The gossip heartbeat interval: explicit, else env, else default.
-
-    ``0`` (or negative) disables the proactive gossip loop — the shard
-    still answers the ``gossip`` op, it just never initiates rounds.
-    """
-    if explicit is not None:
-        return max(0.0, float(explicit))
-    raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            return DEFAULT_HEARTBEAT
-    return DEFAULT_HEARTBEAT
-
 
 def default_socket_path(explicit: str | os.PathLike | None = None) -> Path:
     """Resolve the service socket path (flag, else env, else cwd default)."""
@@ -228,39 +184,6 @@ def parse_address(address: str | os.PathLike) -> tuple:
     return ("unix", text)
 
 
-def advance_epoch(path: str | os.PathLike) -> int:
-    """Bump the incarnation epoch kept in the file at *path*; return it.
-
-    The file holds one integer n, the epoch of the previous incarnation
-    (a missing file means 0).  ``n + 1`` is written back atomically
-    before it is returned, so every start outranks every earlier life
-    of the same shard.  Anything else in the file — a JSONL service
-    journal from an older release, say — is refused rather than guessed
-    at.
-    """
-    path = Path(path)
-    try:
-        previous = int(path.read_text())
-    except FileNotFoundError:
-        previous = 0
-    except OSError as exc:
-        raise ServiceError(f"cannot read epoch file {path}: {exc}") from None
-    except ValueError:
-        previous = -1
-    if previous < 0:
-        raise ServiceError(
-            f"{path} is not an epoch file (want one non-negative integer); "
-            "point --journal at a new path, or delete the file to restart "
-            "the shard's epochs at 1")
-    epoch = previous + 1
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, f"{epoch}\n")
-    except OSError as exc:
-        raise ServiceError(f"cannot write epoch file {path}: {exc}") from None
-    return epoch
-
-
 def parse_listen(listen: str) -> tuple[str, int]:
     """Parse a ``--listen`` value (``host:port``, ``tcp://`` optional).
 
@@ -286,14 +209,11 @@ class SimService:
         *,
         workers: int | None = None,
         cache: ResultCache | None = None,
-        epoch_path: str | os.PathLike | None = None,
         max_depth: int | None = None,
         job_timeout: float | None = None,
         chaos: bool = False,
         listen: str | None = None,
         token: str | None = None,
-        peers: list[str] | None = None,
-        heartbeat_interval: float | None = None,
     ):
         self.socket_path = default_socket_path(socket_path)
         #: TCP bind (host, port) when serving a cluster shard; ``None``
@@ -304,30 +224,8 @@ class SimService:
         #: meaningful with ``--listen host:0``.
         self.listen_address: str | None = None
         self.token = resolve_service_token(token)
-        #: Gossip seed list: sibling shard addresses heartbeated before
-        #: the membership view has learned anyone (``tcp://host:port``).
-        self.peers = [str(peer) for peer in (peers or [])]
         self.workers = resolve_jobs(workers)
         self.cache = cache if cache is not None else ResultCache(default_cache_dir())
-        #: Epoch file (``cluster serve --journal``); ``None`` = epoch 1.
-        self.epoch_path = Path(epoch_path) if epoch_path else None
-        # -- self-healing membership state --------------------------------
-        #: This shard's view of the fleet (grown by gossip rounds and by
-        #: views callers push through the ``gossip`` op).
-        self.membership = MembershipView()
-        #: Incarnation counter: persisted in the epoch file, so a
-        #: restarted shard's claims supersede every claim about its
-        #: previous life (including its death notice).
-        self.epoch = 1
-        #: Heartbeats sent this incarnation (the minor version digit).
-        self.beat = 0
-        self.heartbeat_interval = resolve_heartbeat_interval(
-            heartbeat_interval)
-        self.gossip_sent = 0
-        self.gossip_merged = 0
-        self.gossip_failures = 0
-        self.gossip_dropped = 0  # injected gossip.heartbeat:drop hits
-        self._gossip_task: asyncio.Task | None = None
         self.max_depth = max_depth
         self.job_timeout = job_timeout
         #: Whether the ``chaos`` op is served (``repro serve --chaos``).
@@ -386,16 +284,13 @@ class SimService:
                 pass
 
     async def start(self) -> None:
-        """Advance the epoch, start the queue, bind the socket.
+        """Start the queue, bind the socket.
 
         TCP shards bind *first* (without serving) so the kernel-picked
-        port is known, then start the queue, and only then start serving
-        and gossiping.
+        port is known, then start the queue, and only then start serving.
         """
         self._stop_event = asyncio.Event()
         self._started_at = time.monotonic()
-        if self.epoch_path is not None:
-            self.epoch = advance_epoch(self.epoch_path)
         if self.listen is None:
             # The flock + stale-socket dance only exists because Unix
             # socket files outlive their listeners; a TCP bind is
@@ -416,11 +311,6 @@ class SimService:
             await self.queue.start()
             if self.listen is not None:
                 await self._server.start_serving()
-                self.membership.observe(MemberState(
-                    self.listen_address, self.epoch, self.beat, "up"))
-                if self.heartbeat_interval > 0:
-                    self._gossip_task = asyncio.get_running_loop().create_task(
-                        self._gossip_loop())
             else:
                 self.socket_path.parent.mkdir(parents=True, exist_ok=True)
                 if self.socket_path.exists():
@@ -447,18 +337,6 @@ class SimService:
 
     async def stop(self) -> None:
         """Close the socket, stop the queue."""
-        if self._gossip_task is not None:
-            self._gossip_task.cancel()
-            try:
-                # A cancel landing exactly as an inner wait_for resolves
-                # can be swallowed (the task keeps looping), so bound the
-                # wait: on timeout wait_for cancels the task *again*, and
-                # the retry lands on an idle await.
-                await asyncio.wait_for(self._gossip_task, timeout=5.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError,
-                    Exception):  # noqa: BLE001
-                pass
-            self._gossip_task = None
         if self._server is not None:
             self._server.close()
             # Cancel open client connections before wait_closed(): from
@@ -611,11 +489,9 @@ class SimService:
                 "pid": os.getpid(),
                 "protocol": PROTOCOL_VERSION,
                 "workers": self.workers,
-                "socket": str(self.socket_path),
                 "transport": "tcp" if self.listen is not None else "unix",
                 "address": self.describe_address(),
                 "auth": self.token is not None,
-                "peers": len(self.peers),
             },
         }
 
@@ -653,12 +529,9 @@ class SimService:
         """The per-shard ops surface the cluster plane scrapes.
 
         One flat JSON object: identity, queue pressure (depth / pending /
-        in-flight), cache effectiveness, membership and gossip counters,
-        fast-path fallback counters and fault-plane state.  Everything a
-        ``repro cluster status`` row needs, cheap enough to poll.
+        in-flight), cache effectiveness and fault-plane state.  Everything
+        a ``repro cluster status`` row needs, cheap enough to poll.
         """
-        from repro.pipeline.fastsim import fallback_stats
-
         queue = self.queue.describe()
         workers = queue["workers"]
         cache = self.cache.stats()
@@ -694,21 +567,6 @@ class SimService:
                     "disk_entries": cache["disk_entries"],
                     "write_failures": cache["write_failures"],
                 },
-                "membership": {
-                    "address": self.describe_address(),
-                    "epoch": self.epoch,
-                    "beat": self.beat,
-                    "size": len(self.membership),
-                    "alive": self.membership.alive(),
-                    "gossip": {
-                        "interval_s": self.heartbeat_interval,
-                        "sent": self.gossip_sent,
-                        "merged": self.gossip_merged,
-                        "failures": self.gossip_failures,
-                        "dropped": self.gossip_dropped,
-                    },
-                },
-                "fallbacks": fallback_stats(),
                 "faults": {
                     "active": plan is not None,
                     "fired": (sum(plan.fired.values())
@@ -717,140 +575,6 @@ class SimService:
                 "tickets": len(self._tickets),
             },
         }
-
-    # -- membership gossip ------------------------------------------------
-
-    def _note_member_down(self, address: str) -> None:
-        """Claim *address* down at its current version (down wins ties).
-
-        A member we never heard a claim about is entered at version
-        ``(0, 0)`` — any genuine heartbeat (epoch ≥ 1) supersedes it.
-        """
-        current = self.membership.get(address)
-        if current is None:
-            self.membership.observe(MemberState(address, 0, 0, "down"))
-        elif current.status == "up":
-            self.membership.observe(MemberState(
-                address, current.epoch, current.beat, "down"))
-
-    def _self_refute(self) -> None:
-        """Outrank any merged claim about *this* shard (SWIM refutation).
-
-        A view can carry a death notice or a stale higher beat for our
-        own address (e.g. written while a previous incarnation died).
-        Jump our logical clock past it and re-assert ``up`` — with an
-        epoch file this is a no-op belt-and-braces; without one it is
-        what lets a restarted shard reclaim its name.
-        """
-        if self.listen_address is None:
-            return
-        me = self.membership.get(self.listen_address)
-        if me is not None and (me.status == "down" or
-                               me.version > (self.epoch, self.beat)):
-            self.epoch = max(self.epoch, me.epoch)
-            self.beat = max(self.beat, me.beat) + 1
-        self.membership.observe(MemberState(
-            self.listen_address, self.epoch, self.beat, "up"))
-
-    def _gossip_targets(self) -> list[str]:
-        """Everyone worth heartbeating: configured peers ∪ known members."""
-        targets = {normalize_shard(peer) for peer in self.peers}
-        targets.update(self.membership.members)
-        targets.discard(self.listen_address)
-        return sorted(targets)
-
-    async def _gossip_round(self) -> None:
-        """One heartbeat round: advance the beat, exchange with everyone.
-
-        Per-target, the ``gossip.heartbeat`` fault site may ``drop`` the
-        heartbeat (the target simply isn't contacted — convergence slows,
-        correctness cannot care) or ``delay`` it (sleep before sending).
-        A target that fails the exchange is claimed down at its current
-        version; the claim spreads on subsequent rounds.
-        """
-        self.beat += 1
-        self._self_refute()
-        for target in self._gossip_targets():
-            rule = faults.fire("gossip.heartbeat")
-            if rule is not None and rule.action == "drop":
-                self.gossip_dropped += 1
-                continue
-            if rule is not None and rule.action == "delay":
-                await asyncio.sleep(rule.arg if rule.arg
-                                    else self.heartbeat_interval)
-            try:
-                response = await self._peer_request(
-                    target, {"op": "gossip",
-                             "view": self.membership.to_dict()})
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - claim the peer down
-                self.gossip_failures += 1
-                self._note_member_down(target)
-                continue
-            self.gossip_sent += 1
-            self.gossip_merged += self.membership.merge(
-                response.get("view"))
-        self._self_refute()
-
-    async def _gossip_loop(self) -> None:
-        """Background heartbeat: one gossip round per interval."""
-        try:
-            while True:
-                await asyncio.sleep(self.heartbeat_interval)
-                await self._gossip_round()
-        except asyncio.CancelledError:
-            pass
-
-    async def _op_gossip(self, request: dict) -> dict:
-        """Merge a caller's membership view; answer with ours.
-
-        The server half of the gossip exchange — shards call it on each
-        other every heartbeat, routers call it to subscribe to the
-        fleet's eventually-consistent view.
-        """
-        view = request.get("view")
-        merged = self.membership.merge(view) if view is not None else 0
-        self.gossip_merged += merged
-        self._self_refute()
-        return {
-            "ok": True,
-            "view": self.membership.to_dict(),
-            "epoch": self.epoch,
-            "beat": self.beat,
-            "merged": merged,
-        }
-
-    async def _peer_request(self, address: str, payload: dict) -> dict:
-        """One short-deadline protocol round against a sibling shard."""
-        kind, *where = parse_address(address)
-        if kind == "tcp":
-            opening = asyncio.open_connection(where[0], where[1],
-                                              limit=MAX_LINE)
-        else:
-            opening = asyncio.open_unix_connection(where[0], limit=MAX_LINE)
-        reader, writer = await asyncio.wait_for(opening, PEER_TIMEOUT)
-        try:
-            if self.token is not None:
-                payload = dict(payload, token=self.token)
-            writer.write((json.dumps(payload) + "\n").encode())
-            await asyncio.wait_for(writer.drain(), PEER_TIMEOUT)
-            line = await asyncio.wait_for(reader.readline(), PEER_TIMEOUT)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                # CancelledError must propagate here: swallowing a cancel
-                # that lands during wait_closed() would leave the gossip
-                # loop alive after stop() asked it to die.
-                pass
-        if not line.endswith(b"\n"):
-            raise ConnectionResetError("peer closed mid-response")
-        response = json.loads(line)
-        if not response.get("ok"):
-            raise RuntimeError(response.get("error", "peer refused request"))
-        return response
 
     async def _op_submit(self, request: dict) -> dict:
         raw_jobs = request.get("jobs")
@@ -943,14 +667,11 @@ def run_service(
     *,
     workers: int | None = None,
     cache: ResultCache | None = None,
-    epoch_path: str | os.PathLike | None = None,
     max_depth: int | None = None,
     job_timeout: float | None = None,
     chaos: bool = False,
     listen: str | None = None,
     token: str | None = None,
-    peers: list[str] | None = None,
-    heartbeat_interval: float | None = None,
     install_signal_handlers: bool = True,
     ready_message: bool = True,
 ) -> int:
@@ -964,20 +685,16 @@ def run_service(
     injection — an un-flagged daemon under ``REPRO_FAULTS`` is exactly
     the "operator forgot" scenario the suite tests).  *listen* switches
     the transport to TCP (``host:port``; port 0 lets the kernel pick and
-    the ready line reports the bound address), *token* arms shared-secret
-    auth, *peers* seeds the gossip membership plane with sibling shards
-    and *heartbeat_interval* tunes the gossip loop (0 disables it).
-    *epoch_path* names the shard's epoch file (:func:`advance_epoch`).
+    the ready line reports the bound address) and *token* arms
+    shared-secret auth.
     """
     if chaos:
         # Re-export whatever plan is active so spawn-start workers (which
         # re-import everything) see the same spec and seed.
         faults.install_plan(faults.active_plan(), export_env=True)
     service = SimService(socket_path, workers=workers, cache=cache,
-                         epoch_path=epoch_path, max_depth=max_depth,
-                         job_timeout=job_timeout, chaos=chaos,
-                         listen=listen, token=token, peers=peers,
-                         heartbeat_interval=heartbeat_interval)
+                         max_depth=max_depth, job_timeout=job_timeout,
+                         chaos=chaos, listen=listen, token=token)
 
     def _print_ready(svc: SimService) -> None:
         where = svc.cache.directory or "memory-only"
@@ -985,8 +702,7 @@ def run_service(
             # Machine-readable on purpose: the cluster harness parses
             # "listen=tcp://host:port" to learn a :0 daemon's real port.
             bind = (f"listen={svc.listen_address} auth="
-                    f"{'on' if svc.token else 'off'} peers={len(svc.peers)} "
-                    f"epoch={svc.epoch}")
+                    f"{'on' if svc.token else 'off'}")
         else:
             bind = f"socket={svc.socket_path}"
         print(f"repro service: {bind} workers={svc.workers} cache={where}",

@@ -2,12 +2,11 @@
 
 The acceptance harness behind ``repro cluster soak``: spawn a fleet of
 real shard subprocesses sharing one result cache directory
-(``$REPRO_CACHE_DIR``, the fleet's only cross-shard result path), each
-with its own epoch file, hammer them with
-N concurrent router clients, and — while they work — run a **seeded**
-chaos schedule that SIGKILLs shards, stalls them (SIGSTOP/SIGCONT) and
-revives the corpses on their original ports.  At the end the harness
-asserts the self-healing story end to end:
+(``$REPRO_CACHE_DIR``, the fleet's only cross-shard result path), hammer
+them with N concurrent router clients, and — while they work — run a
+**seeded** chaos schedule that SIGKILLs shards, stalls them
+(SIGSTOP/SIGCONT) and revives the corpses on their original ports.  At
+the end the harness asserts the self-healing story end to end:
 
 * **zero lost jobs** — every batch every client submitted eventually
   completed (routers fail over, probe and re-admit on their own);
@@ -27,8 +26,9 @@ asserts the self-healing story end to end:
   count cannot be read fails the run — the sum must never shrink
   silently.  (A completion landing between the last read and the
   SIGKILL goes uncounted);
-* **self-healing observed** — routers report probes and re-admissions,
-  shards report gossip traffic.
+* **self-healing observed** — routers report probes and re-admissions:
+  a revived shard returns to routing through the router's own probes,
+  the cluster's only liveness mechanism.
 
 Everything is deterministic from :attr:`SoakConfig.seed` on the chaos
 side; wall-clock interleaving of clients is inherently racy, which is
@@ -87,8 +87,6 @@ class SoakConfig:
     chaos_interval_s: float = 1.0
     #: Ceiling on the run; the harness fails rather than hang past it.
     deadline_s: float = 120.0
-    #: Gossip heartbeat interval handed to every shard.
-    heartbeat_interval_s: float = 0.25
     #: How long a SIGSTOP stall lasts before SIGCONT.
     stall_s: float = 1.0
     #: Client-side request timeout (short: stalled shards must be
@@ -128,7 +126,6 @@ class SoakReport:
     probes: int = 0
     readmissions: int = 0
     failovers: int = 0
-    gossip_merges: int = 0
     wall_s: float = 0.0
 
     def passed(self) -> bool:
@@ -156,7 +153,6 @@ class SoakReport:
             "probes": self.probes,
             "readmissions": self.readmissions,
             "failovers": self.failovers,
-            "gossip_merges": self.gossip_merges,
             "wall_s": round(self.wall_s, 3),
         }
 
@@ -164,8 +160,7 @@ class SoakReport:
 class _Shard:
     """One shard subprocess the chaos loop owns: spawn, kill, revive."""
 
-    def __init__(self, index: int):
-        self.index = index         # names the epoch file revivals reopen
+    def __init__(self):
         self.port = 0              # 0 until the kernel picks one
         self.address: str | None = None
         self.proc: subprocess.Popen | None = None
@@ -185,12 +180,10 @@ def _repo_src() -> str:
 def _spawn_shard(shard: _Shard, config: SoakConfig, work_dir: Path) -> None:
     """Start (or restart) *shard* as a ``repro cluster serve`` process.
 
-    Every shard publishes results to ``<work_dir>/cache`` and keeps its
-    epoch in ``<work_dir>/shard-<index>.epoch``.  First spawn binds port
-    0 and learns the kernel's pick from the ready line; revivals re-bind
-    the *same* port and bump the same epoch file, so the fleet's
-    addresses and ring are stable across deaths and every revival
-    outranks its corpse.  All shards share ``<work_dir>/traces`` as
+    Every shard publishes results to ``<work_dir>/cache``.  First spawn
+    binds port 0 and learns the kernel's pick from the ready line;
+    revivals re-bind the *same* port, so the fleet's addresses and ring
+    are stable across deaths.  All shards share ``<work_dir>/traces`` as
     their trace store, so a revival loads traces instead of
     regenerating them, and a SIGKILL-ed daemon leaves no private store
     behind.
@@ -208,9 +201,7 @@ def _spawn_shard(shard: _Shard, config: SoakConfig, work_dir: Path) -> None:
     # would then wait on EOF forever after the harness itself exited.
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "-j", "1", "cluster", "serve",
-         "--listen", f"127.0.0.1:{shard.port}",
-         "--journal", str(work_dir / f"shard-{shard.index}.epoch"),
-         "--heartbeat-interval", str(config.heartbeat_interval_s)],
+         "--listen", f"127.0.0.1:{shard.port}"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True,
     )
@@ -274,12 +265,11 @@ def _client_worker(index: int, config: SoakConfig, addresses: list[str],
                    deadline: float) -> None:
     """One soak client: submit batches, retry through outages, verify.
 
-    Owns a private :class:`ShardRouter` (its own probation state and
-    membership view — the self-healing path is per-client, there is no
-    shared coordinator to cheat through).  A batch is *lost* only if it
-    still cannot complete by the harness deadline with every retry and
-    forced probe exhausted — the zero-loss invariant the soak exists to
-    prove.
+    Owns a private :class:`ShardRouter` (its own probation state — the
+    self-healing path is per-client, there is no shared coordinator to
+    cheat through).  A batch is *lost* only if it still cannot complete
+    by the harness deadline with every retry and forced probe exhausted
+    — the zero-loss invariant the soak exists to prove.
     """
     rng = random.Random((config.seed << 16) ^ index)
     router = ShardRouter(addresses, token=config.token,
@@ -287,7 +277,7 @@ def _client_worker(index: int, config: SoakConfig, addresses: list[str],
                          probe_base=config.probe_base_s,
                          probe_cap=config.probe_cap_s)
     try:
-        for batch_index in range(config.batches_per_client):
+        for _ in range(config.batches_per_client):
             batch = [universe[rng.randrange(len(universe))]
                      for _ in range(config.batch_jobs)]
             with lock:
@@ -312,18 +302,10 @@ def _client_worker(index: int, config: SoakConfig, addresses: list[str],
             if not done:
                 with lock:
                     report.batches_lost += 1
-            # Pull the gossiped view occasionally: exercises the router
-            # subscription path (and accelerates probe timers).
-            if batch_index % 2 == 1:
-                try:
-                    router.refresh_membership()
-                except Exception:  # noqa: BLE001 - fail-open by design
-                    pass
         with lock:
             report.probes += router.stats["probes"]
             report.readmissions += router.stats["readmissions"]
             report.failovers += router.stats["failovers"]
-            report.gossip_merges += router.stats["gossip_merges"]
     finally:
         router.close()
 
@@ -378,8 +360,8 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
              log=None) -> SoakReport:
     """Run one full soak; returns the report (check :meth:`~SoakReport.passed`).
 
-    *work_dir* holds the fleet's shared result cache, trace store and
-    its shards' epoch files; the caller owns its lifetime (a tmpdir in
+    *work_dir* holds the fleet's shared result cache and trace store;
+    the caller owns its lifetime (a tmpdir in
     tests, a scratch dir under the CLI).  *log* is called with progress
     lines (``None`` silences them).
     """
@@ -398,7 +380,7 @@ def run_soak(config: SoakConfig, work_dir: str | os.PathLike,
     ResultCache(work_dir / "cache").clear()
     started = time.monotonic()
     deadline = started + config.deadline_s
-    fleet = [_Shard(index) for index in range(config.shards)]
+    fleet = [_Shard() for _ in range(config.shards)]
     for shard in fleet:
         _spawn_shard(shard, config, work_dir)
     addresses = [shard.address for shard in fleet]

@@ -118,13 +118,6 @@ def _results(response):
     return response["results"]
 
 
-def _wait_for(predicate, timeout=30.0, message="condition"):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, f"timed out: {message}"
-        time.sleep(0.05)
-
-
 class TestSurvivableWorkerFaults:
     def test_worker_crash_is_requeued_bit_identically(self, tmp_path,
                                                       expected):
@@ -422,10 +415,9 @@ class TestClusterFaults:
 
     def test_federation_survives_a_sigkilled_peer(self, tmp_path, expected):
         # An upstream shard publishes half the batch to the shared cache
-        # directory and is then SIGKILLed.  A shard gossiping with the
-        # corpse serves the published half from the directory and
-        # simulates the rest — bit-identically — and claims the dead
-        # peer down.
+        # directory and is then SIGKILLed.  A shard on the same
+        # directory serves the published half from it and simulates the
+        # rest — bit-identically.
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
                    REPRO_TRACE_DIR=str(tmp_path / "traces"))
         env["PYTHONPATH"] = os.pathsep.join(
@@ -435,8 +427,7 @@ class TestClusterFaults:
             env.pop(name, None)
         upstream = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "-j", "1", "cluster",
-             "serve", "--listen", "127.0.0.1:0",
-             "--heartbeat-interval", "0"],
+             "serve", "--listen", "127.0.0.1:0"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True)
         try:
@@ -450,19 +441,12 @@ class TestClusterFaults:
             upstream.send_signal(signal.SIGKILL)
             upstream.wait(timeout=15)
             upstream.stderr.close()
-        with TcpShardDaemon(workers=1, cache=ResultCache(tmp_path),
-                            peers=[address],
-                            heartbeat_interval=0.1) as shard:
+        with TcpShardDaemon(workers=1, cache=ResultCache(tmp_path)) as shard:
             with ServiceClient(shard.service.listen_address) as client:
                 response = client.submit(JOBS)
-            _wait_for(
-                lambda: shard.service.gossip_failures >= 1,
-                message="a failed heartbeat to the dead peer")
-            dead = shard.service.membership.get(address)
         assert _results(response) == expected
         assert response["summary"]["cache_hits"] == 3
         assert response["summary"]["enqueued"] == 3
-        assert dead is not None and dead.status == "down"
 
     def test_routing_faults_keep_results_bit_identical(self, expected):
         from repro.engine.cluster import ShardRouter
@@ -478,40 +462,3 @@ class TestClusterFaults:
         assert router.stats["misrouted_jobs"] == 1
         assert router.stats["failovers"] == 1
         assert len(router.alive_shards()) == 1
-
-
-class TestSelfHealingFaults:
-    """Gossip fault sites: the membership plane must converge through
-    dropped and delayed heartbeats."""
-
-    def test_dropped_heartbeats_only_slow_convergence(self):
-        # Every second heartbeat is dropped; the fleet's views must still
-        # converge to both-alive, with the drops visible in the counters.
-        faults.install_plan("gossip.heartbeat:drop@every=2", seed=0)
-        with TcpShardDaemon(workers=1, heartbeat_interval=0.1) as a:
-            with TcpShardDaemon(
-                    workers=1, heartbeat_interval=0.1,
-                    peers=[a.service.listen_address]) as b:
-                _wait_for(
-                    lambda: len(a.service.membership.alive()) == 2
-                    and len(b.service.membership.alive()) == 2,
-                    message="membership convergence under drops")
-                # Convergence can land on the very first (undropped)
-                # heartbeat, so wait for a drop rather than asserting
-                # one already happened: heartbeats keep flowing, so
-                # every=2 must fire soon after.
-                _wait_for(
-                    lambda: (a.service.gossip_dropped
-                             + b.service.gossip_dropped) >= 1,
-                    message="an every=2 heartbeat drop")
-
-    def test_delayed_heartbeats_only_slow_convergence(self):
-        faults.install_plan("gossip.heartbeat:delay:0.05@every=2", seed=0)
-        with TcpShardDaemon(workers=1, heartbeat_interval=0.1) as a:
-            with TcpShardDaemon(
-                    workers=1, heartbeat_interval=0.1,
-                    peers=[a.service.listen_address]) as b:
-                _wait_for(
-                    lambda: len(a.service.membership.alive()) == 2
-                    and len(b.service.membership.alive()) == 2,
-                    message="membership convergence under delays")

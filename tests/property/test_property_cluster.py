@@ -1,11 +1,14 @@
-"""Property tests: the consistent-hash ring behind the cluster plane.
+"""Property tests: the consistent-hash ring and probation behind the
+cluster plane.
 
 The :class:`~repro.engine.cluster.HashRing` carries two load-bearing
 promises (see the module docstring there): keys spread *evenly* across
-shards, and membership changes remap *only* the keys that touch the
-changed shard.  Hypothesis drives randomized shard sets and membership
-deltas; the key population is a fixed deterministic corpus (hashes of a
-range) so the balance bounds are tight without being flaky.
+shards, and a ring with one shard more or less remaps *only* the keys
+that touch that shard.  Hypothesis drives randomized shard sets; the key
+population is a fixed deterministic corpus (hashes of a range) so the
+balance bounds are tight without being flaky.  The router's probe
+backoff, which decides when a downed shard is tried again, is pinned
+here too.
 """
 
 import hashlib
@@ -13,7 +16,7 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.cluster import HashRing, normalize_shard
+from repro.engine.cluster import HashRing, normalize_shard, probe_backoff
 
 #: Deterministic key corpus standing in for job content keys (which are
 #: themselves sha256 hex digests, so this is distribution-faithful).
@@ -72,16 +75,16 @@ def test_keys_balance_across_shards(shards):
 def test_removing_a_shard_only_remaps_its_own_keys(shards):
     """Exact minimal-remapping: survivors keep every key they owned."""
     ring = HashRing(shards)
-    before = {key: ring.shard_for(key) for key in KEYS}
     victim = shards[len(shards) // 2]
-    ring.remove(victim)
-    if not ring.shards:
+    survivors = HashRing([s for s in shards if s != victim])
+    if not survivors.shards:
         return
-    for key, owner in before.items():
+    for key in KEYS:
+        owner = ring.shard_for(key)
         if owner == victim:
-            assert ring.shard_for(key) in ring.shards
+            assert survivors.shard_for(key) in survivors.shards
         else:
-            assert ring.shard_for(key) == owner
+            assert survivors.shard_for(key) == owner
 
 
 @given(shards=_shard_names)
@@ -90,12 +93,11 @@ def test_adding_a_shard_only_steals_keys_for_itself(shards):
     """The add direction of minimal remapping: no survivor-to-survivor
     moves, so growing a cluster never shuffles existing cache locality."""
     ring = HashRing(shards)
-    before = {key: ring.shard_for(key) for key in KEYS}
     newcomer = "tcp://10.9.9.9:9999"
-    ring.add(newcomer)
-    for key, owner in before.items():
-        after = ring.shard_for(key)
-        assert after == owner or after == newcomer
+    grown = HashRing(shards + [newcomer])
+    for key in KEYS:
+        after = grown.shard_for(key)
+        assert after == ring.shard_for(key) or after == newcomer
 
 
 @given(shards=_shard_names)
@@ -129,3 +131,11 @@ def test_normalize_shard_spellings_collapse():
     assert normalize_shard(" host:123 ") == "tcp://host:123"
     # Socket paths (no numeric port after the last colon) pass through.
     assert normalize_shard("/tmp/run:1/svc.sock") == "/tmp/run:1/svc.sock"
+
+
+@given(failures=st.integers(min_value=0, max_value=64))
+@settings(max_examples=60)
+def test_probe_backoff_is_monotone_and_capped(failures):
+    assert probe_backoff(failures) <= probe_backoff(failures + 1)
+    assert probe_backoff(failures) <= 30.0
+    assert probe_backoff(0) == 0.5
