@@ -394,11 +394,13 @@ class ShardRouter:
                    group: list[SimJob]) -> list[SimResult] | Exception:
         """One shard's share of a batch; transient failure downs the shard.
 
-        Runs on a router-private thread (groups are disjoint shards, so
-        each client is driven by exactly one thread per round).  Returns
-        the exception instead of raising so the round can distinguish
-        "this shard died, re-route its jobs" from "this *job* is bad,
-        propagate" without tearing down sibling groups mid-flight.
+        A round with one group runs it on the caller's thread; a round
+        spanning several shards runs each group on a router-private
+        thread (groups are disjoint shards, so each client is driven by
+        exactly one thread per round).  Returns the exception instead of
+        raising so the round can distinguish "this shard died, re-route
+        its jobs" from "this *job* is bad, propagate" without tearing
+        down sibling groups mid-flight.
         """
         try:
             return self.client(shard).run_jobs(group)
@@ -412,9 +414,9 @@ class ShardRouter:
         """Run a batch across the cluster; results in submission order.
 
         Each round routes the still-unfinished jobs, submits one group
-        per live shard concurrently, and loops while failovers strand
-        work — so a shard SIGKILL-ed mid-batch costs exactly one
-        re-route of its jobs.  Duplicate specs within the batch are
+        per live shard (concurrently when there are several), and loops
+        while failovers strand work — so a shard SIGKILL-ed mid-batch
+        costs exactly one re-route of its jobs.  Duplicate specs within the batch are
         submitted once and fanned back out, mirroring the daemons' own
         coalescing.  Non-transient errors (a failing job, an auth
         rejection) propagate immediately.
@@ -435,16 +437,17 @@ class ShardRouter:
             # long batches, not only between CLI invocations.
             self.maybe_probe()
             groups = self.route(pending)
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                outcomes = {
-                    shard: pool.submit(self._run_group, shard, group)
-                    for shard, group in groups.items()
-                }
+            if len(groups) == 1:
+                # One shard: the round runs on the caller's thread.
+                [(shard, group)] = groups.items()
+                outcomes = [self._run_group(shard, group)]
+            else:
+                with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+                    outcomes = list(pool.map(self._run_group, groups,
+                                             groups.values()))
             stranded: list[SimJob] = []
             hard_error: Exception | None = None
-            for shard, future in outcomes.items():
-                outcome = future.result()
-                group = groups[shard]
+            for group, outcome in zip(groups.values(), outcomes):
                 if isinstance(outcome, (ServiceUnavailable, ServiceTimeout)):
                     stranded.extend(group)
                     self.stats["rerouted_jobs"] += len(group)

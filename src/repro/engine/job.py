@@ -117,9 +117,17 @@ class SimJob:
 
         Includes every field plus :data:`JOB_SCHEMA_VERSION`, so cached
         results survive process restarts but not semantic changes.
+        Computed once per object and memoised in its ``__dict__``, outside
+        the dataclass fields, so equality, hashing and :meth:`to_dict`
+        never see it; a copy made by ``replace`` or :meth:`from_dict`
+        computes its own.
         """
-        payload = f"v{JOB_SCHEMA_VERSION}:{self.canonical_json()}"
-        return hashlib.sha256(payload.encode()).hexdigest()
+        key = self.__dict__.get("_content_key")
+        if key is None:
+            payload = f"v{JOB_SCHEMA_VERSION}:{self.canonical_json()}"
+            key = hashlib.sha256(payload.encode()).hexdigest()
+            object.__setattr__(self, "_content_key", key)
+        return key
 
     def trace_identity(self) -> tuple[str, int, int] | None:
         """The ``(workload, µops, seed)`` key of the trace this job

@@ -5,10 +5,10 @@ The batch engine (:mod:`repro.engine.api`) forks a fresh pool per
 provides the two pieces the service is built from:
 
 * a :class:`WorkerPool` of **persistent** worker processes, each with a
-  private task queue and exactly one in-flight job, so the parent always
-  knows which job a worker holds — when a worker dies (OOM, ``SIGKILL``,
-  a crashing job) its job is *requeued*, never lost, and a replacement
-  worker is spawned;
+  private task pipe, a private result pipe and exactly one in-flight job,
+  so the parent always knows which job a worker holds — when a worker
+  dies (OOM, ``SIGKILL``, a crashing job) its job is *requeued*, never
+  lost, and a replacement worker is spawned;
 * an asyncio :class:`JobQueue` that accepts :class:`~repro.engine.job.SimJob`
   batches from any number of concurrent clients and **coalesces** them:
   results already in the shared :class:`~repro.engine.cache.ResultCache`
@@ -17,6 +17,11 @@ provides the two pieces the service is built from:
   genuinely new work reaches the pool.  Completed jobs are written to the
   cache before their futures resolve, so with a disk cache a restarted
   daemon answers them instead of re-simulating.
+
+The queue starts no thread.  The event loop writes each task straight
+into its worker's task pipe and watches every result pipe with
+``loop.add_reader``, so a completion is handled by the loop itself, with
+no thread handoff between a worker and the future it resolves.
 
 Determinism makes all of this safe: a job spec fully determines its
 result, so re-executing a requeued job — even one whose first completion
@@ -32,8 +37,8 @@ import asyncio
 import contextlib
 import multiprocessing
 import os
-import queue as stdlib_queue
-import threading
+import pickle
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -47,8 +52,14 @@ from repro.workloads.store import TRACE_DIR_ENV, TraceStore, shared_trace_store
 #: Seconds between watchdog sweeps for dead workers.
 WATCHDOG_INTERVAL = 0.1
 
-#: Seconds the drain thread blocks on the result queue per poll.
-DRAIN_POLL = 0.2
+#: Frame header of :class:`multiprocessing.connection.Connection`: the
+#: payload length as a big-endian signed 32-bit integer.  (Payloads of
+#: 2 GiB and more get a longer header; a result message is a few
+#: hundred bytes.)
+_FRAME = struct.Struct("!i")
+
+#: Most bytes one read takes from a result pipe.
+_READ_SIZE = 1 << 16
 
 #: Environment variable bounding the queue depth (admission control);
 #: unset/0 means unbounded.  A submit whose *new* jobs would push the
@@ -124,17 +135,20 @@ def _mp_context():
 
     The batch :class:`~repro.engine.executors.PoolExecutor` prefers
     ``fork`` (cheap, and its parent is single-threaded at fork time), but
-    this pool replaces dead workers from a parent that already runs the
-    drain thread and queue feeder threads — ``fork()`` from a
-    multi-threaded process is deadlock-prone and deprecated on Python
-    3.12+.  Workers are persistent, so the per-spawn interpreter cost is
-    paid once per worker lifetime, not per batch.
+    this pool replaces dead workers from inside a running daemon, whose
+    other threads (a service's, a test harness's) it cannot see —
+    ``fork()`` from a multi-threaded process is deadlock-prone and
+    deprecated on Python 3.12+.  A spawned child also inherits only the
+    pipe ends it is handed, so closing the parent's copy of a task pipe
+    is its worker's end of input.  Workers are persistent, so the
+    per-spawn interpreter cost is paid once per worker lifetime, not per
+    batch.
     """
     return multiprocessing.get_context("spawn")
 
 
-def _worker_main(worker_id: int, task_q, result_q, trace_dir: str) -> None:
-    """Worker process entry: execute jobs until the ``None`` sentinel.
+def _worker_main(tasks, results, trace_dir: str) -> None:
+    """Worker process entry: execute jobs until the task pipe closes.
 
     Every trace comes through the catalog (cache → store → generator),
     with *trace_dir* — the pool's shared store — as the store.  Job
@@ -150,33 +164,34 @@ def _worker_main(worker_id: int, task_q, result_q, trace_dir: str) -> None:
     """
     os.environ[TRACE_DIR_ENV] = trace_dir
     while True:
-        item = task_q.get()
-        if item is None:
+        try:
+            task_id, job_dict, fault = tasks.recv()
+        except EOFError:
             return
-        task_id, job_dict, fault = item
         try:
             if fault is not None:
                 faults.apply_worker_fault(fault)
             payload = execute_job(SimJob.from_dict(job_dict)).to_dict()
         except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-            result_q.put(("error", worker_id, task_id,
-                          f"{type(exc).__name__}: {exc}"))
+            results.send(("error", task_id, f"{type(exc).__name__}: {exc}"))
         else:
-            result_q.put(("done", worker_id, task_id, payload))
+            results.send(("done", task_id, payload))
 
 
 class _Worker:
-    """One pool slot: a process, its private task queue, its in-flight job.
+    """One pool slot: a process, its private pipes, its in-flight job.
 
-    The private queue is what makes crash recovery exact: at most one
+    The private pipes are what make crash recovery exact: at most one
     task is ever inside a worker, and the parent recorded it in
     :attr:`current` before sending it, so a dead worker's job is known —
-    no shared-queue guessing about who picked up what.
+    no shared-queue guessing about who picked up what — and everything
+    on :attr:`results` came from this worker.
     """
 
-    def __init__(self, ctx, worker_id: int, result_q, trace_dir: str):
+    def __init__(self, ctx, worker_id: int, trace_dir: str):
         self.id = worker_id
-        self.task_q = ctx.Queue()
+        task_end, self.tasks = ctx.Pipe(duplex=False)
+        self.results, result_end = ctx.Pipe(duplex=False)
         #: (task_id, job_dict) of the assignment in flight; ``None`` idle.
         self.current: tuple[int, dict] | None = None
         #: Monotonic timestamp of the current assignment (job-timeout
@@ -184,10 +199,14 @@ class _Worker:
         self.started: float | None = None
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.task_q, result_q, trace_dir),
+            args=(task_end, result_end, trace_dir),
             daemon=True,
         )
         self.process.start()
+        # The child holds its own copies now.  Dropping the parent's makes
+        # the worker's exit read as EOF on :attr:`results`.
+        task_end.close()
+        result_end.close()
 
     @property
     def pid(self) -> int | None:
@@ -201,7 +220,17 @@ class _Worker:
         assert self.current is None, "worker already holds a task"
         self.current = (task_id, job_dict)
         self.started = time.monotonic()
-        self.task_q.put((task_id, job_dict, fault))
+        try:
+            self.tasks.send((task_id, job_dict, fault))
+        except (OSError, ValueError):
+            # The worker died since it was picked as idle.  It keeps the
+            # assignment, so reaping requeues it like any dead worker's.
+            pass
+
+    def close(self) -> None:
+        """Close the parent's ends of both pipes."""
+        self.tasks.close()
+        self.results.close()
 
     def describe(self) -> dict:
         """Status row for the service ``status`` op."""
@@ -221,12 +250,16 @@ class WorkerPool:
     worker, replacements included, shares :attr:`trace_store`
     (:func:`~repro.workloads.store.shared_trace_store`), held from
     :meth:`start` to :meth:`stop`.
+
+    The pool needs no event loop.  Each of :attr:`workers` exposes its
+    ``tasks`` and ``results`` connections: :class:`JobQueue` watches the
+    result ends with ``loop.add_reader``, and a synchronous driver can
+    block on them with :func:`multiprocessing.connection.wait`.
     """
 
     def __init__(self, workers: int = 1):
         self.size = max(1, int(workers))
         self._ctx = _mp_context()
-        self.result_queue = self._ctx.Queue()
         self._workers: list[_Worker] = []
         self._next_id = 0
         self.restarts = 0
@@ -242,16 +275,15 @@ class WorkerPool:
             self._workers.append(self._spawn())
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._next_id, self.result_queue,
+        worker = _Worker(self._ctx, self._next_id,
                          str(self.trace_store.directory))
         self._next_id += 1
         return worker
 
-    def worker(self, worker_id: int) -> _Worker | None:
-        for worker in self._workers:
-            if worker.id == worker_id:
-                return worker
-        return None
+    @property
+    def workers(self) -> tuple[_Worker, ...]:
+        """The live pool slots (a snapshot; :meth:`reap_dead` replaces)."""
+        return tuple(self._workers)
 
     def idle_workers(self) -> list[_Worker]:
         return [w for w in self._workers if w.current is None and w.alive()]
@@ -259,38 +291,42 @@ class WorkerPool:
     def worker_pids(self) -> list[int]:
         return [w.pid for w in self._workers if w.pid is not None]
 
-    def reap_dead(self) -> list[tuple[int, dict]]:
+    def reap_dead(self, retire=None) -> list[tuple[int, dict]]:
         """Replace dead workers; return the assignments they were holding
         (``(task_id, job_dict)`` — the caller requeues the task).
 
-        Worker ids are never reused, so a completion message a worker
-        managed to send just before dying can still be attributed (and a
-        stale one can never be mistaken for the replacement's work).
+        *retire(worker)*, when given, runs for each dead worker before
+        its pipes close, while its result pipe still holds anything the
+        worker sent before it died: :class:`JobQueue` reads that and
+        stops watching the pipe there.  Worker ids are never reused, so a
+        stale completion can never be mistaken for the replacement's.
         """
         orphaned: list[tuple[int, dict]] = []
         for slot, worker in enumerate(self._workers):
             if worker.alive():
                 continue
+            if retire is not None:
+                retire(worker)
             if worker.current is not None:
                 orphaned.append(worker.current)
                 worker.current = None
+            worker.close()
             self._workers[slot] = self._spawn()
             self.restarts += 1
         return orphaned
 
     def stop(self, timeout: float = 2.0) -> None:
-        """Shut every worker down (sentinel, then terminate stragglers),
-        then release the trace store (a private one is removed)."""
+        """Shut every worker down (task pipe closed, then terminate
+        stragglers), then release the trace store (a private one is
+        removed)."""
         for worker in self._workers:
-            try:
-                worker.task_q.put(None)
-            except (OSError, ValueError):  # queue already torn down
-                pass
+            worker.tasks.close()
         for worker in self._workers:
             worker.process.join(timeout=timeout)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=timeout)
+            worker.results.close()
         self._workers.clear()
         self._store_scope.close()
         self.trace_store = None
@@ -342,10 +378,11 @@ class _Task:
 class JobQueue:
     """Asyncio front half of the service: dedupe, dispatch, recover.
 
-    One instance serves every client connection of a daemon.  All methods
-    except the drain thread's internals run on the owning event loop, so
-    no locking is needed: completions from worker processes are marshalled
-    onto the loop with ``call_soon_threadsafe``.
+    One instance serves every client connection of a daemon.  Everything
+    runs on the owning event loop, so no locking is needed: the loop
+    watches each worker's result pipe with ``add_reader`` (the
+    replacement's too, on respawn) and handles a completion in the
+    reader callback.
     """
 
     def __init__(
@@ -370,24 +407,22 @@ class JobQueue:
         self._pending: deque[int] = deque()
         self._next_task = 0
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._drain: threading.Thread | None = None
+        #: Workers whose result pipe the loop watches -> the bytes read
+        #: from it that do not make a whole message yet.
+        self._inboxes: dict[_Worker, bytearray] = {}
         self._watchdog: asyncio.Task | None = None
-        self._stopping = False
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the pool, the result drain thread and the watchdog."""
+        """Start the pool, watch its result pipes, start the watchdog."""
         self._loop = asyncio.get_running_loop()
         self.pool.start()
-        self._drain = threading.Thread(target=self._drain_loop, daemon=True,
-                                       name="jobqueue-drain")
-        self._drain.start()
-        self._watchdog = asyncio.get_running_loop().create_task(self._watch())
+        self._watch_new_workers()
+        self._watchdog = self._loop.create_task(self._watch())
 
     async def stop(self) -> None:
         """Stop the pool; outstanding futures fail with :class:`QueueClosed`."""
-        self._stopping = True
         if self._watchdog is not None:
             self._watchdog.cancel()
             try:
@@ -395,10 +430,9 @@ class JobQueue:
             except asyncio.CancelledError:
                 pass
             self._watchdog = None
+        for worker in list(self._inboxes):
+            self._unwatch(worker)
         self.pool.stop()
-        if self._drain is not None:
-            self._drain.join(timeout=2 * DRAIN_POLL + 1.0)
-            self._drain = None
         for task in self._tasks.values():
             if not task.future.done():
                 task.future.set_exception(
@@ -575,34 +609,72 @@ class JobQueue:
         if self._generating.get(ident) == task_id:
             del self._generating[ident]
 
-    def _drain_loop(self) -> None:
-        """Forward worker completions onto the event loop (thread body)."""
-        while not self._stopping:
-            try:
-                message = self.pool.result_queue.get(timeout=DRAIN_POLL)
-            except stdlib_queue.Empty:
-                continue
-            except Exception:  # noqa: BLE001 - e.g. a torn pickle left by a
-                # worker killed mid-write; the watchdog requeues that
-                # worker's job, so the damaged message is droppable — but
-                # the drain thread itself must survive, or no completion
-                # would ever reach the loop again.
-                continue
-            try:
-                self._loop.call_soon_threadsafe(self._on_message, message)
-            except RuntimeError:  # loop already closed: shutting down
-                return
+    def _watch_new_workers(self) -> None:
+        """Watch the result pipe of every pool worker not yet watched."""
+        for worker in self.pool.workers:
+            if worker not in self._inboxes:
+                self._inboxes[worker] = bytearray()
+                self._loop.add_reader(worker.results.fileno(),
+                                      self._on_readable, worker)
 
-    def _on_message(self, message: tuple) -> None:
+    def _unwatch(self, worker: _Worker) -> None:
+        """Stop watching *worker*'s result pipe (before it closes: a
+        closed descriptor's number is soon reused by a new pipe)."""
+        if self._inboxes.pop(worker, None) is not None:
+            self._loop.remove_reader(worker.results.fileno())
+
+    def _retire(self, worker: _Worker) -> None:
+        """Take what a dead worker sent before dying, then unwatch it.
+
+        A completion found here resolves its job instead of the job being
+        requeued and simulated again.  Reads happen only while the pipe
+        polls readable, so this never blocks.
+        """
+        while worker in self._inboxes and worker.results.poll():
+            self._on_readable(worker)
+        self._unwatch(worker)
+
+    def _on_readable(self, worker: _Worker) -> None:
+        """Handle what *worker*'s result pipe holds (a loop callback).
+
+        One read of a readable pipe never blocks.  A message split across
+        reads waits in the worker's inbox for its tail, so a worker killed
+        mid-write leaves a partial frame behind, not a stalled loop.  At
+        EOF the pipe is unwatched; reaping the worker and requeueing its
+        job stay with :meth:`_watch`.
+        """
+        try:
+            chunk = os.read(worker.results.fileno(), _READ_SIZE)
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._unwatch(worker)
+            return
+        inbox = self._inboxes[worker]
+        inbox += chunk
+        while len(inbox) >= _FRAME.size:
+            (size,) = _FRAME.unpack_from(inbox)
+            end = _FRAME.size + size
+            if len(inbox) < end:
+                return
+            frame = inbox[_FRAME.size:end]
+            del inbox[:end]
+            try:
+                message = pickle.loads(frame)
+            except Exception:  # noqa: BLE001 - no task to attribute it to:
+                # the worker is killed, so reaping requeues its job.
+                worker.process.kill()
+                continue
+            self._on_message(worker, message)
+
+    def _on_message(self, worker: _Worker, message: tuple) -> None:
         # Runs on the event loop.  The cache write below is synchronous
         # (a disk cache fsyncs) — a deliberate tradeoff: the write must be
         # durable *before* the future resolves, and the rate is bounded by
         # the worker pool (one small write per completed multi-millisecond
         # simulation), so the loop stall is noise next to simulation time.
-        kind, worker_id, task_id, payload = message
-        worker = self.pool.worker(worker_id)
-        if worker is not None and worker.current is not None \
-                and worker.current[0] == task_id:
+        kind, task_id, payload = message
+        if worker.current is not None and worker.current[0] == task_id:
             worker.current = None
             worker.started = None
         task = self._tasks.pop(task_id, None)
@@ -642,7 +714,7 @@ class JobQueue:
             await asyncio.sleep(WATCHDOG_INTERVAL)
             if self.job_timeout is not None:
                 now = time.monotonic()
-                for worker in list(self.pool._workers):
+                for worker in self.pool.workers:
                     if (
                         worker.current is not None
                         and worker.started is not None
@@ -652,7 +724,8 @@ class JobQueue:
                         self.stats.timeouts += 1
                         worker.process.kill()
                         worker.process.join(timeout=1.0)
-            orphaned = self.pool.reap_dead()
+            orphaned = self.pool.reap_dead(retire=self._retire)
+            self._watch_new_workers()
             for task_id, _job_dict in orphaned:
                 task = self._tasks.get(task_id)
                 if task is None:

@@ -194,6 +194,23 @@ class TestShardRouter:
         assert results[0] == results[1]
         assert metrics["queue"]["stats"]["executed"] == 1
 
+    def test_one_shard_round_runs_on_the_callers_thread(self, expected,
+                                                        monkeypatch):
+        threads = []
+        run_group = ShardRouter._run_group
+
+        def recording(router, shard, group):
+            threads.append(threading.get_ident())
+            return run_group(router, shard, group)
+
+        monkeypatch.setattr(ShardRouter, "_run_group", recording)
+        with TcpShard() as a:
+            router = ShardRouter([a.address])
+            results = router.run_jobs(JOBS)
+            router.close()
+        assert results == expected
+        assert threads == [threading.get_ident()]
+
     def test_dead_shard_fails_over_with_no_lost_jobs(self, expected):
         with TcpShard() as alive:
             router = ShardRouter(

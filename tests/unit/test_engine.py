@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -87,6 +88,35 @@ class TestSimJob:
     def test_jobs_are_hashable(self):
         assert len({SimJob.make("gzip", "lvp", **TINY),
                     SimJob.make("gzip", "lvp", **TINY)}) == 1
+
+    def test_content_key_is_computed_once_per_object(self, monkeypatch):
+        calls = []
+        real = SimJob.canonical_json
+
+        def counting(job):
+            calls.append(job)
+            return real(job)
+
+        monkeypatch.setattr(SimJob, "canonical_json", counting)
+        job = SimJob.make("gzip", "vtage", **TINY)
+        keys = {job.content_key() for _ in range(5)}
+        assert len(keys) == 1 and len(calls) == 1
+        # Copies compute their own key, from their own fields.
+        copy = dataclasses.replace(job, entries=4096)
+        assert copy.content_key() != job.content_key()
+        assert SimJob.from_dict(job.to_dict()).content_key() == job.content_key()
+        assert len(calls) == 3
+
+    def test_memoised_key_is_outside_equality_hash_and_dict(self):
+        warm = SimJob.make("gzip", "vtage", **TINY)
+        cold = SimJob.make("gzip", "vtage", **TINY)
+        key = warm.content_key()
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm.to_dict() == cold.to_dict()
+        assert "_content_key" not in warm.to_dict()
+        assert cold.content_key() == key
+        unpickled = pickle.loads(pickle.dumps(warm))
+        assert unpickled == warm and unpickled.content_key() == key
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,14 @@ concurrent clients, CLI verbs) is covered by
 """
 
 import asyncio
+import multiprocessing
 import os
+import pickle
 import signal
+import struct
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -206,3 +211,103 @@ class TestCrashRecovery:
         assert stats.executed == len(jobs)
         expected = [execute_job(j) for j in jobs]
         assert [r.to_dict() for r in results] == [e.to_dict() for e in expected]
+
+    def test_sigkilled_busy_worker_then_next_submit_is_served(self):
+        async def scenario():
+            q = await _started_queue()
+            try:
+                slow = job("gcc", "vtage", n_uops=12000, warmup=6000)
+                futures, _ = q.submit([slow])
+                [worker] = q.pool.workers
+                assert worker.current is not None
+                os.kill(worker.pid, signal.SIGKILL)
+                [killed] = await asyncio.gather(*futures)
+                [after] = await q.run_jobs([job()])
+                return slow, killed, after, q.stats, q.pool.restarts
+            finally:
+                await q.stop()
+
+        slow, killed, after, stats, restarts = asyncio.run(scenario())
+        assert restarts == 1 and stats.requeued == 1
+        assert killed.to_dict() == execute_job(slow).to_dict()
+        assert after.to_dict() == execute_job(job()).to_dict()
+
+    def test_worker_killed_before_assign_gets_its_job_requeued(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            raised = []
+            loop.set_exception_handler(lambda _loop, ctx: raised.append(ctx))
+            q = await _started_queue()
+            pick_idle = q.pool.idle_workers
+
+            def idle_then_killed():
+                # The worker dies after being picked, before its task
+                # is sent.  Only the first dispatch is sabotaged.
+                idle = pick_idle()
+                for worker in idle:
+                    worker.process.kill()
+                    worker.process.join()
+                q.pool.idle_workers = pick_idle
+                return idle
+
+            q.pool.idle_workers = idle_then_killed
+            try:
+                [result] = await q.run_jobs([job()])
+                return result, q.stats, q.pool.restarts, raised
+            finally:
+                await q.stop()
+
+        result, stats, restarts, raised = asyncio.run(scenario())
+        assert raised == []
+        assert restarts == 1 and stats.requeued == 1
+        assert result.to_dict() == execute_job(job()).to_dict()
+
+
+class TestTransport:
+    def test_start_starts_no_thread(self):
+        async def scenario():
+            before = threading.active_count()
+            q = await _started_queue(workers=2)
+            try:
+                started = threading.active_count()
+                await q.run_jobs([job(), job("gcc")])
+                return before, started, threading.active_count()
+            finally:
+                await q.stop()
+
+        before, started, served = asyncio.run(scenario())
+        assert before == started == served
+
+    def test_reader_reassembles_split_messages_and_unwatches_at_eof(self):
+        async def scenario():
+            q = JobQueue(WorkerPool(1))
+            q._loop = asyncio.get_running_loop()
+            received = []
+            q._on_message = lambda worker, message: received.append(message)
+            results, writer = multiprocessing.Pipe(duplex=False)
+            fake = type("FakeWorker", (), {})()
+            fake.results = results
+            q.pool = SimpleNamespace(workers=(fake,))
+            q._watch_new_workers()
+            # A message framed by Connection.send is read whole.
+            writer.send(("done", 1, {"a": 1}))
+            q._on_readable(fake)
+            # A frame split across writes waits for its tail.
+            body = pickle.dumps(("error", 2, "x" * 10000))
+            frame = struct.pack("!i", len(body)) + body
+            os.write(writer.fileno(), frame[:7])
+            q._on_readable(fake)
+            partial = list(received)
+            os.write(writer.fileno(), frame[7:])
+            while len(received) < 2:
+                q._on_readable(fake)
+            writer.close()
+            q._on_readable(fake)
+            watched = fake in q._inboxes
+            results.close()
+            return partial, received, watched
+
+        partial, received, watched = asyncio.run(scenario())
+        assert partial == [("done", 1, {"a": 1})]
+        assert received == [("done", 1, {"a": 1}), ("error", 2, "x" * 10000)]
+        assert not watched
