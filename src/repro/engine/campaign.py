@@ -442,9 +442,11 @@ def run_campaign(
     durable before the next starts, and a rerun after a kill answers the
     finished jobs as cache hits.  The default chunking follows from that:
     with a checkpoint dir, per-job for a serial executor and
-    ``4 × workers`` for a pool (a kill loses at most one chunk while a
-    pool still gets full batches); without one the whole campaign goes
-    down as a single batch (one pool spin-up, maximal parallelism).
+    ``4 × workers`` for a pool (a kill loses at most one chunk, while
+    every worker still has queued work; the pool and its trace store
+    outlive a chunk, so chunking costs no respawn and no trace is
+    generated twice); without one the whole campaign goes down as a
+    single batch.
 
     ``stats`` counts ``cache_hits`` (jobs the cache answered, checkpointed
     ones included) and ``executed`` (the rest, which this run simulated).

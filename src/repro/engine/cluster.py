@@ -442,9 +442,9 @@ class ShardRouter:
                 [(shard, group)] = groups.items()
                 outcomes = [self._run_group(shard, group)]
             else:
-                with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                    outcomes = list(pool.map(self._run_group, groups,
-                                             groups.values()))
+                with ThreadPoolExecutor(max_workers=len(groups)) as threads:
+                    outcomes = list(threads.map(self._run_group, groups,
+                                                groups.values()))
             stranded: list[SimJob] = []
             hard_error: Exception | None = None
             for group, outcome in zip(groups.values(), outcomes):

@@ -1,10 +1,10 @@
-"""Pluggable job executors: serial and multiprocessing pool.
+"""Pluggable job executors: serial, and a pool of worker processes.
 
-Both backends map :func:`~repro.engine.job.execute_job` over a job list and
-preserve input order.  Because a job spec fully determines its simulation
-(seeded traces, no wall-clock anywhere in the model) and results round-trip
-losslessly through ``SimResult.to_dict``/``from_dict``, the two backends
-are bit-identical — the equivalence test in
+Both backends run :func:`~repro.engine.job.execute_job` over a job list
+and preserve input order.  Because a job spec fully determines its
+simulation (seeded traces, no wall-clock anywhere in the model) and
+results round-trip losslessly through ``SimResult.to_dict``/``from_dict``,
+the two backends are bit-identical — the equivalence test in
 ``tests/unit/test_engine.py`` pins that guarantee.
 
 The default backend is picked from the ``REPRO_JOBS`` environment variable
@@ -14,19 +14,20 @@ anything larger a pool of that many worker processes.
 
 from __future__ import annotations
 
-import multiprocessing
+import asyncio
 import os
+import weakref
 
-from repro.engine import faults
+from repro.engine.cache import ResultCache
 from repro.engine.job import SimJob, execute_job
+from repro.engine.queue import JobQueue, WorkerPool
 from repro.pipeline.result import SimResult
-from repro.workloads.store import TRACE_DIR_ENV, shared_trace_store
 
 #: Environment variable selecting the default parallelism.
 JOBS_ENV = "REPRO_JOBS"
 
 #: Upper clamp for the worker count: a typo'd ``REPRO_JOBS=1000000`` must
-#: not fork a million processes.  Far above any sane machine, far below
+#: not spawn a million processes.  Far above any sane machine, far below
 #: any fork bomb.
 MAX_JOBS = 512
 
@@ -43,80 +44,68 @@ class SerialExecutor:
         return "serial"
 
 
-def _use_trace_store(directory: str) -> None:
-    """Pool initializer: point this worker's trace store at *directory*."""
-    os.environ[TRACE_DIR_ENV] = directory
-
-
-def _execute_to_dict(job: SimJob) -> dict:
-    """Worker entry point: run one job, return its lossless dict payload.
-
-    Chaos: the ``worker.execute`` site fires here too, but with
-    ``allow_fatal=False`` — a ``multiprocessing.Pool`` cannot survive a
-    dead worker (``pool.map`` would raise for the whole batch), so
-    ``crash``/``hang`` directives degrade to a raised error.  The
-    persistent service pool (:mod:`repro.engine.queue`) is where fatal
-    worker faults are exercised for real.
-    """
-    rule = faults.fire("worker.execute")
-    if rule is not None:
-        faults.apply_worker_fault({"action": rule.action, "arg": rule.arg},
-                                  allow_fatal=False)
-    return execute_job(job).to_dict()
+def _shutdown(loop: asyncio.AbstractEventLoop, queue: JobQueue) -> None:
+    """Stop *queue* (its workers and private trace store), close *loop*."""
+    try:
+        loop.run_until_complete(queue.stop())
+    finally:
+        loop.close()
 
 
 class PoolExecutor:
-    """Run jobs on a ``multiprocessing`` pool of worker processes.
+    """Run jobs on the service's :class:`~repro.engine.queue.JobQueue`.
 
-    Results travel back as ``to_dict()`` payloads and are rebuilt in the
-    parent, so the transport is exactly the round-trip the unit tests pin
-    as lossless.  ``chunksize=1`` keeps scheduling fair when job costs vary
-    by orders of magnitude (oracle vs hybrid predictors).
+    A synchronous adapter: the executor owns a private event loop and one
+    ``JobQueue(WorkerPool(jobs))``, and :meth:`run` drives the queue on
+    that loop until the batch resolves.  Everything a daemon's pool does
+    comes with it: a dead worker's job is requeued on a replacement (at
+    most :data:`~repro.engine.queue.MAX_JOB_ATTEMPTS` dispatches),
+    ``$REPRO_JOB_TIMEOUT`` kills a hung worker, the workers share one
+    trace store in which each cold trace is generated once, and the
+    ``worker.execute`` chaos site fires.  A job that raises fails the
+    batch with :class:`~repro.engine.queue.JobFailed`.
 
-    Workers share one trace store (:func:`shared_trace_store`), and the
-    pool runs in two passes: the first job of each trace absent from the
-    store, then the rest.  Each such trace is generated once, by the
-    worker that runs its first job, and every later job loads it from
-    the store.
+    Construction spawns nothing: the pool starts on the first
+    :meth:`run` and is kept for the executor's life, so the chunks of a
+    checkpointed campaign reuse its workers and its trace store.
+    :meth:`close` stops it (a later :meth:`run` starts a new one);
+    collection or interpreter exit stops it too.
     """
 
     def __init__(self, jobs: int):
         if jobs < 2:
             raise ValueError("PoolExecutor needs >= 2 workers; use SerialExecutor")
         self.jobs = int(jobs)
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._queue: JobQueue | None = None
+        self._closer: weakref.finalize | None = None
 
     def run(self, jobs: list[SimJob]) -> list[SimResult]:
         if not jobs:
             return []
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        workers = min(self.jobs, len(jobs))
-        if workers < 2:
-            return SerialExecutor().run(jobs)
-        payloads: list[dict | None] = [None] * len(jobs)
-        with shared_trace_store() as store, ctx.Pool(
-            processes=workers, initializer=_use_trace_store,
-            initargs=(str(store.directory),),
-        ) as pool:
-            firsts: list[int] = []
-            rest: list[int] = []
-            cold: set[tuple] = set()
-            for index, job in enumerate(jobs):
-                ident = job.trace_identity()
-                if ident is None or ident in cold \
-                        or store.contains(*ident):
-                    rest.append(index)
-                else:
-                    cold.add(ident)
-                    firsts.append(index)
-            for batch in (firsts, rest):
-                done = pool.map(_execute_to_dict, [jobs[i] for i in batch],
-                                chunksize=1)
-                for index, payload in zip(batch, done):
-                    payloads[index] = payload
-        return [SimResult.from_dict(payload) for payload in payloads]
+        if self._queue is None:
+            self._start()
+        return self._loop.run_until_complete(self._queue.run_jobs(jobs))
+
+    def _start(self) -> None:
+        loop = asyncio.new_event_loop()
+        # Admission control is for a daemon's clients; a local batch of
+        # any size is always taken whole.
+        queue = JobQueue(WorkerPool(self.jobs), cache=ResultCache(None),
+                         max_depth=0)
+        try:
+            loop.run_until_complete(queue.start())
+        except BaseException:
+            _shutdown(loop, queue)
+            raise
+        self._loop, self._queue = loop, queue
+        self._closer = weakref.finalize(self, _shutdown, loop, queue)
+
+    def close(self) -> None:
+        """Stop the workers and remove a private trace store (idempotent)."""
+        if self._closer is not None:
+            self._closer()
+        self._loop = self._queue = self._closer = None
 
     def describe(self) -> str:
         return f"pool({self.jobs})"

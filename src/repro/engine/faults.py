@@ -58,7 +58,7 @@ FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 #: validates against this table so a typo'd site fails loudly instead of
 #: silently never firing.
 SITES: dict[str, tuple[str, ...]] = {
-    # Worker execution (queue pool + batch pool): die, wedge, crawl, raise.
+    # Worker execution (the worker pool): die, wedge, crawl, raise.
     "worker.execute": ("crash", "hang", "slow", "error"),
     # Service socket I/O: drop the response, send half of it, or stall
     # before answering (the client's read timeout is what catches this).
@@ -398,21 +398,17 @@ def io_error(rule: FaultRule, site: str) -> OSError:
     return OSError(code, f"injected {rule.action} fault at {site}")
 
 
-def apply_worker_fault(fault: dict, *, allow_fatal: bool = True) -> None:
+def apply_worker_fault(fault: dict) -> None:
     """Execute a ``worker.execute`` fault directive inside a worker.
 
     The parent evaluates the plan (keeping the schedule deterministic in
     one place) and ships a small directive; the worker acts it out:
     ``crash`` dies like a SIGKILL (``os._exit``), ``hang`` sleeps past
     any job timeout, ``slow`` sleeps briefly then proceeds, ``error``
-    raises :class:`InjectedFault`.  With ``allow_fatal=False`` (the
-    batch pool, which cannot survive a dead worker) ``crash``/``hang``
-    degrade to ``error``.
+    raises :class:`InjectedFault`.
     """
     action = fault.get("action")
     arg = fault.get("arg")
-    if action in ("crash", "hang") and not allow_fatal:
-        action = "error"
     if action == "crash":
         os._exit(137)
     elif action == "hang":

@@ -1,8 +1,9 @@
-"""Asynchronous job queue on a persistent worker pool (the service core).
+"""Asynchronous job queue on a persistent worker pool.
 
-The batch engine (:mod:`repro.engine.api`) forks a fresh pool per
-``run_jobs`` call; a long-lived daemon cannot afford that, so this module
-provides the two pieces the service is built from:
+Every run that fans jobs out to worker processes goes through this
+module: a daemon or shard (:mod:`repro.engine.service`) and a local
+``-j N`` run (:class:`~repro.engine.executors.PoolExecutor`, which drives
+a queue on a private event loop).  It provides two pieces:
 
 * a :class:`WorkerPool` of **persistent** worker processes, each with a
   private task pipe, a private result pipe and exactly one in-flight job,
@@ -133,16 +134,17 @@ def resolve_job_timeout(explicit: float | None = None) -> float | None:
 def _mp_context():
     """The ``spawn`` start method, unconditionally.
 
-    The batch :class:`~repro.engine.executors.PoolExecutor` prefers
-    ``fork`` (cheap, and its parent is single-threaded at fork time), but
-    this pool replaces dead workers from inside a running daemon, whose
+    The pool replaces dead workers from inside a running process whose
     other threads (a service's, a test harness's) it cannot see —
     ``fork()`` from a multi-threaded process is deadlock-prone and
     deprecated on Python 3.12+.  A spawned child also inherits only the
     pipe ends it is handed, so closing the parent's copy of a task pipe
     is its worker's end of input.  Workers are persistent, so the
-    per-spawn interpreter cost is paid once per worker lifetime, not per
-    batch.
+    per-spawn interpreter cost (about half a second: numpy and
+    :mod:`repro` imports) is paid once per worker lifetime, not per
+    batch.  A ``forkserver`` with preloaded modules would start workers
+    about as cheaply as fork, but its server is one more resident
+    process per pool.
     """
     return multiprocessing.get_context("spawn")
 
@@ -244,17 +246,16 @@ class _Worker:
 class WorkerPool:
     """A fixed-size pool of persistent simulation worker processes.
 
-    Workers survive across batches (no per-run fork cost) and are
+    Workers survive across batches (no per-batch spawn cost) and are
     replaced transparently when they die; :meth:`reap_dead` returns the
     orphaned in-flight tasks so the caller can requeue them.  Every
     worker, replacements included, shares :attr:`trace_store`
     (:func:`~repro.workloads.store.shared_trace_store`), held from
     :meth:`start` to :meth:`stop`.
 
-    The pool needs no event loop.  Each of :attr:`workers` exposes its
-    ``tasks`` and ``results`` connections: :class:`JobQueue` watches the
-    result ends with ``loop.add_reader``, and a synchronous driver can
-    block on them with :func:`multiprocessing.connection.wait`.
+    Each of :attr:`workers` exposes its ``tasks`` and ``results``
+    connections; :class:`JobQueue` watches the result ends with
+    ``loop.add_reader``.
     """
 
     def __init__(self, workers: int = 1):
@@ -376,11 +377,12 @@ class _Task:
 
 
 class JobQueue:
-    """Asyncio front half of the service: dedupe, dispatch, recover.
+    """Asyncio front half of a worker pool: dedupe, dispatch, recover.
 
-    One instance serves every client connection of a daemon.  Everything
-    runs on the owning event loop, so no locking is needed: the loop
-    watches each worker's result pipe with ``add_reader`` (the
+    One instance serves every client connection of a daemon, or every
+    batch of a local :class:`~repro.engine.executors.PoolExecutor`.
+    Everything runs on the owning event loop, so no locking is needed:
+    the loop watches each worker's result pipe with ``add_reader`` (the
     replacement's too, on respawn) and handles a completion in the
     reader callback.
     """

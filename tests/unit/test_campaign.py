@@ -216,7 +216,7 @@ class TestCampaignResult:
     def test_unjournaled_run_is_one_batch(self, monkeypatch):
         """Without a checkpoint dir there is nothing to make durable
         between chunks, so the whole campaign must go to the executor as
-        a single batch (one pool spin-up, full parallelism)."""
+        a single batch (full parallelism)."""
         engine = fresh_engine()
         batches = []
         original = engine.run_jobs

@@ -194,13 +194,5 @@ class TestActionHelpers:
         with pytest.raises(InjectedFault):
             faults.apply_worker_fault({"action": "error", "arg": None})
 
-    def test_fatal_directives_degrade_when_not_allowed(self):
-        # crash/hang must not kill a batch-pool worker: they degrade to
-        # a raised error instead (the pool cannot survive a dead worker).
-        for action in ("crash", "hang"):
-            with pytest.raises(InjectedFault):
-                faults.apply_worker_fault({"action": action, "arg": None},
-                                          allow_fatal=False)
-
     def test_slow_directive_returns(self):
         faults.apply_worker_fault({"action": "slow", "arg": 0.001})

@@ -1,15 +1,16 @@
-"""How traces reach workers: one shared trace store per fan-out.
+"""How traces reach workers: one shared trace store per worker pool.
 
-Both fan-out sites — the batch :class:`~repro.engine.executors.PoolExecutor`
-and the service :class:`~repro.engine.queue.JobQueue` — hand their workers
-one store (:func:`~repro.workloads.store.shared_trace_store`): the
-configured ``$REPRO_TRACE_DIR`` one, or a private temporary one removed
-when the pool closes.  The first job of a cold trace generates it in a
-worker; the trace's other jobs wait for that job and then load it.
+Jobs fan out to worker processes in one place, the
+:class:`~repro.engine.queue.JobQueue` — a daemon's, or the one a local
+:class:`~repro.engine.executors.PoolExecutor` drives.  Its
+:class:`~repro.engine.queue.WorkerPool` hands every worker one store
+(:func:`~repro.workloads.store.shared_trace_store`): the configured
+``$REPRO_TRACE_DIR`` one, or a private temporary one removed when the
+pool stops.  The first job of a cold trace generates it in a worker; the
+trace's other jobs wait for that job and then load it.
 """
 
 import asyncio
-import contextlib
 import os
 import signal
 import tempfile
@@ -17,7 +18,6 @@ import time
 
 import pytest
 
-from repro.engine import executors
 from repro.engine.cache import ResultCache
 from repro.engine.executors import PoolExecutor, SerialExecutor
 from repro.engine.job import SimJob, execute_job
@@ -68,23 +68,44 @@ class TestPoolExecutor:
         catalog.clear_trace_cache()
         assert [r.to_dict() for r in PoolExecutor(2).run(GRID)] == reference
 
-    def test_private_store_filled_once_then_removed(self, monkeypatch,
-                                                    private_tmp):
-        seen = {}
-        real = executors.shared_trace_store
-
-        @contextlib.contextmanager
-        def observed():
-            with real() as store:
-                yield store
-                seen["directory"] = store.directory
-                seen["entries"] = store.stats()["entries"]
-
-        monkeypatch.setattr(executors, "shared_trace_store", observed)
-        PoolExecutor(2).run(GRID)
-        assert seen["directory"].parent == private_tmp
-        assert seen["entries"] == UNIQUE_TRACES
+    def test_private_store_filled_once_then_removed(self, private_tmp):
+        executor = PoolExecutor(2)
+        try:
+            executor.run(GRID)
+            store = executor._queue.pool.trace_store
+            directory, entries = store.directory, store.stats()["entries"]
+        finally:
+            executor.close()
+        assert directory.parent == private_tmp
+        assert entries == UNIQUE_TRACES
         assert _private_stores(private_tmp) == []
+
+    def test_later_runs_reuse_the_workers_and_the_store(self, monkeypatch,
+                                                        private_tmp):
+        """A checkpointed campaign's chunks: the first run generates each
+        trace once; the next run loads every one of them."""
+        executor = PoolExecutor(2)
+        try:
+            executor.run(GRID[::2])
+            pool = executor._queue.pool
+            pids, store = pool.worker_pids(), pool.trace_store
+            stored = []
+            real_assign = _Worker.assign
+
+            def recording_assign(worker, task_id, job_dict, fault=None):
+                ident = SimJob.from_dict(job_dict).trace_identity()
+                stored.append(store.contains(*ident))
+                return real_assign(worker, task_id, job_dict, fault)
+
+            monkeypatch.setattr(_Worker, "assign", recording_assign)
+            results = executor.run(GRID[1::2])
+            assert stored == [True] * UNIQUE_TRACES
+            assert pool.worker_pids() == pids
+            assert pool.trace_store is store
+        finally:
+            executor.close()
+        assert [r.to_dict() for r in results] == _serial(GRID[1::2])
+        assert not store.directory.exists()
 
 
 def _run_queue(jobs, workers=2, inspect=None):
