@@ -73,12 +73,16 @@ def grid_jobs() -> list[SimJob]:
     ]
 
 
+#: The fleet's shared secret.  Given explicitly, so no shard generates
+#: its own and writes an address file into the working directory.
+TOKEN = "bench-cluster"
+
+
 class _Shard:
     """One in-process TCP shard with a memory-only result cache."""
 
     def __init__(self):
-        self.service = SimService(listen="127.0.0.1:0",
-                                  workers=WORKERS_PER_SHARD)
+        self.service = SimService(workers=WORKERS_PER_SHARD, token=TOKEN)
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.error = None
 
@@ -94,13 +98,14 @@ class _Shard:
             if self.error is not None:
                 raise self.error
             time.sleep(0.02)
-        wait_for_service(self.service.listen_address, timeout=60)
+        wait_for_service(self.service.listen_address, timeout=60,
+                         token=TOKEN)
         return self.service.listen_address
 
     def stop(self):
         try:
-            with ServiceClient(self.service.listen_address,
-                               timeout=10.0) as client:
+            with ServiceClient(self.service.listen_address, timeout=10.0,
+                               token=TOKEN) as client:
                 client.shutdown()
         except ServiceError:
             pass
@@ -113,7 +118,7 @@ def run_fleet(jobs: list[SimJob], shards: int) -> tuple[float, list, list]:
     fleet = [_Shard() for _ in range(shards)]
     try:
         addresses = [shard.start() for shard in fleet]
-        with ShardRouter(addresses) as router:
+        with ShardRouter(addresses, token=TOKEN) as router:
             start = time.perf_counter()
             results = router.run_jobs(jobs)
             wall = time.perf_counter() - start

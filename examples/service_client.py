@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Scenario: one simulation daemon, two clients, one shared hot cache.
 
-Starts a ``repro serve`` daemon on a private socket, then plays two
-clients submitting *overlapping* predictor grids concurrently — the
+Starts a ``repro cluster serve`` daemon in a private directory, where,
+given no token, it generates one and writes it with its address to
+``repro-service.addr`` (mode 0600).  Then it plays two clients that read
+that file and submit *overlapping* predictor grids concurrently — the
 situation the service layer exists for.  The daemon deduplicates across
 clients: every unique job simulates exactly once, the second client's
 overlap is answered from the shared cache or attached to in-flight work,
@@ -29,8 +31,15 @@ import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
-from repro.engine.client import ServiceClient, wait_for_service
+from repro.engine.client import (
+    ADDRESS_FILE,
+    TOKEN_ENV,
+    ServiceClient,
+    read_address_file,
+    wait_for_service,
+)
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 
@@ -46,29 +55,47 @@ def grid(workloads, n_uops: int) -> list[SimJob]:
             for p in PREDICTORS for w in workloads]
 
 
+def start_daemon(workers: int, directory: Path):
+    """Start a daemon with a generated token in *directory*; returns
+    ``(process, address, token)`` read from its address file."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    env.pop(TOKEN_ENV, None)
+    # --cache-dir "" forces a memory-only cache: the executed-counts
+    # asserted below must not be satisfied by a warm REPRO_CACHE_DIR.
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "-j", str(workers),
+         "--cache-dir", "", "cluster", "serve"],
+        env=env, cwd=directory,
+    )
+    deadline = time.monotonic() + 30
+    while (record := read_address_file(directory / ADDRESS_FILE)) is None:
+        if daemon.poll() is not None or time.monotonic() > deadline:
+            daemon.kill()
+            raise SystemExit("the daemon wrote no address file")
+        time.sleep(0.05)
+    return daemon, record["address"], record["token"]
+
+
 def main(n_uops: int = 4000, workers: int = 2,
-         socket_path: str | None = None) -> int:
-    """Run the whole scenario; returns a process exit code."""
-    own_daemon = socket_path is None
+         address: str | None = None) -> int:
+    """Run the whole scenario; returns a process exit code.
+
+    With *address*, use that running daemon (token from
+    ``$REPRO_SERVICE_TOKEN``) instead of starting one.
+    """
+    own_daemon = address is None
+    token = None
     if own_daemon:
-        socket_path = os.path.join(tempfile.mkdtemp(prefix="repro-svc-"),
-                                   "service.sock")
-        # --cache-dir "" forces a memory-only cache: the executed-counts
-        # asserted below must not be satisfied by a warm REPRO_CACHE_DIR.
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "-j", str(workers),
-             "--cache-dir", "", "serve", "--socket", socket_path],
-            env={**os.environ,
-                 "PYTHONPATH": os.pathsep.join(
-                     p for p in ("src", os.environ.get("PYTHONPATH", ""))
-                     if p)},
-        )
-    wait_for_service(socket_path, timeout=30)
+        directory = Path(tempfile.mkdtemp(prefix="repro-svc-"))
+        daemon, address, token = start_daemon(workers, directory)
+    wait_for_service(address, timeout=30, token=token)
 
     responses: dict[str, dict] = {}
 
     def client(name: str, workloads) -> None:
-        with ServiceClient(socket_path) as conn:
+        with ServiceClient(address, token=token) as conn:
             responses[name] = conn.submit(grid(workloads, n_uops))
 
     # Two concurrent clients, overlapping grids.
@@ -90,7 +117,7 @@ def main(n_uops: int = 4000, workers: int = 2,
               f"{summary['cache_hits']} cache hits, "
               f"{summary['coalesced']} coalesced with in-flight work")
 
-    with ServiceClient(socket_path) as conn:
+    with ServiceClient(address, token=token) as conn:
         stats = conn.status()["queue"]["stats"]
         print(f"daemon: {stats['submitted']} jobs submitted, "
               f"{stats['executed']} simulations executed "
@@ -115,6 +142,8 @@ def main(n_uops: int = 4000, workers: int = 2,
             conn.shutdown()
     if own_daemon:
         daemon.wait(timeout=15)
+        # A clean stop removed the address file, so this finds it empty.
+        directory.rmdir()
     assert stats["executed"] == len(unique), \
         "expected exactly one execution per unique job spec"
     return 0

@@ -12,16 +12,18 @@ Usage examples::
     python -m repro.cli cache clear
     python -m repro.cli list
 
-    # The service: one daemon, many clients, one shared hot cache.
-    python -m repro.cli -j 4 --cache-dir results/ serve --socket /tmp/repro.sock
-    python -m repro.cli submit --workloads gcc,gzip --predictors lvp,vtage \
-        --socket /tmp/repro.sock
-    python -m repro.cli status --socket /tmp/repro.sock
-    python -m repro.cli campaign run fig4 --backend service --socket /tmp/repro.sock
+    # One daemon, many clients, one shared hot cache.  With no --token
+    # (or $REPRO_SERVICE_TOKEN) the daemon generates one and writes it,
+    # with its address, to ./repro-service.addr; clients here read it.
+    python -m repro.cli -j 4 --cache-dir results/ cluster serve &
+    python -m repro.cli submit --workloads gcc,gzip --predictors lvp,vtage
+    python -m repro.cli status
+    python -m repro.cli campaign run fig4 --backend cluster
 
-    # The cluster: N TCP shards, jobs routed by consistent-hashed content
-    # key, results shared through one cache directory.
-    export REPRO_CACHE_DIR=/srv/repro-results
+    # A cluster: N shards (the same daemon), jobs routed by
+    # consistent-hashed content key, results shared through one cache
+    # directory, one token for the fleet.
+    export REPRO_CACHE_DIR=/srv/repro-results REPRO_SERVICE_TOKEN=secret
     python -m repro.cli -j 2 cluster serve --listen 127.0.0.1:7101
     python -m repro.cli -j 2 cluster serve --listen 127.0.0.1:7102
     python -m repro.cli cluster status --shards 127.0.0.1:7101,127.0.0.1:7102
@@ -35,10 +37,10 @@ persistent result cache that ``cache show``/``cache clear`` manage.
 ``campaign`` commands execute whole declarative sweeps, optionally into a
 checkpoint dir (``--checkpoint-dir`` or ``REPRO_CHECKPOINT_DIR``) — a disk
 result cache — so a killed run resumes as a run of cache hits with a
-bit-identical result set.  ``serve``
-turns the same engine into a persistent daemon: ``submit``/``status``/
-``results`` talk to it over a Unix socket, and ``campaign run --backend
-service`` routes whole sweeps through it.  Results are bit-identical
+bit-identical result set.  ``cluster serve`` turns the same engine into a
+persistent TCP daemon: ``submit``/``status``/``results``/``health``/
+``chaos show`` talk to one daemon, and ``campaign run --backend cluster``
+routes whole sweeps through one or many.  Results are bit-identical
 whatever the parallelism, cache, checkpoint or backend.
 
 The full reference lives in ``docs/cli.md``, regenerated from these
@@ -65,13 +67,19 @@ from repro.engine.campaign import (
     progress_printer,
     run_campaign,
 )
-from repro.engine.client import ServiceClient, ServiceError
-from repro.engine.cluster import SHARDS_ENV, ShardRouter
+from repro.engine.client import (
+    ADDRESS_FILE,
+    SHARDS_ENV,
+    TOKEN_ENV,
+    ServiceClient,
+    ServiceError,
+)
+from repro.engine.cluster import ShardRouter
 from repro.engine.executors import JOBS_ENV
 from repro.engine.faults import FAULTS_ENV, FaultPlan, FaultSpecError
 from repro.engine.job import SimJob
 from repro.engine.queue import JOB_TIMEOUT_ENV, QUEUE_BOUND_ENV
-from repro.engine.service import SOCKET_ENV, TOKEN_ENV, run_service
+from repro.engine.service import DEFAULT_LISTEN, run_service
 from repro.pipeline.fastsim import fallback_stats, kernel_mode
 from repro.pipeline.result import SimResult
 from repro.experiments import figures, tables
@@ -254,7 +262,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.profile:
         profiling.enable()
     try:
-        engine = engine_for_backend(args.backend, args.socket,
+        engine = engine_for_backend(args.backend,
                                     shards=_parse_shards(args.shards),
                                     token=args.token)
         if args.backend != "local":
@@ -263,8 +271,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                       "not this client; they are ignored with --backend "
                       f"{args.backend}", file=sys.stderr)
             # --render replays through the default engine's cache; make
-            # the service-backed engine that default so rendering never
-            # re-simulates locally what the daemon already ran.
+            # the cluster-backed engine that default so rendering never
+            # re-simulates locally what the daemons already ran.
             set_default_engine(engine)
         result = run_campaign(spec, engine=engine, checkpoint_dir=directory,
                               chunk_size=args.chunk,
@@ -432,19 +440,6 @@ def _parse_shards(raw: str | None) -> list[str] | None:
     return pieces or None
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    # main() already resolved --jobs/--cache-dir into the default engine;
-    # the daemon serves from that engine's cache.
-    return run_service(
-        args.socket,
-        workers=args.jobs,
-        cache=default_engine().cache,
-        max_depth=args.queue_bound,
-        job_timeout=args.job_timeout,
-        chaos=args.chaos,
-    )
-
-
 def cmd_submit(args: argparse.Namespace) -> int:
     workloads = _parse_workloads(args.workloads)
     if workloads is None:
@@ -458,7 +453,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         for workload in workloads
     ]
     try:
-        with ServiceClient(args.socket) as client:
+        with ServiceClient(args.address) as client:
             response = client.submit(jobs, wait=not args.no_wait)
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None
@@ -469,7 +464,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
           f"{summary['enqueued']} newly enqueued "
           f"(ticket {response['ticket']})")
     if args.no_wait:
-        where = f" --socket {args.socket}" if args.socket else ""
+        where = f" --address {args.address}" if args.address else ""
         print(f"poll with: repro results {response['ticket']}{where}")
         return 0
     for raw in response["results"]:
@@ -479,7 +474,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 def cmd_service_status(args: argparse.Namespace) -> int:
     try:
-        with ServiceClient(args.socket) as client:
+        with ServiceClient(args.address) as client:
             server = client.ping()
             status = client.status()
     except ServiceError as exc:
@@ -514,7 +509,7 @@ def cmd_service_status(args: argparse.Namespace) -> int:
 
 def cmd_results(args: argparse.Namespace) -> int:
     try:
-        with ServiceClient(args.socket) as client:
+        with ServiceClient(args.address) as client:
             response = client.results(args.ticket)
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None
@@ -529,7 +524,7 @@ def cmd_results(args: argparse.Namespace) -> int:
 
 def cmd_health(args: argparse.Namespace) -> int:
     try:
-        with ServiceClient(args.socket, timeout=args.timeout) as client:
+        with ServiceClient(args.address, timeout=args.timeout) as client:
             health = client.health()
     except ServiceError as exc:
         print(f"unhealthy: {exc}")
@@ -581,12 +576,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             raise SystemExit(f"bad fault spec: {exc}") from None
         print(f"valid plan ({len(plan.rules)} rule(s)); run it with:")
         print(f"  {FAULTS_ENV}='{plan.to_spec()}' "
-              f"REPRO_FAULTS_SEED={plan.seed} repro serve --chaos ...")
+              f"REPRO_FAULTS_SEED={plan.seed} repro cluster serve --chaos")
         _print_fault_plan(plan.describe())
         return 0
     # show: query a --chaos daemon for its live plan and counters
     try:
-        with ServiceClient(args.socket) as client:
+        with ServiceClient(args.address) as client:
             plan = client.chaos()
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None
@@ -600,16 +595,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     if args.action == "serve":
-        # A cluster shard is the ordinary daemon on a TCP transport; the
-        # shared flags (-j, --queue-bound, ...) mean the same.
+        # main() already resolved --jobs/--cache-dir into the default
+        # engine; the daemon serves from that engine's cache.
         return run_service(
-            None,
+            listen=args.listen,
             workers=args.jobs,
             cache=default_engine().cache,
             max_depth=args.queue_bound,
             job_timeout=args.job_timeout,
             chaos=args.chaos,
-            listen=args.listen,
             token=args.token,
         )
     if args.action == "soak":
@@ -838,20 +832,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the campaign's figure/table after the run")
         p.add_argument("--backend", default="local", choices=BACKENDS,
                        help="where job batches execute: in this process "
-                            "('local'), on a running `repro serve` "
-                            "daemon ('service'), or across `repro "
-                            "cluster serve` shards ('cluster')")
-        p.add_argument("--socket", default=None, metavar="PATH",
-                       help="service socket for --backend service "
-                            f"(default: ${SOCKET_ENV} or "
-                            "./repro-service.sock)")
+                            "('local') or on `repro cluster serve` "
+                            "daemons ('cluster'; one daemon is a "
+                            "one-shard cluster)")
         p.add_argument("--shards", default=None, metavar="ADDR,ADDR",
-                       help="comma-separated shard addresses for "
-                            "--backend cluster "
-                            f"(default: ${SHARDS_ENV})")
+                       help="comma-separated daemon addresses for "
+                            f"--backend cluster (default: ${SHARDS_ENV}, "
+                            f"else ./{ADDRESS_FILE})")
         p.add_argument("--token", default=None,
-                       help="shared-secret auth token for TCP daemons "
-                            f"(default: ${TOKEN_ENV})")
+                       help="shared-secret auth token (default: "
+                            f"${TOKEN_ENV}, else ./{ADDRESS_FILE})")
         p.add_argument("--profile", action="store_true",
                        help="print per-phase wall-clock timings (trace "
                             "build / columnize / precompute / simulate / "
@@ -893,48 +883,19 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list registered campaigns")
     campaign_list_p.set_defaults(fn=cmd_campaign)
 
-    def _socket_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--socket", default=None, metavar="PATH",
-                       help="Unix socket of the service "
-                            f"(default: ${SOCKET_ENV} or "
-                            "./repro-service.sock)")
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the persistent simulation service daemon",
-        description="Start a long-lived daemon that owns the result cache "
-                    "and serves simulation jobs to any number of "
-                    "concurrent clients over a Unix socket.  Jobs are "
-                    "deduplicated across clients and run on a persistent "
-                    "-j/--jobs worker pool; a worker killed mid-job is "
-                    "replaced and its job requeued.  With a disk cache "
-                    "(--cache-dir or $REPRO_CACHE_DIR) a restarted daemon "
-                    "answers every job it ever completed.",
-    )
-    _socket_arg(serve_p)
-    serve_p.add_argument("--queue-bound", type=int, default=None, metavar="N",
-                         help="admission control: reject submits once N "
-                              "jobs are outstanding, with an explicit "
-                              "'overloaded' response clients retry after "
-                              f"backoff (default: ${QUEUE_BOUND_ENV} or "
-                              "unbounded)")
-    serve_p.add_argument("--job-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="kill a worker that holds one job longer "
-                              "than this and requeue the job (default: "
-                              f"${JOB_TIMEOUT_ENV} or no timeout)")
-    serve_p.add_argument("--chaos", action="store_true",
-                         help="serve the 'chaos' introspection op and "
-                              f"export the ${FAULTS_ENV} fault plan to "
-                              "spawned workers (fault-matrix testing)")
-    serve_p.set_defaults(fn=cmd_serve)
+    def _address_arg(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--address", default=None, metavar="HOST:PORT",
+                       help="the daemon to talk to (default: "
+                            f"${SHARDS_ENV}, else ./{ADDRESS_FILE})")
 
     cluster_p = sub.add_parser(
         "cluster",
-        help="serve, inspect or drive a sharded TCP cluster",
+        help="serve, inspect or drive the daemons (one, or a sharded "
+             "cluster)",
         description="Scale the service across processes and machines: "
-                    "each `cluster serve` runs one ordinary daemon on a "
-                    "TCP port (a shard), and clients route every job to "
+                    "each `cluster serve` runs one daemon on a TCP port "
+                    "(a shard; one daemon alone is a one-shard cluster), "
+                    "and clients route every job to "
                     "its shard by consistent-hashing the job's content "
                     "key — so coalescing and cache sharing work "
                     "cluster-wide with no inter-shard coordination.  "
@@ -948,16 +909,29 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_sub = cluster_p.add_subparsers(dest="action", required=True)
 
     cluster_serve_p = cluster_sub.add_parser(
-        "serve", help="run one cluster shard (a daemon on a TCP port)")
-    cluster_serve_p.add_argument("--listen", required=True,
+        "serve", help="run the simulation daemon (one shard) on a TCP port",
+        description="Start a long-lived daemon that owns the result cache "
+                    "and serves simulation jobs to any number of "
+                    "concurrent clients.  Jobs are deduplicated across "
+                    "clients and run on a persistent -j/--jobs worker "
+                    "pool; a worker killed mid-job is replaced and its "
+                    "job requeued.  With a disk cache (--cache-dir or "
+                    "$REPRO_CACHE_DIR) a restarted daemon answers every "
+                    "job it ever completed.  Every request must carry the "
+                    "token; a daemon given none generates one and writes "
+                    f"it with its address to ./{ADDRESS_FILE} (mode "
+                    "0600, removed on a clean stop), where clients find "
+                    "both.")
+    cluster_serve_p.add_argument("--listen", default=DEFAULT_LISTEN,
                                  metavar="HOST:PORT",
                                  help="TCP bind address; port 0 picks a "
-                                      "free port (reported on the ready "
-                                      "line)")
+                                      "free port, reported on the ready "
+                                      f"line (default: {DEFAULT_LISTEN})")
     cluster_serve_p.add_argument("--token", default=None,
                                  help="require this shared-secret token "
                                       "on every request (default: "
-                                      f"${TOKEN_ENV} or no auth)")
+                                      f"${TOKEN_ENV}, else a generated "
+                                      f"one written to ./{ADDRESS_FILE})")
     cluster_serve_p.add_argument("--queue-bound", type=int, default=None,
                                  metavar="N",
                                  help="admission control: reject submits "
@@ -1009,10 +983,12 @@ def build_parser() -> argparse.ArgumentParser:
     def _cluster_client_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shards", default=None, metavar="ADDR,ADDR",
                        help="comma-separated shard addresses "
-                            f"(default: ${SHARDS_ENV})")
+                            f"(default: ${SHARDS_ENV}, else "
+                            f"./{ADDRESS_FILE})")
         p.add_argument("--token", default=None,
                        help="shared-secret auth token "
-                            f"(default: ${TOKEN_ENV})")
+                            f"(default: ${TOKEN_ENV}, else "
+                            f"./{ADDRESS_FILE})")
 
     cluster_status_p = cluster_sub.add_parser(
         "status", help="aggregate every shard's metrics into one view")
@@ -1040,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a job grid to a running service",
         description="Build a predictors x workloads job grid and submit "
-                    "it to a `repro serve` daemon.  By default the "
+                    "it to a running daemon.  By default the "
                     "command waits and prints one summary line per "
                     "result; with --no-wait it prints a ticket to poll "
                     "via `repro results`.",
@@ -1060,14 +1036,14 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--no-wait", action="store_true",
                           help="return a ticket immediately instead of "
                                "waiting for results")
-    _socket_arg(submit_p)
+    _address_arg(submit_p)
     submit_p.set_defaults(fn=cmd_submit)
 
     status_p = sub.add_parser(
         "status",
         help="show a running service's workers, queue and cache",
     )
-    _socket_arg(status_p)
+    _address_arg(status_p)
     status_p.set_defaults(fn=cmd_service_status)
 
     health_p = sub.add_parser(
@@ -1080,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Prints worker aliveness, queue depth against the "
                     "admission bound, and the degraded-mode counters.",
     )
-    _socket_arg(health_p)
+    _address_arg(health_p)
     health_p.add_argument("--timeout", type=float, default=5.0,
                           metavar="SECONDS",
                           help="probe deadline (default: 5s)")
@@ -1112,8 +1088,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_check_p.set_defaults(fn=cmd_chaos)
 
     chaos_show_p = chaos_sub.add_parser(
-        "show", help="show the live plan of a `repro serve --chaos` daemon")
-    _socket_arg(chaos_show_p)
+        "show", help="show the live plan of a `cluster serve --chaos` daemon")
+    _address_arg(chaos_show_p)
     chaos_show_p.set_defaults(fn=cmd_chaos)
 
     results_p = sub.add_parser(
@@ -1127,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     results_p.add_argument("ticket", type=int, help="ticket id printed by "
                            "`repro submit --no-wait`")
-    _socket_arg(results_p)
+    _address_arg(results_p)
     results_p.set_defaults(fn=cmd_results)
 
     trace_p = sub.add_parser(

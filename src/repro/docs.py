@@ -49,9 +49,11 @@ Two entry points ship with the reproduction:
 
 Environment variables honoured by both: `REPRO_JOBS` (worker processes),
 `REPRO_CACHE_DIR` (persistent result cache), `REPRO_CHECKPOINT_DIR`
-(default campaign checkpoint directory), `REPRO_SERVICE_SOCKET` (default
-service socket).  Simulation results are bit-identical regardless of all
-four.
+(default campaign checkpoint directory), `REPRO_CLUSTER_SHARDS` and
+`REPRO_SERVICE_TOKEN` (the daemons a client or a `--backend cluster` run
+talks to, and their token; without them, `./repro-service.addr`, which a
+daemon that generated its own token writes).  Simulation results are
+bit-identical regardless of all of them.
 """
 
 PREDICTORS_HEADER = """\

@@ -29,11 +29,9 @@ from repro.engine.client import (
     RetryPolicy,
     ServiceClient,
     ServiceError,
-    ServiceExecutor,
     ServiceOverloaded,
     ServiceTimeout,
     ServiceUnavailable,
-    service_engine,
     service_running,
     wait_for_service,
 )
@@ -66,7 +64,7 @@ from repro.engine.queue import (
     QueueStats,
     WorkerPool,
 )
-from repro.engine.service import SOCKET_ENV, SimService, run_service
+from repro.engine.service import SimService, run_service
 
 __all__ = [
     "AxisBlock",
@@ -89,11 +87,9 @@ __all__ = [
     "QueueStats",
     "ResultCache",
     "RetryPolicy",
-    "SOCKET_ENV",
     "SerialExecutor",
     "ServiceClient",
     "ServiceError",
-    "ServiceExecutor",
     "ServiceOverloaded",
     "ServiceTimeout",
     "ServiceUnavailable",
@@ -114,7 +110,6 @@ __all__ = [
     "run_count",
     "run_grid",
     "run_service",
-    "service_engine",
     "set_default_engine",
     "service_running",
     "wait_for_service",

@@ -143,7 +143,7 @@ def set_default_engine(engine: Engine) -> Engine:
     """Install *engine* as the process-wide default and return it.
 
     For drivers that build a non-standard engine — e.g. the reproduce
-    driver with ``--backend service``, whose batches must go to a daemon
+    driver with ``--backend cluster``, whose batches must go to daemons
     *and* whose figure renderers replay from the same engine's cache —
     so that every ``run_jobs(..., engine=None)`` call downstream shares
     it.

@@ -263,34 +263,28 @@ def _digest_job_keys(keys: Iterable[str]) -> str:
 # ---------------------------------------------------------------------------
 
 #: Campaign execution backends ``engine_for_backend`` understands.
-BACKENDS = ("local", "service", "cluster")
+BACKENDS = ("local", "cluster")
 
 
 def engine_for_backend(
     backend: str = "local",
-    socket_path: str | Path | None = None,
     shards: list[str] | None = None,
     token: str | None = None,
 ) -> Engine:
     """Resolve a campaign execution backend name to an :class:`Engine`.
 
     ``local`` is the in-process default engine (serial or pool, per
-    ``REPRO_JOBS``); ``service`` targets a running ``repro serve`` daemon
-    at *socket_path* — batches travel over the socket, and overlapping
-    campaigns from concurrent clients share the daemon's hot cache and
-    in-flight dedupe.  ``cluster`` routes batches across the *shards*
-    addresses (``repro cluster serve`` daemons, flag or
-    ``$REPRO_CLUSTER_SHARDS``) by consistent-hashed content key —
-    same sharing story, N machines wide.  A campaign checkpoint dir
+    ``REPRO_JOBS``).  ``cluster`` routes batches across ``repro cluster
+    serve`` daemons by consistent-hashed content key: the *shards*
+    addresses, else ``$REPRO_CLUSTER_SHARDS``, else the daemon whose
+    address file is in the working directory (one daemon is a one-shard
+    cluster).  Overlapping campaigns from concurrent clients share the
+    daemons' hot caches and in-flight dedupe.  A campaign checkpoint dir
     stays client-side either way, so ``campaign resume`` semantics are
     identical across backends.
     """
     if backend == "local":
         return default_engine()
-    if backend == "service":
-        from repro.engine.client import service_engine
-
-        return service_engine(socket_path, token=token)
     if backend == "cluster":
         from repro.engine.cluster import cluster_engine
 

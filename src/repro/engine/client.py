@@ -1,31 +1,28 @@
 """Client side of the simulation service protocol.
 
 A :class:`ServiceClient` speaks the newline-JSON protocol of
-:mod:`repro.engine.service` over one persistent connection:
+:mod:`repro.engine.service` over one persistent TCP connection:
 ``ping``/``status``/``submit``/``results``/``shutdown`` methods mirror
 the server ops one-to-one, and :meth:`ServiceClient.run_jobs` gives the
-engine-shaped "batch in, results in submission order out" call.  The
-target is a Unix socket path by default; a ``tcp://host:port`` address
-connects to a TCP daemon (a cluster shard) instead — the prefix is
-mandatory for TCP because a bare ``host:port`` string is also a legal
-socket *path*.  TCP daemons usually require the shared-secret token
-(``token=`` / ``$REPRO_SERVICE_TOKEN``), which the client attaches to
-every request; a rejection is the non-retryable
-:class:`ServiceAuthError` (a corrected token needs a new client call,
-resending the same one cannot succeed).
+engine-shaped "batch in, results in submission order out" call.
+Addresses are ``host:port`` (a ``tcp://`` prefix is optional; the
+canonical form carries it).  Every daemon requires the shared-secret
+token, which the client attaches to every request; a rejection is the
+non-retryable :class:`ServiceAuthError` (a corrected token needs a new
+client call, resending the same one cannot succeed).
 
-Two adapters make the service a drop-in **backend** for existing code:
-
-* :class:`ServiceExecutor` quacks like the engine's executors (``run``,
-  ``jobs``, ``describe``), so an :class:`~repro.engine.api.Engine` built
-  on it routes every batch to the daemon;
-* :func:`service_engine` builds exactly that engine (with a memory-only
-  local cache), which is what ``repro campaign run --backend service``
-  uses — the campaign machinery is unchanged, only the executor is
-  remote (a checkpoint dir swaps in a disk cache client-side).
+One resolver, :func:`resolve_service`, tells every client where the
+daemons are and which token they expect: an explicit address (a
+``--address`` / ``--shards`` flag), else ``$REPRO_CLUSTER_SHARDS``, else
+the address file (:data:`ADDRESS_FILE`) a daemon that generated its own
+token wrote in its working directory.  The token comes from the
+explicit value, else ``$REPRO_SERVICE_TOKEN``, else that file.
 
 The client is deliberately synchronous (plain ``socket``): callers are
 CLI commands, tests and campaign loops, none of which run an event loop.
+Campaigns reach daemons through
+:class:`~repro.engine.cluster.ClusterExecutor`, which drives one client
+per shard (a single daemon is a one-shard cluster).
 
 Failure handling (the chaos suite's client half):
 
@@ -55,12 +52,24 @@ import os
 import socket
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.engine.job import SimJob
 from repro.pipeline.result import SimResult
 
 #: Environment variable overriding the default client deadline (seconds).
 CLIENT_TIMEOUT_ENV = "REPRO_CLIENT_TIMEOUT"
+
+#: Environment variable holding the shared-secret auth token.
+TOKEN_ENV = "REPRO_SERVICE_TOKEN"
+
+#: Environment variable listing daemon addresses (comma-separated).
+SHARDS_ENV = "REPRO_CLUSTER_SHARDS"
+
+#: The file a daemon that generated its own token writes in its working
+#: directory: ``{"address": ..., "token": ...}``, mode 0600, held under
+#: a non-blocking flock for the daemon's life and removed on a clean stop.
+ADDRESS_FILE = "repro-service.addr"
 
 #: Default per-read socket deadline.  Generous — a ``wait=True`` submit
 #: legitimately blocks for the whole batch — but finite, so a dead
@@ -106,6 +115,75 @@ def resolve_client_timeout(explicit: float | None = None) -> float | None:
     return DEFAULT_TIMEOUT
 
 
+def parse_address(address: str) -> tuple[str, int]:
+    """Split a daemon address, ``host:port`` (``tcp://`` optional), into
+    ``(host, port)``.
+
+    Port ``0`` is valid for a daemon's bind and means "kernel picks": its
+    ready line and ``ping`` report the bound port.
+    """
+    text = str(address).strip()
+    if text.startswith("tcp://"):
+        text = text[len("tcp://"):]
+    host, sep, port = text.rpartition(":")
+    if not sep or not host or not port.isdigit():
+        raise ValueError(f"bad address {address!r} (want host:port)")
+    return host, int(port)
+
+
+def canonical_address(address: str) -> str:
+    """``tcp://host:port``: the one spelling of an address.
+
+    The hash ring hashes address strings, so two spellings of one daemon
+    must collapse.
+    """
+    return "tcp://{}:{}".format(*parse_address(address))
+
+
+def read_address_file(path: str | os.PathLike = ADDRESS_FILE) -> dict | None:
+    """The ``{"address", "token"}`` record a daemon wrote, or ``None``
+    when there is no (complete) file."""
+    try:
+        record = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return None  # missing, unreadable, or not yet written
+    if not isinstance(record, dict) or \
+            not {"address", "token"} <= record.keys():
+        return None
+    return record
+
+
+def resolve_service(addresses: list[str] | None = None,
+                    token: str | None = None) -> tuple[list[str], str | None]:
+    """Where the daemons are and the token they expect.
+
+    Addresses: *addresses* (a ``--address`` / ``--shards`` flag), else
+    ``$REPRO_CLUSTER_SHARDS``, else the address file in the working
+    directory.  Token: *token*, else ``$REPRO_SERVICE_TOKEN``, else the
+    address file.  Addresses come back canonical
+    (:func:`canonical_address`); a malformed one is a
+    :class:`ServiceError` naming where it came from.
+    """
+    source = "the address"
+    if not addresses:
+        source = f"${SHARDS_ENV}"
+        addresses = [piece for piece in
+                     os.environ.get(SHARDS_ENV, "").split(",")
+                     if piece.strip()]
+    token = token or os.environ.get(TOKEN_ENV, "").strip() or None
+    if not addresses or token is None:
+        record = read_address_file()
+        if record is not None:
+            if not addresses:
+                source = f"./{ADDRESS_FILE}"
+                addresses = [record["address"]]
+            token = token or record["token"]
+    try:
+        return [canonical_address(a) for a in addresses], token
+    except ValueError as exc:
+        raise ServiceError(f"{exc} in {source}") from None
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with deterministic jitter.
@@ -138,30 +216,21 @@ class ServiceClient:
     request and pipelines any number of request/response rounds.
     """
 
-    def __init__(self, socket_path: str | os.PathLike | None = None,
+    def __init__(self, address: str | None = None,
                  timeout: float | None = None,
                  retry: RetryPolicy | None = None,
                  token: str | None = None):
-        # Imported here, not at module top, to keep the client importable
-        # without dragging in the asyncio server machinery's dependencies.
-        from repro.engine.service import (
-            default_socket_path,
-            parse_address,
-            resolve_service_token,
-        )
-
-        if socket_path is not None and str(socket_path).startswith("tcp://"):
-            self._target = parse_address(socket_path)
-            #: Display/identity form of the target — a path for Unix
-            #: daemons, ``tcp://host:port`` for shards.  The attribute
-            #: keeps its historical name; every existing caller only
-            #: ever formats it into messages.
-            self.socket_path = str(socket_path)
-        else:
-            self.socket_path = default_socket_path(socket_path)
-            self._target = ("unix", str(self.socket_path))
+        addresses, self.token = resolve_service(
+            [address] if address else None, token)
+        if len(addresses) != 1:
+            raise ServiceUnavailable(
+                "no single repro daemon to talk to: pass --address, set "
+                f"${SHARDS_ENV} to one address, or start `repro cluster "
+                f"serve` here (it writes ./{ADDRESS_FILE})")
+        #: The daemon's canonical ``tcp://host:port``.
+        self.address = addresses[0]
+        self._target = parse_address(self.address)
         self.timeout = resolve_client_timeout(timeout)
-        self.token = resolve_service_token(token)
         #: Policy :meth:`run_jobs` retries transient failures under
         #: (``None`` disables retries; requests themselves never retry —
         #: only the idempotent batch call does).
@@ -174,25 +243,17 @@ class ServiceClient:
     def connect(self) -> None:
         if self._sock is not None:
             return
-        sock = None
         try:
-            if self._target[0] == "tcp":
-                sock = socket.create_connection(
-                    (self._target[1], self._target[2]), timeout=self.timeout)
-                sock.settimeout(self.timeout)
-                # One request per line: latency beats Nagle batching.
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            else:
-                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.settimeout(self.timeout)
-                sock.connect(self._target[1])
+            sock = socket.create_connection(self._target,
+                                            timeout=self.timeout)
         except OSError as exc:
-            if sock is not None:
-                sock.close()
             raise ServiceUnavailable(
-                f"cannot reach the repro service at {self.socket_path} "
-                f"({exc}); is `repro serve` running?"
+                f"cannot reach the repro service at {self.address} "
+                f"({exc}); is `repro cluster serve` running?"
             ) from None
+        sock.settimeout(self.timeout)
+        # One request per line: latency beats Nagle batching.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._file = sock.makefile("rwb")
 
@@ -242,7 +303,7 @@ class ServiceClient:
         except socket.timeout:
             self.close()
             raise ServiceTimeout(
-                f"no response from the repro service at {self.socket_path} "
+                f"no response from the repro service at {self.address} "
                 f"within {self.timeout:g}s"
             ) from None
         except OSError as exc:
@@ -285,7 +346,7 @@ class ServiceClient:
         server = self.request({"op": "ping"})["server"]
         if server.get("protocol") != PROTOCOL_VERSION:
             raise ServiceError(
-                f"service at {self.socket_path} speaks protocol "
+                f"service at {self.address} speaks protocol "
                 f"v{server.get('protocol')}, this client v{PROTOCOL_VERSION}; "
                 "upgrade the older side"
             )
@@ -351,69 +412,28 @@ class ServiceClient:
         raise AssertionError("unreachable")  # pragma: no cover
 
 
-def service_running(socket_path: str | os.PathLike | None = None,
+def service_running(address: str | None = None,
                     token: str | None = None) -> bool:
-    """True when a daemon answers ``ping`` on *socket_path*."""
+    """True when a daemon answers ``ping`` at *address*."""
     try:
-        with ServiceClient(socket_path, timeout=1.0, token=token) as client:
+        with ServiceClient(address, timeout=1.0, token=token) as client:
             client.ping()
         return True
     except ServiceError:
         return False
 
 
-def wait_for_service(socket_path: str | os.PathLike | None = None,
+def wait_for_service(address: str | None = None,
                      timeout: float = 10.0,
                      token: str | None = None) -> None:
     """Block until a daemon answers ``ping`` (for launchers and tests)."""
     deadline = time.monotonic() + timeout
     while True:
-        if service_running(socket_path, token=token):
+        if service_running(address, token=token):
             return
         if time.monotonic() >= deadline:
             raise ServiceError(
                 f"no repro service appeared at "
-                f"{socket_path if socket_path else 'the default socket'} "
-                f"within {timeout:.0f}s"
+                f"{address or 'the resolved address'} within {timeout:.0f}s"
             )
         time.sleep(0.05)
-
-
-class ServiceExecutor:
-    """Executor backend that ships batches to a running daemon.
-
-    Mirrors the :class:`~repro.engine.executors.SerialExecutor` /
-    :class:`~repro.engine.executors.PoolExecutor` interface (``run``,
-    ``jobs``, ``describe``) so it can sit inside an ordinary
-    :class:`~repro.engine.api.Engine`.  ``jobs`` reports the *daemon's*
-    worker count — campaign chunk sizing then matches the real pool.
-    """
-
-    def __init__(self, client: ServiceClient):
-        self.client = client
-        self.jobs = int(client.ping().get("workers", 1))
-
-    def run(self, jobs: list[SimJob]) -> list[SimResult]:
-        if not jobs:
-            return []
-        return self.client.run_jobs(jobs)
-
-    def describe(self) -> str:
-        return f"service({self.client.socket_path})"
-
-
-def service_engine(socket_path: str | os.PathLike | None = None,
-                   timeout: float | None = None,
-                   token: str | None = None):
-    """An :class:`~repro.engine.api.Engine` whose batches run on a daemon.
-
-    The local cache is memory-only: persistence and cross-client sharing
-    live server-side, while the local layer still short-circuits repeat
-    lookups (figure rendering after a campaign) without a socket round
-    trip.  A campaign checkpoint dir replaces it with a disk cache.
-    """
-    from repro.engine.api import Engine
-    from repro.engine.cache import ResultCache
-
-    client = ServiceClient(socket_path, timeout=timeout, token=token)
-    return Engine(executor=ServiceExecutor(client), cache=ResultCache(None))

@@ -1,13 +1,13 @@
 """Shard the simulation service: consistent hashing, routing, failover.
 
-One :class:`~repro.engine.service.SimService` daemon scales to one
-machine's cores.  The cluster plane scales past that with the dumbest
-topology that preserves the engine's invariants: N independent daemons
-("shards"), each listening on TCP (``repro cluster serve``), and a
-client-side :class:`ShardRouter` that deterministically maps every job
-to a shard by consistent-hashing its **content key** — the same digest
-that already names the job in the result cache and the coalescing
-table.  Routing by content key means:
+One :class:`~repro.engine.service.SimService` daemon — a one-shard
+cluster — scales to one machine's cores.  The cluster plane scales past
+that with the dumbest topology that preserves the engine's invariants:
+N independent daemons ("shards"), each listening on TCP (``repro
+cluster serve``), and a client-side :class:`ShardRouter` that
+deterministically maps every job to a shard by consistent-hashing its
+**content key** — the same digest that already names the job in the
+result cache and the coalescing table.  Routing by content key means:
 
 * every client, on every machine, sends a given spec to the *same*
   shard, so cross-client coalescing and cache sharing keep working
@@ -53,23 +53,20 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine import faults
 from repro.engine.client import (
+    SHARDS_ENV,
     RetryPolicy,
     ServiceClient,
-    ServiceOverloaded,
     ServiceTimeout,
     ServiceUnavailable,
+    resolve_service,
 )
 from repro.engine.job import SimJob
 from repro.pipeline.result import SimResult
-
-#: Environment variable listing cluster shard addresses (comma-separated).
-SHARDS_ENV = "REPRO_CLUSTER_SHARDS"
 
 #: Virtual nodes per shard.  Enough that a handful of shards spread keys
 #: within a few percent of even; cheap enough that building a ring is
@@ -97,39 +94,6 @@ def probe_backoff(failures: int, *, base: float = PROBE_BASE,
     non-decreasing in *failures*; pinned by the cluster property suite.
     """
     return min(cap, base * (2 ** max(0, int(failures))))
-
-
-def resolve_shards(explicit: list[str] | None = None) -> list[str]:
-    """Resolve the shard address list (flag, else ``$REPRO_CLUSTER_SHARDS``).
-
-    Addresses are ``host:port`` / ``tcp://host:port`` (normalised to the
-    latter) or Unix socket paths; order is irrelevant to routing (the
-    ring hashes addresses, not positions) but preserved for display.
-    """
-    if explicit:
-        raw = list(explicit)
-    else:
-        raw = [piece for piece in
-               os.environ.get(SHARDS_ENV, "").split(",") if piece.strip()]
-    return [normalize_shard(piece) for piece in raw]
-
-
-def normalize_shard(address: str) -> str:
-    """Canonicalise one shard address.
-
-    ``host:port`` becomes ``tcp://host:port`` (the cluster plane is
-    TCP-first, and a bare ``host:port`` here is unambiguous in a way a
-    generic client target is not); ``tcp://`` addresses and socket
-    paths pass through.  Canonical form matters: the ring hashes the
-    address string, so two spellings of one shard must collapse.
-    """
-    text = str(address).strip()
-    if text.startswith("tcp://"):
-        return text
-    host, sep, port = text.rpartition(":")
-    if sep and host and port.isdigit():
-        return f"tcp://{host}:{port}"
-    return text
 
 
 class HashRing:
@@ -231,13 +195,12 @@ class ShardRouter:
                  probe_base: float = PROBE_BASE,
                  probe_cap: float = PROBE_CAP,
                  probe_timeout: float = PROBE_TIMEOUT):
-        resolved = resolve_shards(shards)
+        resolved, self.token = resolve_service(shards, token)
         if not resolved:
             raise ServiceUnavailable(
-                "no cluster shards configured: pass --shard/addresses or "
-                f"set ${SHARDS_ENV}")
+                "no cluster shards configured: pass --shards, set "
+                f"${SHARDS_ENV}, or start `repro cluster serve` here")
         self.ring = HashRing(resolved, replicas=replicas)
-        self.token = token
         self.timeout = timeout
         #: Per-shard retry budget.  Smaller than the single-service
         #: default: the cluster's failover *is* the deep retry, so each
@@ -533,8 +496,8 @@ class ShardRouter:
 class ClusterExecutor:
     """Executor backend that fans batches out across cluster shards.
 
-    The cluster-shaped sibling of
-    :class:`~repro.engine.client.ServiceExecutor`: same ``run`` /
+    The remote sibling of
+    :class:`~repro.engine.executors.PoolExecutor`: same ``run`` /
     ``jobs`` / ``describe`` surface, so an ordinary
     :class:`~repro.engine.api.Engine` (and therefore the whole campaign
     / checkpoint / figure stack) runs cluster-wide unchanged.  ``jobs``
@@ -571,11 +534,15 @@ def cluster_engine(shards: list[str] | None = None, *,
                    timeout: float | None = None):
     """An :class:`~repro.engine.api.Engine` whose batches run on a cluster.
 
-    Mirrors :func:`~repro.engine.client.service_engine`: the local cache
-    is memory-only (persistence and sharing live shard-side, partitioned
-    by the ring), the executor is a :class:`ClusterExecutor` over a
-    fresh :class:`ShardRouter`.  This is ``repro campaign run --backend
-    cluster`` and ``repro cluster run``.
+    The local cache is memory-only: persistence and sharing live
+    shard-side, partitioned by the ring, while the local layer still
+    short-circuits repeat lookups (figure rendering after a campaign)
+    without a round trip; a campaign checkpoint dir replaces it with a
+    disk cache.  The executor is a :class:`ClusterExecutor` over a fresh
+    :class:`ShardRouter` (*shards* resolved as
+    :func:`~repro.engine.client.resolve_service` does — one address is
+    a one-daemon cluster).  This is ``--backend cluster`` and ``repro
+    cluster run``.
     """
     from repro.engine.api import Engine
     from repro.engine.cache import ResultCache

@@ -40,6 +40,7 @@ import multiprocessing
 import os
 import pickle
 import struct
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -89,6 +90,11 @@ class JobFailed(RuntimeError):
 
 class QueueClosed(RuntimeError):
     """The queue was stopped while jobs were still outstanding."""
+
+
+class WorkerStartError(RuntimeError):
+    """The pool cannot start a worker in this process, for a reason no
+    respawn can fix."""
 
 
 class QueueOverloaded(RuntimeError):
@@ -147,6 +153,38 @@ def _mp_context():
     process per pool.
     """
     return multiprocessing.get_context("spawn")
+
+
+def _check_main_importable() -> None:
+    """Refuse to spawn workers that could only die at start-up.
+
+    A ``spawn`` child re-imports the parent's ``__main__`` from its
+    ``__file__`` when it has no ``__spec__``.  A driver fed on stdin
+    (``python - <<EOF``) has ``__file__ == "<stdin>"``, which is no file:
+    every worker would die re-running it, and each respawn the same way.
+    """
+    main = sys.modules.get("__main__")
+    path = getattr(main, "__file__", None)
+    if getattr(main, "__spec__", None) is None and path is not None \
+            and not os.path.isfile(path):
+        raise WorkerStartError(
+            f"cannot start pool workers: __main__ was read from {path!r}, "
+            "which a spawned worker cannot re-import; run the driver from "
+            "a file, as a module or with python -c")
+
+
+async def gather_results(futures) -> list:
+    """Await every future of a batch, then raise its first failure.
+
+    A bare ``asyncio.gather`` raises at the first failure and never reads
+    the futures that fail after it, which asyncio then reports as
+    "exception was never retrieved".
+    """
+    results = await asyncio.gather(*futures, return_exceptions=True)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def _worker_main(tasks, results, trace_dir: str) -> None:
@@ -268,7 +306,12 @@ class WorkerPool:
         self.trace_store: TraceStore | None = None
 
     def start(self) -> None:
-        """Spawn the worker processes (idempotent)."""
+        """Spawn the worker processes (idempotent).
+
+        Raises :class:`WorkerStartError` at once when ``__main__`` cannot
+        be re-imported by a spawned worker.
+        """
+        _check_main_importable()
         if self.trace_store is None:
             self.trace_store = self._store_scope.enter_context(
                 shared_trace_store())
@@ -522,7 +565,7 @@ class JobQueue:
     async def run_jobs(self, jobs: list[SimJob]) -> list[SimResult]:
         """Submit and await one batch (results in submission order)."""
         futures, _ = self.submit(jobs)
-        return list(await asyncio.gather(*futures))
+        return await gather_results(futures)
 
     @property
     def depth(self) -> int:

@@ -1,27 +1,33 @@
 """The simulation service daemon: one cache, many clients.
 
-``repro serve`` runs a :class:`SimService`: a persistent process that
-owns the result cache, listens on a Unix-domain socket, and feeds every
+``repro cluster serve`` runs a :class:`SimService`: a persistent process
+that owns the result cache, listens on a TCP port, and feeds every
 client's jobs through one :class:`~repro.engine.queue.JobQueue` on a
 persistent :class:`~repro.engine.queue.WorkerPool`.  Because all clients
 share the daemon's cache *and* its in-flight job set, overlapping
 submissions from concurrent clients simulate each unique spec exactly
-once — the
-"shared hot cache" serving story the ROADMAP asks for.
+once — the "shared hot cache" serving story the ROADMAP asks for.
 
-The same daemon also serves the cluster plane (:mod:`repro.engine.cluster`):
-``--listen host:port`` binds a TCP socket instead of (not in addition to)
-the Unix one, speaking the identical newline-JSON protocol, so N daemons
-on N ports become shards behind a :class:`~repro.engine.cluster.ShardRouter`.
-TCP mode adds one thing Unix mode never needed: **auth**, a
-shared-secret token (``--token`` / ``$REPRO_SERVICE_TOKEN``).  When
-configured, every request must carry ``"token"``; a mismatch is
-answered ``{"ok": false, "auth": true, ...}`` (constant-time compare),
-which clients raise as a non-retryable
-:class:`~repro.engine.client.ServiceAuthError`.  A daemon never opens a
-connection of its own: shards do not talk to each other, and routers
-learn which shards are alive by probing them
-(:class:`~repro.engine.cluster.ShardRouter`).
+One daemon is a one-shard cluster: N daemons on N ports become shards
+behind a :class:`~repro.engine.cluster.ShardRouter`
+(:mod:`repro.engine.cluster`), and the single-daemon verbs (``submit``,
+``status``, ``results``, ``health``, ``chaos show``) talk to any one of
+them.
+
+**Auth** is always on: every request must carry the shared-secret
+``"token"``; a mismatch is answered ``{"ok": false, "auth": true, ...}``
+(constant-time compare), which clients raise as a non-retryable
+:class:`~repro.engine.client.ServiceAuthError`.  The token comes from
+``--token`` / ``$REPRO_SERVICE_TOKEN``; a daemon given neither generates
+one and publishes ``{address, token}`` in the address file
+(:data:`~repro.engine.client.ADDRESS_FILE`) in its working directory:
+created mode 0600, so access is exactly as strict as the file; held
+under a non-blocking flock, so a second such daemon in the same
+directory is refused while a file left by a ``SIGKILL``-ed one is simply
+taken over; and removed on a clean stop.  Clients that name no address
+read it.  A daemon never opens a connection of its own: shards do not
+talk to each other, and routers learn which shards are alive by probing
+them (:class:`~repro.engine.cluster.ShardRouter`).
 
 Results cross shards by one path only: the result cache.  Shards that
 share ``$REPRO_CACHE_DIR`` publish every result there
@@ -29,14 +35,15 @@ share ``$REPRO_CACHE_DIR`` publish every result there
 and a local miss reads through to it, so work one shard finished is
 never re-simulated by another — with no protocol between shards.
 
-Protocol: newline-delimited JSON request/response over the socket.  One
-request per line, one response line per request, connections may pipeline
-many requests.  Requests are ``{"op": <name>, ...}``; responses are
-``{"ok": true, ...}`` or ``{"ok": false, "error": <message>}``.  Ops:
+Protocol: newline-delimited JSON request/response over the connection.
+One request per line, one response line per request, connections may
+pipeline many requests.  Requests are ``{"op": <name>, "token": ...,
+...}``; responses are ``{"ok": true, ...}`` or ``{"ok": false, "error":
+<message>}``.  Ops:
 
 ``ping``
     Liveness + server identity (pid, protocol version, worker count,
-    transport and serving address).
+    serving address).
 ``submit``
     ``{"jobs": [<SimJob.to_dict()>, ...], "wait": bool}``.  With
     ``wait`` (the default) the response carries the results, in
@@ -56,7 +63,8 @@ many requests.  Requests are ``{"op": <name>, ...}``; responses are
 ``chaos``
     The active fault-injection plan (:mod:`repro.engine.faults`) — site
     hit counts and fired rules.  Only served when the daemon was started
-    with chaos enabled (``repro serve --chaos``); refused otherwise.
+    with chaos enabled (``repro cluster serve --chaos``); refused
+    otherwise.
 ``metrics``
     The flat ops surface the cluster plane scrapes: queue depth and
     in-flight jobs, cache hit/miss/store counters and fault-plane state
@@ -76,9 +84,7 @@ Crash safety is the result cache's: with a disk cache (``--cache-dir``
 fsync, rename) before its future resolves, so a daemon restarted on the
 same directory answers everything it ever finished, and a dead shard's
 completed work needs no hand-over.  Worker deaths are the queue's
-business (it requeues).  Two daemons can never share a socket:
-the daemon holds a lockfile next to it, so the stale-socket cleanup
-path cannot race a live daemon.
+business (it requeues).
 
 See docs/architecture.md for the full data-flow picture.
 """
@@ -86,22 +92,25 @@ See docs/architecture.md for the full data-flow picture.
 from __future__ import annotations
 
 import asyncio
+import fcntl
 import hmac
 import json
 import os
+import secrets
 import signal
 import sys
 import time
 from pathlib import Path
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
 from repro.engine import faults
 from repro.engine.cache import ResultCache, default_cache_dir
-from repro.engine.client import ServiceError, service_running
+from repro.engine.client import (
+    ADDRESS_FILE,
+    TOKEN_ENV,
+    ServiceError,
+    canonical_address,
+    parse_address,
+)
 from repro.engine.executors import resolve_jobs
 from repro.engine.job import SimJob
 from repro.engine.queue import (
@@ -109,16 +118,12 @@ from repro.engine.queue import (
     JobQueue,
     QueueOverloaded,
     WorkerPool,
+    gather_results,
 )
 
-#: Environment variable naming the default service socket path.
-SOCKET_ENV = "REPRO_SERVICE_SOCKET"
-
-#: Environment variable holding the shared-secret auth token (TCP mode).
-TOKEN_ENV = "REPRO_SERVICE_TOKEN"
-
-#: Fallback socket path when neither ``--socket`` nor the env var is set.
-DEFAULT_SOCKET = "repro-service.sock"
+#: Where a daemon binds when no ``--listen`` is given: loopback, with a
+#: kernel-picked port reported on the ready line.
+DEFAULT_LISTEN = "127.0.0.1:0"
 
 #: Wire protocol version, echoed by ``ping`` and checked by clients.
 #: v2 added TCP transport, token auth and the ``metrics`` op; v3 dropped
@@ -130,8 +135,10 @@ DEFAULT_SOCKET = "repro-service.sock"
 #: failure counter of ``health``'s ``degraded`` map; v6 dropped the
 #: shard-to-shard membership op, the ``membership`` and ``fallbacks``
 #: blocks of ``metrics`` and the ``socket`` and ``peers`` fields of
-#: ``ping``.
-PROTOCOL_VERSION = 6
+#: ``ping``; v7 dropped the Unix-socket transport (every daemon is TCP
+#: and requires a token), and with it the ``transport`` and ``auth``
+#: fields of ``ping`` and the ``transport`` field of ``metrics.shard``.
+PROTOCOL_VERSION = 7
 
 #: Maximum request/response line length (a 20-job grid is ~20 KB).
 MAX_LINE = 64 * 1024 * 1024
@@ -145,90 +152,39 @@ MAX_SUBMIT_JOBS = 4096
 #: must not grow daemon memory forever).
 MAX_TICKETS = 1024
 
-def default_socket_path(explicit: str | os.PathLike | None = None) -> Path:
-    """Resolve the service socket path (flag, else env, else cwd default)."""
-    if explicit:
-        return Path(explicit)
-    raw = os.environ.get(SOCKET_ENV, "").strip()
-    return Path(raw) if raw else Path(DEFAULT_SOCKET)
-
-
-def resolve_service_token(explicit: str | None = None) -> str | None:
-    """Resolve the shared-secret token (flag, else env, else none).
-
-    ``None`` disables auth entirely — the Unix-socket default, where
-    filesystem permissions already gate access.  TCP deployments should
-    always set one.
-    """
-    if explicit:
-        return explicit
-    raw = os.environ.get(TOKEN_ENV, "").strip()
-    return raw or None
-
-
-def parse_address(address: str | os.PathLike) -> tuple:
-    """Split a service address into ``("tcp", host, port)`` or
-    ``("unix", path)``.
-
-    TCP addresses must be explicit — ``tcp://host:port`` — because a
-    bare string containing a colon is a perfectly legal Unix socket
-    path; guessing would mis-route someone's ``./run:1/svc.sock``.
-    """
-    text = str(address)
-    if text.startswith("tcp://"):
-        host, sep, port = text[len("tcp://"):].rpartition(":")
-        if not sep or not host or not port.isdigit():
-            raise ValueError(
-                f"bad service address {text!r} (want tcp://host:port)")
-        return ("tcp", host, int(port))
-    return ("unix", text)
-
-
-def parse_listen(listen: str) -> tuple[str, int]:
-    """Parse a ``--listen`` value (``host:port``, ``tcp://`` optional).
-
-    Port ``0`` is valid and means "kernel picks": the daemon's ready
-    line and ``ping`` report the actual bound port, which is how the
-    test harness runs many shards without port coordination.
-    """
-    text = str(listen)
-    if text.startswith("tcp://"):
-        text = text[len("tcp://"):]
-    host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"bad --listen {listen!r} (want host:port)")
-    return (host or "127.0.0.1", int(port))
-
 
 class SimService:
     """A running daemon: socket server + job queue + cache."""
 
     def __init__(
         self,
-        socket_path: str | os.PathLike | None = None,
         *,
+        listen: str = DEFAULT_LISTEN,
         workers: int | None = None,
         cache: ResultCache | None = None,
         max_depth: int | None = None,
         job_timeout: float | None = None,
         chaos: bool = False,
-        listen: str | None = None,
         token: str | None = None,
     ):
-        self.socket_path = default_socket_path(socket_path)
-        #: TCP bind (host, port) when serving a cluster shard; ``None``
-        #: keeps the Unix-socket transport.  The two are exclusive — a
-        #: shard *is* a plain daemon on a different transport.
-        self.listen = parse_listen(listen) if listen else None
-        #: Actual bound address (``tcp://host:port``) once started;
-        #: meaningful with ``--listen host:0``.
+        #: TCP bind (host, port); port 0 lets the kernel pick.
+        self.listen = parse_address(listen)
+        #: Actual bound address (``tcp://host:port``) once started.
         self.listen_address: str | None = None
-        self.token = resolve_service_token(token)
+        #: The shared secret every request must carry: *token*, else
+        #: ``$REPRO_SERVICE_TOKEN``, else generated here.
+        self.token = token or os.environ.get(TOKEN_ENV, "").strip() or None
+        #: The address file this daemon publishes, when it generated its
+        #: own token (resolved now: a later ``chdir`` must not move it).
+        self.address_file: Path | None = None
+        if self.token is None:
+            self.token = secrets.token_hex(16)
+            self.address_file = Path(ADDRESS_FILE).resolve()
         self.workers = resolve_jobs(workers)
         self.cache = cache if cache is not None else ResultCache(default_cache_dir())
         self.max_depth = max_depth
         self.job_timeout = job_timeout
-        #: Whether the ``chaos`` op is served (``repro serve --chaos``).
+        #: Whether the ``chaos`` op is served (``--chaos``).
         self.chaos = bool(chaos)
         self.queue: JobQueue | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -236,103 +192,90 @@ class SimService:
         self._stop_event: asyncio.Event | None = None
         self._tickets: dict[int, dict] = {}
         self._next_ticket = 0
-        self._lock_fh = None
+        self._address_fd: int | None = None
         self._started_at: float | None = None
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def lock_path(self) -> Path:
-        """The daemon lockfile guarding this socket path."""
-        return self.socket_path.with_name(self.socket_path.name + ".lock")
+    def _claim_address_file(self) -> None:
+        """Create (or take over) :attr:`address_file`, locked and empty.
 
-    def _acquire_lock(self) -> None:
-        """Take the per-socket daemon lock (advisory flock, non-blocking).
-
-        This is what makes the stale-socket cleanup below race-free: two
-        daemons starting simultaneously against one path both see a dead
-        socket, but only the lock holder may unlink and rebind.  The lock
-        lives next to the socket so it travels with a ``--socket``
-        override, and it is released (not leaked) by :meth:`stop` —
-        though even a ``SIGKILL``-ed daemon releases a flock with its fd.
+        The file is created mode 0600 (and re-chmodded, in case someone
+        else created it), so only its owner can read the token.  The non-blocking flock refuses
+        a second daemon on the same file; a file a ``SIGKILL``-ed daemon
+        left behind carries no lock (the kernel dropped it with the fd)
+        and is taken over.  If the path was unlinked or replaced between
+        our open and our lock, we locked an orphan inode: retry.
         """
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            return
-        self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(self.lock_path, "a+")
-        try:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            fh.close()
-            raise ServiceError(
-                f"another repro service holds the lock for "
-                f"{self.socket_path} (lockfile {self.lock_path}); stop it "
-                "first or pick a different --socket"
-            ) from None
-        self._lock_fh = fh
+        path = self.address_file
+        while True:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                os.close(fd)
+                raise ServiceError(
+                    f"another repro daemon holds {path}; stop it first, "
+                    "or start this one elsewhere or with --token") from None
+            try:
+                current = os.stat(path)
+            except FileNotFoundError:
+                current = None
+            if current is not None and os.path.samestat(current,
+                                                        os.fstat(fd)):
+                break
+            os.close(fd)
+        self._address_fd = fd  # from here on, _withdraw_address owns it
+        os.fchmod(fd, 0o600)
+        os.ftruncate(fd, 0)
 
-    def _release_lock(self) -> None:
-        if self._lock_fh is not None:
+    def _withdraw_address(self) -> None:
+        """Remove the address file (still locked), then release it."""
+        if self._address_fd is not None:
             try:
-                self._lock_fh.close()
+                self.address_file.unlink()
             except OSError:
                 pass
-            self._lock_fh = None
-            try:
-                self.lock_path.unlink()
-            except OSError:
-                pass
+            os.close(self._address_fd)
+            self._address_fd = None
 
     async def start(self) -> None:
-        """Start the queue, bind the socket.
+        """Bind, claim the address file if any, start the queue, serve,
+        then write the address file.
 
-        TCP shards bind *first* (without serving) so the kernel-picked
-        port is known, then start the queue, and only then start serving.
+        The socket is bound *first* (without serving) so a kernel-picked
+        port is known, and the address file is claimed before any worker
+        spawns, so a refused daemon costs nothing.  It gets its content
+        only once the daemon serves: a non-empty file means a live daemon.
         """
         self._stop_event = asyncio.Event()
         self._started_at = time.monotonic()
-        if self.listen is None:
-            # The flock + stale-socket dance only exists because Unix
-            # socket files outlive their listeners; a TCP bind is
-            # exclusive by itself (EADDRINUSE), so shards skip it.
-            self._acquire_lock()
+        host, port = self.listen
         try:
-            if self.listen is not None:
-                host, port = self.listen
-                self._server = await asyncio.start_server(
-                    self._handle, host=host, port=port, limit=MAX_LINE,
-                    start_serving=False,
-                )
-                bound = self._server.sockets[0].getsockname()
-                self.listen_address = f"tcp://{bound[0]}:{bound[1]}"
+            self._server = await asyncio.start_server(
+                self._handle, host=host, port=port, limit=MAX_LINE,
+                start_serving=False,
+            )
+            self.listen_address = canonical_address(
+                "{}:{}".format(*self._server.sockets[0].getsockname()[:2]))
+            if self.address_file is not None:
+                self._claim_address_file()
             self.queue = JobQueue(WorkerPool(self.workers), cache=self.cache,
                                   max_depth=self.max_depth,
                                   job_timeout=self.job_timeout)
             await self.queue.start()
-            if self.listen is not None:
-                await self._server.start_serving()
-            else:
-                self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-                if self.socket_path.exists():
-                    # Refuse to hijack a live daemon; only a *stale* socket
-                    # (no listener answering ping) is cleaned up and bound
-                    # over.  The lockfile taken above makes this race-free.
-                    if service_running(self.socket_path):
-                        raise ServiceError(
-                            f"another repro service is already listening on "
-                            f"{self.socket_path}; stop it first or pick a "
-                            "different --socket"
-                        )
-                    self.socket_path.unlink()
-                self._server = await asyncio.start_unix_server(
-                    self._handle, path=str(self.socket_path), limit=MAX_LINE,
-                )
+            await self._server.start_serving()
+            if self._address_fd is not None:
+                record = {"address": self.listen_address,
+                          "token": self.token}
+                os.write(self._address_fd,
+                         (json.dumps(record, sort_keys=True) + "\n").encode())
         except BaseException:
             if self._server is not None:
                 self._server.close()
                 self._server = None
             await self._teardown_queue()
-            self._release_lock()
+            self._withdraw_address()
             raise
 
     async def stop(self) -> None:
@@ -351,12 +294,7 @@ class SimService:
             await self._server.wait_closed()
             self._server = None
         await self._teardown_queue()
-        if self.listen is None:
-            try:
-                self.socket_path.unlink()
-            except OSError:
-                pass
-            self._release_lock()
+        self._withdraw_address()
 
     async def _teardown_queue(self) -> None:
         if self.queue is not None:
@@ -372,8 +310,8 @@ class SimService:
         """Run until :meth:`request_shutdown` (the ``shutdown`` op or a
         signal) fires, then tear everything down.
 
-        *on_ready*, if given, is called with the service once the socket
-        is bound (e.g. to print the daemon's ready line).
+        *on_ready*, if given, is called with the service once it is
+        serving (e.g. to print the daemon's ready line).
         """
         await self.start()
         if on_ready is not None:
@@ -450,17 +388,17 @@ class SimService:
                 pass
 
     async def _dispatch(self, request: dict) -> dict:
-        if self.token is not None:
-            supplied = request.get("token")
-            if not isinstance(supplied, str) or \
-                    not hmac.compare_digest(supplied, self.token):
-                # "auth": true lets the client raise the non-retryable
-                # ServiceAuthError — resending a bad token cannot help.
-                # The constant-time compare keeps the shared secret from
-                # leaking through response timing.
-                return {"ok": False, "auth": True,
-                        "error": "authentication failed: bad or missing "
-                                 "token (set REPRO_SERVICE_TOKEN)"}
+        supplied = request.get("token")
+        if not isinstance(supplied, str) or \
+                not hmac.compare_digest(supplied, self.token):
+            # "auth": true lets the client raise the non-retryable
+            # ServiceAuthError — resending a bad token cannot help.  The
+            # constant-time compare keeps the shared secret from leaking
+            # through response timing.
+            return {"ok": False, "auth": True,
+                    "error": "authentication failed: bad or missing token "
+                             f"(set {TOKEN_ENV}, or run the client where "
+                             f"the daemon wrote {ADDRESS_FILE})"}
         op = request.get("op")
         handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) \
             else None
@@ -475,12 +413,8 @@ class SimService:
     # -- ops -------------------------------------------------------------
 
     def describe_address(self) -> str:
-        """The daemon's serving address (TCP bind or Unix socket path)."""
-        if self.listen_address is not None:
-            return self.listen_address
-        if self.listen is not None:  # parsed but not yet bound
-            return f"tcp://{self.listen[0]}:{self.listen[1]}"
-        return str(self.socket_path)
+        """The daemon's serving address (bound, once started)."""
+        return self.listen_address or "tcp://{}:{}".format(*self.listen)
 
     async def _op_ping(self, request: dict) -> dict:
         return {
@@ -489,9 +423,7 @@ class SimService:
                 "pid": os.getpid(),
                 "protocol": PROTOCOL_VERSION,
                 "workers": self.workers,
-                "transport": "tcp" if self.listen is not None else "unix",
                 "address": self.describe_address(),
-                "auth": self.token is not None,
             },
         }
 
@@ -520,7 +452,7 @@ class SimService:
         if not self.chaos:
             return {"ok": False,
                     "error": "chaos introspection is disabled; start the "
-                             "daemon with `repro serve --chaos`"}
+                             "daemon with `repro cluster serve --chaos`"}
         plan = faults.active_plan()
         return {"ok": True,
                 "plan": plan.describe() if plan is not None else None}
@@ -544,8 +476,6 @@ class SimService:
                 "shard": {
                     "pid": os.getpid(),
                     "address": self.describe_address(),
-                    "transport": "tcp" if self.listen is not None
-                                 else "unix",
                     "workers": self.workers,
                     "uptime_s": round(uptime, 3),
                 },
@@ -656,26 +586,25 @@ class SimService:
     async def _gather(self, futures: list[asyncio.Future]) -> list | dict:
         """Await a batch; job failures become one error response."""
         try:
-            results = await asyncio.gather(*futures)
+            results = await gather_results(futures)
         except JobFailed as exc:
             return {"ok": False, "error": f"job failed: {exc}"}
         return [result.to_dict() for result in results]
 
 
 def run_service(
-    socket_path: str | os.PathLike | None = None,
     *,
+    listen: str = DEFAULT_LISTEN,
     workers: int | None = None,
     cache: ResultCache | None = None,
     max_depth: int | None = None,
     job_timeout: float | None = None,
     chaos: bool = False,
-    listen: str | None = None,
     token: str | None = None,
     install_signal_handlers: bool = True,
     ready_message: bool = True,
 ) -> int:
-    """Blocking entry point behind ``repro serve`` / ``repro cluster serve``.
+    """Blocking entry point behind ``repro cluster serve``.
 
     Runs the daemon until ``SIGINT``/``SIGTERM`` or a client ``shutdown``
     op.  Returns a process exit code.  With *chaos*, any fault plan in
@@ -683,30 +612,28 @@ def run_service(
     spawned workers; unset plans still activate from the environment
     either way (the chaos *flag* only gates introspection, not
     injection — an un-flagged daemon under ``REPRO_FAULTS`` is exactly
-    the "operator forgot" scenario the suite tests).  *listen* switches
-    the transport to TCP (``host:port``; port 0 lets the kernel pick and
-    the ready line reports the bound address) and *token* arms
-    shared-secret auth.
+    the "operator forgot" scenario the suite tests).  *listen* is the
+    ``host:port`` bind (port 0 lets the kernel pick; the ready line
+    reports the bound address) and *token* the shared secret (none:
+    generate one and publish the address file).
     """
     if chaos:
         # Re-export whatever plan is active so spawn-start workers (which
         # re-import everything) see the same spec and seed.
         faults.install_plan(faults.active_plan(), export_env=True)
-    service = SimService(socket_path, workers=workers, cache=cache,
+    service = SimService(listen=listen, workers=workers, cache=cache,
                          max_depth=max_depth, job_timeout=job_timeout,
-                         chaos=chaos, listen=listen, token=token)
+                         chaos=chaos, token=token)
 
     def _print_ready(svc: SimService) -> None:
         where = svc.cache.directory or "memory-only"
-        if svc.listen is not None:
-            # Machine-readable on purpose: the cluster harness parses
-            # "listen=tcp://host:port" to learn a :0 daemon's real port.
-            bind = (f"listen={svc.listen_address} auth="
-                    f"{'on' if svc.token else 'off'}")
-        else:
-            bind = f"socket={svc.socket_path}"
-        print(f"repro service: {bind} workers={svc.workers} cache={where}",
-              file=sys.stderr, flush=True)
+        # Machine-readable on purpose: launchers parse
+        # "listen=tcp://host:port" to learn a :0 daemon's real port.
+        line = (f"repro service: listen={svc.listen_address} "
+                f"workers={svc.workers} cache={where}")
+        if svc.address_file is not None:
+            line += f" address-file={svc.address_file}"
+        print(line, file=sys.stderr, flush=True)
 
     async def _main() -> None:
         if install_signal_handlers:

@@ -118,14 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend", default="local", choices=BACKENDS,
-        help="where simulations execute: this process ('local') or a "
-             "running `repro serve` daemon ('service'); output is "
-             "byte-identical either way",
-    )
-    parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="service socket for --backend service "
-             "(default: $REPRO_SERVICE_SOCKET or ./repro-service.sock)",
+        help="where simulations execute: this process ('local') or "
+             "`repro cluster serve` daemons ('cluster': "
+             "$REPRO_CLUSTER_SHARDS, else ./repro-service.addr); output "
+             "is byte-identical either way",
     )
     return parser
 
@@ -137,16 +133,15 @@ def main(argv: list[str] | None = None) -> int:
         engine = configure_default_engine(jobs=args.jobs,
                                           cache_dir=args.cache_dir)
     else:
-        # Service backend: batches go to the daemon, and the service
+        # Cluster backend: batches go to the daemons, and the cluster
         # engine *becomes* the default so the figure renderers below
         # replay from its local cache.
         if args.jobs is not None or args.cache_dir is not None:
-            print("note: --jobs/--cache-dir apply to the daemon, not this "
-                  "client; they are ignored with --backend service",
+            print("note: --jobs/--cache-dir apply to the daemons, not this "
+                  "client; they are ignored with --backend cluster",
                   file=sys.stderr)
         try:
-            engine = set_default_engine(
-                engine_for_backend(args.backend, args.socket))
+            engine = set_default_engine(engine_for_backend(args.backend))
         except ServiceError as exc:
             raise SystemExit(f"error: {exc}") from None
     t0 = time.time()

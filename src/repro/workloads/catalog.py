@@ -135,10 +135,11 @@ ALL_WORKLOADS = tuple(w.name for w in WORKLOADS)
 
 # Trace cache: building traces is pure and deterministic, so traces are
 # memoised per (name, length, seed) for the many runs that reuse them.
-# The cache is a *bounded* LRU: a long-lived `repro serve` daemon sweeping
-# many scenario workloads must not grow it without limit, so inserts evict
-# least-recently-used traces past an entry count and a packed-byte budget
-# (tunable via the environment, read per call so tests can flip them).
+# The cache is a *bounded* LRU: a long-lived `repro cluster serve` daemon
+# sweeping many scenario workloads must not grow it without limit, so
+# inserts evict least-recently-used traces past an entry count and a
+# packed-byte budget (tunable via the environment, read per call so tests
+# can flip them).
 # Budget accounting charges each trace its packed bytes *plus* any
 # precompute planes attached to it (``trace._plane_cache``, see
 # pipeline/precompute.py) — planes grow after insertion, so occupancy is

@@ -1,7 +1,7 @@
 """The fault matrix: seeded chaos plans against a real service stack.
 
 Each test runs a real :class:`~repro.engine.service.SimService` (its own
-socket, worker pool, cache) under a deterministic
+TCP socket, worker pool, cache) under a deterministic
 :mod:`repro.engine.faults` plan and asserts the ISSUE's acceptance bar:
 
 * **survivable** faults — worker crashes/hangs/slowdowns, dropped or
@@ -13,23 +13,23 @@ socket, worker pool, cache) under a deterministic
 * a daemon past its queue bound sheds load with an explicit
   ``overloaded`` response instead of growing without bound.
 
-The daemon runs *in-process* (a background thread with its own event
-loop) so a test can install a fault plan at an exact point in the
-operation sequence — the plan's counters then line up with the requests
-the test makes, which is what keeps the matrix deterministic.  The
+The daemon runs *in-process* (``tests/conftest.py``'s ``daemon``
+helper: a background thread with its own event loop) so a test can
+install a fault plan at an exact point in the operation sequence — the
+plan's counters then line up with the requests the test makes, which is
+what keeps the matrix deterministic.  The
 worker processes are real ``spawn`` children either way; worker-side
 sites activate through the exported ``$REPRO_FAULTS``.
 """
 
 import asyncio
+import json
 import os
 import re
 import signal
-import socket as socket_module
+import stat
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -37,13 +37,16 @@ import pytest
 from repro.engine import faults
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
+from repro.cli import main as cli_main
 from repro.engine.client import (
+    ADDRESS_FILE,
+    TOKEN_ENV,
     RetryPolicy,
+    ServiceAuthError,
     ServiceClient,
     ServiceError,
     ServiceOverloaded,
     ServiceTimeout,
-    wait_for_service,
 )
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
@@ -79,71 +82,36 @@ def clean_fault_state():
     faults.reset()
 
 
-class Daemon:
-    """An in-process daemon on a background thread (real socket, real
-    spawn workers), so tests can install fault plans mid-flight."""
-
-    def __init__(self, socket_path, **kwargs):
-        self.service = SimService(socket_path, **kwargs)
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.error = None
-
-    def _run(self):
-        try:
-            asyncio.run(self.service.serve_until_shutdown())
-        except BaseException as exc:  # noqa: BLE001 - surfaced by stop()
-            self.error = exc
-
-    def __enter__(self):
-        self.thread.start()
-        try:
-            wait_for_service(self.service.socket_path, timeout=60)
-        except ServiceError:
-            if self.error is not None:
-                raise self.error from None
-            raise
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            with ServiceClient(self.service.socket_path, timeout=10.0) as c:
-                c.shutdown()
-        except ServiceError:
-            pass
-        self.thread.join(timeout=60)
-        assert not self.thread.is_alive(), "daemon failed to shut down"
-
-
 def _results(response):
     return response["results"]
 
 
 class TestSurvivableWorkerFaults:
-    def test_worker_crash_is_requeued_bit_identically(self, tmp_path,
+    def test_worker_crash_is_requeued_bit_identically(self, daemon,
                                                       expected):
-        with Daemon(tmp_path / "d.sock", workers=2) as d:
+        with daemon(workers=2) as d:
             faults.install_plan("worker.execute:crash@2", seed=0)
-            with ServiceClient(d.service.socket_path) as client:
+            with d.client() as client:
                 response = client.submit(JOBS)
                 health = client.health()
         assert _results(response) == expected
         assert health["restarts"] >= 1
         assert not health["degraded_mode"]  # a crash is routine, not degraded
 
-    def test_worker_slowdown_changes_nothing(self, tmp_path, expected):
-        with Daemon(tmp_path / "d.sock", workers=2) as d:
+    def test_worker_slowdown_changes_nothing(self, daemon, expected):
+        with daemon(workers=2) as d:
             faults.install_plan("worker.execute:slow:0.05@every=2", seed=0)
-            with ServiceClient(d.service.socket_path) as client:
+            with d.client() as client:
                 response = client.submit(JOBS)
         assert _results(response) == expected
 
-    def test_hung_worker_is_killed_by_the_job_timeout(self, tmp_path,
+    def test_hung_worker_is_killed_by_the_job_timeout(self, daemon,
                                                       expected):
         # The timeout must clear a worker's worst legitimate job (fresh
         # spawn + first trace build) while still catching the 60s hang.
-        with Daemon(tmp_path / "d.sock", workers=2, job_timeout=5.0) as d:
+        with daemon(workers=2, job_timeout=5.0) as d:
             faults.install_plan("worker.execute:hang:60@1", seed=0)
-            with ServiceClient(d.service.socket_path) as client:
+            with d.client() as client:
                 response = client.submit(JOBS)
                 health = client.health()
         assert _results(response) == expected
@@ -152,10 +120,10 @@ class TestSurvivableWorkerFaults:
 
 
 class TestFatalWorkerFaults:
-    def test_always_crashing_job_fails_typed_not_hanging(self, tmp_path):
-        with Daemon(tmp_path / "d.sock", workers=1) as d:
+    def test_always_crashing_job_fails_typed_not_hanging(self, daemon):
+        with daemon(workers=1) as d:
             faults.install_plan("worker.execute:crash@every=1", seed=0)
-            client = ServiceClient(d.service.socket_path, timeout=120.0,
+            client = d.client(timeout=120.0,
                                    retry=RetryPolicy(attempts=1))
             with pytest.raises(ServiceError, match="lost its worker"):
                 client.submit([JOBS[0]])
@@ -163,37 +131,37 @@ class TestFatalWorkerFaults:
             faults.install_plan(None)
             # The daemon survived its pool melting down: the same job
             # succeeds once the fault clears.
-            with ServiceClient(d.service.socket_path) as client:
+            with d.client() as client:
                 response = client.submit([JOBS[0]])
         assert len(_results(response)) == 1
 
 
 class TestSocketFaults:
     @pytest.mark.parametrize("action", ["drop", "partial"])
-    def test_lost_response_is_retried_idempotently(self, tmp_path, expected,
+    def test_lost_response_is_retried_idempotently(self, daemon, expected,
                                                    action):
-        with Daemon(tmp_path / "d.sock", workers=2) as d:
-            with ServiceClient(d.service.socket_path) as probe:
+        with daemon(workers=2) as d:
+            with d.client() as probe:
                 before = probe.status()["queue"]["stats"]["executed"]
             # Installed *after* the probe: the very next response the
             # daemon sends (our submit's) is the one that dies.
             faults.install_plan(f"service.send:{action}@1", seed=0)
-            client = ServiceClient(d.service.socket_path,
+            client = d.client(
                                    retry=RetryPolicy(attempts=3, base=0.01))
             results = client.run_jobs(JOBS)
             client.close()
             faults.install_plan(None)
-            with ServiceClient(d.service.socket_path) as probe:
+            with d.client() as probe:
                 after = probe.status()["queue"]["stats"]["executed"]
         assert [r.to_dict() for r in results] == expected
         # Exactly-once execution: the retried batch coalesced/cache-hit,
         # it did not re-run the simulations.
         assert after - before == len(JOBS)
 
-    def test_stalled_response_times_out_typed(self, tmp_path):
-        with Daemon(tmp_path / "d.sock", workers=1) as d:
+    def test_stalled_response_times_out_typed(self, daemon):
+        with daemon(workers=1) as d:
             faults.install_plan("service.send:stall:30@1", seed=0)
-            client = ServiceClient(d.service.socket_path, timeout=1.0,
+            client = d.client(timeout=1.0,
                                    retry=RetryPolicy(attempts=1))
             with pytest.raises(ServiceTimeout):
                 client.ping()
@@ -201,11 +169,11 @@ class TestSocketFaults:
 
 
 class TestStorageFaults:
-    def test_failing_cache_persist_stays_in_memory(self, tmp_path, expected):
-        with Daemon(tmp_path / "d.sock", workers=2,
-                    cache=ResultCache(tmp_path / "cache")) as d:
+    def test_failing_cache_persist_stays_in_memory(self, daemon, tmp_path,
+                                                   expected):
+        with daemon(workers=2, cache=ResultCache(tmp_path / "cache")) as d:
             faults.install_plan("cache.write:error@every=1", seed=0)
-            with ServiceClient(d.service.socket_path) as client:
+            with d.client() as client:
                 first = client.submit(JOBS)
                 health = client.health()
                 # Every persist failed, but the memory layer answers.
@@ -239,7 +207,7 @@ class TestStoreDegradationLadder:
         return {row["key"]: os.stat(Path(row["path"]) / "meta.json")
                 .st_mtime_ns for row in store.entries()}
 
-    def test_truncated_reads_regenerate(self, monkeypatch, tmp_path,
+    def test_truncated_reads_regenerate(self, daemon, monkeypatch, tmp_path,
                                         expected):
         store = self._stored_store(monkeypatch, tmp_path)
         before = self._written(store)
@@ -247,8 +215,8 @@ class TestStoreDegradationLadder:
         # workers inherit, before the pool starts.
         faults.install_plan("store.read:truncate@every=1", seed=0,
                             export_env=True)
-        with Daemon(tmp_path / "d.sock", workers=2) as d:
-            with ServiceClient(d.service.socket_path) as client:
+        with daemon(workers=2) as d:
+            with d.client() as client:
                 response = client.submit(JOBS)
         faults.install_plan(None, export_env=True)
         assert _results(response) == expected
@@ -258,14 +226,14 @@ class TestStoreDegradationLadder:
         assert sorted(after) == sorted(before)
         assert all(after[key] > before[key] for key in before)
 
-    def test_failed_writes_regenerate(self, monkeypatch, tmp_path,
+    def test_failed_writes_regenerate(self, daemon, monkeypatch, tmp_path,
                                       expected):
         directory = tmp_path / "traces"
         monkeypatch.setenv(TRACE_DIR_ENV, str(directory))
         faults.install_plan("store.write:enospc@every=1", seed=0,
                             export_env=True)
-        with Daemon(tmp_path / "d.sock", workers=2) as d:
-            with ServiceClient(d.service.socket_path) as client:
+        with daemon(workers=2) as d:
+            with d.client() as client:
                 response = client.submit(JOBS)
         faults.install_plan(None, export_env=True)
         assert _results(response) == expected
@@ -273,11 +241,11 @@ class TestStoreDegradationLadder:
 
 
 class TestBackpressure:
-    def test_over_bound_submit_is_shed_with_overloaded(self, tmp_path):
+    def test_over_bound_submit_is_shed_with_overloaded(self, daemon):
         big = [SimJob.make(w, "vtage", n_uops=30000, warmup=15000)
                for w in ("gzip", "gcc")]
-        with Daemon(tmp_path / "d.sock", workers=1, max_depth=2) as d:
-            with ServiceClient(d.service.socket_path) as client:
+        with daemon(workers=1, max_depth=2) as d:
+            with d.client() as client:
                 ticket = client.submit(big, wait=False)["ticket"]
                 # The queue is now full: a batch of new jobs is rejected
                 # whole, with the typed backpressure error.
@@ -300,15 +268,14 @@ class TestBackpressure:
                 accepted = client.submit(extra)
         assert len(_results(accepted)) == len(extra)
 
-    def test_client_retry_rides_out_backpressure(self, tmp_path):
+    def test_client_retry_rides_out_backpressure(self, daemon):
         big = [SimJob.make(w, "vtage", n_uops=30000, warmup=15000)
                for w in ("gzip", "gcc")]
         extra = [SimJob.make("crafty", "lvp", **SMALL)]
-        with Daemon(tmp_path / "d.sock", workers=1, max_depth=2) as d:
-            with ServiceClient(d.service.socket_path) as filler:
+        with daemon(workers=1, max_depth=2) as d:
+            with d.client() as filler:
                 filler.submit(big, wait=False)
-            client = ServiceClient(
-                d.service.socket_path,
+            client = d.client(
                 retry=RetryPolicy(attempts=8, base=0.5, cap=8.0))
             # run_jobs absorbs the overloaded responses and backs off
             # until the big batch drains; no caller-side special-casing.
@@ -317,70 +284,98 @@ class TestBackpressure:
         assert len(results) == 1
 
 
-class TestSingleWriterLocks:
-    def test_second_daemon_on_same_socket_is_refused(self, tmp_path):
-        socket_path = tmp_path / "d.sock"
-        with Daemon(socket_path, workers=1):
-            with pytest.raises(ServiceError, match="lock|already listening"):
-                asyncio.run(SimService(socket_path, workers=1).start())
+class TestAddressFile:
+    """A daemon that generated its own token publishes ``{address,
+    token}`` in ``./repro-service.addr``: private, single-writer, and
+    never an obstacle once its writer is dead."""
 
-    def test_stale_socket_is_cleaned_and_rebound(self, tmp_path):
-        socket_path = tmp_path / "d.sock"
-        # Leave a dead socket behind, as a SIGKILLed daemon would.
-        stale = socket_module.socket(socket_module.AF_UNIX,
-                                     socket_module.SOCK_STREAM)
-        stale.bind(str(socket_path))
-        stale.close()
-        assert socket_path.exists()
-        with Daemon(socket_path, workers=1) as d:
-            with ServiceClient(d.service.socket_path) as client:
+    @pytest.fixture(autouse=True)
+    def generated_token(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(TOKEN_ENV)
+        monkeypatch.chdir(tmp_path)
+
+    def test_file_is_private_from_creation_and_gone_after_stop(
+            self, daemon, tmp_path, capsys):
+        path = tmp_path / ADDRESS_FILE
+        old_umask = os.umask(0)  # a created file's mode is all our own
+        try:
+            with daemon() as d:
+                mode = stat.S_IMODE(path.stat().st_mode)
+                record = json.loads(path.read_text())
+                # A client that names no address reads the file for both.
+                with ServiceClient() as client:
+                    pid = client.ping()["pid"]
+                assert cli_main(["status"]) == 0
+        finally:
+            os.umask(old_umask)
+        assert mode == 0o600
+        assert record == {"address": d.address, "token": d.service.token}
+        assert pid == os.getpid()
+        assert f" on {d.address} " in capsys.readouterr().out
+        assert not path.exists()
+
+    def test_second_daemon_on_the_same_file_is_refused(self, daemon):
+        with daemon():
+            with pytest.raises(ServiceError, match="holds"):
+                asyncio.run(SimService(workers=1).start())
+
+    def test_file_left_by_a_sigkilled_daemon_does_not_block_a_restart(
+            self, daemon, tmp_path):
+        env = dict(os.environ, REPRO_TRACE_DIR=str(tmp_path / "traces"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", ""))
+            if p)
+        env.pop("REPRO_FAULTS", None)
+        killed = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "-j", "1", "cluster",
+             "serve"],
+            env=env, cwd=tmp_path, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+        try:
+            line = killed.stderr.readline()
+            assert "address-file=" in line, line
+        finally:
+            killed.send_signal(signal.SIGKILL)
+            killed.wait(timeout=15)
+            killed.stderr.close()
+        path = tmp_path / ADDRESS_FILE
+        stale = json.loads(path.read_text())
+        with daemon() as d:
+            assert json.loads(path.read_text()) == {
+                "address": d.address, "token": d.service.token}
+        assert d.service.token != stale["token"]
+        assert not path.exists()
+
+    def test_generated_token_refuses_a_client_without_it(
+            self, daemon, tmp_path, monkeypatch):
+        with daemon() as d:
+            # Elsewhere, with no file to read, a client has no token.
+            (tmp_path / "elsewhere").mkdir()
+            monkeypatch.chdir(tmp_path / "elsewhere")
+            with pytest.raises(ServiceAuthError):
+                ServiceClient(d.address).ping()
+            with pytest.raises(ServiceAuthError):
+                ServiceClient(d.address, token="guess").ping()
+            with d.client() as client:
                 assert client.ping()["pid"] == os.getpid()
 
 
 class TestChaosIntrospection:
-    def test_chaos_op_reports_the_live_plan(self, tmp_path):
-        with Daemon(tmp_path / "d.sock", workers=1, chaos=True) as d:
+    def test_chaos_op_reports_the_live_plan(self, daemon):
+        with daemon(workers=1, chaos=True) as d:
             faults.install_plan("cache.write:torn@7", seed=3)
-            with ServiceClient(d.service.socket_path) as client:
+            with d.client() as client:
                 plan = client.chaos()
                 health = client.health()
         assert plan["seed"] == 3
         assert plan["rules"] == ["cache.write:torn@7"]
         assert health["chaos"] is True
 
-    def test_chaos_op_is_refused_without_the_flag(self, tmp_path):
-        with Daemon(tmp_path / "d.sock", workers=1) as d:
-            with ServiceClient(d.service.socket_path) as client:
+    def test_chaos_op_is_refused_without_the_flag(self, daemon):
+        with daemon(workers=1) as d:
+            with d.client() as client:
                 with pytest.raises(ServiceError, match="disabled"):
                     client.chaos()
-
-
-class TcpShardDaemon(Daemon):
-    """A :class:`Daemon` on the TCP transport (a cluster shard)."""
-
-    def __init__(self, **kwargs):
-        kwargs.setdefault("listen", "127.0.0.1:0")
-        super().__init__(None, **kwargs)
-
-    def __enter__(self):
-        self.thread.start()
-        while self.service.listen_address is None:
-            if self.error is not None:
-                raise self.error
-            threading.Event().wait(0.02)
-        wait_for_service(self.service.listen_address, timeout=60,
-                         token=self.service.token)
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            with ServiceClient(self.service.listen_address, timeout=10.0,
-                               token=self.service.token) as client:
-                client.shutdown()
-        except ServiceError:
-            pass
-        self.thread.join(timeout=60)
-        assert not self.thread.is_alive(), "shard failed to shut down"
 
 
 class TestClusterFaults:
@@ -394,26 +389,25 @@ class TestClusterFaults:
     """
 
     @pytest.mark.parametrize("action", ["error", "torn"])
-    def test_unpublished_result_resimulates(self, tmp_path, expected,
+    def test_unpublished_result_resimulates(self, daemon, tmp_path, expected,
                                             action):
         # Upstream's every publish fails (an IO error, or a write torn
         # before its rename), so the shared directory holds nothing
         # committed and the downstream shard must simulate everything.
-        with TcpShardDaemon(workers=1,
-                            cache=ResultCache(tmp_path)) as upstream:
+        with daemon(workers=1, cache=ResultCache(tmp_path)) as upstream:
             faults.install_plan(f"cache.write:{action}@every=1", seed=0)
-            with ServiceClient(upstream.service.listen_address) as client:
+            with upstream.client() as client:
                 client.submit(JOBS)
             faults.install_plan(None)
         assert not list(tmp_path.glob("??/*.json"))
-        with TcpShardDaemon(workers=1,
-                            cache=ResultCache(tmp_path)) as shard:
-            with ServiceClient(shard.service.listen_address) as client:
+        with daemon(workers=1, cache=ResultCache(tmp_path)) as shard:
+            with shard.client() as client:
                 response = client.submit(JOBS)
         assert _results(response) == expected
         assert response["summary"]["enqueued"] == len(JOBS)
 
-    def test_federation_survives_a_sigkilled_peer(self, tmp_path, expected):
+    def test_federation_survives_a_sigkilled_peer(self, daemon, tmp_path,
+                                                  expected):
         # An upstream shard publishes half the batch to the shared cache
         # directory and is then SIGKILLed.  A shard on the same
         # directory serves the published half from it and simulates the
@@ -423,8 +417,7 @@ class TestClusterFaults:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", ""))
             if p)
-        for name in ("REPRO_SERVICE_TOKEN", "REPRO_FAULTS"):
-            env.pop(name, None)
+        env.pop("REPRO_FAULTS", None)
         upstream = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "-j", "1", "cluster",
              "serve", "--listen", "127.0.0.1:0"],
@@ -441,19 +434,19 @@ class TestClusterFaults:
             upstream.send_signal(signal.SIGKILL)
             upstream.wait(timeout=15)
             upstream.stderr.close()
-        with TcpShardDaemon(workers=1, cache=ResultCache(tmp_path)) as shard:
-            with ServiceClient(shard.service.listen_address) as client:
+        with daemon(workers=1, cache=ResultCache(tmp_path)) as shard:
+            with shard.client() as client:
                 response = client.submit(JOBS)
         assert _results(response) == expected
         assert response["summary"]["cache_hits"] == 3
         assert response["summary"]["enqueued"] == 3
 
-    def test_routing_faults_keep_results_bit_identical(self, expected):
+    def test_routing_faults_keep_results_bit_identical(self, daemon,
+                                                       expected):
         from repro.engine.cluster import ShardRouter
 
-        with TcpShardDaemon(workers=1) as a, TcpShardDaemon(workers=1) as b:
-            router = ShardRouter([a.service.listen_address,
-                                  b.service.listen_address])
+        with daemon(workers=1) as a, daemon(workers=1) as b:
+            router = ShardRouter([a.address, b.address])
             faults.install_plan(
                 "cluster.route:misroute@2;cluster.route:drop@5", seed=0)
             results = router.run_jobs(JOBS)

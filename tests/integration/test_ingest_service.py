@@ -9,6 +9,7 @@ bit-identity with the in-process engine.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
-from repro.engine.client import ServiceClient, wait_for_service
+from repro.engine.client import ServiceClient
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 from repro.pipeline.result import SimResult
@@ -46,27 +47,29 @@ def test_ingested_workload_via_service(trace_dir, tmp_path):
     local = Engine(executor=SerialExecutor(),
                    cache=ResultCache(None)).run_jobs(jobs)
 
-    socket_path = tmp_path / "repro.sock"
     env = dict(os.environ)   # carries REPRO_TRACE_DIR from the fixture
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "-j", "1", "serve",
-         "--socket", str(socket_path)],
-        env=env, stderr=subprocess.DEVNULL,
+        [sys.executable, "-m", "repro.cli", "-j", "1", "cluster", "serve"],
+        env=env, stderr=subprocess.PIPE, text=True,
     )
     try:
-        wait_for_service(socket_path, timeout=30)
-        with ServiceClient(socket_path) as conn:
+        line = proc.stderr.readline()
+        match = re.search(r"listen=(tcp://\S+)", line)
+        assert match, f"no ready line from the daemon: {line!r}"
+        address = match.group(1)
+        with ServiceClient(address) as conn:
             response = conn.submit(jobs)
         remote = [SimResult.from_dict(raw) for raw in response["results"]]
         assert [r.to_dict() for r in remote] == [r.to_dict() for r in local]
-        with ServiceClient(socket_path, timeout=5.0) as conn:
+        with ServiceClient(address, timeout=5.0) as conn:
             conn.shutdown()
         proc.wait(timeout=15)
     finally:
         if proc.poll() is None:
             proc.kill()
+        proc.stderr.close()
 
 
 def test_ingested_job_fails_cleanly_without_registry(trace_dir):

@@ -1,8 +1,8 @@
 """Service round-trip tests: daemon + concurrent clients + crash safety.
 
-These spawn a real ``repro serve`` daemon as a subprocess and talk to it
-through the real socket protocol — the acceptance criteria of the
-service layer:
+These spawn a real ``repro cluster serve`` daemon as a subprocess and
+talk to it through the real TCP protocol — the acceptance criteria of
+the service layer:
 
 * two concurrent clients submitting overlapping 20-job grids get
   results **bit-identical** to in-process ``run_jobs``, with summary
@@ -11,13 +11,17 @@ service layer:
 * ``SIGKILL`` of a worker mid-batch loses no jobs — the daemon requeues
   and completes them on a replacement worker;
 * a daemon restarted on the same ``$REPRO_CACHE_DIR`` answers completed
-  work from that cache instead of re-simulating.
+  work from that cache instead of re-simulating;
+* daemons given a token (here, the suite's ``$REPRO_SERVICE_TOKEN``)
+  write no address file, so several share one working directory.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -26,7 +30,7 @@ import pytest
 
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
-from repro.engine.client import ServiceClient, wait_for_service
+from repro.engine.client import ADDRESS_FILE, ServiceClient
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 from repro.engine.service import PROTOCOL_VERSION
@@ -46,23 +50,31 @@ GRID_B = [SimJob.make(w, p, **SMALL)
           for p in ("lvp", "2dstride") for w in WORKLOADS[2:12]]
 
 
-def _spawn_daemon(socket_path, *extra_args, jobs="2", cache_dir=None):
+def _spawn_daemon(root, *extra_args, jobs="2", cache_dir=None):
+    """Start ``repro cluster serve`` in *root*; returns ``(process,
+    tcp_address)`` read from the ready line in its log under *root*."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p)
     if cache_dir is not None:
         env["REPRO_CACHE_DIR"] = str(cache_dir)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "-j", jobs, "serve",
-         "--socket", str(socket_path), *map(str, extra_args)],
-        env=env, stderr=subprocess.DEVNULL,
-    )
-    try:
-        wait_for_service(socket_path, timeout=30)
-    except Exception:
-        proc.kill()
-        raise
-    return proc
+    with tempfile.NamedTemporaryFile("w", dir=root, prefix="daemon-",
+                                     suffix=".log", delete=False) as stderr:
+        log = Path(stderr.name)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "-j", jobs, "cluster",
+             "serve", *map(str, extra_args)],
+            env=env, cwd=root, stderr=stderr,
+        )
+    deadline = time.monotonic() + 30
+    while True:
+        match = re.search(r"listen=(tcp://\S+)", log.read_text())
+        if match:
+            return proc, match.group(1)
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            raise AssertionError(f"no ready line: {log.read_text()!r}")
+        time.sleep(0.05)
 
 
 def _local_results(jobs):
@@ -73,12 +85,10 @@ def _local_results(jobs):
 @pytest.fixture(scope="module")
 def daemon(tmp_path_factory):
     """One shared daemon (2 workers) for the round-trip tests."""
-    root = tmp_path_factory.mktemp("service")
-    socket_path = root / "repro.sock"
-    proc = _spawn_daemon(socket_path)
-    yield socket_path
+    proc, address = _spawn_daemon(tmp_path_factory.mktemp("service"))
+    yield address
     try:
-        with ServiceClient(socket_path, timeout=5.0) as client:
+        with ServiceClient(address, timeout=5.0) as client:
             client.shutdown()
         proc.wait(timeout=15)
     except Exception:
@@ -211,37 +221,37 @@ class TestCLIClients:
     def test_submit_and_status_verbs(self, daemon):
         out = self._run_cli("submit", "--workloads", "gzip,gcc",
                             "--predictors", "lvp", "--uops", "2000",
-                            "--warmup", "1000", "--socket", daemon)
+                            "--warmup", "1000", "--address", daemon)
         assert out.returncode == 0, out.stderr
         assert "submitted 2 job(s)" in out.stdout
         assert out.stdout.count("IPC") == 2
-        status = self._run_cli("status", "--socket", daemon)
+        status = self._run_cli("status", "--address", daemon)
         assert status.returncode == 0, status.stderr
         assert "workers (2):" in status.stdout
 
     def test_campaign_service_backend(self, daemon):
-        out = self._run_cli("campaign", "run", "fig4", "--backend", "service",
-                            "--socket", daemon, "--workloads", "gzip",
+        # One daemon is a one-shard cluster.
+        out = self._run_cli("campaign", "run", "fig4", "--backend", "cluster",
+                            "--shards", daemon, "--workloads", "gzip",
                             "--uops", "1500", "--warmup", "750")
         assert out.returncode == 0, out.stderr
         assert "9 unique jobs" in out.stdout
 
     def test_submit_unknown_predictor_fails_cleanly(self, daemon):
         out = self._run_cli("submit", "--workloads", "gzip",
-                            "--predictors", "martian", "--socket", daemon)
+                            "--predictors", "martian", "--address", daemon)
         assert out.returncode != 0
         assert "unknown predictors" in out.stderr
 
 
 class TestRestartSafety:
     def test_cache_dir_survives_daemon_restart(self, tmp_path):
-        socket_path = tmp_path / "restart.sock"
         results = tmp_path / "results"
         jobs = [SimJob.make(w, "lvp", **SMALL) for w in ("gzip", "gcc")]
 
-        proc = _spawn_daemon(socket_path, cache_dir=results)
+        proc, address = _spawn_daemon(tmp_path, cache_dir=results)
         try:
-            with ServiceClient(socket_path) as conn:
+            with ServiceClient(address) as conn:
                 first = conn.submit(jobs)
                 conn.shutdown()
             proc.wait(timeout=15)
@@ -249,9 +259,9 @@ class TestRestartSafety:
             if proc.poll() is None:
                 proc.kill()
 
-        proc = _spawn_daemon(socket_path, cache_dir=results)
+        proc, address = _spawn_daemon(tmp_path, cache_dir=results)
         try:
-            with ServiceClient(socket_path) as conn:
+            with ServiceClient(address) as conn:
                 second = conn.submit(jobs)
                 status = conn.status()
                 conn.shutdown()
@@ -267,6 +277,32 @@ class TestRestartSafety:
         assert status["queue"]["stats"]["executed"] == 0
         assert status["cache"]["disk_entries"] == len(jobs)
         assert second["results"] == first["results"]
+
+
+class TestLaunch:
+    def test_token_daemons_share_a_directory_without_an_address_file(
+            self, tmp_path):
+        # The launch a benchmark fleet uses: -j 1, a kernel-picked port,
+        # the token from the environment.
+        first, addr_a = _spawn_daemon(tmp_path, "--listen", "127.0.0.1:0",
+                                      jobs="1")
+        try:
+            second, addr_b = _spawn_daemon(tmp_path, "--listen",
+                                           "127.0.0.1:0", jobs="1")
+            try:
+                assert addr_a != addr_b
+                assert not (tmp_path / ADDRESS_FILE).exists()
+                for address in (addr_a, addr_b):
+                    with ServiceClient(address) as conn:
+                        conn.shutdown()
+                second.wait(timeout=15)
+            finally:
+                if second.poll() is None:
+                    second.kill()
+            first.wait(timeout=15)
+        finally:
+            if first.poll() is None:
+                first.kill()
 
 
 class TestExample:

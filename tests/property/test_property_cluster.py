@@ -13,10 +13,12 @@ here too.
 
 import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.cluster import HashRing, normalize_shard, probe_backoff
+from repro.engine.client import canonical_address
+from repro.engine.cluster import HashRing, probe_backoff
 
 #: Deterministic key corpus standing in for job content keys (which are
 #: themselves sha256 hex digests, so this is distribution-faithful).
@@ -126,11 +128,13 @@ def test_failover_target_matches_ring_without_victim(shards):
 
 
 def test_normalize_shard_spellings_collapse():
-    assert normalize_shard("10.0.0.1:7000") == "tcp://10.0.0.1:7000"
-    assert normalize_shard("tcp://10.0.0.1:7000") == "tcp://10.0.0.1:7000"
-    assert normalize_shard(" host:123 ") == "tcp://host:123"
-    # Socket paths (no numeric port after the last colon) pass through.
-    assert normalize_shard("/tmp/run:1/svc.sock") == "/tmp/run:1/svc.sock"
+    assert canonical_address("10.0.0.1:7000") == "tcp://10.0.0.1:7000"
+    assert canonical_address("tcp://10.0.0.1:7000") == "tcp://10.0.0.1:7000"
+    assert canonical_address(" host:123 ") == "tcp://host:123"
+    # Anything without a host and a numeric port is no address.
+    for bad in ("/tmp/run:1/svc.sock", "9999", ":80", "tcp://no-port"):
+        with pytest.raises(ValueError):
+            canonical_address(bad)
 
 
 @given(failures=st.integers(min_value=0, max_value=64))

@@ -2,13 +2,13 @@
 
 These run everything *in-process* — shards are
 :class:`~repro.engine.service.SimService` instances on background
-threads (real TCP sockets, real spawn workers), the router is driven
+threads (``tests/conftest.py``'s ``daemon`` helper: real TCP sockets,
+real spawn workers), the router is driven
 directly — so the ``repro.engine.cluster`` line coverage the CI floor
 demands comes from here, not from the subprocess-based integration
 harness (a child process's execution is invisible to coverage).
 """
 
-import asyncio
 import threading
 
 import pytest
@@ -18,23 +18,24 @@ from repro.engine import faults
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
 from repro.engine.client import (
+    ADDRESS_FILE,
     RetryPolicy,
     ServiceAuthError,
     ServiceClient,
     ServiceError,
     ServiceUnavailable,
-    wait_for_service,
+    parse_address,
+    resolve_service,
 )
 from repro.engine.cluster import (
     ClusterExecutor,
     HashRing,
     ShardRouter,
     cluster_engine,
-    resolve_shards,
 )
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
-from repro.engine.service import SimService, parse_address, parse_listen
+from repro.engine.service import PROTOCOL_VERSION
 
 SMALL = dict(n_uops=2000, warmup=1000)
 
@@ -49,85 +50,47 @@ def expected():
     return engine.run_jobs(JOBS)
 
 
-class TcpShard:
-    """One in-process cluster shard on a background thread."""
-
-    def __init__(self, **kwargs):
-        kwargs.setdefault("listen", "127.0.0.1:0")
-        kwargs.setdefault("workers", 1)
-        self.service = SimService(**kwargs)
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.error = None
-
-    def _run(self):
-        try:
-            asyncio.run(self.service.serve_until_shutdown())
-        except BaseException as exc:  # noqa: BLE001 - surfaced on enter
-            self.error = exc
-
-    @property
-    def address(self):
-        return self.service.listen_address
-
-    def __enter__(self):
-        self.thread.start()
-        deadline = 60
-        while self.service.listen_address is None and deadline:
-            if self.error is not None:
-                raise self.error
-            threading.Event().wait(0.02)
-            deadline -= 0.02
-        wait_for_service(self.address, timeout=60,
-                         token=self.service.token)
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            with ServiceClient(self.address, timeout=10.0,
-                               token=self.service.token) as client:
-                client.shutdown()
-        except ServiceError:
-            pass
-        self.thread.join(timeout=60)
-        assert not self.thread.is_alive(), "shard failed to shut down"
-
-
 class TestTcpTransport:
-    def test_ping_reports_tcp_identity_and_protocol(self):
-        with TcpShard() as shard:
+    def test_ping_reports_tcp_identity_and_protocol(self, daemon):
+        with daemon() as shard:
             with ServiceClient(shard.address) as client:
                 server = client.ping()
-        assert server["transport"] == "tcp"
+        assert server["address"] == shard.address
         assert server["address"].startswith("tcp://127.0.0.1:")
-        assert server["auth"] is False
+        assert server["protocol"] == PROTOCOL_VERSION == 7
+        # v7: one transport and auth always on, so neither is reported.
+        assert "transport" not in server and "auth" not in server
 
-    def test_round_trip_matches_local_run(self, expected):
-        with TcpShard() as shard:
+    def test_round_trip_matches_local_run(self, daemon, expected):
+        with daemon() as shard:
             with ServiceClient(shard.address) as client:
                 results = client.run_jobs(JOBS)
         assert results == expected
 
-    def test_bad_token_is_a_typed_auth_error(self):
-        with TcpShard(token="secret") as shard:
+    def test_bad_token_is_a_typed_auth_error(self, daemon, monkeypatch,
+                                             tmp_path):
+        with daemon(token="secret") as shard:
             with pytest.raises(ServiceAuthError):
                 ServiceClient(shard.address, token="wrong").ping()
+            # No flag, no environment, no address file: no token at all.
+            monkeypatch.delenv("REPRO_SERVICE_TOKEN")
+            monkeypatch.chdir(tmp_path)
             with pytest.raises(ServiceAuthError):
-                ServiceClient(shard.address).ping()  # missing entirely
+                ServiceClient(shard.address).ping()
             with ServiceClient(shard.address, token="secret") as client:
-                assert client.ping()["auth"] is True
+                assert client.ping()["address"] == shard.address
 
     def test_parse_address_and_listen(self):
-        assert parse_address("tcp://h:70") == ("tcp", "h", 70)
-        assert parse_address("/tmp/x.sock") == ("unix", "/tmp/x.sock")
-        with pytest.raises(ValueError):
-            parse_address("tcp://no-port")
-        assert parse_listen("127.0.0.1:0") == ("127.0.0.1", 0)
-        assert parse_listen("tcp://h:9") == ("h", 9)
-        with pytest.raises(ValueError):
-            parse_listen("9999")  # no host separator
+        # One parser for client targets, shard lists and --listen binds.
+        assert parse_address("tcp://h:70") == ("h", 70)
+        assert parse_address("h:70") == ("h", 70)
+        assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        for bad in ("tcp://no-port", "/tmp/x.sock", "9999", ":9"):
+            with pytest.raises(ValueError):
+                parse_address(bad)
 
-    def test_metrics_op_shape(self):
-        with TcpShard() as shard:
+    def test_metrics_op_shape(self, daemon):
+        with daemon() as shard:
             with ServiceClient(shard.address) as client:
                 client.run_jobs(JOBS[:2])
                 metrics = client.metrics()
@@ -139,22 +102,22 @@ class TestTcpTransport:
         assert "membership" not in metrics
         assert "fallbacks" not in metrics
 
-    def test_service_status_names_the_tcp_address(self, capsys):
-        with TcpShard() as shard:
-            assert cli_main(["status", "--socket", shard.address]) == 0
+    def test_service_status_names_the_tcp_address(self, daemon, capsys):
+        with daemon() as shard:
+            assert cli_main(["status", "--address", shard.address]) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert shard.address.startswith("tcp://")
         assert f" on {shard.address} " in first
 
 
 class TestPeerFederation:
-    def test_miss_is_filled_from_peer_cache(self, expected, tmp_path):
+    def test_miss_is_filled_from_peer_cache(self, daemon, expected, tmp_path):
         # Shards share one result cache directory and nothing else: a
         # result the upstream shard published is a downstream cache hit.
-        with TcpShard(cache=ResultCache(tmp_path)) as upstream:
+        with daemon(cache=ResultCache(tmp_path)) as upstream:
             with ServiceClient(upstream.address) as client:
                 client.run_jobs(JOBS)
-        with TcpShard(cache=ResultCache(tmp_path)) as downstream:
+        with daemon(cache=ResultCache(tmp_path)) as downstream:
             with ServiceClient(downstream.address) as client:
                 response = client.submit(JOBS)
                 metrics = client.metrics()
@@ -165,8 +128,9 @@ class TestPeerFederation:
 
 
 class TestShardRouter:
-    def test_batch_is_bit_identical_and_routed_by_the_ring(self, expected):
-        with TcpShard() as a, TcpShard() as b:
+    def test_batch_is_bit_identical_and_routed_by_the_ring(self, daemon,
+                                                           expected):
+        with daemon() as a, daemon() as b:
             router = ShardRouter([a.address, b.address])
             results = router.run_jobs(JOBS)
             groups = router.route(JOBS)
@@ -184,8 +148,8 @@ class TestShardRouter:
                             for shard in executed}
         assert sum(executed.values()) == len(JOBS)
 
-    def test_duplicate_specs_submit_once_and_fan_out(self):
-        with TcpShard() as a:
+    def test_duplicate_specs_submit_once_and_fan_out(self, daemon):
+        with daemon() as a:
             router = ShardRouter([a.address])
             twice = [JOBS[0], JOBS[0]]
             results = router.run_jobs(twice)
@@ -194,7 +158,8 @@ class TestShardRouter:
         assert results[0] == results[1]
         assert metrics["queue"]["stats"]["executed"] == 1
 
-    def test_one_shard_round_runs_on_the_callers_thread(self, expected,
+    def test_one_shard_round_runs_on_the_callers_thread(self, daemon,
+                                                        expected,
                                                         monkeypatch):
         threads = []
         run_group = ShardRouter._run_group
@@ -204,15 +169,15 @@ class TestShardRouter:
             return run_group(router, shard, group)
 
         monkeypatch.setattr(ShardRouter, "_run_group", recording)
-        with TcpShard() as a:
+        with daemon() as a:
             router = ShardRouter([a.address])
             results = router.run_jobs(JOBS)
             router.close()
         assert results == expected
         assert threads == [threading.get_ident()]
 
-    def test_dead_shard_fails_over_with_no_lost_jobs(self, expected):
-        with TcpShard() as alive:
+    def test_dead_shard_fails_over_with_no_lost_jobs(self, daemon, expected):
+        with daemon() as alive:
             router = ShardRouter(
                 [alive.address, "tcp://127.0.0.1:9"],
                 retry=RetryPolicy(attempts=2, base=0.01))
@@ -236,25 +201,38 @@ class TestShardRouter:
         with ShardRouter(["tcp://127.0.0.1:9"]) as router:
             assert router.run_jobs([]) == []
 
-    def test_job_level_failure_propagates_not_failsover(self):
+    def test_job_level_failure_propagates_not_failsover(self, daemon):
         bad = SimJob(workload="gzip", predictor="no-such-predictor",
                      n_uops=500, warmup=0)
-        with TcpShard() as a:
+        with daemon() as a:
             router = ShardRouter([a.address])
             with pytest.raises(ServiceError, match="job failed"):
                 router.run_jobs([bad])
             assert not router.down  # the shard is fine; the job is not
             router.close()
 
-    def test_resolve_shards_env_and_normalisation(self, monkeypatch):
+    def test_resolve_shards_env_and_normalisation(self, monkeypatch,
+                                                  tmp_path):
+        monkeypatch.chdir(tmp_path)  # no address file to fall back on
         monkeypatch.setenv("REPRO_CLUSTER_SHARDS",
                            "127.0.0.1:7001, 127.0.0.1:7002")
-        assert resolve_shards() == ["tcp://127.0.0.1:7001",
-                                    "tcp://127.0.0.1:7002"]
-        assert resolve_shards(["h:1"]) == ["tcp://h:1"]
+        assert resolve_service() == (["tcp://127.0.0.1:7001",
+                                      "tcp://127.0.0.1:7002"],
+                                     "test-suite-token")
+        assert resolve_service(["h:1"], "t") == (["tcp://h:1"], "t")
+        with pytest.raises(ServiceError, match="REPRO_CLUSTER_SHARDS"):
+            monkeypatch.setenv("REPRO_CLUSTER_SHARDS", "h:1,no-port")
+            resolve_service()
         with pytest.raises(ServiceUnavailable, match="no cluster shards"):
             monkeypatch.setenv("REPRO_CLUSTER_SHARDS", "")
             ShardRouter()
+        # The address file is the last resort, for addresses and token.
+        (tmp_path / ADDRESS_FILE).write_text(
+            '{"address": "tcp://h:2", "token": "from-file"}')
+        monkeypatch.delenv("REPRO_SERVICE_TOKEN")
+        assert resolve_service() == (["tcp://h:2"], "from-file")
+        assert resolve_service(["h:1"]) == (["tcp://h:1"], "from-file")
+        assert resolve_service(None, "t") == (["tcp://h:2"], "t")
 
     def test_status_reports_unreachable_shards_without_failing(self):
         router = ShardRouter(["tcp://127.0.0.1:9"])
@@ -262,8 +240,8 @@ class TestShardRouter:
         [row] = status["shards"]
         assert row["down"] is False and "unreachable" in row
 
-    def test_router_shutdown_stops_shards(self):
-        shard = TcpShard().__enter__()
+    def test_router_shutdown_stops_shards(self, daemon):
+        shard = daemon().start()
         try:
             router = ShardRouter([shard.address])
             acked = router.shutdown()
@@ -274,16 +252,16 @@ class TestShardRouter:
 
 
 class TestClusterExecutor:
-    def test_engine_over_cluster_matches_local(self, expected):
-        with TcpShard() as a, TcpShard() as b:
+    def test_engine_over_cluster_matches_local(self, daemon, expected):
+        with daemon() as a, daemon() as b:
             engine = cluster_engine([a.address, b.address])
             assert engine.executor.jobs == 2  # summed shard workers
             assert "cluster(2 shards" in engine.executor.describe()
             results = engine.run_jobs(JOBS)
         assert results == expected
 
-    def test_unreachable_shard_is_dropped_at_construction(self):
-        with TcpShard() as a:
+    def test_unreachable_shard_is_dropped_at_construction(self, daemon):
+        with daemon() as a:
             router = ShardRouter([a.address, "tcp://127.0.0.1:9"],
                                  retry=RetryPolicy(attempts=1))
             executor = ClusterExecutor(router)
@@ -314,8 +292,9 @@ class TestRouteFaults:
         faults.install_plan(None, export_env=True)
         faults.reset()
 
-    def test_misroute_lands_on_a_live_shard_bit_identically(self, expected):
-        with TcpShard() as a, TcpShard() as b:
+    def test_misroute_lands_on_a_live_shard_bit_identically(self, daemon,
+                                                            expected):
+        with daemon() as a, daemon() as b:
             router = ShardRouter([a.address, b.address])
             faults.install_plan("cluster.route:misroute@every=1", seed=0)
             results = router.run_jobs(JOBS)
@@ -324,8 +303,9 @@ class TestRouteFaults:
         assert router.stats["misrouted_jobs"] == len(JOBS)
         assert not router.down
 
-    def test_drop_forces_rebalance_without_killing_anything(self, expected):
-        with TcpShard() as a, TcpShard() as b:
+    def test_drop_forces_rebalance_without_killing_anything(self, daemon,
+                                                            expected):
+        with daemon() as a, daemon() as b:
             router = ShardRouter([a.address, b.address])
             faults.install_plan("cluster.route:drop@1", seed=0)
             results = router.run_jobs(JOBS)

@@ -56,7 +56,7 @@ class TestCliCoverage:
             "#### `repro campaign resume`",
             "#### `repro campaign status`",
             "#### `repro campaign list`",
-            "### `repro serve`",
+            "#### `repro cluster serve`",
             "### `repro submit`",
             "### `repro status`",
             "### `repro results`",
@@ -69,8 +69,8 @@ class TestCliCoverage:
     def test_reference_mentions_the_knobs(self):
         rendered = docs.generate_cli()
         for token in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_CHECKPOINT_DIR",
-                      "REPRO_SERVICE_SOCKET", "--checkpoint-dir",
-                      "--render", "--backend", "--socket", "--journal",
+                      "REPRO_CLUSTER_SHARDS", "--checkpoint-dir",
+                      "--render", "--backend", "--address", "--journal",
                       "--no-wait"):
             assert token in rendered, token
 

@@ -181,3 +181,65 @@ def test_unclosed_pool_is_stopped_at_exit(tmp_path):
     assert len(pids) == 2
     assert all(_gone(pid) for pid in pids)
     assert list(tmp_path.glob("repro-traces-*")) == []
+
+
+def _report_loop_errors(executor) -> list:
+    """Start *executor*'s loop and pool; collect what its loop reports."""
+    with deadline():
+        executor.run(GRID[:1])
+    reported = []
+    executor._loop.set_exception_handler(
+        lambda loop, context: reported.append(context["message"]))
+    return reported
+
+
+def test_batch_with_two_failures_leaves_no_exception_unretrieved():
+    bad = [SimJob.make(w, "no-such-predictor", **TINY)
+           for w in ("gzip", "gcc")]
+    executor = PoolExecutor(2)
+    try:
+        reported = _report_loop_errors(executor)
+        with deadline(), pytest.raises(JobFailed):
+            executor.run([bad[0], GRID[1], bad[1]])
+    finally:
+        executor.close()
+    gc.collect()
+    assert reported == []
+
+
+def test_interrupted_batch_leaves_no_exception_unretrieved():
+    # A batch cut short (here by a deadline) is failed with QueueClosed
+    # at close; reading every future's outcome leaves nothing for
+    # asyncio to report as "exception was never retrieved".
+    executor = PoolExecutor(2)
+    try:
+        reported = _report_loop_errors(executor)
+        faults.install_plan("worker.execute:hang:60@every=1", seed=0)
+        with pytest.raises(TimeoutError), deadline(1):
+            executor.run(GRID[1:3])
+    finally:
+        faults.install_plan(None)
+        executor.close()
+    gc.collect()
+    assert reported == []
+
+
+def test_stdin_driver_fails_at_once_with_a_typed_error():
+    # A spawned worker re-imports __main__ from its file; "<stdin>" is
+    # none, so the pool refuses to start instead of respawning workers
+    # that die re-running it.
+    script = textwrap.dedent(f"""
+        from repro.engine.executors import PoolExecutor
+        from repro.engine.job import SimJob
+
+        PoolExecutor(2).run([SimJob.make("gzip", "lvp", **{TINY!r})])
+    """)
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-"], input=script, env=env,
+                          cwd=os.path.join(os.path.dirname(__file__),
+                                           "..", ".."),
+                          capture_output=True, text=True, timeout=DEADLINE)
+    assert proc.returncode != 0
+    assert "WorkerStartError" in proc.stderr, proc.stderr
+    assert "'<stdin>'" in proc.stderr
+    assert "lost its worker" not in proc.stderr

@@ -1,64 +1,15 @@
 """Unit tests for router probation: a downed shard is not a dead shard.
 
-In-process shards (real TCP sockets, background threads — the same
-harness as ``test_cluster.py``) drive the router's only liveness
+In-process shards (``tests/conftest.py``'s ``daemon`` helper: real TCP
+sockets, background threads) drive the router's only liveness
 mechanism end to end: down-marking opens a probation record, half-open
 probes back off exponentially (longer for a flapping shard), and a
 revived shard is re-admitted by a probe alone.
 """
 
-import asyncio
-import threading
 import time
 
-from repro.engine.client import (
-    ServiceClient,
-    ServiceError,
-    wait_for_service,
-)
 from repro.engine.cluster import ShardRouter, probe_backoff
-from repro.engine.service import SimService
-
-
-class TcpShard:
-    """One in-process cluster shard on a background thread."""
-
-    def __init__(self, **kwargs):
-        kwargs.setdefault("listen", "127.0.0.1:0")
-        kwargs.setdefault("workers", 1)
-        self.service = SimService(**kwargs)
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.error = None
-
-    def _run(self):
-        try:
-            asyncio.run(self.service.serve_until_shutdown())
-        except BaseException as exc:  # noqa: BLE001 - surfaced on enter
-            self.error = exc
-
-    @property
-    def address(self):
-        return self.service.listen_address
-
-    def __enter__(self):
-        self.thread.start()
-        while self.service.listen_address is None:
-            if self.error is not None:
-                raise self.error
-            threading.Event().wait(0.02)
-        wait_for_service(self.address, timeout=60,
-                         token=self.service.token)
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            with ServiceClient(self.address, timeout=10.0,
-                               token=self.service.token) as client:
-                client.shutdown()
-        except ServiceError:
-            pass
-        self.thread.join(timeout=60)
-        assert not self.thread.is_alive(), "shard failed to shut down"
 
 
 def _wait_for(predicate, timeout=30.0, message="condition"):
@@ -66,7 +17,6 @@ def _wait_for(predicate, timeout=30.0, message="condition"):
     while not predicate():
         assert time.monotonic() < deadline, f"timed out: {message}"
         time.sleep(0.05)
-
 
 
 class TestProbation:
@@ -95,8 +45,8 @@ class TestProbation:
         assert router.stats["probes"] == 1
         router.close()
 
-    def test_revived_shard_is_readmitted_by_a_probe(self):
-        with TcpShard() as a, TcpShard() as b:
+    def test_revived_shard_is_readmitted_by_a_probe(self, daemon):
+        with daemon() as a, daemon() as b:
             router = ShardRouter([a.address, b.address], probe_base=0.01)
             router.mark_down(a.address, "injected outage")
             assert router.alive_shards() == [b.address]
@@ -108,8 +58,8 @@ class TestProbation:
                 sorted([a.address, b.address])
             router.close()
 
-    def test_flapping_shard_earns_longer_probation(self):
-        with TcpShard() as a, TcpShard() as b:
+    def test_flapping_shard_earns_longer_probation(self, daemon):
+        with daemon() as a, daemon() as b:
             router = ShardRouter([a.address, b.address], probe_base=0.01)
             router.mark_down(a.address, "flap 1")
             first = router.probation[a.address]["next_probe"] \
