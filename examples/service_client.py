@@ -78,18 +78,12 @@ def start_daemon(workers: int, directory: Path):
     return daemon, record["address"], record["token"]
 
 
-def main(n_uops: int = 4000, workers: int = 2,
-         address: str | None = None) -> int:
-    """Run the whole scenario; returns a process exit code.
-
-    With *address*, use that running daemon (token from
-    ``$REPRO_SERVICE_TOKEN``) instead of starting one.
-    """
-    own_daemon = address is None
-    token = None
-    if own_daemon:
-        directory = Path(tempfile.mkdtemp(prefix="repro-svc-"))
-        daemon, address, token = start_daemon(workers, directory)
+def run_clients(address: str, token: str | None, n_uops: int, *,
+                shutdown: bool) -> tuple[dict, set]:
+    """Two concurrent clients with overlapping grids against the daemon
+    at *address*; prints what each saw and returns the daemon's lifetime
+    counters and the unique job keys.  With *shutdown*, stop the daemon
+    afterwards."""
     wait_for_service(address, timeout=30, token=token)
 
     responses: dict[str, dict] = {}
@@ -118,7 +112,7 @@ def main(n_uops: int = 4000, workers: int = 2,
               f"{summary['coalesced']} coalesced with in-flight work")
 
     with ServiceClient(address, token=token) as conn:
-        stats = conn.status()["queue"]["stats"]
+        stats = conn.metrics()["queue"]["stats"]
         print(f"daemon: {stats['submitted']} jobs submitted, "
               f"{stats['executed']} simulations executed "
               f"({len(unique)} unique specs) in {elapsed:.2f}s")
@@ -138,8 +132,33 @@ def main(n_uops: int = 4000, workers: int = 2,
         ), "service results diverged from the in-process engine"
         print("service results are bit-identical to in-process run_jobs")
 
-        if own_daemon:
+        if shutdown:
             conn.shutdown()
+    return stats, unique
+
+
+def main(n_uops: int = 4000, workers: int = 2,
+         address: str | None = None) -> int:
+    """Run the whole scenario; returns a process exit code.
+
+    With *address*, use that running daemon (token from
+    ``$REPRO_SERVICE_TOKEN``) instead of starting one.
+    """
+    own_daemon = address is None
+    token = None
+    if own_daemon:
+        directory = Path(tempfile.mkdtemp(prefix="repro-svc-"))
+        daemon, address, token = start_daemon(workers, directory)
+    try:
+        stats, unique = run_clients(address, token, n_uops,
+                                    shutdown=own_daemon)
+    except BaseException:
+        if own_daemon:
+            # Stop it (SIGTERM is a clean stop): a daemon left running
+            # would hold the caller's stdout and stderr open.
+            daemon.terminate()
+            daemon.wait(timeout=15)
+        raise
     if own_daemon:
         daemon.wait(timeout=15)
         # A clean stop removed the address file, so this finds it empty.

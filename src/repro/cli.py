@@ -16,8 +16,8 @@ Usage examples::
     # (or $REPRO_SERVICE_TOKEN) the daemon generates one and writes it,
     # with its address, to ./repro-service.addr; clients here read it.
     python -m repro.cli -j 4 --cache-dir results/ cluster serve &
-    python -m repro.cli submit --workloads gcc,gzip --predictors lvp,vtage
-    python -m repro.cli status
+    python -m repro.cli cluster run --workloads gcc,gzip --predictors lvp,vtage
+    python -m repro.cli cluster status
     python -m repro.cli campaign run fig4 --backend cluster
 
     # A cluster: N shards (the same daemon), jobs routed by
@@ -38,10 +38,10 @@ persistent result cache that ``cache show``/``cache clear`` manage.
 checkpoint dir (``--checkpoint-dir`` or ``REPRO_CHECKPOINT_DIR``) — a disk
 result cache — so a killed run resumes as a run of cache hits with a
 bit-identical result set.  ``cluster serve`` turns the same engine into a
-persistent TCP daemon: ``submit``/``status``/``results``/``health``/
-``chaos show`` talk to one daemon, and ``campaign run --backend cluster``
-routes whole sweeps through one or many.  Results are bit-identical
-whatever the parallelism, cache, checkpoint or backend.
+persistent TCP daemon, and one daemon is a one-shard cluster:
+``cluster run``/``cluster status``/``chaos show`` and ``campaign run
+--backend cluster`` talk to one daemon or many alike.  Results are
+bit-identical whatever the parallelism, cache, checkpoint or backend.
 
 The full reference lives in ``docs/cli.md``, regenerated from these
 parsers by ``python -m repro.docs`` (CI fails on drift).
@@ -74,14 +74,13 @@ from repro.engine.client import (
     ServiceClient,
     ServiceError,
 )
-from repro.engine.cluster import ShardRouter
+from repro.engine.cluster import SHARD_STATES, ShardRouter
 from repro.engine.executors import JOBS_ENV
 from repro.engine.faults import FAULTS_ENV, FaultPlan, FaultSpecError
 from repro.engine.job import SimJob
 from repro.engine.queue import JOB_TIMEOUT_ENV, QUEUE_BOUND_ENV
 from repro.engine.service import DEFAULT_LISTEN, run_service
 from repro.pipeline.fastsim import fallback_stats, kernel_mode
-from repro.pipeline.result import SimResult
 from repro.experiments import figures, tables
 from repro.experiments.campaigns import CAMPAIGNS
 from repro.experiments.runner import (
@@ -440,131 +439,23 @@ def _parse_shards(raw: str | None) -> list[str] | None:
     return pieces or None
 
 
-def cmd_submit(args: argparse.Namespace) -> int:
-    workloads = _parse_workloads(args.workloads)
-    if workloads is None:
-        raise SystemExit("submit needs --workloads")
-    predictors = _parse_predictors(args.predictors)
-    jobs = [
-        SimJob.make(workload, predictor, fpc=not args.no_fpc,
-                    recovery=args.recovery, n_uops=args.uops,
-                    warmup=args.warmup)
-        for predictor in predictors
-        for workload in workloads
-    ]
+def _router(args: argparse.Namespace) -> ShardRouter:
+    """The router over ``--shards``/``--token`` (or their fallbacks)."""
     try:
-        with ServiceClient(args.address) as client:
-            response = client.submit(jobs, wait=not args.no_wait)
+        return ShardRouter(_parse_shards(args.shards), token=args.token)
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None
-    summary = response["summary"]
-    print(f"submitted {summary['jobs']} job(s): "
-          f"{summary['cache_hits']} answered by the service cache, "
-          f"{summary['coalesced']} coalesced with in-flight work, "
-          f"{summary['enqueued']} newly enqueued "
-          f"(ticket {response['ticket']})")
-    if args.no_wait:
-        where = f" --address {args.address}" if args.address else ""
-        print(f"poll with: repro results {response['ticket']}{where}")
-        return 0
-    for raw in response["results"]:
-        print(SimResult.from_dict(raw).summary_line())
-    return 0
 
 
-def cmd_service_status(args: argparse.Namespace) -> int:
-    try:
-        with ServiceClient(args.address) as client:
-            server = client.ping()
-            status = client.status()
-    except ServiceError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    queue = status["queue"]
-    stats = queue["stats"]
-    print(f"service: pid {server['pid']} on {server['address']} "
-          f"(protocol v{server['protocol']})")
-    print(f"workers ({len(queue['workers'])}):")
-    for worker in queue["workers"]:
-        state = worker["task"] or ("idle" if worker["alive"] else "dead")
-        print(f"  #{worker['id']} pid {worker['pid']}: {state}")
-    print(f"queue: {queue['depth']} outstanding job(s) "
-          f"({queue['pending']} waiting for a worker), "
-          f"{queue['restarts']} worker restart(s)")
-    print(f"lifetime: {stats['submitted']} submitted = "
-          f"{stats['cache_hits']} cache hits + "
-          f"{stats['coalesced']} coalesced + "
-          f"{stats['executed']} executed; "
-          f"{stats['requeued']} requeued, {stats['errors']} error(s)")
-    cache = status["cache"]
-    where = cache["directory"] or "memory-only"
-    print(f"cache: {where} — {cache['memory_entries']} in memory, "
-          f"{cache['disk_entries']} on disk")
-    if status["tickets"]:
-        print("open tickets:")
-        for ticket_id, ticket in sorted(status["tickets"].items(),
-                                        key=lambda kv: int(kv[0])):
-            print(f"  #{ticket_id}: {ticket['done']}/{ticket['jobs']} done")
-    return 0
-
-
-def cmd_results(args: argparse.Namespace) -> int:
-    try:
-        with ServiceClient(args.address) as client:
-            response = client.results(args.ticket)
-    except ServiceError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    if response.get("pending"):
-        print(f"ticket {args.ticket}: {response['done']}/{response['total']} "
-              "job(s) done — still running")
-        return 1
-    for raw in response["results"]:
-        print(SimResult.from_dict(raw).summary_line())
-    return 0
-
-
-def cmd_health(args: argparse.Namespace) -> int:
-    try:
-        with ServiceClient(args.address, timeout=args.timeout) as client:
-            health = client.health()
-    except ServiceError as exc:
-        print(f"unhealthy: {exc}")
-        return 2
-    workers = health["workers"]
-    bound = health["max_depth"]
-    depth = (f"{health['depth']}/{bound}" if bound
-             else str(health["depth"]))
-    timeout = health["job_timeout"]
-    print(f"{'ok' if health['ok'] else 'unhealthy'}: pid {health['pid']}, "
-          f"{workers['alive']}/{workers['total']} worker(s) alive "
-          f"({workers['busy']} busy), depth {depth}, "
-          f"job timeout {f'{timeout:g}s' if timeout else 'off'}")
-    print(f"lifetime: {health['restarts']} worker restart(s), "
-          f"{health['timeouts']} job timeout(s), "
-          f"{health['rejected']} batch(es) shed as overloaded")
-    degraded = health["degraded"]
-    if health["degraded_mode"]:
-        flags = ", ".join(f"{name}={count}"
-                          for name, count in sorted(degraded.items())
-                          if count)
-        print(f"DEGRADED: {flags}")
-    else:
-        print("degraded: no (cache healthy)")
-    if health.get("chaos"):
-        print("chaos: a fault plan is active (inspect with `repro chaos`)")
-    if not health["ok"]:
-        return 2
-    return 1 if health["degraded_mode"] else 0
-
-
-def _print_fault_plan(plan: dict) -> None:
-    print(f"seed: {plan['seed']}")
-    print("rules:")
+def _print_fault_plan(plan: dict, indent: str = "") -> None:
+    print(f"{indent}seed: {plan['seed']}")
+    print(f"{indent}rules:")
     for rule in plan["rules"]:
-        print(f"  {rule}")
+        print(f"{indent}  {rule}")
     if plan["hits"]:
-        print("site traffic (hits/fired):")
+        print(f"{indent}site traffic (hits/fired):")
         for site in sorted(plan["hits"]):
-            print(f"  {site}: {plan['hits'][site]}"
+            print(f"{indent}  {site}: {plan['hits'][site]}"
                   f"/{plan['fired'].get(site, 0)}")
 
 
@@ -579,18 +470,24 @@ def cmd_chaos(args: argparse.Namespace) -> int:
               f"REPRO_FAULTS_SEED={plan.seed} repro cluster serve --chaos")
         _print_fault_plan(plan.describe())
         return 0
-    # show: query a --chaos daemon for its live plan and counters
-    try:
-        with ServiceClient(args.address) as client:
-            plan = client.chaos()
-    except ServiceError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    if plan is None:
-        print("chaos daemon reachable, but no fault plan is active "
-              f"(set ${FAULTS_ENV} before starting it)")
-        return 0
-    _print_fault_plan(plan)
-    return 0
+    # show: every shard's live plan and counters (--chaos daemons only)
+    router = _router(args)
+    failed = False
+    for shard in router.ring.shards:
+        print(f"shard {shard}:")
+        try:
+            with ServiceClient(shard, token=router.token) as client:
+                plan = client.chaos()
+        except ServiceError as exc:
+            print(f"  error: {exc}")
+            failed = True
+            continue
+        if plan is None:
+            print("  no fault plan is active "
+                  f"(set ${FAULTS_ENV} before starting the daemon)")
+        else:
+            _print_fault_plan(plan, indent="  ")
+    return 1 if failed else 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -608,10 +505,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         )
     if args.action == "soak":
         return _cmd_cluster_soak(args)
-    try:
-        router = ShardRouter(_parse_shards(args.shards), token=args.token)
-    except ServiceError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    router = _router(args)
     if args.action == "status":
         return _print_cluster_status(router.status())
     # run: a predictors x workloads grid, routed across the shards
@@ -635,7 +529,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     stats = router.stats
     note = (f"cluster: {stats['routed_jobs']} job(s) routed across "
             f"{len(router.alive_shards())}/{len(router.ring.shards)} "
-            f"shard(s)")
+            f"shard(s): {stats['cache_hits']} answered by a shard cache, "
+            f"{stats['coalesced']} coalesced with in-flight work, "
+            f"{stats['enqueued']} newly enqueued")
     if stats["failovers"]:
         note += (f"; {stats['failovers']} shard(s) dropped, "
                  f"{stats['rerouted_jobs']} job(s) re-routed")
@@ -680,11 +576,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _print_cluster_status(status: dict) -> int:
-    """Render :meth:`ShardRouter.status` (exit 1 if any shard is out)."""
+    """Render :meth:`ShardRouter.status`; exit with the worst shard's
+    verdict: 0 ok, 1 degraded, 2 down."""
     ring = status["ring"]
     print(f"cluster: {ring['alive']}/{ring['shards']} shard(s) alive "
           f"({ring['replicas']} ring points per shard)")
-    impaired = False
     for row in status["shards"]:
         address = row["address"]
         if row["down"]:
@@ -694,36 +590,53 @@ def _print_cluster_status(status: dict) -> int:
                          f"failed probe(s), next in "
                          f"{row['next_probe_in_s']:g}s)")
             print(note)
-            impaired = True
             continue
         if "metrics" not in row:
-            print(f"shard {address}: unreachable — "
+            print(f"shard {address}: DOWN — unreachable: "
                   f"{row.get('unreachable', 'no metrics')}")
-            impaired = True
             continue
         metrics = row["metrics"]
         shard, queue = metrics["shard"], metrics["queue"]
-        cache = metrics["cache"]
-        print(f"shard {address}: pid {shard['pid']}, "
+        cache, stats = metrics["cache"], queue["stats"]
+        print(f"shard {address}: {row['state']} — pid {shard['pid']}, "
               f"{shard['workers']} worker(s), up {shard['uptime_s']:.0f}s")
-        print(f"  queue: {queue['depth']} deep ({queue['pending']} pending, "
-              f"{queue['in_flight']} in flight), "
-              f"{queue['workers_alive']} worker(s) alive, "
-              f"{queue['restarts']} restart(s)")
+        for worker in queue["workers"]:
+            state = worker["task"] or ("idle" if worker["alive"] else "dead")
+            print(f"  worker #{worker['id']} pid {worker['pid']}: {state}")
+        bound = queue["max_depth"]
+        timeout = queue["job_timeout"]
+        print(f"  queue: {queue['depth']} deep"
+              f"{f' of {bound}' if bound else ''} "
+              f"({queue['pending']} pending, {queue['in_flight']} in "
+              f"flight), {queue['workers_alive']} worker(s) alive, "
+              f"{queue['restarts']} restart(s), job timeout "
+              f"{f'{timeout:g}s' if timeout else 'off'}")
+        print(f"  lifetime: {stats['submitted']} submitted = "
+              f"{stats['cache_hits']} cache hits + "
+              f"{stats['coalesced']} coalesced + "
+              f"{stats['executed']} executed; "
+              f"{stats['requeued']} requeued, {stats['errors']} error(s), "
+              f"{stats['timeouts']} job timeout(s), "
+              f"{stats['rejected']} batch(es) shed as overloaded")
         print(f"  cache: {cache['hits']} hit(s) / {cache['misses']} miss(es), "
-              f"{cache['memory_entries']} in memory, "
-              f"{cache['disk_entries']} on disk")
+              f"{cache['stores']} stored, "
+              f"{cache['memory_entries']} in memory "
+              f"({cache['directory'] or 'memory-only'})")
+        if cache["write_failures"]:
+            print(f"  DEGRADED: {cache['write_failures']} result-cache "
+                  "write failure(s) absorbed (results kept in memory)")
         if metrics["faults"]["active"]:
             print(f"  faults: plan active, "
-                  f"{metrics['faults']['fired']} rule(s) fired")
+                  f"{metrics['faults']['fired']} rule(s) fired "
+                  "(inspect with `repro chaos show`)")
     router = status["router"]
     print(f"router: {router['routed_jobs']} routed, "
           f"{router['misrouted_jobs']} misrouted, "
           f"{router['failovers']} failover(s), "
           f"{router['rerouted_jobs']} re-routed, "
-          f"{router.get('probes', 0)} probe(s), "
-          f"{router.get('readmissions', 0)} re-admission(s)")
-    return 1 if impaired else 0
+          f"{router['probes']} probe(s), "
+          f"{router['readmissions']} re-admission(s)")
+    return max(SHARD_STATES.index(row["state"]) for row in status["shards"])
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -735,7 +648,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                   "--cache-dir to enable)")
         else:
             print(f"persistent cache: {stats['directory']}")
-            print(f"  entries: {stats['disk_entries']}")
+            print(f"  entries: {len(cache.disk_entries())}")
         print(f"in-process entries: {stats['memory_entries']}")
         return 0
     # clear
@@ -883,11 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list registered campaigns")
     campaign_list_p.set_defaults(fn=cmd_campaign)
 
-    def _address_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--address", default=None, metavar="HOST:PORT",
-                       help="the daemon to talk to (default: "
-                            f"${SHARDS_ENV}, else ./{ADDRESS_FILE})")
-
     cluster_p = sub.add_parser(
         "cluster",
         help="serve, inspect or drive the daemons (one, or a sharded "
@@ -991,12 +899,26 @@ def build_parser() -> argparse.ArgumentParser:
                             f"./{ADDRESS_FILE})")
 
     cluster_status_p = cluster_sub.add_parser(
-        "status", help="aggregate every shard's metrics into one view")
+        "status", help="aggregate every shard's metrics into one view "
+                       "(exit 0/1/2)",
+        description="Scrape every shard's metrics and print one view: "
+                    "per-worker rows, queue depth against the admission "
+                    "bound, lifetime counters, cache counters and "
+                    "degraded-mode flags.  Each shard gets a verdict — ok, "
+                    "degraded (result-cache write failures absorbed) or "
+                    "down (on probation, unreachable, or no live worker) "
+                    "— and the command exits with the worst: 0 ok, 1 "
+                    "degraded, 2 down.")
     _cluster_client_args(cluster_status_p)
     cluster_status_p.set_defaults(fn=cmd_cluster)
 
     cluster_run_p = cluster_sub.add_parser(
-        "run", help="run a predictors x workloads grid across the shards")
+        "run", help="run a predictors x workloads grid across the shards",
+        description="Build a predictors x workloads job grid, route it "
+                    "across the shards by content key and print one "
+                    "summary line per result.  A closing note on stderr "
+                    "says how the shards satisfied the grid: cache hits, "
+                    "jobs coalesced with in-flight work, new simulations.")
     _cluster_client_args(cluster_run_p)
     cluster_run_p.add_argument("--workloads", required=True,
                                help="comma-separated workloads (catalog "
@@ -1011,56 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_run_p.add_argument("--uops", type=int, default=DEFAULT_MEASURE)
     cluster_run_p.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
     cluster_run_p.set_defaults(fn=cmd_cluster)
-
-    submit_p = sub.add_parser(
-        "submit",
-        help="submit a job grid to a running service",
-        description="Build a predictors x workloads job grid and submit "
-                    "it to a running daemon.  By default the "
-                    "command waits and prints one summary line per "
-                    "result; with --no-wait it prints a ticket to poll "
-                    "via `repro results`.",
-    )
-    submit_p.add_argument("--workloads", required=True,
-                          help="comma-separated workloads (catalog or "
-                               "scenario-c*-e*-l* names)")
-    submit_p.add_argument("--predictors", default="vtage-2dstride",
-                          help="comma-separated predictor configurations "
-                               "(see 'repro list')")
-    submit_p.add_argument("--recovery", default="squash",
-                          choices=("squash", "reissue"))
-    submit_p.add_argument("--no-fpc", action="store_true",
-                          help="use plain 3-bit confidence counters")
-    submit_p.add_argument("--uops", type=int, default=DEFAULT_MEASURE)
-    submit_p.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
-    submit_p.add_argument("--no-wait", action="store_true",
-                          help="return a ticket immediately instead of "
-                               "waiting for results")
-    _address_arg(submit_p)
-    submit_p.set_defaults(fn=cmd_submit)
-
-    status_p = sub.add_parser(
-        "status",
-        help="show a running service's workers, queue and cache",
-    )
-    _address_arg(status_p)
-    status_p.set_defaults(fn=cmd_service_status)
-
-    health_p = sub.add_parser(
-        "health",
-        help="probe a running service's health (exit 0/1/2)",
-        description="One-shot health probe for monitoring: exit 0 when "
-                    "the daemon is healthy, 1 when it is serving but "
-                    "degraded (cache failures absorbed), 2 "
-                    "when it is unreachable or has no live workers.  "
-                    "Prints worker aliveness, queue depth against the "
-                    "admission bound, and the degraded-mode counters.",
-    )
-    _address_arg(health_p)
-    health_p.add_argument("--timeout", type=float, default=5.0,
-                          metavar="SECONDS",
-                          help="probe deadline (default: 5s)")
-    health_p.set_defaults(fn=cmd_health)
 
     chaos_p = sub.add_parser(
         "chaos",
@@ -1088,23 +960,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_check_p.set_defaults(fn=cmd_chaos)
 
     chaos_show_p = chaos_sub.add_parser(
-        "show", help="show the live plan of a `cluster serve --chaos` daemon")
-    _address_arg(chaos_show_p)
+        "show", help="show each shard's live plan (`cluster serve --chaos` "
+                     "daemons)")
+    _cluster_client_args(chaos_show_p)
     chaos_show_p.set_defaults(fn=cmd_chaos)
-
-    results_p = sub.add_parser(
-        "results",
-        help="fetch the results of a --no-wait submission ticket",
-        description="Fetch a ticket's results from a running service.  "
-                    "Exits 1 (after printing progress) while jobs are "
-                    "still running, 0 with one summary line per result "
-                    "once the batch is complete.  Completed tickets stay "
-                    "fetchable until the daemon evicts old ones.",
-    )
-    results_p.add_argument("ticket", type=int, help="ticket id printed by "
-                           "`repro submit --no-wait`")
-    _address_arg(results_p)
-    results_p.set_defaults(fn=cmd_results)
 
     trace_p = sub.add_parser(
         "trace",
@@ -1174,7 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthesise seeded value streams and store the packed "
                     "columns under an ingest-<slug>-<digest> workload "
                     "name.  The name is then accepted anywhere a workload "
-                    "name is (repro run / submit / fuzz / campaigns) on "
+                    "name is (repro run / cluster run / fuzz / campaigns) on "
                     "any process pointed at the same trace store.",
     )
     ingest_p.add_argument("files", nargs="+", metavar="LOG",

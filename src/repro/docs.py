@@ -64,7 +64,7 @@ PREDICTORS_HEADER = """\
      regenerates this file and fails on drift. -->
 
 Every experiment selects a predictor *configuration* by name — on the
-CLI (`repro run --predictor`, `repro submit --predictors`), as a
+CLI (`repro run --predictor`, `repro cluster run --predictors`), as a
 campaign `predictor` axis, or through
 `repro.experiments.runner.make_predictor`.  The table and sections below
 are read off the live registry: one entry per registered name, built
@@ -286,7 +286,7 @@ WORKLOADS_HEADER = """\
      scenario grammar, ingestion frontend and fuzzer (repro.workloads).
      Do not edit by hand: CI regenerates this file and fails on drift. -->
 
-Everywhere a workload name is accepted — `repro run`, `repro submit`,
+Everywhere a workload name is accepted — `repro run`, `repro cluster run`,
 campaign axes, `SimJob.make` — three name families resolve through the
 same catalog:
 

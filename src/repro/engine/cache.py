@@ -185,10 +185,12 @@ class ResultCache:
         return removed
 
     def stats(self) -> dict:
+        """In-memory counters only: no disk access, cheap to poll (the
+        on-disk entry count is ``len(disk_entries())``, a directory
+        glob)."""
         return {
             "directory": str(self.directory) if self.directory else None,
             "memory_entries": len(self._memory),
-            "disk_entries": len(self.disk_entries()),
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,

@@ -2,7 +2,7 @@
 
 A :class:`ServiceClient` speaks the newline-JSON protocol of
 :mod:`repro.engine.service` over one persistent TCP connection:
-``ping``/``status``/``submit``/``results``/``shutdown`` methods mirror
+``ping``/``submit``/``metrics``/``chaos``/``shutdown`` methods mirror
 the server ops one-to-one, and :meth:`ServiceClient.run_jobs` gives the
 engine-shaped "batch in, results in submission order out" call.
 Addresses are ``host:port`` (a ``tcp://`` prefix is optional; the
@@ -13,7 +13,7 @@ client call, resending the same one cannot succeed).
 
 One resolver, :func:`resolve_service`, tells every client where the
 daemons are and which token they expect: an explicit address (a
-``--address`` / ``--shards`` flag), else ``$REPRO_CLUSTER_SHARDS``, else
+``--shards`` flag), else ``$REPRO_CLUSTER_SHARDS``, else
 the address file (:data:`ADDRESS_FILE`) a daemon that generated its own
 token wrote in its working directory.  The token comes from the
 explicit value, else ``$REPRO_SERVICE_TOKEN``, else that file.
@@ -71,7 +71,7 @@ SHARDS_ENV = "REPRO_CLUSTER_SHARDS"
 #: a non-blocking flock for the daemon's life and removed on a clean stop.
 ADDRESS_FILE = "repro-service.addr"
 
-#: Default per-read socket deadline.  Generous — a ``wait=True`` submit
+#: Default per-read socket deadline.  Generous — a ``submit``
 #: legitimately blocks for the whole batch — but finite, so a dead
 #: daemon is a typed error instead of a forever-hang.
 DEFAULT_TIMEOUT = 300.0
@@ -157,7 +157,7 @@ def resolve_service(addresses: list[str] | None = None,
                     token: str | None = None) -> tuple[list[str], str | None]:
     """Where the daemons are and the token they expect.
 
-    Addresses: *addresses* (a ``--address`` / ``--shards`` flag), else
+    Addresses: *addresses* (a ``--shards`` flag), else
     ``$REPRO_CLUSTER_SHARDS``, else the address file in the working
     directory.  Token: *token*, else ``$REPRO_SERVICE_TOKEN``, else the
     address file.  Addresses come back canonical
@@ -224,7 +224,7 @@ class ServiceClient:
             [address] if address else None, token)
         if len(addresses) != 1:
             raise ServiceUnavailable(
-                "no single repro daemon to talk to: pass --address, set "
+                "no single repro daemon to talk to: pass one address, set "
                 f"${SHARDS_ENV} to one address, or start `repro cluster "
                 f"serve` here (it writes ./{ADDRESS_FILE})")
         #: The daemon's canonical ``tcp://host:port``.
@@ -235,6 +235,8 @@ class ServiceClient:
         #: (``None`` disables retries; requests themselves never retry —
         #: only the idempotent batch call does).
         self.retry = retry if retry is not None else RetryPolicy()
+        #: How the daemon satisfied the last :meth:`run_jobs` batch.
+        self.last_summary: dict | None = None
         self._sock: socket.socket | None = None
         self._file = None
 
@@ -352,36 +354,24 @@ class ServiceClient:
             )
         return server
 
-    def status(self) -> dict:
-        """Queue / cache / ticket status snapshot."""
-        return self.request({"op": "status"})
-
-    def submit(self, jobs: list[SimJob], *, wait: bool = True) -> dict:
-        """Submit a batch; the raw response (``results`` when *wait*)."""
+    def submit(self, jobs: list[SimJob]) -> dict:
+        """Submit a batch and wait: the raw response (``results`` in
+        submission order, and the batch's ``summary``)."""
         return self.request({
             "op": "submit",
             "jobs": [job.to_dict() for job in jobs],
-            "wait": wait,
         })
-
-    def results(self, ticket: int) -> dict:
-        """Poll a ticket from a ``wait=False`` submission."""
-        return self.request({"op": "results", "ticket": ticket})
 
     def shutdown(self) -> None:
         """Ask the daemon to exit (acknowledged before it stops)."""
         self.request({"op": "shutdown"})
-
-    def health(self) -> dict:
-        """The daemon's liveness/degradation snapshot (``health`` op)."""
-        return self.request({"op": "health"})["health"]
 
     def chaos(self) -> dict | None:
         """The active fault plan of a ``--chaos`` daemon (``chaos`` op)."""
         return self.request({"op": "chaos"})["plan"]
 
     def metrics(self) -> dict:
-        """The daemon's flat ops-surface snapshot (``metrics`` op)."""
+        """The daemon's ops-surface snapshot (``metrics`` op)."""
         return self.request({"op": "metrics"})["metrics"]
 
     def run_jobs(self, jobs: list[SimJob]) -> list[SimResult]:
@@ -394,13 +384,15 @@ class ServiceClient:
         key, so a retry after a lost response attaches to the already
         in-flight simulations (or their cached results) rather than
         re-running anything: at-least-once delivery, exactly-once
-        execution.
+        execution.  The answered batch's ``summary`` (cache hits /
+        coalesced / enqueued) is kept in :attr:`last_summary`.
         """
         policy = self.retry
         attempts = policy.attempts if policy is not None else 1
         for attempt in range(attempts):
             try:
-                response = self.submit(jobs, wait=True)
+                response = self.submit(jobs)
+                self.last_summary = response["summary"]
                 return [SimResult.from_dict(raw)
                         for raw in response["results"]]
             except (ServiceUnavailable, ServiceTimeout,

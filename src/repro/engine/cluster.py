@@ -164,6 +164,21 @@ class HashRing:
         return seen
 
 
+#: Shard verdicts of :meth:`ShardRouter.status`, best first; ``repro
+#: cluster status`` exits with the worst one's index.
+SHARD_STATES = ("ok", "degraded", "down")
+
+
+def _shard_state(row: dict) -> str:
+    """The verdict on one :meth:`ShardRouter.status` row."""
+    metrics = row.get("metrics")
+    if metrics is None or metrics["queue"]["workers_alive"] == 0:
+        return "down"
+    if metrics["cache"]["write_failures"] > 0:
+        return "degraded"
+    return "ok"
+
+
 class ShardRouter:
     """Client-side sharding: route batches by content key, survive shards.
 
@@ -223,6 +238,11 @@ class ShardRouter:
             "rerouted_jobs": 0,   # jobs re-homed after a shard dropped
             "probes": 0,          # half-open probes attempted
             "readmissions": 0,    # downed shards re-admitted to routing
+            # How the shards satisfied the answered groups, summed from
+            # each submit's summary:
+            "cache_hits": 0,      # answered by a shard's result cache
+            "coalesced": 0,       # attached to a shard's in-flight job
+            "enqueued": 0,        # new simulations
         }
 
     # -- probation -------------------------------------------------------
@@ -353,9 +373,10 @@ class ShardRouter:
 
     # -- execution -------------------------------------------------------
 
-    def _run_group(self, shard: str,
-                   group: list[SimJob]) -> list[SimResult] | Exception:
-        """One shard's share of a batch; transient failure downs the shard.
+    def _run_group(self, shard: str, group: list[SimJob]
+                   ) -> tuple[list[SimResult], dict] | Exception:
+        """One shard's share of a batch: its results and the shard's
+        submit summary.  Transient failure downs the shard.
 
         A round with one group runs it on the caller's thread; a round
         spanning several shards runs each group on a router-private
@@ -366,7 +387,8 @@ class ShardRouter:
         down sibling groups mid-flight.
         """
         try:
-            return self.client(shard).run_jobs(group)
+            client = self.client(shard)
+            return client.run_jobs(group), client.last_summary
         except (ServiceUnavailable, ServiceTimeout) as exc:
             self.mark_down(shard, str(exc))
             return exc
@@ -417,8 +439,11 @@ class ShardRouter:
                 elif isinstance(outcome, Exception):
                     hard_error = outcome
                 else:
-                    for job, result in zip(group, outcome):
+                    results, summary = outcome
+                    for job, result in zip(group, results):
                         by_key[job.content_key()] = result
+                    for name in ("cache_hits", "coalesced", "enqueued"):
+                        self.stats[name] += summary[name]
             if hard_error is not None:
                 raise hard_error
             pending = stranded
@@ -441,6 +466,10 @@ class ShardRouter:
         call hostage) and reports unreachable shards as such instead of
         failing the aggregate — a status command that dies when a shard
         does would be useless exactly when it matters.
+
+        Each row carries a verdict, ``state``: ``down`` (on probation,
+        unreachable, or no live worker), ``degraded`` (serving, but the
+        shard absorbed result-cache write failures) or ``ok``.
         """
         self.maybe_probe()
         rows = []
@@ -460,6 +489,7 @@ class ShardRouter:
                         row["metrics"] = probe.metrics()
                 except Exception as exc:  # noqa: BLE001 - ops surface
                     row["unreachable"] = str(exc)
+            row["state"] = _shard_state(row)
             rows.append(row)
         return {
             "shards": rows,

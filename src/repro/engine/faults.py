@@ -280,7 +280,7 @@ class FaultPlan:
         return None
 
     def describe(self) -> dict:
-        """Plan summary for ``health``/``chaos`` responses and reports."""
+        """Plan summary for ``chaos`` responses and reports."""
         return {
             "seed": self.seed,
             "rules": [rule.to_spec() for rule in self.rules],
@@ -372,7 +372,7 @@ def fire(site: str) -> FaultRule | None:
 
     This is the only call production code makes; with no plan active it
     is one identity comparison.  Counters advance even for sites no rule
-    names, so ``health`` can report traffic per site under a plan.
+    names, so ``chaos`` can report traffic per site under a plan.
     """
     plan = _plan
     if plan is None:

@@ -273,7 +273,7 @@ class _Worker:
         self.results.close()
 
     def describe(self) -> dict:
-        """Status row for the service ``status`` op."""
+        """Worker row of the service ``metrics`` op."""
         task = None
         if self.current is not None:
             task = SimJob.from_dict(self.current[1]).label()
@@ -381,7 +381,7 @@ class WorkerPool:
 
 @dataclass
 class QueueStats:
-    """Lifetime counters of one :class:`JobQueue` (the ``status`` op body)."""
+    """Lifetime counters of one :class:`JobQueue` (``metrics.queue.stats``)."""
 
     submitted: int = 0   # jobs received by submit()
     cache_hits: int = 0  # answered straight from the shared result cache
@@ -573,6 +573,7 @@ class JobQueue:
         return len(self._tasks)
 
     def describe(self) -> dict:
+        """Workers, depth, bounds and counters: the ``metrics`` op's queue."""
         return {
             "workers": self.pool.describe(),
             "depth": self.depth,
@@ -581,34 +582,6 @@ class JobQueue:
             "job_timeout": self.job_timeout,
             "restarts": self.pool.restarts,
             "stats": self.stats.to_dict(),
-        }
-
-    def health(self) -> dict:
-        """Liveness and degradation snapshot (the service ``health`` op).
-
-        ``degraded`` flags are lifetime counters of failures the daemon
-        absorbed instead of dying: cache persists that failed (results
-        still in memory).  ``degraded_mode`` is their disjunction — the
-        "keep serving, but look at me" signal for operators.
-        """
-        workers = self.pool.describe()
-        alive = sum(1 for w in workers if w["alive"])
-        busy = sum(1 for w in workers if w["task"] is not None)
-        degraded = {
-            "cache_write_failures": self.cache.write_failures,
-        }
-        return {
-            "ok": alive > 0,
-            "workers": {"total": len(workers), "alive": alive, "busy": busy},
-            "depth": self.depth,
-            "pending": len(self._pending),
-            "max_depth": self.max_depth,
-            "job_timeout": self.job_timeout,
-            "restarts": self.pool.restarts,
-            "rejected": self.stats.rejected,
-            "timeouts": self.stats.timeouts,
-            "degraded": degraded,
-            "degraded_mode": any(v for v in degraded.values()),
         }
 
     # -- dispatch / completion ------------------------------------------

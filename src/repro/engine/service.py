@@ -10,9 +10,9 @@ once — the "shared hot cache" serving story the ROADMAP asks for.
 
 One daemon is a one-shard cluster: N daemons on N ports become shards
 behind a :class:`~repro.engine.cluster.ShardRouter`
-(:mod:`repro.engine.cluster`), and the single-daemon verbs (``submit``,
-``status``, ``results``, ``health``, ``chaos show``) talk to any one of
-them.
+(:mod:`repro.engine.cluster`), and every client verb (``repro cluster
+run``/``status``, ``repro chaos show``, ``--backend cluster`` campaigns)
+talks to one daemon exactly as it talks to many.
 
 **Auth** is always on: every request must carry the shared-secret
 ``"token"``; a mismatch is answered ``{"ok": false, "auth": true, ...}``
@@ -45,30 +45,22 @@ pipeline many requests.  Requests are ``{"op": <name>, "token": ...,
     Liveness + server identity (pid, protocol version, worker count,
     serving address).
 ``submit``
-    ``{"jobs": [<SimJob.to_dict()>, ...], "wait": bool}``.  With
-    ``wait`` (the default) the response carries the results, in
-    submission order, once all jobs finish; without it, a ticket id to
-    poll via ``results``.  Either way the response's ``summary`` says how
-    the batch was satisfied (cache hits / coalesced / enqueued).
-``results``
-    ``{"ticket": <id>}`` — the batch's results if complete, else a
-    progress report.
-``status``
-    Queue depth, per-worker state, lifetime counters, cache stats, open
-    tickets.
-``health``
-    Cheap liveness/degradation snapshot: worker aliveness, queue depth
-    vs. bound, timeout/rejection counters and the degraded-mode flags
-    (cache failures the daemon absorbed).
+    ``{"jobs": [<SimJob.to_dict()>, ...]}``.  The response carries the
+    results, in submission order, once all jobs finish, and a
+    ``summary`` of how the batch was satisfied (cache hits / coalesced /
+    enqueued).  A client that hangs up and resubmits the same batch is
+    answered from the same in-flight work or the cache: the content key
+    is the only handle a batch needs.
+``metrics``
+    The daemon's one introspection op: identity, per-worker rows, queue
+    pressure and lifetime counters, cache counters and degraded-mode
+    flags, fault-plane state — one JSON object per shard, aggregated by
+    ``repro cluster status``.  Cheap enough to poll: it touches no disk.
 ``chaos``
     The active fault-injection plan (:mod:`repro.engine.faults`) — site
     hit counts and fired rules.  Only served when the daemon was started
     with chaos enabled (``repro cluster serve --chaos``); refused
     otherwise.
-``metrics``
-    The flat ops surface the cluster plane scrapes: queue depth and
-    in-flight jobs, cache hit/miss/store counters and fault-plane state
-    — one JSON object per shard, aggregated by ``repro cluster status``.
 ``shutdown``
     Stop the daemon after acknowledging.
 
@@ -137,8 +129,13 @@ DEFAULT_LISTEN = "127.0.0.1:0"
 #: blocks of ``metrics`` and the ``socket`` and ``peers`` fields of
 #: ``ping``; v7 dropped the Unix-socket transport (every daemon is TCP
 #: and requires a token), and with it the ``transport`` and ``auth``
-#: fields of ``ping`` and the ``transport`` field of ``metrics.shard``.
-PROTOCOL_VERSION = 7
+#: fields of ``ping`` and the ``transport`` field of ``metrics.shard``;
+#: v8 made ``metrics`` the one introspection op: it dropped the
+#: ``status``, ``health`` and ``results`` ops, ``submit``'s ``wait`` field
+#: and ticket, and the ``tickets`` and ``cache.disk_entries`` fields of
+#: ``metrics``, which gained ``queue.workers``, ``queue.job_timeout`` and
+#: ``cache.directory``.
+PROTOCOL_VERSION = 8
 
 #: Maximum request/response line length (a 20-job grid is ~20 KB).
 MAX_LINE = 64 * 1024 * 1024
@@ -146,11 +143,6 @@ MAX_LINE = 64 * 1024 * 1024
 #: Most jobs one ``submit`` may carry — an admission bound on request
 #: *width* to complement the queue-depth bound on request *volume*.
 MAX_SUBMIT_JOBS = 4096
-
-#: Most tickets a daemon remembers; beyond this, the oldest *completed*
-#: tickets are forgotten first (a never-polled ``--no-wait`` submission
-#: must not grow daemon memory forever).
-MAX_TICKETS = 1024
 
 
 class SimService:
@@ -190,8 +182,6 @@ class SimService:
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._stop_event: asyncio.Event | None = None
-        self._tickets: dict[int, dict] = {}
-        self._next_ticket = 0
         self._address_fd: int | None = None
         self._started_at: float | None = None
 
@@ -427,27 +417,6 @@ class SimService:
             },
         }
 
-    async def _op_status(self, request: dict) -> dict:
-        tickets = {
-            str(ticket_id): {
-                "jobs": len(record["futures"]),
-                "done": sum(1 for f in record["futures"] if f.done()),
-            }
-            for ticket_id, record in self._tickets.items()
-        }
-        return {
-            "ok": True,
-            "queue": self.queue.describe(),
-            "cache": self.cache.stats(),
-            "tickets": tickets,
-        }
-
-    async def _op_health(self, request: dict) -> dict:
-        health = self.queue.health()
-        health["pid"] = os.getpid()
-        health["chaos"] = self.chaos and faults.active_plan() is not None
-        return {"ok": True, "health": health}
-
     async def _op_chaos(self, request: dict) -> dict:
         if not self.chaos:
             return {"ok": False,
@@ -458,11 +427,14 @@ class SimService:
                 "plan": plan.describe() if plan is not None else None}
 
     async def _op_metrics(self, request: dict) -> dict:
-        """The per-shard ops surface the cluster plane scrapes.
+        """The per-shard ops surface: everything ``repro cluster status``
+        prints.
 
-        One flat JSON object: identity, queue pressure (depth / pending /
-        in-flight), cache effectiveness and fault-plane state.  Everything
-        a ``repro cluster status`` row needs, cheap enough to poll.
+        One JSON object: identity, per-worker rows, queue pressure
+        (depth / pending / in-flight) and lifetime counters, cache
+        counters and degraded-mode flags, fault-plane state.  Reads only
+        in-memory counters, never the cache directory, so a poll never
+        holds the event loop on the filesystem.
         """
         queue = self.queue.describe()
         workers = queue["workers"]
@@ -480,21 +452,23 @@ class SimService:
                     "uptime_s": round(uptime, 3),
                 },
                 "queue": {
+                    "workers": workers,
                     "depth": queue["depth"],
                     "pending": queue["pending"],
                     "in_flight": sum(1 for w in workers
                                      if w["task"] is not None),
                     "workers_alive": sum(1 for w in workers if w["alive"]),
                     "max_depth": queue["max_depth"],
+                    "job_timeout": queue["job_timeout"],
                     "restarts": queue["restarts"],
                     "stats": queue["stats"],
                 },
                 "cache": {
+                    "directory": cache["directory"],
                     "hits": cache["memory_hits"] + cache["disk_hits"],
                     "misses": cache["misses"],
                     "stores": cache["stores"],
                     "memory_entries": cache["memory_entries"],
-                    "disk_entries": cache["disk_entries"],
                     "write_failures": cache["write_failures"],
                 },
                 "faults": {
@@ -502,7 +476,6 @@ class SimService:
                     "fired": (sum(plan.fired.values())
                               if plan is not None else 0),
                 },
-                "tickets": len(self._tickets),
             },
         }
 
@@ -529,59 +502,14 @@ class SimService:
                     "depth": self.queue.depth,
                     "max_depth": self.queue.max_depth,
                     "error": str(exc)}
-        ticket_id = self._remember_ticket(futures)
-        if not request.get("wait", True):
-            return {"ok": True, "ticket": ticket_id, "summary": summary}
         results = await self._gather(futures)
-        self._tickets.pop(ticket_id, None)
         if isinstance(results, dict):  # error response
             return results
-        return {"ok": True, "ticket": ticket_id, "summary": summary,
-                "results": results}
-
-    async def _op_results(self, request: dict) -> dict:
-        ticket_id = request.get("ticket")
-        record = self._tickets.get(ticket_id) if isinstance(ticket_id, int) \
-            else None
-        if record is None:
-            return {"ok": False, "error": f"unknown ticket {ticket_id!r}"}
-        futures = record["futures"]
-        done = sum(1 for f in futures if f.done())
-        if done < len(futures):
-            return {"ok": True, "ticket": ticket_id, "pending": True,
-                    "done": done, "total": len(futures)}
-        # The ticket stays fetchable after completion (re-polls and
-        # retries are cheap and idempotent); the bounded ticket table
-        # evicts it once it is old enough (:meth:`_remember_ticket`).
-        results = await self._gather(futures)
-        if isinstance(results, dict):
-            return results
-        return {"ok": True, "ticket": ticket_id, "pending": False,
-                "results": results}
+        return {"ok": True, "summary": summary, "results": results}
 
     async def _op_shutdown(self, request: dict) -> dict:
         self.request_shutdown()
         return {"ok": True, "stopping": True}
-
-    def _remember_ticket(self, futures: list[asyncio.Future]) -> int:
-        """Record a submission's futures; evict old completed tickets.
-
-        Eviction only considers fully-done tickets (oldest first), so an
-        in-flight ``--no-wait`` submission is never forgotten while its
-        jobs are still running.
-        """
-        ticket_id = self._next_ticket
-        self._next_ticket += 1
-        self._tickets[ticket_id] = {"futures": futures}
-        if len(self._tickets) > MAX_TICKETS:
-            for old_id in sorted(self._tickets):
-                if old_id == ticket_id:
-                    continue
-                if all(f.done() for f in self._tickets[old_id]["futures"]):
-                    del self._tickets[old_id]
-                    if len(self._tickets) <= MAX_TICKETS:
-                        break
-        return ticket_id
 
     async def _gather(self, futures: list[asyncio.Future]) -> list | dict:
         """Await a batch; job failures become one error response."""

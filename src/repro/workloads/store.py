@@ -21,11 +21,17 @@ version bump silently orphans old entries instead of misreading them.
 ``meta.json`` plus one ``<column>.npy`` file per schema column.  Writes
 go to a ``*.tmp.<pid>`` sibling directory and are renamed into place, so
 concurrent writers race benignly (first rename wins, the loser discards).
+An entry is published iff its ``meta.json`` exists: that is what
+``put`` and ``contains`` test, never the bare directory.
 
 **Corruption.**  ``get`` validates versions, identity and every column's
 dtype/length; any damage (truncated file, bad JSON, schema drift) makes
-it quarantine-delete the entry and return ``None``, and the caller
+it quarantine the entry and return ``None``, and the caller
 regenerates — a broken store can cost time, never correctness.
+Quarantine first renames the entry aside to a ``*.tmp.*`` name (which
+listing skips and ``clear`` sweeps), then deletes it there, so removing
+one damaged entry can never empty an entry another process publishes at
+the same path meanwhile.
 
 **Crash consistency & chaos.**  Every payload file (columns and
 ``meta.json``) is fsynced before the directory rename commits the
@@ -42,6 +48,7 @@ import contextlib
 import hashlib
 import json
 import os
+import secrets
 import shutil
 import tempfile
 from collections.abc import Iterator
@@ -109,6 +116,25 @@ def trace_key(name: str, n_uops: int, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _quarantine(path: Path) -> None:
+    """Remove a damaged entry (or aux payload) without racing its writers.
+
+    The directory is renamed aside to a unique ``*.tmp.*`` sibling first —
+    one atomic step, after which the committed path holds a whole entry or
+    nothing — and deleted there.  An in-place ``rmtree`` deletes file by
+    file under the committed path, and could leave an entry another process
+    just published there without its ``meta.json``.  If the rename fails,
+    someone else already moved the path: nothing to do.
+    """
+    aside = path.with_name(
+        f"{path.name}.tmp.quarantine.{os.getpid()}.{secrets.token_hex(4)}")
+    try:
+        os.rename(path, aside)
+    except OSError:
+        return
+    shutil.rmtree(aside, ignore_errors=True)
+
+
 class TraceStore:
     """Content-addressed directory of packed traces (one subdir per key)."""
 
@@ -143,8 +169,10 @@ class TraceStore:
         """
         key = trace_key(name, n_uops, seed)
         final = self._entry_dir(key)
-        if final.is_dir():
+        if (final / _META_NAME).is_file():
             return final
+        if final.exists():
+            _quarantine(final)  # a damaged entry: out of the way first
         packed = trace.packed()
         meta = {
             "format": STORE_FORMAT_VERSION,
@@ -197,7 +225,8 @@ class TraceStore:
         executor), deciding whether a job would run a generator;
         :meth:`get` still does the full validation.
         """
-        return self._entry_dir(trace_key(name, n_uops, seed)).is_dir()
+        entry = self._entry_dir(trace_key(name, n_uops, seed))
+        return (entry / _META_NAME).is_file()
 
     def get(self, name: str, n_uops: int, seed: int,
             mmap: bool = True) -> Trace | None:
@@ -241,9 +270,9 @@ class TraceStore:
                 }
                 packed = PackedColumns(int(meta["n"]), arrays)
                 packed.validate()
-        except (OSError, ValueError, KeyError) as _exc:
+        except (OSError, ValueError, KeyError):
             self.corrupt += 1
-            shutil.rmtree(entry, ignore_errors=True)
+            _quarantine(entry)
             self.misses += 1
             return None
         self.hits += 1
@@ -274,7 +303,7 @@ class TraceStore:
         :meth:`put`.
         """
         key = trace_key(name, n_uops, seed)
-        if not self._entry_dir(key).is_dir():
+        if not (self._entry_dir(key) / _META_NAME).is_file():
             return None
         final = self._aux_dir(key, kind, version)
         if final.is_dir():
@@ -330,7 +359,7 @@ class TraceStore:
                     arrays[col] = arr
         except (OSError, ValueError, KeyError, TypeError):
             self.corrupt += 1
-            shutil.rmtree(aux, ignore_errors=True)
+            _quarantine(aux)
             return None
         self.hits += 1
         return meta, arrays

@@ -30,6 +30,8 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,28 @@ def _results(response):
     return response["results"]
 
 
+def _submit_in_thread(d, jobs):
+    """A waiting ``submit`` of *jobs* on a second connection, in a
+    thread; returns the thread and the dict its response lands in."""
+    out = {}
+
+    def run():
+        with d.client() as conn:
+            out["response"] = conn.submit(jobs)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, out
+
+
+def _wait_until_queued(client, depth):
+    """Poll ``metrics`` until *depth* jobs are outstanding."""
+    deadline = time.monotonic() + 60.0
+    while client.metrics()["queue"]["depth"] < depth:
+        assert time.monotonic() < deadline, "batch never reached the queue"
+        time.sleep(0.02)
+
+
 class TestSurvivableWorkerFaults:
     def test_worker_crash_is_requeued_bit_identically(self, daemon,
                                                       expected):
@@ -93,10 +117,11 @@ class TestSurvivableWorkerFaults:
             faults.install_plan("worker.execute:crash@2", seed=0)
             with d.client() as client:
                 response = client.submit(JOBS)
-                health = client.health()
+                metrics = client.metrics()
         assert _results(response) == expected
-        assert health["restarts"] >= 1
-        assert not health["degraded_mode"]  # a crash is routine, not degraded
+        assert metrics["queue"]["restarts"] >= 1
+        # A crash is routine, not degraded.
+        assert metrics["cache"]["write_failures"] == 0
 
     def test_worker_slowdown_changes_nothing(self, daemon, expected):
         with daemon(workers=2) as d:
@@ -113,10 +138,10 @@ class TestSurvivableWorkerFaults:
             faults.install_plan("worker.execute:hang:60@1", seed=0)
             with d.client() as client:
                 response = client.submit(JOBS)
-                health = client.health()
+                metrics = client.metrics()
         assert _results(response) == expected
-        assert health["timeouts"] >= 1
-        assert health["restarts"] >= 1
+        assert metrics["queue"]["stats"]["timeouts"] >= 1
+        assert metrics["queue"]["restarts"] >= 1
 
 
 class TestFatalWorkerFaults:
@@ -142,7 +167,7 @@ class TestSocketFaults:
                                                    action):
         with daemon(workers=2) as d:
             with d.client() as probe:
-                before = probe.status()["queue"]["stats"]["executed"]
+                before = probe.metrics()["queue"]["stats"]["executed"]
             # Installed *after* the probe: the very next response the
             # daemon sends (our submit's) is the one that dies.
             faults.install_plan(f"service.send:{action}@1", seed=0)
@@ -152,7 +177,7 @@ class TestSocketFaults:
             client.close()
             faults.install_plan(None)
             with d.client() as probe:
-                after = probe.status()["queue"]["stats"]["executed"]
+                after = probe.metrics()["queue"]["stats"]["executed"]
         assert [r.to_dict() for r in results] == expected
         # Exactly-once execution: the retried batch coalesced/cache-hit,
         # it did not re-run the simulations.
@@ -170,19 +195,23 @@ class TestSocketFaults:
 
 class TestStorageFaults:
     def test_failing_cache_persist_stays_in_memory(self, daemon, tmp_path,
-                                                   expected):
+                                                   expected, capsys):
         with daemon(workers=2, cache=ResultCache(tmp_path / "cache")) as d:
             faults.install_plan("cache.write:error@every=1", seed=0)
             with d.client() as client:
                 first = client.submit(JOBS)
-                health = client.health()
+                metrics = client.metrics()
                 # Every persist failed, but the memory layer answers.
                 second = client.submit(JOBS)
+            # Serving but degraded: `cluster status` exits 1.
+            assert cli_main(["cluster", "status", "--shards", d.address]) == 1
         assert _results(first) == expected
         assert _results(second) == expected
         assert second["summary"]["cache_hits"] == len(JOBS)
-        assert health["degraded"]["cache_write_failures"] >= 1
-        assert health["degraded_mode"]
+        assert metrics["cache"]["write_failures"] >= 1
+        out = capsys.readouterr().out
+        assert f"shard {d.address}: degraded" in out
+        assert "DEGRADED:" in out
         assert not list((tmp_path / "cache").glob("??/*.json"))
 
 
@@ -245,27 +274,24 @@ class TestBackpressure:
         big = [SimJob.make(w, "vtage", n_uops=30000, warmup=15000)
                for w in ("gzip", "gcc")]
         with daemon(workers=1, max_depth=2) as d:
+            filler, filled = _submit_in_thread(d, big)
             with d.client() as client:
-                ticket = client.submit(big, wait=False)["ticket"]
+                _wait_until_queued(client, len(big))
                 # The queue is now full: a batch of new jobs is rejected
                 # whole, with the typed backpressure error.
                 extra = [SimJob.make(w, "lvp", **SMALL)
                          for w in ("crafty", "applu")]
                 with pytest.raises(ServiceOverloaded):
                     client.submit(extra)
-                health = client.health()
-                assert health["rejected"] >= 1
+                assert client.metrics()["queue"]["stats"]["rejected"] >= 1
                 # Cache hits and coalesced jobs are free — resubmitting
                 # the *in-flight* batch is admitted even at the bound.
-                coalesced = client.submit(big, wait=False)
+                coalesced = client.submit(big)
                 assert coalesced["summary"]["coalesced"] == len(big)
-                # Once the queue drains, the shed batch is admitted.
-                import time
-                deadline = time.monotonic() + 120.0
-                while client.results(ticket).get("pending"):
-                    assert time.monotonic() < deadline
-                    time.sleep(0.05)
+                # The queue has drained: the shed batch is admitted.
                 accepted = client.submit(extra)
+            filler.join(timeout=120)
+        assert _results(filled["response"]) == _results(coalesced)
         assert len(_results(accepted)) == len(extra)
 
     def test_client_retry_rides_out_backpressure(self, daemon):
@@ -273,15 +299,17 @@ class TestBackpressure:
                for w in ("gzip", "gcc")]
         extra = [SimJob.make("crafty", "lvp", **SMALL)]
         with daemon(workers=1, max_depth=2) as d:
-            with d.client() as filler:
-                filler.submit(big, wait=False)
+            filler, filled = _submit_in_thread(d, big)
             client = d.client(
                 retry=RetryPolicy(attempts=8, base=0.5, cap=8.0))
+            _wait_until_queued(client, len(big))
             # run_jobs absorbs the overloaded responses and backs off
             # until the big batch drains; no caller-side special-casing.
             results = client.run_jobs(extra)
             client.close()
+            filler.join(timeout=120)
         assert len(results) == 1
+        assert len(_results(filled["response"])) == len(big)
 
 
 class TestAddressFile:
@@ -305,13 +333,13 @@ class TestAddressFile:
                 # A client that names no address reads the file for both.
                 with ServiceClient() as client:
                     pid = client.ping()["pid"]
-                assert cli_main(["status"]) == 0
+                assert cli_main(["cluster", "status"]) == 0
         finally:
             os.umask(old_umask)
         assert mode == 0o600
         assert record == {"address": d.address, "token": d.service.token}
         assert pid == os.getpid()
-        assert f" on {d.address} " in capsys.readouterr().out
+        assert f"shard {d.address}: ok" in capsys.readouterr().out
         assert not path.exists()
 
     def test_second_daemon_on_the_same_file_is_refused(self, daemon):
@@ -361,15 +389,19 @@ class TestAddressFile:
 
 
 class TestChaosIntrospection:
-    def test_chaos_op_reports_the_live_plan(self, daemon):
+    def test_chaos_op_reports_the_live_plan(self, daemon, capsys):
         with daemon(workers=1, chaos=True) as d:
             faults.install_plan("cache.write:torn@7", seed=3)
             with d.client() as client:
                 plan = client.chaos()
-                health = client.health()
+                metrics = client.metrics()
+            assert cli_main(["chaos", "show", "--shards", d.address]) == 0
         assert plan["seed"] == 3
         assert plan["rules"] == ["cache.write:torn@7"]
-        assert health["chaos"] is True
+        assert metrics["faults"]["active"] is True
+        out = capsys.readouterr().out
+        assert f"shard {d.address}:\n  seed: 3\n" in out
+        assert "    cache.write:torn@7" in out
 
     def test_chaos_op_is_refused_without_the_flag(self, daemon):
         with daemon(workers=1) as d:

@@ -98,7 +98,7 @@ def daemon(tmp_path_factory):
 class TestRoundTrip:
     def test_two_concurrent_clients_bit_identical_with_sharing(self, daemon):
         with ServiceClient(daemon) as probe:
-            before = probe.status()["queue"]["stats"]
+            before = probe.metrics()["queue"]["stats"]
 
         responses = {}
 
@@ -127,7 +127,7 @@ class TestRoundTrip:
         # or coalesced onto in-flight work.
         unique = {job.content_key() for job in GRID_A + GRID_B}
         with ServiceClient(daemon) as probe:
-            after = probe.status()["queue"]["stats"]
+            after = probe.metrics()["queue"]["stats"]
         executed = after["executed"] - before["executed"]
         assert executed == len(unique)
         shared = sum(responses[n]["summary"]["cache_hits"]
@@ -141,50 +141,36 @@ class TestRoundTrip:
         assert response["summary"]["cache_hits"] == len(GRID_A)
         assert response["summary"]["enqueued"] == 0
 
-    def test_no_wait_ticket_flow(self, daemon):
-        jobs = [SimJob.make("milc", "lvp", **SMALL),
-                SimJob.make("namd", "lvp", **SMALL)]
-        with ServiceClient(daemon) as conn:
-            submitted = conn.submit(jobs, wait=False)
-            ticket = submitted["ticket"]
-            deadline = time.monotonic() + 60.0
-            while True:
-                response = conn.results(ticket)
-                if not response.get("pending"):
-                    break
-                assert time.monotonic() < deadline, "ticket never completed"
-                time.sleep(0.05)
-        remote = [SimResult.from_dict(raw) for raw in response["results"]]
-        local = _local_results(jobs)
-        assert [r.to_dict() for r in remote] == [r.to_dict() for r in local]
-        # Completed tickets stay fetchable (re-polls are idempotent).
-        with ServiceClient(daemon) as conn:
-            again = conn.results(ticket)
-        assert again["results"] == response["results"]
-
     def test_status_and_ping_shape(self, daemon):
         with ServiceClient(daemon) as conn:
             server = conn.ping()
-            status = conn.status()
+            metrics = conn.metrics()
         assert server["workers"] == 2
         assert server["protocol"] == PROTOCOL_VERSION
-        workers = status["queue"]["workers"]
+        workers = metrics["queue"]["workers"]
         assert len(workers) == 2
         assert all(w["alive"] for w in workers)
-        stats = status["queue"]["stats"]
+        assert metrics["queue"]["workers_alive"] == 2
+        stats = metrics["queue"]["stats"]
         assert stats["submitted"] >= stats["executed"]
 
     def test_sigkill_worker_mid_batch_loses_no_jobs(self, daemon):
         # Larger jobs so the kill lands while the batch is in flight.
         jobs = [SimJob.make(w, "vtage", n_uops=14000, warmup=7000)
                 for w in ("gzip", "gcc", "crafty", "applu", "bzip2", "namd")]
+        responses = {}
+
+        def submit():
+            with ServiceClient(daemon) as conn:
+                responses["batch"] = conn.submit(jobs)
+
+        submitter = threading.Thread(target=submit, daemon=True)
+        submitter.start()
         with ServiceClient(daemon) as conn:
-            submitted = conn.submit(jobs, wait=False)
-            ticket = submitted["ticket"]
             victim = None
             deadline = time.monotonic() + 20.0
             while time.monotonic() < deadline:
-                busy = [w for w in conn.status()["queue"]["workers"]
+                busy = [w for w in conn.metrics()["queue"]["workers"]
                         if w["task"] and w["alive"]]
                 if busy:
                     victim = busy[0]["pid"]
@@ -192,16 +178,12 @@ class TestRoundTrip:
                 time.sleep(0.02)
             assert victim is not None, "no worker ever went busy"
             os.kill(victim, signal.SIGKILL)
-            deadline = time.monotonic() + 120.0
-            while True:
-                response = conn.results(ticket)
-                if not response.get("pending"):
-                    break
-                assert time.monotonic() < deadline, "batch never completed"
-                time.sleep(0.05)
-            status = conn.status()
-        assert status["queue"]["restarts"] >= 1
-        assert status["queue"]["stats"]["requeued"] >= 1
+            submitter.join(timeout=120.0)
+            assert not submitter.is_alive(), "batch never completed"
+            metrics = conn.metrics()
+        response = responses["batch"]
+        assert metrics["queue"]["restarts"] >= 1
+        assert metrics["queue"]["stats"]["requeued"] >= 1
         remote = [SimResult.from_dict(raw) for raw in response["results"]]
         local = _local_results(jobs)
         assert [r.to_dict() for r in remote] == [r.to_dict() for r in local]
@@ -218,16 +200,23 @@ class TestCLIClients:
             env=env, capture_output=True, text=True, timeout=300,
         )
 
-    def test_submit_and_status_verbs(self, daemon):
-        out = self._run_cli("submit", "--workloads", "gzip,gcc",
+    def test_cluster_run_and_status_verbs(self, daemon):
+        # One daemon is a one-shard cluster for the client verbs too.
+        out = self._run_cli("cluster", "run", "--workloads", "gzip,gcc",
                             "--predictors", "lvp", "--uops", "2000",
-                            "--warmup", "1000", "--address", daemon)
+                            "--warmup", "1000", "--shards", daemon)
         assert out.returncode == 0, out.stderr
-        assert "submitted 2 job(s)" in out.stdout
         assert out.stdout.count("IPC") == 2
-        status = self._run_cli("status", "--address", daemon)
+        assert re.search(r"2 job\(s\) routed across 1/1 shard\(s\): "
+                         r"\d+ answered by a shard cache, \d+ coalesced "
+                         r"with in-flight work, \d+ newly enqueued",
+                         out.stderr), out.stderr
+        status = self._run_cli("cluster", "status", "--shards", daemon)
         assert status.returncode == 0, status.stderr
-        assert "workers (2):" in status.stdout
+        assert f"shard {daemon}: ok" in status.stdout
+        assert status.stdout.count("  worker #") == 2
+        assert "job timeout off" in status.stdout
+        assert re.search(r"lifetime: \d+ submitted = ", status.stdout)
 
     def test_campaign_service_backend(self, daemon):
         # One daemon is a one-shard cluster.
@@ -238,8 +227,8 @@ class TestCLIClients:
         assert "9 unique jobs" in out.stdout
 
     def test_submit_unknown_predictor_fails_cleanly(self, daemon):
-        out = self._run_cli("submit", "--workloads", "gzip",
-                            "--predictors", "martian", "--address", daemon)
+        out = self._run_cli("cluster", "run", "--workloads", "gzip",
+                            "--predictors", "martian", "--shards", daemon)
         assert out.returncode != 0
         assert "unknown predictors" in out.stderr
 
@@ -263,7 +252,7 @@ class TestRestartSafety:
         try:
             with ServiceClient(address) as conn:
                 second = conn.submit(jobs)
-                status = conn.status()
+                metrics = conn.metrics()
                 conn.shutdown()
             proc.wait(timeout=15)
         finally:
@@ -274,8 +263,9 @@ class TestRestartSafety:
         assert first["summary"]["enqueued"] == len(jobs)
         assert second["summary"]["cache_hits"] == len(jobs)
         assert second["summary"]["enqueued"] == 0
-        assert status["queue"]["stats"]["executed"] == 0
-        assert status["cache"]["disk_entries"] == len(jobs)
+        assert metrics["queue"]["stats"]["executed"] == 0
+        assert metrics["cache"]["directory"] == str(results)
+        assert len(ResultCache(results).disk_entries()) == len(jobs)
         assert second["results"] == first["results"]
 
 

@@ -57,7 +57,7 @@ class TestTcpTransport:
                 server = client.ping()
         assert server["address"] == shard.address
         assert server["address"].startswith("tcp://127.0.0.1:")
-        assert server["protocol"] == PROTOCOL_VERSION == 7
+        assert server["protocol"] == PROTOCOL_VERSION == 8
         # v7: one transport and auth always on, so neither is reported.
         assert "transport" not in server and "auth" not in server
 
@@ -96,18 +96,50 @@ class TestTcpTransport:
                 metrics = client.metrics()
         assert metrics["shard"]["workers"] == 1
         assert metrics["queue"]["depth"] == 0
+        [worker] = metrics["queue"]["workers"]
+        assert worker["alive"] and worker["task"] is None
+        assert metrics["queue"]["job_timeout"] is None
         assert metrics["cache"]["misses"] == 2
         assert metrics["cache"]["memory_entries"] == 2
-        assert "replay" not in metrics
-        assert "membership" not in metrics
-        assert "fallbacks" not in metrics
+        assert metrics["cache"]["directory"] is None
+        for gone in ("replay", "membership", "fallbacks", "tickets"):
+            assert gone not in metrics
+        assert "disk_entries" not in metrics["cache"]
+
+    def test_metrics_never_reads_the_cache_directory(self, daemon, tmp_path,
+                                                     monkeypatch):
+        def glob_refused(self):
+            raise AssertionError("metrics globbed the cache directory")
+
+        monkeypatch.setattr(ResultCache, "disk_entries", glob_refused)
+        with daemon(cache=ResultCache(tmp_path)) as shard:
+            with ServiceClient(shard.address) as client:
+                client.run_jobs(JOBS[:1])
+                metrics = client.metrics()
+        assert metrics["cache"]["directory"] == str(tmp_path)
+        assert metrics["cache"]["stores"] == 1
+
+    def test_only_the_five_ops_are_served(self, daemon):
+        with daemon() as shard:
+            with ServiceClient(shard.address) as client:
+                for op in ("status", "health", "results"):
+                    with pytest.raises(ServiceError,
+                                       match=f"unknown op '{op}'"):
+                        client.request({"op": op})
+                # A leftover "wait" field changes nothing: submit waits.
+                response = client.request(
+                    {"op": "submit", "jobs": [JOBS[0].to_dict()],
+                     "wait": False})
+        assert len(response["results"]) == 1
+        assert "ticket" not in response
 
     def test_service_status_names_the_tcp_address(self, daemon, capsys):
         with daemon() as shard:
-            assert cli_main(["status", "--address", shard.address]) == 0
-        first = capsys.readouterr().out.splitlines()[0]
+            assert cli_main(["cluster", "status",
+                             "--shards", shard.address]) == 0
+        out = capsys.readouterr().out
         assert shard.address.startswith("tcp://")
-        assert f" on {shard.address} " in first
+        assert f"shard {shard.address}: ok — pid " in out
 
 
 class TestPeerFederation:
@@ -239,6 +271,15 @@ class TestShardRouter:
         status = router.status(probe_timeout=0.5)
         [row] = status["shards"]
         assert row["down"] is False and "unreachable" in row
+        assert row["state"] == "down"
+
+    def test_cluster_status_exits_2_with_a_shard_down(self, daemon, capsys):
+        with daemon() as shard:
+            assert cli_main(["cluster", "status", "--shards",
+                             f"{shard.address},tcp://127.0.0.1:9"]) == 2
+        out = capsys.readouterr().out
+        assert f"shard {shard.address}: ok" in out
+        assert "shard tcp://127.0.0.1:9: DOWN — unreachable" in out
 
     def test_router_shutdown_stops_shards(self, daemon):
         shard = daemon().start()

@@ -57,9 +57,9 @@ class TestCliCoverage:
             "#### `repro campaign status`",
             "#### `repro campaign list`",
             "#### `repro cluster serve`",
-            "### `repro submit`",
-            "### `repro status`",
-            "### `repro results`",
+            "#### `repro cluster run`",
+            "#### `repro cluster status`",
+            "#### `repro chaos show`",
             "### `repro cache`",
             "### `repro list`",
             "## `python -m repro.experiments.reproduce`",
@@ -70,8 +70,8 @@ class TestCliCoverage:
         rendered = docs.generate_cli()
         for token in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_CHECKPOINT_DIR",
                       "REPRO_CLUSTER_SHARDS", "--checkpoint-dir",
-                      "--render", "--backend", "--address", "--journal",
-                      "--no-wait"):
+                      "--render", "--backend", "--shards", "--journal",
+                      "--token"):
             assert token in rendered, token
 
 

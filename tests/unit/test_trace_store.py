@@ -114,6 +114,48 @@ class TestCorruptionHealing:
         (entry / "takens.npy").unlink()
         assert store.get("gzip", 2000, 164) is None
 
+    def test_entry_without_meta_is_absent_and_put_rewrites_it(self,
+                                                               tmp_path):
+        # What a removal interrupted half-way leaves at a committed path:
+        # the entry directory with one column file and no metadata.
+        store, entry = self._stored(tmp_path)
+        trace = build_uncached()
+        for path in entry.iterdir():
+            if path.name != "values.npy":
+                path.unlink()
+        assert not store.contains("gzip", 2000, 164)
+        assert store.put(trace, "gzip", 2000, 164) == entry
+        loaded = store.get("gzip", 2000, 164)
+        assert loaded is not None
+        assert loaded.columns().values == trace.columns().values
+        assert not list(tmp_path.glob("??/*.tmp.*"))
+
+    def test_quarantine_spares_an_entry_published_meanwhile(self, tmp_path,
+                                                            monkeypatch):
+        # One worker quarantines a damaged entry while another publishes
+        # a fresh one at the same path: the fresh entry must survive.
+        import repro.workloads.store as store_mod
+
+        store, entry = self._stored(tmp_path)
+        (entry / "values.npy").write_bytes(b"\x93NUMPY garbage")
+        writer = TraceStore(tmp_path)
+        real_rmtree = store_mod.shutil.rmtree
+        published = []
+
+        def rmtree_racing_a_writer(path, *args, **kwargs):
+            if not published:
+                published.append(writer.put(build_uncached(), "gzip",
+                                            2000, 164))
+            real_rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod.shutil, "rmtree",
+                            rmtree_racing_a_writer)
+        assert store.get("gzip", 2000, 164) is None
+        monkeypatch.setattr(store_mod.shutil, "rmtree", real_rmtree)
+        assert published == [entry]
+        assert store.contains("gzip", 2000, 164)
+        assert store.get("gzip", 2000, 164) is not None
+
     def test_build_trace_regenerates_and_reheals(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
         reference = catalog.build_trace("gzip", 2000).columns().values
