@@ -10,15 +10,16 @@ result's aggregation hooks.
 
 Because the comparison *is* a campaign, the usual campaign machinery
 applies for free: ``REPRO_JOBS=4`` runs the grid on a process pool,
-``REPRO_CACHE_DIR`` makes re-runs instant, and passing a checkpoint
-directory as the second argument makes the sweep resumable after a kill.
+and ``REPRO_CACHE_DIR`` writes each result as it lands, so re-runs are
+instant and a killed sweep, run again, resumes where it stopped.
 
 Usage::
 
-    python examples/predictor_shootout.py [n_uops] [checkpoint_dir]
+    python examples/predictor_shootout.py [n_uops]
 
     # e.g. a bigger slice, parallel, resumable:
-    REPRO_JOBS=4 python examples/predictor_shootout.py 48000 runs/shootout
+    REPRO_JOBS=4 REPRO_CACHE_DIR=runs/shootout \
+        python examples/predictor_shootout.py 48000
 
 Expected output: a 7×6 table of speedups over the no-VP baseline, with
 2D-Stride leading on wupwise/bzip2, the context-based predictors leading
@@ -51,12 +52,10 @@ def shootout_campaign(n_uops: int, warmup: int) -> CampaignSpec:
 
 def main() -> None:
     n_uops = int(sys.argv[1]) if len(sys.argv) > 1 else 24_000
-    checkpoint_dir = sys.argv[2] if len(sys.argv) > 2 else None
     spec = shootout_campaign(n_uops, warmup=n_uops // 2)
 
-    result = run_campaign(spec, checkpoint_dir=checkpoint_dir,
-                          progress=progress_printer(spec.name,
-                                                    stream=sys.stdout))
+    result = run_campaign(spec, progress=progress_printer(spec.name,
+                                                          stream=sys.stdout))
     print()
     print(f"  {result.stats['total']} jobs: "
           f"{result.stats['executed']} executed, "

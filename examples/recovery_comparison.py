@@ -19,7 +19,8 @@ simulated half runs the 2×2 grid on crafty and should show the FPC rows
 within a few percent of each other while the 3-bit/squash row loses.
 The full-size versions of this comparison are Figures 4 and 5:
 ``repro campaign run fig4 --render`` / ``repro campaign run fig5
---render`` (add ``--checkpoint-dir runs/`` to make them resumable).
+--render`` (add ``--cache-dir runs/`` before ``campaign`` to make them
+resumable).
 """
 
 from repro.analysis.cost_model import (

@@ -5,9 +5,8 @@ Usage examples::
     python -m repro.cli run h264ref --predictor vtage-2dstride
     python -m repro.cli -j 4 figure 4 --uops 8000 --warmup 4000
     python -m repro.cli table 1
-    python -m repro.cli campaign run fig4 --checkpoint-dir runs/
-    python -m repro.cli campaign status --checkpoint-dir runs/
-    python -m repro.cli campaign resume fig4 --checkpoint-dir runs/
+    python -m repro.cli --cache-dir runs/ campaign run fig4
+    python -m repro.cli --cache-dir runs/ campaign status
     python -m repro.cli cache show
     python -m repro.cli cache clear
     python -m repro.cli list
@@ -34,14 +33,14 @@ All simulations go through the experiment engine: ``--jobs/-j`` (or the
 ``REPRO_JOBS`` environment variable) selects how many worker processes run
 the job batches, and ``REPRO_CACHE_DIR`` (or ``--cache-dir``) enables the
 persistent result cache that ``cache show``/``cache clear`` manage.
-``campaign`` commands execute whole declarative sweeps, optionally into a
-checkpoint dir (``--checkpoint-dir`` or ``REPRO_CHECKPOINT_DIR``) — a disk
-result cache — so a killed run resumes as a run of cache hits with a
-bit-identical result set.  ``cluster serve`` turns the same engine into a
+``campaign`` commands execute whole declarative sweeps.  Every result
+lands in that cache as it finishes, so with a cache dir a killed run,
+run again, resumes as a run of cache hits with a bit-identical result
+set.  ``cluster serve`` turns the same engine into a
 persistent TCP daemon, and one daemon is a one-shard cluster:
 ``cluster run``/``cluster status``/``chaos show`` and ``campaign run
 --backend cluster`` talk to one daemon or many alike.  Results are
-bit-identical whatever the parallelism, cache, checkpoint or backend.
+bit-identical whatever the parallelism, cache or backend.
 
 The full reference lives in ``docs/cli.md``, regenerated from these
 parsers by ``python -m repro.docs`` (CI fails on drift).
@@ -51,18 +50,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.engine.api import (
     configure_default_engine,
     default_engine,
     set_default_engine,
 )
-from repro.engine.cache import CACHE_DIR_ENV, ResultCache
+from repro.engine.cache import CACHE_DIR_ENV
 from repro.engine.campaign import (
     BACKENDS,
-    CHECKPOINT_DIR_ENV,
-    default_checkpoint_dir,
     engine_for_backend,
     progress_printer,
     run_campaign,
@@ -202,17 +198,6 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint_dir(args: argparse.Namespace) -> Path | None:
-    if args.checkpoint_dir:
-        return Path(args.checkpoint_dir)
-    return default_checkpoint_dir()
-
-
-def _checkpointed_keys(directory: Path) -> set[str]:
-    """Content keys with an entry in the checkpoint dir's result cache."""
-    return {path.stem for path in ResultCache(directory).disk_entries()}
-
-
 def _campaign_spec(args: argparse.Namespace):
     definition = CAMPAIGNS[args.name]
     kwargs = {}
@@ -232,32 +217,22 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"{name:<16} {definition.help}")
         return 0
 
-    directory = _checkpoint_dir(args)
     if args.action == "status":
-        if directory is None:
-            raise SystemExit("campaign status needs --checkpoint-dir "
-                             f"(or ${CHECKPOINT_DIR_ENV})")
-        present = _checkpointed_keys(directory)
+        cache = default_engine().cache
+        if cache.directory is None:
+            raise SystemExit("campaign status needs --cache-dir "
+                             f"(or ${CACHE_DIR_ENV})")
+        present = {path.stem for path in cache.disk_entries()}
         for name in [args.name] if args.name else list(CAMPAIGNS):
             keys = CAMPAIGNS[name].build().unique_jobs()
             done = len(present.intersection(keys))
             print(f"{name:<16} {done}/{len(keys)} "
                   f"({100.0 * done / len(keys):5.1f}%) done")
-        print(f"checkpoint: {directory}")
+        print(f"cache: {cache.directory}")
         return 0
 
-    # run / resume
-    if args.chunk is not None and args.chunk < 1:
-        raise SystemExit(f"--chunk must be >= 1, got {args.chunk}")
+    # run
     definition, spec = _campaign_spec(args)
-    if args.action == "resume":
-        if directory is None:
-            raise SystemExit("campaign resume needs --checkpoint-dir "
-                             f"(or ${CHECKPOINT_DIR_ENV})")
-        if not _checkpointed_keys(directory).intersection(spec.unique_jobs()):
-            raise SystemExit(f"nothing to resume: {directory} holds none "
-                             f"of campaign {spec.name}'s jobs")
-
     if args.profile:
         profiling.enable()
     try:
@@ -265,16 +240,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                                     shards=_parse_shards(args.shards),
                                     token=args.token)
         if args.backend != "local":
-            if args.jobs is not None or args.cache_dir is not None:
-                print("note: --jobs/--cache-dir apply to the daemon(s), "
-                      "not this client; they are ignored with --backend "
-                      f"{args.backend}", file=sys.stderr)
+            if args.jobs is not None:
+                print("note: --jobs applies to the daemon(s), not this "
+                      f"client; it is ignored with --backend {args.backend}",
+                      file=sys.stderr)
             # --render replays through the default engine's cache; make
             # the cluster-backed engine that default so rendering never
             # re-simulates locally what the daemons already ran.
             set_default_engine(engine)
-        result = run_campaign(spec, engine=engine, checkpoint_dir=directory,
-                              chunk_size=args.chunk,
+        result = run_campaign(spec, engine=engine,
                               progress=progress_printer(spec.name))
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None
@@ -283,8 +257,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     print(f"campaign {spec.name}: {stats['total']} unique jobs — "
           f"{stats['executed']} executed, "
           f"{stats['cache_hits']} answered by the result cache")
-    if directory is not None:
-        print(f"checkpoint: {directory}")
     if args.render and definition.render is not None:
         print()
         print(definition.render(result))
@@ -629,13 +601,6 @@ def _print_cluster_status(status: dict) -> int:
             print(f"  faults: plan active, "
                   f"{metrics['faults']['fired']} rule(s) fired "
                   "(inspect with `repro chaos show`)")
-    router = status["router"]
-    print(f"router: {router['routed_jobs']} routed, "
-          f"{router['misrouted_jobs']} misrouted, "
-          f"{router['failovers']} failover(s), "
-          f"{router['rerouted_jobs']} re-routed, "
-          f"{router['probes']} probe(s), "
-          f"{router['readmissions']} re-admission(s)")
     return max(SHARD_STATES.index(row["state"]) for row in status["shards"])
 
 
@@ -710,13 +675,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_p = sub.add_parser(
         "campaign",
-        help="run, resume or inspect declarative sweep campaigns",
+        help="run or inspect declarative sweep campaigns",
         description="Execute whole sweeps (figure grids, the full "
                     "reproduction, scenario explorations) as declarative "
-                    "campaigns.  With a checkpoint dir — a disk result "
-                    "cache — every completed simulation is persisted as "
-                    "it finishes, and a killed run resumes bit-identically "
-                    "as a run of cache hits.",
+                    "campaigns.  With a disk result cache (--cache-dir or "
+                    f"${CACHE_DIR_ENV}) every simulation is persisted as "
+                    "it finishes, and a killed run, run again, resumes "
+                    "bit-identically as a run of cache hits.",
     )
     campaign_sub = campaign_p.add_subparsers(dest="action", required=True)
 
@@ -733,14 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--warmup", type=int, default=None,
                        help="warm-up µops per job (default: the "
                             "campaign's own slice)")
-        p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="persist completed jobs in a result cache at "
-                            "DIR, used in place of --cache-dir (default: "
-                            f"${CHECKPOINT_DIR_ENV} or no checkpoint)")
-        p.add_argument("--chunk", type=int, default=None, metavar="N",
-                       help="jobs per batch (default with a checkpoint "
-                            "dir: 1 serial, 4x workers with a pool; "
-                            "without: one batch)")
         p.add_argument("--render", action="store_true",
                        help="print the campaign's figure/table after the run")
         p.add_argument("--backend", default="local", choices=BACKENDS,
@@ -765,21 +722,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "picture")
 
     campaign_run_p = campaign_sub.add_parser(
-        "run", help="execute a campaign (jobs already in the checkpoint "
-                    "dir are cache hits, so a rerun resumes)")
+        "run", help="execute a campaign (jobs already in the result cache "
+                    "are cache hits, so a rerun resumes)")
     _campaign_common(campaign_run_p)
     campaign_run_p.set_defaults(fn=cmd_campaign)
 
-    campaign_resume_p = campaign_sub.add_parser(
-        "resume", help="like run, but refuses when the checkpoint dir "
-                       "holds none of the campaign's jobs")
-    _campaign_common(campaign_resume_p)
-    campaign_resume_p.set_defaults(fn=cmd_campaign)
-
     campaign_status_p = campaign_sub.add_parser(
-        "status", help="show checkpoint completion for one or all campaigns",
+        "status", help="show cache completion for one or all campaigns",
         description="Count how many of each registered campaign's jobs "
-                    "have a result in the checkpoint dir.  Campaigns are "
+                    "have a result in the disk result cache (--cache-dir "
+                    f"or ${CACHE_DIR_ENV}).  Campaigns are "
                     "expanded at their registered grids, so a run made "
                     "with --workloads, --uops or --warmup reports its "
                     "progress only in its own summary line.")
@@ -787,9 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    choices=sorted(CAMPAIGNS),
                                    help="campaign name (default: every "
                                         "registered campaign)")
-    campaign_status_p.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help=f"checkpoint directory (default: ${CHECKPOINT_DIR_ENV})")
     campaign_status_p.set_defaults(fn=cmd_campaign)
 
     campaign_list_p = campaign_sub.add_parser(
@@ -834,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  metavar="HOST:PORT",
                                  help="TCP bind address; port 0 picks a "
                                       "free port, reported on the ready "
-                                      f"line (default: {DEFAULT_LISTEN})")
+                                      "line")
     cluster_serve_p.add_argument("--token", default=None,
                                  help="require this shared-secret token "
                                       "on every request (default: "

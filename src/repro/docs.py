@@ -41,19 +41,20 @@ CLI_HEADER = """\
 Two entry points ship with the reproduction:
 
 * **`repro`** (`python -m repro.cli`) — single runs, paper tables and
-  figures, declarative sweep campaigns with checkpoint/resume, the
+  figures, declarative sweep campaigns that resume after a kill, the
   simulation service daemon and its clients, and result-cache
   management;
 * **`python -m repro.experiments.reproduce`** — the everything driver
   that prints the paper-vs-reproduction report.
 
 Environment variables honoured by both: `REPRO_JOBS` (worker processes),
-`REPRO_CACHE_DIR` (persistent result cache), `REPRO_CHECKPOINT_DIR`
-(default campaign checkpoint directory), `REPRO_CLUSTER_SHARDS` and
-`REPRO_SERVICE_TOKEN` (the daemons a client or a `--backend cluster` run
-talks to, and their token; without them, `./repro-service.addr`, which a
-daemon that generated its own token writes).  Simulation results are
-bit-identical regardless of all of them.
+`REPRO_CACHE_DIR` (persistent result cache, written as each result
+lands, so rerunning a killed campaign picks up where it stopped),
+`REPRO_CLUSTER_SHARDS` and `REPRO_SERVICE_TOKEN` (the daemons a client
+or a `--backend cluster` run talks to, and their token; without them,
+`./repro-service.addr`, which a daemon that generated its own token
+writes).  Simulation results are bit-identical regardless of all of
+them.
 """
 
 PREDICTORS_HEADER = """\

@@ -12,7 +12,6 @@ from repro.engine.api import (
     default_engine,
     reset_default_engine,
     run_grid,
-    run_job,
     run_jobs,
     set_default_engine,
 )
@@ -113,6 +112,5 @@ __all__ = [
     "set_default_engine",
     "service_running",
     "wait_for_service",
-    "run_job",
     "run_jobs",
 ]

@@ -19,6 +19,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.executors import (
+    OnResult,
     PoolExecutor,
     SerialExecutor,
     make_executor,
@@ -43,32 +44,44 @@ class Engine:
         where = self.cache.directory or "memory-only"
         return f"executor={self.executor.describe()} cache={where}"
 
-    def run_jobs(self, jobs: Sequence[SimJob]) -> list[SimResult]:
+    def run_jobs(self, jobs: Sequence[SimJob],
+                 on_result: OnResult | None = None) -> list[SimResult]:
         """Run a batch of jobs; returns results in submission order.
 
         Cache hits never reach the executor, and spec-identical jobs in
-        one batch are simulated exactly once.
+        one batch are simulated exactly once.  Each result is written to
+        the cache as it lands, before ``on_result(index, result)``
+        reports it: a cache hit at once, a simulated job as the executor
+        finishes it.  So with a disk cache every reported result is
+        durable, and a rerun after a kill answers it as a hit.
         """
         results: list[SimResult | None] = [None] * len(jobs)
-        pending: dict[str, list[int]] = {}
+        slots: dict[str, list[int]] = {}
         pending_jobs: list[SimJob] = []
         for i, job in enumerate(jobs):
             cached = self.cache.get(job)
             if cached is not None:
                 results[i] = cached
+                if on_result is not None:
+                    on_result(i, cached)
                 continue
             key = job.content_key()
-            if key in pending:
-                pending[key].append(i)
+            if key in slots:
+                slots[key].append(i)
             else:
-                pending[key] = [i]
+                slots[key] = [i]
                 pending_jobs.append(job)
+        positions = list(slots.values())
+
+        def land(j: int, result: SimResult) -> None:
+            self.cache.put(pending_jobs[j], result)
+            for i in positions[j]:
+                results[i] = result
+                if on_result is not None:
+                    on_result(i, result)
+
         if pending_jobs:
-            computed = self.executor.run(pending_jobs)
-            for job, result in zip(pending_jobs, computed):
-                self.cache.put(job, result)
-                for i in pending[job.content_key()]:
-                    results[i] = result
+            self.executor.run(pending_jobs, land)
         return results  # type: ignore[return-value]
 
     def run_job(self, job: SimJob) -> SimResult:
@@ -162,11 +175,6 @@ def reset_default_engine() -> None:
 def run_jobs(jobs: Sequence[SimJob], engine: Engine | None = None) -> list[SimResult]:
     """Run a batch on *engine* (default: the process-wide engine)."""
     return (engine or default_engine()).run_jobs(jobs)
-
-
-def run_job(job: SimJob, engine: Engine | None = None) -> SimResult:
-    """Run one job on *engine* (default: the process-wide engine)."""
-    return (engine or default_engine()).run_job(job)
 
 
 def run_grid(

@@ -16,10 +16,11 @@ configuration) points somewhere.  Because every committed file is whole,
 a directory can be shared by any number of processes — engines,
 service daemons, cluster shards — and a memory miss reads through to
 whatever any of them published.  This is the fleet's only
-cross-shard result path, and the repo's only durable result store: a
-campaign checkpoint dir (``--checkpoint-dir``) is a disk cache too, so
-resuming a killed sweep is a run of cache hits, and a daemon restarted
-on the same directory answers everything it ever finished.
+cross-shard result path, and the repo's only durable result store.
+Every backend writes each result here as it lands (the engine for a
+local or cluster run, the job queue for a daemon), so rerunning a killed
+sweep is a run of cache hits, and a daemon restarted on the same
+directory answers everything it ever finished.
 
 The memory layer is a bounded LRU (:data:`MEMORY_MAX_ENTRIES`), so a
 long-lived daemon's footprint stays flat; an evicted entry of a

@@ -10,10 +10,10 @@ module makes such sweeps first-class values instead of ad-hoc loops:
   baselines" is one spec), with a deterministic :meth:`campaign_key`
   derived from the unique job content keys;
 * :func:`run_campaign` executes a spec through an :class:`~repro.engine.api.Engine`
-  and streams :class:`CampaignEvent` progress callbacks.  With a
-  *checkpoint dir* the engine's result cache is a disk
-  :class:`~repro.engine.cache.ResultCache` there, written as each job
-  completes, so a killed sweep resumes as a run of cache hits;
+  as one batch and streams :class:`CampaignEvent` progress callbacks.
+  The engine writes each result to its cache as it lands, so with a
+  disk :class:`~repro.engine.cache.ResultCache` (``--cache-dir`` /
+  ``$REPRO_CACHE_DIR``) a killed sweep resumes as a run of cache hits;
 * the returned :class:`CampaignResult` carries aggregation hooks
   (:meth:`~CampaignResult.by`, :meth:`~CampaignResult.lookup`,
   :meth:`~CampaignResult.speedup_by_workload`) that the figure and
@@ -26,28 +26,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import sys
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.engine.api import Engine, default_engine
-from repro.engine.cache import ResultCache
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP, SimJob
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimResult
-
-#: Environment variable with the default campaign checkpoint directory.
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
-
-
-def default_checkpoint_dir() -> Path | None:
-    """Resolve the default checkpoint directory (None = no checkpointing)."""
-    raw = os.environ.get(CHECKPOINT_DIR_ENV, "").strip()
-    return Path(raw) if raw else None
-
 
 #: Axis names a block may sweep — exactly the ``SimJob.make`` keywords.
 AXIS_NAMES = (
@@ -279,16 +266,17 @@ def engine_for_backend(
     addresses, else ``$REPRO_CLUSTER_SHARDS``, else the daemon whose
     address file is in the working directory (one daemon is a one-shard
     cluster).  Overlapping campaigns from concurrent clients share the
-    daemons' hot caches and in-flight dedupe.  A campaign checkpoint dir
-    stays client-side either way, so ``campaign resume`` semantics are
-    identical across backends.
+    daemons' hot caches and in-flight dedupe.  Either way the client's
+    result cache is the default engine's (``--cache-dir`` /
+    ``$REPRO_CACHE_DIR``), so a rerun resumes alike on both backends.
     """
     if backend == "local":
         return default_engine()
     if backend == "cluster":
         from repro.engine.cluster import cluster_engine
 
-        return cluster_engine(shards, token=token)
+        return cluster_engine(shards, token=token,
+                              cache=default_engine().cache)
     raise ValueError(
         f"unknown campaign backend {backend!r}; pick one of {BACKENDS}"
     )
@@ -423,35 +411,20 @@ def run_campaign(
     spec: CampaignSpec,
     *,
     engine: Engine | None = None,
-    checkpoint_dir: str | Path | None = None,
-    chunk_size: int | None = None,
     progress: Callable[[CampaignEvent], None] | None = None,
 ) -> CampaignResult:
-    """Execute a campaign, optionally checkpointed for crash-safe resume.
+    """Execute a campaign: its unique jobs go to the engine as one batch.
 
-    Jobs are deduplicated by content key, then run through the engine in
-    chunks of ``chunk_size``.  With a *checkpoint_dir* the engine's result
-    cache becomes a disk :class:`~repro.engine.cache.ResultCache` there
-    (in place of whatever cache it had), so every completed chunk is
-    durable before the next starts, and a rerun after a kill answers the
-    finished jobs as cache hits.  The default chunking follows from that:
-    with a checkpoint dir, per-job for a serial executor and
-    ``4 × workers`` for a pool (a kill loses at most one chunk, while
-    every worker still has queued work; the pool and its trace store
-    outlive a chunk, so chunking costs no respawn and no trace is
-    generated twice); without one the whole campaign goes down as a
-    single batch.
+    Jobs are deduplicated by content key.  The engine writes each result
+    to its cache as it lands, before ``progress`` receives its
+    :class:`CampaignEvent`, so with a disk cache a killed run loses only
+    the jobs in flight and a rerun answers the finished ones as cache
+    hits.
 
-    ``stats`` counts ``cache_hits`` (jobs the cache answered, checkpointed
-    ones included) and ``executed`` (the rest, which this run simulated).
-    ``progress`` receives a :class:`CampaignEvent` per completed job.
+    ``stats`` counts ``cache_hits`` (jobs the cache answered) and
+    ``executed`` (the rest, which this run simulated).
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     engine = engine or default_engine()
-    if checkpoint_dir is not None and \
-            engine.cache.directory != Path(checkpoint_dir):
-        engine.cache = ResultCache(checkpoint_dir)
     points = spec.points()
     jobs = [SimJob.make(**point) for point in points]
     keys = [job.content_key() for job in jobs]
@@ -459,24 +432,18 @@ def run_campaign(
     for key, job in zip(keys, jobs):
         unique.setdefault(key, job)
     todo = list(unique.values())
-    if chunk_size is None:
-        if checkpoint_dir is None:
-            chunk_size = max(1, len(todo))
-        else:
-            workers = engine.executor.jobs
-            chunk_size = 1 if workers <= 1 else 4 * workers
+    done = 0
 
-    completed: dict[str, SimResult] = {}
+    def report(i: int, result: SimResult) -> None:
+        nonlocal done
+        done += 1
+        progress(CampaignEvent(done, len(todo), todo[i], result))
+
     hits_before = engine.cache.hits
-    for start in range(0, len(todo), chunk_size):
-        chunk = todo[start:start + chunk_size]
-        for job, result in zip(chunk, engine.run_jobs(chunk)):
-            completed[job.content_key()] = result
-            if progress is not None:
-                progress(CampaignEvent(len(completed), len(unique), job,
-                                       result))
+    results = engine.run_jobs(todo, report if progress is not None else None)
     hits = engine.cache.hits - hits_before
     stats = {"total": len(unique), "executed": len(unique) - hits,
              "cache_hits": hits}
     return CampaignResult(spec=spec, points=points, jobs=jobs, keys=keys,
-                          results_by_key=completed, stats=stats)
+                          results_by_key=dict(zip(unique, results)),
+                          stats=stats)

@@ -43,15 +43,16 @@ is the cluster's only liveness mechanism: shards never talk to each
 other, and each router learns a shard is alive by probing it itself.
 
 :class:`ClusterExecutor` / :func:`cluster_engine` wrap the router in the
-standard executor/engine shape, which is what ``repro campaign run
---backend cluster`` and ``repro cluster run`` use; ``repro cluster
-status`` renders :meth:`ShardRouter.status` — the per-shard ``metrics``
-op aggregated into one ops view.
+standard executor/engine shape, which is what ``--backend cluster``
+campaigns use; ``repro cluster run`` drives a router directly, and
+``repro cluster status`` renders :meth:`ShardRouter.status` — the
+per-shard ``metrics`` op aggregated into one ops view.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +66,7 @@ from repro.engine.client import (
     ServiceUnavailable,
     resolve_service,
 )
+from repro.engine.executors import OnResult
 from repro.engine.job import SimJob
 from repro.pipeline.result import SimResult
 
@@ -395,55 +397,61 @@ class ShardRouter:
         except Exception as exc:  # noqa: BLE001 - collected, re-raised
             return exc
 
-    def run_jobs(self, jobs: list[SimJob]) -> list[SimResult]:
+    def _outcomes(self, groups: dict[str, list[SimJob]]):
+        """Yield each group's :meth:`_run_group` outcome, in group order,
+        as it lands: one group runs on the caller's thread, several on
+        router-private threads."""
+        if len(groups) == 1:
+            [(shard, group)] = groups.items()
+            yield self._run_group(shard, group)
+            return
+        with ThreadPoolExecutor(max_workers=len(groups)) as threads:
+            yield from threads.map(self._run_group, groups, groups.values())
+
+    def run_jobs(self, jobs: list[SimJob],
+                 on_result: OnResult | None = None) -> list[SimResult]:
         """Run a batch across the cluster; results in submission order.
 
         Each round routes the still-unfinished jobs, submits one group
         per live shard (concurrently when there are several), and loops
         while failovers strand work — so a shard SIGKILL-ed mid-batch
-        costs exactly one re-route of its jobs.  Duplicate specs within the batch are
-        submitted once and fanned back out, mirroring the daemons' own
-        coalescing.  Non-transient errors (a failing job, an auth
-        rejection) propagate immediately.
+        costs exactly one re-route of its jobs.  Duplicate specs within
+        the batch are submitted once and fanned back out, mirroring the
+        daemons' own coalescing.  ``on_result(index, result)`` reports
+        each shard group's results on the caller's thread as the group
+        lands.  Non-transient errors (a failing job, an auth rejection)
+        propagate once the round's other groups have landed.
         """
-        if not jobs:
-            return []
-        by_key: dict[str, SimResult] = {}
-        pending: list[SimJob] = []
-        seen: set[str] = set()
-        for job in jobs:
-            key = job.content_key()
-            if key not in seen:
-                seen.add(key)
-                pending.append(job)
+        results: list[SimResult | None] = [None] * len(jobs)
+        slots: dict[str, list[int]] = {}
+        for i, job in enumerate(jobs):
+            slots.setdefault(job.content_key(), []).append(i)
+        pending = [jobs[positions[0]] for positions in slots.values()]
         while pending:
             # Give healed shards a chance before each round: probes whose
             # backoff expired run here, so re-admission happens *during*
             # long batches, not only between CLI invocations.
             self.maybe_probe()
             groups = self.route(pending)
-            if len(groups) == 1:
-                # One shard: the round runs on the caller's thread.
-                [(shard, group)] = groups.items()
-                outcomes = [self._run_group(shard, group)]
-            else:
-                with ThreadPoolExecutor(max_workers=len(groups)) as threads:
-                    outcomes = list(threads.map(self._run_group, groups,
-                                                groups.values()))
             stranded: list[SimJob] = []
             hard_error: Exception | None = None
-            for group, outcome in zip(groups.values(), outcomes):
-                if isinstance(outcome, (ServiceUnavailable, ServiceTimeout)):
-                    stranded.extend(group)
-                    self.stats["rerouted_jobs"] += len(group)
-                elif isinstance(outcome, Exception):
-                    hard_error = outcome
-                else:
-                    results, summary = outcome
-                    for job, result in zip(group, results):
-                        by_key[job.content_key()] = result
-                    for name in ("cache_hits", "coalesced", "enqueued"):
-                        self.stats[name] += summary[name]
+            with contextlib.closing(self._outcomes(groups)) as outcomes:
+                for group, outcome in zip(groups.values(), outcomes):
+                    if isinstance(outcome, (ServiceUnavailable,
+                                            ServiceTimeout)):
+                        stranded.extend(group)
+                        self.stats["rerouted_jobs"] += len(group)
+                    elif isinstance(outcome, Exception):
+                        hard_error = outcome
+                    else:
+                        group_results, summary = outcome
+                        for name in ("cache_hits", "coalesced", "enqueued"):
+                            self.stats[name] += summary[name]
+                        for job, result in zip(group, group_results):
+                            for i in slots[job.content_key()]:
+                                results[i] = result
+                                if on_result is not None:
+                                    on_result(i, result)
             if hard_error is not None:
                 raise hard_error
             pending = stranded
@@ -454,12 +462,12 @@ class ShardRouter:
                 # is actually down.
                 if not self.maybe_probe(force=True):
                     raise ServiceUnavailable(self._all_down_message())
-        return [by_key[job.content_key()] for job in jobs]
+        return results  # type: ignore[return-value]
 
     # -- ops surface -----------------------------------------------------
 
     def status(self, probe_timeout: float = 5.0) -> dict:
-        """One aggregated ops view: ring, router counters, shard metrics.
+        """One aggregated ops view: the ring and every shard's metrics.
 
         Scrapes every shard's ``metrics`` op (short deadline, fresh
         connection per probe so a wedged shard cannot hold the status
@@ -496,7 +504,6 @@ class ShardRouter:
             "ring": {"shards": len(self.ring.shards),
                      "replicas": self.ring.replicas,
                      "alive": len(self.alive_shards())},
-            "router": dict(self.stats),
         }
 
     def shutdown(self) -> dict[str, bool]:
@@ -528,54 +535,46 @@ class ClusterExecutor:
 
     The remote sibling of
     :class:`~repro.engine.executors.PoolExecutor`: same ``run`` /
-    ``jobs`` / ``describe`` surface, so an ordinary
+    ``describe`` surface, so an ordinary
     :class:`~repro.engine.api.Engine` (and therefore the whole campaign
-    / checkpoint / figure stack) runs cluster-wide unchanged.  ``jobs``
-    is the summed worker count of the shards that answered ``ping`` —
-    campaign chunk sizing then matches the cluster's real width.
+    / figure stack) runs cluster-wide unchanged.  Construction contacts
+    no shard; a cluster whose every shard is down raises
+    :class:`~repro.engine.client.ServiceUnavailable` on the first batch.
     """
 
     def __init__(self, router: ShardRouter):
         self.router = router
-        total = 0
-        for shard in list(router.alive_shards()):
-            try:
-                total += int(router.client(shard).ping().get("workers", 1))
-            except (ServiceUnavailable, ServiceTimeout) as exc:
-                router.mark_down(shard, str(exc))
-        if not router.alive_shards():
-            raise ServiceUnavailable(router._all_down_message())
-        self.jobs = max(1, total)
 
-    def run(self, jobs: list[SimJob]) -> list[SimResult]:
+    def run(self, jobs: list[SimJob],
+            on_result: OnResult | None = None) -> list[SimResult]:
         """Run one batch across the cluster (engine executor hook)."""
-        if not jobs:
-            return []
-        return self.router.run_jobs(jobs)
+        return self.router.run_jobs(jobs, on_result)
 
     def describe(self) -> str:
         """Human-readable backend label for campaign/status output."""
-        return (f"cluster({len(self.router.ring.shards)} shards, "
-                f"{self.jobs} workers)")
+        return f"cluster({len(self.router.ring.shards)} shards)"
 
 
 def cluster_engine(shards: list[str] | None = None, *,
                    token: str | None = None,
-                   timeout: float | None = None):
+                   timeout: float | None = None,
+                   cache=None):
     """An :class:`~repro.engine.api.Engine` whose batches run on a cluster.
 
-    The local cache is memory-only: persistence and sharing live
-    shard-side, partitioned by the ring, while the local layer still
-    short-circuits repeat lookups (figure rendering after a campaign)
-    without a round trip; a campaign checkpoint dir replaces it with a
-    disk cache.  The executor is a :class:`ClusterExecutor` over a fresh
+    The executor is a :class:`ClusterExecutor` over a fresh
     :class:`ShardRouter` (*shards* resolved as
     :func:`~repro.engine.client.resolve_service` does — one address is
-    a one-daemon cluster).  This is ``--backend cluster`` and ``repro
-    cluster run``.
+    a one-daemon cluster).  The client's result cache is *cache*
+    (memory-only when None); ``--backend cluster`` passes the default
+    engine's, so it follows ``--cache-dir`` / ``$REPRO_CACHE_DIR`` as a
+    local run does.  It short-circuits repeat lookups (figure rendering
+    after a campaign) without a round trip, and with a directory it
+    holds every result as it lands, so rerunning a killed campaign picks
+    up where it stopped.
     """
     from repro.engine.api import Engine
     from repro.engine.cache import ResultCache
 
     router = ShardRouter(shards, token=token, timeout=timeout)
-    return Engine(executor=ClusterExecutor(router), cache=ResultCache(None))
+    return Engine(executor=ClusterExecutor(router),
+                  cache=cache if cache is not None else ResultCache(None))

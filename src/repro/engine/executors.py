@@ -1,10 +1,14 @@
 """Pluggable job executors: serial, and a pool of worker processes.
 
 Both backends run :func:`~repro.engine.job.execute_job` over a job list
-and preserve input order.  Because a job spec fully determines its
-simulation (seeded traces, no wall-clock anywhere in the model) and
-results round-trip losslessly through ``SimResult.to_dict``/``from_dict``,
-the two backends are bit-identical — the equivalence test in
+and preserve input order.  ``run(jobs, on_result)`` also reports each
+result as it lands, as ``on_result(index, result)`` on the caller's
+thread, which is how :class:`~repro.engine.api.Engine` makes every
+result durable in its cache before the next one is reported.  Because
+a job spec fully determines its simulation (seeded traces, no
+wall-clock anywhere in the model) and results round-trip losslessly
+through ``SimResult.to_dict``/``from_dict``, the two backends are
+bit-identical — the equivalence test in
 ``tests/unit/test_engine.py`` pins that guarantee.
 
 The default backend is picked from the ``REPRO_JOBS`` environment variable
@@ -17,14 +21,18 @@ from __future__ import annotations
 import asyncio
 import os
 import weakref
+from collections.abc import Callable
 
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimJob, execute_job
-from repro.engine.queue import JobQueue, WorkerPool
+from repro.engine.queue import JobQueue, WorkerPool, gather_results
 from repro.pipeline.result import SimResult
 
 #: Environment variable selecting the default parallelism.
 JOBS_ENV = "REPRO_JOBS"
+
+#: ``on_result(index, result)``: called once per job as its result lands.
+OnResult = Callable[[int, SimResult], None]
 
 #: Upper clamp for the worker count: a typo'd ``REPRO_JOBS=1000000`` must
 #: not spawn a million processes.  Far above any sane machine, far below
@@ -35,10 +43,14 @@ MAX_JOBS = 512
 class SerialExecutor:
     """Run jobs one after the other in the current process."""
 
-    jobs = 1
-
-    def run(self, jobs: list[SimJob]) -> list[SimResult]:
-        return [execute_job(job) for job in jobs]
+    def run(self, jobs: list[SimJob],
+            on_result: OnResult | None = None) -> list[SimResult]:
+        results = []
+        for i, job in enumerate(jobs):
+            results.append(execute_job(job))
+            if on_result is not None:
+                on_result(i, results[-1])
+        return results
 
     def describe(self) -> str:
         return "serial"
@@ -63,13 +75,18 @@ class PoolExecutor:
     ``$REPRO_JOB_TIMEOUT`` kills a hung worker, the workers share one
     trace store in which each cold trace is generated once, and the
     ``worker.execute`` chaos site fires.  A job that raises fails the
-    batch with :class:`~repro.engine.queue.JobFailed`.
+    batch with :class:`~repro.engine.queue.JobFailed` once every other
+    job of the batch has landed.
+
+    ``on_result`` runs in the coroutine :meth:`run` drives, as each
+    job's future resolves, so an exception it raises propagates out of
+    :meth:`run`; the batch's unfinished jobs are then cancelled.
 
     Construction spawns nothing: the pool starts on the first
-    :meth:`run` and is kept for the executor's life, so the chunks of a
-    checkpointed campaign reuse its workers and its trace store.
-    :meth:`close` stops it (a later :meth:`run` starts a new one);
-    collection or interpreter exit stops it too.
+    :meth:`run` and is kept for the executor's life, so later batches
+    reuse its workers and its trace store.  :meth:`close` stops it (a
+    later :meth:`run` starts a new one); collection or interpreter exit
+    stops it too.
     """
 
     def __init__(self, jobs: int):
@@ -80,12 +97,38 @@ class PoolExecutor:
         self._queue: JobQueue | None = None
         self._closer: weakref.finalize | None = None
 
-    def run(self, jobs: list[SimJob]) -> list[SimResult]:
+    def run(self, jobs: list[SimJob],
+            on_result: OnResult | None = None) -> list[SimResult]:
         if not jobs:
             return []
         if self._queue is None:
             self._start()
-        return self._loop.run_until_complete(self._queue.run_jobs(jobs))
+        return self._loop.run_until_complete(self._run(jobs, on_result))
+
+    async def _run(self, jobs: list[SimJob],
+                   on_result: OnResult | None) -> list[SimResult]:
+        futures, _ = self._queue.submit(jobs)
+        if on_result is not None:
+            slots: dict[asyncio.Future, list[int]] = {}
+            for i, future in enumerate(futures):
+                slots.setdefault(future, []).append(i)
+            waiting = set(slots)
+            try:
+                while waiting:
+                    landed, waiting = await asyncio.wait(
+                        waiting, return_when=asyncio.FIRST_COMPLETED)
+                    for future in sorted(landed, key=lambda f: slots[f][0]):
+                        if future.exception() is None:
+                            for i in slots[future]:
+                                on_result(i, future.result())
+            except BaseException:
+                for future in slots:
+                    if not future.done():
+                        future.cancel()
+                    elif not future.cancelled():
+                        future.exception()  # retrieved, so never logged
+                raise
+        return await gather_results(futures)
 
     def _start(self) -> None:
         loop = asyncio.new_event_loop()

@@ -549,7 +549,12 @@ class JobQueue:
             if task_id is not None:
                 self.stats.coalesced += 1
                 summary["coalesced"] += 1
-                futures.append(self._tasks[task_id].future)
+                task = self._tasks[task_id]
+                if task.future.cancelled():
+                    # Its waiter gave up; the job itself is still queued
+                    # or running, so this batch takes it over.
+                    task.future = self._loop.create_future()
+                futures.append(task.future)
                 continue
             task_id = self._next_task
             self._next_task += 1
@@ -599,8 +604,13 @@ class JobQueue:
         while self._pending and idle:
             task_id = self._pending.popleft()
             task = self._tasks.get(task_id)
-            if task is None or task.future.done():
+            if task is None:
                 # Resolved while queued (stale completion after a requeue).
+                continue
+            if task.future.cancelled():
+                # Its waiter gave up before a worker took it: drop it.
+                del self._tasks[task_id]
+                self._inflight.pop(task.key, None)
                 continue
             ident = task.job.trace_identity()
             if ident in self._generating:

@@ -5,12 +5,12 @@ one evaluation grid — the predictor/confidence/recovery/workload product a
 figure needs *plus* the no-VP baseline block its speedups divide by.  The
 figure renderers in :mod:`repro.experiments.figures` execute these specs
 and aggregate through :class:`~repro.engine.campaign.CampaignResult`;
-``repro campaign run/status/resume`` executes them standalone into a
-checkpoint dir (a disk result cache), so a multi-hour sweep survives kills
-and resumes bit-identically.
+``repro campaign run/status`` executes them standalone; with a disk
+result cache (``--cache-dir``) a multi-hour sweep survives kills and a
+rerun resumes bit-identically.
 
 ``CAMPAIGNS`` is the registry the CLI exposes.  ``reproduce`` is the union
-of every figure grid — running it once (checkpointed) makes the whole of
+of every figure grid — running it once makes the whole of
 ``repro.experiments.reproduce`` a cache replay.
 """
 

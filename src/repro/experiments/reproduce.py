@@ -7,16 +7,14 @@ the whole evaluation and writes the paper-vs-reproduction report to stdout
 The whole evaluation is *one campaign*: the union of every figure grid
 (:func:`repro.experiments.campaigns.reproduce_campaign`) executes up
 front through :func:`~repro.engine.campaign.run_campaign`, after which
-the figure renderers are pure cache replays.  With ``--checkpoint-dir``
-the engine's result cache is a disk cache in that directory, written as
-each simulation finishes, so a killed multi-hour run resumes where it
-stopped — re-running the same command produces byte-identical output
-either way.
+the figure renderers are pure cache replays.
 
 Every simulation goes through the experiment engine: ``--jobs``/``-j`` (or
 ``REPRO_JOBS``) fans the campaign out over a process pool, and
-``REPRO_CACHE_DIR`` persists results so a re-run only simulates what
-changed.  Output is byte-identical regardless of any of these knobs.
+``--cache-dir`` (or ``REPRO_CACHE_DIR``) persists each result as it
+finishes, so a killed multi-hour run resumes where it stopped and a
+re-run only simulates what changed.  Output is byte-identical regardless
+of any of these knobs.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from repro.analysis.cost_model import (
     PAPER_SCENARIOS,
@@ -35,7 +32,6 @@ from repro.analysis.report import format_table, geometric_mean
 from repro.engine.api import configure_default_engine, set_default_engine
 from repro.engine.campaign import (
     BACKENDS,
-    default_checkpoint_dir,
     engine_for_backend,
     progress_printer,
     run_campaign,
@@ -107,14 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="persistent result-cache directory (default: $REPRO_CACHE_DIR "
-             "or memory-only)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="persist every completed simulation in a result cache at DIR "
-             "(in place of --cache-dir) so a killed run resumes where it "
-             "stopped (default: $REPRO_CHECKPOINT_DIR or no checkpoint)",
+        help="persistent result-cache directory, written as each "
+             "simulation finishes, so a killed run resumes where it "
+             "stopped (default: $REPRO_CACHE_DIR or memory-only)",
     )
     parser.add_argument(
         "--backend", default="local", choices=BACKENDS,
@@ -129,32 +120,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     n_uops, warmup = args.n_uops, args.warmup
-    if args.backend == "local":
-        engine = configure_default_engine(jobs=args.jobs,
-                                          cache_dir=args.cache_dir)
-    else:
-        # Cluster backend: batches go to the daemons, and the cluster
-        # engine *becomes* the default so the figure renderers below
-        # replay from its local cache.
-        if args.jobs is not None or args.cache_dir is not None:
-            print("note: --jobs/--cache-dir apply to the daemons, not this "
-                  "client; they are ignored with --backend cluster",
-                  file=sys.stderr)
+    engine = configure_default_engine(jobs=args.jobs,
+                                      cache_dir=args.cache_dir)
+    if args.backend != "local":
+        # Cluster backend: batches go to the daemons over this process's
+        # result cache, and the cluster engine *becomes* the default so
+        # the figure renderers below replay from that cache.
+        if args.jobs is not None:
+            print("note: --jobs applies to the daemons, not this client; "
+                  "it is ignored with --backend cluster", file=sys.stderr)
         try:
             engine = set_default_engine(engine_for_backend(args.backend))
         except ServiceError as exc:
             raise SystemExit(f"error: {exc}") from None
     t0 = time.time()
 
-    # Execute the whole evaluation as one (optionally checkpointed)
-    # campaign; the per-figure rendering below then replays it from the
-    # result cache.
+    # Execute the whole evaluation as one campaign; the per-figure
+    # rendering below then replays it from the result cache.
     spec = reproduce_campaign(n_uops=n_uops, warmup=warmup)
-    checkpoint_dir = (Path(args.checkpoint_dir) if args.checkpoint_dir
-                      else default_checkpoint_dir())
     try:
         campaign = run_campaign(spec, engine=engine,
-                                checkpoint_dir=checkpoint_dir,
                                 progress=progress_printer(spec.name))
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}") from None

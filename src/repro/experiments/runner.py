@@ -203,32 +203,6 @@ def baseline_result(
     return (engine or default_engine()).run_job(job)
 
 
-def clear_baseline_cache() -> None:
-    """Drop memoised results (baselines included) from the default engine."""
-    default_engine().cache.clear(disk=False)
-
-
-def suite_jobs(
-    predictor_name: str,
-    workloads: tuple[str, ...],
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-    fpc: bool = True,
-    recovery: str = "squash",
-) -> list[SimJob]:
-    """The job list :func:`run_suite` executes, one job per workload.
-
-    Exposed so figure drivers can pre-batch several suites (plus the
-    baselines) in a single ``run_jobs`` submission with specs guaranteed
-    identical to the per-suite lookups that follow.
-    """
-    return [
-        SimJob.make(workload, predictor_name, fpc=fpc, recovery=recovery,
-                    n_uops=n_uops, warmup=warmup)
-        for workload in workloads
-    ]
-
-
 def run_suite(
     predictor_name: str,
     workloads: tuple[str, ...] = ALL_WORKLOADS,
@@ -239,8 +213,11 @@ def run_suite(
     engine: Engine | None = None,
 ) -> dict[str, SimResult]:
     """Run one predictor configuration over a set of workloads (one batch)."""
-    jobs = suite_jobs(predictor_name, workloads, n_uops, warmup,
-                      fpc=fpc, recovery=recovery)
+    jobs = [
+        SimJob.make(workload, predictor_name, fpc=fpc, recovery=recovery,
+                    n_uops=n_uops, warmup=warmup)
+        for workload in workloads
+    ]
     results = run_jobs(jobs, engine=engine)
     return dict(zip(workloads, results))
 

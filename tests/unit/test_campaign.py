@@ -1,4 +1,7 @@
-"""Campaign specs: expansion, identity, aggregation, checkpoint dirs."""
+"""Campaign specs: expansion, identity, aggregation, the disk cache."""
+
+import gc
+import logging
 
 import pytest
 
@@ -10,7 +13,7 @@ from repro.engine.campaign import (
     CampaignSpec,
     run_campaign,
 )
-from repro.engine.executors import SerialExecutor
+from repro.engine.executors import PoolExecutor, SerialExecutor
 from repro.engine.job import SimJob
 from repro.pipeline.config import CoreConfig
 from repro.workloads.scenarios import scenario_axis
@@ -32,8 +35,8 @@ def tiny_spec(name="tiny") -> CampaignSpec:
     )
 
 
-def fresh_engine() -> Engine:
-    return Engine(SerialExecutor(), ResultCache())
+def fresh_engine(directory=None) -> Engine:
+    return Engine(SerialExecutor(), ResultCache(directory))
 
 
 # ---------------------------------------------------------------------------
@@ -207,59 +210,83 @@ class TestCampaignResult:
         with pytest.raises(KeyError, match="baseline"):
             result.speedup_by_workload(predictor="lvp")
 
-    def test_chunk_size_must_be_positive(self):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="chunk_size"):
-                run_campaign(tiny_spec(), engine=fresh_engine(),
-                             chunk_size=bad)
+    def test_unjournaled_run_is_one_batch(self, monkeypatch, tmp_path):
+        """The engine makes each result durable as it lands, so a
+        campaign goes to the executor as a single batch (full
+        parallelism), with a disk cache or without one."""
+        for engine in (fresh_engine(), fresh_engine(tmp_path)):
+            batches = []
+            original = engine.run_jobs
 
-    def test_unjournaled_run_is_one_batch(self, monkeypatch):
-        """Without a checkpoint dir there is nothing to make durable
-        between chunks, so the whole campaign must go to the executor as
-        a single batch (full parallelism)."""
-        engine = fresh_engine()
-        batches = []
-        original = engine.run_jobs
+            def spy(jobs, on_result=None):
+                batches.append(len(jobs))
+                return original(jobs, on_result)
 
-        def spy(jobs):
-            batches.append(len(jobs))
-            return original(jobs)
-
-        monkeypatch.setattr(engine, "run_jobs", spy)
-        run_campaign(tiny_spec(), engine=engine)
-        assert batches == [6]
+            monkeypatch.setattr(engine, "run_jobs", spy)
+            run_campaign(tiny_spec(), engine=engine)
+            assert batches == [6]
 
 
 # ---------------------------------------------------------------------------
-# The checkpoint dir is the result cache.
+# The checkpoint is the result cache.
 # ---------------------------------------------------------------------------
 
 class TestCheckpointIsTheCache:
     def test_replay_warms_the_cache(self, tmp_path):
         spec = tiny_spec()
-        run_campaign(spec, engine=fresh_engine(), checkpoint_dir=tmp_path)
-        cold_engine = fresh_engine()
+        run_campaign(spec, engine=fresh_engine(tmp_path))
+        cold_engine = fresh_engine(tmp_path)
         job_mod.reset_run_count()
-        result = run_campaign(spec, engine=cold_engine,
-                              checkpoint_dir=tmp_path)
+        result = run_campaign(spec, engine=cold_engine)
         assert job_mod.run_count() == 0
         assert result.stats == {"total": 6, "executed": 0, "cache_hits": 6}
         assert cold_engine.cache.directory == tmp_path
         for sim_job in spec.unique_jobs().values():
             assert cold_engine.cache.get(sim_job) is not None
 
-    def test_checkpointed_run_goes_down_in_chunks(self, tmp_path,
-                                                  monkeypatch):
-        """With a checkpoint dir a serial engine runs one job per chunk,
-        so a kill loses at most the job in flight."""
-        engine = fresh_engine()
-        batches = []
-        original = engine.run_jobs
+    def interrupt_after(self, engine, k):
+        """Run the tiny campaign; its progress callback raises once *k*
+        results were reported."""
 
-        def spy(jobs):
-            batches.append(len(jobs))
-            return original(jobs)
+        class Interrupted(Exception):
+            pass
 
-        monkeypatch.setattr(engine, "run_jobs", spy)
-        run_campaign(tiny_spec(), engine=engine, checkpoint_dir=tmp_path)
-        assert batches == [1] * 6
+        def progress(event):
+            if event.done == k:
+                raise Interrupted
+
+        with pytest.raises(Interrupted):
+            run_campaign(tiny_spec(), engine=engine, progress=progress)
+
+    def test_serial_interruption_leaves_exactly_the_reported_results(
+            self, tmp_path):
+        """Each result is on disk before it is reported, and the batch
+        stops at the interruption: k reported results, k entries."""
+        self.interrupt_after(fresh_engine(tmp_path), 2)
+        assert len(ResultCache(tmp_path).disk_entries()) == 2
+
+    def test_pool_interruption_propagates_and_leaves_the_reported_results(
+            self, tmp_path, caplog):
+        """On a pool the progress callback's exception leaves
+        ``run_campaign`` with every reported result on disk; the batch's
+        unfinished futures are cancelled, not failed at ``close``, so
+        asyncio reports no exception as never retrieved.  The same pool
+        then reruns the campaign: jobs still running take on new
+        futures, and cancelled queued jobs are dropped."""
+        engine = Engine(PoolExecutor(2), ResultCache(tmp_path))
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            try:
+                self.interrupt_after(engine, 2)
+                finished = len(ResultCache(tmp_path).disk_entries())
+                rerun = run_campaign(tiny_spec(), engine=engine)
+                depth = engine.executor._queue.depth
+            finally:
+                engine.executor.close()
+            gc.collect()
+        assert finished >= 2
+        assert rerun.stats == {"total": 6, "executed": 6 - finished,
+                               "cache_hits": finished}
+        assert depth == 0
+        clean = run_campaign(tiny_spec(), engine=fresh_engine())
+        assert rerun.results == clean.results
+        assert "never retrieved" not in caplog.text

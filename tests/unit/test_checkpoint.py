@@ -1,4 +1,5 @@
-"""Campaign checkpoints: a disk result cache, kill/resume result equality."""
+"""Campaign checkpoints are the disk result cache: every result is durable
+as it lands, and a killed campaign, rerun, resumes bit-identically."""
 
 import os
 import signal
@@ -12,12 +13,7 @@ from repro.cli import main as cli_main
 from repro.engine import job as job_mod
 from repro.engine.api import Engine, reset_default_engine
 from repro.engine.cache import ResultCache
-from repro.engine.campaign import (
-    CHECKPOINT_DIR_ENV,
-    CampaignSpec,
-    default_checkpoint_dir,
-    run_campaign,
-)
+from repro.engine.campaign import CampaignSpec, run_campaign
 from repro.engine.executors import PoolExecutor, SerialExecutor
 from repro.engine.job import SimJob, execute_job
 from repro.experiments.campaigns import CAMPAIGNS, figure4_campaign
@@ -33,26 +29,30 @@ SPEC = CampaignSpec.make(
 )
 
 
-def fresh_engine(workers: int = 1) -> Engine:
+def fresh_engine(directory=None, workers: int = 1) -> Engine:
     executor = SerialExecutor() if workers <= 1 else PoolExecutor(workers)
-    return Engine(executor, ResultCache())
+    return Engine(executor, ResultCache(directory))
 
 
 class _Abort(Exception):
     """Stands in for the operator's ctrl-C / the scheduler's kill."""
 
 
-def run_until(spec, checkpoint, n_jobs, workers=1, chunk_size=1):
-    """Run a campaign and abort once *n_jobs* completed."""
+def run_until(spec, directory, n_jobs, workers=1):
+    """Run a campaign on a cache at *directory*; abort once *n_jobs*
+    results were reported."""
 
     def progress(event):
         if event.done >= n_jobs:
             raise _Abort
 
-    with pytest.raises(_Abort):
-        run_campaign(spec, engine=fresh_engine(workers),
-                     checkpoint_dir=checkpoint, chunk_size=chunk_size,
-                     progress=progress)
+    engine = fresh_engine(directory, workers)
+    try:
+        with pytest.raises(_Abort):
+            run_campaign(spec, engine=engine, progress=progress)
+    finally:
+        if workers > 1:
+            engine.executor.close()
 
 
 def checkpoint_payload(directory, spec) -> dict:
@@ -71,26 +71,19 @@ def done(directory, spec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The checkpoint dir is a result cache.
+# The checkpoint is the result cache, written as each result lands.
 # ---------------------------------------------------------------------------
 
 class TestCheckpointDir:
     def test_garbage_entry_reruns_exactly_that_job(self, tmp_path):
-        run_campaign(SPEC, engine=fresh_engine(), checkpoint_dir=tmp_path)
+        run_campaign(SPEC, engine=fresh_engine(tmp_path))
         victim = next(iter(SPEC.unique_jobs()))
         (tmp_path / victim[:2] / f"{victim}.json").write_text("not json{")
         job_mod.reset_run_count()
-        result = run_campaign(SPEC, engine=fresh_engine(),
-                              checkpoint_dir=tmp_path)
+        result = run_campaign(SPEC, engine=fresh_engine(tmp_path))
         assert job_mod.run_count() == 1
         assert result.stats == {"total": 6, "executed": 1, "cache_hits": 5}
         assert done(tmp_path, SPEC) == 6
-
-    def test_default_checkpoint_dir_reads_the_environment(self, monkeypatch):
-        monkeypatch.delenv(CHECKPOINT_DIR_ENV, raising=False)
-        assert default_checkpoint_dir() is None
-        monkeypatch.setenv(CHECKPOINT_DIR_ENV, "runs")
-        assert str(default_checkpoint_dir()) == "runs"
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +102,7 @@ class TestKillResume:
         assert done(tmp_path, SPEC) == 3
 
         job_mod.reset_run_count()
-        resumed = run_campaign(SPEC, engine=fresh_engine(),
-                               checkpoint_dir=tmp_path)
+        resumed = run_campaign(SPEC, engine=fresh_engine(tmp_path))
         assert job_mod.run_count() == 3  # only the missing half ran
         assert resumed.stats["cache_hits"] == 3
         assert {k: r.to_dict() for k, r in resumed.results_by_key.items()} \
@@ -119,13 +111,19 @@ class TestKillResume:
 
     def test_pool_kill_between_chunks_resumes_bit_identical(self, tmp_path,
                                                             uninterrupted):
-        run_until(SPEC, tmp_path, n_jobs=2, workers=2, chunk_size=2)
-        assert done(tmp_path, SPEC) == 2
+        """Killed after two results on a pool (one batch, no chunks):
+        the rerun answers at least those two from the cache."""
+        run_until(SPEC, tmp_path, n_jobs=2, workers=2)
+        finished = done(tmp_path, SPEC)
+        assert finished >= 2
 
-        resumed = run_campaign(SPEC, engine=fresh_engine(2),
-                               checkpoint_dir=tmp_path, chunk_size=2)
-        assert resumed.stats["cache_hits"] == 2
-        assert resumed.stats["executed"] == 4
+        engine = fresh_engine(tmp_path, workers=2)
+        try:
+            resumed = run_campaign(SPEC, engine=engine)
+        finally:
+            engine.executor.close()
+        assert resumed.stats["cache_hits"] == finished
+        assert resumed.stats["executed"] == 6 - finished
         assert {k: r.to_dict() for k, r in resumed.results_by_key.items()} \
             == uninterrupted
         assert checkpoint_payload(tmp_path, SPEC) == uninterrupted
@@ -151,8 +149,8 @@ class TestKillResume:
                 if event.done >= 3:
                     os.kill(os.getpid(), signal.SIGKILL)
 
-            run_campaign(spec, engine=Engine(SerialExecutor(), ResultCache()),
-                         checkpoint_dir={str(tmp_path)!r}, chunk_size=1,
+            run_campaign(spec, engine=Engine(SerialExecutor(),
+                                             ResultCache({str(tmp_path)!r})),
                          progress=progress)
         """)
         env = dict(os.environ, PYTHONPATH="src")
@@ -165,8 +163,7 @@ class TestKillResume:
         assert done(tmp_path, SPEC) == 3
 
         job_mod.reset_run_count()
-        resumed = run_campaign(SPEC, engine=fresh_engine(),
-                               checkpoint_dir=tmp_path)
+        resumed = run_campaign(SPEC, engine=fresh_engine(tmp_path))
         assert job_mod.run_count() == 3
         assert resumed.stats["cache_hits"] == 3
         assert {k: r.to_dict() for k, r in resumed.results_by_key.items()} \
@@ -187,8 +184,7 @@ class TestKillResume:
         assert done(tmp_path, spec) == total // 2
 
         job_mod.reset_run_count()
-        resumed = run_campaign(spec, engine=fresh_engine(),
-                               checkpoint_dir=tmp_path)
+        resumed = run_campaign(spec, engine=fresh_engine(tmp_path))
         assert job_mod.run_count() == total - total // 2
         assert resumed.stats["cache_hits"] == total // 2
         assert resumed.stats["executed"] == total - total // 2
@@ -198,7 +194,7 @@ class TestKillResume:
 
 
 # ---------------------------------------------------------------------------
-# The campaign CLI reads progress off the checkpoint dir's keys.
+# The campaign CLI reads progress off the cache dir's keys.
 # ---------------------------------------------------------------------------
 
 class TestCampaignCli:
@@ -213,26 +209,22 @@ class TestCampaignCli:
 
     def test_resume_simulates_nothing_after_a_full_run(self, tmp_path,
                                                        capsys):
-        args = [*self.ARGS, "--checkpoint-dir", str(tmp_path)]
-        assert cli_main(["campaign", "run", *args]) == 0
+        """A rerun of ``campaign run`` on the same cache dir resumes."""
+        args = ["--cache-dir", str(tmp_path), "campaign", "run", *self.ARGS]
+        assert cli_main(args) == 0
         assert "— 9 executed, 0 answered" in capsys.readouterr().out
         reset_default_engine()
         job_mod.reset_run_count()
-        assert cli_main(["campaign", "resume", *args]) == 0
+        assert cli_main(args) == 0
         assert job_mod.run_count() == 0
         assert "— 0 executed, 9 answered" in capsys.readouterr().out
-
-    def test_resume_refuses_a_dir_without_the_campaigns_keys(self, tmp_path):
-        with pytest.raises(SystemExit, match="nothing to resume"):
-            cli_main(["campaign", "resume", *self.ARGS,
-                      "--checkpoint-dir", str(tmp_path)])
 
     def test_status_counts_registered_keys_present(self, tmp_path, capsys):
         job = next(iter(CAMPAIGNS["fig3"].build().unique_jobs().values()))
         tiny = SimJob.make("gzip", "none", **TINY)
         ResultCache(tmp_path).put(job, execute_job(tiny))
-        assert cli_main(["campaign", "status", "fig3",
-                         "--checkpoint-dir", str(tmp_path)]) == 0
+        assert cli_main(["--cache-dir", str(tmp_path),
+                         "campaign", "status", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "fig3" in out and "1/38" in out
         assert "fig4" not in out

@@ -15,8 +15,9 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.engine import faults
-from repro.engine.api import Engine
+from repro.engine.api import Engine, reset_default_engine
 from repro.engine.cache import ResultCache
+from repro.engine.campaign import engine_for_backend
 from repro.engine.client import (
     ADDRESS_FILE,
     RetryPolicy,
@@ -28,7 +29,6 @@ from repro.engine.client import (
     resolve_service,
 )
 from repro.engine.cluster import (
-    ClusterExecutor,
     HashRing,
     ShardRouter,
     cluster_engine,
@@ -273,6 +273,15 @@ class TestShardRouter:
         assert row["down"] is False and "unreachable" in row
         assert row["state"] == "down"
 
+    def test_cluster_status_prints_no_router_line(self, capsys):
+        """A router built for one status call has routed nothing, so its
+        counters are not shown."""
+        assert cli_main(["cluster", "status",
+                         "--shards", "tcp://127.0.0.1:9"]) == 2
+        out = capsys.readouterr().out
+        assert "shard tcp://127.0.0.1:9: DOWN" in out
+        assert "router:" not in out
+
     def test_cluster_status_exits_2_with_a_shard_down(self, daemon, capsys):
         with daemon() as shard:
             assert cli_main(["cluster", "status", "--shards",
@@ -293,29 +302,42 @@ class TestShardRouter:
 
 
 class TestClusterExecutor:
-    def test_engine_over_cluster_matches_local(self, daemon, expected):
+    def test_engine_over_cluster_matches_local(self, daemon, expected,
+                                               tmp_path):
+        """Each shard group's results land in the client's cache, on the
+        caller's thread, before they are reported."""
+        cache = ResultCache(tmp_path)
+        reported = []
+
+        def on_result(i, result):
+            assert cache.get(JOBS[i]) == result
+            reported.append((i, threading.get_ident()))
+
         with daemon() as a, daemon() as b:
-            engine = cluster_engine([a.address, b.address])
-            assert engine.executor.jobs == 2  # summed shard workers
-            assert "cluster(2 shards" in engine.executor.describe()
-            results = engine.run_jobs(JOBS)
+            engine = cluster_engine([a.address, b.address], cache=cache)
+            assert engine.executor.describe() == "cluster(2 shards)"
+            results = engine.run_jobs(JOBS, on_result)
         assert results == expected
+        assert sorted(i for i, _ in reported) == list(range(len(JOBS)))
+        assert {thread for _, thread in reported} == {threading.get_ident()}
+        assert len(cache.disk_entries()) == len(JOBS)
 
-    def test_unreachable_shard_is_dropped_at_construction(self, daemon):
-        with daemon() as a:
-            router = ShardRouter([a.address, "tcp://127.0.0.1:9"],
-                                 retry=RetryPolicy(attempts=1))
-            executor = ClusterExecutor(router)
-            assert executor.jobs == 1
-            assert router.down
-            assert executor.run([]) == []
-            router.close()
-
-    def test_all_unreachable_raises(self):
-        router = ShardRouter(["tcp://127.0.0.1:9"],
-                             retry=RetryPolicy(attempts=1))
-        with pytest.raises(ServiceUnavailable):
-            ClusterExecutor(router)
+    def test_construction_contacts_no_shard(self, monkeypatch, tmp_path):
+        """An all-down cluster raises on the first batch, and the client's
+        cache follows ``$REPRO_CACHE_DIR`` as a local engine's does."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reset_default_engine()
+        try:
+            engine = engine_for_backend("cluster",
+                                        shards=["tcp://127.0.0.1:9"])
+        finally:
+            monkeypatch.delenv("REPRO_CACHE_DIR")
+            reset_default_engine()
+        engine.executor.router.retry = RetryPolicy(attempts=1)
+        assert engine.cache.directory == tmp_path
+        assert engine.run_jobs([]) == []
+        with pytest.raises(ServiceUnavailable, match="all 1"):
+            engine.run_jobs(JOBS[:1])
 
 
 class TestRouteFaults:

@@ -53,7 +53,6 @@ class TestCliCoverage:
             "### `repro figure`",
             "### `repro campaign`",
             "#### `repro campaign run`",
-            "#### `repro campaign resume`",
             "#### `repro campaign status`",
             "#### `repro campaign list`",
             "#### `repro cluster serve`",
@@ -68,11 +67,18 @@ class TestCliCoverage:
 
     def test_reference_mentions_the_knobs(self):
         rendered = docs.generate_cli()
-        for token in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_CHECKPOINT_DIR",
-                      "REPRO_CLUSTER_SHARDS", "--checkpoint-dir",
+        for token in ("REPRO_JOBS", "REPRO_CACHE_DIR",
+                      "REPRO_CLUSTER_SHARDS", "--cache-dir",
                       "--render", "--backend", "--shards", "--journal",
                       "--token"):
             assert token in rendered, token
+
+    def test_no_option_row_states_its_default_twice(self):
+        rows = [line for line in docs.generate_cli().splitlines()
+                if line.startswith("| `")]
+        assert rows
+        for row in rows:
+            assert row.count("default:") <= 1, row
 
 
 class TestPredictorCoverage:

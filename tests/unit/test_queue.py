@@ -169,6 +169,29 @@ class TestJobQueueBasics:
         assert restarts == 0
         assert result.to_dict() == execute_job(job()).to_dict()
 
+    def test_cancelled_waiters_leave_no_stale_task(self):
+        """A waiter that gives up cancels its futures: a running job is
+        taken over by the next batch that asks for it, and a queued one
+        is dropped instead of simulated."""
+        async def scenario():
+            q = await _started_queue()
+            try:
+                futures, _ = q.submit([job("gcc"), job("crafty")])
+                for future in futures:
+                    future.cancel()
+                [again], summary = q.submit([job("gcc")])
+                result = await again
+                await q.run_jobs([job("vpr")])
+                return summary, result, q.stats, q.depth
+            finally:
+                await q.stop()
+
+        summary, result, stats, depth = asyncio.run(scenario())
+        assert summary["coalesced"] == 1
+        assert result.to_dict() == execute_job(job("gcc")).to_dict()
+        assert stats.executed == 2  # gcc and vpr; crafty never ran
+        assert depth == 0
+
     def test_stop_fails_outstanding_futures(self):
         async def scenario():
             q = await _started_queue()

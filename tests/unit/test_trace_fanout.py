@@ -82,8 +82,8 @@ class TestPoolExecutor:
 
     def test_later_runs_reuse_the_workers_and_the_store(self, monkeypatch,
                                                         private_tmp):
-        """A checkpointed campaign's chunks: the first run generates each
-        trace once; the next run loads every one of them."""
+        """Batches on one executor: the first run generates each trace
+        once; the next run loads every one of them."""
         executor = PoolExecutor(2)
         try:
             executor.run(GRID[::2])
