@@ -275,8 +275,7 @@ def engine_for_backend(
     if backend == "cluster":
         from repro.engine.cluster import cluster_engine
 
-        return cluster_engine(shards, token=token,
-                              cache=default_engine().cache)
+        return cluster_engine(shards, token=token)
     raise ValueError(
         f"unknown campaign backend {backend!r}; pick one of {BACKENDS}"
     )

@@ -557,24 +557,21 @@ class ClusterExecutor:
 
 def cluster_engine(shards: list[str] | None = None, *,
                    token: str | None = None,
-                   timeout: float | None = None,
-                   cache=None):
+                   timeout: float | None = None):
     """An :class:`~repro.engine.api.Engine` whose batches run on a cluster.
 
     The executor is a :class:`ClusterExecutor` over a fresh
     :class:`ShardRouter` (*shards* resolved as
     :func:`~repro.engine.client.resolve_service` does — one address is
-    a one-daemon cluster).  The client's result cache is *cache*
-    (memory-only when None); ``--backend cluster`` passes the default
+    a one-daemon cluster).  The client's result cache is the default
     engine's, so it follows ``--cache-dir`` / ``$REPRO_CACHE_DIR`` as a
-    local run does.  It short-circuits repeat lookups (figure rendering
-    after a campaign) without a round trip, and with a directory it
-    holds every result as it lands, so rerunning a killed campaign picks
-    up where it stopped.
+    local run does (memory-only when unset).  It short-circuits repeat
+    lookups (figure rendering after a campaign) without a round trip,
+    and with a directory it holds every result as it lands, so rerunning
+    a killed campaign picks up where it stopped.
     """
-    from repro.engine.api import Engine
-    from repro.engine.cache import ResultCache
+    from repro.engine.api import Engine, default_engine
 
     router = ShardRouter(shards, token=token, timeout=timeout)
     return Engine(executor=ClusterExecutor(router),
-                  cache=cache if cache is not None else ResultCache(None))
+                  cache=default_engine().cache)

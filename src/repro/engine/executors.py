@@ -108,26 +108,27 @@ class PoolExecutor:
     async def _run(self, jobs: list[SimJob],
                    on_result: OnResult | None) -> list[SimResult]:
         futures, _ = self._queue.submit(jobs)
-        if on_result is not None:
-            slots: dict[asyncio.Future, list[int]] = {}
-            for i, future in enumerate(futures):
-                slots.setdefault(future, []).append(i)
-            waiting = set(slots)
-            try:
-                while waiting:
-                    landed, waiting = await asyncio.wait(
-                        waiting, return_when=asyncio.FIRST_COMPLETED)
-                    for future in sorted(landed, key=lambda f: slots[f][0]):
-                        if future.exception() is None:
-                            for i in slots[future]:
-                                on_result(i, future.result())
-            except BaseException:
-                for future in slots:
-                    if not future.done():
-                        future.cancel()
-                    elif not future.cancelled():
-                        future.exception()  # retrieved, so never logged
-                raise
+        slots: dict[asyncio.Future, list[int]] = {}
+        for i, future in enumerate(futures):
+            slots.setdefault(future, []).append(i)
+        waiting = set(slots)
+        try:
+            while waiting:
+                landed, waiting = await asyncio.wait(
+                    waiting, return_when=asyncio.FIRST_COMPLETED)
+                if on_result is None:
+                    continue
+                for future in sorted(landed, key=lambda f: slots[f][0]):
+                    if future.exception() is None:
+                        for i in slots[future]:
+                            on_result(i, future.result())
+        except BaseException:
+            for future in slots:
+                if not future.done():
+                    future.cancel()
+                elif not future.cancelled():
+                    future.exception()  # retrieved, so never logged
+            raise
         return await gather_results(futures)
 
     def _start(self) -> None:

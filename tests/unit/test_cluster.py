@@ -303,10 +303,10 @@ class TestShardRouter:
 
 class TestClusterExecutor:
     def test_engine_over_cluster_matches_local(self, daemon, expected,
-                                               tmp_path):
-        """Each shard group's results land in the client's cache, on the
-        caller's thread, before they are reported."""
-        cache = ResultCache(tmp_path)
+                                               monkeypatch, tmp_path):
+        """Each shard group's results land in the client's cache (the
+        ``$REPRO_CACHE_DIR`` one, as locally), on the caller's thread,
+        before they are reported."""
         reported = []
 
         def on_result(i, result):
@@ -314,9 +314,19 @@ class TestClusterExecutor:
             reported.append((i, threading.get_ident()))
 
         with daemon() as a, daemon() as b:
-            engine = cluster_engine([a.address, b.address], cache=cache)
+            # Set only once the daemons hold their own (memory) caches.
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+            reset_default_engine()
+            try:
+                engine = cluster_engine([a.address, b.address])
+            finally:
+                monkeypatch.delenv("REPRO_CACHE_DIR")
+                reset_default_engine()
+            cache = engine.cache
+            assert cache.directory == tmp_path
             assert engine.executor.describe() == "cluster(2 shards)"
-            results = engine.run_jobs(JOBS, on_result)
+            with engine.executor.router:
+                results = engine.run_jobs(JOBS, on_result)
         assert results == expected
         assert sorted(i for i, _ in reported) == list(range(len(JOBS)))
         assert {thread for _, thread in reported} == {threading.get_ident()}
