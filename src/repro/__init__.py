@@ -6,8 +6,8 @@ evaluation depends on:
 
 * :mod:`repro.core` — VTAGE, Forward Probabilistic Counters and the
   VTAGE + 2D-Stride hybrid (the paper's contributions);
-* :mod:`repro.predictors` — LVP, Stride, 2-Delta Stride, Per-Path Stride,
-  order-n FCM, D-FCM and the oracle baseline;
+* :mod:`repro.predictors` — LVP, Stride, 2-Delta Stride, order-n FCM,
+  D-FCM and the oracle baseline;
 * :mod:`repro.branch` — TAGE, BTB, return address stack;
 * :mod:`repro.memory` — caches, DRAM, stride prefetcher, store sets;
 * :mod:`repro.pipeline` — the Table 2 out-of-order core model with

@@ -6,8 +6,8 @@ figure needs *plus* the no-VP baseline block its speedups divide by.  The
 figure renderers in :mod:`repro.experiments.figures` execute these specs
 and aggregate through :class:`~repro.engine.campaign.CampaignResult`;
 ``repro campaign run/status`` executes them standalone; with a disk
-result cache (``--cache-dir``) a multi-hour sweep survives kills and a
-rerun resumes bit-identically.
+result cache (``--cache-dir``) a sweep survives kills and a rerun
+resumes bit-identically.
 
 ``CAMPAIGNS`` is the registry the CLI exposes.  ``reproduce`` is the union
 of every figure grid — running it once makes the whole of
@@ -149,8 +149,9 @@ def reproduce_campaign(
     """Every simulation the full reproduction needs, as one sweep.
 
     The union of the Figure 3–7 grids (shared cells — baselines, the
-    squash/FPC single-scheme row — dedupe by content key).  Checkpoint
-    this one: it is the multi-hour run.
+    squash/FPC single-scheme row — dedupe by content key).  It is the
+    largest sweep: give it a disk result cache (``--cache-dir``) so a
+    killed run resumes.
     """
     parts = [
         figure3_campaign(workloads, n_uops, warmup),

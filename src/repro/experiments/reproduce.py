@@ -12,7 +12,7 @@ the figure renderers are pure cache replays.
 Every simulation goes through the experiment engine: ``--jobs``/``-j`` (or
 ``REPRO_JOBS``) fans the campaign out over a process pool, and
 ``--cache-dir`` (or ``REPRO_CACHE_DIR``) persists each result as it
-finishes, so a killed multi-hour run resumes where it stopped and a
+finishes, so a killed run resumes where it stopped and a
 re-run only simulates what changed.  Output is byte-identical regardless
 of any of these knobs.
 """

@@ -29,14 +29,9 @@ from repro.pipeline.core import simulate
 from repro.pipeline.result import SimResult
 from repro.predictors.base import ValuePredictor
 from repro.predictors.fcm import DifferentialFCMPredictor, FCMPredictor
-from repro.predictors.gdiff import GDiffPredictor
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
-from repro.predictors.stride import (
-    PerPathStridePredictor,
-    StridePredictor,
-    TwoDeltaStridePredictor,
-)
+from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
 from repro.workloads.catalog import ALL_WORKLOADS, build_trace
 
 # DEFAULT_WARMUP / DEFAULT_MEASURE are defined canonically next to SimJob
@@ -48,10 +43,8 @@ PREDICTOR_NAMES = (
     "lvp",
     "stride",
     "2dstride",
-    "ps-stride",
     "fcm",
     "dfcm",
-    "gdiff",
     "vtage",
     "vtage-2dstride",
     "fcm-2dstride",
@@ -86,26 +79,11 @@ def make_predictor(
         return TwoDeltaStridePredictor(
             entries=entries, confidence=make_confidence(fpc, recovery)
         )
-    if name == "ps-stride":
-        return PerPathStridePredictor(
-            entries=entries, confidence=make_confidence(fpc, recovery)
-        )
     if name == "fcm":
         return FCMPredictor(entries=entries, confidence=make_confidence(fpc, recovery))
     if name == "dfcm":
         return DifferentialFCMPredictor(
             entries=entries, confidence=make_confidence(fpc, recovery)
-        )
-    if name == "gdiff":
-        # gDiff needs a backing predictor to fill its speculative global
-        # value history (Section 2); 2D-Stride is the paper's cheapest
-        # competitive choice.
-        return GDiffPredictor(
-            backing=TwoDeltaStridePredictor(
-                entries=entries, confidence=make_confidence(fpc, recovery)
-            ),
-            entries=entries // 2,
-            confidence=make_confidence(fpc, recovery),
         )
     if name == "vtage":
         return VTAGEPredictor(

@@ -281,9 +281,8 @@ def kernel_available() -> bool:
 def predictor_type(predictor) -> int | None:
     """The kernel's ``ptype`` for *predictor*, or ``None`` (unsupported).
 
-    Exact-type checks on purpose: subclasses (e.g. PerPathStridePredictor
-    under TwoDeltaStridePredictor) may override the indexing the plane
-    precomputed.  A parked predictor is seen as its own class.
+    Exact-type checks on purpose: a subclass may override the indexing the
+    plane precomputed.  A parked predictor is seen as its own class.
     """
     if predictor is None:
         return P_NONE

@@ -1,9 +1,9 @@
 """Classical value predictors evaluated against VTAGE in the paper.
 
 The taxonomy follows Sazeides & Smith [18]: *computational* predictors (LVP,
-Stride, 2-Delta Stride, Per-Path Stride) apply a function to previous values
-of the same instruction; *context-based* predictors (order-n FCM, D-FCM)
-match patterns in the local value history.  The oracle predictor provides
+Stride, 2-Delta Stride) apply a function to previous values of the same
+instruction; *context-based* predictors (order-n FCM, D-FCM) match
+patterns in the local value history.  The oracle predictor provides
 the Figure 3 upper bound.
 """
 
@@ -16,11 +16,7 @@ from repro.predictors.base import (
 from repro.predictors.fcm import DifferentialFCMPredictor, FCMPredictor
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
-from repro.predictors.stride import (
-    PerPathStridePredictor,
-    StridePredictor,
-    TwoDeltaStridePredictor,
-)
+from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
 
 __all__ = [
     "FULL_TAG_BITS",
@@ -28,14 +24,9 @@ __all__ = [
     "FCMPredictor",
     "LastValuePredictor",
     "OraclePredictor",
-    "PerPathStridePredictor",
     "Prediction",
     "PredictionContext",
     "StridePredictor",
     "TwoDeltaStridePredictor",
     "ValuePredictor",
 ]
-
-from repro.predictors.gdiff import GDiffPredictor  # noqa: E402
-
-__all__.append("GDiffPredictor")

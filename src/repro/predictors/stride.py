@@ -7,9 +7,6 @@
   Vassiliadis [6] used throughout the paper's evaluation: the predicting
   stride is only updated once the same delta has been observed twice,
   filtering out one-off discontinuities.
-* :class:`PerPathStridePredictor` — the per-path stride predictor of Nakra
-  et al. [15] (footnote 4 of the paper: performance on par with 2D-Stride);
-  the table index mixes in a few bits of the global branch history.
 
 Stride predictors must track the *speculative* last occurrence of each
 instruction when several instances are in flight (Section 3.2): the second
@@ -192,55 +189,3 @@ class TwoDeltaStridePredictor(StridePredictor):
 
     def _stride_fields(self) -> int:
         return 2 * _STRIDE_BITS
-
-
-class PerPathStridePredictor(TwoDeltaStridePredictor):
-    """Per-path stride [15]: index hashed with a few global history bits."""
-
-    name = "PS-Stride"
-
-    def __init__(self, *args, history_bits: int = 4, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.history_bits = history_bits
-        self._ctx_bits = 0
-
-    def lookup(self, key: int, ctx: PredictionContext) -> Prediction | None:
-        self._ctx_bits = ctx.ghist & ((1 << self.history_bits) - 1)
-        return super().lookup(key, ctx)
-
-    def _index(self, key: int) -> int:
-        return table_index(key, self.index_bits, extra=self._ctx_bits)
-
-    def train(self, key: int, actual: int, prediction: Prediction | None) -> None:
-        # Recover the path context used at prediction time from the payload;
-        # fall back to the most recent context for never-predicted keys.
-        if prediction is not None:
-            idx = prediction.payload
-            live = self._inflight.get(idx, 0) - 1
-            if live <= 0:
-                self._inflight.pop(idx, None)
-                self._spec_last.pop(idx, None)
-            else:
-                self._inflight[idx] = live
-            self._train_at(idx, key, actual)
-        else:
-            super().train(key, actual, None)
-
-    def _train_at(self, idx: int, key: int, actual: int) -> None:
-        if self._tags[idx] != key:
-            self._tags[idx] = key
-            self._last[idx] = actual
-            self._stride[idx] = 0
-            self._stride2[idx] = 0
-            self._conf[idx] = 0
-            return
-        predicted = (self._last[idx] + self._stride2[idx]) & MASK64
-        if predicted == actual:
-            self._conf[idx] = self.confidence.on_correct(self._conf[idx])
-        else:
-            self._conf[idx] = self.confidence.on_incorrect(self._conf[idx])
-        delta = (actual - self._last[idx]) & MASK64
-        if delta == self._stride[idx]:
-            self._stride2[idx] = delta
-        self._stride[idx] = delta
-        self._last[idx] = actual

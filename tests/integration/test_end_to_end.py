@@ -4,10 +4,15 @@ These use small slices so the whole suite stays fast; the benchmark harness
 runs the full-size experiments.
 """
 
+import itertools
+
 import pytest
 
 from repro import quick_run
+from repro.engine.api import run_jobs
+from repro.engine.job import SimJob
 from repro.experiments.runner import (
+    PREDICTOR_NAMES,
     baseline_result,
     make_predictor,
     run_workload,
@@ -38,13 +43,28 @@ class TestQuickRun:
 
 class TestPredictorFactories:
     @pytest.mark.parametrize("name", [
-        "lvp", "stride", "2dstride", "ps-stride", "fcm", "dfcm", "gdiff",
+        "lvp", "stride", "2dstride", "fcm", "dfcm",
         "vtage", "vtage-2dstride", "fcm-2dstride",
     ])
     def test_factory_builds_and_runs(self, name):
         result = run_workload("vpr", make_predictor(name), **SMALL)
         assert result.n_uops == SMALL["n_uops"]
         assert result.vp_eligible > 0
+
+    def test_registered_names_are_distinct(self):
+        """Every registered name is its own configuration: at bench size
+        (8k µops after 4k warm-up, FPC + squash), each pair of names
+        differs in cycles or used predictions on some grid workload."""
+        workloads = ("gzip", "wupwise", "crafty")
+        jobs = [SimJob.make(w, name, n_uops=8000, warmup=4000)
+                for name in PREDICTOR_NAMES for w in workloads]
+        signature = {}
+        for job, result in zip(jobs, run_jobs(jobs)):
+            signature.setdefault(job.predictor, []).append(
+                (result.cycles, result.vp_used))
+        same = [(a, b) for a, b in itertools.combinations(PREDICTOR_NAMES, 2)
+                if signature[a] == signature[b]]
+        assert same == []
 
     def test_none_factory(self):
         assert make_predictor("none") is None

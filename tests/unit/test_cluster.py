@@ -70,13 +70,15 @@ class TestTcpTransport:
     def test_bad_token_is_a_typed_auth_error(self, daemon, monkeypatch,
                                              tmp_path):
         with daemon(token="secret") as shard:
-            with pytest.raises(ServiceAuthError):
-                ServiceClient(shard.address, token="wrong").ping()
+            with ServiceClient(shard.address, token="wrong") as client:
+                with pytest.raises(ServiceAuthError):
+                    client.ping()
             # No flag, no environment, no address file: no token at all.
             monkeypatch.delenv("REPRO_SERVICE_TOKEN")
             monkeypatch.chdir(tmp_path)
-            with pytest.raises(ServiceAuthError):
-                ServiceClient(shard.address).ping()
+            with ServiceClient(shard.address) as client:
+                with pytest.raises(ServiceAuthError):
+                    client.ping()
             with ServiceClient(shard.address, token="secret") as client:
                 assert client.ping()["address"] == shard.address
 
@@ -293,8 +295,8 @@ class TestShardRouter:
     def test_router_shutdown_stops_shards(self, daemon):
         shard = daemon().start()
         try:
-            router = ShardRouter([shard.address])
-            acked = router.shutdown()
+            with ShardRouter([shard.address]) as router:
+                acked = router.shutdown()
             assert acked == {shard.address: True}
         finally:
             shard.thread.join(timeout=60)

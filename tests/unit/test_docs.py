@@ -90,7 +90,7 @@ class TestPredictorCoverage:
     def test_reference_reads_live_instances(self):
         rendered = docs.generate_predictors()
         assert "`repro.core.vtage.VTAGEPredictor`" in rendered
-        assert "gDiff+2D-Stride" in rendered
+        assert "hybrid[" in rendered
 
 
 class TestDocstringGate:

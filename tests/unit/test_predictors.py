@@ -8,7 +8,6 @@ from repro.predictors import (
     FCMPredictor,
     LastValuePredictor,
     OraclePredictor,
-    PerPathStridePredictor,
     StridePredictor,
     TwoDeltaStridePredictor,
 )
@@ -130,21 +129,6 @@ class TestStride:
     def test_storage_matches_table1(self):
         td = TwoDeltaStridePredictor(entries=8192)
         assert td.storage_kb() == pytest.approx(251.9, abs=0.05)
-
-
-class TestPerPathStride:
-    def test_distinguishes_paths(self):
-        ps = PerPathStridePredictor(entries=256, confidence=ConfidencePolicy())
-        ctx_a = PredictionContext(ghist=0b0000, ghist_length=4)
-        ctx_b = PredictionContext(ghist=0b1111, ghist_length=4)
-        # Path A sees a constant 5; path B a constant 900.
-        for _ in range(30):
-            pred = ps.lookup(0x99, ctx_a)
-            ps.train(0x99, 5, pred)
-            pred = ps.lookup(0x99, ctx_b)
-            ps.train(0x99, 900, pred)
-        assert ps.lookup(0x99, ctx_a).value == 5
-        assert ps.lookup(0x99, ctx_b).value == 900
 
 
 class TestFCM:

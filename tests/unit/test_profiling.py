@@ -1,4 +1,5 @@
-"""Per-phase profiling accounting and the ``--profile`` CLI flag."""
+"""Per-phase profiling accounting, the ``--profile`` CLI flag, and the
+CLI's everyday verbs."""
 
 import pytest
 
@@ -69,3 +70,31 @@ class TestProfileFlag:
         err = capsys.readouterr().err
         assert "profile (wall-clock per phase" in err
         assert "simulate" in err
+
+
+class TestCLI:
+    def test_list_command(self, capsys):
+        from repro.cli import main
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "vtage-2dstride" in out
+        assert "164.gzip" in out
+
+    def test_table_command(self, capsys):
+        from repro.cli import main
+        assert main(["table", "1"]) == 0
+        assert "120.8" in capsys.readouterr().out
+
+    def test_run_command(self, capsys):
+        from repro.cli import main
+        code = main(["run", "vpr", "--predictor", "lvp",
+                     "--uops", "2000", "--warmup", "1000"])
+        assert code == 0
+        assert "speedup" in capsys.readouterr().out
+
+    def test_figure_command_small(self, capsys):
+        from repro.cli import main
+        code = main(["figure", "3", "--workloads", "vpr",
+                     "--uops", "2000", "--warmup", "1000"])
+        assert code == 0
+        assert "Figure 3" in capsys.readouterr().out
