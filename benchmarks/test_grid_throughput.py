@@ -1,30 +1,31 @@
 """Grid-level wall-clock benchmark: the trace store's end-to-end effect.
 
 ``test_bench_grid_json`` runs a fixed 24-job grid (6 workloads × 4
-predictor configs) under both worker counts {1, 4} in three trace-store
-modes:
+predictor configs) on the serial executor in three trace-store modes:
 
-* ``private`` — no ``$REPRO_TRACE_DIR``: a pool's workers share a
-  private temporary store, so each unique trace is generated once per
-  run by the worker that runs its first job, and the store is removed
-  when the pool closes;
+* ``private`` — no ``$REPRO_TRACE_DIR``: each unique trace is generated
+  once per run, in process, and kept nowhere;
 * ``cold``    — configured store starting empty (first-ever run on a
   machine): as ``private``, but the generated traces persist;
 * ``warm``    — configured store populated (daemon restart / next
   campaign): every trace mmap-loads, zero generator runs.
 
+There is no pool cell.  A pool fixes its trace store when it starts
+and its workers keep every trace they load in memory, so a pool held
+across rounds measures every round after the first as warm, whatever
+the mode; a new pool per round times its workers' interpreter
+start-ups instead of the store.
+
 Wall-clock per mode is written to ``BENCH_grid.json`` in the scratch
 bench directory (``$REPRO_BENCH_DIR``, default ``bench_out/``; the
 committed repo-root copy only changes through ``repro bench promote`` —
-see :mod:`bench_io`) together with the speedups versus the
-same-worker-count private mode.  Timing numbers are *reported*, not
-gated (shared CI runners are too noisy for grid-level wall-clock floors,
-and with fewer cores than workers the parallel rows do not measure
-parallel speedup — ``cpu_count`` is recorded for exactly that reason).
-What *is* asserted is structural and deterministic: every mode matches
-the serial executor bit for bit, the cold run populates the store with
-every unique trace, the warm serial run executes zero generator runs,
-and no private store survives a run.
+see :mod:`bench_io`) together with the speedups versus the private
+mode.  Timing numbers are *reported*, not gated (shared CI runners are
+too noisy for grid-level wall-clock floors).  What *is* asserted is
+structural and deterministic: every mode matches a fresh serial run bit
+for bit, the cold run populates the store with every unique trace, the
+warm run executes zero generator runs, and no private store survives a
+run.
 """
 
 import json
@@ -38,7 +39,7 @@ from pathlib import Path
 import bench_io
 from repro.engine.api import Engine
 from repro.engine.cache import ResultCache
-from repro.engine.executors import SerialExecutor, make_executor
+from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 from repro.workloads import catalog
 from repro.workloads.store import TRACE_DIR_ENV, TraceStore
@@ -51,8 +52,6 @@ GRID_WORKLOADS = ("gzip", "gcc", "wupwise", "crafty", "milc", "h264ref")
 GRID_PREDICTORS = ("none", "lvp", "2dstride", "vtage")
 GRID_MEASURE = 8000
 GRID_WARMUP = 4000
-
-WORKER_COUNTS = (1, 4)
 
 #: Rounds per cell; the report keeps the fastest (same rationale as
 #: BENCH_core's best-of-5: strip scheduler noise, keep the real cost).
@@ -67,15 +66,15 @@ def grid_jobs() -> list[SimJob]:
     ]
 
 
-def run_grid_mode(jobs: list[SimJob], workers: int,
+def run_grid_mode(jobs: list[SimJob],
                   trace_dir: str | None) -> tuple[float, list, int]:
     """One measured grid run; returns (wall seconds, result dicts,
-    parent-process generator runs)."""
+    generator runs)."""
     saved = os.environ.pop(TRACE_DIR_ENV, None)
     if trace_dir is not None:
         os.environ[TRACE_DIR_ENV] = trace_dir
     catalog.clear_trace_cache()
-    engine = Engine(executor=make_executor(workers), cache=ResultCache(None))
+    engine = Engine(executor=SerialExecutor(), cache=ResultCache(None))
     generations_before = catalog.generation_count()
     try:
         start = time.perf_counter()
@@ -92,7 +91,7 @@ def run_grid_mode(jobs: list[SimJob], workers: int,
 
 def emit_bench_grid(store_root: Path,
                     path: Path | None = None) -> tuple[dict, dict]:
-    """Measure every (workers × mode) cell and write BENCH_grid.json.
+    """Measure every mode's cell and write BENCH_grid.json.
 
     Writes to the scratch bench directory by default (committed copy
     only through ``repro bench promote``).  Returns ``(report,
@@ -105,35 +104,24 @@ def emit_bench_grid(store_root: Path,
     unique_traces = {(j.workload, j.warmup + j.n_uops, j.seed) for j in jobs}
     cells: dict[str, dict] = {}
     results: dict[str, list] = {}
-    for workers in WORKER_COUNTS:
-        store_dir = store_root / f"w{workers}"
-        plan = (
-            ("private", None),
-            ("cold", str(store_dir)),
-            ("warm", str(store_dir)),
-        )
-        for mode, trace_dir in plan:
-            wall = None
-            for _ in range(ROUNDS):
-                if mode == "cold":
-                    # Every cold round starts from an empty store.
-                    TraceStore(trace_dir).clear()
-                round_wall, dicts, generations = \
-                    run_grid_mode(jobs, workers, trace_dir)
-                wall = round_wall if wall is None else min(wall, round_wall)
-            cell = f"{mode}-w{workers}"
-            cells[cell] = {
-                "wall_s": round(wall, 3),
-                "parent_generations": generations,
-            }
-            results[cell] = dicts
-        for mode in ("cold", "warm"):
-            cell = cells[f"{mode}-w{workers}"]
-            private = cells[f"private-w{workers}"]["wall_s"]
-            cell["speedup_vs_private"] = round(private / cell["wall_s"], 3)
-        cells[f"store-w{workers}"] = TraceStore(store_dir).stats()["entries"]
+    store_dir = str(store_root)
+    plan = (("private", None), ("cold", store_dir), ("warm", store_dir))
+    for mode, trace_dir in plan:
+        wall = None
+        for _ in range(ROUNDS):
+            if mode == "cold":
+                # Every cold round starts from an empty store.
+                TraceStore(trace_dir).clear()
+            round_wall, dicts, generations = run_grid_mode(jobs, trace_dir)
+            wall = round_wall if wall is None else min(wall, round_wall)
+        cells[mode] = {"wall_s": round(wall, 3), "generations": generations}
+        results[mode] = dicts
+    for mode in ("cold", "warm"):
+        cells[mode]["speedup_vs_private"] = round(
+            cells["private"]["wall_s"] / cells[mode]["wall_s"], 3)
+    cells["store_entries"] = TraceStore(store_dir).stats()["entries"]
     report = {
-        "schema": 3,
+        "schema": 4,
         "unit": "wall_s",
         "grid": {
             "jobs": len(jobs),
@@ -143,7 +131,6 @@ def emit_bench_grid(store_root: Path,
             "warmup": GRID_WARMUP,
             "unique_traces": len(unique_traces),
         },
-        "workers": list(WORKER_COUNTS),
         "cells": cells,
         "run": bench_io.run_metadata(ROUNDS),
         "cpu_count": os.cpu_count(),
@@ -166,12 +153,10 @@ def test_bench_grid_json(tmp_path, monkeypatch):
     catalog.clear_trace_cache()
     for cell, dicts in results.items():
         assert dicts == reference, f"{cell} diverged from the serial results"
-    # Every private store was removed when its pool closed.
+    # No run left a private store behind.
     assert list(private_root.glob("repro-traces-*")) == []
-    for workers in WORKER_COUNTS:
-        # The cold run must have left one store entry per unique trace...
-        assert cells[f"store-w{workers}"] == report["grid"]["unique_traces"]
-    # ...and a warm serial run never touches the generators.
-    assert cells["warm-w1"]["parent_generations"] == 0
-    assert cells["cold-w1"]["parent_generations"] == \
-        report["grid"]["unique_traces"]
+    # The cold run must have left one store entry per unique trace...
+    assert cells["store_entries"] == report["grid"]["unique_traces"]
+    # ...and a warm run never touches the generators.
+    assert cells["warm"]["generations"] == 0
+    assert cells["cold"]["generations"] == report["grid"]["unique_traces"]

@@ -35,7 +35,12 @@ an instruction seamlessly and its table lookup may span several cycles
 from __future__ import annotations
 
 from repro.core.confidence import ConfidencePolicy
-from repro.predictors.base import Prediction, PredictionContext, ValuePredictor
+from repro.predictors.base import (
+    Prediction,
+    PredictionContext,
+    ValuePredictor,
+    constructed,
+)
 from repro.util.bits import MASK64, fold_value
 from repro.util.hashing import (
     _KEY_CACHE,
@@ -109,13 +114,17 @@ class _TaggedComponent:
         tag = tag_hash(key, self.tag_bits, extra=compressed)
         return idx, tag
 
-    def storage_bits(self, conf_bits: int) -> int:
-        per_entry = _VALUE_BITS + self.tag_bits + conf_bits + _USEFUL_BITS
-        return self.entries * per_entry
-
 
 class VTAGEPredictor(ValuePredictor):
     """The (1+N)-component VTAGE predictor of Section 6."""
+
+    __slots__ = (
+        "confidence", "_is_confident", "_conf_threshold", "_on_correct",
+        "_on_incorrect", "_lfsr", "base_entries", "_base_index_bits",
+        "_base_index_mask", "tagged_entries", "geometry", "_lengths",
+        "max_history", "_mkey_shift", "_pos_memo", "_tags_gen",
+        "_base_values", "_base_conf", "components",
+    )
 
     name = "VTAGE"
 
@@ -152,19 +161,14 @@ class VTAGEPredictor(ValuePredictor):
         self.base_entries = base_entries
         self._base_index_bits = base_entries.bit_length() - 1
         self._base_index_mask = base_entries - 1
-        self._base_values = [0] * base_entries
-        self._base_conf = [0] * base_entries
-        # Tagged components; rank 1 uses the shortest history (Table 1:
-        # "Tag = 12 + rank" bits).
-        self.components = [
-            _TaggedComponent(
-                rank=rank,
-                entries=tagged_entries,
-                tag_bits=base_tag_bits + rank,
-                history_length=length,
-            )
+        # Tagged components, as ``(history_length, index_bits, tag_bits)``;
+        # rank 1 uses the shortest history (Table 1: "Tag = 12 + rank"
+        # bits).  The tables themselves are built when first read.
+        self.tagged_entries = tagged_entries
+        self.geometry = tuple(
+            (length, tagged_entries.bit_length() - 1, base_tag_bits + rank)
             for rank, length in enumerate(history_lengths, start=1)
-        ]
+        )
         self._lengths = tuple(history_lengths)
         self.max_history = max(history_lengths)
         # Shift placing the key above the compressed-context field in the
@@ -179,6 +183,16 @@ class VTAGEPredictor(ValuePredictor):
         # tag arrays (mutated only on allocation) are unchanged.
         self._pos_memo: dict[tuple[int, int, int], list] = {}
         self._tags_gen = 0
+        self.park(constructed)
+
+    def _build_tables(self) -> None:
+        self._base_values = [0] * self.base_entries
+        self._base_conf = [0] * self.base_entries
+        self.components = [
+            _TaggedComponent(rank, self.tagged_entries, tag_bits, length)
+            for rank, (length, __, tag_bits) in enumerate(self.geometry,
+                                                          start=1)
+        ]
 
     # -- ValuePredictor interface ----------------------------------------
 
@@ -336,7 +350,11 @@ class VTAGEPredictor(ValuePredictor):
     def storage_bits(self) -> int:
         conf_bits = self.confidence.storage_bits()
         base = self.base_entries * (_VALUE_BITS + conf_bits)
-        tagged = sum(comp.storage_bits(conf_bits) for comp in self.components)
+        tagged = sum(
+            self.tagged_entries
+            * (_VALUE_BITS + tag_bits + conf_bits + _USEFUL_BITS)
+            for __, __, tag_bits in self.geometry
+        )
         return base + tagged
 
     # -- internals ---------------------------------------------------------
@@ -402,9 +420,9 @@ class VTAGEPredictor(ValuePredictor):
         self._tags_gen += 1
 
     def describe(self) -> str:
-        lengths = ",".join(str(c.history_length) for c in self.components)
+        lengths = ",".join(str(length) for length in self._lengths)
         return (
-            f"VTAGE base {self.base_entries} + {len(self.components)} x "
-            f"{self.components[0].entries} (hist {lengths}), "
+            f"VTAGE base {self.base_entries} + {len(self._lengths)} x "
+            f"{self.tagged_entries} (hist {lengths}), "
             f"{self.confidence.describe()}"
         )

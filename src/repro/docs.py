@@ -221,6 +221,7 @@ def _first_paragraph(obj) -> str:
 def _predictor_rows() -> list[dict]:
     """One row per registered configuration, read off live instances."""
     from repro.experiments.runner import PREDICTOR_NAMES, make_predictor
+    from repro.predictors.base import predictor_class
 
     rows = []
     for name in PREDICTOR_NAMES:
@@ -236,7 +237,7 @@ def _predictor_rows() -> list[dict]:
                            "predictor stage disabled.",
             })
             continue
-        cls = type(predictor)
+        cls = predictor_class(predictor)
         storage = predictor.storage_kb()
         rows.append({
             "name": name,

@@ -94,7 +94,8 @@ class QueueClosed(RuntimeError):
 
 class WorkerStartError(RuntimeError):
     """The pool cannot start a worker in this process, for a reason no
-    respawn can fix."""
+    respawn can fix: ``__main__`` cannot be re-imported, or a worker
+    exited before it was ready."""
 
 
 class QueueOverloaded(RuntimeError):
@@ -201,8 +202,13 @@ def _worker_main(tasks, results, trace_dir: str) -> None:
     (``os._exit``), hang, slow-down or a raised error.  The surrounding
     requeue/timeout machinery is exercised exactly as a real failure
     would.
+
+    The first message is ``ready``: a worker that exits before sending it
+    failed to start (an unguarded driver file re-run as ``__main__`` dies
+    in bootstrapping), and a respawn would fail the same way.
     """
     os.environ[TRACE_DIR_ENV] = trace_dir
+    results.send(("ready", None, None))
     while True:
         try:
             task_id, job_dict, fault = tasks.recv()
@@ -237,6 +243,8 @@ class _Worker:
         #: Monotonic timestamp of the current assignment (job-timeout
         #: enforcement); ``None`` while idle.
         self.started: float | None = None
+        #: Whether the worker's ``ready`` message has been read.
+        self.ready = False
         self.process = ctx.Process(
             target=_worker_main,
             args=(task_end, result_end, trace_dir),
@@ -344,6 +352,9 @@ class WorkerPool:
         worker sent before it died: :class:`JobQueue` reads that and
         stops watching the pipe there.  Worker ids are never reused, so a
         stale completion can never be mistaken for the replacement's.
+
+        Raises :class:`WorkerStartError` for a worker that exited on its
+        own (not killed by a signal) before it was ready.
         """
         orphaned: list[tuple[int, dict]] = []
         for slot, worker in enumerate(self._workers):
@@ -351,6 +362,12 @@ class WorkerPool:
                 continue
             if retire is not None:
                 retire(worker)
+            code = worker.process.exitcode
+            if not worker.ready and code is not None and code >= 0:
+                raise WorkerStartError(
+                    f"pool worker {worker.id} exited with code {code} "
+                    "before it was ready; a driver script that starts a "
+                    "pool needs an `if __name__ == \"__main__\":` guard")
             if worker.current is not None:
                 orphaned.append(worker.current)
                 worker.current = None
@@ -456,6 +473,8 @@ class JobQueue:
         #: from it that do not make a whole message yet.
         self._inboxes: dict[_Worker, bytearray] = {}
         self._watchdog: asyncio.Task | None = None
+        #: Why the pool cannot start workers; every later batch fails so.
+        self._start_error: WorkerStartError | None = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -478,11 +497,14 @@ class JobQueue:
         for worker in list(self._inboxes):
             self._unwatch(worker)
         self.pool.stop()
+        self._fail_all(lambda: QueueClosed(
+            "job queue stopped before the job completed"))
+
+    def _fail_all(self, error) -> None:
+        """Fail every outstanding job with a new ``error()``; forget them."""
         for task in self._tasks.values():
             if not task.future.done():
-                task.future.set_exception(
-                    QueueClosed("job queue stopped before the job completed")
-                )
+                task.future.set_exception(error())
         self._tasks.clear()
         self._inflight.clear()
         self._pending.clear()
@@ -506,6 +528,8 @@ class JobQueue:
         can retry the whole thing after backing off.
         """
         assert self._loop is not None, "start() the queue before submitting"
+        if self._start_error is not None:
+            raise self._start_error
         # Phase 1: classify without mutating, so the batch can be rejected
         # atomically.  Cache stats are counted here (the single cache.get
         # per job); phase 2 reuses the classification.
@@ -702,6 +726,9 @@ class JobQueue:
         # the worker pool (one small write per completed multi-millisecond
         # simulation), so the loop stall is noise next to simulation time.
         kind, task_id, payload = message
+        if kind == "ready":
+            worker.ready = True
+            return
         if worker.current is not None and worker.current[0] == task_id:
             worker.current = None
             worker.started = None
@@ -736,7 +763,9 @@ class JobQueue:
         Requeues are bounded: a job on its :data:`MAX_JOB_ATTEMPTS`-th
         failed dispatch fails its future with :class:`JobFailed` instead
         of being requeued, converting a deterministic crash/hang into a
-        typed error rather than an infinite kill-respawn loop.
+        typed error rather than an infinite kill-respawn loop.  A worker
+        that could not start fails every outstanding job, and the queue,
+        with :class:`WorkerStartError` instead.
         """
         while True:
             await asyncio.sleep(WATCHDOG_INTERVAL)
@@ -752,7 +781,12 @@ class JobQueue:
                         self.stats.timeouts += 1
                         worker.process.kill()
                         worker.process.join(timeout=1.0)
-            orphaned = self.pool.reap_dead(retire=self._retire)
+            try:
+                orphaned = self.pool.reap_dead(retire=self._retire)
+            except WorkerStartError as exc:
+                self._start_error = exc
+                self._fail_all(lambda: WorkerStartError(str(exc)))
+                return
             self._watch_new_workers()
             for task_id, _job_dict in orphaned:
                 task = self._tasks.get(task_id)

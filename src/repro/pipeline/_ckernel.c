@@ -17,11 +17,15 @@
  * operands is reproduced by pydiv/pymod.
  *
  * The kernel touches ONLY caller-provided arrays (no allocation): Python
- * owns every buffer, imports live predictor state before the call, and
- * writes the arrays back into the model objects afterwards, so post-run
- * observable state matches the spec loop's.  The bandwidth windows are
- * process-lifetime scratch: the kernel hands them back as it got them,
- * every stamp -1, resetting only the slots it stamped.
+ * owns every buffer, hands over the predictor's tables as a new block
+ * before the call, and turns the final arrays into model objects when a
+ * caller first reads them, so post-run observable state matches the spec
+ * loop's.  Every run starts from a fresh memory hierarchy, store sets and
+ * unit pools: reset_state() initialises the arrays the kernel reads
+ * before writing, so the caller allocates them uninitialised.  The
+ * bandwidth windows are process-lifetime scratch: the kernel hands them
+ * back as it got them, every stamp -1, resetting only the slots it
+ * stamped.
  *
  * Failure is always safe: any unsupported situation the Python-side guards
  * missed returns a nonzero error before results are consumed, and the
@@ -34,7 +38,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define KERNEL_ABI_VERSION 2
+#define KERNEL_ABI_VERSION 3
 
 /* Per-cycle bandwidth counts live in stamped circular windows instead of
  * dicts; BW_WINDOW bounds how far ahead of the watermark a grant may probe
@@ -97,7 +101,7 @@ typedef struct {
     const int64_t *fu_pool;    /* [N_CLASSES] -> pool id */
     const int64_t *pool_units; /* [n_pools] */
     int64_t n_pools;
-    int64_t *pool_heap;        /* concatenated free-server heaps, zeroed */
+    int64_t *pool_heap;        /* concatenated free-server heaps (reset) */
 
     /* ---- bandwidth limiter windows (stamps -1 on entry and on return;
      *      counts uninitialised) ---- */
@@ -122,9 +126,10 @@ typedef struct {
     int8_t *tq_eff;            /* VTAGE effective rank */
     int8_t *tq_has;            /* lookup hit flag (stride/LVP) */
 
-    /* ---- memory hierarchy (fresh; arrays init by caller) ---- */
-    /* per cache: lines init -1 [sets*ways], fill [sets*ways],
-       count [sets], mshr heap [mshrs + 1] */
+    /* ---- memory hierarchy (fresh; see reset_state) ---- */
+    /* per cache: lines [sets*ways], fill [sets*ways], count [sets] (reset),
+       mshr heap [mshrs + 1]; lines, fill and heap are read only below
+       their live lengths */
     int64_t l1i_sets, l1i_ways, l1i_shift, l1i_lat, l1i_mshrs;
     int64_t *l1i_lines, *l1i_fill, *l1i_count, *l1i_mshr;
     int64_t l1d_sets, l1d_ways, l1d_shift, l1d_lat, l1d_mshrs;
@@ -133,13 +138,13 @@ typedef struct {
     int64_t *l2_lines, *l2_fill, *l2_count, *l2_mshr;
     int64_t dram_base, dram_row_penalty, dram_max;
     int64_t dram_banks, dram_row_bytes, dram_channel_cycles;
-    int64_t *dram_open_rows;   /* [banks] init -1 */
-    int64_t *dram_bank_free;   /* [banks] init 0 */
+    int64_t *dram_open_rows;   /* [banks] reset to -1 */
+    int64_t *dram_bank_free;   /* [banks] reset to 0 */
     int64_t pf_index_bits, pf_degree, pf_distance;
-    int64_t *pf_pcs;           /* init -1 */
-    int64_t *pf_last, *pf_stride, *pf_conf;
+    int64_t *pf_pcs;           /* [1 << pf_index_bits] reset to -1 */
+    int64_t *pf_last, *pf_stride, *pf_conf;   /* reset to 0 */
 
-    /* ---- store sets (fresh; -1-filled) ---- */
+    /* ---- store sets (fresh; reset to -1) ---- */
     int64_t ssit_bits, lfst_entries;
     int64_t *ssit, *lfst;
 
@@ -562,6 +567,28 @@ static void vt_train_base(KCtx *x, int64_t base_idx, uint64_t actual) {
     }
 }
 
+/* Initialise every array the run reads before writing it: unit pools,
+ * cache set counts, DRAM banks, prefetcher and store-set tables.  All-ones
+ * bytes are -1. */
+static void reset_state(const KernelArgs *a) {
+    int64_t units = 0;
+    for (int64_t p = 0; p < a->n_pools; p++)
+        units += a->pool_units[p];
+    memset(a->pool_heap, 0, (size_t)units * sizeof(int64_t));
+    memset(a->l1i_count, 0, (size_t)a->l1i_sets * sizeof(int64_t));
+    memset(a->l1d_count, 0, (size_t)a->l1d_sets * sizeof(int64_t));
+    memset(a->l2_count, 0, (size_t)a->l2_sets * sizeof(int64_t));
+    memset(a->dram_open_rows, 0xFF, (size_t)a->dram_banks * sizeof(int64_t));
+    memset(a->dram_bank_free, 0, (size_t)a->dram_banks * sizeof(int64_t));
+    size_t pf = ((size_t)1 << a->pf_index_bits) * sizeof(int64_t);
+    memset(a->pf_pcs, 0xFF, pf);
+    memset(a->pf_last, 0, pf);
+    memset(a->pf_stride, 0, pf);
+    memset(a->pf_conf, 0, pf);
+    memset(a->ssit, 0xFF, ((size_t)1 << a->ssit_bits) * sizeof(int64_t));
+    memset(a->lfst, 0xFF, (size_t)a->lfst_entries * sizeof(int64_t));
+}
+
 /* ---------------------------------------------------------------------- */
 
 int64_t repro_kernel_abi_version(void) { return KERNEL_ABI_VERSION; }
@@ -575,6 +602,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         a->out[O_ERROR] = ERR_BAD_ARG;
         return ERR_BAD_ARG;
     }
+    reset_state(a);
     KCtx ctx;
     KCtx *x = &ctx;
     memset(x, 0, sizeof(*x));

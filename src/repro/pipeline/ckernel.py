@@ -10,33 +10,38 @@ This module owns everything on the Python side of that boundary:
   failed build, or a failed load disables the kernel for the process
   (fallback reason ``no-compiler``); nothing is ever a hard dependency.
 * **Eligibility** — the predictor families the kernel inlines
-  (:func:`predictor_type`) and, per run, a *fresh* memory hierarchy and
-  store-set predictor (it rebuilds their state from flat arrays), a
-  stock/Wide/FPC confidence policy, uniform VTAGE components, and
-  addresses/PCs below 2**62 (so int64 arithmetic in C is exact, including
-  the negative intermediate strides the L2 prefetcher can produce).  Each
-  failed check records one ``kernel-ineligible:<check>`` fallback reason.
-  A component the model has not built yet is fresh by construction, so
-  the common case scans nothing.
+  (:func:`predictor_type`) and, per run, a memory hierarchy and store-set
+  predictor the model has not built yet (fresh by construction, so
+  nothing is scanned), a stock/Wide/FPC confidence policy, at most 16
+  VTAGE components, and addresses/PCs below 2**62 (so int64 arithmetic in
+  C is exact, including the negative intermediate strides the L2
+  prefetcher can produce).  Each failed check records one
+  ``kernel-ineligible:<check>`` fallback reason.
 * **Marshalling, paid where it belongs** — per-trace inputs (typed
-  columns, predictor keys, range reductions) come cached from
-  :func:`repro.pipeline.precompute.kernel_inputs`; fixed-size buffers
-  (bandwidth windows, rings, store buffer, cache/DRAM/prefetcher/store-set
-  arrays) are process-lifetime scratch behind a lock; only the train
-  queue, one slot per µop, is allocated per run.
-* **State** — the kernel works on new flat numpy arrays, never on the
-  predictor's lists.  A predictor whose tables still hold their
-  constructed values (checked against the tables on every run) gets
-  arrays filled the same way; any other has its lists copied.  Nothing
-  is written back until the call succeeds, so a kernel error
+  columns and their addresses, predictor keys, range reductions) come
+  cached from :func:`repro.pipeline.precompute.kernel_inputs`.  Per
+  distinct core config, a template holds every invariant ``KernelArgs``
+  field: the config, the functional-unit tables, the memory geometry and
+  the addresses of process-lifetime scratch (bandwidth windows, rings,
+  store buffer, pool heaps).  The template is keyed by the config values
+  it reads, since ``CoreConfig`` is mutable, and each run copies it.  A
+  run allocates, uninitialised, only what outlives it or grows with the
+  trace: one block for the final memory and store-set state and one for
+  the train queue.  The kernel resets its own state at entry.
+* **State** — the kernel works on a new byte block per predictor, never
+  on the predictor's lists.  The kernel families are born parked at
+  their constructed state (:func:`~repro.predictors.base.constructed`),
+  so a predictor no one has read gets a zero-filled block and nothing
+  is scanned; one parked by an earlier run has its block copied; any
+  other (a caller read or trained its tables) has its lists copied.
+  Nothing is written back until the call succeeds, so a kernel error
   (``kernel-error:<code>``) or ineligibility discovered late leaves the
-  model untouched for the spec loop.  On success the predictor keeps the
-  final arrays and rebuilds its lists when a caller first reads one
+  model untouched for the spec loop.  On success the predictor parks the
+  new block and rebuilds its lists when a caller first reads one
   (:meth:`~repro.predictors.base.ValuePredictor.park`); its scalar state
-  (LFSRs, VTAGE's tag generation) is written at once.  Likewise the
-  model keeps copies of the final memory and store-set arrays and turns
-  them into objects when a caller first reads ``model.memory`` or
-  ``model.store_sets``.
+  (LFSRs, VTAGE's tag generation) is written at once.  Likewise the model
+  adopts the run's state block and turns it into objects when a caller
+  first reads ``model.memory`` or ``model.store_sets``.
 
 The kernel returns counters through a single ``out`` array; this module
 assembles the :class:`~repro.pipeline.result.SimResult` exactly as the
@@ -52,7 +57,9 @@ import os
 import subprocess
 import tempfile
 import threading
+from collections import namedtuple
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +76,7 @@ from repro.memory.storesets import StoreSets
 from repro.pipeline.config import RecoveryMode
 from repro.pipeline.precompute import kernel_inputs
 from repro.pipeline.result import SimResult
-from repro.predictors.base import predictor_class
+from repro.predictors.base import constructed, parked_restore, predictor_class
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
 from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
@@ -78,7 +85,7 @@ from repro.util.bits import MASK64
 #: Where compiled kernels are cached (one ``.so`` per source hash).
 CACHE_ENV = "REPRO_CKERNEL_CACHE"
 
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 _BW_WINDOW = 1 << 17
 _ADDR_LIMIT = 1 << 62
 _MAX_COMPONENTS = 16
@@ -298,89 +305,302 @@ def predictor_type(predictor) -> int | None:
     return None
 
 
+#: FPC probability vector -> ``(array, address)``; a handful per process.
+_FPC_PROBS: dict[tuple, tuple[np.ndarray, int]] = {}
+
+
 def _policy_fields(policy):
-    """``(conf_kind, max_level, prob_array, taps, state)`` or ``None``.
+    """``(conf_kind, max_level, prob_address, taps, state)`` or ``None``.
 
     Exact type checks: any confidence subclass that overrides transition or
     saturation behaviour must take the spec loop.
     """
     kind = type(policy)
     if kind is ConfidencePolicy or kind is WideConfidence:
-        return 0, policy.max_level, np.zeros(1, dtype=np.int64), 0, 0
+        return 0, policy.max_level, _PLACEHOLDER_ADDR, 0, 0
     if kind is ForwardProbabilisticCounters:
-        prob = np.asarray(policy.probability_log2, dtype=np.int64)
+        vector = policy.probability_log2
+        prob = _FPC_PROBS.get(vector)
+        if prob is None:
+            array = np.asarray(vector, dtype=np.int64)
+            prob = _FPC_PROBS[vector] = (array, array.ctypes.data)
         lfsr = policy.lfsr
-        return 1, policy.max_level, prob, lfsr._taps, lfsr.state
+        return 1, policy.max_level, prob[1], lfsr._taps, lfsr.state
     return None
 
 
-def _memory_is_fresh(memory) -> bool:
-    for cache in (memory.l1i, memory.l1d, memory.l2):
-        if cache.hits or cache.misses or cache.mshr_stalls:
-            return False
-        if cache._fill_ready or cache._mshr_heap:
-            return False
-        if any(cache._sets):
-            return False
-    dram = memory.dram
-    if dram.requests or dram.row_hits or dram._open_rows:
-        return False
-    if dram._channel_free or any(dram._bank_free):
-        return False
-    pf = memory.prefetcher
-    if pf.issued or any(pc != -1 for pc in pf._pcs):
-        return False
-    return True
-
-
-def _store_sets_fresh(store_sets) -> bool:
-    return (
-        not store_sets._ssit
-        and not store_sets._lfst
-        and store_sets._next_ssid == 0
-        and store_sets.violations_trained == 0
-    )
+def _address(array: np.ndarray) -> int:
+    """Data address of a new, writable *array* (cheaper than ``.ctypes``)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 # ---------------------------------------------------------------------------
-# Process-lifetime scratch
+# Memory and store-set state: one block per run, adopted by the model
+
+
+def _state_layout():
+    """``(slices, size, geometry)`` of a run's memory and store-set block:
+    each array's slice of the int64 block, the block's length, and the
+    scalar ``KernelArgs`` fields.  Every ``CoreModel`` builds its memory
+    and store sets with their defaults, so one layout serves the process.
+    """
+    memory, store_sets = MemoryHierarchy(), StoreSets()
+    dram, pf = memory.dram, memory.prefetcher
+    geometry = dict(
+        dram_base=dram.base_latency, dram_row_penalty=dram.row_miss_penalty,
+        dram_max=dram.max_latency, dram_banks=dram.n_banks,
+        dram_row_bytes=dram.row_bytes, dram_channel_cycles=dram.channel_cycles,
+        pf_index_bits=pf._index_bits, pf_degree=pf.degree,
+        pf_distance=pf.distance, ssit_bits=store_sets._ssit_bits,
+        lfst_entries=store_sets.lfst_entries)
+    sizes = []
+    for prefix, *__ in _CACHE_SLOTS:
+        cache = getattr(memory, prefix)
+        sets, ways, mshrs = (cache.config.sets, cache.config.ways,
+                             cache.config.mshrs)
+        geometry.update({
+            f"{prefix}_sets": sets, f"{prefix}_ways": ways,
+            f"{prefix}_shift": cache._line_shift,
+            f"{prefix}_lat": cache._hit_latency, f"{prefix}_mshrs": mshrs})
+        sizes += [(f"{prefix}_lines", sets * ways),
+                  (f"{prefix}_fill", sets * ways),
+                  (f"{prefix}_count", sets), (f"{prefix}_mshr", mshrs + 1)]
+    sizes += [("dram_open_rows", dram.n_banks),
+              ("dram_bank_free", dram.n_banks)]
+    sizes += [(name, 1 << pf._index_bits)
+              for name in ("pf_pcs", "pf_last", "pf_stride", "pf_conf")]
+    sizes += [("ssit", 1 << store_sets._ssit_bits),
+              ("lfst", store_sets.lfst_entries)]
+    slices = {}
+    offset = 0
+    for name, size in sizes:
+        slices[name] = slice(offset, offset + size)
+        offset += size
+    return slices, offset, geometry
+
+
+_CACHE_SLOTS = (
+    ("l1i", _O_L1I_HITS, _O_L1I_MISSES, _O_L1I_MSHR_STALLS, _O_L1I_MSHR_N),
+    ("l1d", _O_L1D_HITS, _O_L1D_MISSES, _O_L1D_MSHR_STALLS, _O_L1D_MSHR_N),
+    ("l2", _O_L2_HITS, _O_L2_MISSES, _O_L2_MSHR_STALLS, _O_L2_MSHR_N),
+)
+
+
+def _restore_memory(slices, state, out, memory) -> None:
+    """Write a kernel run's final hierarchy state into fresh *memory*.
+
+    Each cache keeps its non-empty sets' ``(line, fill-ready)`` rows, MRU
+    first, below their way counts.
+    """
+    def part(name):
+        return state[slices[name]]
+
+    for prefix, hits, misses, stalls, mshr_n in _CACHE_SLOTS:
+        cache = getattr(memory, prefix)
+        count = part(f"{prefix}_count")
+        used = np.flatnonzero(count)
+        rows = zip(used.tolist(), count[used].tolist(),
+                   part(f"{prefix}_lines").reshape(len(count), -1)[used]
+                   .tolist(),
+                   part(f"{prefix}_fill").reshape(len(count), -1)[used]
+                   .tolist())
+        for s, cnt, lines, ready in rows:
+            lines = cache._sets[s] = lines[:cnt]
+            cache._fill_ready.update(zip(lines, ready[:cnt]))
+        cache._mshr_heap = part(f"{prefix}_mshr")[:out[mshr_n]].tolist()
+        cache.hits, cache.misses, cache.mshr_stalls = (
+            out[hits], out[misses], out[stalls])
+
+    dram = memory.dram
+    dram.requests = out[_O_DRAM_REQUESTS]
+    dram.row_hits = out[_O_DRAM_ROW_HITS]
+    dram._channel_free = out[_O_DRAM_CHANNEL_FREE]
+    dram._bank_free = part("dram_bank_free").tolist()
+    dram._open_rows = {bank: row for bank, row in enumerate(
+        part("dram_open_rows").tolist()) if row != -1}
+    pf = memory.prefetcher
+    pf._pcs = part("pf_pcs").tolist()
+    pf._last_addr = part("pf_last").tolist()
+    pf._stride = part("pf_stride").tolist()
+    pf._conf = part("pf_conf").tolist()
+    pf.issued = out[_O_PF_ISSUED]
+
+
+def _restore_store_sets(slices, state, out, store_sets) -> None:
+    """Write a kernel run's final store-set tables into fresh *store_sets*."""
+    store_sets._ssit = {
+        i: v for i, v in enumerate(state[slices["ssit"]].tolist()) if v != -1
+    }
+    store_sets._lfst = {
+        i: v for i, v in enumerate(state[slices["lfst"]].tolist()) if v != -1
+    }
+    store_sets._next_ssid = out[_O_SS_NEXT_SSID]
+    store_sets.violations_trained = out[_O_SS_VIOLATIONS]
+
+
+# ---------------------------------------------------------------------------
+# Invariant arguments: one template per distinct core config
+
+
+#: The ``CoreConfig`` fields a template reads; with the functional-unit
+#: timings they are its key.
+_CONFIG_FIELDS = (
+    "fetch_width", "max_taken_per_cycle", "issue_width", "commit_width",
+    "frontend_depth", "backend_depth", "redirect_extra",
+    "decode_redirect_depth", "fetch_queue", "rob_entries", "iq_entries",
+    "lq_entries", "sq_entries", "int_prf", "fp_prf", "arch_regs",
+    "vp_write_ports", "vp_scope", "recovery", "squash_lookahead",
+)
+_Config = namedtuple("_Config", _CONFIG_FIELDS)
+_read_config = attrgetter(*_CONFIG_FIELDS)
+_read_fu = attrgetter("units", "latency", "pipelined")
+_OP_CLASSES = tuple(OpClass)
+
+
+def _config_key(cfg) -> tuple:
+    """The values of *cfg* a template reads: its ``_CONFIG_FIELDS``, and
+    ``(units, latency, pipelined)`` per op class."""
+    fu = cfg.fu
+    return _read_config(cfg), tuple(map(_read_fu,
+                                        map(fu.__getitem__, _OP_CLASSES)))
+
+
+#: ``OpClass`` -> functional-unit pool (mirrors ``CoreModel._run``'s
+#: aliasing), and the op class whose unit count sizes each pool.
+_FU_POOL = np.array((0, 1, 1, 2, 3, 3, 4, 4, 0, 0, 0, 0, 0), dtype=np.int64)
+_POOL_CLASSES = (OpClass.INT_ALU, OpClass.INT_MUL, OpClass.FP_ADD,
+                 OpClass.FP_MUL, OpClass.LOAD)
+
+#: Where every predictor pointer field points when the family does not use
+#: it: one zeroed 8-byte word, never written by the kernel.
+_PLACEHOLDER = np.zeros(1, dtype=np.int64)
+_PLACEHOLDER_ADDR = _PLACEHOLDER.ctypes.data
+_PREDICTOR_POINTERS = (
+    "fpc_prob", "tbl_tags", "tbl_tag_valid", "tbl_values", "tbl_conf",
+    "st_stride", "st_stride2", "st_spec_value", "st_spec_has",
+    "st_inflight", "vt_base_values", "vt_base_conf", "vt_tags", "vt_values",
+    "vt_conf", "vt_useful", "vp_idx", "vp_tag",
+)
+
+#: Distinct core configs whose templates a process keeps at once.
+_MAX_TEMPLATES = 64
+
+
+def _template(key: tuple, scratch: "_Scratch"):
+    """``(args, arrays)``: the invariant ``KernelArgs`` of the core config
+    *key* describes, and the arrays they point at (functional-unit tables;
+    rings, store buffer and pool heaps in one block)."""
+    key, fu = _Config._make(key[0]), key[1]
+    args = _KernelArgs()
+    args.abi_version = _ABI_VERSION
+    args.fetch_width = key.fetch_width
+    args.taken_width = key.max_taken_per_cycle
+    args.issue_width = key.issue_width
+    args.commit_width = key.commit_width
+    args.frontend = key.frontend_depth
+    args.backend = key.backend_depth
+    args.redirect_extra = key.redirect_extra
+    args.decode_redirect_depth = key.decode_redirect_depth
+    args.fq_size = key.fetch_queue
+    args.rob_size = key.rob_entries
+    args.iq_size = key.iq_entries
+    args.lq_size = key.lq_entries
+    args.sq_size = key.sq_entries
+    args.int_prf_size = max(1, key.int_prf - key.arch_regs)
+    args.fp_prf_size = max(1, key.fp_prf - key.arch_regs)
+    args.vp_write_ports = (
+        key.vp_write_ports if key.vp_write_ports is not None else -1)
+    args.vp_all_scope = key.vp_scope == "all"
+    args.reissue = key.recovery is RecoveryMode.SELECTIVE_REISSUE
+    args.lookahead_cap = key.squash_lookahead
+    sbuf_capacity = key.sq_entries + 16
+    args.sbuf_capacity = sbuf_capacity
+
+    fu_lat = np.array([latency for __, latency, __ in fu], dtype=np.int64)
+    fu_occ = np.array([1 if pipelined else latency
+                       for __, latency, pipelined in fu], dtype=np.int64)
+    pool_units = np.array([fu[c][0] for c in _POOL_CLASSES], dtype=np.int64)
+    args.fu_lat = fu_lat.ctypes.data
+    args.fu_occ = fu_occ.ctypes.data
+    args.fu_pool = _FU_POOL.ctypes.data
+    args.pool_units = pool_units.ctypes.data
+    args.n_pools = len(_POOL_CLASSES)
+
+    sizes = (
+        ("fq_ring", key.fetch_queue), ("rob_ring", key.rob_entries),
+        ("lq_ring", key.lq_entries), ("sq_ring", key.sq_entries),
+        ("int_prf_ring", args.int_prf_size),
+        ("fp_prf_ring", args.fp_prf_size),
+        ("iq_heap", key.iq_entries + 1),
+        ("sb_seq", sbuf_capacity), ("sb_start", sbuf_capacity),
+        ("sb_end", sbuf_capacity), ("sb_ready", sbuf_capacity),
+        ("sb_commit", sbuf_capacity), ("sb_pc", sbuf_capacity),
+        ("pool_heap", int(pool_units.sum())))
+    block = np.empty(sum(size for __, size in sizes), dtype=np.int64)
+    address = block.ctypes.data
+    for name, size in sizes:
+        setattr(args, name, address)
+        address += 8 * size
+    arrays = (fu_lat, fu_occ, pool_units, block)
+
+    windows = ["fetch", "taken", "issue"]
+    if key.vp_write_ports is not None:
+        windows.append("vpw")
+    for w in windows:
+        setattr(args, f"bw_{w}_stamp",
+                scratch.get(f"bw_{w}_stamp", _BW_WINDOW, fill=-1))
+        setattr(args, f"bw_{w}_count",
+                scratch.get(f"bw_{w}_count", _BW_WINDOW))
+
+    for name, value in scratch.geometry.items():
+        setattr(args, name, value)
+    for name in _PREDICTOR_POINTERS:
+        setattr(args, name, _PLACEHOLDER_ADDR)
+    return args, arrays
 
 
 class _Scratch:
-    """Fixed-size kernel buffers, allocated once per process.
+    """Kernel buffers and argument templates, kept for the process.
 
-    Sizes follow the core config (rings) and the memory geometry (caches,
-    DRAM, prefetcher, store sets), never the trace length; a buffer grows
-    only when a run needs more than it holds.  Only what the kernel reads
-    before writing is reset per run: cache set counts, pool heaps and the
-    DRAM/prefetcher/store-set tables.  Rings, store-buffer slots, cache
-    ways and MSHR heaps are read only below their live lengths, and the
-    kernel itself returns every bandwidth stamp to -1 (a window count is
-    read only under a matching stamp).
+    The bandwidth windows are shared by every template: fixed-size, and
+    the kernel hands them back as it got them, every stamp -1 (a window
+    count is read only under a matching stamp).  Everything else the
+    kernel reads before writing it resets at entry.  Nothing here grows
+    with the trace.
     """
 
     def __init__(self):
         self._buffers: dict[str, tuple[np.ndarray, int]] = {}
-        # The geometry of every CoreModel's memory and store sets: the
-        # model builds both with their defaults.
-        self.memory = MemoryHierarchy()
-        self.store_sets = StoreSets()
+        #: Config key -> ``(args, arrays)`` (:func:`_template`).
+        self.templates: dict[tuple, tuple] = {}
+        self.slices, self.state_size, self.geometry = _state_layout()
+        #: ``(field, byte offset)`` of each array in a run's state block.
+        self.state_fields = tuple(
+            (name, 8 * part.start) for name, part in self.slices.items())
 
-    def get(self, name: str, size: int, fill=None) -> tuple[np.ndarray, int]:
-        """``(array, address)`` of int64 buffer *name*, at least *size*
-        entries; a new one starts filled with *fill* (uninitialised when
-        ``None``)."""
+    def get(self, name: str, size: int, fill=None) -> int:
+        """Address of int64 buffer *name*, *size* entries, first filled
+        with *fill* (uninitialised when ``None``)."""
         buffer = self._buffers.get(name)
-        if buffer is None or buffer[0].shape[0] < size:
-            size = max(1, size)
+        if buffer is None:
             array = (np.empty(size, np.int64) if fill is None
                      else np.full(size, fill, np.int64))
             buffer = self._buffers[name] = (array, array.ctypes.data)
-        return buffer
+        return buffer[1]
+
+    def template(self, key: tuple) -> _KernelArgs:
+        template = self.templates.get(key)
+        if template is None:
+            if len(self.templates) >= _MAX_TEMPLATES:
+                self.templates.clear()
+            template = self.templates[key] = _template(key, self)
+        return template[0]
 
     @property
     def nbytes(self) -> int:
-        return sum(array.nbytes for array, __ in self._buffers.values())
+        arrays = [a for a, __ in self._buffers.values()] + [
+            a for __, kept in self.templates.values() for a in kept]
+        return sum(array.nbytes for array in arrays)
 
 
 _scratch: _Scratch | None = None
@@ -401,273 +621,206 @@ def scratch_nbytes() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Post-run state, turned into objects when first read
+# Predictor tables: one byte block per run, parked on success
 
 
-_CACHE_SLOTS = (
-    ("l1i", _O_L1I_HITS, _O_L1I_MISSES, _O_L1I_MSHR_STALLS, _O_L1I_MSHR_N),
-    ("l1d", _O_L1D_HITS, _O_L1D_MISSES, _O_L1D_MSHR_STALLS, _O_L1D_MSHR_N),
-    ("l2", _O_L2_HITS, _O_L2_MISSES, _O_L2_MSHR_STALLS, _O_L2_MSHR_N),
-)
+class _Layout:
+    """Where one predictor geometry's tables sit in a byte block.
 
-
-def _restore_memory(caches, dram_state, pf_state, memory) -> None:
-    """Write a kernel run's final hierarchy state into fresh *memory*.
-
-    Each cache comes as the indices of its non-empty sets, their way
-    counts and their ``(line, fill-ready)`` rows, MRU first.
+    ``fields`` holds ``(arg, attr, dtype, count, offset)`` per
+    ``KernelArgs`` table pointer, 8-byte tables first so every view is
+    aligned; *attr* names the predictor list the table mirrors, and
+    :func:`_block_from_lists` and :func:`_restore_tables` convert the rest
+    (tags, speculative state, VTAGE components).  ``names`` are the attributes a parked
+    predictor drops; ``ones`` is the byte range a fresh block fills with
+    -1 (VTAGE tags).
     """
-    for (prefix, used, counts, lines, fill, mshr, counters) in caches:
-        cache = getattr(memory, prefix)
-        fill_ready = {}
-        cache_sets = cache._sets
-        for k, (s, cnt) in enumerate(zip(used.tolist(), counts.tolist())):
-            row = lines[k, :cnt].tolist()
-            cache_sets[s] = row
-            for line, ready in zip(row, fill[k, :cnt].tolist()):
-                fill_ready[line] = ready
-        cache._fill_ready = fill_ready
-        cache._mshr_heap = mshr.tolist()
-        cache.hits, cache.misses, cache.mshr_stalls = counters
 
-    dram = memory.dram
-    open_rows, bank_free, (dram.requests, dram.row_hits,
-                           dram._channel_free) = dram_state
-    dram._bank_free = bank_free.tolist()
-    dram._open_rows = {
-        bank: int(row) for bank, row in enumerate(open_rows.tolist())
-        if row != -1
-    }
+    __slots__ = ("fields", "nbytes", "names", "ones")
 
-    pf = memory.prefetcher
-    pf_pcs, pf_last, pf_stride, pf_conf, pf.issued = pf_state
-    pf._pcs = pf_pcs.tolist()
-    pf._last_addr = pf_last.tolist()
-    pf._stride = pf_stride.tolist()
-    pf._conf = pf_conf.tolist()
+    def __init__(self, specs, names):
+        self.fields = []
+        self.nbytes = 0
+        self.ones = slice(0)
+        for arg, attr, dtype, count in specs:
+            dtype = np.dtype(dtype)
+            self.fields.append((arg, attr, dtype, count, self.nbytes))
+            if arg == "vt_tags":
+                self.ones = slice(self.nbytes, self.nbytes + 8 * count)
+            self.nbytes += dtype.itemsize * count
+        self.names = names
+
+    def views(self, block: np.ndarray) -> dict[str, np.ndarray]:
+        return {arg: block[offset:offset + dtype.itemsize * count].view(dtype)
+                for arg, __, dtype, count, offset in self.fields}
+
+    def fresh(self) -> np.ndarray:
+        """A block holding the constructed tables."""
+        block = np.zeros(self.nbytes, dtype=np.uint8)
+        block[self.ones] = 0xFF
+        return block
 
 
-def _restore_store_sets(ssit, lfst, next_ssid, violations,
-                        store_sets) -> None:
-    """Write a kernel run's final store-set tables into fresh *store_sets*."""
-    store_sets._ssit = {
-        i: int(v) for i, v in enumerate(ssit.tolist()) if v != -1
-    }
-    store_sets._lfst = {
-        i: int(v) for i, v in enumerate(lfst.tolist()) if v != -1
-    }
-    store_sets._next_ssid = next_ssid
-    store_sets.violations_trained = violations
+_VTAGE_TABLES = (("vt_tags", "tags"), ("vt_values", "values"),
+                 ("vt_conf", "conf"), ("vt_useful", "useful"))
 
 
-# ---------------------------------------------------------------------------
-# Predictor state (new arrays in; parked on the predictor only on success)
+def _block_from_lists(layout: _Layout, predictor) -> np.ndarray:
+    """A new block holding *predictor*'s lists."""
+    block = np.zeros(layout.nbytes, dtype=np.uint8)
+    v = layout.views(block)
+    for arg, attr, *__ in layout.fields:
+        if attr is not None:
+            v[arg][:] = getattr(predictor, attr)
+    if "tbl_tags" in v:
+        tags = predictor._tags
+        v["tbl_tags"][:] = [t if t is not None else 0 for t in tags]
+        v["tbl_tag_valid"][:] = [t is not None for t in tags]
+    if "st_spec_has" in v:
+        for idx, value in predictor._spec_last.items():
+            v["st_spec_value"][idx] = value
+            v["st_spec_has"][idx] = 1
+        for idx, live in predictor._inflight.items():
+            v["st_inflight"][idx] = live
+    if "vt_tags" in v:
+        comps = predictor.components
+        for arg, attr in _VTAGE_TABLES:
+            v[arg].reshape(len(comps), -1)[:] = [getattr(c, attr)
+                                                 for c in comps]
+    return block
 
 
-#: Where every predictor pointer field points when the family does not use
-#: it: one zeroed 8-byte word, never written by the kernel.
-_PLACEHOLDER = np.zeros(1, dtype=np.int64)
-_PLACEHOLDER_ADDR = _PLACEHOLDER.ctypes.data
-_PREDICTOR_POINTERS = (
-    "fpc_prob", "tbl_tags", "tbl_tag_valid", "tbl_values", "tbl_conf",
-    "st_stride", "st_stride2", "st_spec_value", "st_spec_has",
-    "st_inflight", "vt_base_values", "vt_base_conf", "vt_tags", "vt_values",
-    "vt_conf", "vt_useful", "vp_idx", "vp_tag",
-)
+def _restore_tables(layout: _Layout, block: np.ndarray, predictor) -> None:
+    """Set *predictor*'s lists from a block, a kernel run's restore."""
+    v = layout.views(block)
+    if "vt_tags" in v:
+        predictor._build_tables()
+        for arg, attr in _VTAGE_TABLES:
+            rows = v[arg].reshape(len(predictor.components), -1).tolist()
+            for comp, row in zip(predictor.components, rows):
+                setattr(comp, attr, row)
+    for arg, attr, *__ in layout.fields:
+        if attr is not None:
+            setattr(predictor, attr, v[arg].tolist())
+    if "tbl_tags" in v:
+        predictor._tags = [t if valid else None for t, valid in zip(
+            v["tbl_tags"].tolist(), v["tbl_tag_valid"].tolist())]
+    if "st_spec_has" in v:
+        spec = np.flatnonzero(v["st_spec_has"])
+        predictor._spec_last = dict(zip(
+            spec.tolist(), v["st_spec_value"][spec].tolist()))
+        live = np.flatnonzero(v["st_inflight"])
+        predictor._inflight = dict(zip(
+            live.tolist(), v["st_inflight"][live].tolist()))
 
 
-def _holds_only(value, *tables) -> bool:
-    """Whether every list in *tables* holds nothing but *value*."""
-    return all(table.count(value) == len(table) for table in tables)
+#: Geometry key -> :class:`_Layout`.
+_LAYOUTS: dict[tuple, _Layout] = {}
 
 
-def _tag_list(tags, valid) -> list:
-    return [t if v else None for t, v in zip(tags.tolist(), valid.tolist())]
+def _layout(predictor, ptype) -> _Layout:
+    """The table layout of *predictor*'s family and geometry."""
+    if ptype == P_VTAGE:
+        key = (ptype, len(predictor.geometry) * predictor.tagged_entries,
+               predictor.base_entries)
+    else:
+        key = (ptype, predictor.entries,
+               predictor_class(predictor) is TwoDeltaStridePredictor)
+    layout = _LAYOUTS.get(key)
+    if layout is not None:
+        return layout
+    if ptype == P_VTAGE:
+        __, n, base = key
+        specs = [("vt_tags", None, np.int64, n),
+                 ("vt_values", None, np.uint64, n),
+                 ("vt_conf", None, np.int64, n),
+                 ("vt_base_values", "_base_values", np.uint64, base),
+                 ("vt_base_conf", "_base_conf", np.int64, base),
+                 ("vt_useful", None, np.int8, n)]
+        names = ("components", "_base_values", "_base_conf")
+    else:
+        __, n, two_delta = key
+        specs = [("tbl_tags", None, np.uint64, n),
+                 ("tbl_values", "_values" if ptype == P_LVP else "_last",
+                  np.uint64, n),
+                 ("tbl_conf", "_conf", np.int64, n)]
+        if ptype == P_STRIDE:
+            specs += [("st_stride", "_stride", np.uint64, n)]
+            if two_delta:
+                specs += [("st_stride2", "_stride2", np.uint64, n)]
+            specs += [("st_spec_value", None, np.uint64, n),
+                      ("st_inflight", None, np.int64, n),
+                      ("st_spec_has", None, np.uint8, n)]
+        specs += [("tbl_tag_valid", None, np.uint8, n)]
+        names = ("_tags",) + tuple(
+            attr for __, attr, *__ in specs if attr is not None)
+        if ptype == P_STRIDE:
+            names += ("_spec_last", "_inflight")
+    layout = _LAYOUTS[key] = _Layout(specs, names)
+    return layout
 
 
-def _restore_lvp(tags, tag_valid, values, conf, predictor) -> None:
-    predictor._tags = _tag_list(tags, tag_valid)
-    predictor._values = values.tolist()
-    predictor._conf = conf.tolist()
+def _marshal_predictor(args, predictor, ptype, vplane):
+    """Point *args* at a new block of the predictor's tables.
 
-
-def _restore_stride(tags, tag_valid, last, conf, stride, stride2,
-                    spec_value, spec_has, inflight, predictor) -> None:
-    predictor._tags = _tag_list(tags, tag_valid)
-    predictor._last = last.tolist()
-    predictor._conf = conf.tolist()
-    predictor._stride = stride.tolist()
-    if stride2 is not None:
-        predictor._stride2 = stride2.tolist()
-    spec = np.flatnonzero(spec_has)
-    predictor._spec_last = dict(zip(spec.tolist(), spec_value[spec].tolist()))
-    live = np.flatnonzero(inflight)
-    predictor._inflight = dict(zip(live.tolist(), inflight[live].tolist()))
-
-
-def _restore_vtage(comps, tags, values, conf, useful, base_values, base_conf,
-                   vt) -> None:
-    entries = comps[0].entries
-    for c, comp in enumerate(comps):
-        lo, hi = c * entries, (c + 1) * entries
-        comp.tags = tags[lo:hi].tolist()
-        comp.values = values[lo:hi].tolist()
-        comp.conf = conf[lo:hi].tolist()
-        comp.useful = useful[lo:hi].tolist()
-    vt._base_values = base_values.tolist()
-    vt._base_conf = base_conf.tolist()
-    vt.components = comps
-
-
-def _marshal_predictor(args, predictor, ptype, vplane, keep):
-    """Put the predictor's tables into *args* as new arrays.
-
-    A predictor whose tables still hold their constructed values gets
-    arrays filled the same way; any other has its lists copied.  The
-    check reads the tables, because direct ``train()`` calls leave no
-    other trace.  Returns ``write_back(out)`` for a successful run, which
-    parks the final arrays on the predictor (:meth:`ValuePredictor.park`)
-    and writes the scalar state, or a decline reason string.  The
-    predictor's own lists are never written, so a failed run leaves them
-    as they were.  *keep* collects arrays that must outlive the call.
-    Fields the family does not use point at the placeholder (integers
-    stay 0).
+    The block is zero-filled for a predictor still parked at its
+    constructed state, a copy of the parked block for one a kernel run
+    parked, and a copy of the lists for any other.  Returns
+    ``write_back(out)``, which holds the block across the call and after
+    a successful run parks it on the predictor
+    (:meth:`ValuePredictor.park`) and writes the scalar state; ``None``
+    for a family without tables; or a decline reason string.  The
+    predictor itself is not written, so a failed run leaves it as it was.
+    Fields the family does not use keep the template's placeholder.
     """
-    for name in _PREDICTOR_POINTERS:
-        setattr(args, name, _PLACEHOLDER_ADDR)
     if ptype not in (P_LVP, P_STRIDE, P_VTAGE):
         return None
-    if ptype == P_VTAGE and predictor._conf_threshold is None:
-        return "kernel-ineligible:vtage-threshold"
+    if ptype == P_VTAGE:
+        if predictor._conf_threshold is None:
+            return "kernel-ineligible:vtage-threshold"
+        if len(predictor.geometry) > _MAX_COMPONENTS:
+            return "kernel-ineligible:vtage-components"
     fields = _policy_fields(predictor.confidence)
     if fields is None:
         return "kernel-ineligible:confidence-policy"
-    args.conf_kind, args.conf_max_level, prob, taps, state = fields
-    keep.append(prob)
-    args.fpc_prob = prob.ctypes.data
-    args.fpc_taps = taps
-    args.fpc_state = state
-    fpc = args.conf_kind == 1
+    (args.conf_kind, args.conf_max_level, args.fpc_prob, args.fpc_taps,
+     args.fpc_state) = fields
+    fpc = fields[0] == 1
 
-    def new(n, dtype, fill=0):
-        """``(array, address)`` of *n* new entries, all *fill*."""
-        array = (np.zeros(n, dtype=dtype) if fill == 0
-                 else np.full(n, fill, dtype=dtype))
-        keep.append(array)
-        return array, array.ctypes.data
-
-    def table(rows, dtype, fresh, fill=0):
-        """``(array, address)`` of the equal-length lists *rows* end to
-        end; when *fresh* they hold only *fill*, so nothing is copied."""
-        if fresh:
-            return new(len(rows) * len(rows[0]), dtype, fill)
-        array = np.array(rows, dtype=dtype).ravel()
-        keep.append(array)
-        return array, array.ctypes.data
-
-    def write_back_confidence(out):
-        if fpc:
-            predictor.confidence.lfsr.state = int(out[_O_FPC_STATE]) & MASK64
+    layout = _layout(predictor, ptype)
+    restore = parked_restore(predictor)
+    if restore is constructed:
+        block = layout.fresh()
+    elif isinstance(restore, partial) and restore.func is _restore_tables:
+        block = restore.args[1].copy()
+    else:
+        block = _block_from_lists(layout, predictor)
+    address = _address(block)
+    for arg, __, __, __, offset in layout.fields:
+        setattr(args, arg, address + offset)
 
     if ptype == P_VTAGE:
         vt = predictor
-        comps = vt.components
-        ncomp = len(comps)
-        entries = comps[0].entries if comps else 0
-        if (ncomp == 0 or ncomp > _MAX_COMPONENTS
-                or any(c.entries != entries for c in comps)):
-            return "kernel-ineligible:vtage-components"
-        fresh = _holds_only(0, vt._base_values, vt._base_conf) and all(
-            _holds_only(-1, c.tags)
-            and _holds_only(0, c.values, c.conf, c.useful) for c in comps)
-        vt_tags, args.vt_tags = table(
-            [c.tags for c in comps], np.int64, fresh, fill=-1)
-        vt_values, args.vt_values = table(
-            [c.values for c in comps], np.uint64, fresh)
-        vt_conf, args.vt_conf = table([c.conf for c in comps], np.int64, fresh)
-        vt_useful, args.vt_useful = table(
-            [c.useful for c in comps], np.int8, fresh)
-        base_values, args.vt_base_values = table(
-            [vt._base_values], np.uint64, fresh)
-        base_conf, args.vt_base_conf = table([vt._base_conf], np.int64, fresh)
-        args.vt_ncomp = ncomp
-        args.vt_entries = entries
+        args.vt_ncomp = len(vt.geometry)
+        args.vt_entries = vt.tagged_entries
         args.vt_base_mask = vt._base_index_mask
-        args.vp_idx = vplane.idx.ctypes.data
-        args.vp_tag = vplane.tag.ctypes.data
+        args.vp_idx, args.vp_tag = vplane.addresses
         args.vt_taps = vt._lfsr._taps
         args.vt_state = vt._lfsr.state
-
-        def write_back(out):
-            vt._tags_gen += int(out[_O_VT_ALLOCATIONS])
-            vt._lfsr.state = int(out[_O_VT_STATE]) & MASK64
-            write_back_confidence(out)
-            vt.park(partial(_restore_vtage, comps, vt_tags, vt_values,
-                            vt_conf, vt_useful, base_values, base_conf),
-                    ("components", "_base_values", "_base_conf"))
-
-        return write_back
-
-    entries = predictor.entries
-    args.tbl_mask = entries - 1
-    raw_tags = predictor._tags
-    if ptype == P_LVP:
-        fresh = (_holds_only(None, raw_tags)
-                 and _holds_only(0, predictor._values, predictor._conf))
     else:
-        two_delta = isinstance(predictor, TwoDeltaStridePredictor)
-        fresh = (
-            not predictor._spec_last and not predictor._inflight
-            and _holds_only(None, raw_tags)
-            and _holds_only(0, predictor._last, predictor._conf,
-                            predictor._stride)
-            and (not two_delta or _holds_only(0, predictor._stride2)))
-    if fresh:
-        tags, args.tbl_tags = new(entries, np.uint64)
-        tag_valid, args.tbl_tag_valid = new(entries, np.uint8)
-    else:
-        tags, args.tbl_tags = table(
-            [[t if t is not None else 0 for t in raw_tags]], np.uint64, False)
-        tag_valid, args.tbl_tag_valid = table(
-            [[t is not None for t in raw_tags]], np.uint8, False)
-
-    if ptype == P_LVP:
-        values, args.tbl_values = table([predictor._values], np.uint64, fresh)
-        conf, args.tbl_conf = table([predictor._conf], np.int64, fresh)
-
-        def write_back(out):
-            write_back_confidence(out)
-            predictor.park(
-                partial(_restore_lvp, tags, tag_valid, values, conf),
-                ("_tags", "_values", "_conf"))
-
-        return write_back
-
-    last, args.tbl_values = table([predictor._last], np.uint64, fresh)
-    conf, args.tbl_conf = table([predictor._conf], np.int64, fresh)
-    stride, args.st_stride = table([predictor._stride], np.uint64, fresh)
-    if two_delta:
-        stride2, args.st_stride2 = table([predictor._stride2], np.uint64,
-                                         fresh)
-    else:
-        stride2, args.st_stride2 = None, args.st_stride
-    spec_value, args.st_spec_value = new(entries, np.uint64)
-    spec_has, args.st_spec_has = new(entries, np.uint8)
-    inflight, args.st_inflight = new(entries, np.int64)
-    for idx, value in predictor._spec_last.items():
-        spec_value[idx] = value
-        spec_has[idx] = 1
-    for idx, live in predictor._inflight.items():
-        inflight[idx] = live
-    args.two_delta = 1 if two_delta else 0
+        args.tbl_mask = predictor.entries - 1
+        if ptype == P_STRIDE:
+            args.two_delta = "_stride2" in layout.names
+            if not args.two_delta:
+                args.st_stride2 = args.st_stride
 
     def write_back(out):
-        write_back_confidence(out)
-        predictor.park(
-            partial(_restore_stride, tags, tag_valid, last, conf, stride,
-                    stride2, spec_value, spec_has, inflight),
-            ("_tags", "_last", "_conf", "_stride", "_spec_last", "_inflight")
-            + (("_stride2",) if two_delta else ()))
+        if fpc:
+            predictor.confidence.lfsr.state = out[_O_FPC_STATE] & MASK64
+        if ptype == P_VTAGE:
+            predictor._tags_gen += out[_O_VT_ALLOCATIONS]
+            predictor._lfsr.state = out[_O_VT_STATE] & MASK64
+        predictor.park(partial(_restore_tables, layout, block), layout.names)
 
     return write_back
 
@@ -684,12 +837,9 @@ def _decline(reason: str) -> None:
     return None
 
 
-#: ``OpClass`` -> functional-unit pool (mirrors ``CoreModel._run``'s
-#: aliasing), and the op class whose unit count sizes each pool.
-_FU_POOL = np.array((0, 1, 1, 2, 3, 3, 4, 4, 0, 0, 0, 0, 0), dtype=np.int64)
-_FU_POOL_ADDR = _FU_POOL.ctypes.data
-_POOL_CLASSES = (OpClass.INT_ALU, OpClass.INT_MUL, OpClass.FP_ADD,
-                 OpClass.FP_MUL, OpClass.LOAD)
+#: Train-queue bytes per µop: commit cycle and value (8 each), µop index
+#: (4), VTAGE provider and effective rank, and the lookup-hit flag (1 each).
+_TQ_BYTES = 23
 
 
 def try_run(model, trace, warmup, workload, ptype, vplane):
@@ -707,11 +857,11 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
     cfg = model.config
     predictor = model.predictor
 
-    memory = model.existing("memory")
-    if memory is not None and not _memory_is_fresh(memory):
+    # The kernel starts from fresh state: a component the model has built
+    # may hold some, so it is not scanned but declined.
+    if model.existing("memory") is not None:
         return _decline("kernel-ineligible:memory-not-fresh")
-    store_sets = model.existing("store_sets")
-    if store_sets is not None and not _store_sets_fresh(store_sets):
+    if model.existing("store_sets") is not None:
         return _decline("kernel-ineligible:store-sets-not-fresh")
 
     inputs = kernel_inputs(trace)
@@ -725,188 +875,44 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
     if inputs.max_reg >= 64:
         return _decline("kernel-ineligible:register-range")
 
-    keep = []  # per-run arrays that must stay alive across the C call
-    args = _KernelArgs()
-    args.abi_version = _ABI_VERSION
-    args.n = n
-    args.warmup = warmup
-    args.ptype = ptype
-    write_back = _marshal_predictor(args, predictor, ptype, vplane, keep)
-    if isinstance(write_back, str):
-        return _decline(write_back)
-
-    # ---- per-µop arrays ---------------------------------------------------
-    for name, array in inputs.columns.items():
-        setattr(args, name, array.ctypes.data)
-
-    # ---- core config -----------------------------------------------------
-    args.fetch_width = cfg.fetch_width
-    args.taken_width = cfg.max_taken_per_cycle
-    args.issue_width = cfg.issue_width
-    args.commit_width = cfg.commit_width
-    args.frontend = cfg.frontend_depth
-    args.backend = cfg.backend_depth
-    args.redirect_extra = cfg.redirect_extra
-    args.decode_redirect_depth = cfg.decode_redirect_depth
-    args.fq_size = cfg.fetch_queue
-    args.rob_size = cfg.rob_entries
-    args.iq_size = cfg.iq_entries
-    args.lq_size = cfg.lq_entries
-    args.sq_size = cfg.sq_entries
-    args.int_prf_size = max(1, cfg.int_prf - cfg.arch_regs)
-    args.fp_prf_size = max(1, cfg.fp_prf - cfg.arch_regs)
-    args.vp_write_ports = (
-        cfg.vp_write_ports if cfg.vp_write_ports is not None else -1
-    )
-    args.vp_all_scope = 1 if cfg.vp_scope == "all" else 0
-    args.reissue = 1 if cfg.recovery is RecoveryMode.SELECTIVE_REISSUE else 0
-    args.lookahead_cap = cfg.squash_lookahead
-    sbuf_capacity = cfg.sq_entries + 16
-    args.sbuf_capacity = sbuf_capacity
-
-    # ---- functional units ------------------------------------------------
-    fu = [cfg.fu[OpClass(c)] for c in range(len(OpClass))]
-    fu_lat = np.array([f.latency for f in fu], dtype=np.int64)
-    fu_occ = np.array([f.occupancy for f in fu], dtype=np.int64)
-    pool_units = np.array([cfg.fu[c].units for c in _POOL_CLASSES],
-                          dtype=np.int64)
-    keep += (fu_lat, fu_occ, pool_units)
-    args.fu_lat = fu_lat.ctypes.data
-    args.fu_occ = fu_occ.ctypes.data
-    args.fu_pool = _FU_POOL_ADDR
-    args.pool_units = pool_units.ctypes.data
-    args.n_pools = len(_POOL_CLASSES)
-
-    # ---- train queue: one slot per µop ----------------------------------
-    tq = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int32),
-          np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.int8),
-          np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int8))
-    keep += tq
-    (args.tq_commit, args.tq_i, args.tq_value, args.tq_provider,
-     args.tq_eff, args.tq_has) = (a.ctypes.data for a in tq)
-    out = np.zeros(_N_OUT, dtype=np.int64)
-    args.out = out.ctypes.data
-
+    key = _config_key(cfg)
     with _SCRATCH_LOCK:
         scratch = _get_scratch()
-        get = scratch.get
+        args = _KernelArgs.from_buffer_copy(scratch.template(key))
+        write_back = _marshal_predictor(args, predictor, ptype, vplane)
+        if isinstance(write_back, str):
+            return _decline(write_back)
+        args.n = n
+        args.warmup = warmup
+        args.ptype = ptype
+        for name, address in inputs.addresses:
+            setattr(args, name, address)
 
-        pool_heap, args.pool_heap = get("pool_heap", int(pool_units.sum()))
-        pool_heap.fill(0)
-
-        # ---- bandwidth limiter windows ----------------------------------
-        windows = ["fetch", "taken", "issue"]
-        if cfg.vp_write_ports is not None:
-            windows.append("vpw")
-        else:
-            args.bw_vpw_stamp = None
-            args.bw_vpw_count = None
-        for w in windows:
-            setattr(args, f"bw_{w}_stamp",
-                    get(f"bw_{w}_stamp", _BW_WINDOW, fill=-1)[1])
-            setattr(args, f"bw_{w}_count", get(f"bw_{w}_count", _BW_WINDOW)[1])
-
-        # ---- rings + store buffer ---------------------------------------
-        for name, size in (
-                ("fq_ring", cfg.fetch_queue), ("rob_ring", cfg.rob_entries),
-                ("lq_ring", cfg.lq_entries), ("sq_ring", cfg.sq_entries),
-                ("int_prf_ring", args.int_prf_size),
-                ("fp_prf_ring", args.fp_prf_size),
-                ("iq_heap", cfg.iq_entries + 1),
-                ("sb_seq", sbuf_capacity), ("sb_start", sbuf_capacity),
-                ("sb_end", sbuf_capacity), ("sb_ready", sbuf_capacity),
-                ("sb_commit", sbuf_capacity), ("sb_pc", sbuf_capacity)):
-            setattr(args, name, get(name, size)[1])
-
-        # ---- memory hierarchy and store sets (fresh) --------------------
-        geometry = scratch.memory
-        cache_arrays = []
-        for prefix, *__ in _CACHE_SLOTS:
-            cache = getattr(geometry, prefix)
-            sets = cache.config.sets
-            ways = cache.config.ways
-            lines, lines_addr = get(f"{prefix}_lines", sets * ways)
-            fill, fill_addr = get(f"{prefix}_fill", sets * ways)
-            count, count_addr = get(f"{prefix}_count", sets)
-            count[:sets] = 0
-            mshr, mshr_addr = get(f"{prefix}_mshr", cache.config.mshrs + 1)
-            cache_arrays.append((lines, fill, count, mshr, sets, ways))
-            setattr(args, f"{prefix}_sets", sets)
-            setattr(args, f"{prefix}_ways", ways)
-            setattr(args, f"{prefix}_shift", cache._line_shift)
-            setattr(args, f"{prefix}_lat", cache._hit_latency)
-            setattr(args, f"{prefix}_mshrs", cache.config.mshrs)
-            setattr(args, f"{prefix}_lines", lines_addr)
-            setattr(args, f"{prefix}_fill", fill_addr)
-            setattr(args, f"{prefix}_count", count_addr)
-            setattr(args, f"{prefix}_mshr", mshr_addr)
-
-        dram = geometry.dram
-        args.dram_base = dram.base_latency
-        args.dram_row_penalty = dram.row_miss_penalty
-        args.dram_max = dram.max_latency
-        args.dram_banks = dram.n_banks
-        args.dram_row_bytes = dram.row_bytes
-        args.dram_channel_cycles = dram.channel_cycles
-        banks = dram.n_banks
-        open_rows, args.dram_open_rows = get("dram_open_rows", banks)
-        bank_free, args.dram_bank_free = get("dram_bank_free", banks)
-        open_rows[:banks] = -1
-        bank_free[:banks] = 0
-
-        pf = geometry.prefetcher
-        args.pf_index_bits = pf._index_bits
-        args.pf_degree = pf.degree
-        args.pf_distance = pf.distance
-        pf_n = len(pf._pcs)
-        pf_arrays = []
-        for name, init in (("pf_pcs", -1), ("pf_last", 0), ("pf_stride", 0),
-                           ("pf_conf", 0)):
-            array, addr = get(name, pf_n)
-            array[:pf_n] = init
-            setattr(args, name, addr)
-            pf_arrays.append(array)
-
-        ss_geometry = scratch.store_sets
-        args.ssit_bits = ss_geometry._ssit_bits
-        args.lfst_entries = ss_geometry.lfst_entries
-        ssit_n = 1 << ss_geometry._ssit_bits
-        lfst_n = ss_geometry.lfst_entries
-        ssit, args.ssit = get("ssit", ssit_n)
-        lfst, args.lfst = get("lfst", lfst_n)
-        ssit[:ssit_n] = -1
-        lfst[:lfst_n] = -1
+        # Per-run state, uninitialised: the kernel resets what it reads.
+        slices = scratch.slices
+        state = np.empty(scratch.state_size, dtype=np.int64)
+        address = _address(state)
+        for name, offset in scratch.state_fields:
+            setattr(args, name, address + offset)
+        tq = np.empty(n * _TQ_BYTES, dtype=np.uint8)
+        address = _address(tq)
+        args.tq_commit = address
+        args.tq_value = address + 8 * n
+        args.tq_i = address + 16 * n
+        args.tq_provider = address + 20 * n
+        args.tq_eff = address + 21 * n
+        args.tq_has = address + 22 * n
+        out = (_I64 * _N_OUT)()
+        args.out = ctypes.addressof(out)
 
         ret = lib.repro_kernel_run(ctypes.byref(args))
         if ret != 0 or out[_O_ERROR] != 0:
-            return _decline(f"kernel-error:{ret or int(out[_O_ERROR])}")
+            return _decline(f"kernel-error:{ret or out[_O_ERROR]}")
 
-        # ---- copy out the final memory and store-set state --------------
-        caches = []
-        for (prefix, hits, misses, stalls, mshr_n), (
-                lines, fill, count, mshr, sets, ways) in zip(
-                    _CACHE_SLOTS, cache_arrays):
-            used = np.flatnonzero(count[:sets])
-            caches.append((
-                prefix, used, count[used],
-                lines[:sets * ways].reshape(sets, ways)[used],
-                fill[:sets * ways].reshape(sets, ways)[used],
-                mshr[:int(out[mshr_n])].copy(),
-                (int(out[hits]), int(out[misses]), int(out[stalls])),
-            ))
-        dram_state = (
-            open_rows[:banks].copy(), bank_free[:banks].copy(),
-            (int(out[_O_DRAM_REQUESTS]), int(out[_O_DRAM_ROW_HITS]),
-             int(out[_O_DRAM_CHANNEL_FREE])),
-        )
-        pf_state = tuple(a[:pf_n].copy() for a in pf_arrays) + (
-            int(out[_O_PF_ISSUED]),)
-        ss_state = (ssit[:ssit_n].copy(), lfst[:lfst_n].copy(),
-                    int(out[_O_SS_NEXT_SSID]), int(out[_O_SS_VIOLATIONS]))
-
-    model.adopt("memory", partial(_restore_memory, caches, dram_state,
-                                  pf_state))
-    model.adopt("store_sets", partial(_restore_store_sets, *ss_state))
+    out = out[:]
+    model.adopt("memory", partial(_restore_memory, slices, state, out))
+    model.adopt("store_sets", partial(_restore_store_sets, slices, state,
+                                      out))
     if write_back is not None:
         write_back(out)
 
@@ -916,25 +922,25 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
         predictor=predictor.name if ptype != 0 else "none",
         recovery=cfg.recovery.value,
     )
-    result.n_uops = int(out[_O_N_UOPS])
-    result.cycles = int(out[_O_CYCLES])
-    result.cond_branches = int(out[_O_COND_BRANCHES])
-    result.branch_mispredicts = int(out[_O_BRANCH_MISP])
-    result.btb_redirects = int(out[_O_BTB_REDIRECTS])
-    result.vp_eligible = int(out[_O_VP_ELIGIBLE])
-    result.vp_predicted = int(out[_O_VP_PREDICTED])
-    result.vp_used = int(out[_O_VP_USED])
-    result.vp_correct_used = int(out[_O_VP_CORRECT_USED])
-    result.vp_wrong_used = int(out[_O_VP_WRONG_USED])
-    result.vp_squashes = int(out[_O_VP_SQUASHES])
-    result.vp_harmless_wrong = int(out[_O_VP_HARMLESS])
-    result.vp_reissues = int(out[_O_VP_REISSUES])
-    result.vp_write_delayed = int(out[_O_VP_WRITE_DELAYED])
-    result.mem_violations = int(out[_O_MEM_VIOLATIONS])
-    result.rob_stalls = int(out[_O_ROB_STALLS])
-    result.iq_stalls = int(out[_O_IQ_STALLS])
-    result.l1d_misses = int(out[_O_L1D_MISSES])
-    result.l1d_accesses = int(out[_O_L1D_HITS]) + int(out[_O_L1D_MISSES])
-    result.l2_misses = int(out[_O_L2_MISSES])
-    result.l2_accesses = int(out[_O_L2_HITS]) + int(out[_O_L2_MISSES])
+    result.n_uops = out[_O_N_UOPS]
+    result.cycles = out[_O_CYCLES]
+    result.cond_branches = out[_O_COND_BRANCHES]
+    result.branch_mispredicts = out[_O_BRANCH_MISP]
+    result.btb_redirects = out[_O_BTB_REDIRECTS]
+    result.vp_eligible = out[_O_VP_ELIGIBLE]
+    result.vp_predicted = out[_O_VP_PREDICTED]
+    result.vp_used = out[_O_VP_USED]
+    result.vp_correct_used = out[_O_VP_CORRECT_USED]
+    result.vp_wrong_used = out[_O_VP_WRONG_USED]
+    result.vp_squashes = out[_O_VP_SQUASHES]
+    result.vp_harmless_wrong = out[_O_VP_HARMLESS]
+    result.vp_reissues = out[_O_VP_REISSUES]
+    result.vp_write_delayed = out[_O_VP_WRITE_DELAYED]
+    result.mem_violations = out[_O_MEM_VIOLATIONS]
+    result.rob_stalls = out[_O_ROB_STALLS]
+    result.iq_stalls = out[_O_IQ_STALLS]
+    result.l1d_misses = out[_O_L1D_MISSES]
+    result.l1d_accesses = out[_O_L1D_HITS] + out[_O_L1D_MISSES]
+    result.l2_misses = out[_O_L2_MISSES]
+    result.l2_accesses = out[_O_L2_HITS] + out[_O_L2_MISSES]
     return result

@@ -104,15 +104,17 @@ class VTAGEPlane:
 
     ``idx`` and ``tag`` are C-contiguous ``(components, n)`` int32 arrays:
     row ``c`` is component ``c``, and the flat layout is the comp-major
-    one the kernel indexes (``c * n + i``).
+    one the kernel indexes (``c * n + i``); ``addresses`` holds their
+    data addresses.
     """
 
-    __slots__ = ("n", "idx", "tag")
+    __slots__ = ("n", "idx", "tag", "addresses")
 
     def __init__(self, n: int, idx: np.ndarray, tag: np.ndarray):
         self.n = n
         self.idx = idx
         self.tag = tag
+        self.addresses = (idx.ctypes.data, tag.ctypes.data)
 
     @property
     def nbytes(self) -> int:
@@ -127,11 +129,12 @@ class KernelInputs:
     already matches) and the predictor keys ``pkeys``.  The ``max_*`` and
     ``min_seq`` fields are the range reductions behind the kernel's
     eligibility checks.  ``nbytes`` counts only the arrays that alias no
-    packed or plane column.
+    packed or plane column.  ``addresses`` pairs each column's name with
+    its data address, so a run sets pointers without asking numpy.
     """
 
     __slots__ = ("n", "columns", "max_pc", "max_addr", "min_seq", "max_reg",
-                 "nbytes")
+                 "nbytes", "addresses")
 
     def __init__(self, n, columns, max_pc, max_addr, min_seq, max_reg,
                  nbytes):
@@ -142,6 +145,8 @@ class KernelInputs:
         self.min_seq = min_seq
         self.max_reg = max_reg
         self.nbytes = nbytes
+        self.addresses = tuple(
+            (name, array.ctypes.data) for name, array in columns.items())
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +323,7 @@ def build_vtage_plane(trace: Trace, signature: tuple) -> VTAGEPlane:
 
 def vtage_signature(predictor) -> tuple:
     """The plane cache key of a VTAGE predictor's component geometry."""
-    return tuple(
-        (comp.history_length, comp.index_bits, comp.tag_bits)
-        for comp in predictor.components
-    )
+    return predictor.geometry
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,8 @@ class Prediction:
 class ValuePredictor(abc.ABC):
     """Abstract value predictor."""
 
+    __slots__ = ("_parked_restore", "__weakref__")
+
     name = "abstract"
 
     @abc.abstractmethod
@@ -134,39 +136,52 @@ class ValuePredictor(abc.ABC):
     def describe(self) -> str:
         return self.name
 
-    def park(self, restore, names) -> None:
+    def park(self, restore, names=()) -> None:
         """Drop the table attributes *names* until someone reads one.
 
-        The compiled kernel leaves a predictor's final tables as arrays,
-        and turning them back into lists costs more than most jobs, which
-        never read them.  While parked, the predictor wears a twin of its
-        class whose ``__getattr__`` (called only for attributes the
-        instance lacks) runs ``restore(self)`` to set *names* again and
-        switches back to its own class before answering.  Its own class
-        gains no hook: on CPython 3.11 any ``__getattr__`` on a class
-        slows every attribute load on its instances, ``lookup`` and
-        ``train`` included.  *restore* must not hold the predictor, or
-        the pair would outlive the run as a reference cycle while
-        ``CoreModel.run`` pauses the collector.
+        The kernel families are born parked at their constructed state
+        (``restore`` is :func:`constructed`), and the compiled kernel
+        parks its final tables as arrays: building or rebuilding the
+        lists costs more than most jobs, which never read them.  While
+        parked, the predictor wears a twin of its class whose
+        ``__getattr__`` (called only for attributes the instance lacks)
+        runs ``restore(self)`` to set the tables and switches back to its
+        own class before answering.  Its own class gains no hook: on
+        CPython 3.11 any ``__getattr__`` on a class slows every attribute
+        load on its instances, ``lookup`` and ``train`` included.  And the
+        kernel families declare ``__slots__``, since changing an
+        instance's class turns its inline attribute values into a dict
+        for good, which slows every later ``self.<attr>`` load.  Parking
+        a parked predictor replaces its ``restore``.  *restore*
+        must not hold the predictor, or the pair would outlive the run as
+        a reference cycle while ``CoreModel.run`` pauses the collector.
         """
-        state = vars(self)
-        for name in names:
-            del state[name]
-        state[_RESTORE] = restore
-        self.__class__ = _parked_twin(type(self))
+        if parked_restore(self) is None:
+            for name in names:
+                delattr(self, name)
+            self.__class__ = _parked_twin(type(self))
+        self._parked_restore = restore
+
+def constructed(predictor: ValuePredictor) -> None:
+    """The ``restore`` of a predictor parked at its constructed state: its
+    family's ``_build_tables`` sets the tables."""
+    predictor._build_tables()
 
 
-#: Instance attribute holding a parked predictor's ``restore`` callable.
-_RESTORE = "_parked_restore"
+def parked_restore(predictor: ValuePredictor):
+    """The ``restore`` a parked *predictor* holds, or ``None``."""
+    return getattr(predictor, "_parked_restore", None)
+
 
 #: Predictor class -> the twin class its instances wear while parked.
 _TWINS: dict[type, type] = {}
 
 
 def _unpark(predictor: ValuePredictor) -> None:
-    restore = vars(predictor).pop(_RESTORE)
-    restore(predictor)
+    restore = predictor._parked_restore
+    del predictor._parked_restore
     predictor.__class__ = type(predictor)._unparked
+    restore(predictor)
 
 
 def _read_parked(self, name):

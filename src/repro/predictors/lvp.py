@@ -18,6 +18,7 @@ from repro.predictors.base import (
     Prediction,
     PredictionContext,
     ValuePredictor,
+    constructed,
 )
 from repro.util.hashing import table_index
 
@@ -26,6 +27,9 @@ _VALUE_BITS = 64
 
 class LastValuePredictor(ValuePredictor):
     """Direct-mapped last-value table with full tags."""
+
+    __slots__ = ("entries", "index_bits", "tag_bits", "confidence", "_tags",
+                 "_values", "_conf")
 
     name = "LVP"
 
@@ -41,6 +45,10 @@ class LastValuePredictor(ValuePredictor):
         self.index_bits = entries.bit_length() - 1
         self.tag_bits = tag_bits
         self.confidence = confidence if confidence is not None else ConfidencePolicy()
+        self.park(constructed)
+
+    def _build_tables(self) -> None:
+        entries = self.entries
         # Full tags: we store the key itself, so aliasing never produces a
         # false hit — exactly the behaviour a 51-bit tag buys at these sizes.
         self._tags: list[int | None] = [None] * entries

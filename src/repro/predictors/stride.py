@@ -23,6 +23,7 @@ from repro.predictors.base import (
     Prediction,
     PredictionContext,
     ValuePredictor,
+    constructed,
 )
 from repro.util.bits import MASK64
 from repro.util.hashing import table_index
@@ -33,6 +34,9 @@ _STRIDE_BITS = 64
 
 class StridePredictor(ValuePredictor):
     """Classic stride predictor: value = last + (last delta)."""
+
+    __slots__ = ("entries", "index_bits", "tag_bits", "confidence", "_tags",
+                 "_last", "_stride", "_conf", "_spec_last", "_inflight")
 
     name = "Stride"
 
@@ -48,6 +52,10 @@ class StridePredictor(ValuePredictor):
         self.index_bits = entries.bit_length() - 1
         self.tag_bits = tag_bits
         self.confidence = confidence if confidence is not None else ConfidencePolicy()
+        self.park(constructed)
+
+    def _build_tables(self) -> None:
+        entries = self.entries
         self._tags: list[int | None] = [None] * entries
         self._last = [0] * entries
         self._stride = [0] * entries
@@ -171,10 +179,12 @@ class TwoDeltaStridePredictor(StridePredictor):
     delta is observed twice in a row [6].  This is the paper's ``2D-Stride``
     (Table 1: 8192 entries, 251.9 KB — two 64-bit stride fields)."""
 
+    __slots__ = ("_stride2",)
+
     name = "2D-Stride"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def _build_tables(self) -> None:
+        super()._build_tables()
         self._stride2 = [0] * self.entries  # the predicting stride
 
     def _predicting_stride(self, idx: int) -> int:

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 
 import pytest
 
@@ -243,3 +244,33 @@ def test_stdin_driver_fails_at_once_with_a_typed_error():
     assert "WorkerStartError" in proc.stderr, proc.stderr
     assert "'<stdin>'" in proc.stderr
     assert "lost its worker" not in proc.stderr
+
+
+@pytest.mark.parametrize("n_jobs", [1, 20])
+def test_unguarded_driver_file_fails_at_once(tmp_path, n_jobs):
+    # A driver file with no ``if __name__ == "__main__"`` guard is re-run
+    # by every spawned worker, which dies in bootstrapping before its
+    # ``ready`` message.  The pool fails with a typed error instead of
+    # respawning workers until each job has used up its attempts.
+    driver = tmp_path / "driver.py"
+    driver.write_text(textwrap.dedent(f"""
+        from repro.engine.executors import PoolExecutor
+        from repro.engine.job import SimJob
+
+        jobs = [SimJob.make("gzip", "lvp", seed=seed, **{TINY!r})
+                for seed in range({n_jobs})]
+        PoolExecutor(2).run(jobs)
+    """))
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+               TMPDIR=str(tmp_path))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, str(driver)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    elapsed = time.monotonic() - start
+    assert proc.returncode != 0
+    assert "WorkerStartError" in proc.stderr, proc.stderr
+    assert "before it was ready" in proc.stderr
+    assert "lost its worker" not in proc.stderr
+    assert elapsed < 15, f"the pool took {elapsed:.1f} s to fail"

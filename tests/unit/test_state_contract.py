@@ -9,11 +9,13 @@ with ``REPRO_FAST_SIM=0``, under both recovery mechanisms and both
 confidence schemes, and the results plus every piece of observable state
 are compared.
 
-The kernel leaves a predictor's final tables parked as arrays until
+The kernel families are born parked at their constructed state, and
+the kernel leaves a predictor's final tables parked as arrays until
 someone reads them (``ValuePredictor.park``); the tests below also read
 them through the caller's own reference, after training the predictor
 outside the kernel, after a failed kernel call, and with the collector
-off.
+off.  The born-parked tests run on every CI leg: without the kernel the
+spec loop unparks a predictor on its first read.
 """
 
 import ctypes
@@ -207,8 +209,8 @@ def test_state_read_through_callers_reference(monkeypatch, trace, name,
 @requires_kernel
 @pytest.mark.parametrize("name", TABLE_FAMILIES)
 def test_trained_predictor_is_copied(monkeypatch, trace, name):
-    """Freshness is read from the tables: a predictor trained outside any
-    run, or by a spec-loop run, goes through the copy path intact."""
+    """A predictor trained outside any run, or by a spec-loop run, is no
+    longer parked, so its lists go through the copy path intact."""
     outcome = {}
     for mode in ("kernel", "spec"):
         fastsim.reset_fallback_stats()
@@ -296,3 +298,97 @@ def test_parked_predictor_pickles(monkeypatch, trace, name):
         assert type(copy) is type(predictor) is predictor_class(copy)
         outcome[mode] = _predictor_state(copy)
     assert outcome["kernel"] == outcome["spec"]
+
+
+# -- born parked ------------------------------------------------------------
+
+#: Every family whose tables a predictor is born without.
+KERNEL_FAMILIES = ("lvp", "stride", "2dstride", "vtage")
+
+
+def _set_slots(predictor) -> dict:
+    """The attributes *predictor* holds, read without unparking it."""
+    held = {}
+    for cls in predictor_class(predictor).__mro__:
+        for name in cls.__dict__.get("__slots__", ()):
+            try:
+                held[name] = cls.__dict__[name].__get__(predictor)
+            except AttributeError:
+                continue
+    return held
+
+
+def _holds_tables(predictor) -> bool:
+    held = _set_slots(predictor)
+    return "components" in held or any(
+        isinstance(value, list) for value in held.values())
+
+
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_born_parked_until_read(trace, name):
+    """``make_predictor`` builds no table, and a kernel run leaves the
+    predictor parked; the spec loop (``REPRO_FAST_SIM=0`` or no C
+    compiler) unparks it on its first read."""
+    predictor = make_predictor(name)
+    assert predictor_class(predictor) is not type(predictor)
+    assert not _holds_tables(predictor)
+    fastsim.reset_fallback_stats()
+    CoreModel(predictor=predictor).run(trace, warmup=_WARMUP)
+    if fastsim.fallback_stats() == {}:
+        assert predictor_class(predictor) is not type(predictor)
+        assert not _holds_tables(predictor)
+    else:
+        assert predictor_class(predictor) is type(predictor)
+        assert _holds_tables(predictor)
+
+
+def _train_directly(predictor, trace, count=1500) -> None:
+    for uop in list(trace)[:count]:
+        if uop.produces_value:
+            predictor.train(uop.predictor_key(), uop.value, None)
+
+
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_direct_training_then_run_matches_spec_loop(monkeypatch, trace,
+                                                    name):
+    """``train()`` called on a born-parked predictor reaches the next run:
+    the tables it wrote are marshalled, not taken for constructed ones."""
+    outcome = {}
+    for mode in ("kernel", "spec"):
+        predictor = make_predictor(name)
+        _train_directly(predictor, trace, count=300)
+        model = _fresh_model(monkeypatch, mode, predictor)
+        outcome[mode] = (model.run(trace, warmup=_WARMUP, workload="gcc"),
+                         model_state(model))
+    assert outcome["kernel"] == outcome["spec"]
+
+
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_two_runs_without_a_read_match_spec_loop(monkeypatch, trace, name):
+    """A predictor parked by one kernel run carries its tables into the
+    next, with nobody reading them in between."""
+    outcome = {}
+    for mode in ("kernel", "spec"):
+        fastsim.reset_fallback_stats()
+        predictor = make_predictor(name)
+        results = [
+            _fresh_model(monkeypatch, mode, predictor).run(
+                trace, warmup=_WARMUP, workload="gcc")
+            for _ in range(2)]
+        if mode == "kernel" and ckernel.kernel_available():
+            assert fastsim.fallback_stats() == {}
+        outcome[mode] = (results, _predictor_state(predictor))
+    assert outcome["kernel"] == outcome["spec"]
+
+
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_never_run_predictor_pickles(name):
+    """Geometry readers leave a born-parked predictor parked, and its
+    pickle is the constructed predictor."""
+    predictor = make_predictor(name)
+    storage, label = predictor.storage_bits(), predictor.describe()
+    assert predictor_class(predictor) is not type(predictor)
+    copy = pickle.loads(pickle.dumps(predictor))
+    assert type(copy) is predictor_class(copy) is predictor_class(predictor)
+    assert (copy.storage_bits(), copy.describe()) == (storage, label)
+    assert _predictor_state(copy) == _predictor_state(make_predictor(name))
