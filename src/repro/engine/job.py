@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.result import SimResult
@@ -102,7 +103,9 @@ class SimJob:
         return CoreConfig.from_dict(json.loads(self.config_json))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Every field is an immutable scalar or string, so a shallow dict
+        # equals ``dataclasses.asdict`` without its per-field deep copies.
+        return dict(zip(_FIELD_NAMES, _read_fields(self)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimJob":
@@ -148,6 +151,10 @@ class SimJob:
     def label(self) -> str:  # pragma: no cover - convenience
         conf = "fpc" if self.fpc else "3bit"
         return f"{self.workload}/{self.predictor}/{conf}/{self.recovery}"
+
+
+_FIELD_NAMES = tuple(field.name for field in fields(SimJob))
+_read_fields = attrgetter(*_FIELD_NAMES)
 
 
 # Process-local count of simulations actually executed (cache misses).

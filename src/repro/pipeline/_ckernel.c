@@ -16,20 +16,41 @@
  * is identical).  Python floor division/modulo on possibly-negative
  * operands is reproduced by pydiv/pymod.
  *
- * The kernel touches ONLY caller-provided arrays (no allocation): Python
- * owns every buffer, hands over the predictor's tables as a new block
- * before the call, and turns the final arrays into model objects when a
- * caller first reads them, so post-run observable state matches the spec
- * loop's.  Every run starts from a fresh memory hierarchy, store sets and
- * unit pools: reset_state() initialises the arrays the kernel reads
- * before writing, so the caller allocates them uninitialised.  The
- * bandwidth windows are process-lifetime scratch: the kernel hands them
- * back as it got them, every stamp -1, resetting only the slots it
- * stamped.
+ * The kernel touches ONLY caller-provided arrays (no allocation), and none
+ * of them grows with the trace: Python owns every buffer, reuses them from
+ * run to run, and turns the final arrays into model objects when a caller
+ * first reads them, so post-run observable state matches the spec loop's.
+ * Every run starts from a fresh memory hierarchy, store sets and unit
+ * pools, and a predictor parked at its constructed state from constructed
+ * tables: reset_state() initialises what the kernel reads before writing,
+ * so the caller hands those blocks over as they were left.  The bandwidth
+ * windows and the IQ's per-cycle counts are process-lifetime scratch: the
+ * kernel hands them back as it got them (every stamp -1, every count 0),
+ * resetting only the slots it used.
+ *
+ * Two window structures replace the spec loop's containers with bounded
+ * ones, exact under the loop's monotonicity:
+ *   - the train queue is a ring of tq_capacity >= fetch_queue + rob
+ *     entries.  At uop i, fetch_i >= dispatch_{i-fq} >= commit_{i-fq-rob}
+ *     and queued commits never decrease, so every entry older than
+ *     fq + rob uops has drained before uop i queues its own;
+ *   - the IQ is a bucket queue of per-cycle counts.  Every pushed cycle is
+ *     >= dispatch + 1, which exceeds every cycle popped so far, and
+ *     dispatch never decreases, so a cursor that only moves forward finds
+ *     exactly the min-heap's minima.
+ * Either one overflowing (a ring longer than its bound, an IQ entry
+ * IQ_WINDOW cycles past the cursor) is an error code, never a wrong
+ * answer.  Each functional-unit pool is a ring of its units' free cycles,
+ * sorted from its head: an issue takes the head (the soonest free unit)
+ * and inserts the unit's next free cycle from the tail end, where it
+ * usually belongs.  Every ring index wraps by compare, never by division.
+ *
+ * The cycle loop is one always-inline body, instantiated per predictor
+ * family and recovery mode with both as constants.
  *
  * Failure is always safe: any unsupported situation the Python-side guards
  * missed returns a nonzero error before results are consumed, and the
- * caller records `kernel-error:<code>` and runs the spec loop (predictor
+ * caller records `kernel-error:<name>` and runs the spec loop (predictor
  * arrays are copies).
  *
  * Build: cc -O2 -shared -fPIC -o _ckernel.so _ckernel.c   (see ckernel.py)
@@ -38,7 +59,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define KERNEL_ABI_VERSION 3
+#define KERNEL_ABI_VERSION 4
 
 /* Per-cycle bandwidth counts live in stamped circular windows instead of
  * dicts; BW_WINDOW bounds how far ahead of the watermark a grant may probe
@@ -48,10 +69,19 @@
 #define BW_WINDOW ((int64_t)1 << BW_WINDOW_BITS)
 #define BW_MASK (BW_WINDOW - 1)
 
+/* The IQ's bucket queue: per-cycle counts of pending IQ releases in a
+ * circular window; a release IQ_WINDOW cycles past the cursor is error 4. */
+#define IQ_WINDOW_BITS 16
+#define IQ_WINDOW ((int64_t)1 << IQ_WINDOW_BITS)
+#define IQ_MASK (IQ_WINDOW - 1)
+
+/* Error codes (named in ckernel.py's _ERRORS). */
 #define ERR_OK 0
 #define ERR_ABI 1
 #define ERR_BW_WINDOW 2
 #define ERR_BAD_ARG 3
+#define ERR_IQ_WINDOW 4
+#define ERR_TRAIN_RING 5
 
 /* Op classes (repro.isa.uop.OpClass; pinned by ckernel.py at load time). */
 #define OP_LOAD 6
@@ -101,7 +131,7 @@ typedef struct {
     const int64_t *fu_pool;    /* [N_CLASSES] -> pool id */
     const int64_t *pool_units; /* [n_pools] */
     int64_t n_pools;
-    int64_t *pool_heap;        /* concatenated free-server heaps (reset) */
+    int64_t *pool_free;        /* concatenated free-cycle rings (reset) */
 
     /* ---- bandwidth limiter windows (stamps -1 on entry and on return;
      *      counts uninitialised) ---- */
@@ -113,12 +143,13 @@ typedef struct {
     /* ---- window rings (capacity = size) ---- */
     int64_t *fq_ring, *rob_ring, *lq_ring, *sq_ring;
     int64_t *int_prf_ring, *fp_prf_ring;
-    int64_t *iq_heap;
+    int32_t *iq_count;         /* [IQ_WINDOW]; all 0 on entry and on return */
 
     /* ---- store buffer ring: 6 parallel arrays of sbuf_capacity ---- */
     int64_t *sb_seq, *sb_start, *sb_end, *sb_ready, *sb_commit, *sb_pc;
 
-    /* ---- train queue (n entries, never wraps) ---- */
+    /* ---- train queue ring (tq_capacity >= fq_size + rob_size) ---- */
+    int64_t tq_capacity;
     int64_t *tq_commit;
     int32_t *tq_i;
     uint64_t *tq_value;
@@ -150,6 +181,11 @@ typedef struct {
 
     /* ---- predictor ---- */
     int64_t ptype;             /* 0 none 1 oracle 2 lvp 3 stride 4 vtage */
+    /* The block every table below lives in; tbl_block_bytes > 0 means the
+     * predictor is at its constructed state, which reset_state writes
+     * (all zero, VTAGE tags -1); 0 means the block holds its tables. */
+    uint8_t *tbl_block;
+    int64_t tbl_block_bytes;
     int64_t conf_kind;         /* 0 stock saturating, 1 FPC */
     int64_t conf_max_level;
     const int64_t *fpc_prob;   /* [conf_max_level] */
@@ -272,10 +308,6 @@ static int64_t heap_pop(int64_t *h, int64_t *n) {
     return top;
 }
 
-static inline void heap_replace(int64_t *h, int64_t n, int64_t v) {
-    h[0] = v;
-    heap_siftdown(h, n);
-}
 
 /* ---- caches ------------------------------------------------------------ */
 
@@ -302,8 +334,6 @@ struct KCtx {
     uint64_t fpc_state, vt_state;
     int64_t vt_allocations;
     int64_t mem_violations_measured;
-    int64_t bw_hi;             /* latest cycle any window stamped, or -1 */
-    int64_t error;
 };
 
 /* Probe for a hit with LRU move-to-front; -2 = miss. */
@@ -504,20 +534,18 @@ static inline int64_t conf_on_correct(KCtx *x, int64_t level) {
 
 /* ---- bandwidth limiters ------------------------------------------------ */
 
-static inline int64_t bw_grant(KCtx *x, int64_t *stamp, int64_t *count,
+/* The first cycle at or after `cycle` with a free slot, now taken; -1 when
+ * the probe would reach BW_WINDOW cycles past floor_v. */
+static inline int64_t bw_grant(int64_t *stamp, int64_t *count,
                                int64_t width, int64_t cycle, int64_t floor_v) {
     for (;;) {
-        if (cycle - floor_v >= BW_WINDOW) {
-            x->error = ERR_BW_WINDOW;
-            return cycle;
-        }
+        if (cycle - floor_v >= BW_WINDOW)
+            return -1;
         int64_t slot = cycle & BW_MASK;
         int64_t cnt = (stamp[slot] == cycle) ? count[slot] : 0;
         if (cnt < width) {
             stamp[slot] = cycle;
             count[slot] = cnt + 1;
-            if (cycle > x->bw_hi)
-                x->bw_hi = cycle;
             return cycle;
         }
         cycle++;
@@ -527,9 +555,8 @@ static inline int64_t bw_grant(KCtx *x, int64_t *stamp, int64_t *count,
 /* Return every stamp to -1.  Grants land on cycles in [0, bw_hi], so only
  * slots up to bw_hi (all of them once it reaches the window) were stamped;
  * counts are read only under a matching stamp and need no reset. */
-static void bw_reset(const KCtx *x) {
-    const KernelArgs *a = x->a;
-    int64_t top = x->bw_hi < BW_WINDOW ? x->bw_hi + 1 : BW_WINDOW;
+static void bw_reset(const KernelArgs *a, int64_t bw_hi) {
+    int64_t top = bw_hi < BW_WINDOW ? bw_hi + 1 : BW_WINDOW;
     int64_t *stamps[4] = {a->bw_fetch_stamp, a->bw_taken_stamp,
                           a->bw_issue_stamp, a->bw_vpw_stamp};
     for (int w = 0; w < 4; w++) {
@@ -568,13 +595,13 @@ static void vt_train_base(KCtx *x, int64_t base_idx, uint64_t actual) {
 }
 
 /* Initialise every array the run reads before writing it: unit pools,
- * cache set counts, DRAM banks, prefetcher and store-set tables.  All-ones
- * bytes are -1. */
+ * cache set counts, DRAM banks, prefetcher and store-set tables, and the
+ * tables of a predictor at its constructed state.  All-ones bytes are -1. */
 static void reset_state(const KernelArgs *a) {
     int64_t units = 0;
     for (int64_t p = 0; p < a->n_pools; p++)
         units += a->pool_units[p];
-    memset(a->pool_heap, 0, (size_t)units * sizeof(int64_t));
+    memset(a->pool_free, 0, (size_t)units * sizeof(int64_t));
     memset(a->l1i_count, 0, (size_t)a->l1i_sets * sizeof(int64_t));
     memset(a->l1d_count, 0, (size_t)a->l1d_sets * sizeof(int64_t));
     memset(a->l2_count, 0, (size_t)a->l2_sets * sizeof(int64_t));
@@ -587,41 +614,160 @@ static void reset_state(const KernelArgs *a) {
     memset(a->pf_conf, 0, pf);
     memset(a->ssit, 0xFF, ((size_t)1 << a->ssit_bits) * sizeof(int64_t));
     memset(a->lfst, 0xFF, (size_t)a->lfst_entries * sizeof(int64_t));
+    if (a->tbl_block_bytes > 0) {
+        memset(a->tbl_block, 0, (size_t)a->tbl_block_bytes);
+        if (a->ptype == 4)
+            memset(a->vt_tags, 0xFF,
+                   (size_t)(a->vt_ncomp * a->vt_entries) * sizeof(int64_t));
+    }
+}
+
+/* ---- ring indices: wrap by compare, never by division ----------------- */
+
+static inline int64_t ring_next(int64_t i, int64_t size) {
+    return ++i == size ? 0 : i;
+}
+
+/* Slot k places after head (0 <= k < size). */
+static inline int64_t ring_at(int64_t head, int64_t k, int64_t size) {
+    int64_t t = head + k;
+    return t >= size ? t - size : t;
+}
+
+/* ---- commit-time training of train-queue entry t ---------------------- */
+
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+ALWAYS_INLINE void train_one(KCtx *x, const KernelArgs *a, int64_t t,
+                             const int64_t ptype) {
+    const int64_t n = a->n;
+    const int64_t ti = a->tq_i[t];
+    const uint64_t actual = a->values[ti];
+    if (ptype == 2) {                       /* LVP */
+        const uint64_t key = a->pkeys[ti];
+        int64_t idx = (int64_t)(a->scr_pkey[ti] & (uint64_t)a->tbl_mask);
+        if (!a->tbl_tag_valid[idx] || a->tbl_tags[idx] != key) {
+            a->tbl_tag_valid[idx] = 1;
+            a->tbl_tags[idx] = key;
+            a->tbl_values[idx] = actual;
+            a->tbl_conf[idx] = 0;
+        } else if (a->tbl_values[idx] == actual) {
+            a->tbl_conf[idx] = conf_on_correct(x, a->tbl_conf[idx]);
+        } else {
+            a->tbl_conf[idx] = 0;
+            a->tbl_values[idx] = actual;
+        }
+    } else if (ptype == 3) {                /* stride family */
+        const uint64_t key = a->pkeys[ti];
+        int64_t idx = (int64_t)(a->scr_pkey[ti] & (uint64_t)a->tbl_mask);
+        const int has_pred = a->tq_has[t];
+        if (has_pred) {
+            int64_t live = a->st_inflight[idx] - 1;
+            if (live <= 0) {
+                a->st_inflight[idx] = 0;
+                a->st_spec_has[idx] = 0;
+            } else {
+                a->st_inflight[idx] = live;
+            }
+        }
+        if (!a->tbl_tag_valid[idx] || a->tbl_tags[idx] != key) {
+            a->tbl_tag_valid[idx] = 1;
+            a->tbl_tags[idx] = key;
+            a->tbl_values[idx] = actual;   /* last */
+            a->st_stride[idx] = 0;
+            a->tbl_conf[idx] = 0;
+            a->st_spec_has[idx] = 0;
+            a->st_inflight[idx] = 0;
+        } else {
+            uint64_t predicted =
+                has_pred ? a->tq_value[t]
+                         : a->tbl_values[idx] + a->st_stride2[idx];
+            if (predicted == actual)
+                a->tbl_conf[idx] = conf_on_correct(x, a->tbl_conf[idx]);
+            else
+                a->tbl_conf[idx] = 0;
+            /* _train_stride */
+            uint64_t delta = actual - a->tbl_values[idx];
+            if (a->two_delta) {
+                if (delta == a->st_stride[idx])
+                    a->st_stride2[idx] = delta;
+                a->st_stride[idx] = delta;
+            } else {
+                a->st_stride[idx] = delta;   /* st_stride2 aliases */
+            }
+            if (predicted != actual) {
+                int64_t live = a->st_inflight[idx];
+                if (live > 0) {
+                    a->st_spec_value[idx] =
+                        actual + a->st_stride2[idx] * (uint64_t)live;
+                    a->st_spec_has[idx] = 1;
+                } else {
+                    a->st_spec_has[idx] = 0;
+                }
+            }
+            a->tbl_values[idx] = actual;
+        }
+    } else if (ptype == 4) {                /* VTAGE */
+        const int64_t provider = a->tq_provider[t];
+        const int64_t eff = a->tq_eff[t];
+        const int64_t base_idx =
+            (int64_t)(a->scr_pkey[ti] & (uint64_t)a->vt_base_mask);
+        const uint64_t predicted = a->tq_value[t];
+        if (provider == 0) {
+            vt_train_base(x, base_idx, actual);
+        } else {
+            int64_t c = provider - 1;
+            int64_t idx = a->vp_idx[c * n + ti];
+            int64_t e = c * a->vt_entries + idx;
+            int was_weak = a->vt_conf[e] == 0;
+            vt_train_tagged(x, c, idx, actual);
+            if (was_weak) {
+                if (eff != 0 && eff != provider) {
+                    int64_t ac = eff - 1;
+                    vt_train_tagged(x, ac, a->vp_idx[ac * n + ti], actual);
+                }
+                vt_train_base(x, base_idx, actual);
+            }
+        }
+        if (predicted != actual && provider < a->vt_ncomp) {
+            /* _allocate */
+            int64_t cands[16];
+            int64_t ncand = 0;
+            for (int64_t c = provider; c < a->vt_ncomp; c++) {
+                int64_t idx = a->vp_idx[c * n + ti];
+                if (a->vt_useful[c * a->vt_entries + idx] == 0)
+                    cands[ncand++] = c;
+            }
+            if (ncand == 0) {
+                for (int64_t c = provider; c < a->vt_ncomp; c++) {
+                    int64_t idx = a->vp_idx[c * n + ti];
+                    a->vt_useful[c * a->vt_entries + idx] = 0;
+                }
+            } else {
+                x->vt_state = lfsr_step(x->vt_state, a->vt_taps);
+                int64_t c = cands[(int64_t)(x->vt_state % (uint64_t)ncand)];
+                int64_t idx = a->vp_idx[c * n + ti];
+                int64_t e = c * a->vt_entries + idx;
+                a->vt_tags[e] = a->vp_tag[c * n + ti];
+                a->vt_values[e] = actual;
+                a->vt_conf[e] = 0;
+                a->vt_useful[e] = 0;
+                x->vt_allocations++;
+            }
+        }
+    }
+    /* ptype 1 (oracle): train is a no-op; nothing queued. */
 }
 
 /* ---------------------------------------------------------------------- */
 
 int64_t repro_kernel_abi_version(void) { return KERNEL_ABI_VERSION; }
 
-int64_t repro_kernel_run(const KernelArgs *a) {
-    if (a->abi_version != KERNEL_ABI_VERSION) {
-        a->out[O_ERROR] = ERR_ABI;
-        return ERR_ABI;
-    }
-    if (a->n_pools > 8 || a->vt_ncomp > 16 || a->n < 1) {
-        a->out[O_ERROR] = ERR_BAD_ARG;
-        return ERR_BAD_ARG;
-    }
-    reset_state(a);
-    KCtx ctx;
-    KCtx *x = &ctx;
-    memset(x, 0, sizeof(*x));
-    x->a = a;
-    x->l1i = (CCache){a->l1i_sets - 1, a->l1i_ways, a->l1i_shift, a->l1i_lat,
-                      a->l1i_mshrs, a->l1i_lines, a->l1i_fill, a->l1i_count,
-                      a->l1i_mshr, 0, 0, 0, 0};
-    x->l1d = (CCache){a->l1d_sets - 1, a->l1d_ways, a->l1d_shift, a->l1d_lat,
-                      a->l1d_mshrs, a->l1d_lines, a->l1d_fill, a->l1d_count,
-                      a->l1d_mshr, 0, 0, 0, 0};
-    x->l2 = (CCache){a->l2_sets - 1, a->l2_ways, a->l2_shift, a->l2_lat,
-                     a->l2_mshrs, a->l2_lines, a->l2_fill, a->l2_count,
-                     a->l2_mshr, 0, 0, 0, 0};
-    x->pf_mask = ((int64_t)1 << a->pf_index_bits) - 1;
-    x->ssit_mask = ((int64_t)1 << a->ssit_bits) - 1;
-    x->fpc_state = a->fpc_state;
-    x->vt_state = a->vt_state;
-    x->bw_hi = -1;
-
+/* The cycle loop.  Inlined into one instance per (ptype, reissue), so the
+ * family and recovery tests fold away.  Returns 0 or an error code; fills
+ * out[] on success. */
+ALWAYS_INLINE int64_t kernel_loop(const KernelArgs *a, KCtx *x,
+                                  const int64_t ptype, const int reissue) {
     const int64_t n = a->n;
     const int64_t warmup = a->warmup;
     const int64_t fetch_width = a->fetch_width;
@@ -639,9 +785,8 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     const int64_t fp_prf_size = a->fp_prf_size;
     const int64_t lookahead_cap = a->lookahead_cap;
     const int64_t sbuf_cap = a->sbuf_capacity;
-    const int reissue = (int)a->reissue;
+    const int64_t tq_cap = a->tq_capacity;
     const int vp_all_scope = (int)a->vp_all_scope;
-    const int64_t ptype = a->ptype;
     const int have_predictor = ptype != 0;
 
     /* dispatch/commit bandwidth: monotone (cycle, used) pairs */
@@ -654,16 +799,22 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     int64_t sq_head = 0, sq_len = 0;
     int64_t ipr_head = 0, ipr_len = 0;
     int64_t fpr_head = 0, fpr_len = 0;
-    int64_t iq_len = 0;
     int64_t rob_stalls = 0, iq_stalls = 0;
 
-    /* functional-unit pool heaps (concatenated; zero-initialised) */
+    /* IQ bucket queue: counts of pending releases per cycle, all at or
+     * after iq_cursor and at or before iq_hi */
+    int32_t *const iq_count = a->iq_count;
+    int64_t iq_len = 0, iq_cursor = 0, iq_hi = -1;
+
+    /* functional-unit pools: each a ring of its units' free cycles,
+     * sorted from its head (concatenated; zero-initialised) */
     int64_t *pool_base[8];
     int64_t pool_n[8];
+    int64_t pool_head[8] = {0};
     {
         int64_t off = 0;
         for (int64_t p = 0; p < a->n_pools; p++) {
-            pool_base[p] = a->pool_heap + off;
+            pool_base[p] = a->pool_free + off;
             pool_n[p] = a->pool_units[p];
             off += a->pool_units[p];
         }
@@ -675,8 +826,8 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     /* store buffer ring */
     int64_t sb_head = 0, sb_len = 0;
 
-    /* train queue */
-    int64_t tq_head = 0, tq_tail = 0;
+    /* train queue ring */
+    int64_t tq_head = 0, tq_len = 0;
     int64_t next_train = NEVER;
 
     int64_t fetch_resume = 0, line_ready = 0, current_line = -1;
@@ -690,8 +841,10 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     int64_t vp_squashes = 0, vp_harmless_wrong = 0, vp_reissues = 0;
     int64_t vp_write_delayed = 0;
 
-    /* limiter floors (for the BW_WINDOW safety check only) */
-    int64_t fetch_floor_v = 0, issue_floor_v = 0;
+    /* limiter floors (for the BW_WINDOW safety check only), and the
+     * latest cycle any window stamped */
+    int64_t fetch_floor_v = 0, issue_floor_v = 0, bw_hi = -1;
+    int64_t error = ERR_OK;
 
     for (int64_t i = 0; i < n; i++) {
         const int64_t op = a->ops[i];
@@ -715,146 +868,33 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         int64_t fetch = fetch_resume > line_ready ? fetch_resume : line_ready;
         if (fq_len >= fq_size) {
             int64_t oldest = a->fq_ring[fq_head];
-            fq_head = (fq_head + 1) % fq_size;
+            fq_head = ring_next(fq_head, fq_size);
             fq_len--;
             if (oldest > fetch)
                 fetch = oldest;
         }
-        fetch = bw_grant(x, a->bw_fetch_stamp, a->bw_fetch_count, fetch_width,
+        fetch = bw_grant(a->bw_fetch_stamp, a->bw_fetch_count, fetch_width,
                          fetch, fetch_floor_v);
         /* is_branch == control classes 8..11 (trace._CTRL_INTS) */
-        if (op >= 8 && op <= 11 && a->takens[i]) {
-            fetch = bw_grant(x, a->bw_taken_stamp, a->bw_taken_count,
+        if (fetch >= 0 && op >= 8 && op <= 11 && a->takens[i]) {
+            fetch = bw_grant(a->bw_taken_stamp, a->bw_taken_count,
                              taken_width, fetch, fetch_floor_v);
         }
-        if (x->error)
+        if (fetch < 0) {
+            error = ERR_BW_WINDOW;
             break;
+        }
+        if (fetch > bw_hi)
+            bw_hi = fetch;
         last_fetch = fetch;
 
         /* ---- Drain committed trainings ------------------------------ */
         while (next_train <= fetch) {
-            int64_t t = tq_head++;
-            next_train = tq_head < tq_tail ? a->tq_commit[tq_head] : NEVER;
-            const int64_t ti = a->tq_i[t];
-            const uint64_t actual = a->values[ti];
-            if (ptype == 2) {                       /* LVP */
-                const uint64_t key = a->pkeys[ti];
-                int64_t idx = (int64_t)(a->scr_pkey[ti] &
-                                        (uint64_t)a->tbl_mask);
-                if (!a->tbl_tag_valid[idx] || a->tbl_tags[idx] != key) {
-                    a->tbl_tag_valid[idx] = 1;
-                    a->tbl_tags[idx] = key;
-                    a->tbl_values[idx] = actual;
-                    a->tbl_conf[idx] = 0;
-                } else if (a->tbl_values[idx] == actual) {
-                    a->tbl_conf[idx] = conf_on_correct(x, a->tbl_conf[idx]);
-                } else {
-                    a->tbl_conf[idx] = 0;
-                    a->tbl_values[idx] = actual;
-                }
-            } else if (ptype == 3) {                /* stride family */
-                const uint64_t key = a->pkeys[ti];
-                int64_t idx = (int64_t)(a->scr_pkey[ti] &
-                                        (uint64_t)a->tbl_mask);
-                const int has_pred = a->tq_has[t];
-                if (has_pred) {
-                    int64_t live = a->st_inflight[idx] - 1;
-                    if (live <= 0) {
-                        a->st_inflight[idx] = 0;
-                        a->st_spec_has[idx] = 0;
-                    } else {
-                        a->st_inflight[idx] = live;
-                    }
-                }
-                if (!a->tbl_tag_valid[idx] || a->tbl_tags[idx] != key) {
-                    a->tbl_tag_valid[idx] = 1;
-                    a->tbl_tags[idx] = key;
-                    a->tbl_values[idx] = actual;   /* last */
-                    a->st_stride[idx] = 0;
-                    a->tbl_conf[idx] = 0;
-                    a->st_spec_has[idx] = 0;
-                    a->st_inflight[idx] = 0;
-                } else {
-                    uint64_t predicted =
-                        has_pred ? a->tq_value[t]
-                                 : a->tbl_values[idx] + a->st_stride2[idx];
-                    if (predicted == actual)
-                        a->tbl_conf[idx] = conf_on_correct(x, a->tbl_conf[idx]);
-                    else
-                        a->tbl_conf[idx] = 0;
-                    /* _train_stride */
-                    uint64_t delta = actual - a->tbl_values[idx];
-                    if (a->two_delta) {
-                        if (delta == a->st_stride[idx])
-                            a->st_stride2[idx] = delta;
-                        a->st_stride[idx] = delta;
-                    } else {
-                        a->st_stride[idx] = delta;   /* st_stride2 aliases */
-                    }
-                    if (predicted != actual) {
-                        int64_t live = a->st_inflight[idx];
-                        if (live > 0) {
-                            a->st_spec_value[idx] =
-                                actual + a->st_stride2[idx] * (uint64_t)live;
-                            a->st_spec_has[idx] = 1;
-                        } else {
-                            a->st_spec_has[idx] = 0;
-                        }
-                    }
-                    a->tbl_values[idx] = actual;
-                }
-            } else if (ptype == 4) {                /* VTAGE */
-                const int64_t provider = a->tq_provider[t];
-                const int64_t eff = a->tq_eff[t];
-                const int64_t base_idx =
-                    (int64_t)(a->scr_pkey[ti] & (uint64_t)a->vt_base_mask);
-                const uint64_t predicted = a->tq_value[t];
-                if (provider == 0) {
-                    vt_train_base(x, base_idx, actual);
-                } else {
-                    int64_t c = provider - 1;
-                    int64_t idx = a->vp_idx[c * n + ti];
-                    int64_t e = c * a->vt_entries + idx;
-                    int was_weak = a->vt_conf[e] == 0;
-                    vt_train_tagged(x, c, idx, actual);
-                    if (was_weak) {
-                        if (eff != 0 && eff != provider) {
-                            int64_t ac = eff - 1;
-                            vt_train_tagged(x, ac, a->vp_idx[ac * n + ti],
-                                            actual);
-                        }
-                        vt_train_base(x, base_idx, actual);
-                    }
-                }
-                if (predicted != actual && provider < a->vt_ncomp) {
-                    /* _allocate */
-                    int64_t cands[16];
-                    int64_t ncand = 0;
-                    for (int64_t c = provider; c < a->vt_ncomp; c++) {
-                        int64_t idx = a->vp_idx[c * n + ti];
-                        if (a->vt_useful[c * a->vt_entries + idx] == 0)
-                            cands[ncand++] = c;
-                    }
-                    if (ncand == 0) {
-                        for (int64_t c = provider; c < a->vt_ncomp; c++) {
-                            int64_t idx = a->vp_idx[c * n + ti];
-                            a->vt_useful[c * a->vt_entries + idx] = 0;
-                        }
-                    } else {
-                        x->vt_state = lfsr_step(x->vt_state, a->vt_taps);
-                        int64_t c = cands[(int64_t)(x->vt_state %
-                                                    (uint64_t)ncand)];
-                        int64_t idx = a->vp_idx[c * n + ti];
-                        int64_t e = c * a->vt_entries + idx;
-                        a->vt_tags[e] = a->vp_tag[c * n + ti];
-                        a->vt_values[e] = actual;
-                        a->vt_conf[e] = 0;
-                        a->vt_useful[e] = 0;
-                        x->vt_allocations++;
-                    }
-                }
-            }
-            /* ptype 1 (oracle): train is a no-op; nothing queued. */
+            int64_t t = tq_head;
+            tq_head = ring_next(tq_head, tq_cap);
+            tq_len--;
+            next_train = tq_len ? a->tq_commit[tq_head] : NEVER;
+            train_one(x, a, t, ptype);
         }
 
         /* ---- Value prediction at fetch ------------------------------- */
@@ -957,11 +997,15 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         /* ---- Dispatch ------------------------------------------------ */
         int64_t dispatch = fetch + frontend;
         if (vp_used && a->vp_write_ports >= 0) {
-            int64_t write_cycle = bw_grant(x, a->bw_vpw_stamp, a->bw_vpw_count,
+            int64_t write_cycle = bw_grant(a->bw_vpw_stamp, a->bw_vpw_count,
                                            a->vp_write_ports, fetch + 2,
                                            fetch_floor_v);
-            if (x->error)
+            if (write_cycle < 0) {
+                error = ERR_BW_WINDOW;
                 break;
+            }
+            if (write_cycle > bw_hi)
+                bw_hi = write_cycle;
             if (write_cycle + 1 > dispatch) {
                 if (measured)
                     vp_write_delayed++;
@@ -972,7 +1016,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
             dispatch = last_dispatch;
         if (rob_len >= rob_size) {
             int64_t oldest = a->rob_ring[rob_head];
-            rob_head = (rob_head + 1) % rob_size;
+            rob_head = ring_next(rob_head, rob_size);
             rob_len--;
             if (oldest > dispatch) {
                 rob_stalls++;
@@ -980,16 +1024,20 @@ int64_t repro_kernel_run(const KernelArgs *a) {
             }
         }
         if (iq_len >= iq_size) {
-            int64_t soonest = heap_pop(a->iq_heap, &iq_len);
-            if (soonest > dispatch) {
+            /* pop the soonest release; this uop pushes its own below */
+            while (iq_count[iq_cursor & IQ_MASK] == 0)
+                iq_cursor++;
+            iq_count[iq_cursor & IQ_MASK]--;
+            iq_len--;
+            if (iq_cursor > dispatch) {
                 iq_stalls++;
-                dispatch = soonest;
+                dispatch = iq_cursor;
             }
         }
         if (is_load) {
             if (lq_len >= lq_size) {
                 int64_t oldest = a->lq_ring[lq_head];
-                lq_head = (lq_head + 1) % lq_size;
+                lq_head = ring_next(lq_head, lq_size);
                 lq_len--;
                 if (oldest > dispatch)
                     dispatch = oldest;
@@ -997,7 +1045,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         } else if (is_store) {
             if (sq_len >= sq_size) {
                 int64_t oldest = a->sq_ring[sq_head];
-                sq_head = (sq_head + 1) % sq_size;
+                sq_head = ring_next(sq_head, sq_size);
                 sq_len--;
                 if (oldest > dispatch)
                     dispatch = oldest;
@@ -1007,14 +1055,14 @@ int64_t repro_kernel_run(const KernelArgs *a) {
             if (a->dst_is_fp[i]) {
                 if (fpr_len >= fp_prf_size) {
                     int64_t oldest = a->fp_prf_ring[fpr_head];
-                    fpr_head = (fpr_head + 1) % fp_prf_size;
+                    fpr_head = ring_next(fpr_head, fp_prf_size);
                     fpr_len--;
                     if (oldest > dispatch)
                         dispatch = oldest;
                 }
             } else if (ipr_len >= int_prf_size) {
                 int64_t oldest = a->int_prf_ring[ipr_head];
-                ipr_head = (ipr_head + 1) % int_prf_size;
+                ipr_head = ring_next(ipr_head, int_prf_size);
                 ipr_len--;
                 if (oldest > dispatch)
                     dispatch = oldest;
@@ -1032,7 +1080,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
             dbw_used = 1;
         }
         last_dispatch = dispatch;
-        a->fq_ring[(fq_head + fq_len) % fq_size] = dispatch;
+        a->fq_ring[ring_at(fq_head, fq_len, fq_size)] = dispatch;
         fq_len++;
 
         /* ---- Operand readiness --------------------------------------- */
@@ -1063,7 +1111,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
                 int64_t predicted = a->lfst[ssid];
                 if (predicted >= 0) {
                     for (int64_t k = sb_len - 1; k >= 0; k--) {
-                        int64_t e = (sb_head + k) % sbuf_cap;
+                        int64_t e = ring_at(sb_head, k, sbuf_cap);
                         if (a->sb_seq[e] == predicted) {
                             if (a->sb_ready[e] > ready)
                                 ready = a->sb_ready[e];
@@ -1077,15 +1125,36 @@ int64_t repro_kernel_run(const KernelArgs *a) {
 
         /* ---- Issue + execute ----------------------------------------- */
         const int64_t pool = a->fu_pool[op];
-        int64_t *free_heap = pool_base[pool];
-        int64_t start = free_heap[0];
+        int64_t *free_ring = pool_base[pool];
+        const int64_t units = pool_n[pool];
+        int64_t head = pool_head[pool];
+        int64_t start = free_ring[head];
         if (ready > start)
             start = ready;
-        heap_replace(free_heap, pool_n[pool], start + a->fu_occ[op]);
-        int64_t issue = bw_grant(x, a->bw_issue_stamp, a->bw_issue_count,
+        {
+            /* sorted ring of free times: pop the head (soonest), insert
+             * the new free time from the tail end */
+            const int64_t v = start + a->fu_occ[op];
+            int64_t pos = head;
+            head = ring_next(head, units);
+            pool_head[pool] = head;
+            for (int64_t k = units - 1; k > 0; k--) {
+                int64_t prev = pos == 0 ? units - 1 : pos - 1;
+                if (free_ring[prev] <= v)
+                    break;
+                free_ring[pos] = free_ring[prev];
+                pos = prev;
+            }
+            free_ring[pos] = v;
+        }
+        int64_t issue = bw_grant(a->bw_issue_stamp, a->bw_issue_count,
                                  issue_width, start, issue_floor_v);
-        if (x->error)
+        if (issue < 0) {
+            error = ERR_BW_WINDOW;
             break;
+        }
+        if (issue > bw_hi)
+            bw_hi = issue;
         int64_t complete;
         if (is_load) {
             /* _load_timing */
@@ -1094,7 +1163,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
             const int64_t agu_done = issue + 1;
             complete = NEVER;   /* sentinel: fall through to cache */
             for (int64_t k = sb_len - 1; k >= 0; k--) {
-                int64_t e = (sb_head + k) % sbuf_cap;
+                int64_t e = ring_at(sb_head, k, sbuf_cap);
                 if (a->sb_commit[e] <= agu_done)
                     break;
                 if (a->sb_start[e] < end && addr < a->sb_end[e]) {
@@ -1224,15 +1293,20 @@ int64_t repro_kernel_run(const KernelArgs *a) {
                 }
             }
             if (ptype != 1) {   /* oracle trains are no-ops: not queued */
+                if (tq_len == tq_cap) {
+                    error = ERR_TRAIN_RING;
+                    break;
+                }
                 if (next_train == NEVER)
                     next_train = commit;
-                a->tq_commit[tq_tail] = commit;
-                a->tq_i[tq_tail] = (int32_t)i;
-                a->tq_value[tq_tail] = vp_value;
-                a->tq_provider[tq_tail] = (int8_t)vt_provider;
-                a->tq_eff[tq_tail] = (int8_t)vt_eff;
-                a->tq_has[tq_tail] = (int8_t)prediction;
-                tq_tail++;
+                int64_t t = ring_at(tq_head, tq_len, tq_cap);
+                a->tq_commit[t] = commit;
+                a->tq_i[t] = (int32_t)i;
+                a->tq_value[t] = vp_value;
+                a->tq_provider[t] = (int8_t)vt_provider;
+                a->tq_eff[t] = (int8_t)vt_eff;
+                a->tq_has[t] = (int8_t)prediction;
+                tq_len++;
             }
         }
 
@@ -1244,23 +1318,33 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         }
 
         /* ---- Window releases ----------------------------------------- */
-        a->rob_ring[(rob_head + rob_len) % rob_size] = commit;
+        a->rob_ring[ring_at(rob_head, rob_len, rob_size)] = commit;
         rob_len++;
-        heap_push(a->iq_heap, &iq_len,
-                  reissue && spec_until > issue ? spec_until : issue);
+        {
+            int64_t release = reissue && spec_until > issue ? spec_until
+                                                            : issue;
+            if (release - iq_cursor >= IQ_WINDOW) {
+                error = ERR_IQ_WINDOW;
+                break;
+            }
+            iq_count[release & IQ_MASK]++;
+            iq_len++;
+            if (release > iq_hi)
+                iq_hi = release;
+        }
         if (is_load) {
-            a->lq_ring[(lq_head + lq_len) % lq_size] = commit;
+            a->lq_ring[ring_at(lq_head, lq_len, lq_size)] = commit;
             lq_len++;
         } else if (is_store) {
-            a->sq_ring[(sq_head + sq_len) % sq_size] = commit;
+            a->sq_ring[ring_at(sq_head, sq_len, sq_size)] = commit;
             sq_len++;
             const int64_t addr = (int64_t)a->mem_addrs[i];
             const int64_t seq = a->seqs[i];
             if (sb_len == sbuf_cap) {   /* deque maxlen drops oldest */
-                sb_head = (sb_head + 1) % sbuf_cap;
+                sb_head = ring_next(sb_head, sbuf_cap);
                 sb_len--;
             }
-            int64_t e = (sb_head + sb_len) % sbuf_cap;
+            int64_t e = ring_at(sb_head, sb_len, sbuf_cap);
             a->sb_seq[e] = seq;
             a->sb_start[e] = addr;
             a->sb_end[e] = addr + a->mem_sizes[i];
@@ -1277,10 +1361,12 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         }
         if (dst >= 0) {
             if (a->dst_is_fp[i]) {
-                a->fp_prf_ring[(fpr_head + fpr_len) % fp_prf_size] = commit;
+                a->fp_prf_ring[ring_at(fpr_head, fpr_len, fp_prf_size)] =
+                    commit;
                 fpr_len++;
             } else {
-                a->int_prf_ring[(ipr_head + ipr_len) % int_prf_size] = commit;
+                a->int_prf_ring[ring_at(ipr_head, ipr_len, int_prf_size)] =
+                    commit;
                 ipr_len++;
             }
         }
@@ -1306,133 +1392,21 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         }
     }
 
-    bw_reset(x);
-    if (x->error) {
-        a->out[O_ERROR] = x->error;
-        return x->error;
-    }
+    /* Hand the scratch back: bandwidth stamps -1, IQ counts 0 (every
+     * nonzero count sits in [iq_cursor, iq_hi], under IQ_WINDOW slots). */
+    bw_reset(a, bw_hi);
+    for (int64_t c = iq_cursor; c <= iq_hi; c++)
+        iq_count[c & IQ_MASK] = 0;
+    if (error)
+        return error;
 
     /* Flush remaining trainings: re-run the drain with fetch = +inf. */
-    while (tq_head < tq_tail) {
-        int64_t t = tq_head++;
-        const int64_t ti = a->tq_i[t];
-        const uint64_t actual = a->values[ti];
-        if (ptype == 2) {
-            const uint64_t key = a->pkeys[ti];
-            int64_t idx = (int64_t)(a->scr_pkey[ti] & (uint64_t)a->tbl_mask);
-            if (!a->tbl_tag_valid[idx] || a->tbl_tags[idx] != key) {
-                a->tbl_tag_valid[idx] = 1;
-                a->tbl_tags[idx] = key;
-                a->tbl_values[idx] = actual;
-                a->tbl_conf[idx] = 0;
-            } else if (a->tbl_values[idx] == actual) {
-                a->tbl_conf[idx] = conf_on_correct(x, a->tbl_conf[idx]);
-            } else {
-                a->tbl_conf[idx] = 0;
-                a->tbl_values[idx] = actual;
-            }
-        } else if (ptype == 3) {
-            const uint64_t key = a->pkeys[ti];
-            int64_t idx = (int64_t)(a->scr_pkey[ti] & (uint64_t)a->tbl_mask);
-            const int has_pred = a->tq_has[t];
-            if (has_pred) {
-                int64_t live = a->st_inflight[idx] - 1;
-                if (live <= 0) {
-                    a->st_inflight[idx] = 0;
-                    a->st_spec_has[idx] = 0;
-                } else {
-                    a->st_inflight[idx] = live;
-                }
-            }
-            if (!a->tbl_tag_valid[idx] || a->tbl_tags[idx] != key) {
-                a->tbl_tag_valid[idx] = 1;
-                a->tbl_tags[idx] = key;
-                a->tbl_values[idx] = actual;
-                a->st_stride[idx] = 0;
-                a->tbl_conf[idx] = 0;
-                a->st_spec_has[idx] = 0;
-                a->st_inflight[idx] = 0;
-            } else {
-                uint64_t predicted =
-                    has_pred ? a->tq_value[t]
-                             : a->tbl_values[idx] + a->st_stride2[idx];
-                if (predicted == actual)
-                    a->tbl_conf[idx] = conf_on_correct(x, a->tbl_conf[idx]);
-                else
-                    a->tbl_conf[idx] = 0;
-                uint64_t delta = actual - a->tbl_values[idx];
-                if (a->two_delta) {
-                    if (delta == a->st_stride[idx])
-                        a->st_stride2[idx] = delta;
-                    a->st_stride[idx] = delta;
-                } else {
-                    a->st_stride[idx] = delta;
-                }
-                if (predicted != actual) {
-                    int64_t live = a->st_inflight[idx];
-                    if (live > 0) {
-                        a->st_spec_value[idx] =
-                            actual + a->st_stride2[idx] * (uint64_t)live;
-                        a->st_spec_has[idx] = 1;
-                    } else {
-                        a->st_spec_has[idx] = 0;
-                    }
-                }
-                a->tbl_values[idx] = actual;
-            }
-        } else if (ptype == 4) {
-            const int64_t provider = a->tq_provider[t];
-            const int64_t eff = a->tq_eff[t];
-            const int64_t base_idx =
-                (int64_t)(a->scr_pkey[ti] & (uint64_t)a->vt_base_mask);
-            const uint64_t predicted = a->tq_value[t];
-            if (provider == 0) {
-                vt_train_base(x, base_idx, actual);
-            } else {
-                int64_t c = provider - 1;
-                int64_t idx = a->vp_idx[c * n + ti];
-                int64_t e = c * a->vt_entries + idx;
-                int was_weak = a->vt_conf[e] == 0;
-                vt_train_tagged(x, c, idx, actual);
-                if (was_weak) {
-                    if (eff != 0 && eff != provider) {
-                        int64_t ac = eff - 1;
-                        vt_train_tagged(x, ac, a->vp_idx[ac * n + ti], actual);
-                    }
-                    vt_train_base(x, base_idx, actual);
-                }
-            }
-            if (predicted != actual && provider < a->vt_ncomp) {
-                int64_t cands[16];
-                int64_t ncand = 0;
-                for (int64_t c = provider; c < a->vt_ncomp; c++) {
-                    int64_t idx = a->vp_idx[c * n + ti];
-                    if (a->vt_useful[c * a->vt_entries + idx] == 0)
-                        cands[ncand++] = c;
-                }
-                if (ncand == 0) {
-                    for (int64_t c = provider; c < a->vt_ncomp; c++) {
-                        int64_t idx = a->vp_idx[c * n + ti];
-                        a->vt_useful[c * a->vt_entries + idx] = 0;
-                    }
-                } else {
-                    x->vt_state = lfsr_step(x->vt_state, a->vt_taps);
-                    int64_t c =
-                        cands[(int64_t)(x->vt_state % (uint64_t)ncand)];
-                    int64_t idx = a->vp_idx[c * n + ti];
-                    int64_t e = c * a->vt_entries + idx;
-                    a->vt_tags[e] = a->vp_tag[c * n + ti];
-                    a->vt_values[e] = actual;
-                    a->vt_conf[e] = 0;
-                    a->vt_useful[e] = 0;
-                    x->vt_allocations++;
-                }
-            }
-        }
+    for (; tq_len > 0; tq_len--) {
+        train_one(x, a, tq_head, ptype);
+        tq_head = ring_next(tq_head, tq_cap);
     }
 
     int64_t *out = a->out;
-    out[O_ERROR] = ERR_OK;
     out[O_N_UOPS] = n_uops_meas;
     if (measure_start_commit < 0)
         measure_start_commit = 0;
@@ -1450,9 +1424,73 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     out[O_VP_HARMLESS] = vp_harmless_wrong;
     out[O_VP_REISSUES] = vp_reissues;
     out[O_VP_WRITE_DELAYED] = vp_write_delayed;
-    out[O_MEM_VIOLATIONS] = x->mem_violations_measured;
     out[O_ROB_STALLS] = rob_stalls;
     out[O_IQ_STALLS] = iq_stalls;
+    return ERR_OK;
+}
+
+#define LOOP_INSTANCE(name, ptype, reissue)                                  \
+    static int64_t name(const KernelArgs *a, KCtx *x) {                      \
+        return kernel_loop(a, x, ptype, reissue);                            \
+    }
+LOOP_INSTANCE(loop_none_squash, 0, 0)
+LOOP_INSTANCE(loop_none_reissue, 0, 1)
+LOOP_INSTANCE(loop_oracle_squash, 1, 0)
+LOOP_INSTANCE(loop_oracle_reissue, 1, 1)
+LOOP_INSTANCE(loop_lvp_squash, 2, 0)
+LOOP_INSTANCE(loop_lvp_reissue, 2, 1)
+LOOP_INSTANCE(loop_stride_squash, 3, 0)
+LOOP_INSTANCE(loop_stride_reissue, 3, 1)
+LOOP_INSTANCE(loop_vtage_squash, 4, 0)
+LOOP_INSTANCE(loop_vtage_reissue, 4, 1)
+
+static int64_t (*const LOOPS[5][2])(const KernelArgs *, KCtx *) = {
+    {loop_none_squash, loop_none_reissue},
+    {loop_oracle_squash, loop_oracle_reissue},
+    {loop_lvp_squash, loop_lvp_reissue},
+    {loop_stride_squash, loop_stride_reissue},
+    {loop_vtage_squash, loop_vtage_reissue},
+};
+
+int64_t repro_kernel_run(const KernelArgs *a) {
+    if (a->abi_version != KERNEL_ABI_VERSION) {
+        a->out[O_ERROR] = ERR_ABI;
+        return ERR_ABI;
+    }
+    if (a->n_pools > 8 || a->vt_ncomp > 16 || a->n < 1 || a->ptype < 0 ||
+        a->ptype > 4 || a->fq_size < 1 || a->rob_size < 1 ||
+        a->iq_size < 1 || a->lq_size < 1 || a->sq_size < 1 ||
+        a->tq_capacity < 1) {
+        a->out[O_ERROR] = ERR_BAD_ARG;
+        return ERR_BAD_ARG;
+    }
+    reset_state(a);
+    KCtx ctx;
+    KCtx *x = &ctx;
+    memset(x, 0, sizeof(*x));
+    x->a = a;
+    x->l1i = (CCache){a->l1i_sets - 1, a->l1i_ways, a->l1i_shift, a->l1i_lat,
+                      a->l1i_mshrs, a->l1i_lines, a->l1i_fill, a->l1i_count,
+                      a->l1i_mshr, 0, 0, 0, 0};
+    x->l1d = (CCache){a->l1d_sets - 1, a->l1d_ways, a->l1d_shift, a->l1d_lat,
+                      a->l1d_mshrs, a->l1d_lines, a->l1d_fill, a->l1d_count,
+                      a->l1d_mshr, 0, 0, 0, 0};
+    x->l2 = (CCache){a->l2_sets - 1, a->l2_ways, a->l2_shift, a->l2_lat,
+                     a->l2_mshrs, a->l2_lines, a->l2_fill, a->l2_count,
+                     a->l2_mshr, 0, 0, 0, 0};
+    x->pf_mask = ((int64_t)1 << a->pf_index_bits) - 1;
+    x->ssit_mask = ((int64_t)1 << a->ssit_bits) - 1;
+    x->fpc_state = a->fpc_state;
+    x->vt_state = a->vt_state;
+
+    int64_t err = LOOPS[a->ptype][a->reissue != 0](a, x);
+    if (err) {
+        a->out[O_ERROR] = err;
+        return err;
+    }
+    int64_t *out = a->out;
+    out[O_ERROR] = ERR_OK;
+    out[O_MEM_VIOLATIONS] = x->mem_violations_measured;
     out[O_L1I_HITS] = x->l1i.hits;
     out[O_L1I_MISSES] = x->l1i.misses;
     out[O_L1I_MSHR_STALLS] = x->l1i.mshr_stalls;

@@ -22,22 +22,25 @@ This module owns everything on the Python side of that boundary:
   cached from :func:`repro.pipeline.precompute.kernel_inputs`.  Per
   distinct core config, a template holds every invariant ``KernelArgs``
   field: the config, the functional-unit tables, the memory geometry and
-  the addresses of process-lifetime scratch (bandwidth windows, rings,
-  store buffer, pool heaps).  The template is keyed by the config values
-  it reads, since ``CoreConfig`` is mutable, and each run copies it.  A
-  run allocates, uninitialised, only what outlives it or grows with the
-  trace: one block for the final memory and store-set state and one for
-  the train queue.  The kernel resets its own state at entry.
-* **State** — the kernel works on a new byte block per predictor, never
-  on the predictor's lists.  The kernel families are born parked at
-  their constructed state (:func:`~repro.predictors.base.constructed`),
-  so a predictor no one has read gets a zero-filled block and nothing
-  is scanned; one parked by an earlier run has its block copied; any
-  other (a caller read or trained its tables) has its lists copied.
+  the addresses of process-lifetime scratch (bandwidth windows, IQ
+  counts, window rings, store buffer, unit pools, train-queue ring).
+  The template is keyed by the config values it reads, since
+  ``CoreConfig`` is mutable, and each run copies it.  The memory and
+  store-set state block and the predictor's table block come from a
+  pool (:class:`_Pool`) that hands a block out again only once nothing
+  else holds it, so a run allocates nothing and touches no fresh pages.
+  The kernel resets its own state at entry.
+* **State** — the kernel works on a pooled byte block per predictor,
+  never on the predictor's lists.  The kernel families are born parked
+  at their constructed state (:func:`~repro.predictors.base.constructed`),
+  so for a predictor no one has read the kernel writes the constructed
+  tables and nothing is scanned; one parked by an earlier run has its
+  block copied; any other (a caller read or trained its tables) has its
+  lists copied.
   Nothing is written back until the call succeeds, so a kernel error
-  (``kernel-error:<code>``) or ineligibility discovered late leaves the
+  (``kernel-error:<name>``) or ineligibility discovered late leaves the
   model untouched for the spec loop.  On success the predictor parks the
-  new block and rebuilds its lists when a caller first reads one
+  block and rebuilds its lists when a caller first reads one
   (:meth:`~repro.predictors.base.ValuePredictor.park`); its scalar state
   (LFSRs, VTAGE's tag generation) is written at once.  Likewise the model
   adopts the run's state block and turns it into objects when a caller
@@ -55,6 +58,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sys
 import tempfile
 import threading
 from collections import namedtuple
@@ -85,8 +89,9 @@ from repro.util.bits import MASK64
 #: Where compiled kernels are cached (one ``.so`` per source hash).
 CACHE_ENV = "REPRO_CKERNEL_CACHE"
 
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 _BW_WINDOW = 1 << 17
+_IQ_WINDOW = 1 << 16
 _ADDR_LIMIT = 1 << 62
 _MAX_COMPONENTS = 16
 
@@ -152,7 +157,7 @@ class _KernelArgs(ctypes.Structure):
         ("reissue", _I64), ("lookahead_cap", _I64), ("sbuf_capacity", _I64),
         # functional units
         ("fu_lat", _PTR), ("fu_occ", _PTR), ("fu_pool", _PTR),
-        ("pool_units", _PTR), ("n_pools", _I64), ("pool_heap", _PTR),
+        ("pool_units", _PTR), ("n_pools", _I64), ("pool_free", _PTR),
         # bandwidth limiter windows
         ("bw_fetch_stamp", _PTR), ("bw_fetch_count", _PTR),
         ("bw_taken_stamp", _PTR), ("bw_taken_count", _PTR),
@@ -161,11 +166,12 @@ class _KernelArgs(ctypes.Structure):
         # window rings
         ("fq_ring", _PTR), ("rob_ring", _PTR), ("lq_ring", _PTR),
         ("sq_ring", _PTR), ("int_prf_ring", _PTR), ("fp_prf_ring", _PTR),
-        ("iq_heap", _PTR),
+        ("iq_count", _PTR),
         # store buffer
         ("sb_seq", _PTR), ("sb_start", _PTR), ("sb_end", _PTR),
         ("sb_ready", _PTR), ("sb_commit", _PTR), ("sb_pc", _PTR),
-        # train queue
+        # train queue ring
+        ("tq_capacity", _I64),
         ("tq_commit", _PTR), ("tq_i", _PTR), ("tq_value", _PTR),
         ("tq_provider", _PTR), ("tq_eff", _PTR), ("tq_has", _PTR),
         # memory hierarchy
@@ -192,7 +198,8 @@ class _KernelArgs(ctypes.Structure):
         ("ssit_bits", _I64), ("lfst_entries", _I64),
         ("ssit", _PTR), ("lfst", _PTR),
         # predictor
-        ("ptype", _I64), ("conf_kind", _I64), ("conf_max_level", _I64),
+        ("ptype", _I64), ("tbl_block", _PTR), ("tbl_block_bytes", _I64),
+        ("conf_kind", _I64), ("conf_max_level", _I64),
         ("fpc_prob", _PTR), ("fpc_taps", _U64), ("fpc_state", _U64),
         ("tbl_mask", _I64), ("tbl_tags", _PTR), ("tbl_tag_valid", _PTR),
         ("tbl_values", _PTR), ("tbl_conf", _PTR),
@@ -489,7 +496,9 @@ _MAX_TEMPLATES = 64
 def _template(key: tuple, scratch: "_Scratch"):
     """``(args, arrays)``: the invariant ``KernelArgs`` of the core config
     *key* describes, and the arrays they point at (functional-unit tables;
-    rings, store buffer and pool heaps in one block)."""
+    window rings, store buffer, unit pools and the train-queue ring in one
+    block).  The train-queue ring holds ``fetch_queue + rob_entries``
+    entries, the most a run can have queued (``_ckernel.c``'s header)."""
     key, fu = _Config._make(key[0]), key[1]
     args = _KernelArgs()
     args.abi_version = _ABI_VERSION
@@ -526,23 +535,29 @@ def _template(key: tuple, scratch: "_Scratch"):
     args.pool_units = pool_units.ctypes.data
     args.n_pools = len(_POOL_CLASSES)
 
-    sizes = (
-        ("fq_ring", key.fetch_queue), ("rob_ring", key.rob_entries),
-        ("lq_ring", key.lq_entries), ("sq_ring", key.sq_entries),
-        ("int_prf_ring", args.int_prf_size),
-        ("fp_prf_ring", args.fp_prf_size),
-        ("iq_heap", key.iq_entries + 1),
-        ("sb_seq", sbuf_capacity), ("sb_start", sbuf_capacity),
-        ("sb_end", sbuf_capacity), ("sb_ready", sbuf_capacity),
-        ("sb_commit", sbuf_capacity), ("sb_pc", sbuf_capacity),
-        ("pool_heap", int(pool_units.sum())))
-    block = np.empty(sum(size for __, size in sizes), dtype=np.int64)
+    tq = key.fetch_queue + key.rob_entries
+    args.tq_capacity = tq
+    parts = (
+        ("fq_ring", 8 * key.fetch_queue), ("rob_ring", 8 * key.rob_entries),
+        ("lq_ring", 8 * key.lq_entries), ("sq_ring", 8 * key.sq_entries),
+        ("int_prf_ring", 8 * args.int_prf_size),
+        ("fp_prf_ring", 8 * args.fp_prf_size),
+        ("sb_seq", 8 * sbuf_capacity), ("sb_start", 8 * sbuf_capacity),
+        ("sb_end", 8 * sbuf_capacity), ("sb_ready", 8 * sbuf_capacity),
+        ("sb_commit", 8 * sbuf_capacity), ("sb_pc", 8 * sbuf_capacity),
+        ("pool_free", 8 * int(pool_units.sum())),
+        ("tq_commit", 8 * tq), ("tq_value", 8 * tq), ("tq_i", 4 * tq),
+        ("tq_provider", tq), ("tq_eff", tq), ("tq_has", tq))
+    nbytes = sum(size for __, size in parts)
+    block = np.empty(-(-nbytes // 8), dtype=np.int64)
     address = block.ctypes.data
-    for name, size in sizes:
+    for name, size in parts:
         setattr(args, name, address)
-        address += 8 * size
+        address += size
     arrays = (fu_lat, fu_occ, pool_units, block)
 
+    args.iq_count = scratch.get("iq_count", _IQ_WINDOW, fill=0,
+                                dtype=np.int32)
     windows = ["fetch", "taken", "issue"]
     if key.vp_write_ports is not None:
         windows.append("vpw")
@@ -560,31 +575,34 @@ def _template(key: tuple, scratch: "_Scratch"):
 
 
 class _Scratch:
-    """Kernel buffers and argument templates, kept for the process.
+    """Kernel buffers, argument templates and block pools, kept for the
+    process.
 
-    The bandwidth windows are shared by every template: fixed-size, and
-    the kernel hands them back as it got them, every stamp -1 (a window
-    count is read only under a matching stamp).  Everything else the
-    kernel reads before writing it resets at entry.  Nothing here grows
-    with the trace.
+    The bandwidth windows and the IQ's per-cycle counts are shared by
+    every template: fixed-size, and the kernel hands them back as it got
+    them, every stamp -1 and every count 0 (a window count is read only
+    under a matching stamp).  Everything else the kernel reads before
+    writing it resets at entry.  Nothing here grows with the trace.
     """
 
     def __init__(self):
         self._buffers: dict[str, tuple[np.ndarray, int]] = {}
         #: Config key -> ``(args, arrays)`` (:func:`_template`).
         self.templates: dict[tuple, tuple] = {}
+        #: Memory/store-set state blocks and predictor table blocks.
+        self.pool = _Pool()
         self.slices, self.state_size, self.geometry = _state_layout()
         #: ``(field, byte offset)`` of each array in a run's state block.
         self.state_fields = tuple(
             (name, 8 * part.start) for name, part in self.slices.items())
 
-    def get(self, name: str, size: int, fill=None) -> int:
-        """Address of int64 buffer *name*, *size* entries, first filled
-        with *fill* (uninitialised when ``None``)."""
+    def get(self, name: str, size: int, fill=None, dtype=np.int64) -> int:
+        """Address of buffer *name*, *size* entries of *dtype*, first
+        filled with *fill* (uninitialised when ``None``)."""
         buffer = self._buffers.get(name)
         if buffer is None:
-            array = (np.empty(size, np.int64) if fill is None
-                     else np.full(size, fill, np.int64))
+            array = (np.empty(size, dtype) if fill is None
+                     else np.full(size, fill, dtype))
             buffer = self._buffers[name] = (array, array.ctypes.data)
         return buffer[1]
 
@@ -600,7 +618,54 @@ class _Scratch:
     def nbytes(self) -> int:
         arrays = [a for a, __ in self._buffers.values()] + [
             a for __, kept in self.templates.values() for a in kept]
-        return sum(array.nbytes for array in arrays)
+        return sum(array.nbytes for array in arrays) + self.pool.nbytes
+
+
+#: Blocks a pool keeps per layout, and bytes it keeps in all.
+_POOL_BLOCKS = 4
+_POOL_BYTES = 16 << 20
+
+def _free_refs() -> int:
+    """``sys.getrefcount`` of a block only its list holds, read the way
+    :meth:`_Pool.take` reads it: from a loop over the list (3 on CPython
+    3.11 and 3.12: the list, the loop variable and the argument)."""
+    for block in [np.empty(0, dtype=np.uint8)]:
+        return sys.getrefcount(block)
+
+
+_FREE_REFS = _free_refs()
+
+
+class _Pool:
+    """Byte blocks reused from run to run, so a run touches no fresh pages.
+
+    A block goes out again only once the pool alone holds it: not a model
+    whose memory or store sets are still to be built from it, nor a
+    predictor parked on it, nor any view of either (a view holds its
+    base).  Reference counts drop on any thread, but blocks go out only
+    under ``_SCRATCH_LOCK``, so a free block stays free until taken.  The
+    pool keeps up to ``_POOL_BLOCKS`` per key within ``_POOL_BYTES`` in
+    all; a block past either bound is handed out all the same and freed
+    with its last holder.
+    """
+
+    def __init__(self):
+        #: Key -> its blocks.
+        self._blocks: dict[object, list[np.ndarray]] = {}
+        self.nbytes = 0
+
+    def take(self, key, nbytes: int) -> np.ndarray:
+        """A uint8 block of *nbytes* for layout *key*, contents undefined."""
+        blocks = self._blocks.setdefault(key, [])
+        for block in blocks:
+            if sys.getrefcount(block) <= _FREE_REFS:
+                return block
+        block = np.empty(nbytes, dtype=np.uint8)
+        if len(blocks) < _POOL_BLOCKS and \
+                self.nbytes + nbytes <= _POOL_BYTES:
+            blocks.append(block)
+            self.nbytes += nbytes
+        return block
 
 
 _scratch: _Scratch | None = None
@@ -621,7 +686,7 @@ def scratch_nbytes() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Predictor tables: one byte block per run, parked on success
+# Predictor tables: one pooled byte block per run, parked on success
 
 
 class _Layout:
@@ -631,22 +696,19 @@ class _Layout:
     ``KernelArgs`` table pointer, 8-byte tables first so every view is
     aligned; *attr* names the predictor list the table mirrors, and
     :func:`_block_from_lists` and :func:`_restore_tables` convert the rest
-    (tags, speculative state, VTAGE components).  ``names`` are the attributes a parked
-    predictor drops; ``ones`` is the byte range a fresh block fills with
-    -1 (VTAGE tags).
+    (tags, speculative state, VTAGE components).  ``names`` are the
+    attributes a parked predictor drops.  The layout itself keys its blocks
+    in the pool.
     """
 
-    __slots__ = ("fields", "nbytes", "names", "ones")
+    __slots__ = ("fields", "nbytes", "names")
 
     def __init__(self, specs, names):
         self.fields = []
         self.nbytes = 0
-        self.ones = slice(0)
         for arg, attr, dtype, count in specs:
             dtype = np.dtype(dtype)
             self.fields.append((arg, attr, dtype, count, self.nbytes))
-            if arg == "vt_tags":
-                self.ones = slice(self.nbytes, self.nbytes + 8 * count)
             self.nbytes += dtype.itemsize * count
         self.names = names
 
@@ -654,20 +716,14 @@ class _Layout:
         return {arg: block[offset:offset + dtype.itemsize * count].view(dtype)
                 for arg, __, dtype, count, offset in self.fields}
 
-    def fresh(self) -> np.ndarray:
-        """A block holding the constructed tables."""
-        block = np.zeros(self.nbytes, dtype=np.uint8)
-        block[self.ones] = 0xFF
-        return block
-
 
 _VTAGE_TABLES = (("vt_tags", "tags"), ("vt_values", "values"),
                  ("vt_conf", "conf"), ("vt_useful", "useful"))
 
 
-def _block_from_lists(layout: _Layout, predictor) -> np.ndarray:
-    """A new block holding *predictor*'s lists."""
-    block = np.zeros(layout.nbytes, dtype=np.uint8)
+def _block_from_lists(layout: _Layout, predictor, block: np.ndarray) -> None:
+    """Write *predictor*'s lists into *block*."""
+    block.fill(0)
     v = layout.views(block)
     for arg, attr, *__ in layout.fields:
         if attr is not None:
@@ -687,7 +743,6 @@ def _block_from_lists(layout: _Layout, predictor) -> np.ndarray:
         for arg, attr in _VTAGE_TABLES:
             v[arg].reshape(len(comps), -1)[:] = [getattr(c, attr)
                                                  for c in comps]
-    return block
 
 
 def _restore_tables(layout: _Layout, block: np.ndarray, predictor) -> None:
@@ -760,12 +815,12 @@ def _layout(predictor, ptype) -> _Layout:
     return layout
 
 
-def _marshal_predictor(args, predictor, ptype, vplane):
-    """Point *args* at a new block of the predictor's tables.
+def _marshal_predictor(args, predictor, ptype, vplane, pool):
+    """Point *args* at a pooled block for the predictor's tables.
 
-    The block is zero-filled for a predictor still parked at its
-    constructed state, a copy of the parked block for one a kernel run
-    parked, and a copy of the lists for any other.  Returns
+    For a predictor still parked at its constructed state the kernel
+    writes the constructed tables at entry; one a kernel run parked gets
+    a copy of its parked block, any other a copy of its lists.  Returns
     ``write_back(out)``, which holds the block across the call and after
     a successful run parks it on the predictor
     (:meth:`ValuePredictor.park`) and writes the scalar state; ``None``
@@ -789,13 +844,15 @@ def _marshal_predictor(args, predictor, ptype, vplane):
 
     layout = _layout(predictor, ptype)
     restore = parked_restore(predictor)
-    if restore is constructed:
-        block = layout.fresh()
-    elif isinstance(restore, partial) and restore.func is _restore_tables:
-        block = restore.args[1].copy()
-    else:
-        block = _block_from_lists(layout, predictor)
+    block = pool.take(layout, layout.nbytes)
     address = _address(block)
+    if restore is constructed:
+        args.tbl_block_bytes = layout.nbytes
+    elif isinstance(restore, partial) and restore.func is _restore_tables:
+        np.copyto(block, restore.args[1])
+    else:
+        _block_from_lists(layout, predictor, block)
+    args.tbl_block = address
     for arg, __, __, __, offset in layout.fields:
         setattr(args, arg, address + offset)
 
@@ -837,9 +894,10 @@ def _decline(reason: str) -> None:
     return None
 
 
-#: Train-queue bytes per µop: commit cycle and value (8 each), µop index
-#: (4), VTAGE provider and effective rank, and the lookup-hit flag (1 each).
-_TQ_BYTES = 23
+#: Names of the kernel's error codes (``ERR_*`` in ``_ckernel.c``); a run
+#: that fails records ``kernel-error:<name>`` (the code when unnamed).
+_ERRORS = {1: "abi", 2: "bw-window", 3: "bad-arg", 4: "iq-window",
+           5: "train-ring"}
 
 
 def try_run(model, trace, warmup, workload, ptype, vplane):
@@ -879,7 +937,8 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
     with _SCRATCH_LOCK:
         scratch = _get_scratch()
         args = _KernelArgs.from_buffer_copy(scratch.template(key))
-        write_back = _marshal_predictor(args, predictor, ptype, vplane)
+        write_back = _marshal_predictor(args, predictor, ptype, vplane,
+                                        scratch.pool)
         if isinstance(write_back, str):
             return _decline(write_back)
         args.n = n
@@ -888,26 +947,21 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
         for name, address in inputs.addresses:
             setattr(args, name, address)
 
-        # Per-run state, uninitialised: the kernel resets what it reads.
+        # The memory and store-set state block, as the last run left it:
+        # the kernel resets what it reads.
         slices = scratch.slices
-        state = np.empty(scratch.state_size, dtype=np.int64)
+        state = scratch.pool.take("state", 8 * scratch.state_size)
+        state = state.view(np.int64)
         address = _address(state)
         for name, offset in scratch.state_fields:
             setattr(args, name, address + offset)
-        tq = np.empty(n * _TQ_BYTES, dtype=np.uint8)
-        address = _address(tq)
-        args.tq_commit = address
-        args.tq_value = address + 8 * n
-        args.tq_i = address + 16 * n
-        args.tq_provider = address + 20 * n
-        args.tq_eff = address + 21 * n
-        args.tq_has = address + 22 * n
         out = (_I64 * _N_OUT)()
         args.out = ctypes.addressof(out)
 
         ret = lib.repro_kernel_run(ctypes.byref(args))
         if ret != 0 or out[_O_ERROR] != 0:
-            return _decline(f"kernel-error:{ret or out[_O_ERROR]}")
+            code = ret or out[_O_ERROR]
+            return _decline(f"kernel-error:{_ERRORS.get(code, code)}")
 
     out = out[:]
     model.adopt("memory", partial(_restore_memory, slices, state, out))

@@ -20,7 +20,7 @@ runs the spec loop on the untouched model.  Reasons:
 
 * ``unsupported-predictor:<Class>`` / ``non-default-branch-state`` /
   ``no-compiler`` — the static half, :func:`fallback_reason`;
-* ``kernel-ineligible:<check>`` / ``kernel-error:<code>`` — recorded by
+* ``kernel-ineligible:<check>`` / ``kernel-error:<name>`` — recorded by
   :func:`repro.pipeline.ckernel.try_run`;
 * ``stage-trace-hook`` / ``disabled-by-env`` — recorded by
   ``CoreModel.run`` itself.

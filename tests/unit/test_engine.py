@@ -118,6 +118,19 @@ class TestSimJob:
         unpickled = pickle.loads(pickle.dumps(warm))
         assert unpickled == warm and unpickled.content_key() == key
 
+    def test_to_dict_equals_asdict(self):
+        """``to_dict`` is shallow; every field is immutable, so it equals
+        the deep-copying ``dataclasses.asdict``, with and without a
+        ``config_json``."""
+        plain = SimJob.make("gzip", "vtage", **TINY)
+        custom = SimJob.make("gzip", "lvp", config=CoreConfig(rob_entries=96),
+                             **TINY)
+        assert plain.config_json is None and custom.config_json is not None
+        for job in (plain, custom):
+            job.content_key()
+            assert job.to_dict() == dataclasses.asdict(job)
+            assert list(job.to_dict()) == list(dataclasses.asdict(job))
+
 
 # ---------------------------------------------------------------------------
 # Executors.

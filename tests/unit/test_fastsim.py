@@ -111,7 +111,8 @@ def test_compiled_kernel_actually_runs(monkeypatch):
 
 def test_kernel_scratch_is_bounded(monkeypatch):
     """The process-lifetime kernel scratch does not grow with trace length,
-    and every run hands the bandwidth windows back with all stamps -1."""
+    and every run hands the bandwidth windows back with all stamps -1 and
+    the IQ's per-cycle counts back all 0."""
     if not ckernel.kernel_available():
         pytest.skip("no C toolchain: compiled kernel unavailable")
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
@@ -126,6 +127,8 @@ def test_kernel_scratch_is_bounded(monkeypatch):
     stamps = [array for name, (array, __) in ckernel._scratch._buffers.items()
               if name.endswith("_stamp")]
     assert stamps and all((array == -1).all() for array in stamps)
+    iq_count, __ = ckernel._scratch._buffers["iq_count"]
+    assert not iq_count.any()
 
 
 def test_kernel_scratch_shared_by_threads(monkeypatch):

@@ -99,8 +99,13 @@ def test_vtage_plane_matches_scalar_index_and_tag(trace):
     assert checked > 50
 
 
-def test_planes_cached_on_trace_and_counted(trace):
-    """Planes attach once per trace and the catalog LRU charges them."""
+def test_planes_cached_on_trace_and_counted():
+    """Planes attach once per trace and the catalog LRU charges them.
+
+    The trace is this test's own (a seed no other test asks for): the
+    shared one may already carry kernel inputs from an earlier kernel run,
+    which ``precompute_nbytes`` would count too."""
+    trace = build_trace("gcc", 6000, seed=0x5EED_0C1A)
     plane = trace_plane(trace)
     assert trace_plane(trace) is plane
     predictor = VTAGEPredictor(base_entries=1024, tagged_entries=256,

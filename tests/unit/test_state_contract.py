@@ -392,3 +392,73 @@ def test_never_run_predictor_pickles(name):
     assert type(copy) is predictor_class(copy) is predictor_class(predictor)
     assert (copy.storage_bits(), copy.describe()) == (storage, label)
     assert _predictor_state(copy) == _predictor_state(make_predictor(name))
+
+
+# -- pooled blocks ----------------------------------------------------------
+
+
+def _throwaway_runs(trace, names=KERNEL_FAMILIES + ("none",)):
+    """Kernel runs whose models and predictors are dropped at once, so
+    their blocks go back to the pool for the next run to take."""
+    for name in names:
+        CoreModel(predictor=make_predictor(name)).run(trace, warmup=_WARMUP)
+
+
+@requires_kernel
+def test_kept_model_reads_its_state_after_pool_reuse(monkeypatch, trace):
+    """A model kept, unread, from run A still builds its own memory and
+    store sets after run B and others have reused the pool's blocks."""
+    other = build_trace("milc", _N)
+    outcome = {}
+    for mode in ("kernel", "spec"):
+        fastsim.reset_fallback_stats()
+        kept = _fresh_model(monkeypatch, mode, make_predictor("lvp"))
+        first = kept.run(trace, warmup=_WARMUP, workload="gcc")
+        _throwaway_runs(other)
+        second_model = _fresh_model(monkeypatch, mode, make_predictor("lvp"))
+        second = second_model.run(other, warmup=_WARMUP, workload="milc")
+        if mode == "kernel":
+            assert fastsim.fallback_stats() == {}
+        outcome[mode] = (first, second, model_state(kept),
+                         model_state(second_model))
+    assert outcome["kernel"] == outcome["spec"]
+
+
+@requires_kernel
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_parked_tables_survive_pool_reuse(monkeypatch, trace, name):
+    """A predictor parked by one run keeps its tables while other
+    predictors of the same layout run and drop theirs."""
+    other = build_trace("milc", _N)
+    outcome = {}
+    for mode in ("kernel", "spec"):
+        fastsim.reset_fallback_stats()
+        parked = make_predictor(name)
+        first = _fresh_model(monkeypatch, mode, parked).run(
+            trace, warmup=_WARMUP, workload="gcc")
+        if mode == "kernel":
+            assert predictor_class(parked) is not type(parked)
+        _throwaway_runs(other, (name,) * 3)
+        rival = _fresh_model(monkeypatch, mode, make_predictor(name)).run(
+            other, warmup=_WARMUP, workload="milc")
+        if mode == "kernel":
+            assert fastsim.fallback_stats() == {}
+            assert predictor_class(parked) is not type(parked)
+        again = _fresh_model(monkeypatch, mode, parked).run(
+            other, warmup=_WARMUP, workload="milc")
+        outcome[mode] = (first, rival, again, _predictor_state(parked))
+    assert outcome["kernel"] == outcome["spec"]
+
+
+@requires_kernel
+def test_pool_is_reused_and_bounded(monkeypatch, trace):
+    """Runs whose models are dropped take the pool's blocks again: the
+    pool does not grow from run to run."""
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    _throwaway_runs(trace)
+    pool = ckernel._scratch.pool
+    before = pool.nbytes
+    for _ in range(3):
+        _throwaway_runs(trace)
+    assert pool.nbytes == before > 0
+    assert pool.nbytes <= ckernel._POOL_BYTES
