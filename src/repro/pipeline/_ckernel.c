@@ -21,9 +21,9 @@
  * run to run, and turns the final arrays into model objects when a caller
  * first reads them, so post-run observable state matches the spec loop's.
  * Every run starts from a fresh memory hierarchy, store sets and unit
- * pools, and a predictor parked at its constructed state from constructed
- * tables: reset_state() initialises what the kernel reads before writing,
- * so the caller hands those blocks over as they were left.  The bandwidth
+ * pools: reset_state() initialises what the kernel reads before writing,
+ * so the caller hands those blocks over as they were left.  The caller
+ * writes the predictor's tables, constructed or trained.  The bandwidth
  * windows and the IQ's per-cycle counts are process-lifetime scratch: the
  * kernel hands them back as it got them (every stamp -1, every count 0),
  * resetting only the slots it used.
@@ -46,7 +46,7 @@
  * usually belongs.  Every ring index wraps by compare, never by division.
  *
  * The cycle loop is one always-inline body, instantiated per predictor
- * family and recovery mode with both as constants.
+ * family with the family as a constant.
  *
  * Failure is always safe: any unsupported situation the Python-side guards
  * missed returns a nonzero error before results are consumed, and the
@@ -181,11 +181,6 @@ typedef struct {
 
     /* ---- predictor ---- */
     int64_t ptype;             /* 0 none 1 oracle 2 lvp 3 stride 4 vtage */
-    /* The block every table below lives in; tbl_block_bytes > 0 means the
-     * predictor is at its constructed state, which reset_state writes
-     * (all zero, VTAGE tags -1); 0 means the block holds its tables. */
-    uint8_t *tbl_block;
-    int64_t tbl_block_bytes;
     int64_t conf_kind;         /* 0 stock saturating, 1 FPC */
     int64_t conf_max_level;
     const int64_t *fpc_prob;   /* [conf_max_level] */
@@ -595,8 +590,8 @@ static void vt_train_base(KCtx *x, int64_t base_idx, uint64_t actual) {
 }
 
 /* Initialise every array the run reads before writing it: unit pools,
- * cache set counts, DRAM banks, prefetcher and store-set tables, and the
- * tables of a predictor at its constructed state.  All-ones bytes are -1. */
+ * cache set counts, DRAM banks, prefetcher and store-set tables.
+ * All-ones bytes are -1. */
 static void reset_state(const KernelArgs *a) {
     int64_t units = 0;
     for (int64_t p = 0; p < a->n_pools; p++)
@@ -614,12 +609,6 @@ static void reset_state(const KernelArgs *a) {
     memset(a->pf_conf, 0, pf);
     memset(a->ssit, 0xFF, ((size_t)1 << a->ssit_bits) * sizeof(int64_t));
     memset(a->lfst, 0xFF, (size_t)a->lfst_entries * sizeof(int64_t));
-    if (a->tbl_block_bytes > 0) {
-        memset(a->tbl_block, 0, (size_t)a->tbl_block_bytes);
-        if (a->ptype == 4)
-            memset(a->vt_tags, 0xFF,
-                   (size_t)(a->vt_ncomp * a->vt_entries) * sizeof(int64_t));
-    }
 }
 
 /* ---- ring indices: wrap by compare, never by division ----------------- */
@@ -763,11 +752,12 @@ ALWAYS_INLINE void train_one(KCtx *x, const KernelArgs *a, int64_t t,
 
 int64_t repro_kernel_abi_version(void) { return KERNEL_ABI_VERSION; }
 
-/* The cycle loop.  Inlined into one instance per (ptype, reissue), so the
- * family and recovery tests fold away.  Returns 0 or an error code; fills
- * out[] on success. */
+/* The cycle loop.  Inlined into one instance per predictor family, so
+ * the family tests fold away.  Returns 0 or an error code; fills out[] on
+ * success. */
 ALWAYS_INLINE int64_t kernel_loop(const KernelArgs *a, KCtx *x,
-                                  const int64_t ptype, const int reissue) {
+                                  const int64_t ptype) {
+    const int reissue = a->reissue != 0;
     const int64_t n = a->n;
     const int64_t warmup = a->warmup;
     const int64_t fetch_width = a->fetch_width;
@@ -1429,27 +1419,18 @@ ALWAYS_INLINE int64_t kernel_loop(const KernelArgs *a, KCtx *x,
     return ERR_OK;
 }
 
-#define LOOP_INSTANCE(name, ptype, reissue)                                  \
+#define LOOP_INSTANCE(name, ptype)                                           \
     static int64_t name(const KernelArgs *a, KCtx *x) {                      \
-        return kernel_loop(a, x, ptype, reissue);                            \
+        return kernel_loop(a, x, ptype);                                     \
     }
-LOOP_INSTANCE(loop_none_squash, 0, 0)
-LOOP_INSTANCE(loop_none_reissue, 0, 1)
-LOOP_INSTANCE(loop_oracle_squash, 1, 0)
-LOOP_INSTANCE(loop_oracle_reissue, 1, 1)
-LOOP_INSTANCE(loop_lvp_squash, 2, 0)
-LOOP_INSTANCE(loop_lvp_reissue, 2, 1)
-LOOP_INSTANCE(loop_stride_squash, 3, 0)
-LOOP_INSTANCE(loop_stride_reissue, 3, 1)
-LOOP_INSTANCE(loop_vtage_squash, 4, 0)
-LOOP_INSTANCE(loop_vtage_reissue, 4, 1)
+LOOP_INSTANCE(loop_none, 0)
+LOOP_INSTANCE(loop_oracle, 1)
+LOOP_INSTANCE(loop_lvp, 2)
+LOOP_INSTANCE(loop_stride, 3)
+LOOP_INSTANCE(loop_vtage, 4)
 
-static int64_t (*const LOOPS[5][2])(const KernelArgs *, KCtx *) = {
-    {loop_none_squash, loop_none_reissue},
-    {loop_oracle_squash, loop_oracle_reissue},
-    {loop_lvp_squash, loop_lvp_reissue},
-    {loop_stride_squash, loop_stride_reissue},
-    {loop_vtage_squash, loop_vtage_reissue},
+static int64_t (*const LOOPS[5])(const KernelArgs *, KCtx *) = {
+    loop_none, loop_oracle, loop_lvp, loop_stride, loop_vtage,
 };
 
 int64_t repro_kernel_run(const KernelArgs *a) {
@@ -1463,6 +1444,12 @@ int64_t repro_kernel_run(const KernelArgs *a) {
         a->tq_capacity < 1) {
         a->out[O_ERROR] = ERR_BAD_ARG;
         return ERR_BAD_ARG;
+    }
+    for (int64_t p = 0; p < a->n_pools; p++) {
+        if (a->pool_units[p] < 1) {
+            a->out[O_ERROR] = ERR_BAD_ARG;
+            return ERR_BAD_ARG;
+        }
     }
     reset_state(a);
     KCtx ctx;
@@ -1483,7 +1470,7 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     x->fpc_state = a->fpc_state;
     x->vt_state = a->vt_state;
 
-    int64_t err = LOOPS[a->ptype][a->reissue != 0](a, x);
+    int64_t err = LOOPS[a->ptype](a, x);
     if (err) {
         a->out[O_ERROR] = err;
         return err;

@@ -33,7 +33,7 @@ This module owns everything on the Python side of that boundary:
 * **State** — the kernel works on a pooled byte block per predictor,
   never on the predictor's lists.  The kernel families are born parked
   at their constructed state (:func:`~repro.predictors.base.constructed`),
-  so for a predictor no one has read the kernel writes the constructed
+  so for a predictor no one has read the block gets the constructed
   tables and nothing is scanned; one parked by an earlier run has its
   block copied; any other (a caller read or trained its tables) has its
   lists copied.
@@ -198,8 +198,7 @@ class _KernelArgs(ctypes.Structure):
         ("ssit_bits", _I64), ("lfst_entries", _I64),
         ("ssit", _PTR), ("lfst", _PTR),
         # predictor
-        ("ptype", _I64), ("tbl_block", _PTR), ("tbl_block_bytes", _I64),
-        ("conf_kind", _I64), ("conf_max_level", _I64),
+        ("ptype", _I64), ("conf_kind", _I64), ("conf_max_level", _I64),
         ("fpc_prob", _PTR), ("fpc_taps", _U64), ("fpc_state", _U64),
         ("tbl_mask", _I64), ("tbl_tags", _PTR), ("tbl_tag_valid", _PTR),
         ("tbl_values", _PTR), ("tbl_conf", _PTR),
@@ -625,12 +624,17 @@ class _Scratch:
 _POOL_BLOCKS = 4
 _POOL_BYTES = 16 << 20
 
+
 def _free_refs() -> int:
     """``sys.getrefcount`` of a block only its list holds, read the way
     :meth:`_Pool.take` reads it: from a loop over the list (3 on CPython
-    3.11 and 3.12: the list, the loop variable and the argument)."""
+    3.11 and 3.12: the list, the loop variable and the argument); 0 on an
+    interpreter without reference counts."""
+    getrefcount = getattr(sys, "getrefcount", None)
+    if getrefcount is None:
+        return 0
     for block in [np.empty(0, dtype=np.uint8)]:
-        return sys.getrefcount(block)
+        return getrefcount(block)
 
 
 _FREE_REFS = _free_refs()
@@ -647,7 +651,14 @@ class _Pool:
     pool keeps up to ``_POOL_BLOCKS`` per key within ``_POOL_BYTES`` in
     all; a block past either bound is handed out all the same and freed
     with its last holder.
+
+    Reuse rests on CPython's reference counts, checked once at import
+    (:func:`_reuse_is_exact`).  Where the check fails, ``reuse`` is off
+    and every run gets a new block: slower, never wrong.
     """
+
+    #: Whether blocks go out more than once (:func:`_reuse_is_exact`).
+    reuse = True
 
     def __init__(self):
         #: Key -> its blocks.
@@ -657,15 +668,37 @@ class _Pool:
     def take(self, key, nbytes: int) -> np.ndarray:
         """A uint8 block of *nbytes* for layout *key*, contents undefined."""
         blocks = self._blocks.setdefault(key, [])
-        for block in blocks:
-            if sys.getrefcount(block) <= _FREE_REFS:
-                return block
+        if self.reuse:
+            for block in blocks:
+                if sys.getrefcount(block) <= _FREE_REFS:
+                    return block
         block = np.empty(nbytes, dtype=np.uint8)
-        if len(blocks) < _POOL_BLOCKS and \
+        if self.reuse and len(blocks) < _POOL_BLOCKS and \
                 self.nbytes + nbytes <= _POOL_BYTES:
             blocks.append(block)
             self.nbytes += nbytes
         return block
+
+
+def _reuse_is_exact() -> bool:
+    """Whether :meth:`_Pool.take` tells a held block from a free one here.
+
+    A probe pool must not hand out again a block held by a name or only
+    through a view of it, and must hand out again one no longer held.
+    """
+    if _FREE_REFS < 1:
+        return False
+    pool = _Pool()
+    pool.reuse = True
+    held = pool.take("held", 8)
+    viewed = pool.take("viewed", 8)[:4]
+    if pool.take("held", 8) is held or pool.take("viewed", 8) is viewed.base:
+        return False
+    del held, viewed
+    return pool.take("held", 8) is pool._blocks["held"][0]
+
+
+_Pool.reuse = _reuse_is_exact()
 
 
 _scratch: _Scratch | None = None
@@ -697,24 +730,33 @@ class _Layout:
     aligned; *attr* names the predictor list the table mirrors, and
     :func:`_block_from_lists` and :func:`_restore_tables` convert the rest
     (tags, speculative state, VTAGE components).  ``names`` are the
-    attributes a parked predictor drops.  The layout itself keys its blocks
-    in the pool.
+    attributes a parked predictor drops; ``ones`` is the byte range the
+    constructed tables fill with -1 (VTAGE tags).  The layout itself keys
+    its blocks in the pool.
     """
 
-    __slots__ = ("fields", "nbytes", "names")
+    __slots__ = ("fields", "nbytes", "names", "ones")
 
     def __init__(self, specs, names):
         self.fields = []
         self.nbytes = 0
+        self.ones = slice(0)
         for arg, attr, dtype, count in specs:
             dtype = np.dtype(dtype)
             self.fields.append((arg, attr, dtype, count, self.nbytes))
+            if arg == "vt_tags":
+                self.ones = slice(self.nbytes, self.nbytes + 8 * count)
             self.nbytes += dtype.itemsize * count
         self.names = names
 
     def views(self, block: np.ndarray) -> dict[str, np.ndarray]:
         return {arg: block[offset:offset + dtype.itemsize * count].view(dtype)
                 for arg, __, dtype, count, offset in self.fields}
+
+    def construct(self, block: np.ndarray) -> None:
+        """Write the constructed tables into *block*."""
+        block.fill(0)
+        block[self.ones] = 0xFF
 
 
 _VTAGE_TABLES = (("vt_tags", "tags"), ("vt_values", "values"),
@@ -818,9 +860,9 @@ def _layout(predictor, ptype) -> _Layout:
 def _marshal_predictor(args, predictor, ptype, vplane, pool):
     """Point *args* at a pooled block for the predictor's tables.
 
-    For a predictor still parked at its constructed state the kernel
-    writes the constructed tables at entry; one a kernel run parked gets
-    a copy of its parked block, any other a copy of its lists.  Returns
+    For a predictor still parked at its constructed state the block gets
+    the constructed tables; one a kernel run parked gets a copy of its
+    parked block, any other a copy of its lists.  Returns
     ``write_back(out)``, which holds the block across the call and after
     a successful run parks it on the predictor
     (:meth:`ValuePredictor.park`) and writes the scalar state; ``None``
@@ -847,12 +889,11 @@ def _marshal_predictor(args, predictor, ptype, vplane, pool):
     block = pool.take(layout, layout.nbytes)
     address = _address(block)
     if restore is constructed:
-        args.tbl_block_bytes = layout.nbytes
+        layout.construct(block)
     elif isinstance(restore, partial) and restore.func is _restore_tables:
         np.copyto(block, restore.args[1])
     else:
         _block_from_lists(layout, predictor, block)
-    args.tbl_block = address
     for arg, __, __, __, offset in layout.fields:
         setattr(args, arg, address + offset)
 

@@ -7,8 +7,9 @@ header).  The golden grid and the fuzzer run the default geometry, where
 every ring size is the Table 2 one; here each window has a small size
 that is not a power of two, so every wrap and the ring bound are
 exercised at a geometry the defaults never reach.  A configuration whose
-latencies overflow the IQ's window, or with a window of no entries, must
-decline with its named reason and leave the answer to the spec loop.
+latencies overflow the IQ's window, or with a window or unit pool of no
+entries, must decline with its named reason and leave the answer to the
+spec loop.
 """
 
 import pytest
@@ -98,4 +99,20 @@ def test_empty_window_declines(monkeypatch, field):
     with pytest.raises(ValueError, match="window size must be positive"):
         CoreModel(config=CoreConfig(**{field: 0})).run(
             build_trace("gzip", _N), warmup=_WARMUP)
+    assert fastsim.fallback_stats() == {"kernel-error:bad-arg": 1}
+
+
+@requires_kernel
+@pytest.mark.parametrize("op", ckernel._POOL_CLASSES,
+                         ids=lambda op: op.name.lower())
+def test_empty_unit_pool_declines(monkeypatch, op):
+    """A functional-unit pool of no units would make its free-cycle ring
+    never wrap: the kernel declines it, and the spec loop refuses the
+    config as it always did."""
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    config = CoreConfig()
+    config.fu[op] = FUTiming(units=0, latency=config.fu[op].latency)
+    fastsim.reset_fallback_stats()
+    with pytest.raises(ValueError, match="need at least one unit"):
+        CoreModel(config=config).run(build_trace("gzip", _N), warmup=_WARMUP)
     assert fastsim.fallback_stats() == {"kernel-error:bad-arg": 1}

@@ -21,6 +21,7 @@ spec loop unparks a predictor on its first read.
 import ctypes
 import gc
 import pickle
+import sys
 import types
 import weakref
 
@@ -462,3 +463,25 @@ def test_pool_is_reused_and_bounded(monkeypatch, trace):
         _throwaway_runs(trace)
     assert pool.nbytes == before > 0
     assert pool.nbytes <= ckernel._POOL_BYTES
+
+
+def test_pool_reuse_check_catches_miscalibration(monkeypatch):
+    """The import-time check passes on CPython and fails for a free-block
+    reference count read too high (held blocks would go out again) or too
+    low (free blocks would never come back), which turns reuse off."""
+    if sys.implementation.name == "cpython":
+        assert ckernel._Pool.reuse
+    calibrated = ckernel._free_refs()
+    assert ckernel._reuse_is_exact() == ckernel._Pool.reuse
+    for wrong in (calibrated + 1, calibrated - 1):
+        monkeypatch.setattr(ckernel, "_FREE_REFS", wrong)
+        assert not ckernel._reuse_is_exact()
+
+
+def test_pool_without_reuse_keeps_nothing(monkeypatch):
+    """With reuse off, every take is a new block the pool does not keep."""
+    monkeypatch.setattr(ckernel._Pool, "reuse", False)
+    pool = ckernel._Pool()
+    pool.take("key", 8)
+    pool.take("key", 8)
+    assert pool._blocks["key"] == [] and pool.nbytes == 0
