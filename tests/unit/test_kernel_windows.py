@@ -87,32 +87,28 @@ def test_iq_window_overflow_declines(monkeypatch, recovery):
                          _odd_config(recovery))
 
 
+def _empty(field):
+    """A config with window *field*, or unit pool *field*, of no entries,
+    and the spec loop's message refusing it."""
+    if isinstance(field, OpClass):
+        config = CoreConfig()
+        config.fu[field] = FUTiming(units=0, latency=config.fu[field].latency)
+        return config, "need at least one unit"
+    return CoreConfig(**{field: 0}), "window size must be positive"
+
+
 @requires_kernel
-@pytest.mark.parametrize("field", ("fetch_queue", "rob_entries", "iq_entries",
-                                   "lq_entries", "sq_entries"))
+@pytest.mark.parametrize(
+    "field", ("fetch_queue", "rob_entries", "iq_entries", "lq_entries",
+              "sq_entries") + ckernel._POOL_CLASSES,
+    ids=lambda field: getattr(field, "name", field).lower())
 def test_empty_window_declines(monkeypatch, field):
-    """A window of no entries would make a ring never wrap and the IQ's
-    cursor never stop: the kernel declines it, and the spec loop refuses
-    the config as it always did."""
+    """A window or unit pool of no entries would make a ring never wrap
+    and the IQ's cursor never stop: the kernel declines it, and the spec
+    loop refuses the config as it always did."""
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    config, message = _empty(field)
     fastsim.reset_fallback_stats()
-    with pytest.raises(ValueError, match="window size must be positive"):
-        CoreModel(config=CoreConfig(**{field: 0})).run(
-            build_trace("gzip", _N), warmup=_WARMUP)
-    assert fastsim.fallback_stats() == {"kernel-error:bad-arg": 1}
-
-
-@requires_kernel
-@pytest.mark.parametrize("op", ckernel._POOL_CLASSES,
-                         ids=lambda op: op.name.lower())
-def test_empty_unit_pool_declines(monkeypatch, op):
-    """A functional-unit pool of no units would make its free-cycle ring
-    never wrap: the kernel declines it, and the spec loop refuses the
-    config as it always did."""
-    monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
-    config = CoreConfig()
-    config.fu[op] = FUTiming(units=0, latency=config.fu[op].latency)
-    fastsim.reset_fallback_stats()
-    with pytest.raises(ValueError, match="need at least one unit"):
+    with pytest.raises(ValueError, match=message):
         CoreModel(config=config).run(build_trace("gzip", _N), warmup=_WARMUP)
     assert fastsim.fallback_stats() == {"kernel-error:bad-arg": 1}
