@@ -2,6 +2,8 @@
 
 from conftest import BENCH_WORKLOADS, run_once
 
+from repro.engine.campaign import run_campaign
+from repro.experiments.campaigns import figure3_campaign
 from repro.experiments.figures import figure3
 
 
@@ -11,7 +13,8 @@ def test_fig3_oracle(benchmark, bench_sizes):
 
     Paper reference: "a perfect predictor would indeed increase performance
     by quite a significant factor (up to 3.3) in most benchmarks"."""
-    fig = run_once(benchmark, figure3, workloads=BENCH_WORKLOADS, **bench_sizes)
+    fig = run_once(benchmark, lambda: figure3(run_campaign(
+        figure3_campaign(BENCH_WORKLOADS, **bench_sizes))))
     speedups = fig.series["speedup"]
     assert all(s >= 0.97 for s in speedups.values()), speedups
     assert max(speedups.values()) > 1.3

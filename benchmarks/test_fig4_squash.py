@@ -3,6 +3,8 @@
 from conftest import run_once
 
 from repro.analysis.report import geometric_mean
+from repro.engine.campaign import run_campaign
+from repro.experiments.campaigns import figure4_campaign
 from repro.experiments.figures import figure4
 
 WORKLOADS = ("crafty", "wupwise", "gcc", "h264ref")
@@ -16,7 +18,8 @@ def test_fig4_squash(benchmark, bench_sizes):
       low-accuracy benchmarks (crafty's almost-stable values);
     * (b) FPC lifts accuracy above ~99.5 % and removes the slowdowns.
     """
-    fig = run_once(benchmark, figure4, workloads=WORKLOADS, **bench_sizes)
+    fig = run_once(benchmark, lambda: figure4(run_campaign(
+        figure4_campaign(WORKLOADS, **bench_sizes))))
     baseline = fig.series["baseline"]
     fpc = fig.series["FPC"]
 

@@ -2,6 +2,8 @@
 
 from conftest import run_once
 
+from repro.engine.campaign import run_campaign
+from repro.experiments.campaigns import figure5_campaign
 from repro.experiments.figures import figure5
 from repro.experiments.runner import make_predictor, run_workload, baseline_result
 
@@ -14,7 +16,8 @@ def test_fig5_reissue(benchmark, bench_sizes):
     Shapes (Section 8.2.4): selective reissue rescues the *baseline*
     confidence counters (its cheap recovery tolerates their mispredicts),
     and with FPC the recovery mechanism barely matters."""
-    fig = run_once(benchmark, figure5, workloads=WORKLOADS, **bench_sizes)
+    fig = run_once(benchmark, lambda: figure5(run_campaign(
+        figure5_campaign(WORKLOADS, **bench_sizes))))
     baseline = fig.series["baseline"]
     fpc = fig.series["FPC"]
     # Under reissue, even baseline counters should not collapse: everything

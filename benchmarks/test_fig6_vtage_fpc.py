@@ -2,6 +2,8 @@
 
 from conftest import run_once
 
+from repro.engine.campaign import run_campaign
+from repro.experiments.campaigns import figure6_campaign
 from repro.experiments.figures import figure6
 
 WORKLOADS = ("crafty", "gcc", "namd")
@@ -15,7 +17,8 @@ def test_fig6_vtage_fpc(benchmark, bench_sizes):
     * with FPC no benchmark loses performance;
     * namd keeps high coverage yet only marginal speedup.
     """
-    fig = run_once(benchmark, figure6, workloads=WORKLOADS, **bench_sizes)
+    fig = run_once(benchmark, lambda: figure6(run_campaign(
+        figure6_campaign(WORKLOADS, **bench_sizes))))
     base = fig.series["baseline"]
     fpc = fig.series["FPC"]
 

@@ -3,6 +3,8 @@
 from conftest import run_once
 
 from repro.analysis.report import geometric_mean
+from repro.engine.campaign import run_campaign
+from repro.experiments.campaigns import figure7_campaign
 from repro.experiments.figures import figure7
 
 WORKLOADS = ("wupwise", "gcc", "hmmer")
@@ -16,7 +18,8 @@ def test_fig7_hybrid(benchmark, bench_sizes):
     * hybrid coverage exceeds each component's (computational and
       context-based predictors predict different instructions).
     """
-    fig = run_once(benchmark, figure7, workloads=WORKLOADS, **bench_sizes)
+    fig = run_once(benchmark, lambda: figure7(run_campaign(
+        figure7_campaign(WORKLOADS, **bench_sizes))))
     series = fig.series
 
     for w in WORKLOADS:

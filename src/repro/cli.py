@@ -51,11 +51,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.engine.api import (
-    configure_default_engine,
-    default_engine,
-    set_default_engine,
-)
+from repro.engine.api import configure_default_engine, default_engine
 from repro.engine.cache import CACHE_DIR_ENV
 from repro.engine.campaign import (
     BACKENDS,
@@ -98,14 +94,8 @@ from repro.workloads.catalog import (
 )
 from repro.workloads.store import TRACE_DIR_ENV, TraceStore, default_trace_store
 
-_FIGURES = {
-    "1": figures.figure1,
-    "3": figures.figure3,
-    "4": figures.figure4,
-    "5": figures.figure5,
-    "6": figures.figure6,
-    "7": figures.figure7,
-}
+#: Figure 1 reads traces; every other figure renders its ``fig<N>`` campaign.
+_FIGURES = ("1", "3", "4", "5", "6", "7")
 _TABLES = {"1": tables.table1, "2": tables.table2, "3": tables.table3}
 
 
@@ -171,14 +161,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    fn = _FIGURES[args.which]
-    kwargs = {"workloads": _parse_workloads(args.workloads) or ALL_WORKLOADS}
-    if args.which != "1":
-        kwargs.update(n_uops=args.uops, warmup=args.warmup)
-    else:
-        kwargs.update(n_uops=args.uops)
-    fig = fn(**kwargs)
-    print(fig.text)
+    workloads = _parse_workloads(args.workloads) or ALL_WORKLOADS
+    if args.which == "1":
+        print(figures.figure1(workloads, n_uops=args.uops).text)
+        return 0
+    definition = CAMPAIGNS[f"fig{args.which}"]
+    result = run_campaign(definition.build(workloads, args.uops, args.warmup))
+    print(definition.render(result))
     return 0
 
 
@@ -244,10 +233,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 print("note: --jobs applies to the daemon(s), not this "
                       f"client; it is ignored with --backend {args.backend}",
                       file=sys.stderr)
-            # --render replays through the default engine's cache; make
-            # the cluster-backed engine that default so rendering never
-            # re-simulates locally what the daemons already ran.
-            set_default_engine(engine)
         result = run_campaign(spec, engine=engine,
                               progress=progress_printer(spec.name))
     except ServiceError as exc:
@@ -523,8 +508,8 @@ def _cmd_cluster_soak(args: argparse.Namespace) -> int:
                         seed=args.seed, deadline_s=args.duration)
     log = (lambda line: print(line, file=sys.stderr, flush=True)) \
         if not args.quiet else None
-    if args.journal_dir:
-        report = run_soak(config, args.journal_dir, log=log)
+    if args.work_dir:
+        report = run_soak(config, args.work_dir, log=log)
     else:
         with tempfile.TemporaryDirectory(prefix="repro-soak-") as scratch:
             report = run_soak(config, scratch, log=log)
@@ -656,8 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
     run_p.add_argument("--profile", action="store_true",
                        help="print per-phase wall-clock timings (trace "
-                            "build / columnize / precompute / simulate / "
-                            "kernel-c / cache IO) and "
+                            "build / precompute / simulate / kernel-c / "
+                            "cache IO) and "
                             "the active kernel after the run")
     run_p.set_defaults(fn=cmd_run)
 
@@ -666,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     table_p.set_defaults(fn=cmd_table)
 
     figure_p = sub.add_parser("figure", help="reproduce a paper figure")
-    figure_p.add_argument("which", choices=sorted(_FIGURES))
+    figure_p.add_argument("which", choices=_FIGURES)
     figure_p.add_argument("--workloads", default=None,
                           help="comma-separated subset (default: all 19)")
     figure_p.add_argument("--uops", type=int, default=DEFAULT_MEASURE)
@@ -714,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"${TOKEN_ENV}, else ./{ADDRESS_FILE})")
         p.add_argument("--profile", action="store_true",
                        help="print per-phase wall-clock timings (trace "
-                            "build / columnize / precompute / simulate / "
-                            "kernel-c / cache IO) and "
+                            "build / precompute / simulate / kernel-c / "
+                            "cache IO) and "
                             "the active kernel after the campaign; "
                             "phases record in this process only, so "
                             "profile serial local runs for the full "
@@ -826,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="hard deadline on the whole run")
     cluster_soak_p.add_argument("--seed", type=int, default=1337,
                                 help="chaos schedule seed")
-    cluster_soak_p.add_argument("--journal-dir", default=None,
+    cluster_soak_p.add_argument("--work-dir", default=None,
                                 metavar="DIR",
                                 help="work directory for the fleet's "
                                      "shared result cache and trace "

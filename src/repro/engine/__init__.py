@@ -11,9 +11,7 @@ from repro.engine.api import (
     configure_default_engine,
     default_engine,
     reset_default_engine,
-    run_grid,
     run_jobs,
-    set_default_engine,
 )
 from repro.engine.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.engine.campaign import (
@@ -107,9 +105,7 @@ __all__ = [
     "resolve_jobs",
     "run_campaign",
     "run_count",
-    "run_grid",
     "run_service",
-    "set_default_engine",
     "service_running",
     "wait_for_service",
     "run_jobs",

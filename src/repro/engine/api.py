@@ -1,6 +1,6 @@
 """The experiment engine: batch execution of job grids with caching.
 
-Every driver (``runner``, ``figures``, ``reproduce``, the CLI, the
+Every driver (``runner``, campaigns, ``reproduce``, the CLI, the
 benchmark harness) funnels simulations through an :class:`Engine`, which
 composes one executor with one result cache:
 
@@ -15,7 +15,7 @@ entry points (CLI ``--jobs``, ``reproduce --jobs``) override it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.executors import (
@@ -25,7 +25,6 @@ from repro.engine.executors import (
     make_executor,
 )
 from repro.engine.job import SimJob
-from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimResult
 
 
@@ -87,34 +86,6 @@ class Engine:
     def run_job(self, job: SimJob) -> SimResult:
         return self.run_jobs([job])[0]
 
-    def run_grid(
-        self,
-        predictors: Iterable[str],
-        workloads: Iterable[str],
-        *,
-        n_uops: int,
-        warmup: int,
-        fpc: bool = True,
-        recovery: str = "squash",
-        entries: int = 8192,
-        config: CoreConfig | None = None,
-    ) -> dict[tuple[str, str], SimResult]:
-        """Sweep predictors × workloads; returns ``(predictor, workload)``-keyed results."""
-        preds = tuple(predictors)
-        wls = tuple(workloads)
-        jobs = [
-            SimJob.make(w, p, fpc=fpc, recovery=recovery, entries=entries,
-                        n_uops=n_uops, warmup=warmup, config=config)
-            for p in preds
-            for w in wls
-        ]
-        results = self.run_jobs(jobs)
-        return {
-            (p, w): results[pi * len(wls) + wi]
-            for pi, p in enumerate(preds)
-            for wi, w in enumerate(wls)
-        }
-
 
 # ---------------------------------------------------------------------------
 # Process-wide default engine.
@@ -152,20 +123,6 @@ def configure_default_engine(
     return _DEFAULT_ENGINE
 
 
-def set_default_engine(engine: Engine) -> Engine:
-    """Install *engine* as the process-wide default and return it.
-
-    For drivers that build a non-standard engine — e.g. the reproduce
-    driver with ``--backend cluster``, whose batches must go to daemons
-    *and* whose figure renderers replay from the same engine's cache —
-    so that every ``run_jobs(..., engine=None)`` call downstream shares
-    it.
-    """
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return engine
-
-
 def reset_default_engine() -> None:
     """Drop the default engine (next use rebuilds from the environment)."""
     global _DEFAULT_ENGINE
@@ -176,21 +133,3 @@ def run_jobs(jobs: Sequence[SimJob], engine: Engine | None = None) -> list[SimRe
     """Run a batch on *engine* (default: the process-wide engine)."""
     return (engine or default_engine()).run_jobs(jobs)
 
-
-def run_grid(
-    predictors: Iterable[str],
-    workloads: Iterable[str],
-    *,
-    n_uops: int,
-    warmup: int,
-    fpc: bool = True,
-    recovery: str = "squash",
-    entries: int = 8192,
-    config: CoreConfig | None = None,
-    engine: Engine | None = None,
-) -> dict[tuple[str, str], SimResult]:
-    """Sweep predictors × workloads on *engine* (default: process-wide)."""
-    return (engine or default_engine()).run_grid(
-        predictors, workloads, n_uops=n_uops, warmup=warmup, fpc=fpc,
-        recovery=recovery, entries=entries, config=config,
-    )

@@ -5,10 +5,9 @@ confidence × recovery × workload, with figure-specific extras — and this
 module makes such sweeps first-class values instead of ad-hoc loops:
 
 * an :class:`AxisBlock` maps axis names (``SimJob.make`` keyword names)
-  to value lists, expanded as a cross-product or zipped, then filtered;
+  to value lists, expanded as a cross-product;
 * a :class:`CampaignSpec` is a named list of blocks (so "a grid plus its
-  baselines" is one spec), with a deterministic :meth:`campaign_key`
-  derived from the unique job content keys;
+  baselines" is one spec);
 * :func:`run_campaign` executes a spec through an :class:`~repro.engine.api.Engine`
   as one batch and streams :class:`CampaignEvent` progress callbacks.
   The engine writes each result to its cache as it lands, so with a
@@ -24,7 +23,6 @@ See DESIGN.md, "Campaign & checkpoint architecture".
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import sys
 from collections.abc import Callable, Iterable, Mapping
@@ -33,7 +31,6 @@ from typing import Any
 
 from repro.engine.api import Engine, default_engine
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP, SimJob
-from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimResult
 
 #: Axis names a block may sweep — exactly the ``SimJob.make`` keywords.
@@ -73,32 +70,22 @@ def _check_axis_names(names: Iterable[str]) -> None:
 
 @dataclass(frozen=True)
 class AxisBlock:
-    """One axes→values mapping plus how to expand it.
+    """One axes→values mapping, expanded as a cross-product.
 
     ``axes`` preserves declaration order (the product iterates the last
-    axis fastest); ``base`` pins job fields shared by every point;
-    ``filters`` are predicates over the expanded point dict — a point
-    survives only if every filter returns true.  Filters run on *points*,
-    before jobs are built, so they can express cross-axis constraints
-    ("skip reissue for the oracle") declaratively at the spec layer.
+    axis fastest); ``base`` pins job fields shared by every point.
     """
 
     axes: tuple[tuple[str, tuple], ...]
-    mode: str = "product"
     base: tuple[tuple[str, Any], ...] = ()
-    filters: tuple[Callable[[dict], bool], ...] = ()
 
     @classmethod
     def make(
         cls,
         axes: Mapping[str, Iterable],
         *,
-        mode: str = "product",
         base: Mapping[str, Any] | None = None,
-        filters: Iterable[Callable[[dict], bool]] = (),
     ) -> "AxisBlock":
-        if mode not in ("product", "zip"):
-            raise ValueError(f"mode must be 'product' or 'zip', not {mode!r}")
         axis_items = tuple((name, tuple(values)) for name, values in axes.items())
         base_items = tuple((base or {}).items())
         _check_axis_names([n for n, _ in axis_items])
@@ -106,51 +93,20 @@ class AxisBlock:
         overlap = {n for n, _ in axis_items} & {n for n, _ in base_items}
         if overlap:
             raise ValueError(f"axes and base both set {sorted(overlap)}")
-        if mode == "zip" and axis_items:
-            lengths = {len(values) for _, values in axis_items}
-            if len(lengths) > 1:
-                raise ValueError(
-                    f"zip mode needs equal-length axes; got lengths {sorted(lengths)}"
-                )
-        return cls(axes=axis_items, mode=mode, base=base_items,
-                   filters=tuple(filters))
+        return cls(axes=axis_items, base=base_items)
 
     def points(self) -> list[dict]:
         """Expand to normalised point dicts (every job field present)."""
         names = [n for n, _ in self.axes]
-        value_lists = [v for _, v in self.axes]
-        if not names:
-            combos: Iterable[tuple] = [()]
-        elif self.mode == "zip":
-            combos = zip(*value_lists)
-        else:
-            combos = itertools.product(*value_lists)
         out = []
-        base = dict(self.base)
-        for combo in combos:
+        for combo in itertools.product(*(v for _, v in self.axes)):
             point = dict(_POINT_DEFAULTS)
-            point.update(base)
+            point.update(self.base)
             point.update(zip(names, combo))
             if "workload" not in point:
                 raise ValueError("every campaign point needs a 'workload'")
-            if all(f(point) for f in self.filters):
-                out.append(point)
+            out.append(point)
         return out
-
-    def describe(self) -> dict:
-        return {
-            "axes": {name: [_jsonable(v) for v in values]
-                     for name, values in self.axes},
-            "mode": self.mode,
-            "base": {name: _jsonable(v) for name, v in self.base},
-            "filters": len(self.filters),
-        }
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, CoreConfig):
-        return value.to_dict()
-    return value
 
 
 @dataclass(frozen=True)
@@ -168,8 +124,7 @@ class CampaignSpec:
 
     or compose blocks (a figure grid plus its no-VP baselines) with
     :meth:`union`.  ``meta`` carries renderer hints (slice sizes, workload
-    order); it is *not* part of the campaign identity — only the expanded
-    job set is.
+    order); it never reaches a job.
     """
 
     name: str
@@ -182,12 +137,10 @@ class CampaignSpec:
         name: str,
         axes: Mapping[str, Iterable],
         *,
-        mode: str = "product",
         base: Mapping[str, Any] | None = None,
-        filters: Iterable[Callable[[dict], bool]] = (),
         meta: Mapping[str, Any] | None = None,
     ) -> "CampaignSpec":
-        block = AxisBlock.make(axes, mode=mode, base=base, filters=filters)
+        block = AxisBlock.make(axes, base=base)
         return cls(name=name, blocks=(block,), meta=tuple((meta or {}).items()))
 
     @classmethod
@@ -209,40 +162,13 @@ class CampaignSpec:
     def points(self) -> list[dict]:
         return [point for block in self.blocks for point in block.points()]
 
-    def jobs(self) -> list[SimJob]:
-        """One job per point, in point order (duplicates preserved)."""
-        return [SimJob.make(**point) for point in self.points()]
-
     def unique_jobs(self) -> dict[str, SimJob]:
         """Content-key → job, first occurrence wins, order preserved."""
         unique: dict[str, SimJob] = {}
-        for job in self.jobs():
+        for point in self.points():
+            job = SimJob.make(**point)
             unique.setdefault(job.content_key(), job)
         return unique
-
-    def campaign_key(self) -> str:
-        """Digest of the expanded job set — the campaign's identity.
-
-        Depends only on *which simulations* the spec denotes (sorted unique
-        job content keys), so respelling axes, reordering blocks or
-        renaming the campaign never changes it, while any change to the
-        actual job set does.
-        """
-        return _digest_job_keys(self.unique_jobs())
-
-    def describe(self) -> dict:
-        unique = self.unique_jobs()
-        return {
-            "name": self.name,
-            "blocks": [block.describe() for block in self.blocks],
-            "points": len(self.points()),
-            "unique_jobs": len(unique),
-            "key": self.campaign_key(),
-        }
-
-
-def _digest_job_keys(keys: Iterable[str]) -> str:
-    return hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +245,6 @@ class CampaignResult:
 
     spec: CampaignSpec
     points: list[dict]
-    jobs: list[SimJob]
     keys: list[str]
     results_by_key: dict[str, SimResult]
     stats: dict = field(default_factory=dict)
@@ -343,11 +268,6 @@ class CampaignResult:
             for i, point in enumerate(self.points)
             if all(point.get(name) == value for name, value in axes.items())
         ]
-
-    def select(self, **axes: Any) -> list[tuple[dict, SimResult]]:
-        """Points (with results) whose fields match every given value."""
-        return [(self.points[i], self.results_by_key[self.keys[i]])
-                for i in self._indices(axes)]
 
     def lookup(self, **axes: Any) -> SimResult:
         """The single result matching the given axis values.
@@ -425,11 +345,12 @@ def run_campaign(
     """
     engine = engine or default_engine()
     points = spec.points()
-    jobs = [SimJob.make(**point) for point in points]
-    keys = [job.content_key() for job in jobs]
+    keys: list[str] = []
     unique: dict[str, SimJob] = {}
-    for key, job in zip(keys, jobs):
-        unique.setdefault(key, job)
+    for point in points:
+        job = SimJob.make(**point)
+        keys.append(job.content_key())
+        unique.setdefault(keys[-1], job)
     todo = list(unique.values())
     done = 0
 
@@ -443,6 +364,6 @@ def run_campaign(
     hits = engine.cache.hits - hits_before
     stats = {"total": len(unique), "executed": len(unique) - hits,
              "cache_hits": hits}
-    return CampaignResult(spec=spec, points=points, jobs=jobs, keys=keys,
+    return CampaignResult(spec=spec, points=points, keys=keys,
                           results_by_key=dict(zip(unique, results)),
                           stats=stats)

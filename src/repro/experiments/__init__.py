@@ -1,6 +1,6 @@
 """Experiment drivers: one callable per table/figure of the paper.
 
-* :mod:`repro.experiments.runner` — predictor factories, suite runs,
+* :mod:`repro.experiments.runner` — predictor factories, single runs,
   baseline caching;
 * :mod:`repro.experiments.campaigns` — the declarative campaign spec
   behind each figure sweep (plus ``reproduce`` and ``scenario-sweep``);
@@ -32,9 +32,7 @@ from repro.experiments.runner import (
     baseline_result,
     make_confidence,
     make_predictor,
-    run_suite,
     run_workload,
-    speedups,
 )
 from repro.experiments.tables import table1, table1_rows, table2, table3
 
@@ -56,9 +54,7 @@ __all__ = [
     "figure7",
     "make_confidence",
     "make_predictor",
-    "run_suite",
     "run_workload",
-    "speedups",
     "table1",
     "table1_rows",
     "table2",

@@ -2,16 +2,16 @@
 
 Each builder returns the :class:`~repro.engine.campaign.CampaignSpec` for
 one evaluation grid — the predictor/confidence/recovery/workload product a
-figure needs *plus* the no-VP baseline block its speedups divide by.  The
-figure renderers in :mod:`repro.experiments.figures` execute these specs
-and aggregate through :class:`~repro.engine.campaign.CampaignResult`;
-``repro campaign run/status`` executes them standalone; with a disk
-result cache (``--cache-dir``) a sweep survives kills and a rerun
-resumes bit-identically.
+figure needs *plus* the no-VP baseline block its speedups divide by.
+``run_campaign`` executes a spec and the figure renderers in
+:mod:`repro.experiments.figures` read the returned
+:class:`~repro.engine.campaign.CampaignResult`; with a disk result cache
+(``--cache-dir``) a sweep survives kills and a rerun resumes
+bit-identically.
 
 ``CAMPAIGNS`` is the registry the CLI exposes.  ``reproduce`` is the union
-of every figure grid — running it once makes the whole of
-``repro.experiments.reproduce`` a cache replay.
+of every figure grid: ``repro.experiments.reproduce`` runs it once and
+renders Figures 3–7 from that one result.
 """
 
 from __future__ import annotations
@@ -22,14 +22,10 @@ from typing import Callable
 from repro.analysis.report import format_table, geometric_mean
 from repro.engine.campaign import AxisBlock, CampaignResult, CampaignSpec
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP
+from repro.experiments import figures
+from repro.experiments.figures import HYBRID_SCHEMES, SINGLE_SCHEMES
 from repro.workloads.catalog import ALL_WORKLOADS
 from repro.workloads.scenarios import scenario_axis
-
-#: Single-scheme predictors of Figures 4/5 (paper Section 8.2).
-SINGLE_SCHEMES = ("lvp", "2dstride", "fcm", "vtage")
-
-#: Hybrid comparison set of Figure 7 (paper Section 8.3).
-HYBRID_SCHEMES = ("2dstride", "fcm", "vtage", "fcm-2dstride", "vtage-2dstride")
 
 
 def _sizes(n_uops: int, warmup: int) -> dict:
@@ -235,20 +231,6 @@ def render_scenario_sweep(result: CampaignResult) -> str:
     )
 
 
-def _render_figure(which: str):
-    def render(result: CampaignResult) -> str:
-        # Imported lazily — figures imports this module for the specs.
-        from repro.experiments import figures
-
-        meta = result.spec.meta_dict()
-        fig = getattr(figures, f"figure{which}")(
-            workloads=tuple(meta["workloads"]), n_uops=meta["n_uops"],
-            warmup=meta["warmup"],
-        )
-        return fig.text
-    return render
-
-
 @dataclass(frozen=True)
 class CampaignDef:
     """Registry entry: how to build (and optionally render) a campaign."""
@@ -263,15 +245,15 @@ CAMPAIGNS: dict[str, CampaignDef] = {
     d.name: d
     for d in (
         CampaignDef("fig3", "oracle speedup upper bound (Figure 3)",
-                    figure3_campaign, _render_figure("3")),
+                    figure3_campaign, lambda r: figures.figure3(r).text),
         CampaignDef("fig4", "squash-at-commit predictor grid (Figure 4)",
-                    figure4_campaign, _render_figure("4")),
+                    figure4_campaign, lambda r: figures.figure4(r).text),
         CampaignDef("fig5", "selective-reissue predictor grid (Figure 5)",
-                    figure5_campaign, _render_figure("5")),
+                    figure5_campaign, lambda r: figures.figure5(r).text),
         CampaignDef("fig6", "VTAGE with/without FPC (Figure 6)",
-                    figure6_campaign, _render_figure("6")),
+                    figure6_campaign, lambda r: figures.figure6(r).text),
         CampaignDef("fig7", "hybrid predictors (Figure 7)",
-                    figure7_campaign, _render_figure("7")),
+                    figure7_campaign, lambda r: figures.figure7(r).text),
         CampaignDef("reproduce", "union of every figure grid (the full run)",
                     reproduce_campaign, None),
         CampaignDef("scenario-sweep",

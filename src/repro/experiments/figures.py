@@ -1,15 +1,16 @@
 """Reproductions of the paper's figures.
 
 Every function returns a :class:`FigureResult`: the raw per-benchmark
-series plus a rendered text version (tables + ASCII bar charts).  The
-drivers accept slice sizes so benchmarks can run scaled-down versions while
-the reproduce driver runs fuller ones.
+series plus a rendered text version (tables + ASCII bar charts).
 
-Each simulation-backed figure is *one campaign*: its job grid comes from
-the matching spec in :mod:`repro.experiments.campaigns`, executes through
-:func:`~repro.engine.campaign.run_campaign` (so a pool executor sees the
-whole grid at once), and the series below are read off the returned
-:class:`~repro.engine.campaign.CampaignResult`'s aggregation hooks.
+Figures 3–7 are pure views of a
+:class:`~repro.engine.campaign.CampaignResult`: they simulate nothing and
+read their series off its aggregation hooks, with workload order taken
+from ``result.spec.meta``.  The result may be the figure's own campaign
+(``figureN_campaign`` in :mod:`repro.experiments.campaigns`) or any
+superset of it, such as the ``reproduce`` union: every read pins the
+predictor, confidence and recovery axes it means, so cells of the other
+figures never leak in.
 
 Paper-figure inventory (Section 8):
 
@@ -26,18 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import ascii_bar_chart, format_table, geometric_mean
-from repro.engine.campaign import run_campaign
-from repro.experiments.campaigns import (
-    HYBRID_SCHEMES,
-    SINGLE_SCHEMES,
-    figure3_campaign,
-    figure4_campaign,
-    figure5_campaign,
-    figure6_campaign,
-    figure7_campaign,
-)
-from repro.experiments.runner import DEFAULT_MEASURE, DEFAULT_WARMUP
+from repro.engine.campaign import CampaignResult
+from repro.engine.job import DEFAULT_MEASURE
 from repro.workloads.catalog import ALL_WORKLOADS, build_trace
+
+#: Single-scheme predictors of Figures 4/5 (paper Section 8.2).
+SINGLE_SCHEMES = ("lvp", "2dstride", "fcm", "vtage")
+
+#: Hybrid comparison set of Figure 7 (paper Section 8.3).
+HYBRID_SCHEMES = ("2dstride", "fcm", "vtage", "fcm-2dstride", "vtage-2dstride")
 
 
 @dataclass
@@ -51,6 +49,11 @@ class FigureResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text
+
+
+def _workloads(result: CampaignResult) -> tuple[str, ...]:
+    """The campaign's workload order, which every figure table follows."""
+    return tuple(result.spec.meta_dict()["workloads"])
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +138,10 @@ def figure1(
 # Figure 3: oracle upper bound.
 # ---------------------------------------------------------------------------
 
-def figure3(
-    workloads: tuple[str, ...] = ALL_WORKLOADS,
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-) -> FigureResult:
+def figure3(result: CampaignResult) -> FigureResult:
     """Speedup upper bound: an oracle predicts all results (Fig. 3)."""
-    res = run_campaign(figure3_campaign(workloads, n_uops, warmup))
-    series = res.speedup_by_workload(predictor="oracle")
+    series = result.speedup_by_workload(predictor="oracle", fpc=True,
+                                        recovery="squash")
     text = ascii_bar_chart(
         series,
         title="Figure 3: speedup upper bound (perfect value predictor)",
@@ -154,31 +153,19 @@ def figure3(
 # ---------------------------------------------------------------------------
 # Figures 4 & 5: single-scheme predictors, two recovery mechanisms.
 # ---------------------------------------------------------------------------
-# SINGLE_SCHEMES / HYBRID_SCHEMES are defined next to the campaign specs
-# (repro.experiments.campaigns) and re-exported here for existing callers.
 
 
-def _predictor_grid(
-    recovery: str,
-    workloads: tuple[str, ...],
-    n_uops: int,
-    warmup: int,
-) -> dict:
-    """Run the Fig. 4/5 campaign and pivot it into the legacy grid shape."""
-    spec = (figure4_campaign if recovery == "squash" else figure5_campaign)(
-        workloads, n_uops, warmup
-    )
-    res = run_campaign(spec)
+def _predictor_grid(result: CampaignResult, recovery: str) -> dict:
+    """Pivot the Fig. 4/5 cells into confidence → scheme → series."""
     grid: dict = {}
     for fpc in (False, True):
         label = "FPC" if fpc else "baseline"
         grid[label] = {}
         for scheme in SINGLE_SCHEMES:
-            results = res.by("workload", predictor=scheme, fpc=fpc,
-                             recovery=recovery)
+            pins = {"predictor": scheme, "fpc": fpc, "recovery": recovery}
+            results = result.by("workload", **pins)
             grid[label][scheme] = {
-                "speedup": res.speedup_by_workload(predictor=scheme, fpc=fpc,
-                                                   recovery=recovery),
+                "speedup": result.speedup_by_workload(**pins),
                 "coverage": {w: r.coverage for w, r in results.items()},
                 "accuracy": {w: r.accuracy for w, r in results.items()},
                 "squashes": {w: r.vp_squashes for w, r in results.items()},
@@ -213,27 +200,19 @@ def _render_grid(figure_id: str, title: str, grid: dict) -> str:
     return "\n\n".join(blocks)
 
 
-def figure4(
-    workloads: tuple[str, ...] = ALL_WORKLOADS,
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-) -> FigureResult:
+def figure4(result: CampaignResult) -> FigureResult:
     """Fig. 4: speedups with squash-at-commit recovery, (a) baseline 3-bit
     counters, (b) FPC."""
-    grid = _predictor_grid("squash", workloads, n_uops, warmup)
+    grid = _predictor_grid(result, "squash")
     text = _render_grid(
         "fig4", "Figure 4: squashing at commit on value misprediction", grid
     )
     return FigureResult("fig4", "Squash-at-commit speedups", series=grid, text=text)
 
 
-def figure5(
-    workloads: tuple[str, ...] = ALL_WORKLOADS,
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-) -> FigureResult:
+def figure5(result: CampaignResult) -> FigureResult:
     """Fig. 5: speedups with idealistic selective reissue."""
-    grid = _predictor_grid("reissue", workloads, n_uops, warmup)
+    grid = _predictor_grid(result, "reissue")
     text = _render_grid(
         "fig5", "Figure 5: idealistic selective reissue on value misprediction",
         grid,
@@ -245,18 +224,15 @@ def figure5(
 # Figure 6: VTAGE speedup and coverage, with and without FPC.
 # ---------------------------------------------------------------------------
 
-def figure6(
-    workloads: tuple[str, ...] = ALL_WORKLOADS,
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-) -> FigureResult:
-    res = run_campaign(figure6_campaign(workloads, n_uops, warmup))
+def figure6(result: CampaignResult) -> FigureResult:
+    """Fig. 6: VTAGE speedup, coverage and accuracy, 3-bit vs FPC."""
     series: dict = {}
     for fpc in (False, True):
         label = "FPC" if fpc else "baseline"
-        results = res.by("workload", predictor="vtage", fpc=fpc)
+        pins = {"predictor": "vtage", "fpc": fpc, "recovery": "squash"}
+        results = result.by("workload", **pins)
         series[label] = {
-            "speedup": res.speedup_by_workload(predictor="vtage", fpc=fpc),
+            "speedup": result.speedup_by_workload(**pins),
             "coverage": {w: r.coverage for w, r in results.items()},
             "accuracy": {w: r.accuracy for w, r in results.items()},
         }
@@ -270,7 +246,7 @@ def figure6(
             f"{series['baseline']['accuracy'][w]:.4f}",
             f"{series['FPC']['accuracy'][w]:.4f}",
         )
-        for w in workloads
+        for w in _workloads(result)
     ]
     text = format_table(
         ["benchmark", "speedup(base)", "speedup(FPC)",
@@ -287,22 +263,19 @@ def figure6(
 # ---------------------------------------------------------------------------
 
 
-def figure7(
-    workloads: tuple[str, ...] = ALL_WORKLOADS,
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-) -> FigureResult:
-    res = run_campaign(figure7_campaign(workloads, n_uops, warmup))
+def figure7(result: CampaignResult) -> FigureResult:
+    """Fig. 7: hybrids against their components (FPC, squash at commit)."""
     series: dict = {}
     for scheme in HYBRID_SCHEMES:
-        results = res.by("workload", predictor=scheme)
+        pins = {"predictor": scheme, "fpc": True, "recovery": "squash"}
+        results = result.by("workload", **pins)
         series[scheme] = {
-            "speedup": res.speedup_by_workload(predictor=scheme),
+            "speedup": result.speedup_by_workload(**pins),
             "coverage": {w: r.coverage for w, r in results.items()},
         }
     speed_rows = []
     cov_rows = []
-    for w in workloads:
+    for w in _workloads(result):
         speed_rows.append([w] + [f"{series[s]['speedup'][w]:.3f}" for s in HYBRID_SCHEMES])
         cov_rows.append([w] + [f"{series[s]['coverage'][w]:.2f}" for s in HYBRID_SCHEMES])
     speed_rows.append(

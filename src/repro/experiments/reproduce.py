@@ -6,8 +6,8 @@ the whole evaluation and writes the paper-vs-reproduction report to stdout
 
 The whole evaluation is *one campaign*: the union of every figure grid
 (:func:`repro.experiments.campaigns.reproduce_campaign`) executes up
-front through :func:`~repro.engine.campaign.run_campaign`, after which
-the figure renderers are pure cache replays.
+front through :func:`~repro.engine.campaign.run_campaign`, and Figures
+3–7 are rendered from that one result; nothing simulates after it.
 
 Every simulation goes through the experiment engine: ``--jobs``/``-j`` (or
 ``REPRO_JOBS``) fans the campaign out over a process pool, and
@@ -28,8 +28,8 @@ from repro.analysis.cost_model import (
     recovery_benefit_per_kilo_instruction,
     vp_register_file_overheads,
 )
-from repro.analysis.report import format_table, geometric_mean
-from repro.engine.api import configure_default_engine, set_default_engine
+from repro.analysis.report import format_table
+from repro.engine.api import configure_default_engine
 from repro.engine.campaign import (
     BACKENDS,
     engine_for_backend,
@@ -124,19 +124,18 @@ def main(argv: list[str] | None = None) -> int:
                                       cache_dir=args.cache_dir)
     if args.backend != "local":
         # Cluster backend: batches go to the daemons over this process's
-        # result cache, and the cluster engine *becomes* the default so
-        # the figure renderers below replay from that cache.
+        # result cache.
         if args.jobs is not None:
             print("note: --jobs applies to the daemons, not this client; "
                   "it is ignored with --backend cluster", file=sys.stderr)
         try:
-            engine = set_default_engine(engine_for_backend(args.backend))
+            engine = engine_for_backend(args.backend)
         except ServiceError as exc:
             raise SystemExit(f"error: {exc}") from None
     t0 = time.time()
 
-    # Execute the whole evaluation as one campaign; the per-figure
-    # rendering below then replays it from the result cache.
+    # Execute the whole evaluation as one campaign; Figures 3-7 below are
+    # views of its result.
     spec = reproduce_campaign(n_uops=n_uops, warmup=warmup)
     try:
         campaign = run_campaign(spec, engine=engine,
@@ -168,12 +167,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print("## Figures")
     print()
-    for fig_fn in (figures.figure1, figures.figure3, figures.figure4,
-                   figures.figure5, figures.figure6, figures.figure7):
-        if fig_fn is figures.figure1:
-            fig = fig_fn()
-        else:
-            fig = fig_fn(n_uops=n_uops, warmup=warmup)
+    for fig in (figures.figure1(), figures.figure3(campaign),
+                figures.figure4(campaign), figures.figure5(campaign),
+                figures.figure6(campaign), figures.figure7(campaign)):
         print(f"### {fig.figure_id}: {fig.title}")
         print()
         print("```"); print(fig.text); print("```"); print()

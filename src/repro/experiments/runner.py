@@ -1,6 +1,6 @@
-"""Experiment plumbing: predictor construction, runs, sweeps and caching.
+"""Experiment plumbing: predictor construction, single runs and baselines.
 
-Every figure driver composes three things: a predictor configuration (by
+Every run composes three things: a predictor configuration (by
 name), a set of workloads, and the core's recovery mode.  All runs go
 through the experiment engine (:mod:`repro.engine`): jobs are declarative
 :class:`~repro.engine.job.SimJob` specs, executed serially or on a
@@ -18,11 +18,10 @@ from dataclasses import replace
 from repro.core.confidence import (
     ConfidencePolicy,
     ForwardProbabilisticCounters,
-    WideConfidence,
 )
 from repro.core.hybrid import HybridPredictor
 from repro.core.vtage import VTAGEPredictor
-from repro.engine.api import Engine, default_engine, run_jobs
+from repro.engine.api import Engine, default_engine
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP, SimJob
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import simulate
@@ -32,7 +31,7 @@ from repro.predictors.fcm import DifferentialFCMPredictor, FCMPredictor
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
 from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
-from repro.workloads.catalog import ALL_WORKLOADS, build_trace
+from repro.workloads.catalog import build_trace
 
 # DEFAULT_WARMUP / DEFAULT_MEASURE are defined canonically next to SimJob
 # (repro.engine.job) and re-exported here for the many existing callers.
@@ -180,41 +179,3 @@ def baseline_result(
     job = baseline_job(workload, n_uops=n_uops, warmup=warmup, config=config)
     return (engine or default_engine()).run_job(job)
 
-
-def run_suite(
-    predictor_name: str,
-    workloads: tuple[str, ...] = ALL_WORKLOADS,
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-    fpc: bool = True,
-    recovery: str = "squash",
-    engine: Engine | None = None,
-) -> dict[str, SimResult]:
-    """Run one predictor configuration over a set of workloads (one batch)."""
-    jobs = [
-        SimJob.make(workload, predictor_name, fpc=fpc, recovery=recovery,
-                    n_uops=n_uops, warmup=warmup)
-        for workload in workloads
-    ]
-    results = run_jobs(jobs, engine=engine)
-    return dict(zip(workloads, results))
-
-
-def speedups(
-    results: dict[str, SimResult],
-    n_uops: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
-    config: CoreConfig | None = None,
-    engine: Engine | None = None,
-) -> dict[str, float]:
-    """Speedup of each run over the engine-cached no-VP baseline.
-
-    Baselines for all workloads are submitted as one batch so a pool
-    executor computes them in parallel on a cold cache.
-    """
-    jobs = [baseline_job(w, n_uops, warmup, config=config) for w in results]
-    baselines = run_jobs(jobs, engine=engine)
-    return {
-        workload: result.speedup_over(base)
-        for (workload, result), base in zip(results.items(), baselines)
-    }

@@ -182,6 +182,11 @@ class PackedColumns:
                 raise ValueError(f"column {name}: length {arr.shape} != n")
 
 
+def _predictor_keys(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """Every µop's :meth:`MicroOp.predictor_key`, from packed columns."""
+    return (arrays["pcs"] << np.uint64(2)) ^ arrays["uop_indexes"].astype(np.uint64)
+
+
 class TraceColumns:
     """Flat parallel lists of the per-µop fields the scheduler consumes.
 
@@ -257,9 +262,7 @@ class TraceColumns:
         self.is_branch = is_branch.tolist()
         self.is_cond_branch = (ops == _BRANCH_INT).tolist()
         self.produces_value = ((dsts >= 0) & ~is_branch).tolist()
-        self.pkeys = (
-            (a["pcs"] << np.uint64(2)) ^ a["uop_indexes"].astype(np.uint64)
-        ).tolist()
+        self.pkeys = _predictor_keys(a).tolist()
 
 
 @dataclass(slots=True)
@@ -428,16 +431,16 @@ class Trace:
         and for which the previous occurrence was fetched in the previous
         cycle (8-wide Fetch)".
         """
-        last_seen: dict[int, int] = {}
-        eligible = 0
-        back_to_back = 0
-        for position, uop in enumerate(self.uops):
-            if not uop.produces_value:
-                continue
-            eligible += 1
-            key = uop.predictor_key()
-            previous = last_seen.get(key)
-            if previous is not None and (position - previous) <= fetch_width:
-                back_to_back += 1
-            last_seen[key] = position
-        return back_to_back / eligible if eligible else 0.0
+        a = self.packed().arrays
+        is_branch = np.isin(a["ops"], _CTRL_INTS)
+        positions = np.flatnonzero((a["dsts"] >= 0) & ~is_branch)
+        if not positions.size:
+            return 0.0
+        keys = _predictor_keys(a)[positions]
+        # Group each key's occurrences (stable, so still in trace order)
+        # and measure the distance from every occurrence to the previous.
+        order = np.argsort(keys, kind="stable")
+        keys, positions = keys[order], positions[order]
+        same_key = keys[1:] == keys[:-1]
+        close = (positions[1:] - positions[:-1]) <= fetch_width
+        return int(np.count_nonzero(same_key & close)) / positions.size

@@ -9,7 +9,6 @@ rationale).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
@@ -138,17 +137,13 @@ ALL_WORKLOADS = tuple(w.name for w in WORKLOADS)
 # The cache is a *bounded* LRU: a long-lived `repro cluster serve` daemon
 # sweeping many scenario workloads must not grow it without limit, so
 # inserts evict least-recently-used traces past an entry count and a
-# packed-byte budget (tunable via the environment, read per call so tests
-# can flip them).
+# packed-byte budget.  A cached trace holds its packed columns only; the
+# list view the spec loop reads is built on first use and not charged.
 # Budget accounting charges each trace its packed bytes *plus* any
 # precompute planes attached to it (``trace._plane_cache``, see
 # pipeline/precompute.py) — planes grow after insertion, so occupancy is
 # re-summed at insert time rather than tracked incrementally.
 _TRACE_CACHE: OrderedDict[tuple[str, int, int], Trace] = OrderedDict()
-
-#: Environment variables bounding the per-process trace cache.
-TRACE_CACHE_ENTRIES_ENV = "REPRO_TRACE_CACHE_ENTRIES"
-TRACE_CACHE_MB_ENV = "REPRO_TRACE_CACHE_MB"
 
 #: Default LRU budgets: entries and packed megabytes.  A 48k-µop packed
 #: trace is ~3.5 MB, so the defaults hold every distinct trace of a full
@@ -161,23 +156,6 @@ TRACE_CACHE_MAX_MB = 512
 # to prove structurally that warm paths skip generation.
 _GEN_COUNT = 0
 _STORE_LOAD_COUNT = 0
-
-
-def _cache_budgets() -> tuple[int, int]:
-    """(max entries, max bytes) for the LRU, honouring the env overrides."""
-    try:
-        entries = int(os.environ.get(TRACE_CACHE_ENTRIES_ENV, ""))
-    except ValueError:
-        entries = TRACE_CACHE_MAX_ENTRIES
-    if entries < 1:
-        entries = TRACE_CACHE_MAX_ENTRIES
-    try:
-        mb = float(os.environ.get(TRACE_CACHE_MB_ENV, ""))
-    except ValueError:
-        mb = TRACE_CACHE_MAX_MB
-    if mb <= 0:
-        mb = TRACE_CACHE_MAX_MB
-    return entries, int(mb * 1024 * 1024)
 
 
 def _plane_bytes(trace: Trace) -> int:
@@ -202,20 +180,28 @@ def _cache_bytes() -> int:
     return sum(_charged_bytes(trace) for trace in _TRACE_CACHE.values())
 
 
-def _cache_insert(key: tuple[str, int, int], trace: Trace) -> None:
-    """Insert (or refresh) a trace and evict LRU entries past the budgets.
+def _cache_insert(key: tuple[str, int, int], trace: Trace) -> Trace:
+    """Cache *trace* under its identity *key* and return the cached form.
 
-    The newly inserted trace itself is never evicted, so a single trace
-    larger than the whole byte budget still caches (budget-keeping resumes
-    with the next insert).
+    The cache holds packed columns only: a generated, sliced or tiled
+    trace also carries its µop list, which is dropped so the cache keeps
+    just the bytes its budget counts (consumers rebuild µops on demand).
+    Then LRU entries past the budgets are evicted.  The newly inserted
+    trace itself is never evicted, so a single trace larger than the
+    whole byte budget still caches (budget-keeping resumes with the next
+    insert).
     """
+    cached = Trace.from_packed(trace.packed(), name=trace.name)
+    cached.store_identity = key
     _TRACE_CACHE.pop(key, None)
-    _TRACE_CACHE[key] = trace
-    max_entries, max_bytes = _cache_budgets()
+    _TRACE_CACHE[key] = cached
+    max_bytes = TRACE_CACHE_MAX_MB * 1024 * 1024
     while len(_TRACE_CACHE) > 1 and (
-        len(_TRACE_CACHE) > max_entries or _cache_bytes() > max_bytes
+        len(_TRACE_CACHE) > TRACE_CACHE_MAX_ENTRIES
+        or _cache_bytes() > max_bytes
     ):
         _TRACE_CACHE.popitem(last=False)
+    return cached
 
 
 def _cache_get(key: tuple[str, int, int]) -> Trace | None:
@@ -351,36 +337,23 @@ def build_trace(name: str, n_uops: int, seed: int | None = None, cache: bool = T
             trace = ingest.materialise(name, n_uops)
         _STORE_LOAD_COUNT += 1
         trace.store_identity = key
-        if cache:
-            with profiling.phase("trace-columnize"):
-                trace.columns()
-            _cache_insert(key, trace)
-        return trace
+        return _cache_insert(key, trace) if cache else trace
     store = default_trace_store() if cache else None
     if store is not None:
         loaded = store.get(name, n_uops, effective_seed)
         if loaded is not None:
             _STORE_LOAD_COUNT += 1
-            loaded.store_identity = key
-            with profiling.phase("trace-columnize"):
-                loaded.columns()
-            _cache_insert(key, loaded)
-            return loaded
+            return _cache_insert(key, loaded)
     with profiling.phase("trace-build"):
         trace = _generate_trace(name, n_uops, effective_seed)
     # Stamp the catalog identity so derived products (precompute planes)
     # can persist themselves next to the trace's store entry.
     trace.store_identity = key
-    if cache:
-        # Materialise the columnar view once per cached trace, so every
-        # simulation that reuses the trace skips the per-µop rederivation
-        # (predictor keys, line ids, op-class flags) in the scheduler loop.
-        with profiling.phase("trace-columnize"):
-            trace.columns()
-        if store is not None:
-            store.put(trace, name, n_uops, effective_seed)
-        _cache_insert(key, trace)
-    return trace
+    if not cache:
+        return trace
+    if store is not None:
+        store.put(trace, name, n_uops, effective_seed)
+    return _cache_insert(key, trace)
 
 
 def clear_trace_cache() -> None:

@@ -16,8 +16,6 @@ from repro.experiments.runner import (
     baseline_result,
     make_predictor,
     run_workload,
-    speedups,
-    run_suite,
 )
 from repro.workloads.catalog import ALL_WORKLOADS
 
@@ -96,12 +94,6 @@ class TestCrossWorkload:
             vtage = run_workload(name, make_predictor("vtage"), **SMALL)
             assert oracle.ipc >= base.ipc * 0.99
             assert oracle.ipc >= vtage.ipc * 0.97
-
-    def test_speedups_helper(self):
-        results = run_suite("lvp", workloads=("gzip", "vpr"), **SMALL)
-        ratio = speedups(results, **SMALL)
-        assert set(ratio) == {"gzip", "vpr"}
-        assert all(r > 0 for r in ratio.values())
 
 
 class TestRecoveryModes:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.experiments import figures, tables
+from repro.engine.api import Engine, reset_default_engine
+from repro.engine.cache import ResultCache
+from repro.engine.campaign import run_campaign
+from repro.engine.executors import SerialExecutor
+from repro.experiments import campaigns, figures, reproduce, tables
 from repro.workloads.catalog import ALL_WORKLOADS
 
 TINY = dict(workloads=("gzip", "crafty", "wupwise"), n_uops=5000, warmup=2500)
@@ -47,7 +51,7 @@ class TestFigure1:
 
 class TestFigure3:
     def test_oracle_speedups_above_one(self):
-        fig = figures.figure3(**TINY)
+        fig = figures.figure3(run_campaign(campaigns.figure3_campaign(**TINY)))
         series = fig.series["speedup"]
         assert all(s >= 0.95 for s in series.values())
         assert max(series.values()) > 1.2
@@ -56,7 +60,7 @@ class TestFigure3:
 class TestFigure4and5:
     @pytest.fixture(scope="class")
     def fig4(self):
-        return figures.figure4(**TINY)
+        return figures.figure4(run_campaign(campaigns.figure4_campaign(**TINY)))
 
     def test_grid_structure(self, fig4):
         assert set(fig4.series) == {"baseline", "FPC"}
@@ -81,19 +85,71 @@ class TestFigure4and5:
         assert drops > 0
 
     def test_figure5_reissue_grid(self):
-        fig5 = figures.figure5(workloads=("crafty",), n_uops=5000, warmup=2500)
+        fig5 = figures.figure5(run_campaign(campaigns.figure5_campaign(
+            workloads=("crafty",), n_uops=5000, warmup=2500)))
         assert "reissue" in fig5.text.lower() or "Figure 5" in fig5.text
 
 
 class TestFigure6and7:
     def test_figure6_series(self):
-        fig = figures.figure6(workloads=("gzip", "crafty"), n_uops=5000, warmup=2500)
+        fig = figures.figure6(run_campaign(campaigns.figure6_campaign(
+            workloads=("gzip", "crafty"), n_uops=5000, warmup=2500)))
         assert set(fig.series) == {"baseline", "FPC"}
         assert "coverage" in fig.series["FPC"]
 
     def test_figure7_hybrid_coverage_geq_components(self):
-        fig = figures.figure7(workloads=("hmmer",), n_uops=8000, warmup=4000)
+        fig = figures.figure7(run_campaign(campaigns.figure7_campaign(
+            workloads=("hmmer",), n_uops=8000, warmup=4000)))
         hybrid_cov = fig.series["vtage-2dstride"]["coverage"]["hmmer"]
         vtage_cov = fig.series["vtage"]["coverage"]["hmmer"]
         stride_cov = fig.series["2dstride"]["coverage"]["hmmer"]
         assert hybrid_cov >= max(vtage_cov, stride_cov) - 0.05
+
+
+class TestOneRenderPath:
+    """Figures 3-7 are views of whichever campaign result holds their
+    cells: their own campaign or the ``reproduce`` union."""
+
+    SMALL = dict(workloads=("gzip", "crafty"), n_uops=1500, warmup=800)
+
+    @pytest.fixture(scope="class")
+    def union(self):
+        engine = Engine(SerialExecutor(), ResultCache())
+        spec = campaigns.reproduce_campaign(**self.SMALL)
+        return engine, run_campaign(spec, engine=engine)
+
+    @pytest.mark.parametrize("which", ["3", "4", "5", "6", "7"])
+    def test_own_campaign_and_union_render_alike(self, union, which):
+        engine, result = union
+        spec = getattr(campaigns, f"figure{which}_campaign")(**self.SMALL)
+        render = getattr(figures, f"figure{which}")
+        own = render(run_campaign(spec, engine=engine))
+        assert own.text == render(result).text
+
+    def test_reproduce_simulates_only_in_its_campaign(self, monkeypatch,
+                                                      capsys):
+        real_run_jobs = Engine.run_jobs
+        batches = []
+
+        def run_jobs_once(self, jobs, on_result=None):
+            if batches:
+                raise AssertionError("simulated after the campaign ran")
+            batches.append(len(jobs))
+            return real_run_jobs(self, jobs, on_result)
+
+        real_figure1 = figures.figure1
+        monkeypatch.setattr(Engine, "run_jobs", run_jobs_once)
+        monkeypatch.setattr(
+            reproduce, "reproduce_campaign",
+            lambda n_uops, warmup: campaigns.reproduce_campaign(
+                self.SMALL["workloads"], n_uops, warmup))
+        monkeypatch.setattr(figures, "figure1",
+                            lambda: real_figure1(("gzip",), n_uops=1000))
+        try:
+            assert reproduce.main(["1500", "800"]) == 0
+        finally:
+            reset_default_engine()
+        out = capsys.readouterr().out
+        assert len(batches) == 1
+        for figure_id in ("fig3", "fig4", "fig5", "fig6", "fig7"):
+            assert f"### {figure_id}:" in out

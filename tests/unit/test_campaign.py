@@ -1,4 +1,4 @@
-"""Campaign specs: expansion, identity, aggregation, the disk cache."""
+"""Campaign specs: expansion, aggregation, the disk cache."""
 
 import gc
 import logging
@@ -66,31 +66,6 @@ class TestExpansion:
         assert point["seed"] is None
         assert point["config"] is None
 
-    def test_zip_mode_pairs_axes(self):
-        spec = CampaignSpec.make(
-            "z", {"workload": ["gzip", "crafty"], "predictor": ["lvp", "vtage"]},
-            mode="zip",
-        )
-        assert [(p["workload"], p["predictor"]) for p in spec.points()] == [
-            ("gzip", "lvp"), ("crafty", "vtage"),
-        ]
-
-    def test_zip_mode_rejects_ragged_axes(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            AxisBlock.make({"workload": ["gzip"], "predictor": ["lvp", "vtage"]},
-                           mode="zip")
-
-    def test_filters_drop_points(self):
-        spec = CampaignSpec.make(
-            "f",
-            {"predictor": ["none", "lvp"], "fpc": [False, True],
-             "workload": ["gzip"]},
-            filters=[lambda p: not (p["predictor"] == "none" and not p["fpc"])],
-        )
-        points = spec.points()
-        assert len(points) == 3
-        assert all(p["fpc"] or p["predictor"] != "none" for p in points)
-
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign axes"):
             AxisBlock.make({"wrkload": ["gzip"]})
@@ -117,8 +92,7 @@ class TestExpansion:
                   "config": [None, CoreConfig(issue_width=4)]},
             base=TINY,
         )
-        keys = {j.content_key() for j in spec.jobs()}
-        assert len(keys) == 2
+        assert len(spec.unique_jobs()) == 2
 
     def test_scenario_names_work_as_workload_axis(self):
         spec = CampaignSpec.make(
@@ -128,35 +102,6 @@ class TestExpansion:
         )
         results = run_campaign(spec, engine=fresh_engine())
         assert len(results.results_by_key) == 2
-
-
-# ---------------------------------------------------------------------------
-# Campaign identity.
-# ---------------------------------------------------------------------------
-
-class TestCampaignKey:
-    def test_key_ignores_spelling_and_order(self):
-        a = tiny_spec("one-name")
-        blocks = tuple(reversed(tiny_spec("other-name").blocks))
-        b = CampaignSpec("other-name", blocks)
-        assert a.campaign_key() == b.campaign_key()
-
-    def test_key_tracks_the_job_set(self):
-        base = tiny_spec().campaign_key()
-        bigger = CampaignSpec.union(
-            "tiny",
-            *tiny_spec().blocks,
-            AxisBlock.make({"workload": ["vpr"]}, base={"predictor": "lvp", **TINY}),
-        )
-        assert bigger.campaign_key() != base
-        resized = CampaignSpec.union(
-            "tiny",
-            AxisBlock.make(
-                {"predictor": ["lvp", "vtage"], "workload": ["gzip", "crafty"]},
-                base={"n_uops": 2000, "warmup": 800},
-            ),
-        )
-        assert resized.campaign_key() != base
 
 
 # ---------------------------------------------------------------------------

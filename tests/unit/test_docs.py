@@ -69,7 +69,7 @@ class TestCliCoverage:
         rendered = docs.generate_cli()
         for token in ("REPRO_JOBS", "REPRO_CACHE_DIR",
                       "REPRO_CLUSTER_SHARDS", "--cache-dir",
-                      "--render", "--backend", "--shards", "--journal",
+                      "--render", "--backend", "--shards", "--work-dir",
                       "--token"):
             assert token in rendered, token
 

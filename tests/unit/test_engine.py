@@ -303,12 +303,6 @@ class TestEngine:
         pooled = Engine(PoolExecutor(2), ResultCache()).run_jobs(jobs)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
 
-    def test_run_grid_keys(self):
-        engine = Engine(SerialExecutor(), ResultCache())
-        grid = engine.run_grid(("lvp", "vtage"), ("gzip",), **TINY)
-        assert set(grid) == {("lvp", "gzip"), ("vtage", "gzip")}
-        assert grid[("lvp", "gzip")].predictor != ""
-
     def test_configure_default_engine(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

@@ -31,13 +31,12 @@ class TestPhaseAccounting:
         assert snap["work"]["calls"] == 3
         assert snap["work"]["seconds"] >= 0.0
 
-    def test_build_trace_records_build_and_columnize(self):
+    def test_build_trace_records_one_build(self):
         catalog.clear_trace_cache()
         profiling.enable()
         catalog.build_trace("gzip", 1000)
         snap = profiling.snapshot()
         assert snap["trace-build"]["calls"] == 1
-        assert snap["trace-columnize"]["calls"] == 1
         catalog.build_trace("gzip", 1000)  # cache hit: no new phases
         assert profiling.snapshot()["trace-build"]["calls"] == 1
         catalog.clear_trace_cache()

@@ -19,7 +19,7 @@ import pytest
 from repro.isa.trace import PackedColumns, Trace, TraceColumns
 from repro.isa.uop import MicroOp, OpClass
 from repro.util.bits import MASK64
-from repro.workloads.catalog import build_trace
+from repro.workloads.catalog import ALL_WORKLOADS, build_trace
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "simresults.json"
 
@@ -160,3 +160,35 @@ class TestLazyTrace:
         clone.append(MicroOp(seq=n, pc=0x9999, op_class=OpClass.NOP))
         assert len(clone) == n + 1
         assert clone.columns().n == n + 1
+
+
+def reference_back_to_back(uops, fetch_width):
+    """The seed's per-µop loop for Section 3.2's back-to-back fraction,
+    kept verbatim as the oracle for the packed-column version."""
+    last_seen: dict[int, int] = {}
+    eligible = 0
+    back_to_back = 0
+    for position, uop in enumerate(uops):
+        if not uop.produces_value:
+            continue
+        eligible += 1
+        key = uop.predictor_key()
+        previous = last_seen.get(key)
+        if previous is not None and (position - previous) <= fetch_width:
+            back_to_back += 1
+        last_seen[key] = position
+    return back_to_back / eligible if eligible else 0.0
+
+
+class TestBackToBackFraction:
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS)
+    def test_packed_fraction_matches_reference(self, workload):
+        trace = build_trace(workload, 4000)
+        uops = trace.packed().to_uops()
+        for width in (1, 4, 8):
+            assert trace.back_to_back_fraction(width) == \
+                reference_back_to_back(uops, width)
+
+    def test_no_eligible_uops(self):
+        trace = Trace([MicroOp(seq=0, pc=0x40, op_class=OpClass.BRANCH)])
+        assert trace.back_to_back_fraction() == 0.0

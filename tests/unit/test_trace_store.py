@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine.job import SimJob, execute_job
 from repro.pipeline.core import simulate
-from repro.workloads import catalog
+from repro.workloads import catalog, ingest
 from repro.workloads.store import (
     TRACE_DIR_ENV,
     TraceStore,
@@ -283,7 +283,7 @@ class TestCatalogIntegration:
 
 class TestLRUTraceCache:
     def test_entry_budget_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setenv(catalog.TRACE_CACHE_ENTRIES_ENV, "2")
+        monkeypatch.setattr(catalog, "TRACE_CACHE_MAX_ENTRIES", 2)
         catalog.build_trace("gzip", 1000)
         catalog.build_trace("gcc", 1000)
         catalog.build_trace("gzip", 1000)       # refresh gzip
@@ -295,7 +295,7 @@ class TestLRUTraceCache:
 
     def test_byte_budget_bounds_the_cache(self, monkeypatch):
         # ~70 KB per 1000-µop packed trace; a 0.1 MB budget holds one.
-        monkeypatch.setenv(catalog.TRACE_CACHE_MB_ENV, "0.1")
+        monkeypatch.setattr(catalog, "TRACE_CACHE_MAX_MB", 0.1)
         catalog.build_trace("gzip", 1000)
         catalog.build_trace("gcc", 1000)
         stats = catalog.trace_cache_stats()
@@ -303,9 +303,41 @@ class TestLRUTraceCache:
         assert catalog.cached_trace("gcc", 1000) is not None
 
     def test_single_oversized_trace_still_caches(self, monkeypatch):
-        monkeypatch.setenv(catalog.TRACE_CACHE_MB_ENV, "0.01")
+        monkeypatch.setattr(catalog, "TRACE_CACHE_MAX_MB", 0.01)
         trace = catalog.build_trace("gzip", 2000)
         assert catalog.cached_trace("gzip", 2000) is trace
+
+
+class TestCachedTraceForm:
+    """A cached trace holds its packed columns only, from every source;
+    the µop list and the list view are built when something reads them."""
+
+    @staticmethod
+    def assert_packed_only(trace):
+        assert trace._uops is None and trace._columns is None
+
+    def test_generated_and_store_loaded(self, tmp_path, monkeypatch):
+        self.assert_packed_only(catalog.build_trace("gzip", 1000))
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        catalog.build_trace("gcc", 1000)          # generated, then stored
+        catalog.clear_trace_cache()
+        before = catalog.generation_count()
+        loaded = catalog.build_trace("gcc", 1000)
+        assert catalog.generation_count() == before
+        self.assert_packed_only(loaded)
+        assert loaded.store_identity == ("gcc", 1000, 403)
+        assert loaded.columns().n == 1000
+        assert loaded._columns is not None
+
+    def test_ingested_exact_sliced_and_tiled(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        text = "80000000 00052503 lw a0,0(a1)\n" * 50
+        _, report = ingest.ingest_text(text, "fifty.log",
+                                       TraceStore(tmp_path), seed=3)
+        for n_uops in (50, 20, 120):
+            trace = catalog.build_trace(report.name, n_uops)
+            self.assert_packed_only(trace)
+            assert len(trace) == n_uops
 
 
 class TestTraceCLI:
