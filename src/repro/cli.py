@@ -163,7 +163,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     workloads = _parse_workloads(args.workloads) or ALL_WORKLOADS
     if args.which == "1":
-        print(figures.figure1(workloads, n_uops=args.uops).text)
+        print(figures.figure1(workloads, n_uops=args.uops,
+                              warmup=args.warmup).text)
         return 0
     definition = CAMPAIGNS[f"fig{args.which}"]
     result = run_campaign(definition.build(workloads, args.uops, args.warmup))

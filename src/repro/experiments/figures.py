@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import ascii_bar_chart, format_table, geometric_mean
 from repro.engine.campaign import CampaignResult
-from repro.engine.job import DEFAULT_MEASURE
+from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP
 from repro.workloads.catalog import ALL_WORKLOADS, build_trace
 
 #: Single-scheme predictors of Figures 4/5 (paper Section 8.2).
@@ -91,12 +91,18 @@ CRITICAL_PATHS = {
 def figure1(
     workloads: tuple[str, ...] = ALL_WORKLOADS,
     n_uops: int = DEFAULT_MEASURE,
+    warmup: int = DEFAULT_WARMUP,
     fetch_width: int = 8,
 ) -> FigureResult:
     """Back-to-back fractions (Section 3.2's 15.3 % max / 3.4 % amean) plus
-    the Figure 1 critical-path comparison."""
+    the Figure 1 critical-path comparison.
+
+    Each fraction is measured over the measured window (after *warmup*)
+    of the same ``warmup + n_uops`` trace a simulation of that slice
+    runs, so a run that simulated the slice generates nothing here."""
     fractions = {
-        name: build_trace(name, n_uops).back_to_back_fraction(fetch_width)
+        name: build_trace(name, warmup + n_uops).back_to_back_fraction(
+            fetch_width, start=warmup)
         for name in workloads
     }
     amean = sum(fractions.values()) / len(fractions)

@@ -167,7 +167,10 @@ def main(argv: list[str] | None = None) -> int:
 
     print("## Figures")
     print()
-    for fig in (figures.figure1(), figures.figure3(campaign),
+    meta = campaign.spec.meta_dict()
+    fig1 = figures.figure1(meta["workloads"], n_uops=meta["n_uops"],
+                           warmup=meta["warmup"])
+    for fig in (fig1, figures.figure3(campaign),
                 figures.figure4(campaign), figures.figure5(campaign),
                 figures.figure6(campaign), figures.figure7(campaign)):
         print(f"### {fig.figure_id}: {fig.title}")

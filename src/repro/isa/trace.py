@@ -157,6 +157,18 @@ class PackedColumns:
             for i in range(self.n)
         ]
 
+    def head(self, n: int) -> "PackedColumns":
+        """The first *n* µops (views of these arrays); *self* when it holds
+        no more than *n*."""
+        if n >= self.n:
+            return self
+        a = self.arrays
+        end = int(a["src_offsets"][n])
+        arrays = {name: array[:n] for name, array in a.items()}
+        arrays["src_offsets"] = a["src_offsets"][:n + 1]
+        arrays["src_flat"] = a["src_flat"][:end]
+        return PackedColumns(n, arrays)
+
     @property
     def nbytes(self) -> int:
         """Total payload bytes across all columns (no alignment padding)."""
@@ -192,15 +204,14 @@ class TraceColumns:
 
     The cycle model's inner loop used to re-derive these per µop — three
     ``predictor_key()`` calls per eligible µop, a property call per flag, a
-    shift per I-cache line id.  Columns precompute them *once per cached
-    trace* so the hot loop is pure list indexing.  Ops are stored as plain
+    shift per I-cache line id.  Columns precompute them *once per run*
+    so the hot loop is pure list indexing.  Ops are stored as plain
     ``int``s (not :class:`OpClass` members) so dispatch tables can be flat
     lists.
 
     Since PR 5 the columns are *derived from the packed numpy
-    representation* (:class:`PackedColumns`): construction packs first,
-    then materialises the list views with vectorised numpy expressions +
-    ``tolist()``.  The list-facing API (and every value in it) is
+    representation* (:class:`PackedColumns`): construction materialises
+    the list views with vectorised numpy expressions + ``tolist()``.  The list-facing API (and every value in it) is
     bit-identical to the original pure-list implementation — pinned
     against a reference reimplementation by
     ``tests/unit/test_trace_columns.py`` and end-to-end by the golden
@@ -229,10 +240,7 @@ class TraceColumns:
         "packed",
     )
 
-    def __init__(self, uops: list[MicroOp],
-                 packed: PackedColumns | None = None):
-        if packed is None:
-            packed = PackedColumns.from_uops(uops)
+    def __init__(self, packed: PackedColumns):
         self.packed = packed
         a = packed.arrays
         self.n = packed.n
@@ -290,20 +298,17 @@ class TraceStats:
 class Trace:
     """An ordered, indexable sequence of µops with workload metadata.
 
-    Backed by either a µop list (freshly generated traces), a
-    :class:`PackedColumns` (store-loaded traces, see
+    Backed by either a µop list (hand-built and ingested traces), a
+    :class:`PackedColumns` (generated and store-loaded traces, see
     :meth:`from_packed`), or both; whichever half is missing is
-    materialised lazily and cached.  Traces are treated as immutable once
-    simulated — the workload catalog caches them on exactly that
-    assumption — but :meth:`append`/:meth:`extend` stay supported for
-    builders and invalidate the derived forms.
+    materialised lazily and cached.  Traces are immutable: the workload
+    catalog caches them on exactly that assumption.
     """
 
     def __init__(self, uops: list[MicroOp] | None = None, name: str = "anonymous"):
         self.name = name
         self._uops: list[MicroOp] | None = uops if uops is not None else []
         self._packed: PackedColumns | None = None
-        self._columns: TraceColumns | None = None
 
     @classmethod
     def from_packed(cls, packed: PackedColumns, name: str = "anonymous") -> "Trace":
@@ -313,36 +318,17 @@ class Trace:
         trace._packed = packed
         return trace
 
-    def append(self, uop: MicroOp) -> None:
-        self.uops.append(uop)
-        self._packed = None
-        self._columns = None
-
-    def extend(self, uops: list[MicroOp]) -> None:
-        self.uops.extend(uops)
-        self._packed = None
-        self._columns = None
-
     def packed(self) -> PackedColumns:
         """The packed numpy form of this trace, built once and cached."""
         packed = self._packed
-        if packed is None or packed.n != len(self):
+        if packed is None:
             packed = self._packed = PackedColumns.from_uops(self._uops)
         return packed
 
     def columns(self) -> TraceColumns:
-        """The columnar view of this trace, built once and cached.
-
-        Mutating the trace through :meth:`append`/:meth:`extend`
-        invalidates the cache; mutating µops in place does not (traces are
-        treated as immutable once simulated — the workload catalog caches
-        them on exactly that assumption).
-        """
-        cols = self._columns
-        if cols is None or cols.n != len(self):
-            cols = self._columns = TraceColumns(self._uops,
-                                               packed=self.packed())
-        return cols
+        """A new list view of this trace for one spec-loop run; not cached,
+        so its ~5x the packed bytes never escape the catalog's budget."""
+        return TraceColumns(self.packed())
 
     @property
     def nbytes(self) -> int:
@@ -381,7 +367,7 @@ class Trace:
 
     def stats(self) -> TraceStats:
         """Compute summary statistics (vectorised when already packed)."""
-        if self._packed is not None and self._packed.n == len(self):
+        if self._packed is not None:
             return self._stats_packed()
         stats = TraceStats()
         stats.n_uops = len(self.uops)
@@ -421,10 +407,11 @@ class Trace:
         stats.n_value_producers = int(((a["dsts"] >= 0) & ~is_branch).sum())
         return stats
 
-    def back_to_back_fraction(self, fetch_width: int = 8) -> float:
+    def back_to_back_fraction(self, fetch_width: int = 8,
+                              start: int = 0) -> float:
         """Fraction of VP-eligible µops whose previous dynamic occurrence sits
         within one fetch group, i.e. would have been fetched the previous
-        cycle.
+        cycle, over the µops from *start* on (as if the trace began there).
 
         This reproduces the measurement motivating Section 3.2: "there can be
         as much as 15.3% (3.4% a-mean) fetched instructions eligible for VP
@@ -433,7 +420,8 @@ class Trace:
         """
         a = self.packed().arrays
         is_branch = np.isin(a["ops"], _CTRL_INTS)
-        positions = np.flatnonzero((a["dsts"] >= 0) & ~is_branch)
+        positions = np.flatnonzero((a["dsts"][start:] >= 0)
+                                   & ~is_branch[start:]) + start
         if not positions.size:
             return 0.0
         keys = _predictor_keys(a)[positions]

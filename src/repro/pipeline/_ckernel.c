@@ -4,9 +4,11 @@
  * executable spec) over the precomputed trace plane: the sequential
  * dispatch/commit/recovery state machine, with the memory hierarchy, store
  * sets, and the supported value predictors (LVP / stride / 2D-stride /
- * VTAGE / oracle) implemented over flat arrays.  Branch prediction is NOT
- * here: redirect codes and scrambled keys come precomputed on the trace
- * plane (pipeline/precompute.py).
+ * VTAGE / oracle) implemented over flat arrays.  The cycle loop predicts no
+ * branch: redirect codes and scrambled keys come precomputed on the trace
+ * plane (pipeline/precompute.py), whose branch walk is this file's second
+ * entry point, repro_branch_plane (at the end).  Its specification is the
+ * Python walk of a BranchUnit, as the spec loop is the cycle loop's.
  *
  * Bit-exactness contract: every arithmetic statement mirrors the Python
  * model.  Cycles and addresses are int64 (the Python caller refuses traces
@@ -57,9 +59,10 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
-#define KERNEL_ABI_VERSION 4
+#define KERNEL_ABI_VERSION 5
 
 /* Per-cycle bandwidth counts live in stamped circular windows instead of
  * dicts; BW_WINDOW bounds how far ahead of the watermark a grant may probe
@@ -86,6 +89,10 @@
 /* Op classes (repro.isa.uop.OpClass; pinned by ckernel.py at load time). */
 #define OP_LOAD 6
 #define OP_STORE 7
+#define OP_BRANCH 8
+#define OP_JUMP 9
+#define OP_CALL 10
+#define OP_RET 11
 #define N_CLASSES 13
 
 #define NEVER ((int64_t)1 << 62)
@@ -1499,5 +1506,298 @@ int64_t repro_kernel_run(const KernelArgs *a) {
     out[O_VT_ALLOCATIONS] = x->vt_allocations;
     out[O_FPC_STATE] = (int64_t)x->fpc_state;
     out[O_VT_STATE] = (int64_t)x->vt_state;
+    return ERR_OK;
+}
+
+/* ======================================================================
+ * The branch plane: a fresh branch unit replayed over a packed trace.
+ *
+ * A C transliteration of precompute.py's walk of a default BranchUnit
+ * (branch/unit.py, tage.py, btb.py, ras.py): TAGE with a bimodal base,
+ * tagged components, use-alt-on-NA and periodic u-aging, allocating with
+ * the GaloisLFSR draw; a set-associative true-LRU BTB; a circular RAS.
+ * TAGE positions follow the reference _TageComponent.position (fold_value
+ * truncates the masked history to 64 bits, so the low 64 bits of ghist
+ * are all a position reads), not the Python memos.  The structure sizes
+ * come from the Python objects through geometry[] (G_* below).
+ *
+ * Fills redirect[] (0 none, 1 direction/return mispredict, 2 target
+ * mispredict) and the (ghist & 2^64-1, path & 0xFFFF) context after each
+ * uop, and out[] (B_* below).  The 256-bit final ghist is the caller's:
+ * it is the last 256 conditional outcomes.  Returns 0, or ERR_BAD_ARG for
+ * a geometry it cannot hold (the caller then walks the Python unit).
+ * Unlike the cycle loop it allocates: one zeroed block for its tables,
+ * freed before it returns.
+ * ====================================================================== */
+
+enum {
+    G_COMPONENTS, G_TAGGED_ENTRIES, G_TAG_BITS, G_BIMODAL_ENTRIES,
+    G_CTR_BITS, G_USEFUL_BITS, G_U_RESET_PERIOD, G_LFSR_SEED, G_LFSR_TAPS,
+    G_LFSR_WIDTH, G_BTB_SETS, G_BTB_WAYS, G_RAS_ENTRIES, G_GHIST_BITS,
+    G_LENGTHS /* then one history length per component */
+};
+enum { B_COND, B_DIRECTION, B_TARGET, B_PATH, B_GHIST_LENGTH, N_BOUT };
+
+#define MAX_TAGE_COMPONENTS 64
+#define MIX1 0x9E3779B97F4A7C15ULL
+#define MIX2 0xC2B2AE3D27D4EB4FULL
+#define TAG_KEY_MULT 0x2545F4914F6CDD1DULL
+
+static inline int8_t saturate(int64_t c, int64_t lo, int64_t hi) {
+    return (int8_t)(c > hi ? hi : (c < lo ? lo : c));
+}
+
+typedef struct {
+    int64_t sets, ways;
+    uint64_t *pc, *target; /* sets x ways, MRU first */
+    int64_t *count;
+} BBtb;
+
+/* BranchUnit._check_target: a BTB lookup (hit moves to MRU), then an
+ * install unless it hit with the right target.  1 = target mispredict. */
+static int btb_check(BBtb *b, uint64_t pc, uint64_t target) {
+    int64_t set = (int64_t)(scramble64(pc) & (uint64_t)(b->sets - 1));
+    uint64_t *pcs = b->pc + set * b->ways, *tgts = b->target + set * b->ways;
+    int64_t n = b->count[set], p = 0;
+    while (p < n && pcs[p] != pc)
+        p++;
+    if (p == n) {
+        if (n < b->ways)
+            b->count[set] = ++n;
+        p = n - 1; /* the LRU way, or the way just grown */
+    } else if (tgts[p] == target) {
+        uint64_t t = tgts[p];
+        memmove(pcs + 1, pcs, (size_t)p * sizeof *pcs);
+        memmove(tgts + 1, tgts, (size_t)p * sizeof *tgts);
+        pcs[0] = pc;
+        tgts[0] = t;
+        return 0;
+    }
+    memmove(pcs + 1, pcs, (size_t)p * sizeof *pcs);
+    memmove(tgts + 1, tgts, (size_t)p * sizeof *tgts);
+    pcs[0] = pc;
+    tgts[0] = target;
+    return 1;
+}
+
+int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
+                           const uint8_t *takens, const uint64_t *targets,
+                           const int64_t *geometry, uint8_t *redirect,
+                           uint64_t *ghist64, uint16_t *path16,
+                           int64_t *out) {
+    const int64_t ncomp = geometry[G_COMPONENTS];
+    const int64_t entries = geometry[G_TAGGED_ENTRIES];
+    const uint64_t tag_mask = ((uint64_t)1 << geometry[G_TAG_BITS]) - 1;
+    const int64_t bim_entries = geometry[G_BIMODAL_ENTRIES];
+    const int64_t ctr_max = ((int64_t)1 << (geometry[G_CTR_BITS] - 1)) - 1;
+    const int64_t ctr_min = -((int64_t)1 << (geometry[G_CTR_BITS] - 1));
+    const int64_t u_max = ((int64_t)1 << geometry[G_USEFUL_BITS]) - 1;
+    const int64_t period = geometry[G_U_RESET_PERIOD];
+    const uint64_t lfsr_taps = (uint64_t)geometry[G_LFSR_TAPS];
+    const int64_t ras_entries = geometry[G_RAS_ENTRIES];
+    const int64_t ghist_bits = geometry[G_GHIST_BITS];
+    const int64_t *lengths = geometry + G_LENGTHS;
+    if (ncomp < 1 || ncomp > MAX_TAGE_COMPONENTS || period < 1 ||
+        geometry[G_TAG_BITS] > 15 || geometry[G_CTR_BITS] > 8 ||
+        ras_entries < 1 || geometry[G_BTB_WAYS] < 1)
+        return ERR_BAD_ARG;
+
+    /* One zeroed block holds every table. */
+    const int64_t tagged = ncomp * entries, btb_n = geometry[G_BTB_SETS] *
+                                                    geometry[G_BTB_WAYS];
+    size_t bytes = (size_t)tagged * (sizeof(int16_t) + 2) +
+                   (size_t)bim_entries + (size_t)btb_n * 16 +
+                   (size_t)geometry[G_BTB_SETS] * 8 + (size_t)ras_entries * 9;
+    uint8_t *block = calloc(1, bytes + 64);
+    if (!block)
+        return ERR_BAD_ARG;
+    uint64_t *btb_pc = (uint64_t *)block;
+    uint64_t *btb_target = btb_pc + btb_n;
+    int64_t *btb_count = (int64_t *)(btb_target + btb_n);
+    uint64_t *ras = (uint64_t *)(btb_count + geometry[G_BTB_SETS]);
+    int16_t *tags = (int16_t *)(ras + ras_entries);
+    int8_t *ctr = (int8_t *)(tags + tagged);
+    uint8_t *useful = (uint8_t *)(ctr + tagged);
+    uint8_t *bimodal = useful + tagged;
+    uint8_t *ras_wrapped = bimodal + bim_entries; /* pc + 4 passed 2^64 */
+    BBtb btb = {geometry[G_BTB_SETS], geometry[G_BTB_WAYS], btb_pc,
+                btb_target, btb_count};
+    for (int64_t k = 0; k < tagged; k++)
+        tags[k] = -1;
+    memset(bimodal, 2, (size_t)bim_entries); /* weakly taken */
+
+    uint64_t lfsr = (uint64_t)geometry[G_LFSR_SEED] &
+                    (((uint64_t)1 << geometry[G_LFSR_WIDTH]) - 1);
+    if (!lfsr)
+        lfsr = 1;
+    int64_t use_alt_on_na = 8, updates = 0;
+    int64_t ras_top = 0, ras_depth = 0;
+    int64_t cond = 0, dmisp = 0, tmisp = 0, ghist_length = 0;
+    uint64_t ghist = 0, path = 0;
+    int64_t idx[MAX_TAGE_COMPONENTS], tag[MAX_TAGE_COMPONENTS];
+
+    for (int64_t i = 0; i < n; i++) {
+        const int op = ops[i];
+        const uint64_t pc = pcs[i];
+        uint8_t code = 0;
+        if (op == OP_BRANCH) {
+            const int taken = takens[i] != 0;
+            cond++;
+            /* predict: bimodal, then the two longest matching components */
+            const int64_t bim_idx =
+                (int64_t)(scramble64(pc) & (uint64_t)(bim_entries - 1));
+            const int bim_pred = bimodal[bim_idx] >= 2;
+            int64_t provider = -1, alt = -1;
+            for (int64_t c = 0; c < ncomp; c++) {
+                const int64_t len = lengths[c];
+                const uint64_t h =
+                    len >= 64 ? ghist : ghist & (((uint64_t)1 << len) - 1);
+                const uint64_t folded =
+                    (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) & 0xFFFF;
+                const int64_t pbits = len < 16 ? len : 16;
+                const uint64_t compressed =
+                    folded ^ ((path & (((uint64_t)1 << pbits) - 1)) << 1) ^
+                    ((uint64_t)len << 17);
+                idx[c] = c * entries +
+                         (int64_t)(scramble64(pc ^ compressed * MIX2) &
+                                   (uint64_t)(entries - 1));
+                tag[c] = (int64_t)((scramble64((pc * TAG_KEY_MULT) ^
+                                               (compressed * MIX1)) >> 17) &
+                                   tag_mask);
+                if (tags[idx[c]] == tag[c]) {
+                    alt = provider;
+                    provider = c;
+                }
+            }
+            int direction = bim_pred, alt_pred = bim_pred;
+            if (provider >= 0) {
+                const int64_t pi = idx[provider];
+                if (alt >= 0)
+                    alt_pred = ctr[idx[alt]] >= 0;
+                const int newly = useful[pi] == 0 &&
+                                  (ctr[pi] == -1 || ctr[pi] == 0);
+                direction = newly && use_alt_on_na >= 8 ? alt_pred
+                                                        : ctr[pi] >= 0;
+            }
+            if (direction != taken) {
+                code = 1;
+                dmisp++;
+            } else if (taken && btb_check(&btb, pc, targets[i])) {
+                code = 2;
+                tmisp++;
+            }
+            /* update; the bimodal trains when no component provided, or
+             * as the alternate of a provider with no usefulness */
+            updates++;
+            int train_bimodal = provider < 0;
+            if (provider >= 0) {
+                const int64_t pi = idx[provider];
+                int64_t c = ctr[pi];
+                const int provider_pred = c >= 0;
+                if (useful[pi] == 0 && (c == 0 || c == -1) &&
+                    provider_pred != alt_pred) {
+                    if (alt_pred == taken) {
+                        if (use_alt_on_na < 15)
+                            use_alt_on_na++;
+                    } else if (use_alt_on_na > 0) {
+                        use_alt_on_na--;
+                    }
+                }
+                if (provider_pred != alt_pred) {
+                    if (provider_pred == taken) {
+                        if (useful[pi] < u_max)
+                            useful[pi]++;
+                    } else if (useful[pi] > 0) {
+                        useful[pi]--;
+                    }
+                }
+                ctr[pi] = saturate(c + (taken ? 1 : -1), ctr_min, ctr_max);
+                if (useful[pi] == 0) {
+                    if (alt >= 0)
+                        ctr[idx[alt]] = saturate(
+                            ctr[idx[alt]] + (taken ? 1 : -1), ctr_min, ctr_max);
+                    else
+                        train_bimodal = 1;
+                }
+            }
+            if (train_bimodal) {
+                if (taken) {
+                    if (bimodal[bim_idx] < 3)
+                        bimodal[bim_idx]++;
+                } else if (bimodal[bim_idx] > 0) {
+                    bimodal[bim_idx]--;
+                }
+            }
+            if (direction != taken && provider < ncomp - 1) {
+                /* allocate: the first free longer component, the second
+                 * one when the LFSR draws 0 (2:1 for shorter histories) */
+                int64_t first = -1, second = -1;
+                for (int64_t c = provider + 1; c < ncomp; c++) {
+                    if (useful[idx[c]] == 0) {
+                        if (first < 0)
+                            first = c;
+                        else if (second < 0)
+                            second = c;
+                    }
+                }
+                if (first < 0) {
+                    for (int64_t c = provider + 1; c < ncomp; c++)
+                        if (useful[idx[c]] > 0)
+                            useful[idx[c]]--;
+                } else {
+                    int64_t pick = first;
+                    if (second >= 0) {
+                        lfsr = lfsr_step(lfsr, lfsr_taps);
+                        if ((lfsr & 3) == 0)
+                            pick = second;
+                    }
+                    tags[idx[pick]] = (int16_t)tag[pick];
+                    ctr[idx[pick]] = taken ? 0 : -1;
+                    useful[idx[pick]] = 0;
+                }
+            }
+            if (updates % period == 0)
+                for (int64_t k = 0; k < tagged; k++)
+                    useful[k] >>= 1;
+            /* push the outcome onto the global and path histories */
+            ghist = (ghist << 1) | (uint64_t)taken;
+            path = ((path << 3) ^ (pc & 0xFFFF)) & 0xFFFFFFFFULL;
+            if (ghist_length < ghist_bits)
+                ghist_length++;
+        } else if (op == OP_JUMP || op == OP_CALL) {
+            if (btb_check(&btb, pc, targets[i])) {
+                code = 2;
+                tmisp++;
+            }
+            if (op == OP_CALL) {
+                const int64_t slot = ras_top % ras_entries;
+                ras[slot] = pc + 4;
+                ras_wrapped[slot] = pc > UINT64_MAX - 4;
+                ras_top++;
+                ras_depth++;
+            }
+        } else if (op == OP_RET) {
+            int hit = 0;
+            if (ras_depth) {
+                ras_top--;
+                ras_depth--;
+                const int64_t slot = ras_top % ras_entries;
+                hit = !ras_wrapped[slot] && ras[slot] == targets[i];
+            }
+            if (!hit) {
+                code = 1;
+                dmisp++;
+            }
+        }
+        redirect[i] = code;
+        ghist64[i] = ghist;
+        path16[i] = (uint16_t)(path & 0xFFFF);
+    }
+    free(block);
+    out[B_COND] = cond;
+    out[B_DIRECTION] = dmisp;
+    out[B_TARGET] = tmisp;
+    out[B_PATH] = (int64_t)path;
+    out[B_GHIST_LENGTH] = ghist_length;
     return ERR_OK;
 }

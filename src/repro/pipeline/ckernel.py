@@ -48,7 +48,11 @@ This module owns everything on the Python side of that boundary:
 
 The kernel returns counters through a single ``out`` array; this module
 assembles the :class:`~repro.pipeline.result.SimResult` exactly as the
-spec loop does.  Bit-identical results are pinned by the golden grid
+spec loop does.
+
+The same library holds the trace plane's branch walk
+(:func:`replay_branches`, ``repro_branch_plane``), so one build and one
+load serve both, and :func:`kernel_available` decides both.  Bit-identical results are pinned by the golden grid
 (``REPRO_FAST_SIM=0`` vs default) and the equivalence tests.
 """
 
@@ -89,11 +93,14 @@ from repro.util.bits import MASK64
 #: Where compiled kernels are cached (one ``.so`` per source hash).
 CACHE_ENV = "REPRO_CKERNEL_CACHE"
 
-_ABI_VERSION = 4
+_ABI_VERSION = 5
 _BW_WINDOW = 1 << 17
 _IQ_WINDOW = 1 << 16
 _ADDR_LIMIT = 1 << 62
 _MAX_COMPONENTS = 16
+#: Width of the global history window (``PredictionContext.push_branch``).
+_GHIST_BITS = 256
+_BRANCH = int(OpClass.BRANCH)
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -274,6 +281,8 @@ def _load():
         lib.repro_kernel_abi_version.argtypes = []
         lib.repro_kernel_run.restype = _I64
         lib.repro_kernel_run.argtypes = [ctypes.POINTER(_KernelArgs)]
+        lib.repro_branch_plane.restype = _I64
+        lib.repro_branch_plane.argtypes = [_I64] + [_PTR] * 9
         if lib.repro_kernel_abi_version() != _ABI_VERSION:
             return None
     except OSError:
@@ -285,6 +294,44 @@ def _load():
 def kernel_available() -> bool:
     """Whether the compiled kernel can be (or has been) loaded."""
     return _load() is not None
+
+
+def replay_branches(packed, unit):
+    """Walk *packed*'s control µops through a fresh branch unit shaped
+    like *unit* (only its geometry is read) with ``repro_branch_plane``.
+
+    Returns what :func:`repro.pipeline.precompute._python_walk` returns,
+    or ``None`` when the kernel is unavailable or refuses the geometry.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    tage, cfg = unit.tage, unit.tage.config
+    lfsr = tage._lfsr
+    geometry = np.array(  # G_* in _ckernel.c
+        [len(tage.components), cfg.tagged_entries, cfg.tag_bits,
+         cfg.bimodal_entries, cfg.counter_bits, cfg.useful_bits,
+         cfg.u_reset_period, lfsr.state, lfsr._taps, lfsr.width,
+         unit.btb.sets, unit.btb.ways, unit.ras.entries, _GHIST_BITS,
+         *cfg.history_lengths], dtype=np.int64)
+    a, n = packed.arrays, packed.n
+    columns = [np.ascontiguousarray(a[name]) for name in
+               ("ops", "pcs", "takens", "targets")]
+    redirect = np.empty(n, dtype=np.uint8)
+    ghist64 = np.empty(n, dtype=np.uint64)
+    path16 = np.empty(n, dtype=np.uint16)
+    out = np.empty(5, dtype=np.int64)
+    arrays = columns + [geometry, redirect, ghist64, path16, out]
+    if lib.repro_branch_plane(n, *(array.ctypes.data for array in arrays)):
+        return None
+    cond, direction, target, path, length = out.tolist()
+    # The final ghist is the last _GHIST_BITS conditional outcomes, the
+    # most recent in bit 0.
+    outcomes = a["takens"][a["ops"] == _BRANCH][-_GHIST_BITS:][::-1]
+    ghist = int.from_bytes(
+        np.packbits(outcomes, bitorder="little").tobytes(), "little")
+    return redirect, ghist64, path16, (
+        cond, direction, target, ghist, path, length)
 
 
 # ---------------------------------------------------------------------------

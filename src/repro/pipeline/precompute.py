@@ -9,10 +9,13 @@ module materialises all of it once per trace as numpy arrays the compiled
 kernel (:mod:`repro.pipeline.ckernel`) indexes into:
 
 * :class:`TracePlane` — per-µop branch redirect codes (a fresh
-  :class:`~repro.branch.unit.BranchUnit` walked over the control µops,
-  exactly the objects the sequential model trains), the post-branch
-  ``(ghist & 2^64-1, path & 0xFFFF)`` context every value-predictor lookup
-  would observe, and the scrambled predictor-key hash.
+  :class:`~repro.branch.unit.BranchUnit` walked over the control µops),
+  the post-branch ``(ghist & 2^64-1, path & 0xFFFF)`` context every
+  value-predictor lookup would observe, and the scrambled predictor-key
+  hash.  The walk runs in C (``repro_branch_plane`` in ``_ckernel.c``)
+  whenever the kernel loads; :func:`_python_walk`, over exactly the
+  objects the sequential model trains, is its specification and the
+  fallback.
 * :class:`VTAGEPlane` — per-component VTAGE indices and tags for every
   µop, vectorised with the batched fold/hash primitives
   (:func:`repro.util.history.fold_array`,
@@ -226,22 +229,16 @@ def build_kernel_inputs(trace: Trace) -> KernelInputs:
     )
 
 
-def build_trace_plane(trace: Trace) -> TracePlane:
-    """Walk a fresh default :class:`BranchUnit` over the control µops and
-    vectorise everything else.
+def _python_walk(packed, unit: BranchUnit):
+    """The specification walk: *unit*'s ``process_scalar`` per control µop.
 
-    The walk is the one genuinely sequential front-end computation (TAGE
-    tables train branch by branch); it touches only the ~15-20% of µops
-    that are control transfers, and its result is cached per trace and
-    persisted to the trace store.
+    Returns ``(redirect, ghist64, path16, counters)``, *counters* being
+    :class:`TracePlane`'s counter and final-history fields in order.
     """
-    packed = trace.packed()
     n = packed.n
     redirect = np.zeros(n, dtype=np.uint8)
     ghist64 = np.zeros(n, dtype=np.uint64)
     path16 = np.zeros(n, dtype=np.uint16)
-
-    unit = BranchUnit()
     ctx = unit.context
     process = unit.process_scalar
     ctrl, op_l, pc_l, taken_l, target_l = _control_columns(packed)
@@ -276,21 +273,30 @@ def build_trace_plane(trace: Trace) -> TracePlane:
                 np.array(g_vals, dtype=np.uint64), lengths)
             path16[starts[0]:] = np.repeat(
                 np.array(p_vals, dtype=np.uint16), lengths)
+    return redirect, ghist64, path16, (
+        unit.cond_branches, unit.direction_mispredicts,
+        unit.target_mispredicts, ctx.ghist, ctx.path, ctx.ghist_length)
 
-    plane = TracePlane(
-        n=n,
-        redirect=redirect,
-        ghist64=ghist64,
-        path16=path16,
-        scr_pkey=scramble_array(_pkeys(trace)),
-        cond_branches=unit.cond_branches,
-        direction_mispredicts=unit.direction_mispredicts,
-        target_mispredicts=unit.target_mispredicts,
-        final_ghist=ctx.ghist,
-        final_path=ctx.path,
-        final_ghist_length=ctx.ghist_length,
-    )
-    return plane
+
+def build_trace_plane(trace: Trace) -> TracePlane:
+    """Walk a fresh default :class:`BranchUnit` over the control µops and
+    vectorise everything else.
+
+    The walk is the one genuinely sequential front-end computation (TAGE
+    tables train branch by branch).  It runs in the compiled kernel when
+    one loads (:func:`~repro.pipeline.ckernel.replay_branches`), else as
+    :func:`_python_walk`, which is the specification; the plane is cached
+    per trace and persisted to the trace store.
+    """
+    from repro.pipeline import ckernel  # ckernel imports this module
+
+    packed = trace.packed()
+    unit = BranchUnit()
+    walked = (ckernel.replay_branches(packed, unit)
+              or _python_walk(packed, unit))
+    redirect, ghist64, path16, counters = walked
+    return TracePlane(packed.n, redirect, ghist64, path16,
+                      scramble_array(_pkeys(trace)), *counters)
 
 
 def build_vtage_plane(trace: Trace, signature: tuple) -> VTAGEPlane:

@@ -2,10 +2,10 @@
 
 Workload kernels are small Python programs that *actually compute* their
 values — loop counters advance, arrays are read, hashes are mixed — and
-emit one :class:`~repro.isa.uop.MicroOp` per architectural operation.  The
-resulting trace therefore carries genuine value streams (strides, repeats,
-control-flow-correlated patterns) for the predictors and genuine
-dependences/addresses for the timing model.
+emit one µop per architectural operation.  The resulting trace therefore
+carries genuine value streams (strides, repeats, control-flow-correlated
+patterns) for the predictors and genuine dependences/addresses for the
+timing model.
 
 The builder handles the bookkeeping a compiler would:
 
@@ -16,26 +16,74 @@ The builder handles the bookkeeping a compiler would:
   0-31 integer, 32-63 floating point) with LRU reuse;
 * a bump allocator for data regions, and a call stack for CALL/RET pairs
   so the return-address stack sees realistic behaviour.
+
+Emission builds no :class:`~repro.isa.uop.MicroOp`: each µop is one row
+tuple ``(pc, op, srcs, dst, value, mem_addr, mem_size, taken, target,
+dst_is_fp)``, ``dst`` -1 for none and ``mem_addr`` 0 off loads and
+stores, and :func:`pack_rows` turns the rows into
+:class:`~repro.isa.trace.PackedColumns` column by column.  A generated
+trace is therefore born packed.  An emitted µop's sequence number is its
+position and its µop index is 0.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
-from repro.isa.trace import Trace
-from repro.isa.uop import FP_REG_BASE, MicroOp, OpClass
+import numpy as np
+
+from repro.isa.trace import PackedColumns, Trace
+from repro.isa.uop import FP_REG_BASE, OpClass
 from repro.util.bits import MASK64
 
 _CODE_BASE = 0x0040_0000
 _DATA_BASE = 0x1000_0000
+
+_INT_ALU = int(OpClass.INT_ALU)
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
+_JUMP = int(OpClass.JUMP)
+_CALL = int(OpClass.CALL)
+_RET = int(OpClass.RET)
+
+
+def pack_rows(rows: list[tuple]) -> PackedColumns:
+    """Pack emitted rows into the columnar schema."""
+    n = len(rows)
+    if not n:
+        return PackedColumns.from_uops([])
+    pcs, ops, srcs, dsts, values, addrs, sizes, takens, targets, fps = zip(*rows)
+    ops = np.fromiter(ops, np.uint8, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, srcs), np.int64, n), out=offsets[1:])
+    return PackedColumns(n, {
+        "seqs": np.arange(n, dtype=np.int64),
+        "pcs": np.fromiter(pcs, np.uint64, n),
+        "uop_indexes": np.zeros(n, dtype=np.uint32),
+        "ops": ops,
+        "dsts": np.fromiter(dsts, np.int16, n),
+        "values": np.fromiter(values, np.uint64, n),
+        "mem_addrs": np.fromiter(addrs, np.uint64, n),
+        "mem_valid": (ops == _LOAD) | (ops == _STORE),
+        "mem_sizes": np.fromiter(sizes, np.uint16, n),
+        "takens": np.fromiter(takens, np.bool_, n),
+        "targets": np.fromiter(targets, np.uint64, n),
+        "dst_is_fp": np.fromiter(fps, np.bool_, n),
+        "src_offsets": offsets,
+        "src_flat": np.fromiter(chain.from_iterable(srcs), np.int16,
+                                int(offsets[-1])),
+    })
 
 
 class TraceBuilder:
     """Emit µops for one synthetic workload."""
 
     def __init__(self, name: str, seed: int = 1):
-        self.trace = Trace(name=name)
+        self.name = name
         self.rng = random.Random(seed)
+        self._rows: list[tuple] = []
         self._labels: dict[str, int] = {}
         self._next_pc = _CODE_BASE
         self._heap = _DATA_BASE
@@ -43,16 +91,22 @@ class TraceBuilder:
         self._int_regs: dict[str, int] = {}
         self._fp_regs: dict[str, int] = {}
         self._call_stack: list[int] = []
-        # Emission counter mirroring len(self.trace); kernels read `n` once
-        # per emitted µop, so this saves a len() round-trip per operation.
-        self._n = 0
 
     # -- infrastructure ----------------------------------------------------
 
     @property
     def n(self) -> int:
         """Number of µops emitted so far."""
-        return self._n
+        return len(self._rows)
+
+    def packed(self) -> PackedColumns:
+        """The µops emitted so far, packed."""
+        return pack_rows(self._rows)
+
+    @property
+    def trace(self) -> Trace:
+        """The µops emitted so far, as a packed trace."""
+        return Trace.from_packed(self.packed(), name=self.name)
 
     def pc_of(self, label: str) -> int:
         """Stable PC for a static operation label."""
@@ -92,38 +146,18 @@ class TraceBuilder:
         # measurably cheaper at this call rate (one call per emitted µop).
         return tuple([self._reg(n, fp) for n in names])
 
-    def _emit(self, uop: MicroOp) -> MicroOp:
-        self.trace.append(uop)
-        self._n += 1
-        return uop
-
     # -- arithmetic ----------------------------------------------------------
 
     def imm(self, label: str, dst: str, value: int) -> None:
         """Load-immediate / constant generation (INT ALU, no sources)."""
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=OpClass.INT_ALU,
-                srcs=(),
-                dst=self._reg(dst),
-                value=value & MASK64,
-            )
-        )
+        self._rows.append((self.pc_of(label), _INT_ALU, (), self._reg(dst),
+                           value & MASK64, 0, 8, False, 0, False))
 
     def alu(self, label: str, dst: str, srcs, value: int) -> None:
         """Single-cycle integer operation."""
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=OpClass.INT_ALU,
-                srcs=self._srcs(srcs),
-                dst=self._reg(dst),
-                value=value & MASK64,
-            )
-        )
+        self._rows.append((self.pc_of(label), _INT_ALU, self._srcs(srcs),
+                           self._reg(dst), value & MASK64, 0, 8, False, 0,
+                           False))
 
     def mul(self, label: str, dst: str, srcs, value: int) -> None:
         self._op(label, dst, srcs, value, OpClass.INT_MUL)
@@ -132,17 +166,9 @@ class TraceBuilder:
         self._op(label, dst, srcs, value, OpClass.INT_DIV)
 
     def _op(self, label, dst, srcs, value, cls, fp: bool = False) -> None:
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=cls,
-                srcs=self._srcs(srcs, fp),
-                dst=self._reg(dst, fp),
-                value=value & MASK64,
-                dst_is_fp=fp,
-            )
-        )
+        self._rows.append((self.pc_of(label), int(cls), self._srcs(srcs, fp),
+                           self._reg(dst, fp), value & MASK64, 0, 8, False, 0,
+                           fp))
 
     # -- floating point --------------------------------------------------------
 
@@ -167,19 +193,9 @@ class TraceBuilder:
         fp: bool = False,
         size: int = 8,
     ) -> None:
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=OpClass.LOAD,
-                srcs=self._srcs(addr_srcs),
-                dst=self._reg(dst, fp),
-                value=value & MASK64,
-                mem_addr=addr & MASK64,
-                mem_size=size,
-                dst_is_fp=fp,
-            )
-        )
+        self._rows.append((self.pc_of(label), _LOAD, self._srcs(addr_srcs),
+                           self._reg(dst, fp), value & MASK64, addr & MASK64,
+                           size, False, 0, fp))
 
     def store(
         self,
@@ -190,75 +206,30 @@ class TraceBuilder:
         fp_data: bool = False,
         size: int = 8,
     ) -> None:
-        srcs = list(self._srcs(addr_srcs))
+        srcs = self._srcs(addr_srcs)
         if data_src is not None:
-            srcs.append(self._reg(data_src, fp_data))
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=OpClass.STORE,
-                srcs=tuple(srcs),
-                dst=None,
-                mem_addr=addr & MASK64,
-                mem_size=size,
-            )
-        )
+            srcs += (self._reg(data_src, fp_data),)
+        self._rows.append((self.pc_of(label), _STORE, srcs, -1, 0,
+                           addr & MASK64, size, False, 0, False))
 
     # -- control flow -----------------------------------------------------------
 
     def branch(self, label: str, taken: bool, target_label: str, srcs=()) -> None:
         """Conditional branch; *target_label* names the taken destination."""
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=OpClass.BRANCH,
-                srcs=self._srcs(srcs),
-                dst=None,
-                taken=taken,
-                target=self.pc_of(target_label),
-            )
-        )
+        self._rows.append((self.pc_of(label), _BRANCH, self._srcs(srcs), -1, 0,
+                           0, 8, taken, self.pc_of(target_label), False))
 
     def jump(self, label: str, target_label: str) -> None:
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=OpClass.JUMP,
-                srcs=(),
-                dst=None,
-                taken=True,
-                target=self.pc_of(target_label),
-            )
-        )
+        self._rows.append((self.pc_of(label), _JUMP, (), -1, 0, 0, 8, True,
+                           self.pc_of(target_label), False))
 
     def call(self, label: str, target_label: str) -> None:
         pc = self.pc_of(label)
         self._call_stack.append(pc + 4)
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=pc,
-                op_class=OpClass.CALL,
-                srcs=(),
-                dst=None,
-                taken=True,
-                target=self.pc_of(target_label),
-            )
-        )
+        self._rows.append((pc, _CALL, (), -1, 0, 0, 8, True,
+                           self.pc_of(target_label), False))
 
     def ret(self, label: str) -> None:
         target = self._call_stack.pop() if self._call_stack else 0
-        self._emit(
-            MicroOp(
-                seq=self._n,
-                pc=self.pc_of(label),
-                op_class=OpClass.RET,
-                srcs=(),
-                dst=None,
-                taken=True,
-                target=target,
-            )
-        )
+        self._rows.append((self.pc_of(label), _RET, (), -1, 0, 0, 8, True,
+                           target, False))

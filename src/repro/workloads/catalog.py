@@ -138,7 +138,7 @@ ALL_WORKLOADS = tuple(w.name for w in WORKLOADS)
 # sweeping many scenario workloads must not grow it without limit, so
 # inserts evict least-recently-used traces past an entry count and a
 # packed-byte budget.  A cached trace holds its packed columns only; the
-# list view the spec loop reads is built on first use and not charged.
+# list view the spec loop reads is built per run and dropped with it.
 # Budget accounting charges each trace its packed bytes *plus* any
 # precompute planes attached to it (``trace._plane_cache``, see
 # pipeline/precompute.py) — planes grow after insertion, so occupancy is
@@ -275,10 +275,10 @@ def _generate_trace(name: str, n_uops: int, effective_seed: int) -> Trace:
     global _GEN_COUNT
     _GEN_COUNT += 1
     params = scenarios.parse_scenario_name(name)
+    builder = TraceBuilder(name, seed=effective_seed)
     if params is not None:
-        builder = TraceBuilder(name, seed=effective_seed)
         scenarios.scenario_kernel(params, builder, n_uops)
-        trace = builder.trace
+        packed = builder.packed()
     else:
         spec = get_spec(name)
         block = spec.redundancy_count + 1
@@ -288,18 +288,14 @@ def _generate_trace(name: str, n_uops: int, effective_seed: int) -> Trace:
         kernel_target = max(
             1, int(n_uops / dilution) + 2 * spec.redundancy_every + 16
         )
-        builder = TraceBuilder(name, seed=effective_seed)
         spec.kernel(builder, kernel_target)
-        trace = inject_invariants(
-            builder.trace,
+        packed = inject_invariants(
+            builder.packed(),
             every=spec.redundancy_every,
             count=spec.redundancy_count,
             seed=effective_seed,
         )
-    if len(trace) > n_uops:
-        trace = trace[:n_uops]
-        trace.name = name
-    return trace
+    return Trace.from_packed(packed.head(n_uops), name=name)
 
 
 def build_trace(name: str, n_uops: int, seed: int | None = None, cache: bool = True) -> Trace:

@@ -7,7 +7,9 @@ from repro.engine.cache import ResultCache
 from repro.engine.campaign import run_campaign
 from repro.engine.executors import SerialExecutor
 from repro.experiments import campaigns, figures, reproduce, tables
+from repro.workloads import catalog
 from repro.workloads.catalog import ALL_WORKLOADS
+from repro.workloads.store import TRACE_DIR_ENV
 
 TINY = dict(workloads=("gzip", "crafty", "wupwise"), n_uops=5000, warmup=2500)
 
@@ -47,6 +49,22 @@ class TestFigure1:
         fig = figures.figure1(workloads=("gzip",), n_uops=2000)
         assert "VTAGE" in fig.text
         assert "o4-FCM" in fig.text
+
+    def test_reproduce_generates_each_trace_once(self, tmp_path,
+                                                 monkeypatch, capsys):
+        """Figure 1 measures the traces the run simulated: a serial
+        ``reproduce`` run generates one trace per workload, no more."""
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        catalog.clear_trace_cache()
+        before = catalog.generation_count()
+        try:
+            assert reproduce.main(["300", "200"]) == 0
+        finally:
+            reset_default_engine()
+            catalog.clear_trace_cache()
+        assert catalog.generation_count() - before == len(ALL_WORKLOADS)
+        assert "200 warm-up + 300 measured" in capsys.readouterr().out
 
 
 class TestFigure3:
@@ -137,14 +155,11 @@ class TestOneRenderPath:
             batches.append(len(jobs))
             return real_run_jobs(self, jobs, on_result)
 
-        real_figure1 = figures.figure1
         monkeypatch.setattr(Engine, "run_jobs", run_jobs_once)
         monkeypatch.setattr(
             reproduce, "reproduce_campaign",
             lambda n_uops, warmup: campaigns.reproduce_campaign(
                 self.SMALL["workloads"], n_uops, warmup))
-        monkeypatch.setattr(figures, "figure1",
-                            lambda: real_figure1(("gzip",), n_uops=1000))
         try:
             assert reproduce.main(["1500", "800"]) == 0
         finally:

@@ -6,16 +6,22 @@ completely: redirect codes stand in for the branch unit, the
 the VTAGE plane stands in for ``_TaggedComponent.index_and_tag``.  These
 tests pin each of those equivalences against the *object-level* APIs the
 sequential model uses, plus the caching/persistence plumbing around them.
+
+The branch walk behind the plane runs in C when the kernel loads; the
+Python walk of a :class:`BranchUnit` is its specification, and the
+``test_c_walk_*`` tests hold the two equal on every catalog workload,
+scenario points and hand-built edge traces.
 """
 
 import numpy as np
 import pytest
 
+from repro.branch.tage import TAGEConfig
 from repro.branch.unit import BranchUnit
 from repro.core.confidence import ConfidencePolicy
 from repro.core.vtage import VTAGEPredictor
 from repro.isa.uop import OpClass
-from repro.pipeline import ckernel
+from repro.pipeline import ckernel, precompute
 from repro.pipeline.core import CoreModel, simulate
 from repro.pipeline.precompute import (
     PRECOMPUTE_VERSION,
@@ -31,10 +37,17 @@ from repro.predictors.base import PredictionContext
 from repro.util.bits import MASK64
 from repro.util.hashing import scramble_array
 from repro.workloads import catalog
-from repro.workloads.catalog import build_trace
+from repro.workloads.builder import TraceBuilder, pack_rows
+from repro.workloads.catalog import ALL_WORKLOADS, build_trace
 from repro.workloads.store import TRACE_DIR_ENV, TraceStore
 
 _CTRL = {OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET}
+_BRANCH, _JUMP, _CALL, _RET = (int(op) for op in (
+    OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET))
+
+needs_kernel = pytest.mark.skipif(
+    not ckernel.kernel_available(),
+    reason="no C toolchain: compiled kernel unavailable")
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +202,109 @@ def test_default_branch_state_guard_and_writeback(trace):
     assert unit.context.ghist == plane.final_ghist
     assert unit.context.path == plane.final_path
     assert unit.context.ghist_length == plane.final_ghist_length
+
+
+# ---------------------------------------------------------------------------
+# The C branch walk equals the Python walk it replaces
+# ---------------------------------------------------------------------------
+
+def assert_walks_equal(packed, config=None):
+    c = ckernel.replay_branches(packed, BranchUnit(config))
+    spec = precompute._python_walk(packed, BranchUnit(config))
+    assert c is not None
+    for name, got, want in zip(("redirect", "ghist64", "path16"), c, spec):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), f"{name} diverged"
+    assert c[3] == spec[3]
+    return spec
+
+
+def control_trace(rows):
+    """Pack ``(op, pc, taken, target)`` control µops."""
+    return pack_rows([(pc, op, (), -1, 0, 0, 8, taken, target, False)
+                      for op, pc, taken, target in rows])
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", ALL_WORKLOADS + (
+    "scenario-c4-e25-l90", "scenario-c0-e100-l0", "scenario-c16-e50-l50"))
+def test_c_walk_matches_python_walk(name):
+    assert_walks_equal(build_trace(name, 6000).packed())
+
+
+@needs_kernel
+def test_c_walk_without_control_uops():
+    b = TraceBuilder("straight")
+    for i in range(50):
+        b.alu(f"op{i % 5}", "x", ["x"] if i else [], i)
+    redirect, ghist64, path16, counters = assert_walks_equal(b.packed())
+    assert not redirect.any() and not ghist64.any() and not path16.any()
+    assert counters == (0, 0, 0, 0, 0, 0)
+
+
+@needs_kernel
+def test_c_walk_return_on_empty_ras_and_deep_call_chains():
+    """Returns with nothing pushed, chains deeper than the 32-entry RAS
+    (the stack wraps and the oldest returns mispredict), and a call at
+    the top of the address space, whose return address passes 2**64."""
+    rows = [(_RET, 0x500, True, 0), (_RET, 0x504, True, 0x1000)]
+    for depth in (8, 40, 70):
+        rows += [(_CALL, 0x2000 + 4 * k, True, 0x2000 + 4 * (k + 1))
+                 for k in range(depth)]
+        rows += [(_RET, 0x9000, True, 0x2000 + 4 * k + 4)
+                 for k in reversed(range(depth))]
+    top = (1 << 64) - 4
+    rows += [(_CALL, top, True, 0x40), (_RET, 0x44, True, 0)]
+    redirect = assert_walks_equal(control_trace(rows))[0]
+    assert redirect[0] == redirect[1] == 1
+    assert redirect[-1] == 1
+    assert 0 < np.count_nonzero(redirect == 1) < len(rows) // 2
+
+
+@needs_kernel
+def test_c_walk_btb_set_conflicts():
+    """Five PCs in one BTB set (2 ways) recur (a hit must become the most
+    recently used way, or the next miss evicts it), cycle, change targets
+    and mix jumps, calls and taken branches."""
+    pcs = 0x40_0000 + 4 * np.arange(1 << 16, dtype=np.uint64)
+    sets = scramble_array(pcs) & np.uint64(2047)
+    crowded = int(np.bincount(sets.astype(np.int64)).argmax())
+    same_set = pcs[sets == crowded][:5].tolist()
+    assert len(same_set) == 5
+    rows = []
+    for k in range(600):
+        pc = same_set[(0, 1, 0, 2, 0, 3, 1, 4)[k % 8] if k < 300
+                      else (k * 3) % 5]
+        op = (_JUMP, _CALL, _BRANCH)[k % 3]
+        rows.append((op, pc, True, 0x8000 + 64 * ((k // 50) % 3)))
+        if op == _CALL:
+            rows.append((_RET, 0x7000, True, pc + 4))
+    redirect = assert_walks_equal(control_trace(rows))[0]
+    assert np.count_nonzero(redirect == 2) > 100
+
+
+@needs_kernel
+def test_c_walk_crosses_the_u_reset_period():
+    """Usefulness ages every ``u_reset_period`` updates.  The default
+    period is 2**18 branches, ~19 s of Python walk, so the walks take a
+    TAGE configured with a short one; the C walk reads the period from
+    the same configuration."""
+    rng = np.random.default_rng(5)
+    n = 6000
+    pcs = (0x40_0000 + 4 * rng.integers(0, 300, n)).tolist()
+    takens = (rng.random(n) < 0.6).tolist()
+    rows = [(_BRANCH, pc, taken, pc + 128) for pc, taken in zip(pcs, takens)]
+    for period in (128, 1000):
+        config = TAGEConfig(u_reset_period=period)
+        assert_walks_equal(control_trace(rows), config)
+
+
+@needs_kernel
+def test_c_walk_is_what_builds_the_plane(monkeypatch, trace):
+    """With the kernel loaded the plane never takes the Python walk."""
+    def refuse(*args):
+        raise AssertionError("the plane took the Python walk")
+
+    monkeypatch.setattr(precompute, "_python_walk", refuse)
+    plane = precompute.build_trace_plane(trace)
+    assert plane.cond_branches > 0

@@ -153,14 +153,6 @@ class TestLazyTrace:
             assert packed_stats == loop_stats
         assert [u.pc for u in clone] == [u.pc for u in source]
 
-    def test_append_after_from_packed_invalidate_views(self):
-        source = build_trace("gzip", 1000)
-        clone = Trace.from_packed(source.packed(), name="gzip")
-        n = len(clone)
-        clone.append(MicroOp(seq=n, pc=0x9999, op_class=OpClass.NOP))
-        assert len(clone) == n + 1
-        assert clone.columns().n == n + 1
-
 
 def reference_back_to_back(uops, fetch_width):
     """The seed's per-µop loop for Section 3.2's back-to-back fraction,

@@ -6,8 +6,10 @@ corrupt entry quarantines itself and the generator heals it, and version
 bumps orphan old entries instead of misreading them.
 """
 
+import gc
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -314,7 +316,7 @@ class TestCachedTraceForm:
 
     @staticmethod
     def assert_packed_only(trace):
-        assert trace._uops is None and trace._columns is None
+        assert trace._uops is None
 
     def test_generated_and_store_loaded(self, tmp_path, monkeypatch):
         self.assert_packed_only(catalog.build_trace("gzip", 1000))
@@ -327,7 +329,26 @@ class TestCachedTraceForm:
         self.assert_packed_only(loaded)
         assert loaded.store_identity == ("gcc", 1000, 403)
         assert loaded.columns().n == 1000
-        assert loaded._columns is not None
+
+    def test_spec_loop_run_leaves_no_list_view(self, monkeypatch):
+        """The spec loop's list view is ~5x the packed bytes of a cached
+        trace, outside the LRU's byte budget, so it must be gone once the
+        run ends: the budget then charges all a cached trace holds."""
+        monkeypatch.setenv("REPRO_FAST_SIM", "0")
+        trace = catalog.build_trace("gcc", 12000, seed=0x5EED_11E)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            view = trace.columns()
+            view_bytes = tracemalloc.get_traced_memory()[0] - base
+            del view
+            simulate(trace, None, workload="gcc")
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert view_bytes > 3 * trace.nbytes
+        assert kept < view_bytes / 10
 
     def test_ingested_exact_sliced_and_tiled(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa.trace import Trace
 from repro.isa.uop import OpClass
 from repro.workloads.builder import TraceBuilder
 from repro.workloads.catalog import (
@@ -70,7 +71,7 @@ class TestInvariantInjection:
         b = TraceBuilder("t")
         for i in range(100):
             b.alu(f"op", "x", [], i)
-        out = inject_invariants(b.trace, every=10, count=3)
+        out = Trace.from_packed(inject_invariants(b.packed(), every=10, count=3))
         loads = sum(1 for u in out.uops if u.is_load)
         assert loads == 30  # 10 blocks x 3 loads
 
@@ -78,14 +79,15 @@ class TestInvariantInjection:
         b = TraceBuilder("t")
         for i in range(30):
             b.alu("op", "x", [], i)
-        out = inject_invariants(b.trace, every=7, count=2)
+        out = Trace.from_packed(inject_invariants(b.packed(), every=7, count=2))
         assert [u.seq for u in out.uops] == list(range(len(out)))
 
     def test_values_stable_across_blocks(self):
         b = TraceBuilder("t")
         for i in range(100):
             b.alu("op", "x", [], i)
-        out = inject_invariants(b.trace, every=10, count=2, seed=3)
+        out = Trace.from_packed(
+            inject_invariants(b.packed(), every=10, count=2, seed=3))
         load_values = {}
         for u in out.uops:
             if u.is_load:
@@ -96,12 +98,13 @@ class TestInvariantInjection:
     def test_zero_every_is_identity(self):
         b = TraceBuilder("t")
         b.alu("op", "x", [], 1)
-        assert inject_invariants(b.trace, every=0) is b.trace
+        packed = b.packed()
+        assert inject_invariants(packed, every=0) is packed
 
     def test_rejects_zero_count(self):
         b = TraceBuilder("t")
         with pytest.raises(ValueError):
-            inject_invariants(b.trace, every=5, count=0)
+            inject_invariants(b.packed(), every=5, count=0)
 
 
 class TestCatalog:
