@@ -1536,7 +1536,7 @@ enum {
     G_LFSR_WIDTH, G_BTB_SETS, G_BTB_WAYS, G_RAS_ENTRIES, G_GHIST_BITS,
     G_LENGTHS /* then one history length per component */
 };
-enum { B_COND, B_DIRECTION, B_TARGET, B_PATH, B_GHIST_LENGTH, N_BOUT };
+enum { B_COND, B_DIRECTION, B_TARGET, B_PATH, B_GHIST_LENGTH };
 
 #define MAX_TAGE_COMPONENTS 64
 #define MIX1 0x9E3779B97F4A7C15ULL
@@ -1561,23 +1561,18 @@ static int btb_check(BBtb *b, uint64_t pc, uint64_t target) {
     int64_t n = b->count[set], p = 0;
     while (p < n && pcs[p] != pc)
         p++;
-    if (p == n) {
+    const int hit = p < n && tgts[p] == target;
+    if (p == n) { /* a miss takes a free way, else the LRU one */
         if (n < b->ways)
-            b->count[set] = ++n;
-        p = n - 1; /* the LRU way, or the way just grown */
-    } else if (tgts[p] == target) {
-        uint64_t t = tgts[p];
-        memmove(pcs + 1, pcs, (size_t)p * sizeof *pcs);
-        memmove(tgts + 1, tgts, (size_t)p * sizeof *tgts);
-        pcs[0] = pc;
-        tgts[0] = t;
-        return 0;
+            b->count[set] = n + 1;
+        else
+            p = n - 1;
     }
     memmove(pcs + 1, pcs, (size_t)p * sizeof *pcs);
     memmove(tgts + 1, tgts, (size_t)p * sizeof *tgts);
     pcs[0] = pc;
     tgts[0] = target;
-    return 1;
+    return !hit;
 }
 
 int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,

@@ -48,12 +48,12 @@ This module owns everything on the Python side of that boundary:
 
 The kernel returns counters through a single ``out`` array; this module
 assembles the :class:`~repro.pipeline.result.SimResult` exactly as the
-spec loop does.
+spec loop does.  Bit-identical results are pinned by the golden grid
+(``REPRO_FAST_SIM=0`` vs default) and the equivalence tests.
 
 The same library holds the trace plane's branch walk
 (:func:`replay_branches`, ``repro_branch_plane``), so one build and one
-load serve both, and :func:`kernel_available` decides both.  Bit-identical results are pinned by the golden grid
-(``REPRO_FAST_SIM=0`` vs default) and the equivalence tests.
+load serve both, and :func:`kernel_available` decides both.
 """
 
 from __future__ import annotations

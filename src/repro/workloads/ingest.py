@@ -720,8 +720,7 @@ def materialise(name: str, n_uops: int) -> Trace:
             f"stored columns for ingested workload {name!r} are missing "
             f"or corrupt under {store.directory}; re-run `repro ingest`")
     if len(base) > n_uops:
-        base = base[:n_uops]
-        base.name = name
+        base = Trace.from_packed(base.packed().head(n_uops), name=name)
     elif len(base) < n_uops:
         base = tile_trace(base, n_uops)
     return base
