@@ -284,8 +284,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0
     if args.action == "ls":
         rows = store.entries()
-        if args.provenance:
-            rows = [r for r in rows if r["provenance"] == args.provenance]
         if not rows:
             print(f"no stored traces under {store.directory}")
             return 0
@@ -294,23 +292,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"{row.get('name', '?'):<24} {row.get('n_uops', 0):>8} µops"
                   f"  seed {row.get('seed', '?'):<6}"
                   f" {int(row.get('nbytes', 0)) / 1024:>9.0f} KB"
-                  f"  {row['provenance']:<9}"
                   f"  {row['key'][:12]}…")
         if args.stats:
             stats = store.stats()
             print(f"total: {stats['entries']} trace(s), "
                   f"{stats['bytes'] / (1024 * 1024):.1f} MB under "
                   f"{stats['directory']}")
-            print(f"  generated: {stats['generated_entries']} "
-                  f"({stats['generated_bytes'] / (1024 * 1024):.1f} MB)  "
-                  f"ingested: {stats['ingested_entries']} "
-                  f"({stats['ingested_bytes'] / (1024 * 1024):.1f} MB)")
         return 0
     # clear
     disk = store.stats() if args.stats else None
-    removed = store.clear(provenance=args.provenance)
-    what = f"{args.provenance} " if args.provenance else ""
-    print(f"removed {removed} stored {what}trace(s) from {store.directory}")
+    removed = store.clear()
+    print(f"removed {removed} stored trace(s) from {store.directory}")
     if args.stats:
         cache = trace_cache_stats()
         clear_trace_cache()
@@ -321,33 +313,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
               f"({cache['precompute_bytes'] / (1024 * 1024):.1f} MB "
               "precompute planes)")
     return 0
-
-
-def cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.workloads import ingest
-
-    store = _trace_store(args)
-    failures = 0
-    for path in args.files:
-        try:
-            trace, report = ingest.ingest_file(path, store, seed=args.seed)
-        except (OSError, ingest.IngestError) as exc:
-            print(f"{path}: FAILED — {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        print(f"{report.name}: {report.n_uops} µops from {path} "
-              f"(seed {report.seed}, {trace.nbytes / 1024:.0f} KB packed, "
-              f"{'stored' if report.stored else 'NOT stored'})")
-        if report.skipped:
-            print(f"  skipped {report.skipped} non-instruction line(s)")
-        if report.quarantined:
-            shown = report.quarantined[:args.show_quarantined]
-            print(f"  quarantined {len(report.quarantined)} line(s):")
-            for line_no, reason, text in shown:
-                print(f"    line {line_no}: {reason}  [{text}]")
-            if len(report.quarantined) > len(shown):
-                print(f"    … and {len(report.quarantined) - len(shown)} more")
-    return 1 if failures else 0
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -936,11 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_ls_p = trace_sub.add_parser(
         "ls", help="list stored traces")
     trace_ls_p.add_argument("--stats", action="store_true",
-                            help="append entry-count and byte totals, "
-                                 "broken out by provenance")
-    trace_ls_p.add_argument("--provenance", default=None,
-                            choices=("generated", "ingested"),
-                            help="list only this class of entries")
+                            help="append entry-count and byte totals")
     _trace_dir_arg(trace_ls_p)
     trace_ls_p.set_defaults(fn=cmd_trace)
 
@@ -951,38 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="report reclaimed on-disk bytes and the in-process trace "
              "LRU occupancy (packed columns + attached precompute "
              "planes) dropped alongside")
-    trace_clear_p.add_argument(
-        "--provenance", default=None, choices=("generated", "ingested"),
-        help="clear only this class: 'generated' entries rebuild on "
-             "demand, 'ingested' ones need their source log re-ingested "
-             "(their registry names stop resolving)")
     _trace_dir_arg(trace_clear_p)
     trace_clear_p.set_defaults(fn=cmd_trace)
-
-    ingest_p = sub.add_parser(
-        "ingest",
-        help="ingest real execution logs into the trace store",
-        description="Parse execution logs ('address hex mnemonic' "
-                    "commit-log lines, or the objdump-style variant), "
-                    "classify each instruction into the µop vocabulary, "
-                    "synthesise seeded value streams and store the packed "
-                    "columns under an ingest-<slug>-<digest> workload "
-                    "name.  The name is then accepted anywhere a workload "
-                    "name is (repro run / cluster run / fuzz / campaigns) on "
-                    "any process pointed at the same trace store.",
-    )
-    ingest_p.add_argument("files", nargs="+", metavar="LOG",
-                          help="execution log file(s) to ingest")
-    ingest_p.add_argument("--seed", type=int, default=None,
-                          help="value-synthesis seed (part of the trace "
-                               "identity; default: a fixed constant)")
-    ingest_p.add_argument("--show-quarantined", type=int, default=5,
-                          metavar="N",
-                          help="print at most N quarantined lines per file")
-    ingest_p.add_argument("--trace-dir", default=None, metavar="DIR",
-                          help="trace store directory "
-                               f"(default: ${TRACE_DIR_ENV})")
-    ingest_p.set_defaults(fn=cmd_ingest)
 
     fuzz_p = sub.add_parser(
         "fuzz",
@@ -1003,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="upper bound on sampled trace lengths")
     fuzz_p.add_argument("--workloads", default=None,
                         help="comma-separated workload pool (default: "
-                             "catalog + random scenarios + ingested traces)")
+                             "catalog + random scenarios)")
     fuzz_p.add_argument("--predictors", default=None,
                         help="comma-separated predictor pool "
                              "(default: the full registry)")

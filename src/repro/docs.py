@@ -278,30 +278,27 @@ def generate_predictors() -> str:
 
 
 # ---------------------------------------------------------------------------
-# docs/workloads.md — from the catalog, scenario, ingest and fuzzer code.
+# docs/workloads.md — from the catalog, scenario and fuzzer code.
 # ---------------------------------------------------------------------------
 
 WORKLOADS_HEADER = """\
 # Workload reference
 
 <!-- Generated by `python -m repro.docs` from the live workload catalog,
-     scenario grammar, ingestion frontend and fuzzer (repro.workloads).
+     scenario grammar and fuzzer (repro.workloads).
      Do not edit by hand: CI regenerates this file and fails on drift. -->
 
 Everywhere a workload name is accepted — `repro run`, `repro cluster run`,
-campaign axes, `SimJob.make` — three name families resolve through the
+campaign axes, `SimJob.make` — two name families resolve through the
 same catalog:
 
 * **catalog kernels** (`gzip`, `wupwise`, …) — the paper's Table 3
   benchmarks, modelled as seeded synthetic kernels;
 * **scenario points** (`scenario-c<chase>-e<entropy>-l<locality>`) — a
   parametric microbenchmark grammar over pointer-chase depth, branch
-  entropy and value locality;
-* **ingested traces** (`ingest-<slug>-<digest>`) — real execution logs
-  lowered into the µop vocabulary by `repro ingest` and registered in
-  the trace store (`$REPRO_TRACE_DIR`).
+  entropy and value locality.
 
-All three produce the same `PackedColumns` plane and behave identically
+Both produce the same `PackedColumns` plane and behave identically
 downstream (result cache, service backend, worker fan-out through the
 trace store).
 """
@@ -309,7 +306,7 @@ trace store).
 
 def generate_workloads() -> str:
     """Render docs/workloads.md from the live workload machinery."""
-    from repro.workloads import fuzzer, ingest, scenarios
+    from repro.workloads import fuzzer, scenarios
     from repro.workloads.catalog import WORKLOADS
 
     lines: list[str] = [WORKLOADS_HEADER]
@@ -340,34 +337,6 @@ def generate_workloads() -> str:
     lines.append(f"Example name: `{defaults.name}` (the defaults). The "
                  "per-point seed derives from the knobs, so a scenario "
                  "name alone reproduces its trace bit-exactly.")
-    lines.append("")
-
-    lines.append("## Ingested traces")
-    lines.append("")
-    lines.append(_first_paragraph(ingest))
-    lines.append("")
-    lines.append(
-        f"* Name grammar: `ingest-<slug>-<digest>` where the 10-hex-digit "
-        f"digest covers the raw source bytes, the value-stream seed and "
-        f"the ingestion version (currently {ingest.INGEST_VERSION}); the "
-        "name alone is therefore a sound content key.")
-    lines.append(
-        f"* Default value-stream seed: `{ingest.DEFAULT_INGEST_SEED:#x}` "
-        "(override with `repro ingest --seed`).")
-    lines.append(
-        "* Registration: `repro ingest <log>` stores the lowered columns "
-        "in the trace store with `provenance=ingested` and writes a "
-        "registry sidecar under `<store>/ingest/<name>.json`; any process "
-        "sharing `$REPRO_TRACE_DIR` can then resolve the name.")
-    lines.append(
-        "* Accepted formats: `address hex mnemonic` execution logs "
-        "(cva6-style) and objdump-style disassembly (`address: hex "
-        "mnemonic`); labels and section headers are skipped, malformed "
-        "lines are quarantined and reported, never silently dropped.")
-    lines.append(
-        "* Inspection: `repro trace ls --stats` splits generated vs "
-        "ingested entries; `repro trace clear --provenance ingested` "
-        "evicts one class.")
     lines.append("")
 
     lines.append("## Differential fuzzer")

@@ -134,14 +134,10 @@ class SimJob:
 
     def trace_identity(self) -> tuple[str, int, int] | None:
         """The ``(workload, µops, seed)`` key of the trace this job
-        simulates in the trace cache and store, or ``None`` when no
-        generator ever builds it: an ingested workload (always loaded
-        from its store) or an unknown one (the worker raises that)."""
+        simulates in the trace cache and store, or ``None`` for an
+        unknown workload (the worker raises that)."""
         from repro.workloads.catalog import resolve_seed
-        from repro.workloads.ingest import is_ingest_name
 
-        if is_ingest_name(self.workload):
-            return None
         try:
             return (self.workload, self.warmup + self.n_uops,
                     resolve_seed(self.workload, self.seed))

@@ -298,7 +298,7 @@ class TraceStats:
 class Trace:
     """An ordered, indexable sequence of µops with workload metadata.
 
-    Backed by either a µop list (hand-built and ingested traces), a
+    Backed by either a µop list (hand-built traces), a
     :class:`PackedColumns` (generated and store-loaded traces, see
     :meth:`from_packed`), or both; whichever half is missing is
     materialised lazily and cached.  Traces are immutable: the workload

@@ -23,9 +23,9 @@ torn committed file); ``enospc``/``error`` raise the corresponding
 :class:`OSError` before any bytes land.
 
 Rename-atomicity protects *readers* from torn files, but a
-read-modify-write of a shared registry (the fuzzer corner registry, the
-ingest sidecars — one file updated by any number of concurrent shards,
-fuzzers and ingest runs) additionally needs mutual exclusion or two
+read-modify-write of a shared registry (the fuzzer corner registry —
+one file updated by any number of concurrent shards and fuzzers)
+additionally needs mutual exclusion or two
 writers silently drop each other's updates.  :func:`file_lock` provides
 it: an advisory ``flock`` on a ``<name>.lock`` sibling, held across the
 load → mutate → :func:`atomic_write_text` sequence.  The lock file is a

@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.isa.trace import Trace
 from repro.util import profiling
-from repro.workloads import ingest, kernels_fp, kernels_int, scenarios
+from repro.workloads import kernels_fp, kernels_int, scenarios
 from repro.workloads.builder import TraceBuilder
 from repro.workloads.invariants import inject_invariants
 from repro.workloads.store import default_trace_store
@@ -183,8 +183,8 @@ def _cache_bytes() -> int:
 def _cache_insert(key: tuple[str, int, int], trace: Trace) -> Trace:
     """Cache *trace* under its identity *key* and return the cached form.
 
-    The cache holds packed columns only: a generated, sliced or tiled
-    trace also carries its µop list, which is dropped so the cache keeps
+    The cache holds packed columns only: a hand-built or sliced trace
+    also carries its µop list, which is dropped so the cache keeps
     just the bytes its budget counts (consumers rebuild µops on demand).
     Then LRU entries past the budgets are evicted.  The newly inserted
     trace itself is never evicted, so a single trace larger than the
@@ -220,10 +220,6 @@ def resolve_seed(name: str, seed: int | None = None) -> int:
     params = scenarios.parse_scenario_name(name)
     if params is not None:
         return params.default_seed()
-    if ingest.is_ingest_name(name):
-        # Ingested traces carry their synthesis seed in the store-side
-        # registry; the name's digest already covers it.
-        return ingest.registered_identity(name)[1]
     return get_spec(name).seed
 
 
@@ -264,10 +260,8 @@ def get_spec(name: str) -> WorkloadSpec:
 
 
 def known_workload(name: str) -> bool:
-    """True for catalog benchmarks, parameterised scenario names and
-    ingested-trace names (``ingest-<slug>-<digest>``)."""
-    return (name in _BY_NAME or scenarios.is_scenario_name(name)
-            or ingest.is_ingest_name(name))
+    """True for catalog benchmarks and parameterised scenario names."""
+    return name in _BY_NAME or scenarios.is_scenario_name(name)
 
 
 def _generate_trace(name: str, n_uops: int, effective_seed: int) -> Trace:
@@ -324,16 +318,6 @@ def build_trace(name: str, n_uops: int, seed: int | None = None, cache: bool = T
         hit = _cache_get(key)
         if hit is not None:
             return hit
-    if ingest.is_ingest_name(name):
-        # Ingested bytes cannot be regenerated: they always come from the
-        # store's full-length entry, tiled or sliced to the request.  The
-        # identity stamp still points at (name, n_uops, seed); precompute
-        # planes persist only when that matches the stored full length.
-        with profiling.phase("trace-build"):
-            trace = ingest.materialise(name, n_uops)
-        _STORE_LOAD_COUNT += 1
-        trace.store_identity = key
-        return _cache_insert(key, trace) if cache else trace
     store = default_trace_store() if cache else None
     if store is not None:
         loaded = store.get(name, n_uops, effective_seed)

@@ -7,9 +7,8 @@ golden grid pins only on a fixed grid.  This module is the standing
 correctness harness that keeps them honest across the *whole* workload ×
 predictor × recovery × knob space:
 
-* :func:`sample_specs` draws jobs from a seed — catalog kernels, random
-  scenario knob points (``scenario-c*-e*-l*``) and any ingested traces
-  registered in the trace store;
+* :func:`sample_specs` draws jobs from a seed — catalog kernels and
+  random scenario knob points (``scenario-c*-e*-l*``);
 * :func:`run_differential` runs one spec through both implementations,
   forcing ``REPRO_FAST_SIM`` per leg (it is read at call time, so
   in-process forcing is exact), and requires **dataclass-equal**
@@ -41,7 +40,7 @@ from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import CoreModel, simulate
 from repro.pipeline import fastsim
 from repro.util.atomicio import atomic_write_text, file_lock
-from repro.workloads import catalog, ingest, scenarios
+from repro.workloads import catalog, scenarios
 
 #: Bump when the spec grammar or sampling distribution changes: a replay
 #: line is only meaningful against the grammar that emitted it.
@@ -226,9 +225,8 @@ def sample_specs(budget: int, seed: int,
                  max_uops: int = 3000) -> list[FuzzSpec]:
     """Draw *budget* specs deterministically from *seed*.
 
-    The workload pool mixes catalog kernels, freshly sampled scenario
-    knob points and (when a trace store is configured) every registered
-    ingested trace; the predictor pool defaults to the full registry,
+    The workload pool mixes catalog kernels and freshly sampled scenario
+    knob points; the predictor pool defaults to the full registry,
     including families the fast path cannot inline — those legs simply
     all run the sequential model, which the differential still checks.
     """
@@ -236,17 +234,12 @@ def sample_specs(budget: int, seed: int,
 
     rng = random.Random((seed << 8) ^ FUZZ_VERSION)
     predictor_pool = tuple(predictors) if predictors else PREDICTOR_NAMES
-    ingested = tuple(
-        ingest.registered_names(_default_store())) if workloads is None else ()
     specs = []
     for _ in range(budget):
         if workloads:
             workload = rng.choice(tuple(workloads))
         else:
-            roll = rng.random()
-            if ingested and roll < 0.2:
-                workload = rng.choice(ingested)
-            elif roll < 0.6:
+            if rng.random() < 0.6:
                 workload = scenarios.ScenarioParams(
                     chase=rng.randrange(0, 10),
                     entropy=rng.randrange(0, 101),
@@ -267,12 +260,6 @@ def sample_specs(budget: int, seed: int,
     return specs
 
 
-def _default_store():
-    from repro.workloads.store import default_trace_store
-
-    return default_trace_store()
-
-
 # ---------------------------------------------------------------------------
 # Corner registry
 # ---------------------------------------------------------------------------
@@ -283,8 +270,8 @@ class CornerRegistry:
     Lives next to the trace store by default
     (``<store>/fuzz-corners.json``) so corners accumulate across runs on
     the same plane; every entry records the corner kind, the workload
-    name (directly addressable through the catalog — scenario and
-    ingested names resolve anywhere a workload name is accepted) and the
+    name (directly addressable through the catalog — scenario names
+    resolve anywhere a workload name is accepted) and the
     replayable spec line.
     """
 
@@ -293,7 +280,9 @@ class CornerRegistry:
 
     @classmethod
     def default(cls) -> "CornerRegistry":
-        store = _default_store()
+        from repro.workloads.store import default_trace_store
+
+        store = default_trace_store()
         base = Path(store.directory) if store is not None else Path(".")
         return cls(base / "fuzz-corners.json")
 

@@ -152,20 +152,13 @@ class TraceStore:
 
     # -- store -----------------------------------------------------------
 
-    def put(self, trace: Trace, name: str, n_uops: int, seed: int,
-            provenance: str = "generated") -> Path:
+    def put(self, trace: Trace, name: str, n_uops: int, seed: int) -> Path:
         """Persist *trace*'s packed columns; returns the entry directory.
 
         Idempotent and race-tolerant: if the entry already exists (another
         process won), the temp copy is discarded.  IO failures are
         swallowed — persisting is an optimisation, never a correctness
         requirement.
-
-        *provenance* records where the bytes came from — ``"generated"``
-        (a catalog/scenario kernel, regenerable at will) or ``"ingested"``
-        (lowered from a real execution log, irreplaceable) — so listing
-        and clearing can target one class.  Not part of the content key:
-        identity is the (name, n_uops, seed) tuple either way.
         """
         key = trace_key(name, n_uops, seed)
         final = self._entry_dir(key)
@@ -181,7 +174,6 @@ class TraceStore:
             "name": name,
             "n_uops": n_uops,
             "seed": seed,
-            "provenance": provenance,
             "n": packed.n,
             "nbytes": packed.nbytes,
             "columns": {col: str(packed.arrays[col].dtype)
@@ -378,48 +370,21 @@ class TraceStore:
                 meta = json.loads(meta_path.read_text())
             except (OSError, ValueError):
                 continue
-            # Entries written before provenance tracking are by definition
-            # generator output.
-            meta.setdefault("provenance", "generated")
             meta["key"] = meta_path.parent.name
             meta["path"] = str(meta_path.parent)
             rows.append(meta)
         return rows
 
-    def clear(self, provenance: str | None = None) -> int:
-        """Delete entries (and orphaned temp dirs); returns the count.
-
-        With *provenance* (``"generated"`` / ``"ingested"``) only entries
-        of that class are removed — ``repro trace clear --provenance
-        generated`` reclaims regenerable bytes without touching ingested
-        traces that cannot be rebuilt from thin air.  Clearing ingested
-        entries also drops their registry sidecars, so the workload names
-        stop resolving instead of dangling.
-        """
+    def clear(self) -> int:
+        """Delete entries (and orphaned temp dirs); returns the count."""
         removed = 0
         if not self.directory.is_dir():
             return removed
-        if provenance is None:
-            for shard in self.directory.glob("??"):
-                for entry in shard.iterdir():
-                    shutil.rmtree(entry, ignore_errors=True)
-                    if ".tmp." not in entry.name:
-                        removed += 1
-            shutil.rmtree(self.directory / "ingest", ignore_errors=True)
-            return removed
-        keep_names: set[str] = set()
-        for row in self.entries():
-            if row["provenance"] == provenance:
-                shutil.rmtree(row["path"], ignore_errors=True)
-                removed += 1
-            elif row["provenance"] == "ingested":
-                keep_names.add(row["name"])
-        if provenance == "ingested":
-            registry = self.directory / "ingest"
-            if registry.is_dir():
-                for sidecar in registry.glob("*.json"):
-                    if sidecar.stem not in keep_names:
-                        sidecar.unlink(missing_ok=True)
+        for shard in self.directory.glob("??"):
+            for entry in shard.iterdir():
+                shutil.rmtree(entry, ignore_errors=True)
+                if ".tmp." not in entry.name:
+                    removed += 1
         return removed
 
     def aux_entries(self) -> list[dict]:
@@ -448,18 +413,10 @@ class TraceStore:
         """
         rows = self.entries()
         aux_rows = self.aux_entries()
-        ingested = [row for row in rows if row["provenance"] == "ingested"]
-        generated = [row for row in rows if row["provenance"] != "ingested"]
         return {
             "directory": str(self.directory),
             "entries": len(rows),
             "bytes": sum(int(row.get("nbytes", 0)) for row in rows),
-            "generated_entries": len(generated),
-            "generated_bytes": sum(int(row.get("nbytes", 0))
-                                   for row in generated),
-            "ingested_entries": len(ingested),
-            "ingested_bytes": sum(int(row.get("nbytes", 0))
-                                  for row in ingested),
             "aux_entries": len(aux_rows),
             "aux_bytes": sum(int(row.get("nbytes", 0)) for row in aux_rows),
             "hits": self.hits,

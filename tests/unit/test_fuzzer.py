@@ -6,7 +6,7 @@ import pytest
 
 from repro.pipeline import ckernel
 from repro.pipeline.result import SimResult
-from repro.workloads import catalog, fuzzer, ingest
+from repro.workloads import catalog, fuzzer
 from repro.workloads.fuzzer import (CornerRegistry, FuzzOutcome, FuzzSpec,
                                     classify_corners, run_differential,
                                     run_fuzz, sample_specs)
@@ -21,8 +21,6 @@ from repro.workloads.fuzzer import (CornerRegistry, FuzzOutcome, FuzzSpec,
     FuzzSpec(workload="scenario-c3-e50-l10", predictor="fcm",
              recovery="reissue", fpc=False, entries=512, n_uops=777,
              warmup=33),
-    FuzzSpec(workload="ingest-demo-0123456789", predictor="none",
-             recovery="squash", entries=1024, n_uops=3000, warmup=0),
 ))
 def test_spec_line_round_trip(spec):
     assert FuzzSpec.parse(spec.line()) == spec
@@ -71,18 +69,6 @@ def test_sample_specs_honors_pools():
                          predictors=("lvp", "vtage"))
     assert {s.workload for s in specs} <= {"gcc", "gzip"}
     assert {s.predictor for s in specs} <= {"lvp", "vtage"}
-
-
-def test_sample_specs_includes_ingested(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    catalog.clear_trace_cache()
-    from repro.workloads.store import default_trace_store
-    text = "".join(f"{0x80000000 + 4 * i:08x} {0x113:08x} addi a0,a0,1\n"
-                   for i in range(32))
-    _, report = ingest.ingest_text(text, "pool.log", default_trace_store())
-    names = {s.workload for s in sample_specs(200, seed=3)}
-    assert report.name in names
-    catalog.clear_trace_cache()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ workloads and three scenario points at 3 000 µops.  Any change to the
 trace builder, the invariant splice or the branch-plane walk (Python or
 C) that moves one byte fails here, naming the trace and the column.
 
-A trace is also a prefix: the 3k build of each of those traces, and its
-plane, equals the first 3k µops of the 9k build in every column.
+A trace is also a prefix: the 3k build of each of those traces, its
+branch plane and its VTAGE plane equal the first 3k µops of the 9k build
+in every column.
 
 Regenerate the fixture only for a deliberate change of the generated
 traces (one that also bumps ``TRACE_GENERATOR_VERSION`` or
@@ -24,9 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.experiments.runner import make_predictor
 from repro.isa.trace import COLUMN_SCHEMA
 from repro.isa.uop import OpClass
-from repro.pipeline.precompute import build_trace_plane
+from repro.pipeline.precompute import (build_trace_plane, build_vtage_plane,
+                                       vtage_signature)
 from repro.workloads.catalog import ALL_WORKLOADS, build_trace
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "trace_digests.json"
@@ -106,6 +109,13 @@ def test_short_build_is_a_prefix_of_a_long_one(name):
     assert plane.direction_mispredicts == int(np.count_nonzero(redirect == 1))
     assert plane.target_mispredicts == int(np.count_nonzero(redirect == 2))
     assert plane.final_ghist_length == min(cond, 256)
+    sig = vtage_signature(make_predictor("vtage"))
+    vtage = build_vtage_plane(short, sig)
+    vtage_whole = build_vtage_plane(long, sig)
+    for col in ("idx", "tag"):
+        assert np.array_equal(getattr(vtage, col),
+                              getattr(vtage_whole, col)[:, :N_UOPS]), \
+            f"{name}: vtage.{col}"
 
 
 if __name__ == "__main__":

@@ -56,10 +56,8 @@ def _serial(jobs):
 def test_trace_identity_names_generated_traces_only():
     job = SimJob.make("gzip", **TINY)
     assert job.trace_identity() == ("gzip", 1200, catalog.resolve_seed("gzip"))
-    # Never generated: unknown names (the worker raises) and ingested
-    # traces (always loaded from their store).
+    # Never generated: unknown names (the worker raises).
     assert SimJob.make("no-such-workload").trace_identity() is None
-    assert SimJob.make("ingest-demo-0123456789").trace_identity() is None
 
 
 class TestPoolExecutor:

@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine.job import SimJob, execute_job
 from repro.pipeline.core import simulate
-from repro.workloads import catalog, ingest
+from repro.workloads import catalog
 from repro.workloads.store import (
     TRACE_DIR_ENV,
     TraceStore,
@@ -349,16 +349,6 @@ class TestCachedTraceForm:
             tracemalloc.stop()
         assert view_bytes > 3 * trace.nbytes
         assert kept < view_bytes / 10
-
-    def test_ingested_exact_sliced_and_tiled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        text = "80000000 00052503 lw a0,0(a1)\n" * 50
-        _, report = ingest.ingest_text(text, "fifty.log",
-                                       TraceStore(tmp_path), seed=3)
-        for n_uops in (50, 20, 120):
-            trace = catalog.build_trace(report.name, n_uops)
-            self.assert_packed_only(trace)
-            assert len(trace) == n_uops
 
 
 class TestTraceCLI:
