@@ -274,11 +274,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         total = args.warmup + args.uops
         for name in workloads:
             seed = resolve_seed(name, args.seed)
-            if store.get(name, total, seed) is not None:
+            if store.contains(name, total, seed):
                 print(f"{name:<24} {total:>8} µops seed {seed}: already stored")
                 continue
             trace = build_trace(name, total, seed=args.seed, cache=False)
-            store.put(trace, name, total, seed)
+            store.put(trace, name, seed)
             print(f"{name:<24} {total:>8} µops seed {seed}: "
                   f"built and stored ({trace.nbytes / 1024:.0f} KB packed)")
         return 0
@@ -288,8 +288,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"no stored traces under {store.directory}")
             return 0
         for row in sorted(rows, key=lambda r: (r.get("name", ""),
-                                               r.get("n_uops", 0))):
-            print(f"{row.get('name', '?'):<24} {row.get('n_uops', 0):>8} µops"
+                                               r.get("seed", 0))):
+            print(f"{row.get('name', '?'):<24} {row.get('n', 0):>8} µops"
                   f"  seed {row.get('seed', '?'):<6}"
                   f" {int(row.get('nbytes', 0)) / 1024:>9.0f} KB"
                   f"  {row['key'][:12]}…")
@@ -870,11 +870,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="build, inspect or clear the persistent trace store",
         description="Manage the content-addressed trace store "
                     f"(--trace-dir or ${TRACE_DIR_ENV}).  Stored traces "
-                    "are packed numpy columns keyed by (workload, µops, "
-                    "seed) and generator version; any process pointed at "
-                    "the store mmap-loads them instead of re-running the "
-                    "generators.  Pool and daemon workers share it "
-                    "(or a private temporary store when none is set).",
+                    "are packed numpy columns keyed by (workload, seed) "
+                    "and generator version, one entry holding the longest "
+                    "build so far; any process pointed at the store "
+                    "mmap-loads them, a shorter slice as a view, instead "
+                    "of re-running the generators.  Pool and daemon "
+                    "workers share it (or a private temporary store when "
+                    "none is set).",
     )
     trace_sub = trace_p.add_subparsers(dest="action", required=True)
 

@@ -132,15 +132,14 @@ class SimJob:
             object.__setattr__(self, "_content_key", key)
         return key
 
-    def trace_identity(self) -> tuple[str, int, int] | None:
-        """The ``(workload, µops, seed)`` key of the trace this job
-        simulates in the trace cache and store, or ``None`` for an
-        unknown workload (the worker raises that)."""
+    def trace_identity(self) -> tuple[str, int] | None:
+        """The ``(workload, seed)`` key of the trace this job simulates a
+        slice of in the trace cache and store, or ``None`` for an unknown
+        workload (the worker raises that)."""
         from repro.workloads.catalog import resolve_seed
 
         try:
-            return (self.workload, self.warmup + self.n_uops,
-                    resolve_seed(self.workload, self.seed))
+            return self.workload, resolve_seed(self.workload, self.seed)
         except KeyError:
             return None
 

@@ -461,8 +461,9 @@ class JobQueue:
         #: Per-dispatch wall-clock budget (None = no timeout).
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.stats = QueueStats()
-        #: Trace identity -> id of the task whose worker generates it: the
-        #: one in-flight job of a trace absent from the store.
+        #: (workload, seed) -> id of the task whose worker generates its
+        #: trace: the one in-flight job of a trace the store lacks or
+        #: holds too short.
         self._generating: dict[tuple, int] = {}
         self._tasks: dict[int, _Task] = {}
         self._inflight: dict[str, int] = {}   # content key -> task id
@@ -618,10 +619,12 @@ class JobQueue:
     def _feed(self) -> None:
         """Hand pending tasks to idle workers (FIFO).
 
-        The first job of a trace absent from the shared store generates
-        it; the trace's other jobs are deferred (keeping their queue
-        position) until that job resolves, then load it from the store.
-        The event loop itself never builds a trace.
+        The first job of a trace the shared store lacks, or holds too
+        short, generates it; the other jobs of its ``(workload, seed)``
+        are deferred (keeping their queue position) until that job
+        resolves, then load their slice from the store or, if it is still
+        too short, generate in turn.  The event loop itself never builds
+        a trace.
         """
         idle = self.pool.idle_workers()
         deferred: list[int] = []
@@ -640,8 +643,8 @@ class JobQueue:
             if ident in self._generating:
                 deferred.append(task_id)
                 continue
-            if ident is not None \
-                    and not self.pool.trace_store.contains(*ident):
+            if ident is not None and not self.pool.trace_store.contains(
+                    ident[0], task.job.warmup + task.job.n_uops, ident[1]):
                 self._generating[ident] = task_id
             task.attempts += 1
             # Chaos: the parent evaluates the worker.execute site here so

@@ -1523,9 +1523,8 @@ int64_t repro_kernel_run(const KernelArgs *a) {
  *
  * Fills redirect[] (0 none, 1 direction/return mispredict, 2 target
  * mispredict) and the (ghist & 2^64-1, path & 0xFFFF) context after each
- * uop, and out[] (B_* below).  The 256-bit final ghist is the caller's:
- * it is the last 256 conditional outcomes.  Returns 0, or ERR_BAD_ARG for
- * a geometry it cannot hold (the caller then walks the Python unit).
+ * uop.  Returns 0, or ERR_BAD_ARG for a geometry it cannot hold (the
+ * caller then walks the Python unit).
  * Unlike the cycle loop it allocates: one zeroed block for its tables,
  * freed before it returns.
  * ====================================================================== */
@@ -1533,10 +1532,9 @@ int64_t repro_kernel_run(const KernelArgs *a) {
 enum {
     G_COMPONENTS, G_TAGGED_ENTRIES, G_TAG_BITS, G_BIMODAL_ENTRIES,
     G_CTR_BITS, G_USEFUL_BITS, G_U_RESET_PERIOD, G_LFSR_SEED, G_LFSR_TAPS,
-    G_LFSR_WIDTH, G_BTB_SETS, G_BTB_WAYS, G_RAS_ENTRIES, G_GHIST_BITS,
+    G_LFSR_WIDTH, G_BTB_SETS, G_BTB_WAYS, G_RAS_ENTRIES,
     G_LENGTHS /* then one history length per component */
 };
-enum { B_COND, B_DIRECTION, B_TARGET, B_PATH, B_GHIST_LENGTH };
 
 #define MAX_TAGE_COMPONENTS 64
 #define MIX1 0x9E3779B97F4A7C15ULL
@@ -1578,8 +1576,7 @@ static int btb_check(BBtb *b, uint64_t pc, uint64_t target) {
 int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
                            const uint8_t *takens, const uint64_t *targets,
                            const int64_t *geometry, uint8_t *redirect,
-                           uint64_t *ghist64, uint16_t *path16,
-                           int64_t *out) {
+                           uint64_t *ghist64, uint16_t *path16) {
     const int64_t ncomp = geometry[G_COMPONENTS];
     const int64_t entries = geometry[G_TAGGED_ENTRIES];
     const uint64_t tag_mask = ((uint64_t)1 << geometry[G_TAG_BITS]) - 1;
@@ -1590,7 +1587,6 @@ int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
     const int64_t period = geometry[G_U_RESET_PERIOD];
     const uint64_t lfsr_taps = (uint64_t)geometry[G_LFSR_TAPS];
     const int64_t ras_entries = geometry[G_RAS_ENTRIES];
-    const int64_t ghist_bits = geometry[G_GHIST_BITS];
     const int64_t *lengths = geometry + G_LENGTHS;
     if (ncomp < 1 || ncomp > MAX_TAGE_COMPONENTS || period < 1 ||
         geometry[G_TAG_BITS] > 15 || geometry[G_CTR_BITS] > 8 ||
@@ -1627,7 +1623,6 @@ int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
         lfsr = 1;
     int64_t use_alt_on_na = 8, updates = 0;
     int64_t ras_top = 0, ras_depth = 0;
-    int64_t cond = 0, dmisp = 0, tmisp = 0, ghist_length = 0;
     uint64_t ghist = 0, path = 0;
     int64_t idx[MAX_TAGE_COMPONENTS], tag[MAX_TAGE_COMPONENTS];
 
@@ -1637,7 +1632,6 @@ int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
         uint8_t code = 0;
         if (op == OP_BRANCH) {
             const int taken = takens[i] != 0;
-            cond++;
             /* predict: bimodal, then the two longest matching components */
             const int64_t bim_idx =
                 (int64_t)(scramble64(pc) & (uint64_t)(bim_entries - 1));
@@ -1674,13 +1668,10 @@ int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
                 direction = newly && use_alt_on_na >= 8 ? alt_pred
                                                         : ctr[pi] >= 0;
             }
-            if (direction != taken) {
+            if (direction != taken)
                 code = 1;
-                dmisp++;
-            } else if (taken && btb_check(&btb, pc, targets[i])) {
+            else if (taken && btb_check(&btb, pc, targets[i]))
                 code = 2;
-                tmisp++;
-            }
             /* update; the bimodal trains when no component provided, or
              * as the alternate of a provider with no usefulness */
             updates++;
@@ -1757,13 +1748,9 @@ int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
             /* push the outcome onto the global and path histories */
             ghist = (ghist << 1) | (uint64_t)taken;
             path = ((path << 3) ^ (pc & 0xFFFF)) & 0xFFFFFFFFULL;
-            if (ghist_length < ghist_bits)
-                ghist_length++;
         } else if (op == OP_JUMP || op == OP_CALL) {
-            if (btb_check(&btb, pc, targets[i])) {
+            if (btb_check(&btb, pc, targets[i]))
                 code = 2;
-                tmisp++;
-            }
             if (op == OP_CALL) {
                 const int64_t slot = ras_top % ras_entries;
                 ras[slot] = pc + 4;
@@ -1779,20 +1766,13 @@ int64_t repro_branch_plane(int64_t n, const uint8_t *ops, const uint64_t *pcs,
                 const int64_t slot = ras_top % ras_entries;
                 hit = !ras_wrapped[slot] && ras[slot] == targets[i];
             }
-            if (!hit) {
+            if (!hit)
                 code = 1;
-                dmisp++;
-            }
         }
         redirect[i] = code;
         ghist64[i] = ghist;
         path16[i] = (uint16_t)(path & 0xFFFF);
     }
     free(block);
-    out[B_COND] = cond;
-    out[B_DIRECTION] = dmisp;
-    out[B_TARGET] = tmisp;
-    out[B_PATH] = (int64_t)path;
-    out[B_GHIST_LENGTH] = ghist_length;
     return ERR_OK;
 }

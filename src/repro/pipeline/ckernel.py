@@ -98,9 +98,6 @@ _BW_WINDOW = 1 << 17
 _IQ_WINDOW = 1 << 16
 _ADDR_LIMIT = 1 << 62
 _MAX_COMPONENTS = 16
-#: Width of the global history window (``PredictionContext.push_branch``).
-_GHIST_BITS = 256
-_BRANCH = int(OpClass.BRANCH)
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -282,7 +279,7 @@ def _load():
         lib.repro_kernel_run.restype = _I64
         lib.repro_kernel_run.argtypes = [ctypes.POINTER(_KernelArgs)]
         lib.repro_branch_plane.restype = _I64
-        lib.repro_branch_plane.argtypes = [_I64] + [_PTR] * 9
+        lib.repro_branch_plane.argtypes = [_I64] + [_PTR] * 8
         if lib.repro_kernel_abi_version() != _ABI_VERSION:
             return None
     except OSError:
@@ -312,7 +309,7 @@ def replay_branches(packed, unit):
         [len(tage.components), cfg.tagged_entries, cfg.tag_bits,
          cfg.bimodal_entries, cfg.counter_bits, cfg.useful_bits,
          cfg.u_reset_period, lfsr.state, lfsr._taps, lfsr.width,
-         unit.btb.sets, unit.btb.ways, unit.ras.entries, _GHIST_BITS,
+         unit.btb.sets, unit.btb.ways, unit.ras.entries,
          *cfg.history_lengths], dtype=np.int64)
     a, n = packed.arrays, packed.n
     columns = [np.ascontiguousarray(a[name]) for name in
@@ -320,18 +317,10 @@ def replay_branches(packed, unit):
     redirect = np.empty(n, dtype=np.uint8)
     ghist64 = np.empty(n, dtype=np.uint64)
     path16 = np.empty(n, dtype=np.uint16)
-    out = np.empty(5, dtype=np.int64)
-    arrays = columns + [geometry, redirect, ghist64, path16, out]
+    arrays = columns + [geometry, redirect, ghist64, path16]
     if lib.repro_branch_plane(n, *(array.ctypes.data for array in arrays)):
         return None
-    cond, direction, target, path, length = out.tolist()
-    # The final ghist is the last _GHIST_BITS conditional outcomes, the
-    # most recent in bit 0.
-    outcomes = a["takens"][a["ops"] == _BRANCH][-_GHIST_BITS:][::-1]
-    ghist = int.from_bytes(
-        np.packbits(outcomes, bitorder="little").tobytes(), "little")
-    return redirect, ghist64, path16, (
-        cond, direction, target, ghist, path, length)
+    return redirect, ghist64, path16
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ branch unit when a caller first reads it.
 Planes are cached on the trace object (the catalog's LRU byte accounting
 includes them, see ``workloads/catalog.py``) and the Python-expensive
 :class:`TracePlane` is additionally persisted into the on-disk trace store
-next to the packed columns, keyed by :data:`PRECOMPUTE_VERSION`.
+next to the packed columns, keyed by :data:`PRECOMPUTE_VERSION`.  The walk
+runs once per ``(name, seed)``: a slice of a cached trace takes the head
+of its entry's :class:`TracePlane`, and a stored plane serves every trace
+it is at least as long as.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from repro.util.history import FOLD_WIDTH, fold_array
 #: Bump whenever the plane layout *or* anything feeding it (branch unit
 #: semantics, hashing, fold) changes; part of the on-disk aux key, so stale
 #: persisted planes are regenerated instead of misread.
-PRECOMPUTE_VERSION = 2
+PRECOMPUTE_VERSION = 3
 
 _CTRL_INTS = tuple(sorted(
     int(c) for c in (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET)
@@ -67,34 +70,19 @@ PLANE_CACHE_ATTR = "_plane_cache"
 class TracePlane:
     """Stream-deterministic per-µop front-end state for one trace."""
 
-    __slots__ = (
-        "n",
-        "redirect",
-        "ghist64",
-        "path16",
-        "scr_pkey",
-        "cond_branches",
-        "direction_mispredicts",
-        "target_mispredicts",
-        "final_ghist",
-        "final_path",
-        "final_ghist_length",
-    )
+    __slots__ = ("n", "redirect", "ghist64", "path16", "scr_pkey")
 
-    def __init__(self, n, redirect, ghist64, path16, scr_pkey,
-                 cond_branches, direction_mispredicts, target_mispredicts,
-                 final_ghist, final_path, final_ghist_length):
+    def __init__(self, n, redirect, ghist64, path16, scr_pkey):
         self.n = n
         self.redirect = redirect
         self.ghist64 = ghist64
         self.path16 = path16
         self.scr_pkey = scr_pkey
-        self.cond_branches = cond_branches
-        self.direction_mispredicts = direction_mispredicts
-        self.target_mispredicts = target_mispredicts
-        self.final_ghist = final_ghist
-        self.final_path = final_path
-        self.final_ghist_length = final_ghist_length
+
+    def head(self, n: int) -> "TracePlane":
+        """The plane of the first *n* µops (views of these arrays)."""
+        return TracePlane(n, self.redirect[:n], self.ghist64[:n],
+                          self.path16[:n], self.scr_pkey[:n])
 
     @property
     def nbytes(self) -> int:
@@ -232,8 +220,7 @@ def build_kernel_inputs(trace: Trace) -> KernelInputs:
 def _python_walk(packed, unit: BranchUnit):
     """The specification walk: *unit*'s ``process_scalar`` per control µop.
 
-    Returns ``(redirect, ghist64, path16, counters)``, *counters* being
-    :class:`TracePlane`'s counter and final-history fields in order.
+    Returns ``(redirect, ghist64, path16)``.
     """
     n = packed.n
     redirect = np.zeros(n, dtype=np.uint8)
@@ -273,9 +260,7 @@ def _python_walk(packed, unit: BranchUnit):
                 np.array(g_vals, dtype=np.uint64), lengths)
             path16[starts[0]:] = np.repeat(
                 np.array(p_vals, dtype=np.uint16), lengths)
-    return redirect, ghist64, path16, (
-        unit.cond_branches, unit.direction_mispredicts,
-        unit.target_mispredicts, ctx.ghist, ctx.path, ctx.ghist_length)
+    return redirect, ghist64, path16
 
 
 def build_trace_plane(trace: Trace) -> TracePlane:
@@ -292,11 +277,10 @@ def build_trace_plane(trace: Trace) -> TracePlane:
 
     packed = trace.packed()
     unit = BranchUnit()
-    walked = (ckernel.replay_branches(packed, unit)
-              or _python_walk(packed, unit))
-    redirect, ghist64, path16, counters = walked
+    redirect, ghist64, path16 = (ckernel.replay_branches(packed, unit)
+                                 or _python_walk(packed, unit))
     return TracePlane(packed.n, redirect, ghist64, path16,
-                      scramble_array(_pkeys(trace)), *counters)
+                      scramble_array(_pkeys(trace)))
 
 
 def build_vtage_plane(trace: Trace, signature: tuple) -> VTAGEPlane:
@@ -353,8 +337,13 @@ def precompute_nbytes(trace: Trace) -> int:
 
 
 def trace_plane(trace: Trace) -> TracePlane:
-    """The :class:`TracePlane` for *trace*: attached cache, then the trace
-    store (for catalog-built traces), then a fresh build (persisted back)."""
+    """The :class:`TracePlane` for *trace*: the head of its cache entry's
+    when it is a slice (not attached: four views the LRU charges to the
+    entry once), else the attached one, then the trace store's (for
+    catalog-built traces), then a fresh build (persisted back)."""
+    entry = getattr(trace, "prefix_of", None)
+    if entry is not None:
+        return trace_plane(entry).head(len(trace))
     cache = _plane_cache(trace)
     plane = cache.get("trace")
     if plane is not None:
@@ -372,52 +361,27 @@ def trace_plane(trace: Trace) -> TracePlane:
 
 
 _AUX_KIND = "plane"
+_PLANE_ARRAYS = ("redirect", "ghist64", "path16", "scr_pkey")
 
 
 def _plane_from_store(store, identity, n: int) -> TracePlane | None:
+    """The head of the stored plane, when it covers at least *n* µops."""
     loaded = store.get_aux(*identity, _AUX_KIND, PRECOMPUTE_VERSION)
     if loaded is None:
         return None
     meta, arrays = loaded
     try:
-        plane = TracePlane(
-            n=int(meta["n"]),
-            redirect=arrays["redirect"],
-            ghist64=arrays["ghist64"],
-            path16=arrays["path16"],
-            scr_pkey=arrays["scr_pkey"],
-            cond_branches=int(meta["cond_branches"]),
-            direction_mispredicts=int(meta["direction_mispredicts"]),
-            target_mispredicts=int(meta["target_mispredicts"]),
-            final_ghist=int(meta["final_ghist"], 16),
-            final_path=int(meta["final_path"]),
-            final_ghist_length=int(meta["final_ghist_length"]),
-        )
+        plane = TracePlane(int(meta["n"]),
+                           *(arrays[name] for name in _PLANE_ARRAYS))
     except (KeyError, ValueError, TypeError):
         return None
-    if plane.n != n:
-        return None
-    return plane
+    return plane.head(n) if plane.n >= n else None
 
 
 def _plane_to_store(store, identity, plane: TracePlane) -> None:
-    meta = {
-        "n": plane.n,
-        "cond_branches": plane.cond_branches,
-        "direction_mispredicts": plane.direction_mispredicts,
-        "target_mispredicts": plane.target_mispredicts,
-        # The ghist window is 256 bits wide — too big for a JSON number.
-        "final_ghist": f"{plane.final_ghist:x}",
-        "final_path": plane.final_path,
-        "final_ghist_length": plane.final_ghist_length,
-    }
-    arrays = {
-        "redirect": plane.redirect,
-        "ghist64": plane.ghist64,
-        "path16": plane.path16,
-        "scr_pkey": plane.scr_pkey,
-    }
-    store.put_aux(*identity, _AUX_KIND, PRECOMPUTE_VERSION, arrays, meta)
+    arrays = {name: getattr(plane, name) for name in _PLANE_ARRAYS}
+    store.put_aux(*identity, _AUX_KIND, PRECOMPUTE_VERSION, arrays,
+                  {"n": plane.n})
 
 
 _KERNEL_KEY = "kernel"
@@ -446,8 +410,8 @@ def vtage_plane(trace: Trace, predictor) -> VTAGEPlane:
 
 
 def _store_identity(trace: Trace):
-    """(store, (name, n_uops, seed)) when *trace* came from the catalog and
-    a trace store is configured; (None, None) otherwise."""
+    """(store, (name, seed)) when *trace* is a catalog cache entry and a
+    trace store is configured; (None, None) otherwise."""
     identity = getattr(trace, "store_identity", None)
     if identity is None:
         return None, None

@@ -14,7 +14,6 @@ from repro.workloads.catalog import (
     WORKLOADS,
     WorkloadSpec,
     build_trace,
-    cached_trace,
     clear_trace_cache,
     get_spec,
     known_workload,
@@ -45,7 +44,6 @@ __all__ = [
     "WORKLOADS",
     "WorkloadSpec",
     "build_trace",
-    "cached_trace",
     "clear_trace_cache",
     "default_trace_store",
     "get_spec",

@@ -132,18 +132,21 @@ INT_WORKLOADS = tuple(w.name for w in WORKLOADS if w.suite == "INT")
 FP_WORKLOADS = tuple(w.name for w in WORKLOADS if w.suite == "FP")
 ALL_WORKLOADS = tuple(w.name for w in WORKLOADS)
 
-# Trace cache: building traces is pure and deterministic, so traces are
-# memoised per (name, length, seed) for the many runs that reuse them.
+# Trace cache: building traces is pure and deterministic, and the n-µop
+# build of a (name, seed) is the head of every longer one (pinned by
+# tests/unit/test_trace_digests.py).  So one entry per (name, seed) holds
+# the longest trace built so far, and a shorter request gets a slice of
+# views, made once per length and kept in the entry's ``slices``.
 # The cache is a *bounded* LRU: a long-lived `repro cluster serve` daemon
 # sweeping many scenario workloads must not grow it without limit, so
-# inserts evict least-recently-used traces past an entry count and a
-# packed-byte budget.  A cached trace holds its packed columns only; the
-# list view the spec loop reads is built per run and dropped with it.
-# Budget accounting charges each trace its packed bytes *plus* any
-# precompute planes attached to it (``trace._plane_cache``, see
+# inserts evict least-recently-used entries past an entry count and a
+# packed-byte budget.  An entry holds its packed columns only; the list
+# view the spec loop reads is built per run and dropped with it.
+# Budget accounting charges each entry its packed bytes *plus* any
+# precompute planes attached to it or its slices (``_plane_cache``, see
 # pipeline/precompute.py) — planes grow after insertion, so occupancy is
 # re-summed at insert time rather than tracked incrementally.
-_TRACE_CACHE: OrderedDict[tuple[str, int, int], Trace] = OrderedDict()
+_TRACE_CACHE: OrderedDict[tuple[str, int], Trace] = OrderedDict()
 
 #: Default LRU budgets: entries and packed megabytes.  A 48k-µop packed
 #: trace is ~3.5 MB, so the defaults hold every distinct trace of a full
@@ -151,11 +154,9 @@ _TRACE_CACHE: OrderedDict[tuple[str, int, int], Trace] = OrderedDict()
 TRACE_CACHE_MAX_ENTRIES = 64
 TRACE_CACHE_MAX_MB = 512
 
-# Lifetime counters (this process): kernel generations actually executed
-# vs. trace-store loads.  The grid benchmark and the store tests use these
-# to prove structurally that warm paths skip generation.
+# Kernel generations executed in this process; the grid benchmark and
+# perfbench use it to prove structurally that warm paths skip generation.
 _GEN_COUNT = 0
-_STORE_LOAD_COUNT = 0
 
 
 def _plane_bytes(trace: Trace) -> int:
@@ -165,50 +166,51 @@ def _plane_bytes(trace: Trace) -> int:
     the pipeline layer; the attribute contract lives in
     ``pipeline/precompute.py`` (every plane exposes ``nbytes``).
     """
-    planes = getattr(trace, "_plane_cache", None)
-    if not planes:
-        return 0
+    planes = getattr(trace, "_plane_cache", {})
     return sum(int(plane.nbytes) for plane in planes.values())
 
 
-def _charged_bytes(trace: Trace) -> int:
-    """What the LRU budget charges one cached trace: packed + planes."""
-    return trace.nbytes + _plane_bytes(trace)
+def _charged_bytes(entry: Trace) -> int:
+    """What the LRU budget charges one entry: packed + the planes of the
+    entry and of its slices (whose columns alias the entry's)."""
+    return entry.nbytes + sum(
+        _plane_bytes(trace) for trace in (entry, *entry.slices.values()))
 
 
 def _cache_bytes() -> int:
     return sum(_charged_bytes(trace) for trace in _TRACE_CACHE.values())
 
 
-def _cache_insert(key: tuple[str, int, int], trace: Trace) -> Trace:
-    """Cache *trace* under its identity *key* and return the cached form.
+def _cache_insert(key: tuple[str, int], trace: Trace) -> Trace:
+    """Make *trace* the entry of *key*, replacing a shorter one.
 
-    The cache holds packed columns only: a hand-built or sliced trace
-    also carries its µop list, which is dropped so the cache keeps
-    just the bytes its budget counts (consumers rebuild µops on demand).
     Then LRU entries past the budgets are evicted.  The newly inserted
     trace itself is never evicted, so a single trace larger than the
     whole byte budget still caches (budget-keeping resumes with the next
     insert).
     """
-    cached = Trace.from_packed(trace.packed(), name=trace.name)
-    cached.store_identity = key
+    trace.store_identity = key
+    trace.slices = {}
     _TRACE_CACHE.pop(key, None)
-    _TRACE_CACHE[key] = cached
+    _TRACE_CACHE[key] = trace
     max_bytes = TRACE_CACHE_MAX_MB * 1024 * 1024
     while len(_TRACE_CACHE) > 1 and (
         len(_TRACE_CACHE) > TRACE_CACHE_MAX_ENTRIES
         or _cache_bytes() > max_bytes
     ):
         _TRACE_CACHE.popitem(last=False)
-    return cached
-
-
-def _cache_get(key: tuple[str, int, int]) -> Trace | None:
-    trace = _TRACE_CACHE.get(key)
-    if trace is not None:
-        _TRACE_CACHE.move_to_end(key)
     return trace
+
+
+def _slice(entry: Trace, n_uops: int) -> Trace:
+    """The first *n_uops* µops of the cached *entry*, made once per
+    length; its ``prefix_of`` lends it the entry's branch plane."""
+    piece = entry.slices.get(n_uops)
+    if piece is None:
+        piece = Trace.from_packed(entry.packed().head(n_uops), name=entry.name)
+        piece.prefix_of = entry
+        entry.slices[n_uops] = piece
+    return piece
 
 
 def resolve_seed(name: str, seed: int | None = None) -> int:
@@ -223,26 +225,17 @@ def resolve_seed(name: str, seed: int | None = None) -> int:
     return get_spec(name).seed
 
 
-def cached_trace(name: str, n_uops: int, seed: int | None = None) -> Trace | None:
-    """The cached trace for an identity tuple, or ``None`` (no building)."""
-    return _cache_get((name, n_uops, resolve_seed(name, seed)))
-
-
 def trace_cache_stats() -> dict:
-    """Entry/byte occupancy and lifetime build/load counters.
+    """Entry and byte occupancy of the in-process LRU.
 
     ``bytes`` is the total the LRU budget enforces (packed columns plus
     attached precompute planes); ``precompute_bytes`` breaks out the plane
     share so ``repro trace clear --stats`` reports it honestly.
     """
-    precompute = sum(_plane_bytes(trace) for trace in _TRACE_CACHE.values())
-    return {
-        "entries": len(_TRACE_CACHE),
-        "bytes": _cache_bytes(),
-        "precompute_bytes": precompute,
-        "generations": _GEN_COUNT,
-        "store_loads": _STORE_LOAD_COUNT,
-    }
+    charged = _cache_bytes()
+    packed = sum(trace.nbytes for trace in _TRACE_CACHE.values())
+    return {"entries": len(_TRACE_CACHE), "bytes": charged,
+            "precompute_bytes": charged - packed}
 
 
 def generation_count() -> int:
@@ -265,7 +258,7 @@ def known_workload(name: str) -> bool:
 
 
 def _generate_trace(name: str, n_uops: int, effective_seed: int) -> Trace:
-    """Run the generator for one identity tuple (no caches consulted)."""
+    """Generate the first *n_uops* µops of one (name, seed); no cache."""
     global _GEN_COUNT
     _GEN_COUNT += 1
     params = scenarios.parse_scenario_name(name)
@@ -301,38 +294,33 @@ def build_trace(name: str, n_uops: int, seed: int | None = None, cache: bool = T
     the invariant pass splices in the benchmark's calibrated share of
     trivially-redundant values (see :mod:`repro.workloads.invariants`);
     scenarios control their own redundancy through the locality knob.  The
-    returned trace has at least *n_uops* µops; callers slice off what they
-    need.
+    returned trace has exactly *n_uops* µops.
 
-    Sources are tried in cost order: the in-process LRU cache, the
-    persistent trace store (``$REPRO_TRACE_DIR``, mmap-loaded packed
-    columns), and finally the generator — whose output is persisted to the
-    store so every later process loads instead of regenerates.  All three
-    paths yield bit-identical columns (pinned by the store round-trip
-    tests and the golden grid).
+    Sources are tried in cost order: the in-process LRU cache (the entry
+    of ``(name, seed)``, or a slice of it), the persistent trace store
+    (``$REPRO_TRACE_DIR``, mmap-loaded packed columns), and finally the
+    generator — whose output is persisted to the store so every later
+    process loads instead of regenerates.  A longer request replaces the
+    cached entry.  All three paths yield bit-identical columns (pinned by
+    the store round-trip tests and the golden grid).  ``cache=False``
+    generates afresh and touches neither cache.
     """
-    global _STORE_LOAD_COUNT
     effective_seed = resolve_seed(name, seed)
-    key = (name, n_uops, effective_seed)
-    if cache:
-        hit = _cache_get(key)
-        if hit is not None:
-            return hit
-    store = default_trace_store() if cache else None
-    if store is not None:
-        loaded = store.get(name, n_uops, effective_seed)
-        if loaded is not None:
-            _STORE_LOAD_COUNT += 1
-            return _cache_insert(key, loaded)
-    with profiling.phase("trace-build"):
-        trace = _generate_trace(name, n_uops, effective_seed)
-    # Stamp the catalog identity so derived products (precompute planes)
-    # can persist themselves next to the trace's store entry.
-    trace.store_identity = key
     if not cache:
-        return trace
-    if store is not None:
-        store.put(trace, name, n_uops, effective_seed)
+        with profiling.phase("trace-build"):
+            return _generate_trace(name, n_uops, effective_seed)
+    key = (name, effective_seed)
+    entry = _TRACE_CACHE.get(key)
+    if entry is not None and len(entry) >= n_uops:
+        _TRACE_CACHE.move_to_end(key)
+        return entry if len(entry) == n_uops else _slice(entry, n_uops)
+    store = default_trace_store()
+    trace = None if store is None else store.get(name, n_uops, effective_seed)
+    if trace is None:
+        with profiling.phase("trace-build"):
+            trace = _generate_trace(name, n_uops, effective_seed)
+        if store is not None:
+            store.put(trace, name, effective_seed)
     return _cache_insert(key, trace)
 
 

@@ -9,8 +9,10 @@ content key, so any later process — same machine, any backend — loads
 the bytes (mmap-able ``.npy`` per column) instead of re-running the
 generator.
 
-**Keying.**  ``trace_key(name, n_uops, seed)`` digests the same identity
-tuple the in-process trace cache uses, plus three versions: the packed
+**Keying.**  A trace is a prefix of every longer build of its
+``(name, seed)``, so ``trace_key(name, seed)`` names one entry holding
+the longest trace stored so far, and ``get`` serves a shorter request
+as a view.  The key digests three versions too: the packed
 schema (:data:`~repro.isa.trace.TRACE_SCHEMA_VERSION`), the store layout
 (:data:`STORE_FORMAT_VERSION`) and the generator
 (:data:`TRACE_GENERATOR_VERSION` — bump it whenever kernels, invariant
@@ -21,8 +23,9 @@ version bump silently orphans old entries instead of misreading them.
 ``meta.json`` plus one ``<column>.npy`` file per schema column.  Writes
 go to a ``*.tmp.<pid>`` sibling directory and are renamed into place, so
 concurrent writers race benignly (first rename wins, the loser discards).
-An entry is published iff its ``meta.json`` exists: that is what
-``put`` and ``contains`` test, never the bare directory.
+A longer trace replaces a shorter entry: quarantine, then rename.  An
+entry is published iff its ``meta.json`` exists: that is what ``put``
+and ``contains`` read, never the bare directory.
 
 **Corruption.**  ``get`` validates versions, identity and every column's
 dtype/length; any damage (truncated file, bad JSON, schema drift) makes
@@ -69,11 +72,11 @@ from repro.util.atomicio import atomic_write_text, fsync_file
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: On-disk layout version; mismatched entries are ignored (and reclaimed).
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 #: Version of the trace *generators* (kernels, invariant injection,
 #: scenarios, builder).  Any change that alters the emitted µop stream for
-#: some (name, n_uops, seed) must bump this so stored traces regenerate.
+#: some (name, seed) must bump this so stored traces regenerate.
 TRACE_GENERATOR_VERSION = 1
 
 _META_NAME = "meta.json"
@@ -102,16 +105,16 @@ def shared_trace_store() -> "Iterator[TraceStore]":
         yield TraceStore(private)
 
 
-def trace_key(name: str, n_uops: int, seed: int) -> str:
-    """Stable content key for one built trace.
+def trace_key(name: str, seed: int) -> str:
+    """Stable content key for the entry of one ``(name, seed)``.
 
-    Digests the identity tuple plus every version that affects the bytes:
-    two traces share a key iff the same generator code would produce the
-    same packed columns for them.
+    Digests the identity plus every version that affects the bytes: two
+    traces share a key iff the same generator code would produce the
+    same µop stream for them, one a prefix of the other.
     """
     payload = (
         f"trace:store{STORE_FORMAT_VERSION}:gen{TRACE_GENERATOR_VERSION}"
-        f":schema{TRACE_SCHEMA_VERSION}:{name}:{n_uops}:{seed}"
+        f":schema{TRACE_SCHEMA_VERSION}:{name}:{seed}"
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -152,27 +155,34 @@ class TraceStore:
 
     # -- store -----------------------------------------------------------
 
-    def put(self, trace: Trace, name: str, n_uops: int, seed: int) -> Path:
+    def _stored_n(self, entry: Path) -> int | None:
+        """µops of the entry published at *entry*; ``None`` if unreadable."""
+        try:
+            return int(json.loads((entry / _META_NAME).read_text())["n"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def put(self, trace: Trace, name: str, seed: int) -> Path:
         """Persist *trace*'s packed columns; returns the entry directory.
 
-        Idempotent and race-tolerant: if the entry already exists (another
-        process won), the temp copy is discarded.  IO failures are
-        swallowed — persisting is an optimisation, never a correctness
-        requirement.
+        Does nothing when the entry already holds at least as many µops
+        (another process won, or stored a longer build).  A shorter or
+        damaged entry is quarantined, with its aux payloads, and replaced.
+        IO failures are swallowed — persisting is an optimisation, never
+        a correctness requirement.
         """
-        key = trace_key(name, n_uops, seed)
-        final = self._entry_dir(key)
-        if (final / _META_NAME).is_file():
+        final = self._entry_dir(trace_key(name, seed))
+        packed = trace.packed()
+        stored = self._stored_n(final)
+        if stored is not None and stored >= packed.n:
             return final
         if final.exists():
-            _quarantine(final)  # a damaged entry: out of the way first
-        packed = trace.packed()
+            _quarantine(final)  # shorter or damaged: out of the way first
         meta = {
             "format": STORE_FORMAT_VERSION,
             "generator": TRACE_GENERATOR_VERSION,
             "schema": TRACE_SCHEMA_VERSION,
             "name": name,
-            "n_uops": n_uops,
             "seed": seed,
             "n": packed.n,
             "nbytes": packed.nbytes,
@@ -211,26 +221,26 @@ class TraceStore:
         return final
 
     def contains(self, name: str, n_uops: int, seed: int) -> bool:
-        """Whether an entry exists for this identity (no load, no checks).
+        """Whether the entry holds at least *n_uops* µops (no load).
 
-        A cheap existence probe for the fan-out sites (job queue, pool
-        executor), deciding whether a job would run a generator;
-        :meth:`get` still does the full validation.
+        A cheap probe for the fan-out sites (job queue, pool executor),
+        deciding whether a job would run a generator; :meth:`get` still
+        does the full validation.
         """
-        entry = self._entry_dir(trace_key(name, n_uops, seed))
-        return (entry / _META_NAME).is_file()
+        stored = self._stored_n(self._entry_dir(trace_key(name, seed)))
+        return stored is not None and stored >= n_uops
 
     def get(self, name: str, n_uops: int, seed: int,
             mmap: bool = True) -> Trace | None:
-        """Load one trace, or ``None`` on miss/corruption.
+        """The first *n_uops* µops of the stored trace, or ``None`` when
+        the entry is absent, shorter or corrupt.
 
         With ``mmap`` (the default) columns come back as read-only
         ``numpy.memmap`` views — the OS pages trace bytes in on demand and
         shares them between processes mapping the same entry.  Corrupt
         entries are deleted so the caller's regeneration heals the store.
         """
-        key = trace_key(name, n_uops, seed)
-        entry = self._entry_dir(key)
+        entry = self._entry_dir(trace_key(name, seed))
         if not entry.is_dir():
             self.misses += 1
             return None
@@ -250,17 +260,20 @@ class TraceStore:
                     or meta.get("generator") != TRACE_GENERATOR_VERSION
                     or meta.get("schema") != TRACE_SCHEMA_VERSION
                     or meta.get("name") != name
-                    or meta.get("n_uops") != n_uops
                     or meta.get("seed") != seed
                 ):
                     raise ValueError("metadata does not match the request")
+                n = int(meta["n"])
+                if n < n_uops:
+                    self.misses += 1
+                    return None
                 arrays = {
                     col: np.load(entry / f"{col}.npy",
                                  mmap_mode="r" if mmap else None,
                                  allow_pickle=False)
                     for col, _ in COLUMN_SCHEMA
                 }
-                packed = PackedColumns(int(meta["n"]), arrays)
+                packed = PackedColumns(n, arrays)
                 packed.validate()
         except (OSError, ValueError, KeyError):
             self.corrupt += 1
@@ -268,7 +281,7 @@ class TraceStore:
             self.misses += 1
             return None
         self.hits += 1
-        return Trace.from_packed(packed, name=name)
+        return Trace.from_packed(packed.head(n_uops), name=name)
 
     # -- auxiliary derived arrays ----------------------------------------
     #
@@ -284,18 +297,17 @@ class TraceStore:
     def _aux_dir(self, key: str, kind: str, version: int) -> Path:
         return self._entry_dir(key) / f"aux-{kind}-v{version}"
 
-    def put_aux(self, name: str, n_uops: int, seed: int, kind: str,
-                version: int, arrays: dict[str, np.ndarray],
-                meta: dict) -> Path | None:
-        """Persist derived arrays next to the owning trace entry.
+    def put_aux(self, name: str, seed: int, kind: str, version: int,
+                arrays: dict[str, np.ndarray], meta: dict) -> Path | None:
+        """Persist derived arrays of the whole entry next to it.
 
-        Returns the aux directory, or ``None`` when the trace entry itself
-        is absent (aux data never outlives its trace).  Same temp-dir +
-        rename discipline and same "IO failure is not an error" stance as
-        :meth:`put`.
+        Returns the aux directory, or ``None`` when the entry is absent or
+        does not hold ``meta["n"]`` µops (aux data covers its whole trace
+        and never outlives it).  Same temp-dir + rename discipline and
+        same "IO failure is not an error" stance as :meth:`put`.
         """
-        key = trace_key(name, n_uops, seed)
-        if not (self._entry_dir(key) / _META_NAME).is_file():
+        key = trace_key(name, seed)
+        if self._stored_n(self._entry_dir(key)) != meta.get("n"):
             return None
         final = self._aux_dir(key, kind, version)
         if final.is_dir():
@@ -323,8 +335,7 @@ class TraceStore:
             shutil.rmtree(tmp, ignore_errors=True)
         return final
 
-    def get_aux(self, name: str, n_uops: int, seed: int, kind: str,
-                version: int,
+    def get_aux(self, name: str, seed: int, kind: str, version: int,
                 mmap: bool = True) -> tuple[dict, dict[str, np.ndarray]] | None:
         """Load ``(meta, arrays)`` for one aux payload, or ``None``.
 
@@ -332,8 +343,7 @@ class TraceStore:
         meta; corrupt payloads are quarantine-deleted (aux only — the
         trace entry is untouched) and regenerated by the caller.
         """
-        key = trace_key(name, n_uops, seed)
-        aux = self._aux_dir(key, kind, version)
+        aux = self._aux_dir(trace_key(name, seed), kind, version)
         if not aux.is_dir():
             return None
         try:

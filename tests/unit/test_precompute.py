@@ -72,12 +72,6 @@ def test_trace_plane_matches_branch_unit_walk(trace):
         assert plane.redirect[i] == code, f"redirect diverged at µop {i}"
         assert plane.ghist64[i] == ghist, f"ghist diverged at µop {i}"
         assert plane.path16[i] == path, f"path diverged at µop {i}"
-    assert plane.cond_branches == unit.cond_branches
-    assert plane.direction_mispredicts == unit.direction_mispredicts
-    assert plane.target_mispredicts == unit.target_mispredicts
-    assert plane.final_ghist == unit.context.ghist
-    assert plane.final_path == unit.context.path
-    assert plane.final_ghist_length == unit.context.ghist_length
 
 
 def test_trace_plane_hash_columns(trace):
@@ -166,9 +160,9 @@ def test_trace_plane_persists_to_store(tmp_path, monkeypatch):
     try:
         first = build_trace("gzip", 3000)
         plane = trace_plane(first)
-        name, n_uops, seed = first.store_identity
+        name, seed = first.store_identity
         store = TraceStore(str(tmp_path))
-        assert store.get_aux(name, n_uops, seed, "plane",
+        assert store.get_aux(name, seed, "plane",
                              PRECOMPUTE_VERSION) is not None
         catalog.clear_trace_cache()
         reloaded = build_trace("gzip", 3000)
@@ -178,8 +172,6 @@ def test_trace_plane_persists_to_store(tmp_path, monkeypatch):
         assert np.array_equal(loaded.ghist64, plane.ghist64)
         assert np.array_equal(loaded.path16, plane.path16)
         assert np.array_equal(loaded.scr_pkey, plane.scr_pkey)
-        assert loaded.final_ghist == plane.final_ghist
-        assert loaded.final_ghist_length == plane.final_ghist_length
     finally:
         catalog.clear_trace_cache()
 
@@ -193,15 +185,18 @@ def test_default_branch_state_guard_and_writeback(trace):
     assert not default_branch_state(model)
 
     fresh = CoreModel()
-    plane = trace_plane(trace)
     replay_branch_unit(fresh.branch_unit, trace)
     unit = fresh.branch_unit
-    assert unit.cond_branches == plane.cond_branches
-    assert unit.direction_mispredicts == plane.direction_mispredicts
-    assert unit.target_mispredicts == plane.target_mispredicts
-    assert unit.context.ghist == plane.final_ghist
-    assert unit.context.path == plane.final_path
-    assert unit.context.ghist_length == plane.final_ghist_length
+    walked = BranchUnit()
+    for uop in trace:
+        if uop.op_class in _CTRL:
+            walked.process(uop)
+    assert unit.cond_branches == walked.cond_branches > 0
+    assert unit.direction_mispredicts == walked.direction_mispredicts
+    assert unit.target_mispredicts == walked.target_mispredicts
+    assert unit.context.ghist == walked.context.ghist
+    assert unit.context.path == walked.context.path
+    assert unit.context.ghist_length == walked.context.ghist_length
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +210,6 @@ def assert_walks_equal(packed, config=None):
     for name, got, want in zip(("redirect", "ghist64", "path16"), c, spec):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), f"{name} diverged"
-    assert c[3] == spec[3]
     return spec
 
 
@@ -237,9 +231,8 @@ def test_c_walk_without_control_uops():
     b = TraceBuilder("straight")
     for i in range(50):
         b.alu(f"op{i % 5}", "x", ["x"] if i else [], i)
-    redirect, ghist64, path16, counters = assert_walks_equal(b.packed())
+    redirect, ghist64, path16 = assert_walks_equal(b.packed())
     assert not redirect.any() and not ghist64.any() and not path16.any()
-    assert counters == (0, 0, 0, 0, 0, 0)
 
 
 @needs_kernel
@@ -307,4 +300,4 @@ def test_c_walk_is_what_builds_the_plane(monkeypatch, trace):
 
     monkeypatch.setattr(precompute, "_python_walk", refuse)
     plane = precompute.build_trace_plane(trace)
-    assert plane.cond_branches > 0
+    assert plane.redirect.any() and plane.ghist64.any()

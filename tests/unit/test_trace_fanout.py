@@ -55,7 +55,7 @@ def _serial(jobs):
 
 def test_trace_identity_names_generated_traces_only():
     job = SimJob.make("gzip", **TINY)
-    assert job.trace_identity() == ("gzip", 1200, catalog.resolve_seed("gzip"))
+    assert job.trace_identity() == ("gzip", catalog.resolve_seed("gzip"))
     # Never generated: unknown names (the worker raises).
     assert SimJob.make("no-such-workload").trace_identity() is None
 
@@ -91,8 +91,10 @@ class TestPoolExecutor:
             real_assign = _Worker.assign
 
             def recording_assign(worker, task_id, job_dict, fault=None):
-                ident = SimJob.from_dict(job_dict).trace_identity()
-                stored.append(store.contains(*ident))
+                job = SimJob.from_dict(job_dict)
+                stored.append(store.contains(
+                    job.workload, job.warmup + job.n_uops,
+                    job.trace_identity()[1]))
                 return real_assign(worker, task_id, job_dict, fault)
 
             monkeypatch.setattr(_Worker, "assign", recording_assign)
@@ -121,17 +123,22 @@ def _run_queue(jobs, workers=2, inspect=None):
 
 
 class TestJobQueue:
-    def test_cold_grid_generates_each_trace_once(self, monkeypatch,
-                                                 private_tmp):
+    @staticmethod
+    def _recorded_run(monkeypatch, jobs):
+        """Run *jobs* on two workers; returns the results, the private
+        store's directory and entry count and one ``(task id, trace key,
+        generating task, stored)`` row per dispatch."""
         q = JobQueue(WorkerPool(2), cache=ResultCache(None))
         dispatches = []
         real_assign = _Worker.assign
 
         def recording_assign(worker, task_id, job_dict, fault=None):
-            ident = SimJob.from_dict(job_dict).trace_identity()
+            job = SimJob.from_dict(job_dict)
+            ident = job.trace_identity()
             dispatches.append((
                 task_id, ident, q._generating.get(ident),
-                q.pool.trace_store.contains(*ident)))
+                q.pool.trace_store.contains(
+                    ident[0], job.warmup + job.n_uops, ident[1])))
             return real_assign(worker, task_id, job_dict, fault)
 
         monkeypatch.setattr(_Worker, "assign", recording_assign)
@@ -139,13 +146,19 @@ class TestJobQueue:
         async def scenario():
             await q.start()
             try:
-                results = await q.run_jobs(GRID)
+                results = await q.run_jobs(jobs)
                 store = q.pool.trace_store
                 return results, store.directory, store.stats()["entries"]
             finally:
                 await q.stop()
 
         results, directory, entries = asyncio.run(scenario())
+        return results, directory, entries, dispatches
+
+    def test_cold_grid_generates_each_trace_once(self, monkeypatch,
+                                                 private_tmp):
+        results, directory, entries, dispatches = self._recorded_run(
+            monkeypatch, GRID)
         assert [r.to_dict() for r in results] == _serial(GRID)
         # While running: one private-store entry per unique trace.
         assert directory.parent == private_tmp
@@ -159,6 +172,17 @@ class TestJobQueue:
         assert sorted(d[1][0] for d in generators) == \
             ["crafty", "gcc", "gzip"]
         assert len(dispatches) == len(GRID)
+
+    def test_two_lengths_of_one_trace_longer_first_generate_once(
+            self, monkeypatch):
+        jobs = [SimJob.make("gzip", "lvp", n_uops=1600, warmup=400),
+                SimJob.make("gzip", "none", **TINY)]
+        results, _, entries, dispatches = self._recorded_run(monkeypatch,
+                                                             jobs)
+        assert [r.to_dict() for r in results] == _serial(jobs)
+        assert entries == 1
+        assert [d[2] == d[0] for d in dispatches] == [True, False]
+        assert dispatches[1][3]  # the shorter job found its slice stored
 
     def test_event_loop_never_generates_a_trace(self):
         before = catalog.generation_count()

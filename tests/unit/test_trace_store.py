@@ -11,11 +11,15 @@ import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.engine.job import SimJob, execute_job
+from repro.experiments.runner import make_predictor
 from repro.pipeline.core import simulate
+from repro.pipeline.precompute import (_plane_from_store, trace_plane,
+                                       vtage_plane)
 from repro.workloads import catalog
 from repro.workloads.store import (
     TRACE_DIR_ENV,
@@ -42,7 +46,7 @@ class TestStoreRoundTrip:
     def test_put_get_simulates_bit_identically(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = build_uncached("gcc", 2500)
-        store.put(trace, "gcc", 2500, 403)
+        store.put(trace, "gcc", 403)
         loaded = store.get("gcc", 2500, 403)  # mmap-backed by default
         assert loaded is not None
         a = simulate(trace, None, warmup=500, workload="gcc")
@@ -52,7 +56,7 @@ class TestStoreRoundTrip:
     def test_get_without_mmap_matches(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = build_uncached()
-        store.put(trace, "gzip", 2000, 164)
+        store.put(trace, "gzip", 164)
         loaded = store.get("gzip", 2000, 164, mmap=False)
         assert loaded.columns().pkeys == trace.columns().pkeys
 
@@ -62,27 +66,26 @@ class TestStoreRoundTrip:
     def test_put_is_idempotent(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = build_uncached()
-        first = store.put(trace, "gzip", 2000, 164)
-        second = store.put(trace, "gzip", 2000, 164)
+        first = store.put(trace, "gzip", 164)
+        second = store.put(trace, "gzip", 164)
         assert first == second
         assert store.stats()["entries"] == 1
 
     def test_key_depends_on_identity_and_versions(self, monkeypatch):
-        base = trace_key("gzip", 2000, 164)
-        assert trace_key("gzip", 2000, 165) != base
-        assert trace_key("gzip", 2001, 164) != base
-        assert trace_key("gcc", 2000, 164) != base
+        base = trace_key("gzip", 164)
+        assert trace_key("gzip", 165) != base
+        assert trace_key("gcc", 164) != base
         import repro.workloads.store as store_mod
 
         monkeypatch.setattr(store_mod, "TRACE_GENERATOR_VERSION", 999)
-        assert trace_key("gzip", 2000, 164) != base
+        assert trace_key("gzip", 164) != base
 
 
 class TestCorruptionHealing:
     def _stored(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = build_uncached()
-        entry = store.put(trace, "gzip", 2000, 164)
+        entry = store.put(trace, "gzip", 164)
         return store, entry
 
     def test_truncated_column_is_quarantined(self, tmp_path):
@@ -126,7 +129,7 @@ class TestCorruptionHealing:
             if path.name != "values.npy":
                 path.unlink()
         assert not store.contains("gzip", 2000, 164)
-        assert store.put(trace, "gzip", 2000, 164) == entry
+        assert store.put(trace, "gzip", 164) == entry
         loaded = store.get("gzip", 2000, 164)
         assert loaded is not None
         assert loaded.columns().values == trace.columns().values
@@ -146,8 +149,7 @@ class TestCorruptionHealing:
 
         def rmtree_racing_a_writer(path, *args, **kwargs):
             if not published:
-                published.append(writer.put(build_uncached(), "gzip",
-                                            2000, 164))
+                published.append(writer.put(build_uncached(), "gzip", 164))
             real_rmtree(path, *args, **kwargs)
 
         monkeypatch.setattr(store_mod.shutil, "rmtree",
@@ -193,7 +195,7 @@ class TestFaultInjectedHealing:
     def _stored(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = build_uncached()
-        entry = store.put(trace, "gzip", 2000, 164)
+        entry = store.put(trace, "gzip", 164)
         return store, trace, entry
 
     def test_injected_truncation_quarantines_and_regenerates(self, tmp_path):
@@ -206,7 +208,7 @@ class TestFaultInjectedHealing:
         assert not entry.exists()
         # Regeneration heals: the next put/get round trip is clean and
         # bit-identical to the original trace.
-        store.put(trace, "gzip", 2000, 164)
+        store.put(trace, "gzip", 164)
         healed = store.get("gzip", 2000, 164)
         assert healed is not None
         assert healed.columns().values == trace.columns().values
@@ -225,11 +227,11 @@ class TestFaultInjectedHealing:
         store = TraceStore(tmp_path)
         trace = build_uncached()
         faults.install_plan("store.write:enospc@1")
-        store.put(trace, "gzip", 2000, 164)  # swallowed, never raises
+        store.put(trace, "gzip", 164)  # swallowed, never raises
         assert store.get("gzip", 2000, 164) is None
         faults.install_plan(None)
         # The failed persist left nothing behind that blocks a retry.
-        store.put(trace, "gzip", 2000, 164)
+        store.put(trace, "gzip", 164)
         assert store.get("gzip", 2000, 164) is not None
 
     def test_injected_partial_write_never_renames_into_place(self, tmp_path):
@@ -238,7 +240,7 @@ class TestFaultInjectedHealing:
         store = TraceStore(tmp_path)
         trace = build_uncached()
         faults.install_plan("store.write:partial@1")
-        store.put(trace, "gzip", 2000, 164)
+        store.put(trace, "gzip", 164)
         # The half-written column set stayed in (cleaned) tmp space: no
         # committed entry, no tmp debris, and contains() agrees.
         assert not store.contains("gzip", 2000, 164)
@@ -256,7 +258,7 @@ class TestFaultInjectedHealing:
         clean_values = clean.columns().values
         faults.install_plan("store.read:truncate@1")
         assert store.get("gzip", 2000, 164) is None  # quarantined
-        store.put(trace, "gzip", 2000, 164)          # healed
+        store.put(trace, "gzip", 164)          # healed
         healed = store.get("gzip", 2000, 164)
         assert healed.columns().pkeys == clean_pkeys
         assert healed.columns().values == clean_values
@@ -286,28 +288,138 @@ class TestCatalogIntegration:
 class TestLRUTraceCache:
     def test_entry_budget_evicts_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(catalog, "TRACE_CACHE_MAX_ENTRIES", 2)
-        catalog.build_trace("gzip", 1000)
-        catalog.build_trace("gcc", 1000)
+        gzip = catalog.build_trace("gzip", 1000)
+        gcc = catalog.build_trace("gcc", 1000)
         catalog.build_trace("gzip", 1000)       # refresh gzip
-        catalog.build_trace("crafty", 1000)     # evicts gcc (LRU)
-        assert catalog.cached_trace("gzip", 1000) is not None
-        assert catalog.cached_trace("crafty", 1000) is not None
-        assert catalog.cached_trace("gcc", 1000) is None
+        crafty = catalog.build_trace("crafty", 1000)  # evicts gcc (LRU)
+        before = catalog.generation_count()
+        assert catalog.build_trace("gzip", 1000) is gzip
+        assert catalog.build_trace("crafty", 1000) is crafty
+        assert catalog.generation_count() == before
         assert catalog.trace_cache_stats()["entries"] == 2
+        assert catalog.build_trace("gcc", 1000) is not gcc
+        assert catalog.generation_count() == before + 1
 
     def test_byte_budget_bounds_the_cache(self, monkeypatch):
         # ~70 KB per 1000-µop packed trace; a 0.1 MB budget holds one.
         monkeypatch.setattr(catalog, "TRACE_CACHE_MAX_MB", 0.1)
         catalog.build_trace("gzip", 1000)
-        catalog.build_trace("gcc", 1000)
-        stats = catalog.trace_cache_stats()
-        assert stats["entries"] == 1
-        assert catalog.cached_trace("gcc", 1000) is not None
+        gcc = catalog.build_trace("gcc", 1000)
+        assert catalog.trace_cache_stats()["entries"] == 1
+        assert catalog.build_trace("gcc", 1000) is gcc
 
     def test_single_oversized_trace_still_caches(self, monkeypatch):
         monkeypatch.setattr(catalog, "TRACE_CACHE_MAX_MB", 0.01)
         trace = catalog.build_trace("gzip", 2000)
-        assert catalog.cached_trace("gzip", 2000) is trace
+        assert catalog.trace_cache_stats()["entries"] == 1
+        assert catalog.build_trace("gzip", 2000) is trace
+
+    def test_slice_planes_are_charged_to_their_entry_once(self):
+        """A slice's own planes count toward its entry; its branch plane,
+        four views of the entry's, does not."""
+        entry = catalog.build_trace("gcc", 6000)
+        trace_plane(entry)
+        charged = catalog.trace_cache_stats()["bytes"]
+        piece = catalog.build_trace("gcc", 3000)
+        trace_plane(piece)
+        assert catalog.trace_cache_stats()["bytes"] == charged
+        predictor = make_predictor("vtage")
+        vplane = vtage_plane(piece, predictor)
+        assert catalog.build_trace("gcc", 3000) is piece
+        assert vtage_plane(piece, predictor) is vplane
+        assert catalog.trace_cache_stats()["bytes"] == charged + vplane.nbytes
+
+
+class TestPrefixEntries:
+    """One entry per (workload, seed): the longest build so far, and every
+    shorter request a view of its head."""
+
+    def test_short_long_short_leaves_one_entry_and_one_generation_each(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        before = catalog.generation_count()
+        catalog.build_trace("gamess", 3000)
+        catalog.build_trace("gamess", 9000)
+        assert catalog.generation_count() == before + 2
+        again = catalog.build_trace("gamess", 3000)
+        assert catalog.generation_count() == before + 2
+        assert len(again) == 3000
+        rows = TraceStore(tmp_path).entries()
+        assert [(row["name"], row["n"]) for row in rows] == [("gamess", 9000)]
+        assert catalog.trace_cache_stats()["entries"] == 1
+        catalog.clear_trace_cache()
+        loaded = catalog.build_trace("gamess", 3000)   # the stored head
+        assert catalog.generation_count() == before + 2
+        assert loaded.columns().values == again.columns().values
+
+    def test_slice_shares_memory_with_its_entry(self):
+        entry = catalog.build_trace("gcc", 6000)
+        piece = catalog.build_trace("gcc", 2500)
+        assert catalog.build_trace("gcc", 6000) is entry
+        assert catalog.build_trace("gcc", 2500) is piece
+        whole, head = entry.packed().arrays, piece.packed().arrays
+        for col, array in head.items():
+            assert np.shares_memory(array, whole[col]), col
+        plane, full = trace_plane(piece), trace_plane(entry)
+        for col in ("redirect", "ghist64", "path16", "scr_pkey"):
+            assert np.shares_memory(getattr(plane, col),
+                                    getattr(full, col)), col
+        assert plane.n == len(piece) == 2500
+
+    def test_longer_request_replaces_the_entry_and_old_slices_stay_valid(
+            self):
+        short = catalog.build_trace("gzip", 2000)
+        piece = catalog.build_trace("gzip", 1000)
+        values = piece.columns().values
+        long = catalog.build_trace("gzip", 4000)
+        assert long is not short
+        assert catalog.trace_cache_stats()["entries"] == 1
+        assert piece.columns().values == values
+        assert long.columns().values[:1000] == values
+
+    def test_longer_put_replaces_a_shorter_entry_and_its_plane(
+            self, tmp_path):
+        store = TraceStore(tmp_path)
+        entry = store.put(build_uncached("gzip", 1000), "gzip", 164)
+        aux = store.put_aux("gzip", 164, "plane", 1,
+                            {"x": np.zeros(1000, dtype=np.uint8)},
+                            {"n": 1000})
+        assert aux is not None and aux.is_dir()
+        assert store.put(build_uncached("gzip", 2000), "gzip", 164) == entry
+        assert not aux.exists()
+        assert [row["n"] for row in store.entries()] == [2000]
+        # A shorter put leaves the longer entry alone.
+        store.put(build_uncached("gzip", 1000), "gzip", 164)
+        assert [row["n"] for row in store.entries()] == [2000]
+        assert len(store.get("gzip", 1500, 164)) == 1500
+
+    def test_get_of_more_than_an_entry_holds_is_a_miss(self, tmp_path):
+        store = TraceStore(tmp_path)
+        entry = store.put(build_uncached("gzip", 1000), "gzip", 164)
+        assert not store.contains("gzip", 1001, 164)
+        assert store.get("gzip", 1001, 164) is None
+        assert store.corrupt == 0
+        assert (entry / "meta.json").is_file()
+        assert store.contains("gzip", 1000, 164)
+        assert store.get("gzip", 1000, 164) is not None
+
+    def test_a_stored_plane_shorter_than_the_trace_is_refused(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        plane = trace_plane(catalog.build_trace("gzip", 2000))  # persisted
+        store = TraceStore(tmp_path)
+        assert _plane_from_store(store, ("gzip", 164), 2001) is None
+        head = _plane_from_store(store, ("gzip", 164), 1500)
+        assert head.n == 1500
+        assert np.array_equal(head.ghist64, plane.ghist64[:1500])
+
+    def test_aux_of_another_length_is_not_written(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.put(build_uncached("gzip", 2000), "gzip", 164)
+        arrays = {"x": np.zeros(1000, dtype=np.uint8)}
+        assert store.put_aux("gzip", 164, "plane", 1, arrays,
+                             {"n": 1000}) is None
+        assert store.aux_entries() == []
 
 
 class TestCachedTraceForm:
@@ -320,6 +432,7 @@ class TestCachedTraceForm:
 
     def test_generated_and_store_loaded(self, tmp_path, monkeypatch):
         self.assert_packed_only(catalog.build_trace("gzip", 1000))
+        self.assert_packed_only(catalog.build_trace("gzip", 500))  # a slice
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
         catalog.build_trace("gcc", 1000)          # generated, then stored
         catalog.clear_trace_cache()
@@ -327,7 +440,7 @@ class TestCachedTraceForm:
         loaded = catalog.build_trace("gcc", 1000)
         assert catalog.generation_count() == before
         self.assert_packed_only(loaded)
-        assert loaded.store_identity == ("gcc", 1000, 403)
+        assert loaded.store_identity == ("gcc", 403)
         assert loaded.columns().n == 1000
 
     def test_spec_loop_run_leaves_no_list_view(self, monkeypatch):
