@@ -69,7 +69,7 @@ SITES: dict[str, tuple[str, ...]] = {
     # Trace-store loads: damage the on-disk entry *before* the read so the
     # real validation/quarantine path runs against real corruption.
     "store.read": ("truncate", "garbage-meta"),
-    # Trace-store persists: disk full, or a partial multi-file write.
+    # Trace-store persists: disk full, or a half-written payload file.
     "store.write": ("enospc", "partial"),
     # Cluster plane, router side: a routing decision that picks the
     # wrong shard ("misroute" — any shard can run any job, so this only
@@ -420,17 +420,17 @@ def apply_worker_fault(fault: dict) -> None:
 
 
 def damage_store_entry(rule: FaultRule, entry: Path,
-                       column_file: str, meta_file: str) -> None:
+                       payload_file: str, meta_file: str) -> None:
     """Apply a ``store.read`` fault by damaging the on-disk entry.
 
-    ``truncate`` cuts the first column file in half; ``garbage-meta``
+    ``truncate`` cuts the payload file in half; ``garbage-meta``
     overwrites the metadata with non-JSON bytes.  The *reader* then runs
     its ordinary validation against genuine corruption — the healing
     path under test is the real one, not a mock.
     """
     try:
         if rule.action == "truncate":
-            target = entry / column_file
+            target = entry / payload_file
             size = target.stat().st_size
             with open(target, "r+b") as fh:
                 fh.truncate(max(1, size // 2))

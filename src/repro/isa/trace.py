@@ -8,11 +8,11 @@ all structures before collecting statistics (Section 7.3).
 PR 5 adds the **packed representation** underneath: every trace can be
 lowered to :class:`PackedColumns`, a fixed-schema set of flat numpy arrays
 (:data:`COLUMN_SCHEMA`) that fully describes the µop stream.  The packed
-form is what the on-disk trace store persists (mmap-able ``.npy`` files,
-see :mod:`repro.workloads.store`) and what every worker process loads
-from it; µop objects and the scheduler-facing list columns are *views*
-derived from it on demand, so a loaded trace never re-runs its
-generator.
+form is what the on-disk trace store persists (one mmap-able payload
+file per trace, see :mod:`repro.workloads.store`) and what every worker
+process loads from it; µop objects and the scheduler-facing list columns
+are *views* derived from it on demand, so a loaded trace never re-runs
+its generator.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class PackedColumns:
 
     This is the canonical at-rest form of a trace: a dict of flat arrays
     that round-trips exactly to the µop list (pinned by
-    ``tests/unit/test_trace_columns.py``) and serialises as plain
-    ``.npy`` files.
+    ``tests/unit/test_trace_columns.py``) and serialises as raw column
+    bytes at recorded offsets.
     """
 
     __slots__ = ("n", "arrays")

@@ -62,7 +62,6 @@ Implementation notes (DESIGN.md, "Performance architecture"):
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from heapq import heappop, heappush, heapreplace
 
@@ -82,6 +81,7 @@ from repro.pipeline.result import SimResult
 from repro.predictors.base import ValuePredictor
 from repro.predictors.oracle import OraclePredictor
 from repro.util import profiling
+from repro.util.gcpause import gc_paused
 
 _LINE_SHIFT = 6  # 64-byte I-cache lines
 
@@ -172,36 +172,27 @@ class CoreModel:
         issue, complete, commit)`` tuple per µop is appended to it — the
         hook the timing tests and debugging tools use.
         """
-        # The hot loop allocates short-lived tuples at a rate that makes
-        # generation-0 cycle collections a measurable tax; nothing in the
-        # loop creates reference cycles, so pause the collector for the
-        # duration (reference counting still reclaims everything).
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            with profiling.phase("simulate"):
-                from repro.pipeline import fastsim
+        # The hot loop allocates short-lived tuples but creates no
+        # reference cycles: see repro.util.gcpause.
+        with gc_paused(), profiling.phase("simulate"):
+            from repro.pipeline import fastsim
 
-                mode = fastsim.fast_sim_mode()
-                if stage_trace is not None:
-                    if mode != "off":
-                        fastsim.record_fallback("stage-trace-hook")
-                        if mode == "require":
-                            raise fastsim.FastPathRequired("stage-trace-hook")
-                elif mode != "off":
-                    result = fastsim.try_run(self, trace, warmup, workload)
-                    if result is not None:
-                        return result
+            mode = fastsim.fast_sim_mode()
+            if stage_trace is not None:
+                if mode != "off":
+                    fastsim.record_fallback("stage-trace-hook")
                     if mode == "require":
-                        raise fastsim.FastPathRequired(
-                            fastsim.last_fallback() or "unknown")
-                else:
-                    fastsim.record_fallback("disabled-by-env")
-                return self._run(trace, warmup, workload, stage_trace)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+                        raise fastsim.FastPathRequired("stage-trace-hook")
+            elif mode != "off":
+                result = fastsim.try_run(self, trace, warmup, workload)
+                if result is not None:
+                    return result
+                if mode == "require":
+                    raise fastsim.FastPathRequired(
+                        fastsim.last_fallback() or "unknown")
+            else:
+                fastsim.record_fallback("disabled-by-env")
+            return self._run(trace, warmup, workload, stage_trace)
 
     def _run(
         self,

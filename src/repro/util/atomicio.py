@@ -2,8 +2,8 @@
 
 A process killed mid-``write_text`` leaves a torn file at the final
 path; a rename after a durable temp-file write cannot.  Every committed
-JSON file in the repo (result-cache entries, trace-store metadata) goes
-through :func:`atomic_write_text`:
+single JSON file in the repo (result-cache entries, the fuzzer's corner
+registry) goes through :func:`atomic_write_text`:
 
 1. write the full payload to ``<name>.tmp.<pid>`` in the target
    directory (same filesystem, so the rename is atomic);
@@ -45,7 +45,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 
-def _fsync_dir(directory: Path) -> None:
+def fsync_dir(directory: str | os.PathLike) -> None:
+    """Best-effort ``fsync`` of a directory, so the names in it (a rename,
+    a new file) survive a power cut; silently skipped where directories
+    cannot be opened."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:
@@ -56,17 +59,6 @@ def _fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def fsync_file(path: str | os.PathLike) -> None:
-    """Flush one already-written file's bytes to stable storage.
-
-    For multi-file transactions (the trace store writes several ``.npy``
-    files before renaming the directory in): every payload file is
-    fsynced before the rename makes the set visible.
-    """
-    with open(path, "rb") as fh:
-        os.fsync(fh.fileno())
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
@@ -103,7 +95,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
         except OSError:
             pass
         raise
-    _fsync_dir(path.parent)
+    fsync_dir(path.parent)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str, *,

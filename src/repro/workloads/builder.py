@@ -39,6 +39,9 @@ from repro.util.bits import MASK64
 
 _CODE_BASE = 0x0040_0000
 _DATA_BASE = 0x1000_0000
+#: Values :meth:`TraceBuilder.rand_table` draws per numpy call: its
+#: transient arrays stay far smaller than the list they fill.
+_TABLE_CHUNK = 1 << 14
 
 _INT_ALU = int(OpClass.INT_ALU)
 _LOAD = int(OpClass.LOAD)
@@ -107,6 +110,38 @@ class TraceBuilder:
     def trace(self) -> Trace:
         """The µops emitted so far, as a packed trace."""
         return Trace.from_packed(self.packed(), name=self.name)
+
+    def rand_table(self, n: int, bits: int) -> list[int]:
+        """``[self.rng.getrandbits(bits) for _ in range(n)]``, drawn at once.
+
+        ``random.Random`` is MT19937, so its state is handed to numpy's
+        MT19937, the raw 32-bit words are drawn in bulk, and the advanced
+        state is handed back: the table and every later draw from
+        ``self.rng`` are exactly what the loop would give.  CPython's
+        ``getrandbits`` takes one word ``>> (32 - bits)`` for
+        ``bits <= 32``, and ``w0 | (w1 >> (64 - bits)) << 32`` up to 64.
+        """
+        if not 1 <= bits <= 64:
+            raise ValueError(f"bits must be in 1..64, not {bits}")
+        version, internal, gauss_next = self.rng.getstate()
+        mt = np.random.MT19937()
+        mt.state = {"bit_generator": "MT19937",
+                    "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                              "pos": internal[-1]}}
+        table: list[int] = []
+        for start in range(0, n, _TABLE_CHUNK):
+            count = min(_TABLE_CHUNK, n - start)
+            if bits <= 32:
+                words = mt.random_raw(count) >> np.uint64(32 - bits)
+            else:
+                pairs = mt.random_raw(2 * count).reshape(count, 2)
+                words = pairs[:, 0] | (
+                    (pairs[:, 1] >> np.uint64(64 - bits)) << np.uint64(32))
+            table += words.tolist()
+        state = mt.state["state"]
+        self.rng.setstate(
+            (version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+        return table
 
     def pc_of(self, label: str) -> int:
         """Stable PC for a static operation label."""

@@ -15,6 +15,7 @@ from typing import Callable
 
 from repro.isa.trace import Trace
 from repro.util import profiling
+from repro.util.gcpause import gc_paused
 from repro.workloads import kernels_fp, kernels_int, scenarios
 from repro.workloads.builder import TraceBuilder
 from repro.workloads.invariants import inject_invariants
@@ -258,31 +259,38 @@ def known_workload(name: str) -> bool:
 
 
 def _generate_trace(name: str, n_uops: int, effective_seed: int) -> Trace:
-    """Generate the first *n_uops* µops of one (name, seed); no cache."""
+    """Generate the first *n_uops* µops of one (name, seed); no cache.
+
+    Runs with the cyclic collector paused: the builder's rows are acyclic
+    tuples and lists, so reference counting frees all of them and the
+    collector's passes over them would be pure overhead.
+    """
     global _GEN_COUNT
     _GEN_COUNT += 1
     params = scenarios.parse_scenario_name(name)
-    builder = TraceBuilder(name, seed=effective_seed)
-    if params is not None:
-        scenarios.scenario_kernel(params, builder, n_uops)
-        packed = builder.packed()
-    else:
-        spec = get_spec(name)
-        block = spec.redundancy_count + 1
-        dilution = 1.0 + block / spec.redundancy_every
-        # Small safety margin: kernels stop at loop-iteration granularity,
-        # so aim past the target and trim back to exactly n_uops.
-        kernel_target = max(
-            1, int(n_uops / dilution) + 2 * spec.redundancy_every + 16
-        )
-        spec.kernel(builder, kernel_target)
-        packed = inject_invariants(
-            builder.packed(),
-            every=spec.redundancy_every,
-            count=spec.redundancy_count,
-            seed=effective_seed,
-        )
-    return Trace.from_packed(packed.head(n_uops), name=name)
+    with gc_paused():
+        builder = TraceBuilder(name, seed=effective_seed)
+        if params is not None:
+            scenarios.scenario_kernel(params, builder, n_uops)
+            packed = builder.packed()
+        else:
+            spec = get_spec(name)
+            block = spec.redundancy_count + 1
+            dilution = 1.0 + block / spec.redundancy_every
+            # Small safety margin: kernels stop at loop-iteration
+            # granularity, so aim past the target and trim back to exactly
+            # n_uops.
+            kernel_target = max(
+                1, int(n_uops / dilution) + 2 * spec.redundancy_every + 16
+            )
+            spec.kernel(builder, kernel_target)
+            packed = inject_invariants(
+                builder.packed(),
+                every=spec.redundancy_every,
+                count=spec.redundancy_count,
+                seed=effective_seed,
+            )
+        return Trace.from_packed(packed.head(n_uops), name=name)
 
 
 def build_trace(name: str, n_uops: int, seed: int | None = None, cache: bool = True) -> Trace:

@@ -193,7 +193,7 @@ def milc_kernel(b: TraceBuilder, n_target: int) -> None:
     """SU(3) streaming: unpredictable FP + a long-run confidence trap."""
     rng = b.rng
     n_sites = 1 << 18  # 256K sites x 8 B: 2 MB, thrashes the L2
-    lattice = [rng.getrandbits(60) for _ in range(n_sites)]
+    lattice = b.rand_table(n_sites, 60)
     lat_base = b.alloc(n_sites * 8)
     # Trap stream: stable for ~700 uses (long enough to saturate even FPC),
     # then switches -> rare but real squashes on a memory-bound path,
@@ -247,9 +247,8 @@ def namd_kernel(b: TraceBuilder, n_target: int) -> None:
 
 def lbm_kernel(b: TraceBuilder, n_target: int) -> None:
     """Lattice-Boltzmann streaming: strided DRAM traffic, low value reuse."""
-    rng = b.rng
     n_cells = 1 << 18  # 2 MB working set streamed linearly
-    cells = [rng.getrandbits(56) for _ in range(n_cells)]
+    cells = b.rand_table(n_cells, 56)
     cell_base = b.alloc(n_cells * 8)
     out_base = b.alloc(n_cells * 8)
     i = 0

@@ -155,7 +155,7 @@ def crafty_kernel(b: TraceBuilder, n_target: int) -> None:
     rng = b.rng
     board = _almost_stable_stream(rng, 8192, mean_run=11, universe=13)
     tt_size = 16384
-    tt = [rng.getrandbits(32) for _ in range(tt_size)]
+    tt = b.rand_table(tt_size, 32)
     board_base = b.alloc(64 * 8)
     tt_base = b.alloc(tt_size * 8)
     zob_base = b.alloc(13 * 64 * 8)

@@ -5,8 +5,8 @@ emits ~5 µs/µop of Python work, so a cold daemon restart or a fresh
 worker process used to pay the full generation cost for every workload it
 touched.  The store persists the *packed* columnar form
 (:class:`~repro.isa.trace.PackedColumns`) of each built trace under a
-content key, so any later process — same machine, any backend — loads
-the bytes (mmap-able ``.npy`` per column) instead of re-running the
+content key, so any later process — same machine, any backend — maps
+the bytes (one payload file per entry) instead of re-running the
 generator.
 
 **Keying.**  A trace is a prefix of every longer build of its
@@ -20,15 +20,19 @@ injection or scenario generation change the emitted µop stream).  A
 version bump silently orphans old entries instead of misreading them.
 
 **Layout.**  One directory per entry: ``<dir>/<key[:2]>/<key>/`` holding
-``meta.json`` plus one ``<column>.npy`` file per schema column.  Writes
-go to a ``*.tmp.<pid>`` sibling directory and are renamed into place, so
-concurrent writers race benignly (first rename wins, the loser discards).
-A longer trace replaces a shorter entry: quarantine, then rename.  An
-entry is published iff its ``meta.json`` exists: that is what ``put``
-and ``contains`` read, never the bare directory.
+``meta.json`` and one payload file, ``columns.bin``, with every column's
+raw bytes at a 64-byte-aligned offset.  ``meta["columns"]`` records
+``{column: [offset, dtype, length]}``; ``get`` maps the payload once and
+returns one view per column.  Writes go to a ``*.tmp.<pid>`` sibling
+directory and are renamed into place, so concurrent writers race
+benignly (first rename wins, the loser discards).  A longer trace
+replaces a shorter entry: quarantine, then rename.  An entry is
+published iff its ``meta.json`` exists: that is what ``put`` and
+``contains`` read, never the bare directory.
 
 **Corruption.**  ``get`` validates versions, identity and every column's
-dtype/length; any damage (truncated file, bad JSON, schema drift) makes
+dtype/length against the schema and the payload's size; any damage
+(short or missing payload, bad JSON, schema drift) makes
 it quarantine the entry and return ``None``, and the caller
 regenerates — a broken store can cost time, never correctness.
 Quarantine first renames the entry aside to a ``*.tmp.*`` name (which
@@ -36,10 +40,12 @@ listing skips and ``clear`` sweeps), then deletes it there, so removing
 one damaged entry can never empty an entry another process publishes at
 the same path meanwhile.
 
-**Crash consistency & chaos.**  Every payload file (columns and
-``meta.json``) is fsynced before the directory rename commits the
-entry, so a crash mid-``put`` leaves only a ``*.tmp.*`` orphan, never a
-half-entry at a committed path.  Reads and writes pass the
+**Crash consistency & chaos.**  Both files of an entry (payload and
+``meta.json``), and the temp directory naming them, are fsynced before
+the directory rename commits the entry, so a crash mid-``put`` leaves
+only a ``*.tmp.*`` orphan, never a half-entry at a committed path.  The
+plane payloads of ``put_aux`` go through the same writer.  Reads and
+writes pass the
 ``store.read`` / ``store.write`` fault-injection sites
 (:mod:`repro.engine.faults`): injected truncation, garbage metadata and
 ``ENOSPC`` exercise exactly the quarantine-and-regenerate path above.
@@ -66,13 +72,13 @@ from repro.isa.trace import (
     Trace,
 )
 from repro.util import profiling
-from repro.util.atomicio import atomic_write_text, fsync_file
+from repro.util.atomicio import fsync_dir
 
 #: Environment variable selecting the persistent trace store directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: On-disk layout version; mismatched entries are ignored (and reclaimed).
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
 #: Version of the trace *generators* (kernels, invariant injection,
 #: scenarios, builder).  Any change that alters the emitted µop stream for
@@ -80,6 +86,10 @@ STORE_FORMAT_VERSION = 2
 TRACE_GENERATOR_VERSION = 1
 
 _META_NAME = "meta.json"
+_PAYLOAD_NAME = "columns.bin"
+#: Column offsets in the payload file are multiples of this (a cache
+#: line, and a multiple of every dtype's alignment).
+_ALIGN = 64
 
 
 def default_trace_store() -> "TraceStore | None":
@@ -138,6 +148,61 @@ def _quarantine(path: Path) -> None:
     shutil.rmtree(aside, ignore_errors=True)
 
 
+def _write_payload(directory: Path, arrays: dict[str, np.ndarray],
+                   meta: dict, torn: OSError | None = None) -> None:
+    """Write *arrays* into one payload file and *meta* (plus the layout)
+    into ``meta.json`` under *directory*; fsync both, then the directory.
+
+    *torn*, when given, is raised once half the columns are written: the
+    debris a kill mid-write leaves, which the caller must never publish.
+    """
+    columns = {}
+    end = 0
+    for col, arr in arrays.items():
+        offset = -(-end // _ALIGN) * _ALIGN
+        columns[col] = [offset, str(arr.dtype), int(arr.shape[0])]
+        end = offset + arr.nbytes
+    with open(directory / _PAYLOAD_NAME, "wb") as fh:
+        for i, (col, arr) in enumerate(arrays.items()):
+            if torn is not None and i == len(arrays) // 2:
+                fh.flush()
+                raise torn
+            fh.seek(columns[col][0])
+            fh.write(np.ascontiguousarray(arr).data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    with open(directory / _META_NAME, "w") as fh:
+        fh.write(json.dumps(dict(meta, columns=columns),
+                            sort_keys=True, indent=1))
+        fh.flush()
+        os.fsync(fh.fileno())
+    fsync_dir(directory)
+
+
+def _read_payload(directory: Path, columns: dict,
+                  mmap: bool) -> dict[str, np.ndarray]:
+    """One array per ``{column: [offset, dtype, length]}`` entry of
+    *columns*, viewed from *directory*'s payload file.
+
+    With *mmap* the file is mapped read-only once and every column is a
+    view of that map; otherwise it is read into memory.  Raises
+    ``ValueError`` when a column's bytes lie outside the file.
+    """
+    path = directory / _PAYLOAD_NAME
+    if mmap and path.stat().st_size:
+        buf = np.memmap(path, dtype=np.uint8, mode="r")
+    else:
+        buf = np.fromfile(path, dtype=np.uint8)
+    arrays = {}
+    for col, (offset, dtype, length) in columns.items():
+        dtype = np.dtype(dtype)
+        end = offset + length * dtype.itemsize
+        if offset < 0 or offset % _ALIGN or length < 0 or end > buf.size:
+            raise ValueError(f"column {col} lies outside the payload")
+        arrays[col] = buf[offset:end].view(dtype)
+    return arrays
+
+
 class TraceStore:
     """Content-addressed directory of packed traces (one subdir per key)."""
 
@@ -186,31 +251,38 @@ class TraceStore:
             "seed": seed,
             "n": packed.n,
             "nbytes": packed.nbytes,
-            "columns": {col: str(packed.arrays[col].dtype)
-                        for col, _ in COLUMN_SCHEMA},
         }
-        # Imported lazily: the fault plane lives on the engine layer, and
-        # workloads must stay importable without it.
-        from repro.engine import faults
+        arrays = {col: packed.arrays[col] for col, _ in COLUMN_SCHEMA}
+        self._publish(final, arrays, meta, site="store.write")
+        return final
 
+    def _publish(self, final: Path, arrays: dict[str, np.ndarray],
+                 meta: dict, site: str | None = None) -> None:
+        """Write *arrays* and *meta* to a temp directory and rename it to
+        *final*; the one write path of entries and aux payloads alike.
+
+        Losing the rename race discards the temp directory; an IO failure
+        is swallowed the same way.  *site* names the fault-injection site:
+        ``enospc`` fails before any byte lands, ``partial`` leaves a
+        half-written payload in the temp directory, never renamed in.
+        """
         tmp = final.with_name(f"{final.name}.tmp.{os.getpid()}")
         try:
             with profiling.phase("trace-store-save"):
-                rule = faults.fire("store.write")
-                if rule is not None and rule.action == "enospc":
-                    raise faults.io_error(rule, "store.write")
+                torn = None
+                if site is not None:
+                    # Imported lazily: the fault plane lives on the engine
+                    # layer, and workloads must stay importable without it.
+                    from repro.engine import faults
+
+                    rule = faults.fire(site)
+                    if rule is not None:
+                        if rule.action == "enospc":
+                            raise faults.io_error(rule, site)
+                        if rule.action == "partial":
+                            torn = faults.io_error(rule, site)
                 tmp.mkdir(parents=True, exist_ok=True)
-                for i, (col, _) in enumerate(COLUMN_SCHEMA):
-                    if rule is not None and rule.action == "partial" and i:
-                        # Simulate a kill after the first column file: the
-                        # half-written set stays in the tmp dir and is
-                        # cleaned below — never renamed into place.
-                        raise faults.io_error(rule, "store.write")
-                    np.save(tmp / f"{col}.npy", packed.arrays[col],
-                            allow_pickle=False)
-                    fsync_file(tmp / f"{col}.npy")
-                atomic_write_text(tmp / _META_NAME,
-                                  json.dumps(meta, sort_keys=True, indent=1))
+                _write_payload(tmp, arrays, meta, torn)
                 try:
                     os.rename(tmp, final)
                 except OSError:
@@ -218,7 +290,6 @@ class TraceStore:
             self.stores += 1
         except OSError:
             shutil.rmtree(tmp, ignore_errors=True)
-        return final
 
     def contains(self, name: str, n_uops: int, seed: int) -> bool:
         """Whether the entry holds at least *n_uops* µops (no load).
@@ -235,10 +306,11 @@ class TraceStore:
         """The first *n_uops* µops of the stored trace, or ``None`` when
         the entry is absent, shorter or corrupt.
 
-        With ``mmap`` (the default) columns come back as read-only
-        ``numpy.memmap`` views — the OS pages trace bytes in on demand and
-        shares them between processes mapping the same entry.  Corrupt
-        entries are deleted so the caller's regeneration heals the store.
+        With ``mmap`` (the default) columns come back as views of one
+        read-only ``numpy.memmap`` of the payload — the OS pages trace
+        bytes in on demand and shares them between processes mapping the
+        same entry.  Corrupt entries are deleted so the caller's
+        regeneration heals the store.
         """
         entry = self._entry_dir(trace_key(name, seed))
         if not entry.is_dir():
@@ -250,8 +322,7 @@ class TraceStore:
         if rule is not None:
             # Damage the entry on disk, then read as normal: the ordinary
             # validation below must catch it and quarantine the entry.
-            faults.damage_store_entry(
-                rule, entry, f"{COLUMN_SCHEMA[0][0]}.npy", _META_NAME)
+            faults.damage_store_entry(rule, entry, _PAYLOAD_NAME, _META_NAME)
         try:
             with profiling.phase("trace-store-load"):
                 meta = json.loads((entry / _META_NAME).read_text())
@@ -267,15 +338,10 @@ class TraceStore:
                 if n < n_uops:
                     self.misses += 1
                     return None
-                arrays = {
-                    col: np.load(entry / f"{col}.npy",
-                                 mmap_mode="r" if mmap else None,
-                                 allow_pickle=False)
-                    for col, _ in COLUMN_SCHEMA
-                }
-                packed = PackedColumns(n, arrays)
+                packed = PackedColumns(
+                    n, _read_payload(entry, meta["columns"], mmap))
                 packed.validate()
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
             self.corrupt += 1
             _quarantine(entry)
             self.misses += 1
@@ -303,8 +369,9 @@ class TraceStore:
 
         Returns the aux directory, or ``None`` when the entry is absent or
         does not hold ``meta["n"]`` µops (aux data covers its whole trace
-        and never outlives it).  Same temp-dir + rename discipline and
-        same "IO failure is not an error" stance as :meth:`put`.
+        and never outlives it).  Written by :meth:`put`'s writer, so the
+        payload and its meta are fsynced before the rename publishes them,
+        and an IO failure is not an error.
         """
         key = trace_key(name, seed)
         if self._stored_n(self._entry_dir(key)) != meta.get("n"):
@@ -312,36 +379,18 @@ class TraceStore:
         final = self._aux_dir(key, kind, version)
         if final.is_dir():
             return final
-        payload = dict(meta)
-        payload["kind"] = kind
-        payload["version"] = version
-        payload["columns"] = {col: [str(arr.dtype), int(arr.shape[0])]
-                              for col, arr in arrays.items()}
-        payload["nbytes"] = sum(int(arr.nbytes) for arr in arrays.values())
-        tmp = final.with_name(f"{final.name}.tmp.{os.getpid()}")
-        try:
-            with profiling.phase("trace-store-save"):
-                tmp.mkdir(parents=True, exist_ok=True)
-                for col, arr in arrays.items():
-                    np.save(tmp / f"{col}.npy", arr, allow_pickle=False)
-                (tmp / _META_NAME).write_text(
-                    json.dumps(payload, sort_keys=True, indent=1))
-                try:
-                    os.rename(tmp, final)
-                except OSError:
-                    shutil.rmtree(tmp, ignore_errors=True)  # lost the race
-            self.stores += 1
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
+        payload = dict(meta, kind=kind, version=version,
+                       nbytes=sum(int(arr.nbytes) for arr in arrays.values()))
+        self._publish(final, arrays, payload)
         return final
 
     def get_aux(self, name: str, seed: int, kind: str, version: int,
                 mmap: bool = True) -> tuple[dict, dict[str, np.ndarray]] | None:
         """Load ``(meta, arrays)`` for one aux payload, or ``None``.
 
-        Validates dtype and length of every stored column against the aux
-        meta; corrupt payloads are quarantine-deleted (aux only — the
-        trace entry is untouched) and regenerated by the caller.
+        Validates every stored column against the payload's size; corrupt
+        payloads are quarantine-deleted (aux only — the trace entry is
+        untouched) and regenerated by the caller.
         """
         aux = self._aux_dir(trace_key(name, seed), kind, version)
         if not aux.is_dir():
@@ -351,14 +400,7 @@ class TraceStore:
                 meta = json.loads((aux / _META_NAME).read_text())
                 if meta.get("kind") != kind or meta.get("version") != version:
                     raise ValueError("aux metadata does not match the request")
-                arrays = {}
-                for col, (dtype, length) in meta["columns"].items():
-                    arr = np.load(aux / f"{col}.npy",
-                                  mmap_mode="r" if mmap else None,
-                                  allow_pickle=False)
-                    if str(arr.dtype) != dtype or arr.shape != (length,):
-                        raise ValueError(f"aux column {col} does not match")
-                    arrays[col] = arr
+                arrays = _read_payload(aux, meta["columns"], mmap)
         except (OSError, ValueError, KeyError, TypeError):
             self.corrupt += 1
             _quarantine(aux)

@@ -90,7 +90,7 @@ class TestCorruptionHealing:
 
     def test_truncated_column_is_quarantined(self, tmp_path):
         store, entry = self._stored(tmp_path)
-        (entry / "values.npy").write_bytes(b"\x93NUMPY garbage")
+        (entry / "columns.bin").write_bytes(b"\x93NUMPY garbage")
         assert store.get("gzip", 2000, 164) is None
         assert store.corrupt == 1
         assert not entry.exists()  # quarantine-deleted
@@ -116,17 +116,17 @@ class TestCorruptionHealing:
 
     def test_missing_column_is_quarantined(self, tmp_path):
         store, entry = self._stored(tmp_path)
-        (entry / "takens.npy").unlink()
+        (entry / "columns.bin").unlink()
         assert store.get("gzip", 2000, 164) is None
 
     def test_entry_without_meta_is_absent_and_put_rewrites_it(self,
                                                                tmp_path):
         # What a removal interrupted half-way leaves at a committed path:
-        # the entry directory with one column file and no metadata.
+        # the entry directory with its payload file and no metadata.
         store, entry = self._stored(tmp_path)
         trace = build_uncached()
         for path in entry.iterdir():
-            if path.name != "values.npy":
+            if path.name != "columns.bin":
                 path.unlink()
         assert not store.contains("gzip", 2000, 164)
         assert store.put(trace, "gzip", 164) == entry
@@ -142,7 +142,7 @@ class TestCorruptionHealing:
         import repro.workloads.store as store_mod
 
         store, entry = self._stored(tmp_path)
-        (entry / "values.npy").write_bytes(b"\x93NUMPY garbage")
+        (entry / "columns.bin").write_bytes(b"\x93NUMPY garbage")
         writer = TraceStore(tmp_path)
         real_rmtree = store_mod.shutil.rmtree
         published = []
@@ -160,6 +160,30 @@ class TestCorruptionHealing:
         assert store.contains("gzip", 2000, 164)
         assert store.get("gzip", 2000, 164) is not None
 
+    def test_short_payload_is_quarantined_and_rebuilt(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        reference = catalog.build_trace("gzip", 2000).packed()
+        entry = next(tmp_path.glob("??/*"))
+        meta = json.loads((entry / "meta.json").read_text())
+        end = max(offset + length * np.dtype(dtype).itemsize
+                  for offset, dtype, length in meta["columns"].values())
+        payload = entry / "columns.bin"
+        assert payload.stat().st_size == end
+        with open(payload, "r+b") as fh:
+            fh.truncate(end - 1)
+        store = default_trace_store()
+        assert store.get("gzip", 2000, 164) is None
+        assert store.corrupt == 1
+        assert not entry.exists()
+        catalog.clear_trace_cache()
+        before = catalog.generation_count()
+        healed = catalog.build_trace("gzip", 2000).packed()
+        assert catalog.generation_count() == before + 1
+        for col, array in reference.arrays.items():
+            assert np.array_equal(healed.arrays[col], array), col
+        assert default_trace_store().get("gzip", 2000, 164) is not None
+
     def test_build_trace_regenerates_and_reheals(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
         reference = catalog.build_trace("gzip", 2000).columns().values
@@ -171,6 +195,61 @@ class TestCorruptionHealing:
         healed = catalog.build_trace("gzip", 2000)  # regenerates + re-persists
         assert healed.columns().values == reference
         assert default_trace_store().stats()["entries"] == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="maps an fd back to its path through /proc")
+class TestDurability:
+    """An entry's payload and metadata are on disk before its name is."""
+
+    @staticmethod
+    def record_fsyncs_and_renames(monkeypatch):
+        events = []
+        real_fsync, real_rename = os.fsync, os.rename
+
+        def fsync(fd):
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+            real_fsync(fd)
+
+        def rename(src, dst):
+            events.append(("rename", os.fspath(src)))
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "rename", rename)
+        return events
+
+    @staticmethod
+    def assert_synced_before_rename(events, final):
+        renames = [i for i, (kind, path) in enumerate(events)
+                   if kind == "rename" and path.startswith(f"{final}.tmp.")]
+        assert len(renames) == 1, events
+        tmp = events[renames[0]][1]
+        synced = {path for kind, path in events[:renames[0]]
+                  if kind == "fsync"}
+        assert {f"{tmp}/columns.bin", f"{tmp}/meta.json"} <= synced, events
+
+    def test_put_fsyncs_payload_and_meta_before_the_rename(
+            self, tmp_path, monkeypatch):
+        trace = build_uncached()
+        events = self.record_fsyncs_and_renames(monkeypatch)
+        entry = TraceStore(tmp_path).put(trace, "gzip", 164)
+        self.assert_synced_before_rename(events, entry)
+
+    def test_put_aux_fsyncs_payload_and_meta_before_the_rename(
+            self, tmp_path, monkeypatch):
+        store = TraceStore(tmp_path)
+        store.put(build_uncached(), "gzip", 164)
+        events = self.record_fsyncs_and_renames(monkeypatch)
+        aux = store.put_aux("gzip", 164, "plane", 1,
+                            {"x": np.arange(2000, dtype=np.uint64),
+                             "y": np.ones(2000, dtype=np.bool_)},
+                            {"n": 2000})
+        self.assert_synced_before_rename(events, aux)
+        meta, arrays = store.get_aux("gzip", 164, "plane", 1)
+        assert meta["n"] == 2000
+        assert np.array_equal(arrays["x"], np.arange(2000, dtype=np.uint64))
+        assert arrays["y"].all()
 
 
 class TestFaultInjectedHealing:
