@@ -361,7 +361,3 @@ class TAGEBranchPredictor:
             for i, u in enumerate(useful):
                 if u:
                     useful[i] = u >> 1
-
-    @property
-    def misprediction_rate(self) -> float:
-        return self.mispredictions / self.lookups if self.lookups else 0.0

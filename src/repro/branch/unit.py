@@ -36,10 +36,6 @@ class BranchResult:
     direction_mispredict: bool = False
     target_mispredict: bool = False
 
-    @property
-    def any_redirect(self) -> bool:
-        return self.direction_mispredict or self.target_mispredict
-
 
 #: Shared no-redirect outcome.  The overwhelmingly common case — treat
 #: returned :class:`BranchResult` instances as read-only.

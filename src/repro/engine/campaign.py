@@ -14,9 +14,8 @@ module makes such sweeps first-class values instead of ad-hoc loops:
   disk :class:`~repro.engine.cache.ResultCache` (``--cache-dir`` /
   ``$REPRO_CACHE_DIR``) a killed sweep resumes as a run of cache hits;
 * the returned :class:`CampaignResult` carries aggregation hooks
-  (:meth:`~CampaignResult.by`, :meth:`~CampaignResult.lookup`,
-  :meth:`~CampaignResult.speedup_by_workload`) that the figure and
-  analysis layers consume directly.
+  (:meth:`~CampaignResult.by`, :meth:`~CampaignResult.speedup_by_workload`)
+  that the figure and analysis layers consume directly.
 
 See DESIGN.md, "Campaign & checkpoint architecture".
 """
@@ -268,22 +267,6 @@ class CampaignResult:
             for i, point in enumerate(self.points)
             if all(point.get(name) == value for name, value in axes.items())
         ]
-
-    def lookup(self, **axes: Any) -> SimResult:
-        """The single result matching the given axis values.
-
-        Points that collapse onto the same job (identical content keys)
-        count as one; genuinely ambiguous or empty selections raise.
-        """
-        indices = self._indices(axes)
-        if not indices:
-            raise KeyError(f"no campaign point matches {axes}")
-        keys = {self.keys[i] for i in indices}
-        if len(keys) > 1:
-            raise KeyError(
-                f"{axes} matches {len(keys)} distinct jobs; add more axes"
-            )
-        return self.results_by_key[self.keys[indices[0]]]
 
     def by(self, axis: str, **fixed: Any) -> dict[Any, SimResult]:
         """Results keyed by one axis, with other axes optionally pinned.

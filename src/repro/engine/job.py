@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from repro.pipeline.config import CoreConfig, RecoveryMode
@@ -88,9 +88,6 @@ class SimJob:
             seed=seed,
             config_json=config.canonical_json() if config is not None else None,
         )
-
-    def with_predictor(self, predictor: str) -> "SimJob":
-        return replace(self, predictor=predictor)
 
     def core_config(self) -> CoreConfig:
         """Materialise the core configuration this job runs under."""

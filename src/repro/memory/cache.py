@@ -116,8 +116,3 @@ class Cache:
             self.mshr_stalls += 1
             return heapq.heappop(heap)
         return cycle
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0

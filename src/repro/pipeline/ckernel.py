@@ -26,25 +26,24 @@ This module owns everything on the Python side of that boundary:
   counts, window rings, store buffer, unit pools, train-queue ring).
   The template is keyed by the config values it reads, since
   ``CoreConfig`` is mutable, and each run copies it.  The memory and
-  store-set state block and the predictor's table block come from a
-  pool (:class:`_Pool`) that hands a block out again only once nothing
-  else holds it, so a run allocates nothing and touches no fresh pages.
-  The kernel resets its own state at entry.
-* **State** — the kernel works on a pooled byte block per predictor,
-  never on the predictor's lists.  The kernel families are born parked
-  at their constructed state (:func:`~repro.predictors.base.constructed`),
-  so for a predictor no one has read the block gets the constructed
-  tables and nothing is scanned; one parked by an earlier run has its
-  block copied; any other (a caller read or trained its tables) has its
-  lists copied.
-  Nothing is written back until the call succeeds, so a kernel error
-  (``kernel-error:<name>``) or ineligibility discovered late leaves the
-  model untouched for the spec loop.  On success the predictor parks the
-  block and rebuilds its lists when a caller first reads one
-  (:meth:`~repro.predictors.base.ValuePredictor.park`); its scalar state
-  (LFSRs, VTAGE's tag generation) is written at once.  Likewise the model
-  adopts the run's state block and turns it into objects when a caller
-  first reads ``model.memory`` or ``model.store_sets``.
+  store-set state block and the predictor-table buffer are scratch too
+  (:class:`_Scratch`); the table buffer grows to the largest layout run
+  so far.  A run allocates nothing and touches no fresh pages, and the
+  kernel resets its own state at entry.
+* **State** — a run is a pure function of a fresh model, a predictor
+  born parked at its constructed state
+  (:func:`~repro.predictors.base.constructed`) and the trace, so nothing
+  is scanned or copied in.  A predictor whose tables exist (a caller
+  read or trained them, or a spec-loop run did) declines with
+  ``kernel-ineligible:predictor-not-fresh``, as built memory or store
+  sets do.  Nothing is written back until the call succeeds, so a kernel
+  error (``kernel-error:<name>``) or ineligibility discovered late
+  leaves the model untouched for the spec loop.  On success only the
+  predictor's scalar state (LFSRs, VTAGE's tag generation) is written
+  back, and the model and predictor are spent: reading a component or a
+  table, or running the model again, raises :class:`RuntimeError`
+  (:data:`repro.pipeline.core.SPENT`).  Under ``REPRO_FAST_SIM=0``
+  post-run state stays readable.
 
 The kernel returns counters through a single ``out`` array; this module
 assembles the :class:`~repro.pipeline.result.SimResult` exactly as the
@@ -62,11 +61,9 @@ import ctypes
 import hashlib
 import os
 import subprocess
-import sys
 import tempfile
 import threading
 from collections import namedtuple
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -82,6 +79,7 @@ from repro.isa.uop import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.storesets import StoreSets
 from repro.pipeline.config import RecoveryMode
+from repro.pipeline.core import SPENT
 from repro.pipeline.precompute import kernel_inputs
 from repro.pipeline.result import SimResult
 from repro.predictors.base import constructed, parked_restore, predictor_class
@@ -371,20 +369,16 @@ def _policy_fields(policy):
     return None
 
 
-def _address(array: np.ndarray) -> int:
-    """Data address of a new, writable *array* (cheaper than ``.ctypes``)."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
-
-
 # ---------------------------------------------------------------------------
-# Memory and store-set state: one block per run, adopted by the model
+# Memory and store-set state: one scratch block
 
 
 def _state_layout():
-    """``(slices, size, geometry)`` of a run's memory and store-set block:
-    each array's slice of the int64 block, the block's length, and the
-    scalar ``KernelArgs`` fields.  Every ``CoreModel`` builds its memory
-    and store sets with their defaults, so one layout serves the process.
+    """``(fields, size, geometry)`` of a run's memory and store-set block:
+    each array's ``(field, int64 offset)`` in the block, the block's
+    length, and the scalar ``KernelArgs`` fields.  Every ``CoreModel``
+    builds its memory and store sets with their defaults, so one layout
+    serves the process.
     """
     memory, store_sets = MemoryHierarchy(), StoreSets()
     dram, pf = memory.dram, memory.prefetcher
@@ -396,7 +390,7 @@ def _state_layout():
         pf_distance=pf.distance, ssit_bits=store_sets._ssit_bits,
         lfst_entries=store_sets.lfst_entries)
     sizes = []
-    for prefix, *__ in _CACHE_SLOTS:
+    for prefix in ("l1i", "l1d", "l2"):
         cache = getattr(memory, prefix)
         sets, ways, mshrs = (cache.config.sets, cache.config.ways,
                              cache.config.mshrs)
@@ -413,71 +407,12 @@ def _state_layout():
               for name in ("pf_pcs", "pf_last", "pf_stride", "pf_conf")]
     sizes += [("ssit", 1 << store_sets._ssit_bits),
               ("lfst", store_sets.lfst_entries)]
-    slices = {}
+    fields = []
     offset = 0
     for name, size in sizes:
-        slices[name] = slice(offset, offset + size)
+        fields.append((name, offset))
         offset += size
-    return slices, offset, geometry
-
-
-_CACHE_SLOTS = (
-    ("l1i", _O_L1I_HITS, _O_L1I_MISSES, _O_L1I_MSHR_STALLS, _O_L1I_MSHR_N),
-    ("l1d", _O_L1D_HITS, _O_L1D_MISSES, _O_L1D_MSHR_STALLS, _O_L1D_MSHR_N),
-    ("l2", _O_L2_HITS, _O_L2_MISSES, _O_L2_MSHR_STALLS, _O_L2_MSHR_N),
-)
-
-
-def _restore_memory(slices, state, out, memory) -> None:
-    """Write a kernel run's final hierarchy state into fresh *memory*.
-
-    Each cache keeps its non-empty sets' ``(line, fill-ready)`` rows, MRU
-    first, below their way counts.
-    """
-    def part(name):
-        return state[slices[name]]
-
-    for prefix, hits, misses, stalls, mshr_n in _CACHE_SLOTS:
-        cache = getattr(memory, prefix)
-        count = part(f"{prefix}_count")
-        used = np.flatnonzero(count)
-        rows = zip(used.tolist(), count[used].tolist(),
-                   part(f"{prefix}_lines").reshape(len(count), -1)[used]
-                   .tolist(),
-                   part(f"{prefix}_fill").reshape(len(count), -1)[used]
-                   .tolist())
-        for s, cnt, lines, ready in rows:
-            lines = cache._sets[s] = lines[:cnt]
-            cache._fill_ready.update(zip(lines, ready[:cnt]))
-        cache._mshr_heap = part(f"{prefix}_mshr")[:out[mshr_n]].tolist()
-        cache.hits, cache.misses, cache.mshr_stalls = (
-            out[hits], out[misses], out[stalls])
-
-    dram = memory.dram
-    dram.requests = out[_O_DRAM_REQUESTS]
-    dram.row_hits = out[_O_DRAM_ROW_HITS]
-    dram._channel_free = out[_O_DRAM_CHANNEL_FREE]
-    dram._bank_free = part("dram_bank_free").tolist()
-    dram._open_rows = {bank: row for bank, row in enumerate(
-        part("dram_open_rows").tolist()) if row != -1}
-    pf = memory.prefetcher
-    pf._pcs = part("pf_pcs").tolist()
-    pf._last_addr = part("pf_last").tolist()
-    pf._stride = part("pf_stride").tolist()
-    pf._conf = part("pf_conf").tolist()
-    pf.issued = out[_O_PF_ISSUED]
-
-
-def _restore_store_sets(slices, state, out, store_sets) -> None:
-    """Write a kernel run's final store-set tables into fresh *store_sets*."""
-    store_sets._ssit = {
-        i: v for i, v in enumerate(state[slices["ssit"]].tolist()) if v != -1
-    }
-    store_sets._lfst = {
-        i: v for i, v in enumerate(state[slices["lfst"]].tolist()) if v != -1
-    }
-    store_sets._next_ssid = out[_O_SS_NEXT_SSID]
-    store_sets.violations_trained = out[_O_SS_VIOLATIONS]
+    return fields, offset, geometry
 
 
 # ---------------------------------------------------------------------------
@@ -604,32 +539,37 @@ def _template(key: tuple, scratch: "_Scratch"):
 
     for name, value in scratch.geometry.items():
         setattr(args, name, value)
+    for name, address in scratch.state_fields:
+        setattr(args, name, address)
     for name in _PREDICTOR_POINTERS:
         setattr(args, name, _PLACEHOLDER_ADDR)
     return args, arrays
 
 
 class _Scratch:
-    """Kernel buffers, argument templates and block pools, kept for the
-    process.
+    """Kernel buffers and argument templates, kept for the process.
 
     The bandwidth windows and the IQ's per-cycle counts are shared by
     every template: fixed-size, and the kernel hands them back as it got
     them, every stamp -1 and every count 0 (a window count is read only
     under a matching stamp).  Everything else the kernel reads before
-    writing it resets at entry.  Nothing here grows with the trace.
+    writing it resets at entry: the memory and store-set state block,
+    and the predictor tables, which each run constructs in one buffer
+    grown to the largest layout so far.  Nothing here grows with the
+    trace, and no model or predictor holds any of it after a run.
     """
 
     def __init__(self):
         self._buffers: dict[str, tuple[np.ndarray, int]] = {}
         #: Config key -> ``(args, arrays)`` (:func:`_template`).
         self.templates: dict[tuple, tuple] = {}
-        #: Memory/store-set state blocks and predictor table blocks.
-        self.pool = _Pool()
-        self.slices, self.state_size, self.geometry = _state_layout()
-        #: ``(field, byte offset)`` of each array in a run's state block.
+        fields, size, self.geometry = _state_layout()
+        state = self.get("state", size)
+        #: ``(field, address)`` of each array in the state block.
         self.state_fields = tuple(
-            (name, 8 * part.start) for name, part in self.slices.items())
+            (name, state + 8 * offset) for name, offset in fields)
+        #: The predictor-table buffer and its address.
+        self._tables = (np.empty(0, dtype=np.uint8), 0)
 
     def get(self, name: str, size: int, fill=None, dtype=np.int64) -> int:
         """Address of buffer *name*, *size* entries of *dtype*, first
@@ -640,6 +580,19 @@ class _Scratch:
                      else np.full(size, fill, dtype))
             buffer = self._buffers[name] = (array, array.ctypes.data)
         return buffer[1]
+
+    def tables(self, layout: "_Layout") -> int:
+        """Address of the predictor-table buffer, holding *layout*'s
+        constructed tables."""
+        buffer, address = self._tables
+        if buffer.nbytes < layout.nbytes:
+            buffer = np.empty(layout.nbytes, dtype=np.uint8)
+            address = buffer.ctypes.data
+            self._tables = buffer, address
+        block = buffer[:layout.nbytes]
+        block.fill(0)
+        block[layout.ones] = 0xFF
+        return address
 
     def template(self, key: tuple) -> _KernelArgs:
         template = self.templates.get(key)
@@ -653,88 +606,7 @@ class _Scratch:
     def nbytes(self) -> int:
         arrays = [a for a, __ in self._buffers.values()] + [
             a for __, kept in self.templates.values() for a in kept]
-        return sum(array.nbytes for array in arrays) + self.pool.nbytes
-
-
-#: Blocks a pool keeps per layout, and bytes it keeps in all.
-_POOL_BLOCKS = 4
-_POOL_BYTES = 16 << 20
-
-
-def _free_refs() -> int:
-    """``sys.getrefcount`` of a block only its list holds, read the way
-    :meth:`_Pool.take` reads it: from a loop over the list (3 on CPython
-    3.11 and 3.12: the list, the loop variable and the argument); 0 on an
-    interpreter without reference counts."""
-    getrefcount = getattr(sys, "getrefcount", None)
-    if getrefcount is None:
-        return 0
-    for block in [np.empty(0, dtype=np.uint8)]:
-        return getrefcount(block)
-
-
-_FREE_REFS = _free_refs()
-
-
-class _Pool:
-    """Byte blocks reused from run to run, so a run touches no fresh pages.
-
-    A block goes out again only once the pool alone holds it: not a model
-    whose memory or store sets are still to be built from it, nor a
-    predictor parked on it, nor any view of either (a view holds its
-    base).  Reference counts drop on any thread, but blocks go out only
-    under ``_SCRATCH_LOCK``, so a free block stays free until taken.  The
-    pool keeps up to ``_POOL_BLOCKS`` per key within ``_POOL_BYTES`` in
-    all; a block past either bound is handed out all the same and freed
-    with its last holder.
-
-    Reuse rests on CPython's reference counts, checked once at import
-    (:func:`_reuse_is_exact`).  Where the check fails, ``reuse`` is off
-    and every run gets a new block: slower, never wrong.
-    """
-
-    #: Whether blocks go out more than once (:func:`_reuse_is_exact`).
-    reuse = True
-
-    def __init__(self):
-        #: Key -> its blocks.
-        self._blocks: dict[object, list[np.ndarray]] = {}
-        self.nbytes = 0
-
-    def take(self, key, nbytes: int) -> np.ndarray:
-        """A uint8 block of *nbytes* for layout *key*, contents undefined."""
-        blocks = self._blocks.setdefault(key, [])
-        if self.reuse:
-            for block in blocks:
-                if sys.getrefcount(block) <= _FREE_REFS:
-                    return block
-        block = np.empty(nbytes, dtype=np.uint8)
-        if self.reuse and len(blocks) < _POOL_BLOCKS and \
-                self.nbytes + nbytes <= _POOL_BYTES:
-            blocks.append(block)
-            self.nbytes += nbytes
-        return block
-
-
-def _reuse_is_exact() -> bool:
-    """Whether :meth:`_Pool.take` tells a held block from a free one here.
-
-    A probe pool must not hand out again a block held by a name or only
-    through a view of it, and must hand out again one no longer held.
-    """
-    if _FREE_REFS < 1:
-        return False
-    pool = _Pool()
-    pool.reuse = True
-    held = pool.take("held", 8)
-    viewed = pool.take("viewed", 8)[:4]
-    if pool.take("held", 8) is held or pool.take("viewed", 8) is viewed.base:
-        return False
-    del held, viewed
-    return pool.take("held", 8) is pool._blocks["held"][0]
-
-
-_Pool.reuse = _reuse_is_exact()
+        return sum(array.nbytes for array in arrays) + self._tables[0].nbytes
 
 
 _scratch: _Scratch | None = None
@@ -755,96 +627,29 @@ def scratch_nbytes() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Predictor tables: one pooled byte block per run, parked on success
+# Predictor tables: constructed in scratch, spent on success
 
 
 class _Layout:
-    """Where one predictor geometry's tables sit in a byte block.
+    """Where one predictor geometry's tables sit in the table buffer.
 
-    ``fields`` holds ``(arg, attr, dtype, count, offset)`` per
-    ``KernelArgs`` table pointer, 8-byte tables first so every view is
-    aligned; *attr* names the predictor list the table mirrors, and
-    :func:`_block_from_lists` and :func:`_restore_tables` convert the rest
-    (tags, speculative state, VTAGE components).  ``names`` are the
-    attributes a parked predictor drops; ``ones`` is the byte range the
-    constructed tables fill with -1 (VTAGE tags).  The layout itself keys
-    its blocks in the pool.
+    ``fields`` holds ``(arg, offset)`` per ``KernelArgs`` table pointer,
+    8-byte tables first so every table is aligned; ``ones`` is the byte
+    range the constructed tables fill with -1 (VTAGE tags), and every
+    other byte is 0.
     """
 
-    __slots__ = ("fields", "nbytes", "names", "ones")
+    __slots__ = ("fields", "nbytes", "ones")
 
-    def __init__(self, specs, names):
+    def __init__(self, specs):
         self.fields = []
         self.nbytes = 0
         self.ones = slice(0)
-        for arg, attr, dtype, count in specs:
-            dtype = np.dtype(dtype)
-            self.fields.append((arg, attr, dtype, count, self.nbytes))
+        for arg, itemsize, count in specs:
+            self.fields.append((arg, self.nbytes))
             if arg == "vt_tags":
                 self.ones = slice(self.nbytes, self.nbytes + 8 * count)
-            self.nbytes += dtype.itemsize * count
-        self.names = names
-
-    def views(self, block: np.ndarray) -> dict[str, np.ndarray]:
-        return {arg: block[offset:offset + dtype.itemsize * count].view(dtype)
-                for arg, __, dtype, count, offset in self.fields}
-
-    def construct(self, block: np.ndarray) -> None:
-        """Write the constructed tables into *block*."""
-        block.fill(0)
-        block[self.ones] = 0xFF
-
-
-_VTAGE_TABLES = (("vt_tags", "tags"), ("vt_values", "values"),
-                 ("vt_conf", "conf"), ("vt_useful", "useful"))
-
-
-def _block_from_lists(layout: _Layout, predictor, block: np.ndarray) -> None:
-    """Write *predictor*'s lists into *block*."""
-    block.fill(0)
-    v = layout.views(block)
-    for arg, attr, *__ in layout.fields:
-        if attr is not None:
-            v[arg][:] = getattr(predictor, attr)
-    if "tbl_tags" in v:
-        tags = predictor._tags
-        v["tbl_tags"][:] = [t if t is not None else 0 for t in tags]
-        v["tbl_tag_valid"][:] = [t is not None for t in tags]
-    if "st_spec_has" in v:
-        for idx, value in predictor._spec_last.items():
-            v["st_spec_value"][idx] = value
-            v["st_spec_has"][idx] = 1
-        for idx, live in predictor._inflight.items():
-            v["st_inflight"][idx] = live
-    if "vt_tags" in v:
-        comps = predictor.components
-        for arg, attr in _VTAGE_TABLES:
-            v[arg].reshape(len(comps), -1)[:] = [getattr(c, attr)
-                                                 for c in comps]
-
-
-def _restore_tables(layout: _Layout, block: np.ndarray, predictor) -> None:
-    """Set *predictor*'s lists from a block, a kernel run's restore."""
-    v = layout.views(block)
-    if "vt_tags" in v:
-        predictor._build_tables()
-        for arg, attr in _VTAGE_TABLES:
-            rows = v[arg].reshape(len(predictor.components), -1).tolist()
-            for comp, row in zip(predictor.components, rows):
-                setattr(comp, attr, row)
-    for arg, attr, *__ in layout.fields:
-        if attr is not None:
-            setattr(predictor, attr, v[arg].tolist())
-    if "tbl_tags" in v:
-        predictor._tags = [t if valid else None for t, valid in zip(
-            v["tbl_tags"].tolist(), v["tbl_tag_valid"].tolist())]
-    if "st_spec_has" in v:
-        spec = np.flatnonzero(v["st_spec_has"])
-        predictor._spec_last = dict(zip(
-            spec.tolist(), v["st_spec_value"][spec].tolist()))
-        live = np.flatnonzero(v["st_inflight"])
-        predictor._inflight = dict(zip(
-            live.tolist(), v["st_inflight"][live].tolist()))
+            self.nbytes += itemsize * count
 
 
 #: Geometry key -> :class:`_Layout`.
@@ -853,61 +658,54 @@ _LAYOUTS: dict[tuple, _Layout] = {}
 
 def _layout(predictor, ptype) -> _Layout:
     """The table layout of *predictor*'s family and geometry."""
+    two_delta = predictor_class(predictor) is TwoDeltaStridePredictor
     if ptype == P_VTAGE:
         key = (ptype, len(predictor.geometry) * predictor.tagged_entries,
                predictor.base_entries)
     else:
-        key = (ptype, predictor.entries,
-               predictor_class(predictor) is TwoDeltaStridePredictor)
+        key = (ptype, predictor.entries, two_delta)
     layout = _LAYOUTS.get(key)
     if layout is not None:
         return layout
     if ptype == P_VTAGE:
         __, n, base = key
-        specs = [("vt_tags", None, np.int64, n),
-                 ("vt_values", None, np.uint64, n),
-                 ("vt_conf", None, np.int64, n),
-                 ("vt_base_values", "_base_values", np.uint64, base),
-                 ("vt_base_conf", "_base_conf", np.int64, base),
-                 ("vt_useful", None, np.int8, n)]
-        names = ("components", "_base_values", "_base_conf")
+        specs = [("vt_tags", 8, n), ("vt_values", 8, n), ("vt_conf", 8, n),
+                 ("vt_base_values", 8, base), ("vt_base_conf", 8, base),
+                 ("vt_useful", 1, n)]
     else:
-        __, n, two_delta = key
-        specs = [("tbl_tags", None, np.uint64, n),
-                 ("tbl_values", "_values" if ptype == P_LVP else "_last",
-                  np.uint64, n),
-                 ("tbl_conf", "_conf", np.int64, n)]
+        n = key[1]
+        specs = [("tbl_tags", 8, n), ("tbl_values", 8, n), ("tbl_conf", 8, n)]
         if ptype == P_STRIDE:
-            specs += [("st_stride", "_stride", np.uint64, n)]
+            specs += [("st_stride", 8, n)]
             if two_delta:
-                specs += [("st_stride2", "_stride2", np.uint64, n)]
-            specs += [("st_spec_value", None, np.uint64, n),
-                      ("st_inflight", None, np.int64, n),
-                      ("st_spec_has", None, np.uint8, n)]
-        specs += [("tbl_tag_valid", None, np.uint8, n)]
-        names = ("_tags",) + tuple(
-            attr for __, attr, *__ in specs if attr is not None)
-        if ptype == P_STRIDE:
-            names += ("_spec_last", "_inflight")
-    layout = _LAYOUTS[key] = _Layout(specs, names)
+                specs += [("st_stride2", 8, n)]
+            specs += [("st_spec_value", 8, n), ("st_inflight", 8, n),
+                      ("st_spec_has", 1, n)]
+        specs += [("tbl_tag_valid", 1, n)]
+    layout = _LAYOUTS[key] = _Layout(specs)
     return layout
 
 
-def _marshal_predictor(args, predictor, ptype, vplane, pool):
-    """Point *args* at a pooled block for the predictor's tables.
+def _spent(predictor) -> None:
+    """The ``restore`` of a predictor a kernel run left: it stays parked
+    and every read of a table raises."""
+    predictor.park(_spent)
+    raise RuntimeError(SPENT)
 
-    For a predictor still parked at its constructed state the block gets
-    the constructed tables; one a kernel run parked gets a copy of its
-    parked block, any other a copy of its lists.  Returns
-    ``write_back(out)``, which holds the block across the call and after
-    a successful run parks it on the predictor
-    (:meth:`ValuePredictor.park`) and writes the scalar state; ``None``
-    for a family without tables; or a decline reason string.  The
-    predictor itself is not written, so a failed run leaves it as it was.
-    Fields the family does not use keep the template's placeholder.
+
+def _marshal_predictor(args, predictor, ptype, vplane, scratch):
+    """Point *args* at the constructed tables of *predictor*'s layout.
+
+    Returns ``write_back(out)``, which after a successful run writes the
+    scalar state and parks the predictor on :func:`_spent`; ``None`` for
+    a family without tables; or a decline reason string.  The predictor
+    itself is not written, so a failed run leaves it as it was.  Fields
+    the family does not use keep the template's placeholder.
     """
     if ptype not in (P_LVP, P_STRIDE, P_VTAGE):
         return None
+    if parked_restore(predictor) is not constructed:
+        return "kernel-ineligible:predictor-not-fresh"
     if ptype == P_VTAGE:
         if predictor._conf_threshold is None:
             return "kernel-ineligible:vtage-threshold"
@@ -921,16 +719,8 @@ def _marshal_predictor(args, predictor, ptype, vplane, pool):
     fpc = fields[0] == 1
 
     layout = _layout(predictor, ptype)
-    restore = parked_restore(predictor)
-    block = pool.take(layout, layout.nbytes)
-    address = _address(block)
-    if restore is constructed:
-        layout.construct(block)
-    elif isinstance(restore, partial) and restore.func is _restore_tables:
-        np.copyto(block, restore.args[1])
-    else:
-        _block_from_lists(layout, predictor, block)
-    for arg, __, __, __, offset in layout.fields:
+    address = scratch.tables(layout)
+    for arg, offset in layout.fields:
         setattr(args, arg, address + offset)
 
     if ptype == P_VTAGE:
@@ -944,7 +734,8 @@ def _marshal_predictor(args, predictor, ptype, vplane, pool):
     else:
         args.tbl_mask = predictor.entries - 1
         if ptype == P_STRIDE:
-            args.two_delta = "_stride2" in layout.names
+            args.two_delta = (predictor_class(predictor)
+                              is TwoDeltaStridePredictor)
             if not args.two_delta:
                 args.st_stride2 = args.st_stride
 
@@ -954,7 +745,7 @@ def _marshal_predictor(args, predictor, ptype, vplane, pool):
         if ptype == P_VTAGE:
             predictor._tags_gen += out[_O_VT_ALLOCATIONS]
             predictor._lfsr.state = out[_O_VT_STATE] & MASK64
-        predictor.park(partial(_restore_tables, layout, block), layout.names)
+        predictor.park(_spent)
 
     return write_back
 
@@ -981,10 +772,9 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
     """Run the compiled kernel, or record why not and return ``None``.
 
     The caller (:func:`fastsim.try_run`) has already verified the predictor
-    family, the default branch state and that the kernel loads; this adds
+    family, the unbuilt branch unit and that the kernel loads; this adds
     the per-run checks and the array round-trip.  On success the model
-    adopts the kernel's final memory and store-set state, which it turns
-    into objects when first read.
+    and its predictor are spent (:data:`repro.pipeline.core.SPENT`).
     """
     lib = _load()
     if lib is None:
@@ -1015,7 +805,7 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
         scratch = _get_scratch()
         args = _KernelArgs.from_buffer_copy(scratch.template(key))
         write_back = _marshal_predictor(args, predictor, ptype, vplane,
-                                        scratch.pool)
+                                        scratch)
         if isinstance(write_back, str):
             return _decline(write_back)
         args.n = n
@@ -1023,15 +813,6 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
         args.ptype = ptype
         for name, address in inputs.addresses:
             setattr(args, name, address)
-
-        # The memory and store-set state block, as the last run left it:
-        # the kernel resets what it reads.
-        slices = scratch.slices
-        state = scratch.pool.take("state", 8 * scratch.state_size)
-        state = state.view(np.int64)
-        address = _address(state)
-        for name, offset in scratch.state_fields:
-            setattr(args, name, address + offset)
         out = (_I64 * _N_OUT)()
         args.out = ctypes.addressof(out)
 
@@ -1041,9 +822,7 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
             return _decline(f"kernel-error:{_ERRORS.get(code, code)}")
 
     out = out[:]
-    model.adopt("memory", partial(_restore_memory, slices, state, out))
-    model.adopt("store_sets", partial(_restore_store_sets, slices, state,
-                                      out))
+    model.spent = True
     if write_back is not None:
         write_back(out)
 

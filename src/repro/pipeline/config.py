@@ -108,10 +108,6 @@ class CoreConfig:
     # yet").  Bounded by the ROB size.
     squash_lookahead: int = 256
 
-    def min_branch_penalty(self) -> int:
-        """Minimum branch misprediction penalty (Table 2 targets 20)."""
-        return self.redirect_extra + self.frontend_depth + 3
-
     # ------------------------------------------------------------------
     # Serialisation and content addressing (used by the experiment engine
     # for job specs, the on-disk result cache and multiprocessing

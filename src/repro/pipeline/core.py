@@ -54,10 +54,10 @@ Implementation notes (DESIGN.md, "Performance architecture"):
   grid in ``tests/unit/test_golden.py``).
 * :class:`CoreModel` builds its memory hierarchy, store sets and branch
   unit on first read.  A job the compiled kernel runs never needs them as
-  objects: the model keeps the kernel's final arrays (and the trace, for
-  the branch unit) and turns them into objects only when a caller reads
-  them.  What a caller finds is the spec loop's post-run state (pinned by
-  ``tests/unit/test_state_contract.py``).
+  objects, and the kernel keeps no post-run state: the model and its
+  predictor are then spent, and a component read or a second run raises
+  :class:`RuntimeError` (:data:`SPENT`).  Under ``REPRO_FAST_SIM=0`` the
+  spec loop leaves its post-run state readable.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ _STORE = int(OpClass.STORE)
 #: per-cycle entries; see BandwidthLimiter.advance_watermark.
 _PRUNE_PERIOD_MASK = 4095
 
+#: What a model or predictor a compiled-kernel run consumed raises when
+#: read or run again.
+SPENT = ("this model and its predictor ran on the compiled kernel, which "
+         "keeps no post-run state; set REPRO_FAST_SIM=0 to read their state "
+         "or run them again")
+
 
 class CoreModel:
     """One simulation instance; use :func:`simulate` for the common path."""
@@ -110,52 +116,37 @@ class CoreModel:
         self._memory: MemoryHierarchy | None = None
         self._store_sets: StoreSets | None = None
         self._branch_unit: BranchUnit | None = None
-        # Component name -> restore(fresh_object): state a kernel run left
-        # that no one has read yet.
-        self._pending: dict = {}
+        #: Whether a compiled-kernel run consumed the model (:data:`SPENT`).
+        self.spent = False
 
     @property
     def memory(self) -> MemoryHierarchy:
         if self._memory is None:
-            self._memory = self._build("memory", MemoryHierarchy)
+            self._memory = self._build(MemoryHierarchy)
         return self._memory
 
     @property
     def store_sets(self) -> StoreSets:
         if self._store_sets is None:
-            self._store_sets = self._build("store_sets", StoreSets)
+            self._store_sets = self._build(StoreSets)
         return self._store_sets
 
     @property
     def branch_unit(self) -> BranchUnit:
         if self._branch_unit is None:
-            self._branch_unit = self._build("branch_unit", BranchUnit)
+            self._branch_unit = self._build(BranchUnit)
         return self._branch_unit
 
-    def _build(self, name: str, factory):
-        component = factory()
-        restore = self._pending.pop(name, None)
-        if restore is not None:
-            restore(component)
-        return component
+    def _build(self, factory):
+        if self.spent:
+            raise RuntimeError(SPENT)
+        return factory()
 
     def existing(self, name: str):
         """Component *name* (``"memory"``, ``"store_sets"`` or
         ``"branch_unit"``), or ``None`` while it is fresh by construction:
-        never read and holding no state from a kernel run.  State a kernel
-        run left is turned into the object first."""
-        if getattr(self, "_" + name) is None and name not in self._pending:
-            return None
-        return getattr(self, name)
-
-    def adopt(self, name: str, restore) -> None:
-        """Give component *name* the state ``restore(component)`` writes:
-        now if the component exists, else when it is first read."""
-        component = getattr(self, "_" + name)
-        if component is None:
-            self._pending[name] = restore
-        else:
-            restore(component)
+        never read, so not built."""
+        return getattr(self, "_" + name)
 
     # ------------------------------------------------------------------
 
@@ -172,6 +163,8 @@ class CoreModel:
         issue, complete, commit)`` tuple per µop is appended to it — the
         hook the timing tests and debugging tools use.
         """
+        if self.spent:
+            raise RuntimeError(SPENT)
         # The hot loop allocates short-lived tuples but creates no
         # reference cycles: see repro.util.gcpause.
         with gc_paused(), profiling.phase("simulate"):

@@ -10,13 +10,13 @@ Two implementations of the Table 2 scheduler exist:
   families and model states it supports.
 
 :func:`try_run` is plain dispatch: it fetches the per-trace planes and
-kernel inputs, calls the kernel, and on success hands the model the
-trace, whose control µops :func:`~repro.pipeline.precompute.replay_branch_unit`
-walks through the model's branch unit when a caller first reads it.  A
-model that never had its branch unit read keeps the trace, not the unit.
-Whenever it returns ``None`` exactly one structured reason has been
-recorded through :func:`record_fallback`, and the caller (``CoreModel.run``)
-runs the spec loop on the untouched model.  Reasons:
+kernel inputs and calls the kernel, whose precondition is a fresh model
+(no component built) and a predictor born parked at its constructed
+state; a successful run leaves both spent
+(:data:`repro.pipeline.core.SPENT`).  Whenever it returns ``None`` exactly
+one structured reason has been recorded through :func:`record_fallback`,
+and the caller (``CoreModel.run``) runs the spec loop on the untouched
+model.  Reasons:
 
 * ``unsupported-predictor:<Class>`` / ``non-default-branch-state`` /
   ``no-compiler`` — the static half, :func:`fallback_reason`;
@@ -38,13 +38,11 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-from functools import partial
 
 from repro.pipeline import ckernel
 from repro.pipeline.precompute import (
     default_branch_state,
     kernel_inputs,
-    replay_branch_unit,
     vtage_plane,
 )
 from repro.pipeline.result import SimResult
@@ -157,7 +155,4 @@ def try_run(model, trace, warmup: int, workload: str | None) -> SimResult | None
         if ptype == ckernel.P_VTAGE else None
     )
     with profiling.phase("kernel-c"):
-        result = ckernel.try_run(model, trace, warmup, workload, ptype, vplane)
-    if result is not None:
-        model.adopt("branch_unit", partial(replay_branch_unit, trace=trace))
-    return result
+        return ckernel.try_run(model, trace, warmup, workload, ptype, vplane)

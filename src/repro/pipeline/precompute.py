@@ -26,10 +26,6 @@ kernel (:mod:`repro.pipeline.ckernel`) indexes into:
   predictor keys and the range reductions behind its eligibility checks,
   so a job marshals none of them.
 
-:func:`replay_branch_unit` repeats the :class:`TracePlane` walk on a
-model's own unit: it is how a model that ran on the kernel builds its
-branch unit when a caller first reads it.
-
 Planes are cached on the trace object (the catalog's LRU byte accounting
 includes them, see ``workloads/catalog.py``) and the Python-expensive
 :class:`TracePlane` is additionally persisted into the on-disk trace store
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.branch.tage import TAGEConfig
 from repro.branch.unit import BranchUnit
 from repro.isa.trace import Trace
 from repro.isa.uop import OpClass
@@ -151,19 +146,6 @@ def _control_columns(packed):
     ctrl = np.flatnonzero(np.isin(a["ops"], _CTRL_INTS))
     return (ctrl, a["ops"][ctrl].tolist(), a["pcs"][ctrl].tolist(),
             a["takens"][ctrl].tolist(), a["targets"][ctrl].tolist())
-
-
-def replay_branch_unit(unit: BranchUnit, trace: Trace) -> None:
-    """Walk *trace*'s control µops through *unit*, in order.
-
-    This is the walk :func:`build_trace_plane` makes and the only thing
-    the spec loop does to its branch unit, so it leaves the TAGE, BTB,
-    RAS, counters and history exactly as a spec-loop run over *trace*.
-    """
-    __, ops, pcs, takens, targets = _control_columns(trace.packed())
-    process = unit.process_scalar
-    for op, pc, taken, target in zip(ops, pcs, takens, targets):
-        process(op, pc, taken, target)
 
 
 def _pkeys(trace: Trace) -> np.ndarray:
@@ -424,28 +406,9 @@ def _store_identity(trace: Trace):
 
 
 def default_branch_state(model) -> bool:
-    """Whether *model*'s branch unit is a fresh, default-configured
-    :class:`BranchUnit` — the state :func:`build_trace_plane` assumed.
-
-    A unit the model has not built yet is fresh by construction.  The fast
-    paths refuse to run (and fall back to the sequential model) when a
-    test pre-warmed or reconfigured the unit, or an earlier run trained it.
+    """Whether *model*'s branch unit is the fresh, default-configured
+    :class:`BranchUnit` :func:`build_trace_plane` assumed: exactly while
+    the model has not built it.  A unit a caller read or reconfigured, or
+    a spec-loop run trained, makes the fast paths decline, unscanned.
     """
-    unit = model.existing("branch_unit")
-    if unit is None:
-        return True
-    ctx = unit.context
-    return (
-        unit.tage.config == TAGEConfig()
-        and unit.tage.lookups == 0
-        and unit.tage._updates == 0
-        and unit.cond_branches == 0
-        and unit.direction_mispredicts == 0
-        and unit.target_mispredicts == 0
-        and ctx.ghist == 0
-        and ctx.path == 0
-        and ctx.ghist_length == 0
-        and unit.ras._top == 0
-        and unit.ras._depth == 0
-        and not any(unit.btb._sets)
-    )
+    return model.existing("branch_unit") is None

@@ -71,9 +71,6 @@ class BandwidthLimiter:
         """Number of live per-cycle entries (regression-tested bound)."""
         return len(self._counts)
 
-    def used_at(self, cycle: int) -> int:
-        return self._counts.get(cycle, 0)
-
 
 class UnitPool:
     """*units* servers; each grant occupies a server for *occupancy* cycles."""

@@ -136,31 +136,29 @@ class ValuePredictor(abc.ABC):
     def describe(self) -> str:
         return self.name
 
-    def park(self, restore, names=()) -> None:
-        """Drop the table attributes *names* until someone reads one.
+    def park(self, restore) -> None:
+        """Leave the tables unbuilt until someone reads one.
 
         The kernel families are born parked at their constructed state
-        (``restore`` is :func:`constructed`), and the compiled kernel
-        parks its final tables as arrays: building or rebuilding the
-        lists costs more than most jobs, which never read them.  While
-        parked, the predictor wears a twin of its class whose
-        ``__getattr__`` (called only for attributes the instance lacks)
-        runs ``restore(self)`` to set the tables and switches back to its
-        own class before answering.  Its own class gains no hook: on
-        CPython 3.11 any ``__getattr__`` on a class slows every attribute
-        load on its instances, ``lookup`` and ``train`` included.  And the
-        kernel families declare ``__slots__``, since changing an
-        instance's class turns its inline attribute values into a dict
-        for good, which slows every later ``self.<attr>`` load.  Parking
-        a parked predictor replaces its ``restore``.  *restore*
-        must not hold the predictor, or the pair would outlive the run as
-        a reference cycle while ``CoreModel.run`` pauses the collector.
+        (``restore`` is :func:`constructed`): building the lists costs
+        more than most jobs, which run on the compiled kernel and never
+        read them.  While parked, the predictor wears a twin of its class
+        whose ``__getattr__`` (called only for attributes the instance
+        lacks) switches back to its own class and runs ``restore(self)``
+        before answering.  Its own class gains no hook: on CPython 3.11
+        any ``__getattr__`` on a class slows every attribute load on its
+        instances, ``lookup`` and ``train`` included.  And the kernel
+        families declare ``__slots__``, since changing an instance's
+        class turns its inline attribute values into a dict for good,
+        which slows every later ``self.<attr>`` load.  Parking a parked
+        predictor replaces its ``restore``.  *restore* must not hold the
+        predictor, or the pair would outlive the run as a reference cycle
+        while ``CoreModel.run`` pauses the collector.
         """
         if parked_restore(self) is None:
-            for name in names:
-                delattr(self, name)
             self.__class__ = _parked_twin(type(self))
         self._parked_restore = restore
+
 
 def constructed(predictor: ValuePredictor) -> None:
     """The ``restore`` of a predictor parked at its constructed state: its

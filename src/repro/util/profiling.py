@@ -41,11 +41,6 @@ def disable() -> None:
     _enabled = False
 
 
-def is_enabled() -> bool:
-    """Whether :func:`phase` is currently recording."""
-    return _enabled
-
-
 @contextmanager
 def phase(name: str):
     """Record wall-clock time spent in the ``with`` body under *name*.

@@ -118,20 +118,11 @@ class TestCampaignResult:
         for point, sim in result:
             assert sim.workload == point["workload"]
 
-    def test_lookup_single_point(self, result):
-        sim = result.lookup(predictor="vtage", workload="gzip")
-        assert sim.workload == "gzip"
-        assert sim.predictor != "none"
-
-    def test_lookup_rejects_ambiguity_and_misses(self, result):
-        with pytest.raises(KeyError, match="distinct jobs"):
-            result.lookup(workload="gzip")
-        with pytest.raises(KeyError, match="no campaign point"):
-            result.lookup(predictor="fcm")
-
     def test_by_pivots_in_order(self, result):
         by_workload = result.by("workload", predictor="lvp")
         assert list(by_workload) == ["gzip", "crafty"]
+        with pytest.raises(KeyError, match="ambiguous at 'gzip'"):
+            result.by("workload")
 
     def test_speedup_by_workload(self, result):
         speedups = result.speedup_by_workload(predictor="vtage")

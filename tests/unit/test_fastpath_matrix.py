@@ -133,18 +133,36 @@ def _custom_confidence(model: CoreModel) -> None:
     model.predictor.confidence = _CustomConfidence()
 
 
-#: (predictor, pre-run tweak, reason): eligible models that each kernel
-#: guard must decline.
+def _train_directly(model: CoreModel) -> None:
+    for uop in list(build_trace("gzip", _N))[:200]:
+        if uop.produces_value:
+            model.predictor.train(uop.predictor_key(), uop.value, None)
+
+
+def _train_by_spec_loop(model: CoreModel) -> None:
+    CoreModel(predictor=model.predictor)._run(build_trace("gzip", _N), 0,
+                                              None, None)
+
+
+#: (id, predictor, pre-run tweak, reason): eligible models that each
+#: kernel guard must decline.
 _DECLINES = (
-    ("vtage", _touch_memory, "kernel-ineligible:memory-not-fresh"),
-    ("lvp", _touch_store_sets, "kernel-ineligible:store-sets-not-fresh"),
-    ("lvp", _custom_confidence, "kernel-ineligible:confidence-policy"),
+    ("memory-not-fresh", "vtage", _touch_memory,
+     "kernel-ineligible:memory-not-fresh"),
+    ("store-sets-not-fresh", "lvp", _touch_store_sets,
+     "kernel-ineligible:store-sets-not-fresh"),
+    ("confidence-policy", "lvp", _custom_confidence,
+     "kernel-ineligible:confidence-policy"),
+    ("predictor-not-fresh-trained", "2dstride", _train_directly,
+     "kernel-ineligible:predictor-not-fresh"),
+    ("predictor-not-fresh-spec-run", "vtage", _train_by_spec_loop,
+     "kernel-ineligible:predictor-not-fresh"),
 )
 
 
 @requires_kernel
-@pytest.mark.parametrize("name,tweak,reason", _DECLINES,
-                         ids=[d[2].split(":")[1] for d in _DECLINES])
+@pytest.mark.parametrize("name,tweak,reason", [d[1:] for d in _DECLINES],
+                         ids=[d[0] for d in _DECLINES])
 def test_kernel_decline_records_reason(monkeypatch, name, tweak, reason):
     """A kernel decline raises under ``require`` naming its reason; by
     default it takes the spec loop on the untouched model and records

@@ -28,7 +28,6 @@ from repro.pipeline.precompute import (
     default_branch_state,
     kernel_inputs,
     precompute_nbytes,
-    replay_branch_unit,
     trace_plane,
     vtage_plane,
     vtage_signature,
@@ -176,16 +175,18 @@ def test_trace_plane_persists_to_store(tmp_path, monkeypatch):
         catalog.clear_trace_cache()
 
 
-def test_default_branch_state_guard_and_writeback(trace):
-    """Fast paths only run on a fresh unit, and leave the walked state."""
+def test_default_branch_state_guard_and_writeback(monkeypatch, trace):
+    """Fast paths only run on a branch unit the model has not built, and
+    the spec loop leaves its unit walked, so a second run declines."""
     model = CoreModel()
     assert default_branch_state(model)
     assert model.existing("branch_unit") is None  # checked without a build
     model.branch_unit.process_scalar(int(OpClass.BRANCH), 0x400, True, 0x500)
     assert not default_branch_state(model)
 
+    monkeypatch.setenv("REPRO_FAST_SIM", "0")
     fresh = CoreModel()
-    replay_branch_unit(fresh.branch_unit, trace)
+    fresh.run(trace)
     unit = fresh.branch_unit
     walked = BranchUnit()
     for uop in trace:
@@ -197,6 +198,7 @@ def test_default_branch_state_guard_and_writeback(trace):
     assert unit.context.ghist == walked.context.ghist
     assert unit.context.path == walked.context.path
     assert unit.context.ghist_length == walked.context.ghist_length
+    assert not default_branch_state(fresh)
 
 
 # ---------------------------------------------------------------------------
