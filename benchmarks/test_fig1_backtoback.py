@@ -3,7 +3,7 @@
 from conftest import run_once
 
 from repro.experiments.figures import figure1
-from repro.workloads.catalog import ALL_WORKLOADS
+from repro.workloads.names import ALL_WORKLOADS
 
 
 def test_fig1_backtoback(benchmark):

@@ -25,10 +25,12 @@ sweeps those knobs as campaign axes (see repro.workloads.scenarios).
 """
 
 from repro.analysis.metrics import evaluate_predictor
-from repro.core import ForwardProbabilisticCounters, HybridPredictor, VTAGEPredictor
-from repro.pipeline import simulate
-from repro.predictors import TwoDeltaStridePredictor
-from repro.workloads import TraceBuilder
+from repro.core.confidence import ForwardProbabilisticCounters
+from repro.core.hybrid import HybridPredictor
+from repro.core.vtage import VTAGEPredictor
+from repro.pipeline.core import simulate
+from repro.predictors.stride import TwoDeltaStridePredictor
+from repro.workloads.builder import TraceBuilder
 
 
 def tokenizer_kernel(b: TraceBuilder, n_target: int) -> None:

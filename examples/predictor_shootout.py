@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scenario: which predictor family wins where (Sections 8.2.3 and 8.3).
 
-Declares the whole comparison as one :class:`~repro.engine.CampaignSpec`
+Declares the whole comparison as one :class:`~repro.engine.campaign.CampaignSpec`
 — six predictor configurations × seven behaviourally distinct workloads,
 plus the no-VP baselines — executes it through
 :func:`~repro.engine.run_campaign`, and prints the speedup matrix (the
@@ -29,8 +29,12 @@ single scheme everywhere (Section 8.3).
 
 import sys
 
-from repro.engine import AxisBlock, CampaignSpec, run_campaign
-from repro.engine.campaign import progress_printer
+from repro.engine.campaign import (
+    AxisBlock,
+    CampaignSpec,
+    progress_printer,
+    run_campaign,
+)
 from repro.experiments.campaigns import baseline_block, render_speedup_matrix
 
 WORKLOADS = ("wupwise", "bzip2", "gcc", "applu", "h264ref", "crafty", "namd")

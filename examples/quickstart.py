@@ -26,10 +26,11 @@ Runs in well under a minute; expect section 3 to report a speedup around
 
 from repro import quick_run
 from repro.analysis.metrics import evaluate_predictor
-from repro.core import ForwardProbabilisticCounters, VTAGEPredictor
-from repro.core.confidence import ConfidencePolicy
-from repro.predictors import LastValuePredictor, TwoDeltaStridePredictor
-from repro.workloads import build_trace
+from repro.core.confidence import ConfidencePolicy, ForwardProbabilisticCounters
+from repro.core.vtage import VTAGEPredictor
+from repro.predictors.lvp import LastValuePredictor
+from repro.predictors.stride import TwoDeltaStridePredictor
+from repro.workloads.catalog import build_trace
 
 
 def predictor_accuracy_demo() -> None:

@@ -16,6 +16,12 @@ evaluation depends on:
 * :mod:`repro.analysis` / :mod:`repro.experiments` — metrics, analytic
   cost models, and the per-figure/table reproduction drivers.
 
+No package ``__init__`` imports a submodule: import names from the
+module that defines them (``repro.pipeline.config.CoreConfig``,
+``repro.core.vtage.VTAGEPredictor``), so a process loads only what it
+runs.  A daemon, which never simulates, imports neither numpy nor the
+simulator.
+
 Quickstart::
 
     from repro import quick_run
@@ -23,28 +29,16 @@ Quickstart::
     print(result.summary_line())
 """
 
-from repro.core import (
-    ForwardProbabilisticCounters,
-    HybridPredictor,
-    VTAGEPredictor,
-)
-from repro.pipeline import CoreConfig, RecoveryMode, SimResult, simulate
-from repro.workloads import build_trace
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.pipeline.result import SimResult
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CoreConfig",
-    "ForwardProbabilisticCounters",
-    "HybridPredictor",
-    "RecoveryMode",
-    "SimResult",
-    "VTAGEPredictor",
-    "build_trace",
-    "quick_run",
-    "simulate",
-    "__version__",
-]
+__all__ = ["quick_run", "__version__"]
 
 
 def quick_run(

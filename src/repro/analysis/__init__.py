@@ -1,21 +1,1 @@
 """Metrics, analytic models and report rendering."""
-
-from repro.analysis.cost_model import (
-    RecoveryScenario,
-    recovery_benefit_per_kilo_instruction,
-    register_file_area,
-    register_file_energy_factor,
-)
-from repro.analysis.metrics import PredictorStats, evaluate_predictor
-from repro.analysis.report import ascii_bar_chart, format_table
-
-__all__ = [
-    "PredictorStats",
-    "RecoveryScenario",
-    "ascii_bar_chart",
-    "evaluate_predictor",
-    "format_table",
-    "recovery_benefit_per_kilo_instruction",
-    "register_file_area",
-    "register_file_energy_factor",
-]

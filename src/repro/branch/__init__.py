@@ -6,17 +6,3 @@ misprediction penalty), a 2-way 4 K-entry BTB and a 32-entry return address
 stack.  VTAGE additionally consumes the global branch history and path
 history that this package maintains.
 """
-
-from repro.branch.btb import BranchTargetBuffer
-from repro.branch.ras import ReturnAddressStack
-from repro.branch.tage import TAGEBranchPredictor, TAGEConfig
-from repro.branch.unit import BranchResult, BranchUnit
-
-__all__ = [
-    "BranchResult",
-    "BranchTargetBuffer",
-    "BranchUnit",
-    "ReturnAddressStack",
-    "TAGEBranchPredictor",
-    "TAGEConfig",
-]

@@ -44,6 +44,11 @@ bit-identical whatever the parallelism, cache or backend.
 
 The full reference lives in ``docs/cli.md``, regenerated from these
 parsers by ``python -m repro.docs`` (CI fails on drift).
+
+Building the parser imports no simulator and no numpy: its choices come
+from modules that only name things (:mod:`repro.engine.job`,
+:mod:`repro.workloads.names`), and each command imports what it runs.  So
+``repro cluster serve``, which never simulates, stays a small process.
 """
 
 from __future__ import annotations
@@ -69,34 +74,31 @@ from repro.engine.client import (
 from repro.engine.cluster import SHARD_STATES, ShardRouter
 from repro.engine.executors import JOBS_ENV
 from repro.engine.faults import FAULTS_ENV, FaultPlan, FaultSpecError
-from repro.engine.job import SimJob
-from repro.engine.queue import JOB_TIMEOUT_ENV, QUEUE_BOUND_ENV
-from repro.engine.service import DEFAULT_LISTEN, run_service
-from repro.pipeline.fastsim import fallback_stats, kernel_mode
-from repro.experiments import figures, tables
-from repro.experiments.campaigns import CAMPAIGNS
-from repro.experiments.runner import (
+from repro.engine.job import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
     PREDICTOR_NAMES,
-    baseline_result,
-    run_workload,
+    SimJob,
 )
+from repro.engine.queue import JOB_TIMEOUT_ENV, QUEUE_BOUND_ENV
+from repro.engine.service import DEFAULT_LISTEN, run_service
 from repro.util import profiling
-from repro.workloads.catalog import (
+from repro.workloads.names import (
     ALL_WORKLOADS,
     WORKLOADS,
-    build_trace,
-    clear_trace_cache,
     known_workload,
     resolve_seed,
-    trace_cache_stats,
 )
 from repro.workloads.store import TRACE_DIR_ENV, TraceStore, default_trace_store
 
 #: Figure 1 reads traces; every other figure renders its ``fig<N>`` campaign.
 _FIGURES = ("1", "3", "4", "5", "6", "7")
-_TABLES = {"1": tables.table1, "2": tables.table2, "3": tables.table3}
+#: Paper tables, each rendered by ``repro.experiments.tables.table<N>``.
+_TABLES = ("1", "2", "3")
+#: The keys of ``repro.experiments.campaigns.CAMPAIGNS``, in its order
+#: (``tests/unit/test_checkpoint.py`` pins the two together).
+_CAMPAIGN_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "reproduce",
+                   "scenario-sweep")
 
 
 def _workload_name(name: str) -> str:
@@ -121,22 +123,28 @@ def _parse_workloads(raw: str | None) -> tuple[str, ...] | None:
     return names
 
 
-def _fallback_note() -> str:
-    """The fast-path fallback counters, formatted for --profile output.
+def _profile_note() -> str:
+    """The active kernel and the fast-path fallback counters, formatted
+    for --profile output.
 
-    ``none`` means every simulation in this process took the fast path;
-    anything else names the structured reasons (and counts) runs silently
-    degraded to the sequential model.  Pool-backend workers keep their own
-    counters, so under ``-j N`` this reports the parent process only.
+    ``none`` fallbacks means every simulation in this process took the
+    fast path; anything else names the structured reasons (and counts)
+    runs silently degraded to the sequential model.  Pool-backend workers
+    keep their own counters, so under ``-j N`` this reports the parent
+    process only.
     """
+    from repro.pipeline.fastsim import fallback_stats, kernel_mode
+
     stats = fallback_stats()
-    if not stats:
-        return "none"
-    return ",".join(f"{reason}={count}"
-                    for reason, count in sorted(stats.items()))
+    fallbacks = ",".join(f"{reason}={count}"
+                         for reason, count in sorted(stats.items()))
+    return (f"profile: kernel={kernel_mode()} "
+            f"fastsim-fallbacks={fallbacks or 'none'}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import baseline_result, run_workload
+
     if args.profile:
         profiling.enable()
     result = run_workload(args.workload, args.predictor, n_uops=args.uops,
@@ -150,17 +158,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.profile:
         profiling.disable()
         print(profiling.format_report(), file=sys.stderr)
-        print(f"profile: kernel={kernel_mode()} "
-              f"fastsim-fallbacks={_fallback_note()}", file=sys.stderr)
+        print(_profile_note(), file=sys.stderr)
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    print(_TABLES[args.which]())
+    from repro.experiments import tables
+
+    print(getattr(tables, f"table{args.which}")())
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments import figures
+    from repro.experiments.campaigns import CAMPAIGNS
+
     workloads = _parse_workloads(args.workloads) or ALL_WORKLOADS
     if args.which == "1":
         print(figures.figure1(workloads, n_uops=args.uops,
@@ -173,6 +185,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments.campaigns import CAMPAIGNS
+
     print("predictors:", ", ".join(PREDICTOR_NAMES))
     print()
     print("workloads (Table 3):")
@@ -189,6 +203,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _campaign_spec(args: argparse.Namespace):
+    from repro.experiments.campaigns import CAMPAIGNS
+
     definition = CAMPAIGNS[args.name]
     kwargs = {}
     workloads = _parse_workloads(args.workloads)
@@ -202,6 +218,8 @@ def _campaign_spec(args: argparse.Namespace):
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.experiments.campaigns import CAMPAIGNS
+
     if args.action == "list":
         for name, definition in CAMPAIGNS.items():
             print(f"{name:<16} {definition.help}")
@@ -249,8 +267,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.profile:
         profiling.disable()
         print(profiling.format_report(), file=sys.stderr)
-        print(f"profile: kernel={kernel_mode()} "
-              f"fastsim-fallbacks={_fallback_note()}", file=sys.stderr)
+        print(_profile_note(), file=sys.stderr)
     return 0
 
 
@@ -266,6 +283,12 @@ def _trace_store(args: argparse.Namespace) -> TraceStore:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.workloads.catalog import (
+        build_trace,
+        clear_trace_cache,
+        trace_cache_stats,
+    )
+
     store = _trace_store(args)
     if args.action == "build":
         workloads = _parse_workloads(args.workloads)
@@ -613,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=cmd_run)
 
     table_p = sub.add_parser("table", help="render a paper table")
-    table_p.add_argument("which", choices=sorted(_TABLES))
+    table_p.add_argument("which", choices=_TABLES)
     table_p.set_defaults(fn=cmd_table)
 
     figure_p = sub.add_parser("figure", help="reproduce a paper figure")
@@ -637,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_sub = campaign_p.add_subparsers(dest="action", required=True)
 
     def _campaign_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("name", choices=sorted(CAMPAIGNS),
+        p.add_argument("name", choices=sorted(_CAMPAIGN_NAMES),
                        help="registered campaign")
         p.add_argument("--workloads", default=None,
                        help="comma-separated workload subset (catalog or "
@@ -687,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "with --workloads, --uops or --warmup reports its "
                     "progress only in its own summary line.")
     campaign_status_p.add_argument("name", nargs="?", default=None,
-                                   choices=sorted(CAMPAIGNS),
+                                   choices=sorted(_CAMPAIGN_NAMES),
                                    help="campaign name (default: every "
                                         "registered campaign)")
     campaign_status_p.set_defaults(fn=cmd_campaign)

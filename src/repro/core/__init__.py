@@ -9,20 +9,3 @@
 * :class:`~repro.core.hybrid.HybridPredictor` — the simple agree-gated
   VTAGE + 2D-Stride combination of Section 7.1.2.
 """
-
-from repro.core.confidence import (
-    ConfidencePolicy,
-    ForwardProbabilisticCounters,
-    WideConfidence,
-)
-from repro.core.hybrid import HybridPredictor
-from repro.core.vtage import PAPER_HISTORY_LENGTHS, VTAGEPredictor
-
-__all__ = [
-    "ConfidencePolicy",
-    "ForwardProbabilisticCounters",
-    "HybridPredictor",
-    "PAPER_HISTORY_LENGTHS",
-    "VTAGEPredictor",
-    "WideConfidence",
-]

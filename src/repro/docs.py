@@ -6,7 +6,7 @@ Two of the pages under ``docs/`` are *derived*, never hand-edited:
   (:func:`generate_cli`);
 * ``docs/predictors.md`` — rendered from the live predictor registry
   (:func:`generate_predictors` walks
-  :data:`repro.experiments.runner.PREDICTOR_NAMES`, builds every
+  :data:`repro.engine.job.PREDICTOR_NAMES`, builds every
   configuration through ``make_predictor`` and reads names, docstrings
   and Table 1 storage budgets off the real objects).
 
@@ -220,7 +220,8 @@ def _first_paragraph(obj) -> str:
 
 def _predictor_rows() -> list[dict]:
     """One row per registered configuration, read off live instances."""
-    from repro.experiments.runner import PREDICTOR_NAMES, make_predictor
+    from repro.engine.job import PREDICTOR_NAMES
+    from repro.experiments.runner import make_predictor
     from repro.predictors.base import predictor_class
 
     rows = []
@@ -307,7 +308,7 @@ trace store).
 def generate_workloads() -> str:
     """Render docs/workloads.md from the live workload machinery."""
     from repro.workloads import fuzzer, scenarios
-    from repro.workloads.catalog import WORKLOADS
+    from repro.workloads.names import WORKLOADS
 
     lines: list[str] = [WORKLOADS_HEADER]
 

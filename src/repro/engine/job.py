@@ -19,6 +19,7 @@ from operator import attrgetter
 
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.result import SimResult
+from repro.workloads.names import resolve_seed
 
 #: Default slice sizes.  The paper warms 50 M µops and measures 50 M; a
 #: pure-Python cycle model scales that down (DESIGN.md, "Scaling defaults").
@@ -27,6 +28,21 @@ DEFAULT_MEASURE = 36_000
 
 #: Bump when job semantics change in a way that invalidates cached results.
 JOB_SCHEMA_VERSION = 1
+
+#: The predictor configurations a job can name; ``make_predictor`` in
+#: :mod:`repro.experiments.runner` builds each.
+PREDICTOR_NAMES = (
+    "none",
+    "oracle",
+    "lvp",
+    "stride",
+    "2dstride",
+    "fcm",
+    "dfcm",
+    "vtage",
+    "vtage-2dstride",
+    "fcm-2dstride",
+)
 
 
 @dataclass(frozen=True)
@@ -132,9 +148,8 @@ class SimJob:
     def trace_identity(self) -> tuple[str, int] | None:
         """The ``(workload, seed)`` key of the trace this job simulates a
         slice of in the trace cache and store, or ``None`` for an unknown
-        workload (the worker raises that)."""
-        from repro.workloads.catalog import resolve_seed
-
+        workload (the worker raises that).  Reads the name→seed table,
+        never a generator, so the daemon that calls it loads no simulator."""
         try:
             return self.workload, resolve_seed(self.workload, self.seed)
         except KeyError:

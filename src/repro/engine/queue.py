@@ -9,7 +9,7 @@ a queue on a private event loop).  It provides two pieces:
   private task pipe, a private result pipe and exactly one in-flight job,
   so the parent always knows which job a worker holds — when a worker
   dies (OOM, ``SIGKILL``, a crashing job) its job is *requeued*, never
-  lost, and a replacement worker is spawned;
+  lost, and a replacement worker is started;
 * an asyncio :class:`JobQueue` that accepts :class:`~repro.engine.job.SimJob`
   batches from any number of concurrent clients and **coalesces** them:
   results already in the shared :class:`~repro.engine.cache.ResultCache`
@@ -24,6 +24,17 @@ into its worker's task pipe and watches every result pipe with
 ``loop.add_reader``, so a completion is handled by the loop itself, with
 no thread handoff between a worker and the future it resolves.
 
+A worker is a plain ``subprocess.Popen`` child: a fresh interpreter, with
+the parent's ``sys.path`` and interpreter flags, that runs this module's
+worker loop on two ``os.pipe()`` descriptors handed over with
+``pass_fds`` (framed as :class:`multiprocessing.connection.Connection`
+messages).  It imports the simulator, never the parent's ``__main__``, so
+a driver script needs no ``__main__`` guard and may even come from stdin,
+and no helper process rides along.  The parent process itself never loads
+the simulator on the pool's account: a daemon stays free of numpy.  A
+shard is therefore its daemon plus its workers.  POSIX only, like the
+service.
+
 Determinism makes all of this safe: a job spec fully determines its
 result, so re-executing a requeued job — even one whose first completion
 message raced the worker's death — is bit-identical, and duplicate
@@ -36,14 +47,16 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import multiprocessing
+import json
 import os
 import pickle
 import struct
+import subprocess
 import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 
 from repro.engine import faults
 from repro.engine.cache import ResultCache
@@ -93,9 +106,8 @@ class QueueClosed(RuntimeError):
 
 
 class WorkerStartError(RuntimeError):
-    """The pool cannot start a worker in this process, for a reason no
-    respawn can fix: ``__main__`` cannot be re-imported, or a worker
-    exited before it was ready."""
+    """A worker exited on its own before it was ready (it could not
+    import :mod:`repro`, say): a reason no restart can fix."""
 
 
 class QueueOverloaded(RuntimeError):
@@ -138,40 +150,21 @@ def resolve_job_timeout(explicit: float | None = None) -> float | None:
     return _positive_env(JOB_TIMEOUT_ENV)
 
 
-def _mp_context():
-    """The ``spawn`` start method, unconditionally.
-
-    The pool replaces dead workers from inside a running process whose
-    other threads (a service's, a test harness's) it cannot see —
-    ``fork()`` from a multi-threaded process is deadlock-prone and
-    deprecated on Python 3.12+.  A spawned child also inherits only the
-    pipe ends it is handed, so closing the parent's copy of a task pipe
-    is its worker's end of input.  Workers are persistent, so the
-    per-spawn interpreter cost (about half a second: numpy and
-    :mod:`repro` imports) is paid once per worker lifetime, not per
-    batch.  A ``forkserver`` with preloaded modules would start workers
-    about as cheaply as fork, but its server is one more resident
-    process per pool.
-    """
-    return multiprocessing.get_context("spawn")
+#: What a worker runs with ``python -c``: adopt the parent's ``sys.path``
+#: (argv[1], JSON), then serve the task and result pipe descriptors
+#: (argv[2], argv[3]) with :func:`_worker_main`.
+_WORKER_ENTRY = (
+    "import json, sys; sys.path[:] = json.loads(sys.argv[1]); "
+    "from repro.engine.queue import _worker_main; "
+    "_worker_main(int(sys.argv[2]), int(sys.argv[3]))"
+)
 
 
-def _check_main_importable() -> None:
-    """Refuse to spawn workers that could only die at start-up.
-
-    A ``spawn`` child re-imports the parent's ``__main__`` from its
-    ``__file__`` when it has no ``__spec__``.  A driver fed on stdin
-    (``python - <<EOF``) has ``__file__ == "<stdin>"``, which is no file:
-    every worker would die re-running it, and each respawn the same way.
-    """
-    main = sys.modules.get("__main__")
-    path = getattr(main, "__file__", None)
-    if getattr(main, "__spec__", None) is None and path is not None \
-            and not os.path.isfile(path):
-        raise WorkerStartError(
-            f"cannot start pool workers: __main__ was read from {path!r}, "
-            "which a spawned worker cannot re-import; run the driver from "
-            "a file, as a module or with python -c")
+def _pipe() -> tuple[Connection, Connection]:
+    """A one-way pipe as ``(read end, write end)`` connections."""
+    read_fd, write_fd = os.pipe()
+    return (Connection(read_fd, writable=False),
+            Connection(write_fd, readable=False))
 
 
 async def gather_results(futures) -> list:
@@ -188,13 +181,13 @@ async def gather_results(futures) -> list:
     return results
 
 
-def _worker_main(tasks, results, trace_dir: str) -> None:
+def _worker_main(task_fd: int, result_fd: int) -> None:
     """Worker process entry: execute jobs until the task pipe closes.
 
     Every trace comes through the catalog (cache → store → generator),
-    with *trace_dir* — the pool's shared store — as the store.  Job
-    exceptions are reported as ``error`` messages instead of killing the
-    worker — a malformed spec must not cost a pool slot.
+    with the pool's shared store as ``$REPRO_TRACE_DIR``.  Job exceptions
+    are reported as ``error`` messages instead of killing the worker — a
+    malformed spec must not cost a pool slot.
 
     Tasks may also carry a fault directive: the *parent* evaluates the
     ``worker.execute`` chaos site at dispatch time (keeping the seeded
@@ -203,11 +196,17 @@ def _worker_main(tasks, results, trace_dir: str) -> None:
     requeue/timeout machinery is exercised exactly as a real failure
     would.
 
-    The first message is ``ready``: a worker that exits before sending it
-    failed to start (an unguarded driver file re-run as ``__main__`` dies
-    in bootstrapping), and a respawn would fail the same way.
+    The first message is ``ready``, sent once the simulator is imported:
+    a worker that exits before sending it failed to start, and a restart
+    would fail the same way.  The parent holds the only write end of the
+    task pipe, so a dead parent is EOF here and the worker exits.
     """
-    os.environ[TRACE_DIR_ENV] = trace_dir
+    tasks = Connection(task_fd, writable=False)
+    results = Connection(result_fd, readable=False)
+    # execute_job imports the simulator on first use; load it before
+    # ready, so the first job pays simulation time only.
+    import repro.experiments.runner  # noqa: F401
+
     results.send(("ready", None, None))
     while True:
         try:
@@ -234,10 +233,10 @@ class _Worker:
     on :attr:`results` came from this worker.
     """
 
-    def __init__(self, ctx, worker_id: int, trace_dir: str):
+    def __init__(self, worker_id: int, trace_dir: str):
         self.id = worker_id
-        task_end, self.tasks = ctx.Pipe(duplex=False)
-        self.results, result_end = ctx.Pipe(duplex=False)
+        task_end, self.tasks = _pipe()
+        self.results, result_end = _pipe()
         #: (task_id, job_dict) of the assignment in flight; ``None`` idle.
         self.current: tuple[int, dict] | None = None
         #: Monotonic timestamp of the current assignment (job-timeout
@@ -245,23 +244,37 @@ class _Worker:
         self.started: float | None = None
         #: Whether the worker's ``ready`` message has been read.
         self.ready = False
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(task_end, result_end, trace_dir),
-            daemon=True,
-        )
-        self.process.start()
-        # The child holds its own copies now.  Dropping the parent's makes
-        # the worker's exit read as EOF on :attr:`results`.
-        task_end.close()
-        result_end.close()
+        ends = (task_end.fileno(), result_end.fileno())
+        try:
+            self.process = subprocess.Popen(
+                [sys.executable, *subprocess._args_from_interpreter_flags(),
+                 "-c", _WORKER_ENTRY, json.dumps(sys.path),
+                 *map(str, ends)],
+                pass_fds=ends, stdin=subprocess.DEVNULL,
+                env=dict(os.environ, **{TRACE_DIR_ENV: trace_dir}),
+            )
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            # The child holds its own copies now.  Dropping the parent's
+            # makes the worker's exit read as EOF on :attr:`results`.
+            task_end.close()
+            result_end.close()
 
     @property
-    def pid(self) -> int | None:
+    def pid(self) -> int:
         return self.process.pid
 
     def alive(self) -> bool:
-        return self.process.is_alive()
+        """Whether the worker runs; a dead one is reaped here."""
+        return self.process.poll() is None
+
+    def kill(self) -> None:
+        """``SIGKILL`` the worker (a no-op once reaped) and reap it."""
+        self.process.kill()
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            self.process.wait(timeout=1.0)
 
     def assign(self, task_id: int, job_dict: dict,
                fault: dict | None = None) -> None:
@@ -292,7 +305,7 @@ class _Worker:
 class WorkerPool:
     """A fixed-size pool of persistent simulation worker processes.
 
-    Workers survive across batches (no per-batch spawn cost) and are
+    Workers survive across batches (no per-batch start-up cost) and are
     replaced transparently when they die; :meth:`reap_dead` returns the
     orphaned in-flight tasks so the caller can requeue them.  Every
     worker, replacements included, shares :attr:`trace_store`
@@ -306,7 +319,6 @@ class WorkerPool:
 
     def __init__(self, workers: int = 1):
         self.size = max(1, int(workers))
-        self._ctx = _mp_context()
         self._workers: list[_Worker] = []
         self._next_id = 0
         self.restarts = 0
@@ -314,21 +326,15 @@ class WorkerPool:
         self.trace_store: TraceStore | None = None
 
     def start(self) -> None:
-        """Spawn the worker processes (idempotent).
-
-        Raises :class:`WorkerStartError` at once when ``__main__`` cannot
-        be re-imported by a spawned worker.
-        """
-        _check_main_importable()
+        """Start the worker processes (idempotent)."""
         if self.trace_store is None:
             self.trace_store = self._store_scope.enter_context(
                 shared_trace_store())
         while len(self._workers) < self.size:
-            self._workers.append(self._spawn())
+            self._workers.append(self._start_worker())
 
-    def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._next_id,
-                         str(self.trace_store.directory))
+    def _start_worker(self) -> _Worker:
+        worker = _Worker(self._next_id, str(self.trace_store.directory))
         self._next_id += 1
         return worker
 
@@ -341,7 +347,7 @@ class WorkerPool:
         return [w for w in self._workers if w.current is None and w.alive()]
 
     def worker_pids(self) -> list[int]:
-        return [w.pid for w in self._workers if w.pid is not None]
+        return [w.pid for w in self._workers]
 
     def reap_dead(self, retire=None) -> list[tuple[int, dict]]:
         """Replace dead workers; return the assignments they were holding
@@ -362,31 +368,30 @@ class WorkerPool:
                 continue
             if retire is not None:
                 retire(worker)
-            code = worker.process.exitcode
-            if not worker.ready and code is not None and code >= 0:
+            code = worker.process.returncode
+            if not worker.ready and code >= 0:
                 raise WorkerStartError(
                     f"pool worker {worker.id} exited with code {code} "
-                    "before it was ready; a driver script that starts a "
-                    "pool needs an `if __name__ == \"__main__\":` guard")
+                    "before it was ready (see its stderr above)")
             if worker.current is not None:
                 orphaned.append(worker.current)
                 worker.current = None
             worker.close()
-            self._workers[slot] = self._spawn()
+            self._workers[slot] = self._start_worker()
             self.restarts += 1
         return orphaned
 
     def stop(self, timeout: float = 2.0) -> None:
-        """Shut every worker down (task pipe closed, then terminate
-        stragglers), then release the trace store (a private one is
-        removed)."""
+        """Shut every worker down (task pipe closed, then stragglers
+        killed) and reap it, then release the trace store (a private one
+        is removed)."""
         for worker in self._workers:
             worker.tasks.close()
         for worker in self._workers:
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=timeout)
+            try:
+                worker.process.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                worker.kill()
             worker.results.close()
         self._workers.clear()
         self._store_scope.close()
@@ -443,7 +448,7 @@ class JobQueue:
     batch of a local :class:`~repro.engine.executors.PoolExecutor`.
     Everything runs on the owning event loop, so no locking is needed:
     the loop watches each worker's result pipe with ``add_reader`` (the
-    replacement's too, on respawn) and handles a completion in the
+    replacement's too, on restart) and handles a completion in the
     reader callback.
     """
 
@@ -718,7 +723,7 @@ class JobQueue:
                 message = pickle.loads(frame)
             except Exception:  # noqa: BLE001 - no task to attribute it to:
                 # the worker is killed, so reaping requeues its job.
-                worker.process.kill()
+                worker.kill()
                 continue
             self._on_message(worker, message)
 
@@ -757,7 +762,7 @@ class JobQueue:
         self._feed()
 
     async def _watch(self) -> None:
-        """Requeue jobs orphaned by worker deaths; spawn replacements.
+        """Requeue jobs orphaned by worker deaths; start replacements.
 
         With :attr:`job_timeout` set, a worker holding one assignment past
         the budget is killed here (``SIGKILL``: a wedged worker won't run
@@ -766,7 +771,7 @@ class JobQueue:
         Requeues are bounded: a job on its :data:`MAX_JOB_ATTEMPTS`-th
         failed dispatch fails its future with :class:`JobFailed` instead
         of being requeued, converting a deterministic crash/hang into a
-        typed error rather than an infinite kill-respawn loop.  A worker
+        typed error rather than an infinite kill-restart loop.  A worker
         that could not start fails every outstanding job, and the queue,
         with :class:`WorkerStartError` instead.
         """
@@ -782,8 +787,7 @@ class JobQueue:
                         and worker.alive()
                     ):
                         self.stats.timeouts += 1
-                        worker.process.kill()
-                        worker.process.join(timeout=1.0)
+                        worker.kill()
             try:
                 orphaned = self.pool.reap_dead(retire=self._retire)
             except WorkerStartError as exc:

@@ -546,8 +546,9 @@ def run_service(
     generate one and publish the address file).
     """
     if chaos:
-        # Re-export whatever plan is active so spawn-start workers (which
-        # re-import everything) see the same spec and seed.
+        # Re-export whatever plan is active so workers (fresh
+        # interpreters, reading it from the environment) see the same spec
+        # and seed.
         faults.install_plan(faults.active_plan(), export_env=True)
     service = SimService(listen=listen, workers=workers, cache=cache,
                          max_depth=max_depth, job_timeout=job_timeout,

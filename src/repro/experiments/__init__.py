@@ -9,54 +9,3 @@
 * :mod:`repro.experiments.reproduce` — the everything driver that
   prints the paper-vs-reproduction report.
 """
-
-from repro.experiments.campaigns import (
-    CAMPAIGNS,
-    CampaignDef,
-    reproduce_campaign,
-    scenario_sweep_campaign,
-)
-from repro.experiments.figures import (
-    FigureResult,
-    figure1,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-)
-from repro.experiments.runner import (
-    DEFAULT_MEASURE,
-    DEFAULT_WARMUP,
-    PREDICTOR_NAMES,
-    baseline_result,
-    make_confidence,
-    make_predictor,
-    run_workload,
-)
-from repro.experiments.tables import table1, table1_rows, table2, table3
-
-__all__ = [
-    "CAMPAIGNS",
-    "CampaignDef",
-    "DEFAULT_MEASURE",
-    "DEFAULT_WARMUP",
-    "FigureResult",
-    "PREDICTOR_NAMES",
-    "baseline_result",
-    "reproduce_campaign",
-    "scenario_sweep_campaign",
-    "figure1",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "make_confidence",
-    "make_predictor",
-    "run_workload",
-    "table1",
-    "table1_rows",
-    "table2",
-    "table3",
-]

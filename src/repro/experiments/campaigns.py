@@ -24,7 +24,7 @@ from repro.engine.campaign import AxisBlock, CampaignResult, CampaignSpec
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP
 from repro.experiments import figures
 from repro.experiments.figures import HYBRID_SCHEMES, SINGLE_SCHEMES
-from repro.workloads.catalog import ALL_WORKLOADS
+from repro.workloads.names import ALL_WORKLOADS
 from repro.workloads.scenarios import scenario_axis
 
 

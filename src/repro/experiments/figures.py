@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from repro.analysis.report import ascii_bar_chart, format_table, geometric_mean
 from repro.engine.campaign import CampaignResult
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP
-from repro.workloads.catalog import ALL_WORKLOADS, build_trace
+from repro.workloads.catalog import build_trace
+from repro.workloads.names import ALL_WORKLOADS
 
 #: Single-scheme predictors of Figures 4/5 (paper Section 8.2).
 SINGLE_SCHEMES = ("lvp", "2dstride", "fcm", "vtage")

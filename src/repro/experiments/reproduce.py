@@ -37,9 +37,9 @@ from repro.engine.campaign import (
     run_campaign,
 )
 from repro.engine.client import ServiceError
+from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP
 from repro.experiments import figures, tables
 from repro.experiments.campaigns import reproduce_campaign
-from repro.experiments.runner import DEFAULT_MEASURE, DEFAULT_WARMUP
 
 
 def section31_model() -> str:

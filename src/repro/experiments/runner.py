@@ -22,7 +22,12 @@ from repro.core.confidence import (
 from repro.core.hybrid import HybridPredictor
 from repro.core.vtage import VTAGEPredictor
 from repro.engine.api import Engine, default_engine
-from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP, SimJob
+from repro.engine.job import (
+    DEFAULT_MEASURE,
+    DEFAULT_WARMUP,
+    PREDICTOR_NAMES,
+    SimJob,
+)
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import simulate
 from repro.pipeline.result import SimResult
@@ -32,22 +37,6 @@ from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
 from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
 from repro.workloads.catalog import build_trace
-
-# DEFAULT_WARMUP / DEFAULT_MEASURE are defined canonically next to SimJob
-# (repro.engine.job) and re-exported here for the many existing callers.
-
-PREDICTOR_NAMES = (
-    "none",
-    "oracle",
-    "lvp",
-    "stride",
-    "2dstride",
-    "fcm",
-    "dfcm",
-    "vtage",
-    "vtage-2dstride",
-    "fcm-2dstride",
-)
 
 
 def make_confidence(fpc: bool, recovery: str) -> ConfidencePolicy:

@@ -26,7 +26,7 @@ from repro.pipeline.config import CoreConfig
 from repro.predictors.fcm import FCMPredictor
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.stride import TwoDeltaStridePredictor
-from repro.workloads.catalog import WORKLOADS
+from repro.workloads.names import WORKLOADS
 
 #: Sizes printed in Table 1 of the paper, in KB (1 KB = 1000 B).
 PAPER_TABLE1_KB = {

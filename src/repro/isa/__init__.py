@@ -6,35 +6,3 @@ trace of :class:`~repro.isa.uop.MicroOp` objects produced by the synthetic
 workload kernels (see :mod:`repro.workloads`); each µop carries its actual
 computed result value so the value predictors observe real value streams.
 """
-
-from repro.isa.uop import (
-    INT_REGS,
-    FP_REGS,
-    MicroOp,
-    OpClass,
-    is_fp_class,
-    is_mem_class,
-)
-from repro.isa.trace import (
-    COLUMN_SCHEMA,
-    TRACE_SCHEMA_VERSION,
-    PackedColumns,
-    Trace,
-    TraceColumns,
-    TraceStats,
-)
-
-__all__ = [
-    "COLUMN_SCHEMA",
-    "FP_REGS",
-    "INT_REGS",
-    "MicroOp",
-    "OpClass",
-    "PackedColumns",
-    "TRACE_SCHEMA_VERSION",
-    "Trace",
-    "TraceColumns",
-    "TraceStats",
-    "is_fp_class",
-    "is_mem_class",
-]

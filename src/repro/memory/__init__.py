@@ -5,19 +5,3 @@ stride prefetcher of degree 8 / distance 1), single-channel DDR3-1600 with
 75-185 cycle read latency, and the Store Sets memory dependence predictor
 of Chrysos & Emer [5].
 """
-
-from repro.memory.cache import Cache, CacheConfig
-from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy
-from repro.memory.prefetcher import StridePrefetcher
-from repro.memory.storesets import StoreSets
-
-__all__ = [
-    "AccessResult",
-    "Cache",
-    "CacheConfig",
-    "DRAMModel",
-    "MemoryHierarchy",
-    "StridePrefetcher",
-    "StoreSets",
-]

@@ -6,26 +6,3 @@ structural configuration (Table 2) with a trace-driven one-pass interval
 scheduler, which exposes the same dependence-breaking mechanism value
 prediction exploits.
 """
-
-from repro.pipeline.config import CoreConfig, FUTiming, RecoveryMode
-from repro.pipeline.core import CoreModel, simulate
-from repro.pipeline.resources import (
-    BandwidthLimiter,
-    InOrderWindow,
-    OutOfOrderWindow,
-    UnitPool,
-)
-from repro.pipeline.result import SimResult
-
-__all__ = [
-    "BandwidthLimiter",
-    "CoreConfig",
-    "CoreModel",
-    "FUTiming",
-    "InOrderWindow",
-    "OutOfOrderWindow",
-    "RecoveryMode",
-    "SimResult",
-    "UnitPool",
-    "simulate",
-]

@@ -36,7 +36,8 @@ This module owns everything on the Python side of that boundary:
   is scanned or copied in.  A predictor whose tables exist (a caller
   read or trained them, or a spec-loop run did) declines with
   ``kernel-ineligible:predictor-not-fresh``, as built memory or store
-  sets do.  Nothing is written back until the call succeeds, so a kernel
+  sets do (:func:`stale_state`, asked before any per-trace input is
+  built).  Nothing is written back until the call succeeds, so a kernel
   error (``kernel-error:<name>``) or ineligibility discovered late
   leaves the model untouched for the spec loop.  On success only the
   predictor's scalar state (LFSRs, VTAGE's tag generation) is written
@@ -704,8 +705,6 @@ def _marshal_predictor(args, predictor, ptype, vplane, scratch):
     """
     if ptype not in (P_LVP, P_STRIDE, P_VTAGE):
         return None
-    if parked_restore(predictor) is not constructed:
-        return "kernel-ineligible:predictor-not-fresh"
     if ptype == P_VTAGE:
         if predictor._conf_threshold is None:
             return "kernel-ineligible:vtage-threshold"
@@ -768,26 +767,40 @@ _ERRORS = {1: "abi", 2: "bw-window", 3: "bad-arg", 4: "iq-window",
            5: "train-ring"}
 
 
+def stale_state(model) -> str | None:
+    """Why *model* is not the fresh state a kernel run starts from, or
+    ``None`` when it is.
+
+    A component the model has built may hold state, and so may a
+    predictor no longer parked at its constructed state (a caller read or
+    trained its tables, or a spec-loop run did); neither is scanned, both
+    decline.  Reads no trace, so :func:`fastsim.try_run` asks before it
+    builds any per-trace input.
+    """
+    if model.existing("memory") is not None:
+        return "kernel-ineligible:memory-not-fresh"
+    if model.existing("store_sets") is not None:
+        return "kernel-ineligible:store-sets-not-fresh"
+    if predictor_type(model.predictor) in (P_LVP, P_STRIDE, P_VTAGE) \
+            and parked_restore(model.predictor) is not constructed:
+        return "kernel-ineligible:predictor-not-fresh"
+    return None
+
+
 def try_run(model, trace, warmup, workload, ptype, vplane):
     """Run the compiled kernel, or record why not and return ``None``.
 
     The caller (:func:`fastsim.try_run`) has already verified the predictor
-    family, the unbuilt branch unit and that the kernel loads; this adds
-    the per-run checks and the array round-trip.  On success the model
-    and its predictor are spent (:data:`repro.pipeline.core.SPENT`).
+    family, the unbuilt branch unit, a fresh model and predictor
+    (:func:`stale_state`) and that the kernel loads; this adds the
+    per-trace checks and the array round-trip.  On success the model and
+    its predictor are spent (:data:`repro.pipeline.core.SPENT`).
     """
     lib = _load()
     if lib is None:
         return _decline("no-compiler")
     cfg = model.config
     predictor = model.predictor
-
-    # The kernel starts from fresh state: a component the model has built
-    # may hold some, so it is not scanned but declined.
-    if model.existing("memory") is not None:
-        return _decline("kernel-ineligible:memory-not-fresh")
-    if model.existing("store_sets") is not None:
-        return _decline("kernel-ineligible:store-sets-not-fresh")
 
     inputs = kernel_inputs(trace)
     n = inputs.n

@@ -48,6 +48,10 @@ class FUTiming:
                    pipelined=data.get("pipelined", True))
 
 
+#: The µops value prediction may cover (``CoreConfig.vp_scope``).
+VP_SCOPES = ("all", "loads")
+
+
 @dataclass
 class CoreConfig:
     """Structural parameters of the simulated core (Table 2 defaults)."""
@@ -108,10 +112,33 @@ class CoreConfig:
     # yet").  Bounded by the ROB size.
     squash_lookahead: int = 256
 
+    def __post_init__(self) -> None:
+        """Refuse a configuration no core could run (``ValueError``).
+
+        Runs at construction, so :meth:`from_dict` — the engine's and the
+        workers' way in — checks every job's configuration before a cycle
+        loop sees it.  Widths, depths, window and register-file sizes and
+        every functional-unit pool's units and latency must be at least
+        1; the squash lookahead cannot reach past the ROB; ``vp_scope``
+        is ``"all"`` or ``"loads"``.
+        """
+        bad = [name for name in _POSITIVE_FIELDS if getattr(self, name) < 1]
+        bad += [f"fu[{op.name}].{part}" for op, timing in self.fu.items()
+                for part in ("units", "latency") if getattr(timing, part) < 1]
+        if bad:
+            raise ValueError(f"core config needs {', '.join(bad)} >= 1")
+        if not 0 <= self.squash_lookahead <= self.rob_entries:
+            raise ValueError(
+                f"squash_lookahead {self.squash_lookahead} must lie in "
+                f"0..rob_entries ({self.rob_entries})")
+        if self.vp_scope not in VP_SCOPES:
+            raise ValueError(f"vp_scope must be one of {VP_SCOPES}, "
+                             f"got {self.vp_scope!r}")
+
     # ------------------------------------------------------------------
     # Serialisation and content addressing (used by the experiment engine
-    # for job specs, the on-disk result cache and multiprocessing
-    # transport; see DESIGN.md, "Experiment engine").
+    # for job specs, the on-disk result cache and the worker pipes; see
+    # DESIGN.md, "Experiment engine").
 
     def to_dict(self) -> dict:
         """Lossless, JSON-safe view of every structural parameter."""
@@ -149,3 +176,12 @@ class CoreConfig:
         against a default-config baseline).
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+
+
+#: Fields of :class:`CoreConfig` that must be at least 1.
+_POSITIVE_FIELDS = (
+    "fetch_width", "max_taken_per_cycle", "frontend_depth", "fetch_queue",
+    "decode_redirect_depth", "rob_entries", "iq_entries", "lq_entries",
+    "sq_entries", "int_prf", "fp_prf", "arch_regs", "issue_width",
+    "commit_width", "backend_depth",
+)

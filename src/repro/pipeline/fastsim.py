@@ -9,10 +9,10 @@ Two implementations of the Table 2 scheduler exist:
   :class:`~repro.pipeline.precompute.TracePlane`, for the predictor
   families and model states it supports.
 
-:func:`try_run` is plain dispatch: it fetches the per-trace planes and
-kernel inputs and calls the kernel, whose precondition is a fresh model
-(no component built) and a predictor born parked at its constructed
-state; a successful run leaves both spent
+:func:`try_run` is plain dispatch: it checks the kernel's precondition, a
+fresh model (no component built) and a predictor born parked at its
+constructed state, then fetches the per-trace planes and kernel inputs
+and calls the kernel; a successful run leaves both spent
 (:data:`repro.pipeline.core.SPENT`).  Whenever it returns ``None`` exactly
 one structured reason has been recorded through :func:`record_fallback`,
 and the caller (``CoreModel.run``) runs the spec loop on the untouched
@@ -20,7 +20,10 @@ model.  Reasons:
 
 * ``unsupported-predictor:<Class>`` / ``non-default-branch-state`` /
   ``no-compiler`` — the static half, :func:`fallback_reason`;
-* ``kernel-ineligible:<check>`` / ``kernel-error:<name>`` — recorded by
+* ``kernel-ineligible:<check>`` — the state checks of
+  :func:`repro.pipeline.ckernel.stale_state`, before any plane is built,
+  then the per-trace checks of :func:`repro.pipeline.ckernel.try_run`;
+* ``kernel-error:<name>`` — recorded by
   :func:`repro.pipeline.ckernel.try_run`;
 * ``stage-trace-hook`` / ``disabled-by-env`` — recorded by
   ``CoreModel.run`` itself.
@@ -144,7 +147,9 @@ def try_run(model, trace, warmup: int, workload: str | None) -> SimResult | None
 
     The caller (``CoreModel.run``) owns the gc pause and profiling phase.
     """
-    reason = fallback_reason(model)
+    # The state checks come before any per-trace input is built, so a
+    # declined run leaves the trace's plane cache as it found it.
+    reason = fallback_reason(model) or ckernel.stale_state(model)
     if reason is not None:
         record_fallback(reason)
         return None

@@ -6,27 +6,3 @@ instruction; *context-based* predictors (order-n FCM, D-FCM) match
 patterns in the local value history.  The oracle predictor provides
 the Figure 3 upper bound.
 """
-
-from repro.predictors.base import (
-    FULL_TAG_BITS,
-    Prediction,
-    PredictionContext,
-    ValuePredictor,
-)
-from repro.predictors.fcm import DifferentialFCMPredictor, FCMPredictor
-from repro.predictors.lvp import LastValuePredictor
-from repro.predictors.oracle import OraclePredictor
-from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
-
-__all__ = [
-    "FULL_TAG_BITS",
-    "DifferentialFCMPredictor",
-    "FCMPredictor",
-    "LastValuePredictor",
-    "OraclePredictor",
-    "Prediction",
-    "PredictionContext",
-    "StridePredictor",
-    "TwoDeltaStridePredictor",
-    "ValuePredictor",
-]

@@ -6,29 +6,3 @@ Forward Probabilistic Counters (Section 5), the value-folding hash used by
 FCM-style predictors (Section 7.1.1) and the PC/µop-index mixing used to give
 every µop of a macro-op its own predictor entry (Section 7.2).
 """
-
-from repro.util.bits import (
-    MASK16,
-    MASK32,
-    MASK64,
-    fold_value,
-    sign_extend,
-    to_signed64,
-    to_unsigned64,
-)
-from repro.util.hashing import mix_pc_uop, tag_hash, table_index
-from repro.util.lfsr import GaloisLFSR
-
-__all__ = [
-    "MASK16",
-    "MASK32",
-    "MASK64",
-    "GaloisLFSR",
-    "fold_value",
-    "mix_pc_uop",
-    "sign_extend",
-    "tag_hash",
-    "table_index",
-    "to_signed64",
-    "to_unsigned64",
-]

@@ -1,17 +1,15 @@
-"""The benchmark catalog: Table 3 of the paper, mapped to our kernels.
+"""Trace generation and the in-process trace cache for every workload.
 
-"We use a subset of the SPEC'00 and SPEC'06 suites ... Specifically, we use
-12 integer benchmarks and 7 floating-point programs" (Section 7.3).  Each
-entry records the paper's program name and reference input alongside the
-synthetic kernel that stands in for it (see DESIGN.md for the substitution
-rationale).
+A workload is a Table 3 benchmark (:mod:`repro.workloads.names`, whose row
+names the kernel standing in for it) or a parameterised scenario
+(:mod:`repro.workloads.scenarios`).  :func:`build_trace` serves a trace
+from this process's LRU, the persistent trace store or the generator, in
+that order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable
 
 from repro.isa.trace import Trace
 from repro.util import profiling
@@ -19,119 +17,8 @@ from repro.util.gcpause import gc_paused
 from repro.workloads import kernels_fp, kernels_int, scenarios
 from repro.workloads.builder import TraceBuilder
 from repro.workloads.invariants import inject_invariants
+from repro.workloads.names import get_spec, resolve_seed
 from repro.workloads.store import default_trace_store
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One benchmark of Table 3."""
-
-    name: str            # short name used across figures ("gzip")
-    spec_name: str       # full SPEC identifier ("164.gzip")
-    suite: str           # "INT" or "FP"
-    spec_input: str      # reference input, straight from Table 3
-    kernel: Callable[[TraceBuilder, int], None]
-    seed: int
-    notes: str           # calibration notes / expected behaviour
-    # Loop-invariant redundancy calibration (see workloads.invariants):
-    # one (count+1)-µop invariant block is spliced in every `redundancy_every`
-    # kernel µops.
-    redundancy_every: int = 20
-    redundancy_count: int = 3
-
-
-WORKLOADS: tuple[WorkloadSpec, ...] = (
-    # ---- CPU2000 -------------------------------------------------------
-    WorkloadSpec("gzip", "164.gzip", "INT", "input.source 60",
-                 kernels_int.gzip_kernel, 164,
-                 "LZ match loops; mixed predictability, modest VP gains",
-                 redundancy_every=20, redundancy_count=3),
-    WorkloadSpec("wupwise", "168.wupwise", "FP", "wupwise.in",
-                 kernels_fp.wupwise_kernel, 168,
-                 "strided FP streams; 2D-Stride's best case",
-                 redundancy_every=20, redundancy_count=3),
-    WorkloadSpec("applu", "173.applu", "FP", "applu.in",
-                 kernels_fp.applu_kernel, 173,
-                 "boundary-correlated coefficients; VTAGE's case",
-                 redundancy_every=16, redundancy_count=3),
-    WorkloadSpec("vpr", "175.vpr", "INT",
-                 "net.in arch.in place.out dum.out -nodisp -place_only "
-                 "-init_t 5 -exit_t 0.005 -alpha_t 0.9412 -inner_num 2",
-                 kernels_int.vpr_kernel, 175,
-                 "LCG-driven annealing; low-moderate predictability",
-                 redundancy_every=22, redundancy_count=3),
-    WorkloadSpec("art", "179.art", "FP",
-                 "-scanfile c756hel.in -trainfile1 a10.img -trainfile2 hc.img "
-                 "-stride 2 -startx 110 -starty 200 -endx 160 -endy 240 -objects 10",
-                 kernels_fp.art_kernel, 179,
-                 "repeated weight scans; predictable slow loads, big headroom",
-                 redundancy_every=11, redundancy_count=3),
-    WorkloadSpec("crafty", "186.crafty", "INT", "crafty.in",
-                 kernels_int.crafty_kernel, 186,
-                 "almost-stable values; low baseline accuracy, needs FPC",
-                 redundancy_every=25, redundancy_count=2),
-    WorkloadSpec("parser", "197.parser", "INT", "ref.in 2.1.dict -batch",
-                 kernels_int.parser_kernel, 197,
-                 "hash-chain walks with Zipf word reuse",
-                 redundancy_every=18, redundancy_count=3),
-    WorkloadSpec("vortex", "255.vortex", "INT", "lendian1.raw",
-                 kernels_int.vortex_kernel, 255,
-                 "OO dispatch; alternating tags, low baseline accuracy",
-                 redundancy_every=11, redundancy_count=3),
-    # ---- CPU2006 -------------------------------------------------------
-    WorkloadSpec("bzip2", "401.bzip2", "INT", "input.source 280",
-                 kernels_int.bzip2_kernel, 401,
-                 "histogram/cumulative counters; 2D-Stride's other best case",
-                 redundancy_every=18, redundancy_count=3),
-    WorkloadSpec("gcc", "403.gcc", "INT", "166.i",
-                 kernels_int.gcc_kernel, 403,
-                 "grammar-driven kinds correlated with branch history; VTAGE",
-                 redundancy_every=16, redundancy_count=3),
-    WorkloadSpec("gamess", "416.gamess", "FP", "cytosine.2.config",
-                 kernels_fp.gamess_kernel, 416,
-                 "phase-switching coefficients; low baseline accuracy",
-                 redundancy_every=20, redundancy_count=3),
-    WorkloadSpec("mcf", "429.mcf", "INT", "inp.in",
-                 kernels_int.mcf_kernel, 429,
-                 "DRAM pointer chase; huge oracle headroom",
-                 redundancy_every=30, redundancy_count=2),
-    WorkloadSpec("milc", "433.milc", "FP", "su3imp.in",
-                 kernels_fp.milc_kernel, 433,
-                 "streaming, near-unpredictable; FPC trap -> tiny slowdown",
-                 redundancy_every=50, redundancy_count=2),
-    WorkloadSpec("namd", "444.namd", "FP", "namd.input",
-                 kernels_fp.namd_kernel, 444,
-                 "~90% coverage, no dependence-limited work: marginal speedup",
-                 redundancy_every=9, redundancy_count=3),
-    WorkloadSpec("gobmk", "445.gobmk", "INT", "13x13.tst",
-                 kernels_int.gobmk_kernel, 445,
-                 "almost-stable ownership; low baseline accuracy",
-                 redundancy_every=25, redundancy_count=2),
-    WorkloadSpec("hmmer", "456.hmmer", "INT", "nph3.hmm",
-                 kernels_int.hmmer_kernel, 456,
-                 "Viterbi DP; quasi-linear scores, moderate stride cover",
-                 redundancy_every=20, redundancy_count=3),
-    WorkloadSpec("sjeng", "458.sjeng", "INT", "ref.txt",
-                 kernels_int.sjeng_kernel, 458,
-                 "chess search; chaotic hashes, low baseline accuracy",
-                 redundancy_every=30, redundancy_count=2),
-    WorkloadSpec("h264ref", "464.h264ref", "INT",
-                 "foreman_ref_encoder_baseline.cfg",
-                 kernels_int.h264_kernel, 464,
-                 "predictable divisions gate the critical path: small "
-                 "coverage, large speedup",
-                 redundancy_every=30, redundancy_count=2),
-    WorkloadSpec("lbm", "470.lbm", "FP", "reference.dat",
-                 kernels_fp.lbm_kernel, 470,
-                 "streaming stencil; prefetcher territory, small VP gains",
-                 redundancy_every=25, redundancy_count=2),
-)
-
-_BY_NAME = {spec.name: spec for spec in WORKLOADS}
-
-INT_WORKLOADS = tuple(w.name for w in WORKLOADS if w.suite == "INT")
-FP_WORKLOADS = tuple(w.name for w in WORKLOADS if w.suite == "FP")
-ALL_WORKLOADS = tuple(w.name for w in WORKLOADS)
 
 # Trace cache: building traces is pure and deterministic, and the n-µop
 # build of a (name, seed) is the head of every longer one (pinned by
@@ -214,18 +101,6 @@ def _slice(entry: Trace, n_uops: int) -> Trace:
     return piece
 
 
-def resolve_seed(name: str, seed: int | None = None) -> int:
-    """The effective build seed for *name*: explicit, else the catalog /
-    scenario default.  This is the seed component of every trace identity
-    (in-process cache and on-disk store)."""
-    if seed is not None:
-        return seed
-    params = scenarios.parse_scenario_name(name)
-    if params is not None:
-        return params.default_seed()
-    return get_spec(name).seed
-
-
 def trace_cache_stats() -> dict:
     """Entry and byte occupancy of the in-process LRU.
 
@@ -242,20 +117,6 @@ def trace_cache_stats() -> dict:
 def generation_count() -> int:
     """Kernel generations executed in this process (store loads excluded)."""
     return _GEN_COUNT
-
-
-def get_spec(name: str) -> WorkloadSpec:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; available: {', '.join(ALL_WORKLOADS)}"
-        ) from None
-
-
-def known_workload(name: str) -> bool:
-    """True for catalog benchmarks and parameterised scenario names."""
-    return name in _BY_NAME or scenarios.is_scenario_name(name)
 
 
 def _generate_trace(name: str, n_uops: int, effective_seed: int) -> Trace:
@@ -283,7 +144,8 @@ def _generate_trace(name: str, n_uops: int, effective_seed: int) -> Trace:
             kernel_target = max(
                 1, int(n_uops / dilution) + 2 * spec.redundancy_every + 16
             )
-            spec.kernel(builder, kernel_target)
+            kernels = kernels_int if spec.suite == "INT" else kernels_fp
+            getattr(kernels, spec.kernel)(builder, kernel_target)
             packed = inject_invariants(
                 builder.packed(),
                 every=spec.redundancy_every,

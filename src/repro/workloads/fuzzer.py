@@ -40,7 +40,7 @@ from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import CoreModel, simulate
 from repro.pipeline import fastsim
 from repro.util.atomicio import atomic_write_text, file_lock
-from repro.workloads import catalog, scenarios
+from repro.workloads import catalog, names, scenarios
 
 #: Bump when the spec grammar or sampling distribution changes: a replay
 #: line is only meaningful against the grammar that emitted it.
@@ -230,7 +230,7 @@ def sample_specs(budget: int, seed: int,
     including families the fast path cannot inline — those legs simply
     all run the sequential model, which the differential still checks.
     """
-    from repro.experiments.runner import PREDICTOR_NAMES
+    from repro.engine.job import PREDICTOR_NAMES
 
     rng = random.Random((seed << 8) ^ FUZZ_VERSION)
     predictor_pool = tuple(predictors) if predictors else PREDICTOR_NAMES
@@ -246,7 +246,7 @@ def sample_specs(budget: int, seed: int,
                     locality=rng.randrange(0, 101),
                 ).name
             else:
-                workload = rng.choice(catalog.ALL_WORKLOADS)
+                workload = rng.choice(names.ALL_WORKLOADS)
         n_uops = rng.randrange(600, max_uops + 1)
         specs.append(FuzzSpec(
             workload=workload,

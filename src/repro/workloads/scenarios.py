@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.util.bits import MASK64
-from repro.workloads.builder import TraceBuilder
+
+if TYPE_CHECKING:
+    from repro.workloads.builder import TraceBuilder
 
 #: Canonical name pattern: scenario-c<chase>-e<entropy%>-l<locality%>.
 _NAME_RE = re.compile(r"^scenario-c(\d+)-e(\d{1,3})-l(\d{1,3})$")

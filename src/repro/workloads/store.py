@@ -13,11 +13,14 @@ generator.
 ``(name, seed)``, so ``trace_key(name, seed)`` names one entry holding
 the longest trace stored so far, and ``get`` serves a shorter request
 as a view.  The key digests three versions too: the packed
-schema (:data:`~repro.isa.trace.TRACE_SCHEMA_VERSION`), the store layout
+schema (:data:`~repro.isa.schema.TRACE_SCHEMA_VERSION`), the store layout
 (:data:`STORE_FORMAT_VERSION`) and the generator
 (:data:`TRACE_GENERATOR_VERSION` — bump it whenever kernels, invariant
 injection or scenario generation change the emitted µop stream).  A
 version bump silently orphans old entries instead of misreading them.
+Keying and probing (:func:`trace_key`, :meth:`TraceStore.contains`)
+import no numpy, so a daemon picks which job generates a trace without
+loading the simulator; numpy loads where a payload is read or written.
 
 **Layout.**  One directory per entry: ``<dir>/<key[:2]>/<key>/`` holding
 ``meta.json`` and one payload file, ``columns.bin``, with every column's
@@ -62,17 +65,16 @@ import shutil
 import tempfile
 from collections.abc import Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.isa.trace import (
-    COLUMN_SCHEMA,
-    TRACE_SCHEMA_VERSION,
-    PackedColumns,
-    Trace,
-)
+from repro.isa.schema import COLUMN_SCHEMA, TRACE_SCHEMA_VERSION
 from repro.util import profiling
 from repro.util.atomicio import fsync_dir
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.isa.trace import Trace
 
 #: Environment variable selecting the persistent trace store directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -156,6 +158,8 @@ def _write_payload(directory: Path, arrays: dict[str, np.ndarray],
     *torn*, when given, is raised once half the columns are written: the
     debris a kill mid-write leaves, which the caller must never publish.
     """
+    import numpy as np
+
     columns = {}
     end = 0
     for col, arr in arrays.items():
@@ -188,6 +192,8 @@ def _read_payload(directory: Path, columns: dict,
     view of that map; otherwise it is read into memory.  Raises
     ``ValueError`` when a column's bytes lie outside the file.
     """
+    import numpy as np
+
     path = directory / _PAYLOAD_NAME
     if mmap and path.stat().st_size:
         buf = np.memmap(path, dtype=np.uint8, mode="r")
@@ -312,6 +318,8 @@ class TraceStore:
         same entry.  Corrupt entries are deleted so the caller's
         regeneration heals the store.
         """
+        from repro.isa.trace import PackedColumns, Trace
+
         entry = self._entry_dir(trace_key(name, seed))
         if not entry.is_dir():
             self.misses += 1

@@ -18,7 +18,7 @@ helper: a background thread with its own event loop) so a test can
 install a fault plan at an exact point in the operation sequence — the
 plan's counters then line up with the requests the test makes, which is
 what keeps the matrix deterministic.  The
-worker processes are real ``spawn`` children either way; worker-side
+worker processes are real child interpreters either way; worker-side
 sites activate through the exported ``$REPRO_FAULTS``.
 """
 
@@ -133,7 +133,7 @@ class TestSurvivableWorkerFaults:
     def test_hung_worker_is_killed_by_the_job_timeout(self, daemon,
                                                       expected):
         # The timeout must clear a worker's worst legitimate job (fresh
-        # spawn + first trace build) while still catching the 60s hang.
+        # start + first trace build) while still catching the 60s hang.
         with daemon(workers=2, job_timeout=5.0) as d:
             faults.install_plan("worker.execute:hang:60@1", seed=0)
             with d.client() as client:

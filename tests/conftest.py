@@ -57,7 +57,7 @@ def _known_service_token():
 
 class InProcessDaemon:
     """A :class:`~repro.engine.service.SimService` on a background thread
-    with its own event loop: a real TCP socket and real spawn workers,
+    with its own event loop: a real TCP socket and real worker processes,
     but in this process, so a test can install fault plans mid-flight
     and coverage sees the daemon's code.
 

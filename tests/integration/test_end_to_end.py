@@ -17,7 +17,7 @@ from repro.experiments.runner import (
     make_predictor,
     run_workload,
 )
-from repro.workloads.catalog import ALL_WORKLOADS
+from repro.workloads.names import ALL_WORKLOADS
 
 SMALL = dict(n_uops=6000, warmup=3000)
 

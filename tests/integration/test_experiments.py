@@ -8,7 +8,7 @@ from repro.engine.campaign import run_campaign
 from repro.engine.executors import SerialExecutor
 from repro.experiments import campaigns, figures, reproduce, tables
 from repro.workloads import catalog
-from repro.workloads.catalog import ALL_WORKLOADS
+from repro.workloads.names import ALL_WORKLOADS
 from repro.workloads.store import TRACE_DIR_ENV
 
 TINY = dict(workloads=("gzip", "crafty", "wupwise"), n_uops=5000, warmup=2500)

@@ -16,6 +16,7 @@ the service layer:
   write no address file, so several share one working directory.
 """
 
+import json
 import os
 import re
 import signal
@@ -310,3 +311,60 @@ class TestExample:
         assert out.returncode == 0, out.stderr
         assert "cross-client sharing saved" in out.stdout
         assert "bit-identical" in out.stdout
+
+
+#: Modules a daemon never needs: it routes, queues and caches, and its
+#: workers simulate.
+SIMULATOR_MODULES = (
+    "numpy", "repro.pipeline.core", "repro.pipeline.ckernel",
+    "repro.pipeline.precompute", "repro.predictors", "repro.core",
+    "repro.branch", "repro.memory", "repro.workloads.kernels_int",
+    "repro.workloads.kernels_fp", "repro.workloads.builder",
+    "repro.experiments", "repro.analysis",
+)
+
+
+def _children(pid: int) -> list[int]:
+    return [int(child) for listed in Path(f"/proc/{pid}/task").glob(
+        "*/children") for child in listed.read_text().split()]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc")
+class TestFootprint:
+    def test_serving_daemon_loads_no_numpy_and_runs_only_its_worker(
+            self, tmp_path):
+        proc, address = _spawn_daemon(tmp_path, jobs="1")
+        try:
+            job = SimJob.make("gzip", "lvp", n_uops=800, warmup=400)
+            assert job.seed is None  # resolved from the name->seed table
+            with ServiceClient(address) as conn:
+                miss = conn.submit([job])
+                hit = conn.submit([job])
+                metrics = conn.metrics()
+            assert miss["summary"]["enqueued"] == 1
+            assert hit["summary"]["cache_hits"] == 1
+            [worker] = metrics["queue"]["workers"]
+            maps = Path(f"/proc/{proc.pid}/maps").read_text()
+            numpy_objects = [line for line in maps.splitlines()
+                             if "numpy" in line and ".so" in line]
+            assert numpy_objects == []
+            assert _children(proc.pid) == [worker["pid"]]
+            with ServiceClient(address) as conn:
+                conn.shutdown()
+            proc.wait(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+    def test_importing_the_cli_loads_no_simulator(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, repro, repro.cli; "
+             "print(json.dumps(sorted(sys.modules)))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        loaded = json.loads(out.stdout)
+        assert [name for name in loaded
+                if name.startswith(SIMULATOR_MODULES)] == []

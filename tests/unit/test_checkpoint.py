@@ -228,3 +228,10 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "fig3" in out and "1/38" in out
         assert "fig4" not in out
+
+    def test_cli_offers_exactly_the_registered_campaigns(self):
+        # The parser names campaigns without importing the registry (and
+        # with it the simulator); the two lists must not drift apart.
+        from repro import cli
+
+        assert cli._CAMPAIGN_NAMES == tuple(CAMPAIGNS)

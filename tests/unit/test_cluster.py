@@ -3,12 +3,13 @@
 These run everything *in-process* — shards are
 :class:`~repro.engine.service.SimService` instances on background
 threads (``tests/conftest.py``'s ``daemon`` helper: real TCP sockets,
-real spawn workers), the router is driven
+real worker processes), the router is driven
 directly — so the ``repro.engine.cluster`` line coverage the CI floor
 demands comes from here, not from the subprocess-based integration
 harness (a child process's execution is invisible to coverage).
 """
 
+import json
 import threading
 
 import pytest
@@ -36,6 +37,7 @@ from repro.engine.cluster import (
 from repro.engine.executors import SerialExecutor
 from repro.engine.job import SimJob
 from repro.engine.service import PROTOCOL_VERSION
+from repro.pipeline.config import CoreConfig
 
 SMALL = dict(n_uops=2000, warmup=1000)
 
@@ -243,6 +245,21 @@ class TestShardRouter:
             with pytest.raises(ServiceError, match="job failed"):
                 router.run_jobs([bad])
             assert not router.down  # the shard is fine; the job is not
+            router.close()
+
+    def test_invalid_core_config_is_answered_with_an_error(self, daemon):
+        # A config no core could run (a load pool of no units) is refused
+        # where the worker rebuilds it with CoreConfig.from_dict: the
+        # shard answers with an error, never a result.
+        config = json.loads(CoreConfig().canonical_json())
+        config["fu"]["LOAD"]["units"] = 0
+        bad = SimJob(workload="gzip", predictor="lvp", n_uops=500, warmup=0,
+                     config_json=json.dumps(config, sort_keys=True))
+        with daemon() as a:
+            router = ShardRouter([a.address])
+            with pytest.raises(ServiceError, match="units >= 1"):
+                router.run_jobs([bad])
+            assert not router.down
             router.close()
 
     def test_resolve_shards_env_and_normalisation(self, monkeypatch,

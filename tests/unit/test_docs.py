@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro import docs
-from repro.experiments.runner import PREDICTOR_NAMES
+from repro.engine.job import PREDICTOR_NAMES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

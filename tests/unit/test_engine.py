@@ -67,6 +67,7 @@ class TestSimJob:
 
     def test_config_serialisation_round_trips(self):
         config = CoreConfig(issue_width=4, rob_entries=128,
+                            squash_lookahead=128,
                             recovery=RecoveryMode.SELECTIVE_REISSUE,
                             vp_write_ports=4)
         job = SimJob.make("gzip", "lvp", config=config, **TINY)
@@ -123,8 +124,8 @@ class TestSimJob:
         the deep-copying ``dataclasses.asdict``, with and without a
         ``config_json``."""
         plain = SimJob.make("gzip", "vtage", **TINY)
-        custom = SimJob.make("gzip", "lvp", config=CoreConfig(rob_entries=96),
-                             **TINY)
+        small_rob = CoreConfig(rob_entries=96, squash_lookahead=96)
+        custom = SimJob.make("gzip", "lvp", config=small_rob, **TINY)
         assert plain.config_json is None and custom.config_json is not None
         for job in (plain, custom):
             job.content_key()
@@ -353,12 +354,28 @@ class TestBaselineConfigKey:
 
 class TestCoreConfigSerialisation:
     def test_round_trip_every_field(self):
-        config = CoreConfig(fetch_width=4, rob_entries=64, vp_write_ports=2,
+        config = CoreConfig(fetch_width=4, rob_entries=64, squash_lookahead=64,
+                            vp_write_ports=2,
                             vp_scope="loads",
                             recovery=RecoveryMode.SELECTIVE_REISSUE)
         restored = CoreConfig.from_dict(json.loads(config.canonical_json()))
         for f in dataclasses.fields(CoreConfig):
             assert getattr(restored, f.name) == getattr(config, f.name), f.name
+
+    def test_from_dict_refuses_a_pool_of_no_units(self):
+        data = json.loads(CoreConfig().canonical_json())
+        data["fu"]["LOAD"]["units"] = 0
+        with pytest.raises(ValueError, match=r"fu\[LOAD\]\.units >= 1"):
+            CoreConfig.from_dict(data)
+
+    @pytest.mark.parametrize("bad", [
+        dict(issue_width=0), dict(rob_entries=0), dict(int_prf=0),
+        dict(frontend_depth=0), dict(squash_lookahead=257),
+        dict(rob_entries=128), dict(vp_scope="stores"),
+    ])
+    def test_construction_refuses_configs_no_core_could_run(self, bad):
+        with pytest.raises(ValueError):
+            CoreConfig(**bad)
 
     def test_content_key_ignores_dict_ordering(self):
         a = CoreConfig()

@@ -14,8 +14,9 @@ without a C compiler that reason is ``no-compiler``.
 import pytest
 
 from repro.core.confidence import ConfidencePolicy
-from repro.experiments.runner import PREDICTOR_NAMES, make_predictor
-from repro.pipeline import ckernel, fastsim
+from repro.engine.job import PREDICTOR_NAMES
+from repro.experiments.runner import make_predictor
+from repro.pipeline import ckernel, fastsim, precompute
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import CoreModel, simulate
 from repro.workloads.catalog import build_trace
@@ -186,6 +187,23 @@ def test_kernel_decline_records_reason(monkeypatch, name, tweak, reason):
     assert fastsim.fallback_stats() == {reason: 1}
     monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
     assert result == run()
+
+
+@requires_kernel
+def test_stale_predictor_declines_before_any_plane_is_built(monkeypatch):
+    """The state checks run before the per-trace inputs are built: a
+    trained VTAGE predictor declines on a fresh trace and leaves neither
+    kernel inputs nor a VTAGE plane in the trace's plane cache."""
+    monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    trace = build_trace("gcc", _N, cache=False)
+    model = _model("vtage")
+    _train_directly(model)
+    model.run(trace, warmup=_WARMUP, workload="gcc")
+    assert fastsim.fallback_stats() == {
+        "kernel-ineligible:predictor-not-fresh": 1}
+    planes = getattr(trace, precompute.PLANE_CACHE_ATTR, {})
+    assert precompute._KERNEL_KEY not in planes
+    assert [key for key in planes if key[0] == "vtage"] == []
 
 
 def test_disabled_by_env_is_counted(monkeypatch):

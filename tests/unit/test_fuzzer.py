@@ -6,7 +6,7 @@ import pytest
 
 from repro.pipeline import ckernel
 from repro.pipeline.result import SimResult
-from repro.workloads import catalog, fuzzer
+from repro.workloads import fuzzer, names
 from repro.workloads.fuzzer import (CornerRegistry, FuzzOutcome, FuzzSpec,
                                     classify_corners, run_differential,
                                     run_fuzz, sample_specs)
@@ -59,7 +59,7 @@ def test_sample_specs_deterministic():
 
 def test_sample_specs_names_are_resolvable():
     for spec in sample_specs(40, seed=7):
-        assert catalog.known_workload(spec.workload), spec.workload
+        assert names.known_workload(spec.workload), spec.workload
         assert spec.warmup < spec.n_uops
         assert 600 <= spec.n_uops <= 3000
 

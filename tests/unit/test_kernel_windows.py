@@ -30,7 +30,7 @@ _WARMUP = 1000
 
 #: FQ / ROB / IQ / LQ / SQ / physical registers beyond the architectural.
 _ODD = dict(fetch_queue=50, rob_entries=100, iq_entries=37, lq_entries=13,
-            sq_entries=11)
+            sq_entries=11, squash_lookahead=100)
 _ODD_PRF = 77
 
 
@@ -90,11 +90,14 @@ def test_iq_window_overflow_declines(monkeypatch, recovery):
 def _empty(field):
     """A config with window *field*, or unit pool *field*, of no entries,
     and the spec loop's message refusing it."""
+    config = CoreConfig()
+    # Emptied after construction, which refuses either outright: the
+    # cycle loops keep their own guards for a config mutated in place.
     if isinstance(field, OpClass):
-        config = CoreConfig()
         config.fu[field] = FUTiming(units=0, latency=config.fu[field].latency)
         return config, "need at least one unit"
-    return CoreConfig(**{field: 0}), "window size must be positive"
+    setattr(config, field, 0)
+    return config, "window size must be positive"
 
 
 @requires_kernel

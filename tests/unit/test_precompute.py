@@ -37,7 +37,8 @@ from repro.util.bits import MASK64
 from repro.util.hashing import scramble_array
 from repro.workloads import catalog
 from repro.workloads.builder import TraceBuilder, pack_rows
-from repro.workloads.catalog import ALL_WORKLOADS, build_trace
+from repro.workloads.catalog import build_trace
+from repro.workloads.names import ALL_WORKLOADS
 from repro.workloads.store import TRACE_DIR_ENV, TraceStore
 
 _CTRL = {OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET}

@@ -3,15 +3,11 @@
 import pytest
 
 from repro.core.confidence import ConfidencePolicy
-from repro.predictors import (
-    DifferentialFCMPredictor,
-    FCMPredictor,
-    LastValuePredictor,
-    OraclePredictor,
-    StridePredictor,
-    TwoDeltaStridePredictor,
-)
 from repro.predictors.base import PredictionContext
+from repro.predictors.fcm import DifferentialFCMPredictor, FCMPredictor
+from repro.predictors.lvp import LastValuePredictor
+from repro.predictors.oracle import OraclePredictor
+from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
 
 
 def drive(predictor, key, values, ctx=None):

@@ -6,7 +6,6 @@ concurrent clients, CLI verbs) is covered by
 """
 
 import asyncio
-import multiprocessing
 import os
 import pickle
 import signal
@@ -19,7 +18,13 @@ import pytest
 
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimJob, execute_job
-from repro.engine.queue import JobFailed, JobQueue, QueueClosed, WorkerPool
+from repro.engine.queue import (
+    JobFailed,
+    JobQueue,
+    QueueClosed,
+    WorkerPool,
+    _pipe,
+)
 
 TINY = dict(n_uops=800, warmup=400)
 
@@ -268,8 +273,7 @@ class TestCrashRecovery:
                 # is sent.  Only the first dispatch is sabotaged.
                 idle = pick_idle()
                 for worker in idle:
-                    worker.process.kill()
-                    worker.process.join()
+                    worker.kill()
                 q.pool.idle_workers = pick_idle
                 return idle
 
@@ -307,7 +311,7 @@ class TestTransport:
             q._loop = asyncio.get_running_loop()
             received = []
             q._on_message = lambda worker, message: received.append(message)
-            results, writer = multiprocessing.Pipe(duplex=False)
+            results, writer = _pipe()
             fake = type("FakeWorker", (), {})()
             fake.results = results
             q.pool = SimpleNamespace(workers=(fake,))

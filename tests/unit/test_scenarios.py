@@ -6,7 +6,8 @@ from repro.analysis.metrics import evaluate_predictor
 from repro.core.confidence import ConfidencePolicy
 from repro.engine.job import SimJob, execute_job
 from repro.predictors.lvp import LastValuePredictor
-from repro.workloads.catalog import build_trace, known_workload
+from repro.workloads.catalog import build_trace
+from repro.workloads.names import known_workload
 from repro.workloads.scenarios import (
     ScenarioParams,
     is_scenario_name,

@@ -19,7 +19,8 @@ import pytest
 from repro.isa.trace import PackedColumns, Trace, TraceColumns
 from repro.isa.uop import MicroOp, OpClass
 from repro.util.bits import MASK64
-from repro.workloads.catalog import ALL_WORKLOADS, build_trace
+from repro.workloads.catalog import build_trace
+from repro.workloads.names import ALL_WORKLOADS
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "simresults.json"
 

@@ -29,7 +29,8 @@ from repro.experiments.runner import make_predictor
 from repro.isa.trace import COLUMN_SCHEMA
 from repro.pipeline.precompute import (build_trace_plane, build_vtage_plane,
                                        vtage_signature)
-from repro.workloads.catalog import ALL_WORKLOADS, build_trace
+from repro.workloads.catalog import build_trace
+from repro.workloads.names import ALL_WORKLOADS
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "trace_digests.json"
 N_UOPS = 3000

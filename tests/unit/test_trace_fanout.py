@@ -22,7 +22,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.executors import PoolExecutor, SerialExecutor
 from repro.engine.job import SimJob, execute_job
 from repro.engine.queue import JobFailed, JobQueue, WorkerPool, _Worker
-from repro.workloads import catalog
+from repro.workloads import catalog, names
 from repro.workloads.store import TRACE_DIR_ENV, TraceStore
 
 TINY = dict(n_uops=800, warmup=400)
@@ -55,7 +55,7 @@ def _serial(jobs):
 
 def test_trace_identity_names_generated_traces_only():
     job = SimJob.make("gzip", **TINY)
-    assert job.trace_identity() == ("gzip", catalog.resolve_seed("gzip"))
+    assert job.trace_identity() == ("gzip", names.resolve_seed("gzip"))
     # Never generated: unknown names (the worker raises).
     assert SimJob.make("no-such-workload").trace_identity() is None
 

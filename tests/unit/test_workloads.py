@@ -5,15 +5,15 @@ import pytest
 from repro.isa.trace import Trace
 from repro.isa.uop import OpClass
 from repro.workloads.builder import TraceBuilder
-from repro.workloads.catalog import (
+from repro.workloads.catalog import build_trace
+from repro.workloads.invariants import inject_invariants
+from repro.workloads.names import (
     ALL_WORKLOADS,
     FP_WORKLOADS,
     INT_WORKLOADS,
     WORKLOADS,
-    build_trace,
     get_spec,
 )
-from repro.workloads.invariants import inject_invariants
 
 
 class TestTraceBuilder:
