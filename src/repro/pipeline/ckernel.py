@@ -9,21 +9,25 @@ This module owns everything on the Python side of that boundary:
   hash, so editing the C source transparently rebuilds.  No compiler, a
   failed build, or a failed load disables the kernel for the process
   (fallback reason ``no-compiler``); nothing is ever a hard dependency.
-* **Eligibility** — the predictor families the kernel inlines
-  (:func:`predictor_type`) and, per run, a memory hierarchy and store-set
-  predictor the model has not built yet (fresh by construction, so
-  nothing is scanned), a stock/Wide/FPC confidence policy, at most 16
-  VTAGE components, and addresses/PCs below 2**62 (so int64 arithmetic in
-  C is exact, including the negative intermediate strides the L2
-  prefetcher can produce).  Each failed check records one
-  ``kernel-ineligible:<check>`` fallback reason.
+* **Eligibility** — :func:`decline_reason` is the kernel's whole
+  precondition, one ordered list of checks: the predictor families the
+  kernel inlines (:func:`predictor_type`), a branch unit, memory
+  hierarchy and store-set predictor the model has not built (fresh by
+  construction, so nothing is scanned), a predictor born parked at its
+  constructed state, a stock/Wide/FPC confidence policy, at most 16
+  VTAGE components, then a non-empty trace with addresses/PCs below
+  2**62 (so int64 arithmetic in C is exact, including the negative
+  intermediate strides the L2 prefetcher can produce), no negative
+  sequence number and registers below 64.  It builds nothing: the trace
+  checks read one cached reduction of the packed columns
+  (:func:`~repro.pipeline.precompute.trace_ranges`).
 * **Marshalling, paid where it belongs** — per-trace inputs (typed
-  columns and their addresses, predictor keys, range reductions) come
-  cached from :func:`repro.pipeline.precompute.kernel_inputs`.  Per
-  distinct core config, a template holds every invariant ``KernelArgs``
-  field: the config, the functional-unit tables, the memory geometry and
-  the addresses of process-lifetime scratch (bandwidth windows, IQ
-  counts, window rings, store buffer, unit pools, train-queue ring).
+  columns and their addresses, predictor keys) come cached from
+  :func:`repro.pipeline.precompute.kernel_inputs`.  Per distinct core
+  config, a template holds every invariant ``KernelArgs`` field: the
+  config, the functional-unit tables, the memory geometry and the
+  addresses of process-lifetime scratch (bandwidth windows, IQ counts,
+  window rings, store buffer, unit pools, train-queue ring).
   The template is keyed by the config values it reads, since
   ``CoreConfig`` is mutable, and each run copies it.  The memory and
   store-set state block and the predictor-table buffer are scratch too
@@ -33,12 +37,10 @@ This module owns everything on the Python side of that boundary:
 * **State** — a run is a pure function of a fresh model, a predictor
   born parked at its constructed state
   (:func:`~repro.predictors.base.constructed`) and the trace, so nothing
-  is scanned or copied in.  A predictor whose tables exist (a caller
-  read or trained them, or a spec-loop run did) declines with
-  ``kernel-ineligible:predictor-not-fresh``, as built memory or store
-  sets do (:func:`stale_state`, asked before any per-trace input is
-  built).  Nothing is written back until the call succeeds, so a kernel
-  error (``kernel-error:<name>``) or ineligibility discovered late
+  is scanned or copied in; a predictor whose tables exist (a caller read
+  or trained them, or a spec-loop run did) declines with
+  ``kernel-ineligible:predictor-not-fresh``.  :func:`run` writes nothing
+  back until the call succeeds, so a kernel error (``kernel-error:<name>``)
   leaves the model untouched for the spec loop.  On success only the
   predictor's scalar state (LFSRs, VTAGE's tag generation) is written
   back, and the model and predictor are spent: reading a component or a
@@ -81,12 +83,18 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.storesets import StoreSets
 from repro.pipeline.config import RecoveryMode
 from repro.pipeline.core import SPENT
-from repro.pipeline.precompute import kernel_inputs
+from repro.pipeline.precompute import (
+    default_branch_state,
+    kernel_inputs,
+    trace_ranges,
+    vtage_plane,
+)
 from repro.pipeline.result import SimResult
 from repro.predictors.base import constructed, parked_restore, predictor_class
 from repro.predictors.lvp import LastValuePredictor
 from repro.predictors.oracle import OraclePredictor
 from repro.predictors.stride import StridePredictor, TwoDeltaStridePredictor
+from repro.util import profiling
 from repro.util.bits import MASK64
 
 #: Where compiled kernels are cached (one ``.so`` per source hash).
@@ -346,28 +354,75 @@ def predictor_type(predictor) -> int | None:
     return None
 
 
+#: The confidence policies the kernel inlines, by exact type (a subclass
+#: may override transition or saturation behaviour): ``conf_kind`` 0 is
+#: the saturating counter, 1 is FPC.
+_CONF_KINDS = {ConfidencePolicy: 0, WideConfidence: 0,
+               ForwardProbabilisticCounters: 1}
+
+
+def decline_reason(model, trace=None) -> str | None:
+    """Why the kernel cannot run *model* over *trace*, or ``None``.
+
+    The kernel's precondition, as one ordered list of checks; the first
+    that fails names the reason.  The checks that read no trace come
+    first, and with *trace* ``None`` only they run
+    (:func:`repro.pipeline.fastsim.fallback_reason`).  Nothing is built:
+    the model's components are asked whether they exist, and the trace
+    checks read :func:`~repro.pipeline.precompute.trace_ranges`, so a
+    declined run leaves the trace's plane cache as it found it.
+    """
+    predictor = model.predictor
+    ptype = predictor_type(predictor)
+    if ptype is None:
+        return f"unsupported-predictor:{type(predictor).__name__}"
+    if not default_branch_state(model):
+        return "non-default-branch-state"
+    if not kernel_available():
+        return "no-compiler"
+    if model.existing("memory") is not None:
+        return "kernel-ineligible:memory-not-fresh"
+    if model.existing("store_sets") is not None:
+        return "kernel-ineligible:store-sets-not-fresh"
+    if ptype in (P_LVP, P_STRIDE, P_VTAGE):
+        if parked_restore(predictor) is not constructed:
+            return "kernel-ineligible:predictor-not-fresh"
+        if ptype == P_VTAGE and predictor._conf_threshold is None:
+            return "kernel-ineligible:vtage-threshold"
+        if ptype == P_VTAGE and len(predictor.geometry) > _MAX_COMPONENTS:
+            return "kernel-ineligible:vtage-components"
+        if type(predictor.confidence) not in _CONF_KINDS:
+            return "kernel-ineligible:confidence-policy"
+    if trace is None:
+        return None
+    n, max_pc, max_addr, min_seq, max_reg = trace_ranges(trace)
+    if n == 0:
+        return "kernel-ineligible:empty-trace"
+    if max_pc >= _ADDR_LIMIT or max_addr >= _ADDR_LIMIT:
+        return "kernel-ineligible:address-range"
+    if min_seq < 0:
+        return "kernel-ineligible:negative-seq"
+    if max_reg >= 64:
+        return "kernel-ineligible:register-range"
+    return None
+
+
 #: FPC probability vector -> ``(array, address)``; a handful per process.
 _FPC_PROBS: dict[tuple, tuple[np.ndarray, int]] = {}
 
 
 def _policy_fields(policy):
-    """``(conf_kind, max_level, prob_address, taps, state)`` or ``None``.
-
-    Exact type checks: any confidence subclass that overrides transition or
-    saturation behaviour must take the spec loop.
-    """
-    kind = type(policy)
-    if kind is ConfidencePolicy or kind is WideConfidence:
+    """``(conf_kind, max_level, prob_address, taps, state)`` of a policy
+    :func:`decline_reason` accepted."""
+    if _CONF_KINDS[type(policy)] == 0:
         return 0, policy.max_level, _PLACEHOLDER_ADDR, 0, 0
-    if kind is ForwardProbabilisticCounters:
-        vector = policy.probability_log2
-        prob = _FPC_PROBS.get(vector)
-        if prob is None:
-            array = np.asarray(vector, dtype=np.int64)
-            prob = _FPC_PROBS[vector] = (array, array.ctypes.data)
-        lfsr = policy.lfsr
-        return 1, policy.max_level, prob[1], lfsr._taps, lfsr.state
-    return None
+    vector = policy.probability_log2
+    prob = _FPC_PROBS.get(vector)
+    if prob is None:
+        array = np.asarray(vector, dtype=np.int64)
+        prob = _FPC_PROBS[vector] = (array, array.ctypes.data)
+    lfsr = policy.lfsr
+    return 1, policy.max_level, prob[1], lfsr._taps, lfsr.state
 
 
 # ---------------------------------------------------------------------------
@@ -698,21 +753,14 @@ def _marshal_predictor(args, predictor, ptype, vplane, scratch):
     """Point *args* at the constructed tables of *predictor*'s layout.
 
     Returns ``write_back(out)``, which after a successful run writes the
-    scalar state and parks the predictor on :func:`_spent`; ``None`` for
-    a family without tables; or a decline reason string.  The predictor
-    itself is not written, so a failed run leaves it as it was.  Fields
-    the family does not use keep the template's placeholder.
+    scalar state and parks the predictor on :func:`_spent`, or ``None``
+    for a family without tables.  The predictor itself is not written, so
+    a failed run leaves it as it was.  Fields the family does not use
+    keep the template's placeholder.
     """
     if ptype not in (P_LVP, P_STRIDE, P_VTAGE):
         return None
-    if ptype == P_VTAGE:
-        if predictor._conf_threshold is None:
-            return "kernel-ineligible:vtage-threshold"
-        if len(predictor.geometry) > _MAX_COMPONENTS:
-            return "kernel-ineligible:vtage-components"
     fields = _policy_fields(predictor.confidence)
-    if fields is None:
-        return "kernel-ineligible:confidence-policy"
     (args.conf_kind, args.conf_max_level, args.fpc_prob, args.fpc_taps,
      args.fpc_state) = fields
     fpc = fields[0] == 1
@@ -753,75 +801,34 @@ def _marshal_predictor(args, predictor, ptype, vplane, scratch):
 # Entry point
 
 
-def _decline(reason: str) -> None:
-    """Record why this run takes the spec loop; returns ``None``."""
-    from repro.pipeline import fastsim  # fastsim imports this module
-
-    fastsim.record_fallback(reason)
-    return None
-
-
 #: Names of the kernel's error codes (``ERR_*`` in ``_ckernel.c``); a run
-#: that fails records ``kernel-error:<name>`` (the code when unnamed).
+#: that fails returns ``kernel-error:<name>`` (the code when unnamed).
 _ERRORS = {1: "abi", 2: "bw-window", 3: "bad-arg", 4: "iq-window",
            5: "train-ring"}
 
 
-def stale_state(model) -> str | None:
-    """Why *model* is not the fresh state a kernel run starts from, or
-    ``None`` when it is.
+def run(model, trace, warmup, workload):
+    """Run *model* over *trace* on the kernel: its :class:`SimResult`, or
+    ``kernel-error:<name>`` when the kernel fails part-way.
 
-    A component the model has built may hold state, and so may a
-    predictor no longer parked at its constructed state (a caller read or
-    trained its tables, or a spec-loop run did); neither is scanned, both
-    decline.  Reads no trace, so :func:`fastsim.try_run` asks before it
-    builds any per-trace input.
+    The caller (``CoreModel.run``) has found no :func:`decline_reason`.
+    This builds the trace's kernel inputs and, for VTAGE, its plane (both
+    cached on the trace), marshals and calls the kernel.  On success the
+    model and its predictor are spent (:data:`repro.pipeline.core.SPENT`);
+    on an error both are as they were.
     """
-    if model.existing("memory") is not None:
-        return "kernel-ineligible:memory-not-fresh"
-    if model.existing("store_sets") is not None:
-        return "kernel-ineligible:store-sets-not-fresh"
-    if predictor_type(model.predictor) in (P_LVP, P_STRIDE, P_VTAGE) \
-            and parked_restore(model.predictor) is not constructed:
-        return "kernel-ineligible:predictor-not-fresh"
-    return None
-
-
-def try_run(model, trace, warmup, workload, ptype, vplane):
-    """Run the compiled kernel, or record why not and return ``None``.
-
-    The caller (:func:`fastsim.try_run`) has already verified the predictor
-    family, the unbuilt branch unit, a fresh model and predictor
-    (:func:`stale_state`) and that the kernel loads; this adds the
-    per-trace checks and the array round-trip.  On success the model and
-    its predictor are spent (:data:`repro.pipeline.core.SPENT`).
-    """
-    lib = _load()
-    if lib is None:
-        return _decline("no-compiler")
     cfg = model.config
     predictor = model.predictor
-
-    inputs = kernel_inputs(trace)
-    n = inputs.n
-    if n == 0:
-        return _decline("kernel-ineligible:empty-trace")
-    if inputs.max_pc >= _ADDR_LIMIT or inputs.max_addr >= _ADDR_LIMIT:
-        return _decline("kernel-ineligible:address-range")
-    if inputs.min_seq < 0:
-        return _decline("kernel-ineligible:negative-seq")
-    if inputs.max_reg >= 64:
-        return _decline("kernel-ineligible:register-range")
-
+    ptype = predictor_type(predictor)
+    inputs = kernel_inputs(trace)  # first, so a VTAGE plane reuses its keys
+    vplane = vtage_plane(trace, predictor) if ptype == P_VTAGE else None
     key = _config_key(cfg)
-    with _SCRATCH_LOCK:
+    with profiling.phase("kernel-c"), _SCRATCH_LOCK:
         scratch = _get_scratch()
         args = _KernelArgs.from_buffer_copy(scratch.template(key))
         write_back = _marshal_predictor(args, predictor, ptype, vplane,
                                         scratch)
-        if isinstance(write_back, str):
-            return _decline(write_back)
-        args.n = n
+        args.n = inputs.n
         args.warmup = warmup
         args.ptype = ptype
         for name, address in inputs.addresses:
@@ -829,10 +836,10 @@ def try_run(model, trace, warmup, workload, ptype, vplane):
         out = (_I64 * _N_OUT)()
         args.out = ctypes.addressof(out)
 
-        ret = lib.repro_kernel_run(ctypes.byref(args))
+        ret = _load().repro_kernel_run(ctypes.byref(args))
         if ret != 0 or out[_O_ERROR] != 0:
             code = ret or out[_O_ERROR]
-            return _decline(f"kernel-error:{_ERRORS.get(code, code)}")
+            return f"kernel-error:{_ERRORS.get(code, code)}"
 
     out = out[:]
     model.spent = True

@@ -168,23 +168,25 @@ class CoreModel:
         # The hot loop allocates short-lived tuples but creates no
         # reference cycles: see repro.util.gcpause.
         with gc_paused(), profiling.phase("simulate"):
-            from repro.pipeline import fastsim
+            from repro.pipeline import ckernel, fastsim
 
+            # The one place that picks the loop: the kernel's result, or
+            # the one reason this run takes the spec loop.
             mode = fastsim.fast_sim_mode()
-            if stage_trace is not None:
-                if mode != "off":
-                    fastsim.record_fallback("stage-trace-hook")
-                    if mode == "require":
-                        raise fastsim.FastPathRequired("stage-trace-hook")
-            elif mode != "off":
-                result = fastsim.try_run(self, trace, warmup, workload)
-                if result is not None:
-                    return result
-                if mode == "require":
-                    raise fastsim.FastPathRequired(
-                        fastsim.last_fallback() or "unknown")
+            if mode == "off":
+                reason = "disabled-by-env"
+            elif stage_trace is not None:
+                reason = "stage-trace-hook"
             else:
-                fastsim.record_fallback("disabled-by-env")
+                reason = ckernel.decline_reason(self, trace)
+                if reason is None:
+                    result = ckernel.run(self, trace, warmup, workload)
+                    if not isinstance(result, str):
+                        return result
+                    reason = result
+            fastsim.record_fallback(reason)
+            if mode == "require":
+                raise fastsim.FastPathRequired(reason)
             return self._run(trace, warmup, workload, stage_trace)
 
     def _run(

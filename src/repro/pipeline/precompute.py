@@ -22,9 +22,11 @@ kernel (:mod:`repro.pipeline.ckernel`) indexes into:
   :func:`repro.util.hashing.table_index_array`) instead of per-key memo
   dicts.  Bit-identical to the scalar ``_TaggedComponent.index_and_tag``
   (pinned by ``tests/unit/test_precompute.py``).
-* :class:`KernelInputs` — the packed columns typed for the kernel, the
-  predictor keys and the range reductions behind its eligibility checks,
-  so a job marshals none of them.
+* :class:`KernelInputs` — the packed columns typed for the kernel and
+  the predictor keys, so a job marshals none of them.
+* :func:`trace_ranges` — the range reductions behind the kernel's trace
+  checks, cached on the trace outside its plane cache: a trace those
+  checks decline holds no plane.
 
 Planes are cached on the trace object (the catalog's LRU byte accounting
 includes them, see ``workloads/catalog.py``) and the Python-expensive
@@ -112,24 +114,17 @@ class KernelInputs:
 
     ``columns`` maps each per-µop ``KernelArgs`` array to a contiguous
     array of its dtype: packed and plane columns (views where the dtype
-    already matches) and the predictor keys ``pkeys``.  The ``max_*`` and
-    ``min_seq`` fields are the range reductions behind the kernel's
-    eligibility checks.  ``nbytes`` counts only the arrays that alias no
-    packed or plane column.  ``addresses`` pairs each column's name with
-    its data address, so a run sets pointers without asking numpy.
+    already matches) and the predictor keys ``pkeys``.  ``nbytes`` counts
+    only the arrays that alias no packed or plane column.  ``addresses``
+    pairs each column's name with its data address, so a run sets
+    pointers without asking numpy.
     """
 
-    __slots__ = ("n", "columns", "max_pc", "max_addr", "min_seq", "max_reg",
-                 "nbytes", "addresses")
+    __slots__ = ("n", "columns", "nbytes", "addresses")
 
-    def __init__(self, n, columns, max_pc, max_addr, min_seq, max_reg,
-                 nbytes):
+    def __init__(self, n, columns, nbytes):
         self.n = n
         self.columns = columns
-        self.max_pc = max_pc
-        self.max_addr = max_addr
-        self.min_seq = min_seq
-        self.max_reg = max_reg
         self.nbytes = nbytes
         self.addresses = tuple(
             (name, array.ctypes.data) for name, array in columns.items())
@@ -170,8 +165,8 @@ _KERNEL_PLANE_DTYPES = (("redirect", np.uint8), ("scr_pkey", np.uint64))
 
 
 def build_kernel_inputs(trace: Trace) -> KernelInputs:
-    """Type the packed and plane columns for the kernel, add the predictor
-    keys and reduce the ranges its eligibility checks read."""
+    """Type the packed and plane columns for the kernel and add the
+    predictor keys."""
     packed = trace.packed()
     a = packed.arrays
     plane = trace_plane(trace)
@@ -187,16 +182,7 @@ def build_kernel_inputs(trace: Trace) -> KernelInputs:
             nbytes += out.nbytes
         columns[name] = out
     columns["pkeys"] = pkeys = _pkeys(trace)
-    return KernelInputs(
-        n=packed.n,
-        columns=columns,
-        max_pc=int(a["pcs"].max(initial=0)),
-        max_addr=int(a["mem_addrs"].max(initial=0)),
-        min_seq=int(a["seqs"].min()) if packed.n else 0,
-        max_reg=max(int(a["dsts"].max(initial=0)),
-                    int(a["src_flat"].max(initial=0))),
-        nbytes=nbytes + pkeys.nbytes,
-    )
+    return KernelInputs(packed.n, columns, nbytes + pkeys.nbytes)
 
 
 def _python_walk(packed, unit: BranchUnit):
@@ -376,6 +362,27 @@ def kernel_inputs(trace: Trace) -> KernelInputs:
     if inputs is None:
         inputs = cache[_KERNEL_KEY] = build_kernel_inputs(trace)
     return inputs
+
+
+_RANGES_ATTR = "_kernel_ranges"
+
+
+def trace_ranges(trace: Trace) -> tuple[int, int, int, int, int]:
+    """``(n, max_pc, max_addr, min_seq, max_reg)`` of *trace*'s packed
+    columns (``max_reg`` over destinations and sources), reduced once and
+    cached on the trace; not in its plane cache, so reading them builds
+    no plane."""
+    ranges = getattr(trace, _RANGES_ATTR, None)
+    if ranges is None:
+        packed = trace.packed()
+        a = packed.arrays
+        ranges = (packed.n, int(a["pcs"].max(initial=0)),
+                  int(a["mem_addrs"].max(initial=0)),
+                  int(a["seqs"].min()) if packed.n else 0,
+                  max(int(a["dsts"].max(initial=0)),
+                      int(a["src_flat"].max(initial=0))))
+        setattr(trace, _RANGES_ATTR, ranges)
+    return ranges
 
 
 def vtage_plane(trace: Trace, predictor) -> VTAGEPlane:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.pipeline.config import CoreConfig, RecoveryMode
-from repro.pipeline.core import CoreModel, simulate
+from repro.pipeline.core import simulate
 from repro.pipeline import fastsim
 from repro.util.atomicio import atomic_write_text, file_lock
 from repro.workloads import catalog, names, scenarios
@@ -152,18 +152,20 @@ def run_differential(spec: FuzzSpec) -> FuzzOutcome:
     """Run *spec* through both legs and compare dataclass-equal.
 
     The legacy leg is the reference; a kernel leg whose :class:`SimResult`
-    differs marks the outcome divergent.  The fast path's static fallback
-    reason (a predictor family the kernel does not inline, or no C
-    compiler) is recorded so fallback-only corners are visible.
+    differs marks the outcome divergent.  The reason the kernel leg's own
+    run took the spec loop, if it did (a predictor family the kernel does
+    not inline, no C compiler, a kernel decline or error), is recorded so
+    fallback-only corners are visible: such a leg only checks the spec
+    loop against itself.
     """
-    from repro.experiments.runner import make_predictor
-
     outcome = FuzzOutcome(spec=spec)
-    predictor = make_predictor(spec.predictor, fpc=spec.fpc,
-                               recovery=spec.recovery, entries=spec.entries)
-    outcome.fallback = fastsim.fallback_reason(CoreModel(predictor=predictor))
     for leg in LEGS:
+        before = fastsim.fallback_stats()
         outcome.results[leg] = run_leg(spec, leg)
+        if leg == "kernel":
+            outcome.fallback = next(
+                (reason for reason, count in fastsim.fallback_stats().items()
+                 if count > before.get(reason, 0)), None)
     reference = outcome.results["legacy"]
     for leg, result in outcome.results.items():
         if result != reference:

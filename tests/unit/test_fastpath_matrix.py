@@ -3,19 +3,26 @@
 ``CoreModel.run`` picks between the compiled kernel and the spec loop at
 call time; which configurations are eligible is a contract the fuzzer and
 the CLI ``--profile`` output both rely on.  These tests enumerate every
-experiment predictor × recovery × fpc combination and assert the static
-dispatch decision (:func:`fastsim.fallback_reason`), then exercise the
-dynamic half: structured fallback counters, ``REPRO_FAST_SIM=require``
-escalation, kernel declines, the stage-trace hook and the disabled-by-env
-path.  Every route to the spec loop records exactly one reason; on a host
-without a C compiler that reason is ``no-compiler``.
+experiment predictor × recovery × fpc combination and assert the
+trace-free dispatch decision (:func:`fastsim.fallback_reason`), then
+exercise the run itself: structured fallback counters,
+``REPRO_FAST_SIM=require`` escalation, every reason the kernel's
+precondition (:func:`ckernel.decline_reason`) can return, the stage-trace
+hook and the disabled-by-env path.  Every route to the spec loop records
+exactly one reason; on a host without a C compiler that reason is
+``no-compiler``.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.confidence import ConfidencePolicy
+from repro.core.vtage import VTAGEPredictor
 from repro.engine.job import PREDICTOR_NAMES
 from repro.experiments.runner import make_predictor
+from repro.isa.trace import Trace
+from repro.isa.uop import MicroOp
 from repro.pipeline import ckernel, fastsim, precompute
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import CoreModel, simulate
@@ -85,9 +92,8 @@ def test_fallback_counter_records_unsupported(monkeypatch):
     result = simulate(trace, make_predictor("fcm"), warmup=_WARMUP,
                       workload="gcc")
     assert result.cycles > 0
-    stats = fastsim.fallback_stats()
-    assert stats.get("unsupported-predictor:FCMPredictor") == 1
-    assert fastsim.last_fallback() == "unsupported-predictor:FCMPredictor"
+    assert fastsim.fallback_stats() == {
+        "unsupported-predictor:FCMPredictor": 1}
 
 
 def test_fast_run_records_no_fallback(monkeypatch):
@@ -122,6 +128,14 @@ class _CustomConfidence(ConfidencePolicy):
     """A confidence subclass: outside the kernel's exact-type contract."""
 
 
+class _CustomSaturation(ConfidencePolicy):
+    """A confidence subclass with its own saturation test: VTAGE cannot
+    inline it as a threshold compare."""
+
+    def is_confident(self, level: int) -> bool:
+        return level >= self.max_level
+
+
 def _touch_memory(model: CoreModel) -> None:
     model.memory.load(pc=0x400, addr=0x10040, cycle=0)  # one L1D access
 
@@ -145,48 +159,111 @@ def _train_by_spec_loop(model: CoreModel) -> None:
                                               None, None)
 
 
-#: (id, predictor, pre-run tweak, reason): eligible models that each
-#: kernel guard must decline.
+def _vtage_custom_saturation() -> VTAGEPredictor:
+    return VTAGEPredictor(confidence=_CustomSaturation())
+
+
+def _vtage_17_components() -> VTAGEPredictor:
+    return VTAGEPredictor(history_lengths=tuple(range(2, 36, 2)))
+
+
+def _gcc() -> Trace:
+    """A fresh gcc trace: its plane cache starts empty."""
+    return build_trace("gcc", _N, cache=False)
+
+
+def _hand_trace(**last) -> Trace:
+    """Eight ALU µops, the last one's fields replaced by *last*."""
+    uops = [MicroOp(seq=i, pc=0x400 + 4 * i, srcs=(1,), dst=1 + i % 4,
+                    value=i) for i in range(8)]
+    uops[-1] = dataclasses.replace(uops[-1], **last)
+    return Trace(uops, name="hand")
+
+
+#: (id, predictor name or factory, pre-run tweak, trace factory, reason):
+#: one eligible-looking run per reason :func:`ckernel.decline_reason` can
+#: return past ``no-compiler``, each of which the kernel must decline.
 _DECLINES = (
-    ("memory-not-fresh", "vtage", _touch_memory,
+    ("memory-not-fresh", "vtage", _touch_memory, _gcc,
      "kernel-ineligible:memory-not-fresh"),
-    ("store-sets-not-fresh", "lvp", _touch_store_sets,
+    ("store-sets-not-fresh", "lvp", _touch_store_sets, _gcc,
      "kernel-ineligible:store-sets-not-fresh"),
-    ("confidence-policy", "lvp", _custom_confidence,
+    ("predictor-not-fresh-trained", "2dstride", _train_directly, _gcc,
+     "kernel-ineligible:predictor-not-fresh"),
+    ("predictor-not-fresh-spec-run", "vtage", _train_by_spec_loop, _gcc,
+     "kernel-ineligible:predictor-not-fresh"),
+    ("vtage-threshold", _vtage_custom_saturation, None, _gcc,
+     "kernel-ineligible:vtage-threshold"),
+    ("vtage-components", _vtage_17_components, None, _gcc,
+     "kernel-ineligible:vtage-components"),
+    ("confidence-policy", "lvp", _custom_confidence, _gcc,
      "kernel-ineligible:confidence-policy"),
-    ("predictor-not-fresh-trained", "2dstride", _train_directly,
-     "kernel-ineligible:predictor-not-fresh"),
-    ("predictor-not-fresh-spec-run", "vtage", _train_by_spec_loop,
-     "kernel-ineligible:predictor-not-fresh"),
+    ("confidence-policy-vtage", "vtage", _custom_confidence, _gcc,
+     "kernel-ineligible:confidence-policy"),
+    ("empty-trace", "lvp", None, lambda: Trace([], name="hand"),
+     "kernel-ineligible:empty-trace"),
+    ("address-range", "stride", None, lambda: _hand_trace(pc=1 << 62),
+     "kernel-ineligible:address-range"),
+    ("negative-seq", "none", None, lambda: _hand_trace(seq=-1),
+     "kernel-ineligible:negative-seq"),
+    ("register-range", "lvp", None, lambda: _hand_trace(dst=64),
+     "kernel-ineligible:register-range"),
 )
 
 
+def _spec_answer(run):
+    """*run*'s result, or the type of the error the spec loop raised on
+    it (it models registers 0-63 only)."""
+    try:
+        return run()
+    except IndexError as exc:
+        return type(exc)
+
+
 @requires_kernel
-@pytest.mark.parametrize("name,tweak,reason", [d[1:] for d in _DECLINES],
+@pytest.mark.parametrize("predictor,tweak,make_trace,reason",
+                         [d[1:] for d in _DECLINES],
                          ids=[d[0] for d in _DECLINES])
-def test_kernel_decline_records_reason(monkeypatch, name, tweak, reason):
-    """A kernel decline raises under ``require`` naming its reason; by
-    default it takes the spec loop on the untouched model and records
-    exactly that one reason."""
-    trace = build_trace("gcc", _N)
+def test_kernel_decline_records_reason(monkeypatch, predictor, tweak,
+                                       make_trace, reason):
+    """The kernel's precondition names the reason, the trace-free prefix
+    too unless a trace check fails.  The decline raises under ``require``
+    naming it; by default it takes the spec loop on the untouched model
+    and records exactly that one reason.  Either way it leaves the
+    trace's plane cache empty: no trace plane, kernel inputs or VTAGE
+    plane is built for a run the kernel declines."""
+    trace = make_trace()
+
+    def model():
+        made = (_model(predictor) if isinstance(predictor, str)
+                else CoreModel(predictor=predictor()))
+        if tweak is not None:
+            tweak(made)
+        return made
 
     def run():
-        model = _model(name)
-        tweak(model)
-        assert fastsim.fallback_reason(model) is None  # a per-run decline
-        return model.run(trace, warmup=_WARMUP, workload="gcc")
+        return model().run(trace, warmup=_WARMUP, workload="gcc")
 
+    def planes():
+        return getattr(trace, precompute.PLANE_CACHE_ATTR, {})
+
+    assert ckernel.decline_reason(model(), trace) == reason
+    # A gcc trace passes every trace check; each hand-built one fails one.
+    trace_free = reason if make_trace is _gcc else None
+    assert fastsim.fallback_reason(model()) == trace_free
     monkeypatch.setenv(fastsim.FAST_SIM_ENV, "require")
     with pytest.raises(fastsim.FastPathRequired) as excinfo:
         run()
     assert excinfo.value.reason == reason
     assert reason in str(excinfo.value)
+    assert planes() == {}
     fastsim.reset_fallback_stats()
     monkeypatch.delenv(fastsim.FAST_SIM_ENV)
-    result = run()
+    result = _spec_answer(run)
     assert fastsim.fallback_stats() == {reason: 1}
+    assert planes() == {}
     monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
-    assert result == run()
+    assert result == _spec_answer(run)
 
 
 @requires_kernel
@@ -269,4 +346,3 @@ def test_reset_clears_counters(monkeypatch):
     assert fastsim.fallback_stats()
     fastsim.reset_fallback_stats()
     assert fastsim.fallback_stats() == {}
-    assert fastsim.last_fallback() is None

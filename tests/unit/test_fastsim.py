@@ -19,6 +19,7 @@ from repro.experiments.runner import make_predictor
 from repro.pipeline import ckernel, fastsim
 from repro.pipeline.config import CoreConfig, RecoveryMode
 from repro.pipeline.core import CoreModel, simulate
+from repro.pipeline.result import SimResult
 from repro.workloads.catalog import build_trace
 
 _N = 4000
@@ -66,21 +67,29 @@ def test_modes_bit_identical(monkeypatch, workload, predictor_name, recovery):
 
 
 def test_unsupported_predictor_falls_back(monkeypatch):
-    """Hybrids are outside the inlined families: try_run declines."""
+    """Hybrids are outside the inlined families: the kernel declines them
+    and the run records that one reason."""
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    fastsim.reset_fallback_stats()
     trace = build_trace("gcc", 2000)
     model = CoreModel(predictor=make_predictor("vtage-2dstride"))
     assert ckernel.predictor_type(model.predictor) is None
-    assert fastsim.try_run(model, trace, 0, "gcc") is None
+    reason = f"unsupported-predictor:{type(model.predictor).__name__}"
+    assert ckernel.decline_reason(model, trace) == reason
+    assert model.run(trace, 0, "gcc").cycles > 0
+    assert fastsim.fallback_stats() == {reason: 1}
 
 
 def test_prewarmed_branch_unit_falls_back(monkeypatch):
     """The plane assumes a fresh branch unit; warmed state declines."""
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
+    fastsim.reset_fallback_stats()
     trace = build_trace("gcc", 2000)
     model = CoreModel(predictor=None)
     model.branch_unit.process_scalar(8, 0x400, True, 0x440)
-    assert fastsim.try_run(model, trace, 0, "gcc") is None
+    assert ckernel.decline_reason(model, trace) == "non-default-branch-state"
+    assert model.run(trace, 0, "gcc").cycles > 0
+    assert fastsim.fallback_stats() == {"non-default-branch-state": 1}
 
 
 def test_kernel_mode_reports_selected_path(monkeypatch):
@@ -100,13 +109,11 @@ def test_compiled_kernel_actually_runs(monkeypatch):
     monkeypatch.delenv(fastsim.FAST_SIM_ENV, raising=False)
     trace = build_trace("gcc", 3000)
     model = CoreModel(predictor=make_predictor("vtage"))
-    from repro.pipeline.precompute import vtage_plane
-
-    vplane = vtage_plane(trace, model.predictor)
-    result = ckernel.try_run(model, trace, 500, "gcc", ckernel.P_VTAGE,
-                             vplane)
-    assert result is not None
+    assert ckernel.decline_reason(model, trace) is None
+    result = ckernel.run(model, trace, 500, "gcc")
+    assert isinstance(result, SimResult)
     assert result.cycles > 0
+    assert model.spent
 
 
 def test_kernel_scratch_is_bounded(monkeypatch):

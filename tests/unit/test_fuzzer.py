@@ -181,6 +181,19 @@ def test_run_differential_reports_fallback():
     assert "fallback-only" in {k for k, _ in outcome.corners}
 
 
+@pytest.mark.skipif(not ckernel.kernel_available(),
+                    reason="no C toolchain: compiled kernel unavailable")
+def test_run_differential_reports_kernel_leg_decline(monkeypatch):
+    """A kernel family whose kernel leg itself fell back (here a kernel
+    error) is a fallback-only corner, not agreement between two legs."""
+    monkeypatch.setattr(ckernel, "run", lambda *args: "kernel-error:abi")
+    spec = FuzzSpec(workload="gcc", predictor="lvp", n_uops=700, warmup=100)
+    outcome = run_differential(spec)
+    assert not outcome.divergent
+    assert outcome.fallback == "kernel-error:abi"
+    assert dict(outcome.corners)["fallback-only"] == "kernel-error:abi"
+
+
 def test_run_fuzz_reports_injected_divergence(monkeypatch, tmp_path):
     """A divergent leg must surface as a replayable spec line."""
     bad = FuzzSpec(workload="gcc", predictor="lvp", n_uops=800, warmup=100)

@@ -4,6 +4,7 @@ CLI's everyday verbs."""
 import pytest
 
 from repro.cli import main as cli_main
+from repro.pipeline import ckernel, fastsim
 from repro.util import profiling
 from repro.workloads import catalog
 
@@ -61,6 +62,27 @@ class TestProfileFlag:
         err = capsys.readouterr().err
         assert "profile (wall-clock per phase" in err
         assert "simulate" in err
+
+    @pytest.mark.parametrize("predictor", ("none", "vtage-2dstride"))
+    def test_run_profile_names_fallbacks(self, capsys, predictor):
+        """``--profile`` ends with the loop and the fallback counts of this
+        process (``-j 1``: the runs are in it).  A hybrid takes the spec
+        loop as ``unsupported-predictor``; the ``none`` baseline it is
+        compared with, like any kernel family, records nothing when the
+        kernel loads and ``no-compiler`` when it does not."""
+        fastsim.reset_fallback_stats()
+        assert cli_main(["-j", "1", "run", "gzip", "--predictor", predictor,
+                         "--uops", "700", "--warmup", "100",
+                         "--profile"]) == 0
+        kernel = ckernel.kernel_available()
+        expected = {} if kernel else {"no-compiler": 1}
+        if predictor != "none":
+            expected["unsupported-predictor:HybridPredictor"] = 1
+        counts = ",".join(f"{reason}={count}"
+                          for reason, count in sorted(expected.items()))
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == (f"profile: kernel={'c' if kernel else 'off'} "
+                        f"fastsim-fallbacks={counts or 'none'}")
 
     def test_campaign_run_profile_prints_phases(self, capsys, tmp_path):
         assert cli_main(["campaign", "run", "fig4",
