@@ -4,6 +4,9 @@ Every paper table and figure has a bench target here (see DESIGN.md's
 experiment index).  Benchmarks run scaled-down slices so the whole harness
 finishes in minutes; the full-size regeneration is
 ``python -m repro.experiments.reproduce`` (it prints the full report).
+The Figure 3–7 targets are timing runs: the paper's claims about those
+figures have one home, ``repro.experiments.claims``, which
+``tests/integration/test_claims.py`` gates.
 
 All simulation traffic goes through the experiment engine
 (:mod:`repro.engine`).  The harness pins a *serial*, *memory-only* engine

@@ -7,7 +7,8 @@ the whole evaluation and writes the paper-vs-reproduction report to stdout
 The whole evaluation is *one campaign*: the union of every figure grid
 (:func:`repro.experiments.campaigns.reproduce_campaign`) executes up
 front through :func:`~repro.engine.campaign.run_campaign`, and Figures
-3–7 are rendered from that one result; nothing simulates after it.
+3–7 and the findings (:mod:`repro.experiments.claims`) are computed from
+that one result; nothing simulates after it.
 
 Every simulation goes through the experiment engine: ``--jobs``/``-j`` (or
 ``REPRO_JOBS``) fans the campaign out over a process pool, and
@@ -38,8 +39,9 @@ from repro.engine.campaign import (
 )
 from repro.engine.client import ServiceError
 from repro.engine.job import DEFAULT_MEASURE, DEFAULT_WARMUP
-from repro.experiments import figures, tables
+from repro.experiments import claims, figures, tables
 from repro.experiments.campaigns import reproduce_campaign
+from repro.workloads.names import ALL_WORKLOADS
 
 
 def section31_model() -> str:
@@ -178,73 +180,14 @@ def main(argv: list[str] | None = None) -> int:
         print("```"); print(fig.text); print("```"); print()
         sys.stdout.flush()
 
-    print(FINDINGS)
+    if tuple(meta["workloads"]) == ALL_WORKLOADS:  # what every claim reads
+        print("## Paper vs. measured: findings")
+        print()
+        print(claims.render(claims.figure_series(campaign)))
+        print()
     elapsed = time.time() - t0
     print(f"_Total reproduction wall time: {elapsed/60:.1f} minutes._")
     return 0
-
-
-FINDINGS = """\
-## Paper vs. measured: findings
-
-Checked shapes (paper claim -> our measurement):
-
-1. **Fig. 3 (oracle headroom).** Paper: up to 3.3x. Ours: up to ~3.3x (mcf),
-   with lbm/art/parser/crafty well above 1.5x and milc/namd near 1.1 —
-   the same "big headroom on dependence/memory-limited codes, little on
-   throughput-bound codes" distribution.
-2. **Fig. 4a (plain 3-bit counters + squash-at-commit).** Paper: "fairly
-   important slowdowns can be observed" despite 94-100% accuracy.  Ours:
-   slowdowns on the almost-stable-value benchmarks (vortex ~0.77-0.83,
-   applu/2D-str 0.50, bzip2 0.75, gamess 0.90, crafty 0.91-0.95, gobmk,
-   sjeng), while high-accuracy benchmarks keep their gains.
-3. **Fig. 4b (FPC + squash-at-commit).** Paper: accuracy > 0.997
-   everywhere, no benchmark slowed except milc (< 1%).  Ours: accuracy
-   > 0.99 on every covered benchmark, worst case milc 0.985 (-1.5%), all
-   other benchmarks >= 0.99x, gains preserved (up to 1.48x).
-4. **Fig. 5 vs Fig. 4 (recovery indifference under FPC).** Paper: "the
-   recovery mechanism has little impact since the speedups are very
-   similar".  Ours: squash vs idealized reissue within a few percent on
-   stride-covered benchmarks (wupwise 1.48 vs 1.40); reissue additionally
-   rescues the *baseline* counters (its panel shows no slowdowns), exactly
-   the paper's Section 8.2.4 observation.  Benchmarks with residual
-   confident mispredictions (hmmer) gain more under reissue.
-5. **Fig. 6 (VTAGE +- FPC).** FPC trades coverage for accuracy; the largest
-   coverage losses land on the lowest-baseline-accuracy benchmarks
-   (crafty, vortex, gobmk, sjeng, gamess) — the paper's exact list.
-6. **Fig. 7 (hybrids).** Hybrid speedup >= max(component) on every
-   benchmark (within noise); hybrid coverage exceeds either component
-   (computational and context-based predictors cover different µops);
-   VTAGE+2D-Stride posts the best single-benchmark result (1.34x on
-   h264ref vs 1.27x for o4-FCM+2D-Stride).
-7. **Per-benchmark predictor affinity (Sec. 8.2.3).** wupwise and bzip2
-   favour 2D-Stride; gcc and applu favour the context-based predictors
-   (gcc: VTAGE 1.17 vs others ~1.06); h264ref pairs small coverage with a
-   large gain; namd has ~90+% stride coverage and only marginal speedup.
-
-Known deviations (documented, with causes):
-
-* **Magnitudes are compressed.** Peak speedup 1.48x (wupwise) vs the
-  paper's 1.65x (h264); ~6/19 benchmarks gain >= 5% vs the paper's 9/19.
-  Causes: 3-4 orders-of-magnitude shorter slices (32K vs 50M µops) mean
-  FPC counters (expected 129 consecutive corrects to saturate) spend a
-  visible fraction of the run warming, and synthetic kernels concentrate
-  each benchmark's signature behaviour rather than the full mix.
-* **applu favours o4-FCM over VTAGE** in our version (1.42 vs 1.10): the
-  synthetic boundary pattern is a short clean cycle that FCM's local value
-  history also captures perfectly.  The paper's direction (VTAGE > FCM on
-  applu) relies on value noise that breaks local-history matching; our gcc
-  kernel reproduces that separation instead.
-* **o4-FCM shows Fig. 4a slowdowns more strongly** (art 0.50, h264 0.54
-  with 3-bit counters) because idealised back-to-back FCM chains
-  speculative histories; the paper notes the same fragility ("o4-FCM
-  suffers mostly from a lack of coverage... needing more time to learn").
-* **mcf/lbm/parser real-predictor gains are ~0** here; the paper shows a
-  few percent.  Their gains come from broad low-grade value locality that
-  a 32K-µop synthetic slice underrepresents; the oracle headroom (3.3x,
-  3.6x, 3.1x) confirms the substrate exposes the latency that a better
-  predictor could reclaim.
-"""
 
 
 if __name__ == "__main__":

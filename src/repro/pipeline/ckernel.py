@@ -402,7 +402,7 @@ def decline_reason(model, trace=None) -> str | None:
         return "kernel-ineligible:address-range"
     if min_seq < 0:
         return "kernel-ineligible:negative-seq"
-    if max_reg >= 64:
+    if max_reg >= 64:  # CoreModel.run refuses it first; guards direct callers
         return "kernel-ineligible:register-range"
     return None
 

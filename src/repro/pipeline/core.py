@@ -161,15 +161,22 @@ class CoreModel:
 
         When *stage_trace* is a list, one ``(seq, fetch, dispatch, ready,
         issue, complete, commit)`` tuple per µop is appended to it — the
-        hook the timing tests and debugging tools use.
+        hook the timing tests and debugging tools use.  A trace that names
+        a register past 63 raises ``ValueError`` before a loop is picked.
         """
         if self.spent:
             raise RuntimeError(SPENT)
+        from repro.pipeline import ckernel, fastsim, precompute
+
+        # Neither loop models a register past 63 (repro.isa.uop); the
+        # ranges are cached on the trace, so this is no extra pass.
+        max_reg = precompute.trace_ranges(trace)[4]
+        if max_reg >= 64:
+            raise ValueError(f"trace {trace.name!r} names register {max_reg}; "
+                             "the core models registers 0-63")
         # The hot loop allocates short-lived tuples but creates no
         # reference cycles: see repro.util.gcpause.
         with gc_paused(), profiling.phase("simulate"):
-            from repro.pipeline import ckernel, fastsim
-
             # The one place that picks the loop: the kernel's result, or
             # the one reason this run takes the spec loop.
             mode = fastsim.fast_sim_mode()

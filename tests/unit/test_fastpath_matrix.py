@@ -211,15 +211,6 @@ _DECLINES = (
 )
 
 
-def _spec_answer(run):
-    """*run*'s result, or the type of the error the spec loop raised on
-    it (it models registers 0-63 only)."""
-    try:
-        return run()
-    except IndexError as exc:
-        return type(exc)
-
-
 @requires_kernel
 @pytest.mark.parametrize("predictor,tweak,make_trace,reason",
                          [d[1:] for d in _DECLINES],
@@ -251,6 +242,12 @@ def test_kernel_decline_records_reason(monkeypatch, predictor, tweak,
     # A gcc trace passes every trace check; each hand-built one fails one.
     trace_free = reason if make_trace is _gcc else None
     assert fastsim.fallback_reason(model()) == trace_free
+    if reason.endswith("register-range"):  # no loop models register 64
+        for mode in ("require", "0"):
+            monkeypatch.setenv(fastsim.FAST_SIM_ENV, mode)
+            pytest.raises(ValueError, run).match("register 64")
+        assert fastsim.fallback_stats() == {} and planes() == {}
+        return
     monkeypatch.setenv(fastsim.FAST_SIM_ENV, "require")
     with pytest.raises(fastsim.FastPathRequired) as excinfo:
         run()
@@ -259,11 +256,11 @@ def test_kernel_decline_records_reason(monkeypatch, predictor, tweak,
     assert planes() == {}
     fastsim.reset_fallback_stats()
     monkeypatch.delenv(fastsim.FAST_SIM_ENV)
-    result = _spec_answer(run)
+    result = run()
     assert fastsim.fallback_stats() == {reason: 1}
     assert planes() == {}
     monkeypatch.setenv(fastsim.FAST_SIM_ENV, "0")
-    assert result == _spec_answer(run)
+    assert result == run()
 
 
 @requires_kernel
